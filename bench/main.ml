@@ -609,11 +609,7 @@ let noisy_neighbor () =
           ~seed ~warmup:t_warmup ~measure:t_measure ~slice:t_slice ()
   in
   let kinds = [ `Solo; `Isolated; `Free ] in
-  let outcomes =
-    if !jobs <= 1 then List.map run_kind kinds
-    else Parallel.Pool.run ~jobs:!jobs run_kind kinds
-  in
-  match outcomes with
+  match Parallel.Pool.run ~jobs:!jobs run_kind kinds with
   | [ o_solo; o_iso; o_free ] ->
       Server.Report.tenants_section o_solo;
       Server.Report.tenants_section o_iso;
@@ -648,11 +644,7 @@ let shard_failover () =
       crash Server.Shards.Crash_failover false;
     ]
   in
-  let outcomes =
-    if !jobs <= 1 then List.map Server.Shards.run cells
-    else Parallel.Pool.run ~jobs:!jobs Server.Shards.run cells
-  in
-  match outcomes with
+  match Parallel.Pool.run ~jobs:!jobs Server.Shards.run cells with
   | [ on_base; on_crash; off_base; off_crash ] ->
       Server.Report.shards_section on_base;
       Server.Report.shards_section ~baseline:on_base on_crash;

@@ -23,18 +23,8 @@ let measure_arg =
 let slice_arg =
   Arg.(value & opt float 60. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "jobs"; "j" ]
-        ~env:(Cmd.Env.info "DBSIM_JOBS")
-        ~doc:
-          "Domains to fan independent runs across (1 = sequential). Each \
-           run is deterministic given its seed, so the output is the same \
-           at any job count.")
+let seed_arg = Fanout.seed_arg
+let jobs_arg = Fanout.jobs_arg
 
 let csv_arg =
   Arg.(
@@ -467,36 +457,7 @@ let trace_cmd =
       const action $ scenario_arg $ out_arg $ trace_clients_arg
       $ trace_measure_arg $ seed_arg)
 
-(* A repeated seed in --seeds would make two runs race to the same
-   per-seed report file, one silently overwriting the other; reject the
-   list up front, before any simulation, with the structured one-line
-   error. *)
-let check_duplicate_seeds seeds =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      if Hashtbl.mem seen s then begin
-        prerr_endline
-          (Printf.sprintf
-             "dbsim: error: duplicate seed %d in --seeds (try 'dbsim --help')"
-             s);
-        exit Cmd.Exit.cli_error
-      end;
-      Hashtbl.add seen s ())
-    seeds
-
-(* FILE as given for a single-seed run, FILE-seedN.ext otherwise. *)
-let seed_out_path ~multi out seed =
-  match out with
-  | None -> None
-  | Some path when not multi -> Some path
-  | Some path -> (
-      match Filename.extension path with
-      | "" -> Some (Printf.sprintf "%s-seed%d" path seed)
-      | ext ->
-          Some
-            (Printf.sprintf "%s-seed%d%s"
-               (Filename.remove_extension path) seed ext))
+let gib g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
 
 let health_cmd =
   let clients_arg =
@@ -529,25 +490,7 @@ let health_cmd =
           ~doc:"Allocation-failure probability on the compile clerk during \
                 the spike window (0 = ballast only).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write the health report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run the schedule at each of these seeds (overrides --seed); \
-             the independent runs fan out across --jobs domains.")
-  in
-  let action clients warmup measure drain resilience glitch seed out seeds jobs =
+  let spec clients warmup measure drain resilience glitch =
     let config =
       if resilience then Server.Config.supervised ()
       else
@@ -557,63 +500,45 @@ let health_cmd =
         }
     in
     let faults = Server.Scenario.chaos_faults ~glitch () in
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let run_seed seed =
-      Server.Scenario.run_chaos ~config ~faults ~seed ~clients ~warmup
-        ~measure ~drain ()
+    let section seed =
+      List.iter (fun (o : Server.Scenario.outcome) ->
+          Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
+            (if resilience then "supervision + resilience"
+             else "supervision only");
+          List.iter
+            (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f))
+            o.faults;
+          print_newline ();
+          Format.printf "%a@." Health.Report.pp o.report;
+          let stuck = Health.Report.stuck o.report in
+          Printf.printf "\n  stuck queries: %d%s\n" stuck
+            (if stuck = 0 then "" else "  <-- SUPERVISION FAILURE"))
     in
-    let outcomes =
-      if jobs <= 1 then List.map run_seed seeds
-      else Parallel.Pool.run ~jobs run_seed seeds
+    let report oc _ =
+      List.iter (fun (o : Server.Scenario.outcome) ->
+          Format.fprintf (Format.formatter_of_out_channel oc) "%a@."
+            Health.Report.pp o.report)
     in
-    let multi = List.length seeds > 1 in
-    let out_for = seed_out_path ~multi out in
-    let any_stuck = ref false in
-    List.iter2
-      (fun seed o ->
-        Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
-          (if resilience then "supervision + resilience"
-           else "supervision only");
-        List.iter
-          (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f))
-          o.Server.Scenario.faults;
-        print_newline ();
-        Format.printf "%a@." Health.Report.pp o.Server.Scenario.report;
-        let r = o.Server.Scenario.report in
-        Printf.printf "\n  stuck queries: %d%s\n" (Health.Report.stuck r)
-          (if Health.Report.stuck r = 0 then ""
-           else "  <-- SUPERVISION FAILURE");
-        (match out_for seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let ppf = Format.formatter_of_out_channel oc in
-            Format.fprintf ppf "%a@." Health.Report.pp r;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        if Health.Report.stuck r > 0 then any_stuck := true)
-      seeds outcomes;
-    if multi then begin
-      let stuck_total =
-        List.fold_left
-          (fun acc o -> acc + Health.Report.stuck o.Server.Scenario.report)
-          0 outcomes
-      in
-      Printf.printf "\n%d seeds run, %d stuck queries total\n"
-        (List.length seeds) stuck_total
-    end;
-    if !any_stuck then exit 3
+    {
+      Fanout.cells = (fun seed -> [ seed ]);
+      run =
+        (fun ?trace seed ->
+          Server.Scenario.run_chaos ~config ~faults ~seed ~clients ~warmup
+            ~measure ~drain ?trace ());
+      section;
+      report;
+    }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "health"
        ~doc:
          "Run the canonical chaos schedule under the supervision layer and \
           print the health report with the error-budget table.")
+    ~report:"health report"
+    ~stuck:(fun (o : Server.Scenario.outcome) -> Health.Report.stuck o.report)
     Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ drain_arg
-      $ resilience_arg $ glitch_arg $ seed_arg $ out_arg $ seeds_arg
-      $ jobs_arg)
+      const spec $ clients_arg $ warmup_arg $ measure_arg $ drain_arg
+      $ resilience_arg $ glitch_arg)
 
 let tenants_cmd =
   let warmup_arg =
@@ -628,118 +553,87 @@ let tenants_cmd =
       & info [ "total-gib" ]
           ~doc:"Machine memory split across the tenant pools, GiB.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed tenant report to FILE (CI artifact). \
-             With several $(b,--seeds), -seedN is inserted before the \
-             extension.")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run the experiment at each of these seeds (overrides --seed); \
-             the independent runs fan out across --jobs domains.")
-  in
-  let action warmup measure slice seed seeds total_gib out jobs =
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
-    in
-    (* Three configurations per seed — the victim alone at its pool size,
-       the cast under the guaranteed arbiter, and the cast under
-       demand-chasing arbitration with no guarantees — each an
-       independent deterministic run, fanned over the domains. *)
-    let kinds = [ `Solo; `Isolated; `Free ] in
-    let cells =
-      List.concat_map (fun seed -> List.map (fun k -> (seed, k)) kinds) seeds
-    in
-    let run_cell (seed, kind) =
+  let spec warmup measure slice total_gib =
+    let open Server.Tenants in
+    let total_bytes = gib total_gib in
+    let machine = Dbmem.Units.bytes_to_string total_bytes in
+    (* Per seed: the victim alone at its pool size, the cast under the
+       guaranteed arbiter, and the cast under demand-chasing arbitration
+       with no guarantees. *)
+    let run ?trace (seed, kind) =
       match kind with
       | `Solo ->
-          Server.Tenants.solo ~victim:"victim" ~total_bytes ~seed ~warmup
-            ~measure ~slice ()
+          solo ?trace ~victim:"victim" ~total_bytes ~seed ~warmup ~measure
+            ~slice ()
       | `Isolated ->
-          Server.Tenants.run ~mode:Server.Tenants.Isolated ~total_bytes ~seed
-            ~warmup ~measure ~slice ()
+          Server.Tenants.run ?trace ~mode:Isolated ~total_bytes ~seed ~warmup
+            ~measure ~slice ()
       | `Free ->
-          Server.Tenants.run ~mode:Server.Tenants.Free_for_all ~total_bytes
-            ~seed ~warmup ~measure ~slice ()
+          Server.Tenants.run ?trace ~mode:Free_for_all ~total_bytes ~seed
+            ~warmup ~measure ~slice ()
     in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let rec group = function
-      | [] -> []
-      | a :: b :: c :: rest -> (a, b, c) :: group rest
+    let retentions = function
+      | [ o_solo; o_iso; o_free ] ->
+          let v = find_tenant o_solo "victim" in
+          ( retention ~shared:(find_tenant o_iso "victim") ~solo:v,
+            retention ~shared:(find_tenant o_free "victim") ~solo:v )
       | _ -> assert false
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed (o_solo, o_iso, o_free) ->
-        let open Server.Tenants in
-        Printf.printf "\nNoisy neighbour, seed %d (machine %s):\n" seed
-          (Dbmem.Units.bytes_to_string total_bytes);
-        Server.Report.tenants_section o_solo;
-        Server.Report.tenants_section o_iso;
-        Server.Report.tenants_section o_free;
-        let v = find_tenant o_solo "victim" in
-        let vi = find_tenant o_iso "victim" in
-        let vf = find_tenant o_free "victim" in
-        let r_iso = retention ~shared:vi ~solo:v in
-        let r_free = retention ~shared:vf ~solo:v in
-        Printf.printf
-          "\n  victim retention vs solo: isolated %.0f%%, free-for-all %.0f%%\n"
-          (100. *. r_iso) (100. *. r_free);
-        match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "noisy-neighbour report, seed %d, machine %s\n" seed
-              (Dbmem.Units.bytes_to_string total_bytes);
-            let dump (o : outcome) =
-              pr "[%s]\n" (mode_name o.omode);
-              pr
-                "pool,workload,clients,compl_per_slice,total,budget_start,\
-                 budget_end,floor,pool_hit,cache_hit,errors,abandoned\n";
-              List.iter
-                (fun (r : tenant_result) ->
-                  pr "%s,%s,%d,%.2f,%d,%d,%d,%d,%.3f,%.3f,%d,%d\n" r.rname
-                    (workload_name r.rworkload)
-                    r.rclients r.mean_per_slice r.completed r.budget_start
-                    r.budget_end r.floor r.pool_hit_rate r.cache_hit_rate
-                    r.errors r.abandoned)
-                o.tenants;
-              if o.omode <> Static then
-                pr "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d scarce=%b\n"
-                  o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
-                  o.arb_scarce
-            in
-            dump o_solo;
-            dump o_iso;
-            dump o_free;
-            pr "victim_retention isolated=%.3f free_for_all=%.3f\n" r_iso r_free;
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    let columns =
+      Fanout.
+        [
+          str "pool" (fun r -> r.rname);
+          str "workload" (fun r -> workload_name r.rworkload);
+          int "clients" (fun r -> r.rclients);
+          float 2 "compl_per_slice" (fun r -> r.mean_per_slice);
+          int "total" (fun r -> r.completed);
+          int "budget_start" (fun r -> r.budget_start);
+          int "budget_end" (fun r -> r.budget_end);
+          int "floor" (fun r -> r.floor);
+          float 3 "pool_hit" (fun r -> r.pool_hit_rate);
+          float 3 "cache_hit" (fun r -> r.cache_hit_rate);
+          int "errors" (fun r -> r.errors);
+          int "abandoned" (fun r -> r.abandoned);
+        ]
+    in
+    let section seed outcomes =
+      Printf.printf "\nNoisy neighbour, seed %d (machine %s):\n" seed machine;
+      List.iter Server.Report.tenants_section outcomes;
+      let r_iso, r_free = retentions outcomes in
+      Printf.printf
+        "\n  victim retention vs solo: isolated %.0f%%, free-for-all %.0f%%\n"
+        (100. *. r_iso) (100. *. r_free)
+    in
+    let report oc seed outcomes =
+      let pr fmt = Printf.fprintf oc fmt in
+      pr "noisy-neighbour report, seed %d, machine %s\n" seed machine;
+      List.iter
+        (fun o ->
+          pr "[%s]\n" (mode_name o.omode);
+          Fanout.csv oc columns o.tenants;
+          if o.omode <> Static then
+            pr "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d scarce=%b\n"
+              o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
+              o.arb_scarce)
+        outcomes;
+      let r_iso, r_free = retentions outcomes in
+      pr "victim_retention isolated=%.3f free_for_all=%.3f\n" r_iso r_free
+    in
+    {
+      Fanout.cells =
+        (fun seed -> List.map (fun k -> (seed, k)) [ `Solo; `Isolated; `Free ]);
+      run;
+      section;
+      report;
+    }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "tenants"
        ~doc:
          "Multi-tenant noisy-neighbour experiment: victim solo vs shared \
           with arbiter isolation vs shared free-for-all.")
-    Term.(
-      const action $ warmup_arg $ measure_arg $ slice_arg $ seed_arg
-      $ seeds_arg $ total_gib_arg $ out_arg $ jobs_arg)
+    ~report:"tenant report"
+    Term.(const spec $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg)
 
 let shards_cmd =
   let shards_arg =
@@ -780,44 +674,22 @@ let shards_cmd =
       & info [ "rolling" ]
           ~doc:"Also run the staggered rolling-restart schedule.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed shard report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the crash-failover gateways-on cell with \
-             tracing and write PREFIX-seedN.json Chrome traces (per-shard \
-             lifecycle + budget counters, gateway waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
-  in
-  let action shards clients variants think warmup measure slice total_gib hedge
-      rolling seed seeds out trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
+  let spec shards clients variants think warmup measure slice total_gib hedge
+      rolling =
+    let open Server.Shards in
+    let total_bytes = gib total_gib in
+    let machine = Dbmem.Units.bytes_to_string total_bytes in
+    (* Per seed: the healthy baseline, then crash-failover with gateways
+       on and off — the off cell shows what the recompilation storm costs
+       without compile throttling. *)
+    let kinds =
+      [ (No_fault, true); (Crash_failover, true); (Crash_failover, false) ]
+      @ (if rolling then [ (Rolling_restart, true) ] else [])
+      @ if hedge then [ (Brownout, true) ] else []
     in
-    let cfg_of ~seed ~schedule ~gateways =
+    let cell seed (schedule, gateways) =
       {
-        Server.Shards.c_shards = shards;
+        c_shards = shards;
         c_clients = clients;
         c_variants = variants;
         c_think = think;
@@ -831,134 +703,95 @@ let shards_cmd =
         c_schedule = schedule;
       }
     in
-    (* Per seed: the healthy baseline, then crash-failover with gateways
-       on and off — the off cell shows what the recompilation storm costs
-       without compile throttling. *)
-    let kinds =
-      [
-        (Server.Shards.No_fault, true);
-        (Server.Shards.Crash_failover, true);
-        (Server.Shards.Crash_failover, false);
-      ]
-      @ (if rolling then [ (Server.Shards.Rolling_restart, true) ] else [])
-      @ if hedge then [ (Server.Shards.Brownout, true) ] else []
+    let columns =
+      Fanout.
+        [
+          str "shard" (fun r -> r.sh_name);
+          str "state" (fun r -> r.sh_final_state);
+          int "crashes" (fun r -> r.sh_crashes);
+          int "accepted" (fun r -> r.sh_accepted);
+          int "finished" (fun r -> r.sh_finished);
+          int "lost" (fun r -> r.sh_lost);
+          int "refused" (fun r -> r.sh_refused);
+          int "recompiles" (fun r -> r.sh_recompiles);
+          float 3 "cache_hit" (fun r -> r.sh_cache_hit_rate);
+          int "budget_end" (fun r -> r.sh_budget_end);
+        ]
     in
-    let cells =
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun (schedule, gateways) -> cfg_of ~seed ~schedule ~gateways)
-            kinds)
-        seeds
-    in
-    let run_cell cfg = Server.Shards.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let per_seed = List.length kinds in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
-          in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
-    in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Shards in
-        let baseline = List.hd seed_outcomes in
-        Printf.printf "\nSharded failover, seed %d (machine %s, %d shards):\n"
-          seed
-          (Dbmem.Units.bytes_to_string total_bytes)
-          shards;
-        List.iter
+    let section seed outcomes =
+      let baseline = List.hd outcomes in
+      Printf.printf "\nSharded failover, seed %d (machine %s, %d shards):\n"
+        seed machine shards;
+      List.iter
+        (fun o ->
+          if o.o_config.c_schedule = No_fault then Server.Report.shards_section o
+          else Server.Report.shards_section ~baseline o)
+        outcomes;
+      let find gateways =
+        List.find_opt
           (fun o ->
-            if o.o_config.c_schedule = No_fault then
-              Server.Report.shards_section o
-            else Server.Report.shards_section ~baseline o)
-          seed_outcomes;
-        let find schedule gateways =
-          List.find_opt
-            (fun o ->
-              o.o_config.c_schedule = schedule
-              && o.o_config.c_gateways = gateways)
-            seed_outcomes
-        in
-        let ret o = 100. *. retention ~fault:o ~no_fault:baseline in
-        (match (find Crash_failover true, find Crash_failover false) with
-        | Some on, Some off ->
-            Printf.printf
-              "\n  crash-failover retention vs no-fault: gateways on %.0f%%, \
-               off %.0f%%\n"
-              (ret on) (ret off)
-        | _ -> ());
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "sharded-failover report, seed %d, machine %s, %d shards\n"
-              seed
-              (Dbmem.Units.bytes_to_string total_bytes)
-              shards;
-            List.iter
-              (fun o ->
-                pr "[%s gateways=%b hedge=%b]\n"
-                  (schedule_name o.o_config.c_schedule)
-                  o.o_config.c_gateways o.o_config.c_hedge;
-                pr
-                  "shard,state,crashes,accepted,finished,lost,refused,\
-                   recompiles,cache_hit,budget_end\n";
-                List.iter
-                  (fun (r : shard_result) ->
-                    pr "%s,%s,%d,%d,%d,%d,%d,%d,%.3f,%d\n" r.sh_name
-                      r.sh_final_state r.sh_crashes r.sh_accepted r.sh_finished
-                      r.sh_lost r.sh_refused r.sh_recompiles r.sh_cache_hit_rate
-                      r.sh_budget_end)
-                  o.shard_results;
-                pr
-                  "router submitted=%d ok=%d failed=%d rejected=%d spills=%d \
-                   hedges=%d hedge_wins=%d retries=%d p50_ms=%.1f p99_ms=%.1f\n"
-                  o.submitted o.ok o.failed o.rejected o.spills o.hedges
-                  o.hedge_wins o.retries o.p50_ms o.p99_ms;
-                pr
-                  "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d \
-                   max_budget_sum=%d\n"
-                  o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
-                  o.max_budget_sum;
-                if o.o_config.c_schedule <> No_fault then
-                  pr "retention=%.3f\n" (retention ~fault:o ~no_fault:baseline))
-              seed_outcomes;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Shards.run ~trace
-                 (cfg_of ~seed ~schedule:Crash_failover ~gateways:true));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+            o.o_config.c_schedule = Crash_failover
+            && o.o_config.c_gateways = gateways)
+          outcomes
+      in
+      let ret o = 100. *. retention ~fault:o ~no_fault:baseline in
+      match (find true, find false) with
+      | Some on, Some off ->
+          Printf.printf
+            "\n  crash-failover retention vs no-fault: gateways on %.0f%%, \
+             off %.0f%%\n"
+            (ret on) (ret off)
+      | _ -> ()
+    in
+    let report oc seed outcomes =
+      let pr fmt = Printf.fprintf oc fmt in
+      let baseline = List.hd outcomes in
+      pr "sharded-failover report, seed %d, machine %s, %d shards\n" seed
+        machine shards;
+      List.iter
+        (fun o ->
+          pr "[%s gateways=%b hedge=%b]\n"
+            (schedule_name o.o_config.c_schedule)
+            o.o_config.c_gateways o.o_config.c_hedge;
+          Fanout.csv oc columns o.shard_results;
+          pr
+            "router submitted=%d ok=%d failed=%d rejected=%d spills=%d \
+             hedges=%d hedge_wins=%d retries=%d p50_ms=%.1f p99_ms=%.1f\n"
+            o.submitted o.ok o.failed o.rejected o.spills o.hedges
+            o.hedge_wins o.retries o.p50_ms o.p99_ms;
+          pr
+            "arbiter ticks=%d rebalances=%d moved=%d reclaimed=%d \
+             max_budget_sum=%d\n"
+            o.arb_ticks o.arb_rebalances o.arb_moved o.arb_reclaimed
+            o.max_budget_sum;
+          if o.o_config.c_schedule <> No_fault then
+            pr "retention=%.3f\n" (retention ~fault:o ~no_fault:baseline))
+        outcomes
+    in
+    {
+      Fanout.cells = (fun seed -> List.map (cell seed) kinds);
+      run = Server.Shards.run;
+      section;
+      report;
+    }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "shards"
        ~doc:
          "Sharded scale-out experiment: health-aware routing over N failure \
           domains, crash-failover with cold-cache recompilation storms, \
           with and without compile gateways.")
+    ~report:"shard report"
+    ~trace:
+      ( "Trace the crash-failover gateways-on cell in the same run and \
+         write PREFIX-seedN.json Chrome traces (per-shard lifecycle + \
+         budget counters, gateway waits).",
+        fun (c : Server.Shards.config) ->
+          c.c_schedule = Server.Shards.Crash_failover && c.c_gateways )
     Term.(
-      const action $ shards_arg $ clients_arg $ variants_arg $ think_arg
+      const spec $ shards_arg $ clients_arg $ variants_arg $ think_arg
       $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg $ hedge_arg
-      $ rolling_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      $ rolling_arg)
 
 let storm_cmd =
   let shards_arg =
@@ -1048,50 +881,16 @@ let storm_cmd =
             "Hottest templates warm-primed on shard rejoin. Conflicts \
              with $(b,--defenses off).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed storm report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the defended first-schedule cell with tracing and \
-             write PREFIX-seedN.json Chrome traces (storm begin/end \
-             instants, singleflight coalesces, queue-discipline shifts, \
-             gateway waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
-  in
-  let action shards clients variants think warmup measure slice total_gib
-      defenses schedule sf_wait budget_tokens lifo_after warm_prime seed seeds
-      out trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let fail msg =
-      prerr_endline (Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg);
-      exit Cmd.Exit.cli_error
-    in
+  let spec shards clients variants think warmup measure slice total_gib
+      defenses schedule sf_wait budget_tokens lifo_after warm_prime =
+    let open Server.Storms in
     (* Structured conflicts, caught before any simulation runs: every
        tuning flag parameterizes a defense, so with the defended arm
        excluded there is nothing for it to tune. *)
     (if defenses = `Off then
        let conflict name = function
          | Some _ ->
-             fail
+             Fanout.fail
                (Printf.sprintf
                   "--%s conflicts with --defenses off (it tunes a defense \
                    that arm never runs)"
@@ -1103,22 +902,31 @@ let storm_cmd =
        conflict "lifo-after" lifo_after;
        conflict "warm-prime" (Option.map float_of_int warm_prime));
     let nonpos name = function
-      | Some v when v <= 0. -> fail (Printf.sprintf "--%s must be positive" name)
+      | Some v when v <= 0. ->
+          Fanout.fail (Printf.sprintf "--%s must be positive" name)
       | _ -> ()
     in
     nonpos "sf-wait" sf_wait;
     nonpos "budget-tokens" budget_tokens;
     nonpos "lifo-after" lifo_after;
     (match warm_prime with
-    | Some k when k < 0 -> fail "--warm-prime must be >= 0"
+    | Some k when k < 0 -> Fanout.fail "--warm-prime must be >= 0"
     | _ -> ());
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
-    let total_bytes =
-      int_of_float (total_gib *. float_of_int (Dbmem.Units.gib 1))
+    let total_bytes = gib total_gib in
+    let machine = Dbmem.Units.bytes_to_string total_bytes in
+    let schedules =
+      match schedule with
+      | `Crash -> [ Cold_crash ]
+      | `Invalidation -> [ Mass_invalidation ]
+      | `Both -> [ Cold_crash; Mass_invalidation ]
     in
-    let cfg_of ~seed ~schedule ~defenses =
+    let arms =
+      match defenses with `On -> [ true ] | `Off -> [ false ] | `Both -> [ true; false ]
+    in
+    let cell seed schedule defenses =
+      let tuned v = if defenses then v else None in
       {
-        Server.Storms.s_shards = shards;
+        s_shards = shards;
         s_clients = clients;
         s_variants = variants;
         s_think = think;
@@ -1127,146 +935,107 @@ let storm_cmd =
         s_slice = slice;
         s_total = total_bytes;
         s_defenses = defenses;
-        s_sf_wait = (if defenses then sf_wait else None);
-        s_budget_tokens = (if defenses then budget_tokens else None);
-        s_lifo_after = (if defenses then lifo_after else None);
-        s_warm_prime = (if defenses then warm_prime else None);
+        s_sf_wait = tuned sf_wait;
+        s_budget_tokens = tuned budget_tokens;
+        s_lifo_after = tuned lifo_after;
+        s_warm_prime = tuned warm_prime;
         s_seed = seed;
         s_schedule = schedule;
       }
     in
-    let schedules =
-      match schedule with
-      | `Crash -> [ Server.Storms.Cold_crash ]
-      | `Invalidation -> [ Server.Storms.Mass_invalidation ]
-      | `Both -> [ Server.Storms.Cold_crash; Server.Storms.Mass_invalidation ]
+    let cells seed =
+      let cfgs =
+        List.concat_map
+          (fun sch -> List.map (cell seed sch) arms)
+          schedules
+      in
+      List.iter validate cfgs;
+      cfgs
     in
-    let arms =
-      match defenses with
-      | `On -> [ true ]
-      | `Off -> [ false ]
-      | `Both -> [ true; false ]
-    in
-    let kinds =
-      List.concat_map (fun sch -> List.map (fun d -> (sch, d)) arms) schedules
-    in
-    let cells =
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun (schedule, defenses) -> cfg_of ~seed ~schedule ~defenses)
-            kinds)
-        seeds
-    in
-    List.iter Server.Storms.validate cells;
-    let run_cell cfg = Server.Storms.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
-    in
-    let per_seed = List.length kinds in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
+    (* Each schedule's defended/undefended pair, when both arms ran. *)
+    let pairs outcomes =
+      List.filter_map
+        (fun sch ->
+          let find d =
+            List.find_opt
+              (fun o -> o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
+              outcomes
           in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
+          match (find true, find false) with
+          | Some defended, Some undefended -> Some (sch, defended, undefended)
+          | _ -> None)
+        schedules
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Storms in
-        Printf.printf
-          "\nCold-cache storm, seed %d (machine %s, %d shards, %d clients):\n"
-          seed
-          (Dbmem.Units.bytes_to_string total_bytes)
-          shards clients;
-        List.iter Server.Report.storms_section seed_outcomes;
-        List.iter
-          (fun sch ->
-            let find d =
-              List.find_opt
-                (fun o ->
-                  o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
-                seed_outcomes
-            in
-            match (find true, find false) with
-            | Some defended, Some undefended ->
-                Printf.printf "\n  [%s]" (schedule_name sch);
-                Server.Report.storms_verdict ~defended ~undefended
-            | _ -> ())
-          schedules;
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "storm report, seed %d, machine %s, %d shards, %d clients\n"
-              seed
-              (Dbmem.Units.bytes_to_string total_bytes)
-              shards clients;
-            pr
-              "schedule,defenses,pre_rate,post_rate,recovery_s,recovered,\
-               retry_amp,dup_compiles,coalesced,storms,primed,lifo_shifts,\
-               deadline_sheds,budget_denials,submitted,ok,failed,rejected,\
-               retries,p50_ms,p99_ms,abandoned\n";
-            List.iter
-              (fun o ->
-                pr
-                  "%s,%b,%.2f,%.2f,%s,%b,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
-                   %d,%d,%.1f,%.1f,%d\n"
-                  (schedule_name o.o_config.s_schedule)
-                  o.o_config.s_defenses o.pre_rate o.post_rate
-                  (if o.recovered then Printf.sprintf "%.1f" o.recovery_s
-                   else "inf")
-                  o.recovered o.retry_amp o.dup_compiles o.coalesced
-                  o.storms_detected o.primed o.lifo_shifts o.deadline_sheds
-                  o.budget_denials o.submitted o.ok o.failed o.rejected
-                  o.retries o.p50_ms o.p99_ms o.cl_abandoned)
-              seed_outcomes;
-            List.iter
-              (fun sch ->
-                let find d =
-                  List.find_opt
-                    (fun o ->
-                      o.o_config.s_schedule = sch && o.o_config.s_defenses = d)
-                    seed_outcomes
-                in
-                match (find true, find false) with
-                | Some defended, Some undefended ->
-                    pr "%s defense_win=%b\n" (schedule_name sch)
-                      (faster_recovery ~defended ~undefended)
-                | _ -> ())
-              schedules;
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Storms.run ~trace
-                 (cfg_of ~seed ~schedule:(List.hd schedules) ~defenses:true));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    let columns =
+      Fanout.
+        [
+          str "schedule" (fun o -> schedule_name o.o_config.s_schedule);
+          bool "defenses" (fun o -> o.o_config.s_defenses);
+          float 2 "pre_rate" (fun o -> o.pre_rate);
+          float 2 "post_rate" (fun o -> o.post_rate);
+          str "recovery_s" (fun o ->
+              if o.recovered then Printf.sprintf "%.1f" o.recovery_s else "inf");
+          bool "recovered" (fun o -> o.recovered);
+          float 3 "retry_amp" (fun o -> o.retry_amp);
+          int "dup_compiles" (fun o -> o.dup_compiles);
+          int "coalesced" (fun o -> o.coalesced);
+          int "storms" (fun o -> o.storms_detected);
+          int "primed" (fun o -> o.primed);
+          int "lifo_shifts" (fun o -> o.lifo_shifts);
+          int "deadline_sheds" (fun o -> o.deadline_sheds);
+          int "budget_denials" (fun o -> o.budget_denials);
+          int "submitted" (fun o -> o.submitted);
+          int "ok" (fun o -> o.ok);
+          int "failed" (fun o -> o.failed);
+          int "rejected" (fun o -> o.rejected);
+          int "retries" (fun o -> o.retries);
+          float 1 "p50_ms" (fun o -> o.p50_ms);
+          float 1 "p99_ms" (fun o -> o.p99_ms);
+          int "abandoned" (fun o -> o.cl_abandoned);
+        ]
+    in
+    let section seed outcomes =
+      Printf.printf
+        "\nCold-cache storm, seed %d (machine %s, %d shards, %d clients):\n"
+        seed machine shards clients;
+      List.iter Server.Report.storms_section outcomes;
+      List.iter
+        (fun (sch, defended, undefended) ->
+          Printf.printf "\n  [%s]" (schedule_name sch);
+          Server.Report.storms_verdict ~defended ~undefended)
+        (pairs outcomes)
+    in
+    let report oc seed outcomes =
+      Printf.fprintf oc
+        "storm report, seed %d, machine %s, %d shards, %d clients\n" seed
+        machine shards clients;
+      Fanout.csv oc columns outcomes;
+      List.iter
+        (fun (sch, defended, undefended) ->
+          Printf.fprintf oc "%s defense_win=%b\n" (schedule_name sch)
+            (faster_recovery ~defended ~undefended))
+        (pairs outcomes)
+    in
+    { Fanout.cells; run = Server.Storms.run; section; report }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "storm"
        ~doc:
          "Metastable-failure experiment: cold-cache storms (crash-failover \
           or mass invalidation) with the defense stack — singleflight, \
           retry budgets, adaptive queues, warm-priming — on vs off.")
+    ~report:"storm report"
+    ~trace:
+      ( "Trace the defended first-schedule cell (the first cell, under \
+         $(b,--defenses off)) in the same run and write PREFIX-seedN.json \
+         Chrome traces (storm begin/end instants, singleflight coalesces, \
+         queue-discipline shifts, gateway waits).",
+        fun (c : Server.Storms.config) -> c.s_defenses )
     Term.(
-      const action $ shards_arg $ clients_arg $ variants_arg $ think_arg
+      const spec $ shards_arg $ clients_arg $ variants_arg $ think_arg
       $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg $ defenses_arg
       $ schedule_arg $ sf_wait_arg $ budget_tokens_arg $ lifo_after_arg
-      $ warm_prime_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      $ warm_prime_arg)
 
 let cache_cmd =
   let mode_arg =
@@ -1351,68 +1120,29 @@ let cache_cmd =
             "Diurnal curve: load swings sinusoidally up to this multiple \
              of the baseline over one measure-length cycle (1 = flat).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also write a per-seed cache report to FILE (CI artifact). With \
-             several $(b,--seeds), -seedN is inserted before the extension.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Additionally re-run the brokered cell with tracing and write \
-             PREFIX-seedN.json Chrome traces (cache residency/hit-rate \
-             counters, lookup/store/invalidate/shrink instants, gateway \
-             waits).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "seeds" ]
-          ~doc:
-            "Run every cell at each of these seeds (overrides --seed); the \
-             independent runs fan out across --jobs domains.")
-  in
-  let action mode clients think ratio variants writers warmup measure slice
-      memory_gib cache_mib ttl ballast_gib flash peak_load seed seeds out
-      trace_prefix jobs =
-    check_duplicate_seeds seeds;
-    let fail msg =
-      prerr_endline (Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg);
-      exit Cmd.Exit.cli_error
-    in
+  let spec mode clients think ratio variants writers warmup measure slice
+      memory_gib cache_mib ttl ballast_gib flash peak_load =
+    let open Server.Cached in
     (* Structured conflicts, caught before any simulation runs. *)
     (match (mode, cache_mib) with
     | `Off, Some _ ->
-        fail "--cache-mib conflicts with --mode off (cache-off runs no cache)"
+        Fanout.fail
+          "--cache-mib conflicts with --mode off (cache-off runs no cache)"
     | _ -> ());
-    if ratio < 0. || ratio > 1. then fail "--param-ratio outside [0, 1]";
-    if peak_load < 1. then fail "--peak-load below 1";
-    if flash < 0 then fail "--flash below 0";
-    let seeds = match seeds with [] -> [ seed ] | l -> l in
+    if ratio < 0. || ratio > 1. then Fanout.fail "--param-ratio outside [0, 1]";
+    if peak_load < 1. then Fanout.fail "--peak-load below 1";
+    if flash < 0 then Fanout.fail "--flash below 0";
     let modes =
       match mode with
-      | `All ->
-          [
-            Server.Cached.Cache_off;
-            Server.Cached.Cache_fixed;
-            Server.Cached.Cache_brokered;
-          ]
-      | `Off -> [ Server.Cached.Cache_off ]
-      | `Fixed -> [ Server.Cached.Cache_fixed ]
-      | `Brokered -> [ Server.Cached.Cache_brokered ]
+      | `All -> [ Cache_off; Cache_fixed; Cache_brokered ]
+      | `Off -> [ Cache_off ]
+      | `Fixed -> [ Cache_fixed ]
+      | `Brokered -> [ Cache_brokered ]
     in
-    let cfg_of ~seed ~mode =
+    let cell seed mode =
       {
-        Server.Cached.default_config with
-        Server.Cached.k_mode = mode;
+        default_config with
+        k_mode = mode;
         k_clients = clients;
         k_think = think;
         k_ratio = ratio;
@@ -1421,7 +1151,7 @@ let cache_cmd =
         k_warmup = warmup;
         k_measure = measure;
         k_slice = slice;
-        k_memory = int_of_float (memory_gib *. float_of_int (Dbmem.Units.gib 1));
+        k_memory = gib memory_gib;
         k_cache_bytes = Dbmem.Units.mib (Option.value cache_mib ~default:256);
         k_ttl = ttl;
         k_ballast_gib = ballast_gib;
@@ -1443,112 +1173,90 @@ let cache_cmd =
         k_seed = seed;
       }
     in
-    let cells =
-      List.concat_map
-        (fun seed -> List.map (fun mode -> cfg_of ~seed ~mode) modes)
-        seeds
+    let cells seed =
+      let cfgs = List.map (cell seed) modes in
+      List.iter validate cfgs;
+      cfgs
     in
-    List.iter Server.Cached.validate cells;
-    let run_cell cfg = Server.Cached.run cfg in
-    let outcomes =
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
+    let find mode = List.find_opt (fun o -> o.o_config.k_mode = mode) in
+    let columns =
+      Fanout.
+        [
+          str "mode" (fun o -> mode_name o.o_config.k_mode);
+          float 2 "compl_per_slice" (fun o -> o.mean_per_slice);
+          int "completed" (fun o -> o.completed);
+          int "requests" (fun o -> o.requests);
+          int "hits" (fun o -> o.hits);
+          int "misses" (fun o -> o.misses);
+          int "bypasses" (fun o -> o.bypasses);
+          float 3 "hit_rate" (fun o -> o.cache_hit_rate);
+          int "stores" (fun o -> o.stores);
+          int "refused" (fun o -> o.refused);
+          int "evictions" (fun o -> o.evictions);
+          int "expired" (fun o -> o.expired);
+          int "invalidated" (fun o -> o.invalidated);
+          int "shrink_events" (fun o -> o.shrink_events);
+          int "shrink_freed" (fun o -> o.shrink_freed);
+          int "resident_end" (fun o -> o.resident_end);
+          int "resident_peak" (fun o -> o.resident_peak);
+          int "budget_end" (fun o -> o.budget_end);
+          int "gw_acquires" (fun o -> o.gw_acquires);
+          int "gw_timeouts" (fun o -> o.gw_timeouts);
+          float 3 "gw_wait_mean_s" (fun o -> o.gw_wait_mean_s);
+          int "compiles" (fun o -> o.compiles);
+          int "plan_hits" (fun o -> o.plan_hits);
+          float 0 "compile_peak_max" (fun o -> o.compile_peak_max);
+          int "ooms" (fun o -> o.ooms);
+          float 1 "p50_ms" (fun o -> o.p50_ms);
+          float 1 "p99_ms" (fun o -> o.p99_ms);
+          int "abandoned" (fun o -> o.cl_abandoned);
+        ]
     in
-    let per_seed = List.length modes in
-    let rec group = function
-      | [] -> []
-      | rest ->
-          let rec take n acc = function
-            | l when n = 0 -> (List.rev acc, l)
-            | x :: l -> take (n - 1) (x :: acc) l
-            | [] -> assert false
-          in
-          let seed_outcomes, rest = take per_seed [] rest in
-          seed_outcomes :: group rest
+    let section seed outcomes =
+      Printf.printf
+        "\nMid-tier cache, seed %d (machine %.0f GiB, %.0f%% parameterized):\n"
+        seed memory_gib (100. *. ratio);
+      let baseline = find Cache_off outcomes in
+      List.iter
+        (fun o ->
+          match baseline with
+          | Some b when o.o_config.k_mode <> Cache_off ->
+              Server.Report.cached_section ~baseline:b o
+          | _ -> Server.Report.cached_section o)
+        outcomes;
+      if List.length outcomes > 1 then Server.Report.cached_comparison outcomes
     in
-    let multi = List.length seeds > 1 in
-    List.iter2
-      (fun seed seed_outcomes ->
-        let open Server.Cached in
-        let baseline =
-          List.find_opt
-            (fun o -> o.o_config.k_mode = Cache_off)
-            seed_outcomes
-        in
-        Printf.printf
-          "\nMid-tier cache, seed %d (machine %.0f GiB, %.0f%% parameterized):\n"
-          seed memory_gib (100. *. ratio);
-        List.iter
-          (fun o ->
-            match baseline with
-            | Some b when o.o_config.k_mode <> Cache_off ->
-                Server.Report.cached_section ~baseline:b o
-            | _ -> Server.Report.cached_section o)
-          seed_outcomes;
-        if List.length seed_outcomes > 1 then
-          Server.Report.cached_comparison seed_outcomes;
-        (match seed_out_path ~multi out seed with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let pr fmt = Printf.fprintf oc fmt in
-            pr "mid-tier cache report, seed %d, machine %.0f GiB\n" seed
-              memory_gib;
-            pr
-              "mode,compl_per_slice,completed,requests,hits,misses,bypasses,\
-               hit_rate,stores,refused,evictions,expired,invalidated,\
-               shrink_events,shrink_freed,resident_end,resident_peak,\
-               budget_end,gw_acquires,gw_timeouts,gw_wait_mean_s,compiles,\
-               plan_hits,compile_peak_max,ooms,p50_ms,p99_ms,abandoned\n";
-            List.iter
-              (fun o ->
-                pr
-                  "%s,%.2f,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,\
-                   %d,%d,%d,%.3f,%d,%d,%.0f,%d,%.1f,%.1f,%d\n"
-                  (mode_name o.o_config.k_mode)
-                  o.mean_per_slice o.completed o.requests o.hits o.misses
-                  o.bypasses o.cache_hit_rate o.stores o.refused o.evictions
-                  o.expired o.invalidated o.shrink_events o.shrink_freed
-                  o.resident_end o.resident_peak o.budget_end o.gw_acquires
-                  o.gw_timeouts o.gw_wait_mean_s o.compiles o.plan_hits
-                  o.compile_peak_max o.ooms o.p50_ms o.p99_ms o.cl_abandoned)
-              seed_outcomes;
-            (match
-               ( baseline,
-                 List.find_opt
-                   (fun o -> o.o_config.k_mode = Cache_brokered)
-                   seed_outcomes )
-             with
-            | Some off, Some brokered ->
-                pr "brokered_uplift=%.3f gw_drop=%d\n"
-                  (uplift brokered ~over:off)
-                  (off.gw_acquires - brokered.gw_acquires)
-            | _ -> ());
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        match trace_prefix with
-        | None -> ()
-        | Some prefix ->
-            let trace = Obs.Trace.create () in
-            ignore
-              (Server.Cached.run ~trace
-                 (cfg_of ~seed ~mode:Server.Cached.Cache_brokered));
-            let path = Printf.sprintf "%s-seed%d.json" prefix seed in
-            Obs.Export.chrome_to_file path (Obs.Trace.records trace);
-            Printf.printf "wrote %s\n" path)
-      seeds (group outcomes)
+    let report oc seed outcomes =
+      Printf.fprintf oc "mid-tier cache report, seed %d, machine %.0f GiB\n"
+        seed memory_gib;
+      Fanout.csv oc columns outcomes;
+      match (find Cache_off outcomes, find Cache_brokered outcomes) with
+      | Some off, Some brokered ->
+          Printf.fprintf oc "brokered_uplift=%.3f gw_drop=%d\n"
+            (uplift brokered ~over:off)
+            (off.gw_acquires - brokered.gw_acquires)
+      | _ -> ()
+    in
+    { Fanout.cells; run = Server.Cached.run; section; report }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "cache"
        ~doc:
          "Mid-tier statement/result cache under mixed parameterized/ad-hoc \
           traffic: cache-off vs fixed vs broker-governed, with optional \
           memory ballast, diurnal curve and flash crowds.")
+    ~report:"cache report"
+    ~trace:
+      ( "Trace the brokered cell (the only cell, under $(b,--mode off) or \
+         $(b,--mode fixed)) in the same run and write PREFIX-seedN.json \
+         Chrome traces (cache residency/hit-rate counters, \
+         lookup/store/invalidate/shrink instants, gateway waits).",
+        fun (c : Server.Cached.config) -> c.k_mode = Server.Cached.Cache_brokered )
     Term.(
-      const action $ mode_arg $ clients_arg $ think_arg $ ratio_arg
+      const spec $ mode_arg $ clients_arg $ think_arg $ ratio_arg
       $ variants_arg $ writers_arg $ warmup_arg $ measure_arg $ slice_arg
       $ memory_gib_arg $ cache_mib_arg $ ttl_arg $ ballast_gib_arg $ flash_arg
-      $ peak_load_arg $ seed_arg $ seeds_arg $ out_arg $ trace_arg $ jobs_arg)
+      $ peak_load_arg)
 
 let info_cmd =
   let action () =

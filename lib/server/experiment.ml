@@ -178,9 +178,7 @@ let run_cell c =
 let run_grid ?pool ?(jobs = 1) cells =
   match pool with
   | Some p -> Parallel.Pool.map p run_cell cells
-  | None ->
-      if jobs <= 1 then List.map run_cell cells
-      else Parallel.Pool.run ~jobs run_cell cells
+  | None -> Parallel.Pool.run ~jobs run_cell cells
 
 let uplift a b =
   (* 0., not nan, against a zero baseline — callers print this straight

@@ -82,7 +82,7 @@ val run_cell : cell -> result
 (** [run_grid ?pool ?jobs cells] runs every cell and returns the results
     in submission order. With [~jobs:1] (the default) cells run
     sequentially on the calling domain; with [~jobs:n] they fan out over
-    a temporary n-domain pool; with [?pool] they reuse the given pool.
+    a temporary n-domain pool ([Invalid_argument] on [jobs < 1]); with [?pool] they reuse the given pool.
     Because each cell is deterministic given its own seed, the results —
     and hence any output rendered from them — are identical whichever
     way the grid is executed. *)

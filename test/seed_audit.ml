@@ -168,19 +168,21 @@ let () =
     | "--seeds" :: n :: rest ->
         seeds := int_of_string n;
         parse rest
-    | ("--jobs" | "-j") :: n :: rest ->
-        jobs := int_of_string n;
-        parse rest
+    | ("--jobs" | "-j") :: n :: rest -> (
+        match int_of_string_opt n with
+        | Some j when j >= 1 ->
+            jobs := j;
+            parse rest
+        | _ ->
+            prerr_endline "seed_audit: --jobs expects a positive integer";
+            exit 2)
     | a :: _ ->
         Printf.eprintf "seed_audit: unknown argument %S\n" a;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let seed_list = List.init !seeds (fun i -> i + 1) in
-  let rows =
-    if !jobs <= 1 then List.map audit_seed seed_list
-    else Parallel.Pool.run ~jobs:!jobs audit_seed seed_list
-  in
+  let rows = Parallel.Pool.run ~jobs:!jobs audit_seed seed_list in
   Printf.printf
     "seed  shards_retention  supervised_ratio  mc_uplift  mc_gw_drop  \
      mc_calm_shrinks  mc_ballast_shrinks  mc_ballast_retention  st_dup_on  \
