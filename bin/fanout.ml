@@ -31,7 +31,9 @@ let jobs_arg =
       match Arg.conv_parser Arg.int s with
       | Ok n when n >= 1 -> Ok n
       | Ok _ ->
-          Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+          Error
+            (`Msg
+              (Printf.sprintf "invalid value '%s', expected a positive integer" s))
       | Error _ as e -> e
     in
     Arg.conv ~docv:"N" (parse, Format.pp_print_int)
@@ -136,7 +138,9 @@ let drive ?traced ?stuck spec seed seeds jobs out trace_prefix =
     seeds;
   Option.iter
     (fun stuck ->
-      let total = List.fold_left (fun acc (_, (o, _)) -> acc + stuck o) 0 cells in
+      let total =
+        List.fold_left (fun acc (_, (o, _)) -> acc + stuck o) 0 cells
+      in
       if multi then
         Printf.printf "\n%d seeds run, %d stuck queries total\n"
           (List.length seeds) total;
@@ -164,7 +168,8 @@ let cmd info ~report ?trace ?stuck spec =
     match trace with
     | None -> Term.const None
     | Some (doc, _) ->
-        Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PREFIX" ~doc)
+        Arg.(
+          value & opt (some string) None & info [ "trace" ] ~docv:"PREFIX" ~doc)
   in
   let seeds = Term.(const (fun l -> check_duplicate_seeds l; l) $ seeds_arg) in
   let traced = Option.map snd trace in
