@@ -22,4 +22,5 @@ let () =
       ("shards", Test_shards.suite);
       ("midcache", Test_midcache.suite);
       ("storms", Test_storms.suite);
+      ("ladder", Test_ladder.suite);
     ]
