@@ -493,11 +493,7 @@ let health_cmd =
   let spec clients warmup measure drain resilience glitch =
     let config =
       if resilience then Server.Config.supervised ()
-      else
-        {
-          (Server.Config.default ()) with
-          Server.Config.supervision = Health.Supervise.default;
-        }
+      else { (Server.Config.default ()) with Server.Config.supervision = true }
     in
     let faults = Server.Scenario.chaos_faults ~glitch () in
     let section seed =

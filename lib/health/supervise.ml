@@ -1,25 +1,39 @@
-type config = {
+let insist_after = 5
+
+type t = {
   enabled : bool;
-  watchdog : Watchdog.config;
-  starvation : Starvation.config;
-  breaker : Breaker.config;
-  insist_after : int;
+  watchdog : Watchdog.t;
+  starvation : Starvation.t;
+  breakers : Breaker.t;
 }
 
-let disabled =
+let create ?trace eng ~enabled =
   {
-    enabled = false;
-    watchdog = Watchdog.default_config;
-    starvation = Starvation.default_config;
-    breaker = Breaker.default_config;
-    insist_after = 0;
+    enabled;
+    watchdog = Watchdog.create ?trace eng Watchdog.default_config;
+    starvation = Starvation.create ?trace eng Starvation.default_config;
+    breakers = Breaker.create ?trace eng Breaker.default_config;
   }
 
-let default =
-  {
-    enabled = true;
-    watchdog = Watchdog.default_config;
-    starvation = Starvation.default_config;
-    breaker = Breaker.default_config;
-    insist_after = 5;
-  }
+let start t =
+  if t.enabled then begin
+    Watchdog.start t.watchdog;
+    Starvation.start t.starvation
+  end
+
+let admit t ~template =
+  if t.enabled then Breaker.admit t.breakers ~template else Ok ()
+
+let release_probe t ~template =
+  if t.enabled then Breaker.release_probe t.breakers ~template
+
+let record_success t ~template =
+  if t.enabled then Breaker.record_success t.breakers ~template
+
+let record_failure t ~template =
+  if t.enabled then Breaker.record_failure t.breakers ~template
+
+let watch t ~qid =
+  if t.enabled then Some (Watchdog.watch t.watchdog ~qid) else None
+
+let unwatch t = Option.iter (Watchdog.unwatch t.watchdog)

@@ -1,23 +1,38 @@
-(** Bundled supervision configuration.
+(** The supervision layer as one switch: a watchdog, a starvation
+    auditor and per-template circuit breakers, each at its own
+    [default_config], plus broker insistence.
 
-    One record gating the whole supervision layer, mirroring how
-    [Server.Resilience] bundles the degradation ladder: [disabled] (the
-    default — a supervised-off run is byte-identical to an unsupervised
-    one, since no supervision path consumes randomness) or [default]
-    (watchdog + starvation auditor + breakers + broker insistence all
-    on). *)
+    The parts are always built, so their counters can always be read.
+    Off is inert: {!start} installs no timer, {!admit} admits everyone,
+    {!watch} opens no session and the breakers book no template. No part
+    consumes randomness, so an unsupervised run replays the seed
+    pipeline, and a supervised run that never intervenes matches it. *)
 
-type config = {
+(** Broker insistence under supervision: a component above its shrink
+    target for this many consecutive ticks is reclaimed by force (5). *)
+val insist_after : int
+
+type t = {
   enabled : bool;
-  watchdog : Watchdog.config;
-  starvation : Starvation.config;
-  breaker : Breaker.config;
-  insist_after : int;
-      (** broker shrink-compliance: a component above its shrink target
-          for this many consecutive ticks gets a forced reclaim; [0]
-          disables insistence *)
+  watchdog : Watchdog.t;
+  starvation : Starvation.t;  (** gates are added by the caller *)
+  breakers : Breaker.t;
 }
 
-val disabled : config
-val default : config
-(** Enabled, with each subsystem's default config and [insist_after = 5]. *)
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> enabled:bool -> t
+
+(** Start the watchdog and starvation audits; a no-op when off. *)
+val start : t -> unit
+
+(** The {!Breaker} calls when on; [Ok ()] and no-ops when off. *)
+val admit : t -> template:string -> (unit, Error.t) result
+
+val release_probe : t -> template:string -> unit
+val record_success : t -> template:string -> unit
+val record_failure : t -> template:string -> unit
+
+(** A watchdog session for the query when on; [None] when off. *)
+val watch : t -> qid:string -> Watchdog.session option
+
+(** End the session, if any. *)
+val unwatch : t -> Watchdog.session option -> unit

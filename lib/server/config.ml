@@ -59,8 +59,8 @@ type t = {
   plan_cache_floor_bytes : int;
   metrics_interval : float;
   seed : int;
-  resilience : Resilience.t;
-  supervision : Health.Supervise.config;
+  resilience : bool;
+  supervision : bool;
   defense : defense;
   faults : Faultsim.Fault.spec list;
 }
@@ -94,16 +94,14 @@ let default () =
     plan_cache_floor_bytes = 0;
     metrics_interval = 5.0;
     seed = 42;
-    resilience = Resilience.disabled;
-    supervision = Health.Supervise.disabled;
+    resilience = false;
+    supervision = false;
     defense = no_defense;
     faults = [];
   }
 
-let resilient () = { (default ()) with resilience = Resilience.default }
-
-let supervised () =
-  { (resilient ()) with supervision = Health.Supervise.default }
+let resilient () = { (default ()) with resilience = true }
+let supervised () = { (resilient ()) with supervision = true }
 
 let unthrottled () =
   let base = default () in
@@ -127,7 +125,7 @@ let pp ppf t =
     (if t.throttle.Qcore.Throttle_config.dynamic then "dynamic thresholds"
      else "static thresholds")
     Qcore.Throttle_config.pp t.throttle Resilience.pp t.resilience;
-  if t.supervision.Health.Supervise.enabled then
+  if t.supervision then
     Format.fprintf ppf "@,supervision ON: watchdog + starvation auditor + breakers";
   if
     t.defense.d_singleflight || t.defense.d_budget <> None

@@ -55,10 +55,12 @@ type t = {
           donatable, the pre-sharding behaviour *)
   metrics_interval : float;  (** memory sampling period *)
   seed : int;
-  resilience : Resilience.t;  (** retry/degrade/shed/deadline policy *)
-  supervision : Health.Supervise.config;
-      (** watchdog / starvation auditor / circuit breakers / broker
-          insistence; {!Health.Supervise.disabled} by default *)
+  resilience : bool;
+      (** the {!Resilience} retry/degrade/shed/deadline policy; off by
+          default *)
+  supervision : bool;
+      (** the {!Health.Supervise} layer: watchdog, starvation auditor,
+          circuit breakers and broker insistence; off by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];
@@ -70,8 +72,7 @@ val default : unit -> t
 (** [default] with the full resilience policy switched on. *)
 val resilient : unit -> t
 
-(** [resilient] plus the supervision layer
-    ({!Health.Supervise.default}). *)
+(** [resilient] plus the supervision layer. *)
 val supervised : unit -> t
 
 (** [default] with throttling disabled (the paper's baseline lines). *)

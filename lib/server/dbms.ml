@@ -1,13 +1,3 @@
-(* The supervision trio, created only when [Config.supervision] is
-   enabled. None of its mechanisms consume randomness, so a supervised
-   run that never intervenes is event-for-event identical to the
-   unsupervised one. *)
-type supervisor = {
-  wdog : Health.Watchdog.t;
-  starv : Health.Starvation.t;
-  breakers : Health.Breaker.t;
-}
-
 type t = {
   eng : Sim.Engine.t;
   trace : Obs.Trace.t;
@@ -29,7 +19,8 @@ type t = {
   retry_rng : Sim.Rng.t option;
       (* jitter stream, split only when resilience is on so the disabled
          configuration replays the seed byte for byte *)
-  super : supervisor option;
+  super : Health.Supervise.t;
+      (* always built; inert unless [Config.supervision] is on *)
   sflight : Plancache.Singleflight.t;
       (* always present: Observe mode costs nothing and blocks nobody, it
          only counts the duplicate compiles coalescing would have saved,
@@ -115,12 +106,11 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
      one explicitly) and per-component reclaim hooks, so a component that
      ignores [insist_after] consecutive shrink verdicts is shrunk by
      force — the paper's "broker insists". *)
-  let sup = cfg.Config.supervision in
   let broker_cfg =
-    if sup.Health.Supervise.enabled && cfg.Config.broker.Qcore.Broker.insist_after = 0
+    if cfg.Config.supervision && cfg.Config.broker.Qcore.Broker.insist_after = 0
     then
       { cfg.Config.broker with
-        Qcore.Broker.insist_after = sup.Health.Supervise.insist_after }
+        Qcore.Broker.insist_after = Health.Supervise.insist_after }
     else cfg.Config.broker
   in
   let broker = Qcore.Broker.create ~trace eng manager broker_cfg in
@@ -202,34 +192,25 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
      client workload. The plain seed config (no faults, no resilience)
      splits nothing, preserving seed behaviour exactly. *)
   let retry_rng =
-    if cfg.Config.resilience.Resilience.enabled || cfg.Config.faults <> []
+    if cfg.Config.resilience || cfg.Config.faults <> []
     then Some (Sim.Rng.split (Sim.Engine.rng eng))
     else None
   in
   let super =
-    if not sup.Health.Supervise.enabled then None
-    else begin
-      let wdog = Health.Watchdog.create ~trace eng sup.Health.Supervise.watchdog in
-      let starv =
-        Health.Starvation.create ~trace eng sup.Health.Supervise.starvation
-      in
-      (* The audited gates are the compile gateways; the grant queue is
-         byte-denominated and already trims per query, so widening it is
-         the broker's job, not the auditor's. *)
-      Array.iter
-        (fun m ->
-          Health.Starvation.add_gate starv ~name:(Qcore.Monitor.name m)
-            ~queued:(fun () -> Qcore.Monitor.queued m)
-            ~admitted:(fun () -> Qcore.Monitor.acquires m)
-            ~slots:(fun () -> Qcore.Monitor.slots m)
-            ~set_slots:(fun n -> Qcore.Monitor.set_slots m n))
-        (Qcore.Compile_gov.monitors gov);
-      let breakers =
-        Health.Breaker.create ~trace eng sup.Health.Supervise.breaker
-      in
-      Some { wdog; starv; breakers }
-    end
+    Health.Supervise.create ~trace eng ~enabled:cfg.Config.supervision
   in
+  (* The audited gates are the compile gateways; the grant queue is
+     byte-denominated and already trims per query, so widening it is the
+     broker's job, not the auditor's. *)
+  Array.iter
+    (fun m ->
+      Health.Starvation.add_gate super.Health.Supervise.starvation
+        ~name:(Qcore.Monitor.name m)
+        ~queued:(fun () -> Qcore.Monitor.queued m)
+        ~admitted:(fun () -> Qcore.Monitor.acquires m)
+        ~slots:(fun () -> Qcore.Monitor.slots m)
+        ~set_slots:(fun n -> Qcore.Monitor.set_slots m n))
+    (Qcore.Compile_gov.monitors gov);
   let defense = cfg.Config.defense in
   let sflight =
     Plancache.Singleflight.create
@@ -293,129 +274,191 @@ let start t =
   Qcore.Broker.start t.broker;
   Metrics.watch_memory ~trace:t.trace t.metrics
     ~interval:t.cfg.Config.metrics_interval t.clerk_list;
-  match t.super with
-  | None -> ()
-  | Some s ->
-      Health.Watchdog.start s.wdog;
-      Health.Starvation.start s.starv
+  Health.Supervise.start t.super
 
 let emit t ~qid ev =
   if Obs.Trace.enabled t.trace then
     Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid ev
 
-(* Governed compilation: the Cascades environment reports allocations to
-   the governor (which may block at gateways or fail), burns CPU on the
-   shared pool, and asks the governor whether the broker predicts compile-
-   memory exhaustion. [deadline], when set, is the per-query deadline: a
-   compilation past it is cancelled at its next allocation rather than
-   holding gateways for work that can no longer matter. [watch], when
-   set, is the query's watchdog session: every allocation beats it, a
-   softened session forces best-plan-so-far, and a cancel request aborts
-   at the next allocation ([by_watchdog] distinguishes that abort from a
-   deadline when mapping to the error taxonomy — the optimizer's abort
-   vocabulary stays supervision-free). *)
-let compile t ?deadline ?watch ~by_watchdog ~gov_shed q =
-  let session =
-    (* The session's deadline feeds the governor's deadline-aware shed:
-       with that defense on, a gateway wait is capped at the deadline and
-       a hopeless waiter is refused before it enqueues. *)
-    Qcore.Compile_gov.begin_compile ~qid:q.Optimizer.Query.qid ?deadline t.gov
-  in
-  let check_deadline () =
-    match deadline with
-    | Some d when Sim.Engine.now t.eng > d ->
-        raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled)
-    | _ -> ()
-  in
-  let check_watchdog () =
-    match watch with
-    | Some wd ->
-        Health.Watchdog.beat wd;
-        if Health.Watchdog.cancel_requested wd then begin
-          by_watchdog := true;
-          raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled)
-        end
-    | None -> ()
-  in
-  let env =
-    {
-      Optimizer.Env.alloc =
-        (fun n ->
-          check_watchdog ();
-          check_deadline ();
-          match Qcore.Compile_gov.alloc session n with
-          | Ok () -> ()
-          | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail }
-            ->
-              raise
-                (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
-          | Error ({ Health.Error.code = Health.Error.Deadline_exceeded; _ } as e)
-            ->
-              (* The governor's deadline shed refused or cut short a
-                 gateway wait. Keep the structured error (its detail names
-                 the shedding gate) and abort through the optimizer's
-                 cancel vocabulary. *)
-              gov_shed := Some e;
-              raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled)
-          | Error _ ->
-              raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
-      cpu = (fun s -> Execsim.Cpu.busy t.cpu s);
-      should_stop =
-        (fun () ->
-          Qcore.Compile_gov.should_stop_early t.gov
-          || match watch with
-             | Some wd -> Health.Watchdog.softened wd
-             | None -> false);
-    }
-  in
+(* One query's way through [submit], made at admission and shared by
+   every stage after it. [degraded] sticks once the ladder is entered.
+   [cause] records why a compile was cancelled when the optimizer's
+   abort vocabulary cannot say it: a watchdog cancel, or the governor's
+   deadline shed with its structured error. Either abort ends the query,
+   so the field is set at most once. *)
+type job = {
+  query : Optimizer.Query.t;
+  qid : string;
+  template : string;
+  deadline : float option;
+  watch : Health.Watchdog.session option;
+  mutable degraded : bool;
+  mutable cause : Health.Error.t option;
+}
+
+let new_job ?deadline ?watch ~template q =
+  let qid = q.Optimizer.Query.qid in
+  { query = q; qid; template; deadline; watch; degraded = false; cause = None }
+
+(* What a completed query books in [settle]. *)
+type completion = { compile_s : float; exec_s : float; cut_down : bool }
+
+let beat job = Option.iter Health.Watchdog.beat job.watch
+
+let cancelled job =
+  Option.fold ~none:false ~some:Health.Watchdog.cancel_requested job.watch
+
+let softened job = Option.fold ~none:false ~some:Health.Watchdog.softened job.watch
+
+let past_deadline t job =
+  match job.deadline with Some d -> Sim.Engine.now t.eng > d | None -> false
+
+(* Every compilation, full or greedy, runs inside one governor session:
+   begin it, run [f], then book the session's peak and end it however
+   [f] left. Returns [f]'s result with the simulated seconds it took.
+   [deadline] feeds the governor's deadline-aware shed: with that
+   defense on, a gateway wait is capped at the deadline and a hopeless
+   waiter is refused before it enqueues. *)
+let governed t ?deadline ~qid f =
+  let session = Qcore.Compile_gov.begin_compile ~qid ?deadline t.gov in
   let started = Sim.Engine.now t.eng in
-  let arena = acquire_arena t in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        release_arena t arena;
-        Metrics.record_compile_peak t.metrics (Qcore.Compile_gov.peak session);
-        Qcore.Compile_gov.end_compile session)
-      (fun () ->
-        Optimizer.Cascades.optimize ~params:t.cfg.Config.optimizer_params
-          ~arena ~env t.cfg.Config.cost_model t.cat q)
-  in
-  match result with
-  | Ok r ->
-      let elapsed = Sim.Engine.now t.eng -. started in
-      Ok (r, elapsed)
-  | Error reason -> Error reason
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.record_compile_peak t.metrics (Qcore.Compile_gov.peak session);
+      Qcore.Compile_gov.end_compile session)
+    (fun () -> f session)
+  |> Result.map (fun r -> (r, Sim.Engine.now t.eng -. started))
+
+let cancel job cause =
+  job.cause <- Some cause;
+  raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled)
+
+(* The Cascades environment of a governed compile: allocations report to
+   the governor (which may block at gateways or fail), CPU is burnt on
+   the shared pool, and the search stops early when the broker predicts
+   compile-memory exhaustion. Every allocation beats the query's
+   watchdog session; a softened session forces best-plan-so-far, and a
+   cancel request or a passed deadline aborts at the next allocation
+   rather than holding gateways for work that can no longer matter. *)
+let compile_env t job session =
+  {
+    Optimizer.Env.alloc =
+      (fun n ->
+        beat job;
+        if cancelled job then
+          cancel job
+            (Health.Error.make ~detail:"compile" Health.Error.Watchdog_cancelled);
+        if past_deadline t job then
+          raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled);
+        match Qcore.Compile_gov.alloc session n with
+        | Ok () -> ()
+        | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail } ->
+            raise (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
+        | Error ({ Health.Error.code = Health.Error.Deadline_exceeded; _ } as e) ->
+            (* The governor's deadline shed refused or cut short a gateway
+               wait; its error names the shedding gate. *)
+            cancel job e
+        | Error _ -> raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
+    cpu = (fun s -> Execsim.Cpu.busy t.cpu s);
+    should_stop =
+      (fun () -> Qcore.Compile_gov.should_stop_early t.gov || softened job);
+  }
+
+let abort_error job reason =
+  match (job.cause, reason) with
+  | Some e, _ -> e
+  | None, Optimizer.Env.Out_of_memory ->
+      Health.Error.make ~detail:"compile" Health.Error.Insufficient_memory
+  | None, Optimizer.Env.Gateway_timeout m ->
+      Health.Error.make ~detail:m Health.Error.Memory_wait_timeout
+  | None, Optimizer.Env.Cancelled ->
+      Health.Error.make ~detail:"compile" Health.Error.Deadline_exceeded
+
+(* The full Cascades search, inserted into the plan cache on success. *)
+let compile_full t job =
+  let params = t.cfg.Config.optimizer_params in
+  match
+    governed t ?deadline:job.deadline ~qid:job.qid (fun session ->
+        let arena = acquire_arena t in
+        Fun.protect
+          ~finally:(fun () -> release_arena t arena)
+          (fun () ->
+            Optimizer.Cascades.optimize ~params ~arena
+              ~env:(compile_env t job session) t.cfg.Config.cost_model t.cat
+              job.query))
+  with
+  | Ok (r, elapsed) ->
+      let compile_cost =
+        float_of_int r.Optimizer.Cascades.stats.Optimizer.Cascades.tasks
+        *. params.Optimizer.Cascades.task_cpu
+      in
+      Plancache.Cache.insert t.cache ~key:job.qid
+        ~plan:r.Optimizer.Cascades.plan ~compile_cost;
+      Ok (r.Optimizer.Cascades.plan, elapsed, false)
+  | Error reason -> Error (abort_error job reason)
 
 (* Bottom rung of the degradation ladder: skip the memo search entirely and
    emit the greedy left-deep plan. Still governed — the (tiny) footprint is
    metered so accounting stays honest — but it passes under the first
    gateway threshold and cannot meaningfully contribute to compile-memory
    pressure. *)
-let compile_degraded t q =
-  emit t ~qid:q.Optimizer.Query.qid (Obs.Event.Degrade { rung = "greedy" });
-  let session =
-    Qcore.Compile_gov.begin_compile ~qid:q.Optimizer.Query.qid t.gov
-  in
-  let started = Sim.Engine.now t.eng in
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.record_compile_peak t.metrics (Qcore.Compile_gov.peak session);
-      Qcore.Compile_gov.end_compile session)
-    (fun () ->
-      let params = t.cfg.Config.optimizer_params in
-      let n = Optimizer.Query.n_rels q in
-      match
-        Qcore.Compile_gov.alloc session
-          (params.Optimizer.Cascades.phys_bytes * n)
-      with
-      | Error e -> Error e
-      | Ok () ->
-          (* Greedy is ~n^2 candidate evaluations. *)
-          Execsim.Cpu.busy t.cpu
-            (params.Optimizer.Cascades.task_cpu *. float_of_int (n * n));
-          let card = Optimizer.Card.create t.cat q in
-          let plan = Optimizer.Greedy.plan t.cfg.Config.cost_model card in
-          Ok (plan, Sim.Engine.now t.eng -. started))
+let compile_greedy t job =
+  emit t ~qid:job.qid (Obs.Event.Degrade { rung = "greedy" });
+  let params = t.cfg.Config.optimizer_params in
+  let n = Optimizer.Query.n_rels job.query in
+  match
+    governed t ~qid:job.qid (fun session ->
+        match
+          Qcore.Compile_gov.alloc session (params.Optimizer.Cascades.phys_bytes * n)
+        with
+        | Error e -> Error e
+        | Ok () ->
+            (* Greedy is ~n^2 candidate evaluations. *)
+            Execsim.Cpu.busy t.cpu
+              (params.Optimizer.Cascades.task_cpu *. float_of_int (n * n));
+            let card = Optimizer.Card.create t.cat job.query in
+            Ok (Optimizer.Greedy.plan t.cfg.Config.cost_model card))
+  with
+  | Ok (plan, elapsed) -> Ok (plan, elapsed, true)
+  | Error e -> Error e
+
+(* One compile, on the job's rung. Cached plans bypass everything: they
+   cost no compile memory. Degraded plans are *not* cached — a repeat of
+   the same query in calmer weather deserves the real optimizer. Full
+   compiles go through singleflight, keyed on the canonical statement
+   (Midcache.Frontend keying, so parameterized replays of one template
+   share a key): the first miss leads and compiles, concurrent misses of
+   the same statement coalesce onto it and re-probe the cache when it
+   lands — a cold cache costs one compile per template, not one per
+   client. [sf_depth] bounds the re-probe recursion: a follower woken by
+   a failed (or evicted) leader re-enters at most twice, then compiles
+   solo rather than chasing races. *)
+let rec plan_for t ?(sf_depth = 0) job =
+  match Plancache.Cache.lookup t.cache job.qid with
+  | Some plan ->
+      Metrics.record_cache_hit t.metrics;
+      emit t ~qid:job.qid Obs.Event.Cache_hit;
+      Ok (plan, 0., false)
+  | None -> (
+      Health.Storm.note_compile t.storm ~template:job.template;
+      if job.degraded then compile_greedy t job
+      else
+        match
+          Plancache.Singleflight.enter t.sflight
+            ~key:(Midcache.Frontend.key_of_query job.query)
+            ~max_wait:t.cfg.Config.defense.Config.d_sf_wait_s ()
+        with
+        | `Leader tok ->
+            Fun.protect
+              ~finally:(fun () -> Plancache.Singleflight.exit t.sflight tok)
+              (fun () -> compile_full t job)
+        | `Coalesced when sf_depth < 2 ->
+            (* The leader finished (or failed); the shared plan, if any, is
+               in the cache under this query's own qid-aliased key. *)
+            plan_for t ~sf_depth:(sf_depth + 1) job
+        | `Duplicate (* Observe mode: counted, nobody blocks *)
+        | `Coalesced | `Timed_out ->
+            compile_full t job)
 
 (* Admission control: with [in_flight] compilations already holding or
    chasing compile memory and each expected to peak near the observed
@@ -425,8 +468,7 @@ let compile_degraded t q =
    tightens admission without waiting for memory pressure to confirm what
    the arrival trend already shows — so a benign system never sheds. *)
 let should_shed t =
-  let r = t.cfg.Config.resilience in
-  r.Resilience.enabled && r.Resilience.shed_enabled
+  t.cfg.Config.resilience
   && (Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
      || Health.Storm.active t.storm)
   &&
@@ -440,94 +482,14 @@ let should_shed t =
   in
   let in_flight = Qcore.Compile_gov.active_sessions t.gov + 1 in
   float_of_int in_flight *. predicted_per_query
-  > r.Resilience.shed_factor *. float_of_int target
+  > Resilience.shed_factor *. float_of_int target
 
-let abort_to_error ~by_watchdog = function
-  | Optimizer.Env.Out_of_memory ->
-      Health.Error.make ~detail:"compile" Health.Error.Insufficient_memory
-  | Optimizer.Env.Gateway_timeout m ->
-      Health.Error.make ~detail:m Health.Error.Memory_wait_timeout
-  | Optimizer.Env.Cancelled ->
-      if by_watchdog then
-        Health.Error.make ~detail:"compile" Health.Error.Watchdog_cancelled
-      else Health.Error.make ~detail:"compile" Health.Error.Deadline_exceeded
-
-(* The full Cascades search, inserted into the plan cache on success. *)
-let compile_full t ~deadline ~watch q =
-  let by_watchdog = ref false in
-  let gov_shed = ref None in
-  match compile t ?deadline ?watch ~by_watchdog ~gov_shed q with
-  | Ok (r, elapsed) ->
-      let compile_cost =
-        float_of_int r.Optimizer.Cascades.stats.Optimizer.Cascades.tasks
-        *. t.cfg.Config.optimizer_params.Optimizer.Cascades.task_cpu
-      in
-      Plancache.Cache.insert t.cache ~key:q.Optimizer.Query.qid
-        ~plan:r.Optimizer.Cascades.plan ~compile_cost;
-      Ok (r.Optimizer.Cascades.plan, elapsed, false)
-  | Error reason -> (
-      match !gov_shed with
-      | Some e -> Error e
-      | None -> Error (abort_to_error ~by_watchdog:!by_watchdog reason))
-
-(* One compile attempt, choosing the ladder rung. Cached plans bypass
-   everything: they cost no compile memory. Degraded plans are *not*
-   cached — a repeat of the same query in calmer weather deserves the real
-   optimizer. Full compiles go through singleflight, keyed on the
-   canonical statement (Midcache.Frontend keying, so parameterized
-   replays of one template share a key): the first miss leads and
-   compiles, concurrent misses of the same statement coalesce onto it and
-   re-probe the cache when it lands — a cold cache costs one compile per
-   template, not one per client. [sf_depth] bounds the re-probe
-   recursion: a follower woken by a failed (or evicted) leader re-enters
-   at most twice, then compiles solo rather than chasing races. *)
-let rec plan_for t ~degraded ~deadline ~watch ?(sf_depth = 0) q =
-  match Plancache.Cache.lookup t.cache q.Optimizer.Query.qid with
-  | Some plan ->
-      Metrics.record_cache_hit t.metrics;
-      emit t ~qid:q.Optimizer.Query.qid Obs.Event.Cache_hit;
-      Ok (plan, 0., false)
-  | None when degraded -> (
-      Health.Storm.note_compile t.storm
-        ~template:(template_of_qid q.Optimizer.Query.qid);
-      match compile_degraded t q with
-      | Ok (plan, elapsed) -> Ok (plan, elapsed, true)
-      | Error e -> Error e)
-  | None -> (
-      Health.Storm.note_compile t.storm
-        ~template:(template_of_qid q.Optimizer.Query.qid);
-      let key = Midcache.Frontend.key_of_query q in
-      match
-        Plancache.Singleflight.enter t.sflight ~key
-          ~max_wait:t.cfg.Config.defense.Config.d_sf_wait_s ()
-      with
-      | `Leader tok ->
-          Fun.protect
-            ~finally:(fun () -> Plancache.Singleflight.exit t.sflight tok)
-            (fun () -> compile_full t ~deadline ~watch q)
-      | `Duplicate ->
-          (* Observe mode: the duplicate is counted, nobody blocks. *)
-          compile_full t ~deadline ~watch q
-      | `Coalesced when sf_depth < 2 ->
-          (* The leader finished (or failed); the shared plan, if any, is
-             in the cache under this query's own qid-aliased key. *)
-          plan_for t ~degraded ~deadline ~watch ~sf_depth:(sf_depth + 1) q
-      | `Coalesced | `Timed_out -> compile_full t ~deadline ~watch q)
-
-let submit t q =
-  let r = t.cfg.Config.resilience in
-  let deadline =
-    if r.Resilience.enabled && r.Resilience.deadline_s > 0. then
-      Some (Sim.Engine.now t.eng +. r.Resilience.deadline_s)
-    else None
-  in
-  let past_deadline () =
-    match deadline with
-    | Some d -> Sim.Engine.now t.eng > d
-    | None -> false
-  in
+(* Stage 1, admit. The breaker goes first — the cheapest gate: a poison
+   template is refused before it can burn a gateway slot or a grant
+   wait. Then admission control; an admitted query gets its deadline and
+   watchdog session. *)
+let admit t q ~template =
   let qid = q.Optimizer.Query.qid in
-  let template = template_of_qid qid in
   (* Popularity book for warm-priming: which templates this server is
      asked for, and one representative query per template to prime from.
      Only kept when priming is configured, so other runs stay lean. *)
@@ -537,194 +499,174 @@ let submit t q =
     if not (Hashtbl.mem t.prime_reps template) then
       Hashtbl.add t.prime_reps template q
   end;
-  let fail (e : Health.Error.t) =
-    Metrics.record_error t.metrics e.Health.Error.code;
-    emit t ~qid
-      (Obs.Event.Query_error { kind = Health.Error.code_name e.Health.Error.code });
-    (* Hard failures feed the template's breaker; back-pressure results
-       (sheds, breaker refusals) must not, or an open breaker would keep
-       itself open with its own rejections. *)
-    (match t.super with
-    | Some s when Metrics.is_hard_error e.Health.Error.code ->
-        Health.Breaker.record_failure s.breakers ~template
-    | _ -> ());
-    Error e
-  in
-  (* Breaker admission first — the cheapest gate: a poison template is
-     refused before it can burn a gateway slot or a grant wait. *)
-  match
-    match t.super with
-    | Some s -> Health.Breaker.admit s.breakers ~template
-    | None -> Ok ()
-  with
-  | Error e -> fail e
+  match Health.Supervise.admit t.super ~template with
+  | Error e -> Error e
   | Ok () when should_shed t ->
       emit t ~qid Obs.Event.Shed;
       (* If this arrival was a half-open breaker's probe, hand the probe
          slot back: the shed is our own back-pressure, not evidence about
          the template, and a phantom in-flight probe would wedge the
          breaker half-open. *)
-      (match t.super with
-      | Some s -> Health.Breaker.release_probe s.breakers ~template
-      | None -> ());
-      fail (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
+      Health.Supervise.release_probe t.super ~template;
+      Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
   | Ok () ->
-      let watch =
-        match t.super with
-        | Some s -> Some (Health.Watchdog.watch s.wdog ~qid)
-        | None -> None
+      let deadline =
+        if t.cfg.Config.resilience then
+          Some (Sim.Engine.now t.eng +. Resilience.deadline_s)
+        else None
       in
-      let beat () =
-        match watch with Some wd -> Health.Watchdog.beat wd | None -> ()
-      in
-      let cancelled () =
-        match watch with
-        | Some wd -> Health.Watchdog.cancel_requested wd
+      Ok (new_job ?deadline ?watch:(Health.Supervise.watch t.super ~qid) ~template q)
+
+(* Stage 2, plan. Under any broker pressure the full search would queue
+   at shrunken gateways (and likely OOM), so go straight to the cheap
+   rung instead of burning a long gateway wait first. If the full search
+   could not get memory, fall down the ladder at once: the greedy plan
+   needs almost none, and the fall burns no retry. *)
+let plan t job =
+  let ladder = t.cfg.Config.resilience in
+  if ladder && Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm then
+    job.degraded <- true;
+  match plan_for t job with
+  | Error { Health.Error.code = Health.Error.Insufficient_memory; _ }
+    when ladder && not job.degraded ->
+      job.degraded <- true;
+      plan_for t job
+  | r -> r
+
+(* Stage 3, exec, with the ladder's exec rung: when the plan's ideal
+   workspace is not physically available, rerun at once asking for the
+   grant floor and spill the shortfall to disk — slower, but it
+   completes while the full-size run cannot. Returns the run and whether
+   its grant was cut down. *)
+let exec t job plan =
+  beat job;
+  let run ?grant_cap () =
+    Execsim.Runner.run ?grant_cap ~qid:job.qid t.exec_resources
+      t.cfg.Config.exec_config plan
+  in
+  let r =
+    match run () with
+    | Error { Health.Error.code = Health.Error.Low_memory_condition; _ }
+      when t.cfg.Config.resilience ->
+        run ~grant_cap:(Execsim.Grant.min_grant t.grants) ()
+        |> Result.map (fun o -> (o, true))
+    | r -> Result.map (fun o -> (o, false)) r
+  in
+  if Result.is_ok r then beat job;
+  r
+
+(* One attempt: plan, then exec. A memory-wait timeout at a gateway and
+   any execution failure (grant timeouts, low-memory grants — symptoms of
+   a passing memory or load transient) are worth a retry; every other
+   failure is final. *)
+let attempt t job =
+  match plan t job with
+  | Error ({ Health.Error.code = Health.Error.Memory_wait_timeout; _ } as e) ->
+      Error (`Retry e)
+  | Error e -> Error (`Final e)
+  | Ok _ when cancelled job ->
+      Error (`Final (Health.Error.make ~detail:"exec" Health.Error.Watchdog_cancelled))
+  | Ok _ when past_deadline t job ->
+      Error (`Final (Health.Error.make ~detail:"exec" Health.Error.Deadline_exceeded))
+  | Ok (p, compile_s, greedy) -> (
+      match exec t job p with
+      | Ok (outcome, reduced) ->
+          Ok
+            {
+              compile_s;
+              exec_s = outcome.Execsim.Runner.duration;
+              cut_down = greedy || reduced;
+            }
+      | Error e -> Error (`Retry e))
+
+(* The backoff sleep. Unwatched in calm weather it is one plain sleep.
+   Otherwise it is sliced so a watched query's heartbeat stays fresh (a
+   parked query is waiting, not stuck): 15 s slices while calm, 5 s under
+   broker pressure. Under pressure the failure is storm-induced, so the
+   nap is cut short (after a minimum base pause) as soon as the broker
+   calms: queries stranded behind a spike retry at the release instead of
+   a full exponential later. *)
+let nap t job pause =
+  let pressed () = Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm in
+  let parked = pressed () in
+  if (not parked) && Option.is_none job.watch then Sim.Engine.sleep pause
+  else begin
+    let slice = if parked then 5.0 else 15.0 in
+    let minimum = Float.min pause Resilience.server_backoff.Resilience.base_s in
+    let rec go slept =
+      if slept < pause then begin
+        let step = Float.min slice (pause -. slept) in
+        Sim.Engine.sleep step;
+        beat job;
+        let slept = slept +. step in
+        if (not parked) || slept < minimum || pressed () then go slept
+      end
+    in
+    go 0.
+  end
+
+(* Stage 4, back off before attempt [n + 1], or give up with [e]: when
+   resilience is off, the retries are spent, or the pause would overrun
+   the deadline. *)
+let back_off t job ~n (e : Health.Error.t) =
+  match t.retry_rng with
+  | Some rng when t.cfg.Config.resilience && n <= Resilience.max_retries ->
+      let pause = Resilience.backoff Resilience.server_backoff ~attempt:n ~rng in
+      if
+        match job.deadline with
+        | Some d -> Sim.Engine.now t.eng +. pause > d
         | None -> false
-      in
-      let finally () =
-        match (t.super, watch) with
-        | Some s, Some wd -> Health.Watchdog.unwatch s.wdog wd
-        | _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      (* Retry ladder: [attempt] is 1-based; [degraded] sticks once
-         entered. Transient codes (memory-wait timeouts at gateways or the
-         grant queue, low-memory grant failures — all symptoms of a
-         passing memory or load transient) back off and retry; compile
-         insufficient-memory falls one rung down the ladder and retries
-         immediately with the greedy plan; everything else is final. *)
-      let rec attempt n ~degraded =
-        (* Under any broker pressure the full search would queue at
-           shrunken gateways (and likely OOM); go straight to the cheap
-           rung instead of burning a long gateway wait first. *)
-        let degraded =
-          degraded
-          || r.Resilience.enabled && r.Resilience.degrade_enabled
-             && Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
-        in
-        match plan_for t ~degraded ~deadline ~watch q with
-        | Error { Health.Error.code = Health.Error.Insufficient_memory; _ }
-          when r.Resilience.enabled && r.Resilience.degrade_enabled
-               && not degraded ->
-            (* The full search could not get memory; the greedy plan needs
-               almost none. Fall down the ladder without burning a retry. *)
-            attempt n ~degraded:true
-        | Error ({ Health.Error.code = Health.Error.Memory_wait_timeout; _ } as e)
-          ->
-            retry n ~degraded e
-        | Error e -> fail e
-        | Ok (plan, compile_s, was_degraded) ->
-            if cancelled () then
-              fail
-                (Health.Error.make ~detail:"exec"
-                   Health.Error.Watchdog_cancelled)
-            else if past_deadline () then
-              fail
-                (Health.Error.make ~detail:"exec"
-                   Health.Error.Deadline_exceeded)
-            else (
-              beat ();
-              let finish ~reduced outcome =
-                beat ();
-                Metrics.record_completion t.metrics ~compile_s
-                  ~exec_s:outcome.Execsim.Runner.duration;
-                if was_degraded || reduced then
-                  Metrics.record_degraded t.metrics;
-                Ok ()
-              in
-              match
-                Execsim.Runner.run ~qid t.exec_resources
-                  t.cfg.Config.exec_config plan
-              with
-              | Ok outcome -> finish ~reduced:false outcome
-              | Error { Health.Error.code = Health.Error.Low_memory_condition; _ }
-                when r.Resilience.enabled && r.Resilience.degrade_enabled -> (
-                  (* The exec rung of the ladder: the plan's ideal
-                     workspace is not physically available, so immediately
-                     rerun asking for the grant floor and spill the
-                     shortfall to disk — slower, but it completes while
-                     the full-size run cannot. *)
-                  match
-                    Execsim.Runner.run
-                      ~grant_cap:(Execsim.Grant.min_grant t.grants)
-                      ~qid t.exec_resources t.cfg.Config.exec_config plan
-                  with
-                  | Ok outcome -> finish ~reduced:true outcome
-                  | Error e -> retry n ~degraded e)
-              | Error e -> retry n ~degraded e)
-      and retry n ~degraded (e : Health.Error.t) =
-        match t.retry_rng with
-        | Some rng when r.Resilience.enabled && n <= r.Resilience.max_retries
-          ->
-            let pause = Resilience.backoff r ~attempt:n ~rng in
-            if
-              match deadline with
-              | Some d -> Sim.Engine.now t.eng +. pause > d
-              | None -> false
-            then fail e
-            else begin
-              Metrics.record_retry t.metrics;
-              emit t ~qid
-                (Obs.Event.Retry
-                   { attempt = n; pause_s = pause;
-                     kind = Health.Error.code_name e.Health.Error.code });
-              (* Under broker pressure the failure is storm-induced: park,
-                 and cut the backoff short (after a minimum base pause) as
-                 soon as the broker calms, so queries stranded behind a
-                 pressure spike retry at the release instead of a full
-                 exponential later. In calm weather keep the plain
-                 exponential pause — sliced when supervised so the
-                 heartbeat stays fresh (a parked query is waiting, not
-                 stuck). *)
-              let parked =
-                Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
-              in
-              (if not parked then
-                 match watch with
-                 | None -> Sim.Engine.sleep pause
-                 | Some wd ->
-                     let slice = 15.0 in
-                     let rec nap slept =
-                       if slept < pause then begin
-                         let step = Float.min slice (pause -. slept) in
-                         Sim.Engine.sleep step;
-                         Health.Watchdog.beat wd;
-                         nap (slept +. step)
-                       end
-                     in
-                     nap 0.
-               else begin
-                 let slice = 5.0 in
-                 let minimum = Float.min pause r.Resilience.backoff_base_s in
-                 let rec nap slept =
-                   if slept < pause then begin
-                     let step = Float.min slice (pause -. slept) in
-                     Sim.Engine.sleep step;
-                     beat ();
-                     let slept = slept +. step in
-                     if
-                       slept < minimum
-                       || Qcore.Compile_gov.pressure t.gov
-                          <> Qcore.Compile_gov.Calm
-                     then nap slept
-                   end
-                 in
-                 nap 0.
-               end);
-              if cancelled () then
-                fail
-                  (Health.Error.make ~detail:"retry"
-                     Health.Error.Watchdog_cancelled)
-              else attempt (n + 1) ~degraded
-            end
-        | _ -> fail e
-      in
-      let result = attempt 1 ~degraded:false in
-      (match (result, t.super) with
-      | Ok (), Some s -> Health.Breaker.record_success s.breakers ~template
-      | _ -> ());
-      result
+      then Error e
+      else begin
+        Metrics.record_retry t.metrics;
+        emit t ~qid:job.qid
+          (Obs.Event.Retry
+             { attempt = n; pause_s = pause;
+               kind = Health.Error.code_name e.Health.Error.code });
+        nap t job pause;
+        if cancelled job then
+          Error (Health.Error.make ~detail:"retry" Health.Error.Watchdog_cancelled)
+        else Ok ()
+      end
+  | _ -> Error e
+
+let rec attempts t job n =
+  match attempt t job with
+  | Ok c -> Ok c
+  | Error (`Final e) -> Error e
+  | Error (`Retry e) -> (
+      match back_off t job ~n e with
+      | Ok () -> attempts t job (n + 1)
+      | Error e -> Error e)
+
+(* Stage 5, settle: book the query's one terminal outcome. Hard failures
+   feed the template's breaker; back-pressure results (sheds, breaker
+   refusals) must not, or an open breaker would keep itself open with
+   its own rejections. *)
+let settle t ~qid ~template = function
+  | Ok c ->
+      Metrics.record_completion t.metrics ~compile_s:c.compile_s ~exec_s:c.exec_s;
+      if c.cut_down then Metrics.record_degraded t.metrics;
+      Health.Supervise.record_success t.super ~template;
+      Ok ()
+  | Error (e : Health.Error.t) ->
+      Metrics.record_error t.metrics e.Health.Error.code;
+      emit t ~qid
+        (Obs.Event.Query_error { kind = Health.Error.code_name e.Health.Error.code });
+      if Metrics.is_hard_error e.Health.Error.code then
+        Health.Supervise.record_failure t.super ~template;
+      Error e
+
+let submit t q =
+  let qid = q.Optimizer.Query.qid in
+  let template = template_of_qid qid in
+  settle t ~qid ~template
+    (match admit t q ~template with
+    | Error e -> Error e
+    | Ok job ->
+        Fun.protect
+          ~finally:(fun () -> Health.Supervise.unwatch t.super job.watch)
+          (fun () -> attempts t job 1))
 
 let submit_catch t q =
   match submit t q with
@@ -737,7 +679,8 @@ let submit_catch t q =
    storming clients coalesce onto: the prime pays the compile once and
    the whole queue shares it. *)
 let prime t q =
-  match plan_for t ~degraded:false ~deadline:None ~watch:None q with
+  let job = new_job ~template:(template_of_qid q.Optimizer.Query.qid) q in
+  match plan_for t job with
   | Ok (_plan, elapsed, _) ->
       if elapsed > 0. then t.primed <- t.primed + 1;
       Ok ()
@@ -817,40 +760,19 @@ let reclaim t n =
    unsupervised server too: the error budget and completion counts come
    from the metrics, with all supervision counters at zero. *)
 let health_report t ?(since = 0.) () =
+  let { Health.Supervise.watchdog; starvation; breakers; _ } = t.super in
   {
     Health.Report.duration_s = Sim.Engine.now t.eng -. since;
     completed = Metrics.total_completions t.metrics ~since ();
     errors = Metrics.errors t.metrics;
-    watchdog_watched =
-      (match t.super with Some s -> Health.Watchdog.watched s.wdog | None -> 0);
-    watchdog_stale =
-      (match t.super with
-      | Some s -> Health.Watchdog.stale_total s.wdog
-      | None -> 0);
-    watchdog_cancels =
-      (match t.super with
-      | Some s -> Health.Watchdog.cancel_total s.wdog
-      | None -> 0);
-    breaker_opens =
-      (match t.super with
-      | Some s -> Health.Breaker.opened_total s.breakers
-      | None -> 0);
-    breaker_closes =
-      (match t.super with
-      | Some s -> Health.Breaker.closed_total s.breakers
-      | None -> 0);
-    breakers_open =
-      (match t.super with
-      | Some s -> Health.Breaker.states s.breakers
-      | None -> []);
-    gate_widens =
-      (match t.super with
-      | Some s -> Health.Starvation.widen_total s.starv
-      | None -> 0);
-    gates_widened =
-      (match t.super with
-      | Some s -> Health.Starvation.widened_now s.starv
-      | None -> []);
+    watchdog_watched = Health.Watchdog.watched watchdog;
+    watchdog_stale = Health.Watchdog.stale_total watchdog;
+    watchdog_cancels = Health.Watchdog.cancel_total watchdog;
+    breaker_opens = Health.Breaker.opened_total breakers;
+    breaker_closes = Health.Breaker.closed_total breakers;
+    breakers_open = Health.Breaker.states breakers;
+    gate_widens = Health.Starvation.widen_total starvation;
+    gates_widened = Health.Starvation.widened_now starvation;
     forced_reclaims = Qcore.Broker.forced_reclaims t.broker;
   }
 

@@ -94,7 +94,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
   {
     clients;
     throttled = cfg.Config.throttle_enabled;
-    resilient = cfg.Config.resilience.Resilience.enabled;
+    resilient = cfg.Config.resilience;
     warmup;
     measure;
     slice;

@@ -1,56 +1,25 @@
-type t = {
-  enabled : bool;
-  max_retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  jitter_frac : float;
-  degrade_enabled : bool;
-  shed_enabled : bool;
-  shed_factor : float;
-  deadline_s : float;
-}
+type backoff = { base_s : float; jitter_frac : float }
 
-let disabled =
-  {
-    enabled = false;
-    max_retries = 0;
-    backoff_base_s = 0.;
-    backoff_max_s = 0.;
-    jitter_frac = 0.;
-    degrade_enabled = false;
-    shed_enabled = false;
-    shed_factor = 0.;
-    deadline_s = 0.;
-  }
+(* Sized for minutes-long pressure transients: five retries spread over
+   up to ~8 simulated minutes, so a query submitted mid-storm usually
+   survives to the release. *)
+let max_retries = 5
+let backoff_max_s = 240.
+let server_backoff = { base_s = 15.; jitter_frac = 0.5 }
+let shed_factor = 3.0
+let deadline_s = 1800.
 
-(* Backoff sized for minutes-long pressure transients: five attempts
-   spread over up to ~8 simulated minutes, so a query submitted mid-storm
-   usually survives to the release. *)
-let default =
-  {
-    enabled = true;
-    max_retries = 5;
-    backoff_base_s = 15.;
-    backoff_max_s = 240.;
-    jitter_frac = 0.5;
-    degrade_enabled = true;
-    shed_enabled = true;
-    shed_factor = 3.0;
-    deadline_s = 1800.;
-  }
-
-let backoff t ~attempt ~rng =
+let backoff b ~attempt ~rng =
   (* Clamp rather than trust the caller: an attempt counter that underflowed
-     to 0 or negative gets the base pause, and a policy hand-built with a
-     negative jitter fraction or cap must never produce a negative sleep
+     to 0 or negative gets the base pause, and a curve hand-built with a
+     negative jitter fraction or base must never produce a negative sleep
      (the engine would reject it mid-run, after hours of simulation). *)
   let attempt = max 1 attempt in
   let base =
     Float.max 0.
-      (Float.min t.backoff_max_s
-         (t.backoff_base_s *. (2. ** float_of_int (attempt - 1))))
+      (Float.min backoff_max_s (b.base_s *. (2. ** float_of_int (attempt - 1))))
   in
-  let jitter_span = t.jitter_frac *. base in
+  let jitter_span = b.jitter_frac *. base in
   if jitter_span > 0. then base +. Sim.Rng.float rng jitter_span else base
 
 module Budget = struct
@@ -125,11 +94,12 @@ module Budget = struct
   let config t = t.cfg
 end
 
-let pp ppf t =
-  if not t.enabled then Format.fprintf ppf "resilience OFF"
+let pp ppf on =
+  if not on then Format.fprintf ppf "resilience OFF"
   else
     Format.fprintf ppf
       "resilience ON: retries<=%d backoff %.0f-%.0fs (jitter %.0f%%), \
-       degrade=%b shed=%b (factor %.1f), deadline %.0fs"
-      t.max_retries t.backoff_base_s t.backoff_max_s (100. *. t.jitter_frac)
-      t.degrade_enabled t.shed_enabled t.shed_factor t.deadline_s
+       degrade=true shed=true (factor %.1f), deadline %.0fs"
+      max_retries server_backoff.base_s backoff_max_s
+      (100. *. server_backoff.jitter_frac)
+      shed_factor deadline_s

@@ -1,50 +1,55 @@
 (** Per-query resilience policy: how {!Dbms.submit} behaves when the
-    machine is hostile.
+    machine is hostile. [Config.resilience] switches all of it on or off
+    at once; off (the default) is the seed pipeline, bit for bit.
 
-    Four mechanisms, all off in the seed configuration so the paper's
-    baseline numbers are untouched ({!disabled} is the default):
+    With it on, four mechanisms work together:
 
     - {b retry}: transient resource errors (gateway timeout, grant
-      timeout) are retried inside the server with capped exponential
-      backoff and deterministic jitter drawn from the simulation RNG;
-    - {b degradation ladder}: under [Critical] broker pressure — or after
-      a compile out-of-memory — the optimizer falls back from full
-      Cascades search to the greedy left-deep plan, which needs almost no
-      compile memory, instead of erroring (the paper's §4.3
-      best-plan-so-far idea taken one rung further);
+      timeout) are retried inside the server, up to {!max_retries} times,
+      with capped exponential backoff and deterministic jitter drawn from
+      the simulation RNG;
+    - {b degradation ladder}: under broker pressure — or after a compile
+      out-of-memory — the optimizer falls back from full Cascades search
+      to the greedy left-deep plan, which needs almost no compile memory,
+      and an execution refused its ideal workspace reruns at the grant
+      floor and spills (the paper's §4.3 best-plan-so-far idea taken one
+      rung further);
     - {b admission control}: when in-flight compilations times the
-      observed compile-memory appetite overshoot the broker's compile
-      target, new compilations are shed immediately rather than queued
-      into a pile-up;
-    - {b deadline watchdog}: a query that cannot finish within
-      [deadline_s] is cancelled at its next allocation instead of holding
-      gateways forever. *)
+      observed compile-memory appetite overshoot {!shed_factor} times the
+      broker's compile target, new compilations are shed immediately
+      rather than queued into a pile-up;
+    - {b deadline}: a query that cannot finish within {!deadline_s} is
+      cancelled at its next allocation instead of holding gateways
+      forever. *)
 
-type t = {
-  enabled : bool;  (** master switch; [false] = seed behaviour exactly *)
-  max_retries : int;  (** retry budget per query, on top of attempt 1 *)
-  backoff_base_s : float;  (** first backoff; doubles per retry *)
-  backoff_max_s : float;  (** backoff cap *)
+(** A backoff curve: the first pause and its jitter. *)
+type backoff = {
+  base_s : float;  (** first backoff; doubles per retry *)
   jitter_frac : float;  (** uniform jitter as a fraction of the backoff *)
-  degrade_enabled : bool;  (** greedy-plan fallback ladder *)
-  shed_enabled : bool;  (** admission-control load shedding *)
-  shed_factor : float;
-      (** shed when [in_flight * predicted_bytes > shed_factor * target] *)
-  deadline_s : float;  (** per-query wall-clock budget; [0.] = none *)
 }
 
-(** Everything off — the seed server, bit for bit. *)
-val disabled : t
+(** Server-side retries per query, on top of attempt 1 (5). *)
+val max_retries : int
 
-(** Sensible defaults with every mechanism on (chaos runs). *)
-val default : t
+(** Cap on any backoff pause, in seconds (240). *)
+val backoff_max_s : float
 
-(** [backoff t ~attempt ~rng] is the sleep before retry [attempt]
-    (1-based): [min backoff_max_s (backoff_base_s * 2^(attempt-1))] plus
-    uniform jitter in [0, jitter_frac * that). Deterministic given the RNG
-    state. Defensive at the edges: [attempt <= 0] is clamped to 1, and a
-    negative [jitter_frac] or cap can never yield a negative sleep. *)
-val backoff : t -> attempt:int -> rng:Sim.Rng.t -> float
+(** The server's retry curve: 15 s, 50% jitter. *)
+val server_backoff : backoff
+
+(** Shed when [in_flight * predicted_bytes > shed_factor * target] (3.0). *)
+val shed_factor : float
+
+(** Per-query simulated-time budget, in seconds (1800). *)
+val deadline_s : float
+
+(** [backoff b ~attempt ~rng] is the sleep before retry [attempt]
+    (1-based): [min backoff_max_s (b.base_s * 2^(attempt-1))] plus
+    uniform jitter in [0, b.jitter_frac * that). Deterministic given the
+    RNG state. Defensive at the edges: [attempt <= 0] is clamped to 1,
+    and a negative [jitter_frac] or [base_s] can never yield a negative
+    sleep. *)
+val backoff : backoff -> attempt:int -> rng:Sim.Rng.t -> float
 
 (** Per-client retry token bucket.
 
@@ -97,4 +102,5 @@ module Budget : sig
   val config : t -> config
 end
 
-val pp : Format.formatter -> t -> unit
+(** [pp ppf on] describes the policy, as [dbsim info] prints it. *)
+val pp : Format.formatter -> bool -> unit

@@ -13,7 +13,7 @@
 type config = {
   vnodes : int;
   max_retries : int;
-  backoff : Resilience.t;  (** only the backoff parameters are read *)
+  backoff : Resilience.backoff;
   hedge_enabled : bool;
   hedge_after : float;
   breaker : Health.Breaker.config;
@@ -23,7 +23,7 @@ let default_config =
   {
     vnodes = 40;
     max_retries = 2;
-    backoff = { Resilience.default with backoff_base_s = 1.0; jitter_frac = 0.2 };
+    backoff = { Resilience.base_s = 1.0; jitter_frac = 0.2 };
     hedge_enabled = false;
     hedge_after = 20.;
     breaker = Health.Breaker.default_config;

@@ -22,12 +22,13 @@
 type config = {
   vnodes : int;  (** ring points per shard (placement granularity) *)
   max_retries : int;  (** re-routes after a retryable failure *)
-  backoff : Resilience.t;  (** only the backoff parameters are read *)
+  backoff : Resilience.backoff;  (** pause before each re-route *)
   hedge_enabled : bool;
   hedge_after : float;  (** seconds before hedging a browned-out shard *)
   breaker : Health.Breaker.config;  (** per-shard breaker policy *)
 }
 
+(** 40 vnodes, 2 retries on a 1 s curve with 20% jitter, no hedging. *)
 val default_config : config
 
 type t

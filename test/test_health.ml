@@ -312,32 +312,26 @@ let test_broker_insists_on_deaf_components () =
 (* Backoff edge cases (satellite fix) *)
 
 let test_backoff_edges () =
-  let pol =
-    {
-      Server.Resilience.disabled with
-      Server.Resilience.backoff_base_s = 10.;
-      backoff_max_s = 100.;
-      jitter_frac = 0.;
-    }
-  in
+  let pol = { Server.Resilience.base_s = 10.; jitter_frac = 0. } in
+  let cap = Server.Resilience.backoff_max_s in
   let rng = Sim.Rng.create 3 in
   let b p attempt = Server.Resilience.backoff p ~attempt ~rng in
   Alcotest.(check (float 1e-9)) "attempt 1 = base" 10. (b pol 1);
   Alcotest.(check (float 1e-9)) "attempt 0 clamps to base" 10. (b pol 0);
   Alcotest.(check (float 1e-9)) "negative attempt clamps to base" 10. (b pol (-7));
   Alcotest.(check (float 1e-9)) "doubles per attempt" 80. (b pol 4);
-  Alcotest.(check (float 1e-9)) "capped at backoff_max" 100. (b pol 20);
-  (* A hand-built policy with negative jitter must never sleep backwards. *)
+  Alcotest.(check (float 1e-9)) "capped at backoff_max" cap (b pol 20);
+  (* A hand-built curve with negative jitter must never sleep backwards. *)
   let neg = { pol with Server.Resilience.jitter_frac = -1.0 } in
   Alcotest.(check (float 1e-9)) "negative jitter ignored" 10. (b neg 1);
-  (* Nor can a negative base/cap produce a negative sleep. *)
-  let broken = { pol with Server.Resilience.backoff_base_s = -5. } in
+  (* Nor can a negative base produce a negative sleep. *)
+  let broken = { pol with Server.Resilience.base_s = -5. } in
   Alcotest.(check (float 1e-9)) "negative base clamps to 0" 0. (b broken 1);
   (* Positive jitter stays within its advertised span. *)
   let jit = { pol with Server.Resilience.jitter_frac = 0.5 } in
   for attempt = 1 to 32 do
     let v = b jit attempt in
-    let base = Float.min 100. (10. *. (2. ** float_of_int (attempt - 1))) in
+    let base = Float.min cap (10. *. (2. ** float_of_int (attempt - 1))) in
     if v < base || v >= base *. 1.5 then
       Alcotest.failf "jittered backoff %g outside [%g, %g)" v base (base *. 1.5)
   done
