@@ -292,7 +292,7 @@ let chaos_cmd =
           ~doc:"Transient allocation-failure probability during the spike window (0 = none).")
   in
   let think_arg =
-    Arg.(value & opt float 100. & info [ "think" ] ~doc:"Client mean think time, seconds.")
+    Fanout.think_arg ~default:100. ~doc:"Client mean think time, seconds."
   in
   let workload_arg =
     Arg.(
@@ -645,7 +645,7 @@ let shards_cmd =
           ~doc:"Parameterized (cacheable) query templates in the workload.")
   in
   let think_arg =
-    Arg.(value & opt float 20. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
+    Fanout.think_arg ~default:20. ~doc:"Client think time, seconds (mean)."
   in
   let warmup_arg =
     Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
@@ -803,7 +803,7 @@ let storm_cmd =
           ~doc:"Parameterized (cacheable) query templates in the workload.")
   in
   let think_arg =
-    Arg.(value & opt float 10. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
+    Fanout.think_arg ~default:10. ~doc:"Client think time, seconds (mean)."
   in
   let warmup_arg =
     Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
@@ -1047,7 +1047,7 @@ let cache_cmd =
     Arg.(value & opt int 16 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
   let think_arg =
-    Arg.(value & opt float 30. & info [ "think" ] ~doc:"Client think time, seconds (mean).")
+    Fanout.think_arg ~default:30. ~doc:"Client think time, seconds (mean)."
   in
   let ratio_arg =
     Arg.(

@@ -25,28 +25,35 @@ let fail msg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
-let jobs_arg =
-  let positive =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok _ ->
-          Error
-            (`Msg
-              (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-      | Error _ as e -> e
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+(* [conv] restricted to values above [zero]; anything else is cmdliner's
+   structured usage error, exit 124. *)
+let positive conv ~zero ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when compare v zero > 0 -> Ok v
+    | Ok _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected a positive %s" s what))
+    | Error _ as e -> e
   in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let jobs_arg =
   Arg.(
     value
-    & opt positive 1
+    & opt (positive Arg.int ~zero:0 ~what:"integer") 1
     & info [ "jobs"; "j" ]
         ~env:(Cmd.Env.info "DBSIM_JOBS")
         ~doc:
           "Domains to fan independent runs across (at least 1; 1 = \
            sequential). Each run is deterministic given its seed, so the \
            output is the same at any job count.")
+
+let think_arg ~default ~doc =
+  Arg.(
+    value
+    & opt (positive float ~zero:0. ~what:"number") default
+    & info [ "think" ] ~doc)
 
 let seeds_arg =
   Arg.(

@@ -64,6 +64,7 @@ let cache_floor = Dbmem.Units.mib 16
 
 let validate cfg =
   if cfg.k_clients < 1 then invalid_arg "Cached.run: clients < 1";
+  if cfg.k_think <= 0. then invalid_arg "Cached.run: think <= 0";
   if cfg.k_ratio < 0. || cfg.k_ratio > 1. then
     invalid_arg "Cached.run: ratio outside [0, 1]";
   if cfg.k_variants < 1 then invalid_arg "Cached.run: variants < 1";

@@ -131,6 +131,7 @@ let validate cfg =
   if cfg.c_shards < 2 then invalid_arg "Shards.run: need at least 2 shards";
   if cfg.c_clients < 1 then invalid_arg "Shards.run: clients < 1";
   if cfg.c_variants < 1 then invalid_arg "Shards.run: variants < 1";
+  if cfg.c_think <= 0. then invalid_arg "Shards.run: think <= 0";
   if cfg.c_total / cfg.c_shards < 64 * 1024 * 1024 then
     invalid_arg "Shards.run: less than 64 MiB per shard";
   if cfg.c_warmup < 0. || cfg.c_measure <= 0. || cfg.c_slice <= 0. then
