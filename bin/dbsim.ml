@@ -82,7 +82,7 @@ let run_one ~clients ~throttle ~warmup ~measure ~slice ~seed =
     ~clients ~warmup ~measure ~slice ()
 
 (* Detailed single run that keeps the server around for resource stats. *)
-let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
+let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
   let cfg = config ~throttle ~seed in
   let eng = Sim.Engine.create ~seed () in
   let dbms = Server.Dbms.create eng cfg (Workload.Sales.catalog ()) in
@@ -98,6 +98,7 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
       ~config:Workload.Client.default_config ~stats ~ids ~until:stop
   done;
   Sim.Engine.run eng ~until:stop;
+  Sim.Engine.check_failures eng;
   let m = Server.Dbms.metrics dbms in
   let grants = Server.Dbms.grants dbms in
   let disk = Server.Dbms.disk dbms in
@@ -113,7 +114,9 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
     (float_of_int (Bufpool.Disk.bytes_read disk) /. 1e9)
     (float_of_int (Bufpool.Disk.bytes_written disk) /. 1e9)
     ((float_of_int (Bufpool.Disk.bytes_read disk + Bufpool.Disk.bytes_written disk)
-      /. (320. *. 1024. *. 1024.)) /. stop);
+      /. (float_of_int cfg.Server.Config.disk_spindles
+         *. cfg.Server.Config.disk_throughput))
+     /. stop);
   Format.printf "disk queue: %a@." Sim.Stats.Online.pp (Bufpool.Disk.queue_wait disk);
   Format.printf "pool: %a@." Bufpool.Pool.pp (Server.Dbms.pool dbms);
   Format.printf "cache: %a@." Plancache.Cache.pp (Server.Dbms.plan_cache dbms);
@@ -125,15 +128,14 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed =
   Format.printf "%a@." Qcore.Compile_gov.pp (Server.Dbms.governor dbms);
   Format.printf "compile: %a@.exec: %a@."
     Sim.Stats.Online.pp (Server.Metrics.compile_time m)
-    Sim.Stats.Online.pp (Server.Metrics.exec_time m);
-  ignore slice
+    Sim.Stats.Online.pp (Server.Metrics.exec_time m)
 
 let verbose_cmd =
-  let action clients throttle warmup measure slice seed =
-    run_verbose ~clients ~throttle ~warmup ~measure ~slice ~seed
+  let action clients throttle warmup measure seed =
+    run_verbose ~clients ~throttle ~warmup ~measure ~seed
   in
   Cmd.v (Cmd.info "verbose" ~doc:"Single run with resource diagnostics.")
-    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ slice_arg $ seed_arg)
+    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ seed_arg)
 
 let run_cmd =
   let action clients throttle warmup measure slice seed csv =

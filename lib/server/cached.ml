@@ -314,13 +314,7 @@ let run ?(trace = Obs.Trace.null) cfg =
   (* Drain: clients have stopped; give in-flight queries a grace window
      to come home before the books are read. *)
   Sim.Engine.run eng ~until:(stop +. 300.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "cached simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  Sim.Engine.check_failures ~what:"cached" eng;
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.k_warmup ~stop ~width:cfg.k_slice
   in

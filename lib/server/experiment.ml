@@ -73,12 +73,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
       ~config:client_config ~stats ~ids ~until:stop
   done;
   Sim.Engine.run eng ~until:stop;
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf "simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
+  Sim.Engine.check_failures eng;
   let metrics = Dbms.metrics dbms in
   let slices = Metrics.throughput metrics ~start:warmup ~stop ~width:slice in
   let total_completed = Metrics.total_completions metrics ~since:warmup () in

@@ -65,13 +65,7 @@ let run_chaos ?(config = Config.supervised ()) ?faults ?seed ?(clients = 35)
      queries finish so a session still watched at the end really is stuck,
      not merely truncated by the clock. *)
   Sim.Engine.run eng ~until:(stop +. drain);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
+  Sim.Engine.check_failures eng;
   let report = Dbms.health_report dbms ~since:warmup () in
   {
     dbms;

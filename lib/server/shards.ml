@@ -257,13 +257,7 @@ let run ?trace cfg =
   (* Drain: clients have stopped; give in-flight queries (including any
      abandoned hedge losers) a grace window to come home. *)
   Sim.Engine.run eng ~until:(stop +. 600.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "shard simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  Sim.Engine.check_failures ~what:"shard" eng;
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.c_warmup ~stop ~width:cfg.c_slice
   in

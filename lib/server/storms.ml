@@ -329,13 +329,7 @@ let run ?trace cfg =
   done;
   Sim.Engine.run eng ~until:stop;
   Sim.Engine.run eng ~until:(stop +. 600.);
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (pname, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "storm simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) pname time (Printexc.to_string exn)));
+  Sim.Engine.check_failures ~what:"storm" eng;
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.s_warmup ~stop ~width:cfg.s_slice
   in

@@ -265,13 +265,7 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
       done)
     lives;
   Sim.Engine.run eng ~until:stop;
-  (match Sim.Engine.failures eng with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf
-           "tenant simulation process failures (%d), first: %s at %.1f: %s"
-           (List.length fs) name time (Printexc.to_string exn)));
+  Sim.Engine.check_failures ~what:"tenant" eng;
   let tenants =
     List.map
       (fun l ->

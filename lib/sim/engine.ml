@@ -75,6 +75,15 @@ let rng t = t.root_rng
 let events_executed t = t.events
 let failures t = List.rev t.failures_rev
 
+let check_failures ?what t =
+  match failures t with
+  | [] -> ()
+  | (name, exn, time) :: _ as fs ->
+      failwith
+        (Printf.sprintf "%ssimulation process failures (%d), first: %s at %.1f: %s"
+           (match what with Some w -> w ^ " " | None -> "")
+           (List.length fs) name time (Printexc.to_string exn))
+
 let record_failure t name exn =
   t.failures_rev <- (name, exn, t.now.fc) :: t.failures_rev;
   Logs.err (fun m ->

@@ -75,6 +75,12 @@ val events_executed : t -> int
     or callback, oldest first. A correct model leaves this empty. *)
 val failures : t -> (string * exn * float) list
 
+(** [check_failures ?what t] raises [Failure] if any process failed,
+    naming how many and the first: ["<what> simulation process failures
+    (n), first: ..."]. A run that keeps going after a model bug would
+    report numbers from a broken simulation. *)
+val check_failures : ?what:string -> t -> unit
+
 (** {1 Periodic tasks} *)
 
 (** [every t ?start ~interval f] calls [f ()] at [start] (default
