@@ -310,8 +310,11 @@ let cancelled job =
 
 let softened job = Option.fold ~none:false ~some:Health.Watchdog.softened job.watch
 
-let past_deadline t job =
-  match job.deadline with Some d -> Sim.Engine.now t.eng > d | None -> false
+(* Would [after] more seconds carry the query past its deadline? *)
+let past_deadline ?(after = 0.) t job =
+  match job.deadline with
+  | Some d -> Sim.Engine.now t.eng +. after > d
+  | None -> false
 
 (* Every compilation, full or greedy, runs inside one governor session:
    begin it, run [f], then book the session's peak and end it however
@@ -612,11 +615,7 @@ let back_off t job ~n (e : Health.Error.t) =
   match t.retry_rng with
   | Some rng when t.cfg.Config.resilience && n <= Resilience.max_retries ->
       let pause = Resilience.backoff Resilience.server_backoff ~attempt:n ~rng in
-      if
-        match job.deadline with
-        | Some d -> Sim.Engine.now t.eng +. pause > d
-        | None -> false
-      then Error e
+      if past_deadline ~after:pause t job then Error e
       else begin
         Metrics.record_retry t.metrics;
         emit t ~qid:job.qid

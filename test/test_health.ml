@@ -128,6 +128,26 @@ let test_breaker_lifecycle () =
   Health.Breaker.record_success b ~template:"T1";
   Alcotest.check breaker_state "late success ignored while open" Health.Breaker.Open (state "T1")
 
+(* Supervision off is inert: no timer, no session, no booked template,
+   whatever the server reports to it. *)
+let test_supervise_off_is_inert () =
+  let eng = Sim.Engine.create ~seed:1 () in
+  let trace = Obs.Trace.create () in
+  let s = Health.Supervise.create ~trace eng ~enabled:false in
+  Health.Supervise.start s;
+  for _ = 1 to 10 do
+    Health.Supervise.record_failure s ~template:"t"
+  done;
+  Alcotest.(check bool) "admits" true (Health.Supervise.admit s ~template:"t" = Ok ());
+  Health.Supervise.release_probe s ~template:"t";
+  Health.Supervise.record_success s ~template:"t";
+  Alcotest.(check bool) "no session" true (Health.Supervise.watch s ~qid:"t#1" = None);
+  Sim.Engine.run eng ~until:3600.;
+  Alcotest.(check int) "no timer fired" 0 (Sim.Engine.events_executed eng);
+  Alcotest.(check int) "no trace record" 0 (Obs.Trace.length trace);
+  Alcotest.(check int) "no breaker opened" 0
+    (Health.Breaker.opened_total s.Health.Supervise.breakers)
+
 (* A half-open probe that gets shed by downstream admission control never
    ran — releasing it must return the probe slot without re-tripping, and
    the next arrival becomes the new probe. *)
@@ -539,6 +559,7 @@ let suite =
     ("error taxonomy", `Quick, test_error_taxonomy);
     ("breaker lifecycle", `Quick, test_breaker_lifecycle);
     ("breaker probe shed is not a failure", `Quick, test_breaker_probe_shed);
+    ("supervision off is inert", `Quick, test_supervise_off_is_inert);
     ("watchdog escalation", `Quick, test_watchdog_escalation);
     ("starvation auditor widens and restores", `Quick, test_starvation_widens_and_restores);
     ("broker insists on deaf components", `Quick, test_broker_insists_on_deaf_components);
