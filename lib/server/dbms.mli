@@ -24,15 +24,16 @@ val template_of_qid : string -> string
 (** Start the broker ticks and memory sampling. *)
 val start : t -> unit
 
-(** Process-blocking end-to-end query execution: plan-cache probe,
-    breaker and admission control, governed compilation (with the
-    degradation ladder), grant acquisition, simulated execution — plus
-    the configured retry policy around the transient failure modes. With
-    [config.resilience = Resilience.disabled] (the default) the behaviour
-    is the seed pipeline exactly; with [config.supervision] enabled the
-    query additionally holds a watchdog heartbeat, is gated by its
-    template's circuit breaker, and every failure carries a structured
-    {!Health.Error.t}. *)
+(** Process-blocking end-to-end query execution, as a pipeline of
+    stages: admit (breaker, then admission control), then attempts of
+    plan (plan-cache probe, governed compilation on the ladder's rung)
+    and exec (grant acquisition, simulated execution), with a backoff
+    between attempts after a transient failure, then settle (the one
+    terminal outcome is booked). With [config.resilience] off (the
+    default) the behaviour is the seed pipeline exactly; with
+    [config.supervision] on the query additionally holds a watchdog
+    heartbeat and is gated by its template's circuit breaker. Every
+    failure carries a structured {!Health.Error.t}. *)
 val submit : t -> Optimizer.Query.t -> (unit, Health.Error.t) result
 
 (** {!submit} with the error rendered as a string (client callback form). *)
