@@ -11,9 +11,11 @@ let mib = Dbmem.Units.mib
 (* Conservation: whatever the op sequence, tokens are neither created
    nor destroyed — [min initial max_tokens + earned - capped - spent]
    is the balance, the balance never goes negative, and every refused
-   spend is counted as a denial. The four books are float sums over up
-   to ~10^4 operations, so the identity holds to rounding relative to
-   their size, not to a fixed 1e-9. *)
+   spend is counted as a denial. The books are float sums over up to
+   ~10^4 operations, so the identity holds only to rounding, which
+   grows with their size: about 7e-14 of their total, 1.7e-9 tokens at
+   the largest. The bound sits about 15x above that and still catches
+   a leak of 1e-10 tokens per spend. *)
 let prop_budget_conservation =
   QCheck.Test.make ~name:"retry budget conserves tokens" ~count:300
     QCheck.(
@@ -41,7 +43,8 @@ let prop_budget_conservation =
         ops;
       let open Server.Resilience.Budget in
       let lhs = Float.min initial max_tokens +. earned b -. capped b -. spent b in
-      abs_float (lhs -. balance b) < 1e-9 *. (1. +. earned b +. spent b)
+      abs_float (lhs -. balance b)
+      < 1e-12 *. (1. +. initial +. earned b +. capped b +. spent b)
       && balance b >= -1e-9
       && denied b = !denials)
 
