@@ -457,6 +457,20 @@ let test_diurnal_curve () =
   let flat = Workload.Mix.think_of ~base:60. () in
   Alcotest.(check (float 1e-6)) "no curve is constant" 60. (flat 123.)
 
+(* With zero think time every client is a tight loop, and the run would
+   report a meaningless throughput; the runner refuses the config. *)
+let test_rejects_non_positive_think () =
+  List.iter
+    (fun think ->
+      Alcotest.check_raises
+        (Printf.sprintf "think %g" think)
+        (Invalid_argument "Cached.run: think <= 0")
+        (fun () ->
+          ignore
+            (Server.Cached.run
+               { Server.Cached.default_config with k_think = think })))
+    [ 0.; -5. ]
+
 let suite =
   [
     ("ttl boundary is a miss", `Quick, test_ttl_boundary);
@@ -471,6 +485,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fuzzed_interleavings;
     ("mixed templates at ratio bounds", `Quick, test_mixed_templates_ratio_bounds);
     ("diurnal think curve", `Quick, test_diurnal_curve);
+    ("non-positive think rejected", `Quick, test_rejects_non_positive_think);
     ("brokered beats cache-off", `Slow, test_brokered_beats_off);
     ("ballast shrinks the cache gracefully", `Slow, test_ballast_shrinks_gracefully);
     ("parallel fan-out bit-identical", `Slow, test_jobs_identity);

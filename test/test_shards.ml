@@ -263,12 +263,27 @@ let test_crash_failover_retention () =
   Alcotest.(check bool) "conservation holds in both cells" true
     (check_conservation no_fault && check_conservation crash)
 
+(* A client with no think time would sleep a zero or negative delay;
+   the runner refuses the config before building an engine. *)
+let test_rejects_non_positive_think () =
+  List.iter
+    (fun think ->
+      Alcotest.check_raises
+        (Printf.sprintf "think %g" think)
+        (Invalid_argument "Shards.run: think <= 0")
+        (fun () ->
+          ignore
+            (Server.Shards.run
+               { Server.Shards.default_config with c_think = think })))
+    [ 0.; -5. ]
+
 let suite =
   [
     ("ring spreads templates", `Quick, test_ring_spreads_templates);
     ("ring stable under health changes", `Quick, test_ring_stable_under_health);
     ("shard lifecycle", `Quick, test_shard_lifecycle);
     ("fault schedules validate", `Quick, test_fault_schedules_validate);
+    ("non-positive think rejected", `Quick, test_rejects_non_positive_think);
     QCheck_alcotest.to_alcotest prop_conservation_under_shard_faults;
     QCheck_alcotest.to_alcotest prop_shards_parallel_bit_identical;
     ("crash failover retention", `Slow, test_crash_failover_retention);
