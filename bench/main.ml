@@ -35,12 +35,10 @@ let jobs = ref 1
 let run_grid cells = Server.Experiment.run_grid ~jobs:!jobs cells
 
 let pair_cells ~clients ~measure ~seed =
-  [
-    Server.Experiment.cell ~config:(throttled_config seed) ~clients ~warmup
-      ~measure ~slice:fig_slice ();
-    Server.Experiment.cell ~config:(unthrottled_config seed) ~clients ~warmup
-      ~measure ~slice:fig_slice ();
-  ]
+  List.map
+    (fun config () ->
+      Server.Experiment.run ~config ~clients ~warmup ~measure ~slice:fig_slice ())
+    [ throttled_config seed; unthrottled_config seed ]
 
 let run_pair ~clients ~measure ~seed =
   match run_grid (pair_cells ~clients ~measure ~seed) with
@@ -386,9 +384,9 @@ let overhead () =
 let ablation_grid ~clients configs =
   run_grid
     (List.map
-       (fun config ->
-         Server.Experiment.cell ~config ~clients ~warmup
-           ~measure:quick_measure ~slice:fig_slice ())
+       (fun config () ->
+         Server.Experiment.run ~config ~clients ~warmup ~measure:quick_measure
+           ~slice:fig_slice ())
        configs)
 
 let ablation_dynamic () =
@@ -486,11 +484,11 @@ let memory_sweep () =
     List.concat_map
       (fun gib ->
         List.map
-          (fun base ->
+          (fun base () ->
             let config =
               { base with Server.Config.memory_bytes = Dbmem.Units.gib gib }
             in
-            Server.Experiment.cell ~config ~clients:30 ~warmup
+            Server.Experiment.run ~config ~clients:30 ~warmup
               ~measure:quick_measure ~slice:fig_slice ())
           [ throttled_config 42; unthrottled_config 42 ])
       sizes
@@ -525,8 +523,8 @@ let snowflake () =
   let templates = Workload.Snowflake.templates () in
   let cells =
     List.map
-      (fun config ->
-        Server.Experiment.cell ~config ~catalog ~templates ~clients:30 ~warmup
+      (fun config () ->
+        Server.Experiment.run ~config ~catalog ~templates ~clients:30 ~warmup
           ~measure:quick_measure ~slice:fig_slice ())
       [ throttled_config 42; unthrottled_config 42 ]
   in
@@ -551,8 +549,8 @@ let memory_trace () =
   let results =
     run_grid
       (List.map
-         (fun config ->
-           Server.Experiment.cell ~config ~clients:30 ~warmup:0. ~measure:1800.
+         (fun config () ->
+           Server.Experiment.run ~config ~clients:30 ~warmup:0. ~measure:1800.
              ~slice:fig_slice ())
          [ throttled_config 42; unthrottled_config 42 ])
   in

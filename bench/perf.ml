@@ -321,8 +321,8 @@ type grid_outcome = {
 let grid_bench () =
   (* The paper's grid shape in miniature: throttling on/off at three
      client counts, one seed — six independent cells. *)
-  let mk config clients =
-    Server.Experiment.cell ~config ~clients ~warmup:30.
+  let mk config clients () =
+    Server.Experiment.run ~config ~clients ~warmup:30.
       ~measure:(cell_measure ()) ~slice:60. ()
   in
   let cells =

@@ -166,8 +166,8 @@ let run_cmd =
 
 let compare_cmd =
   let action clients warmup measure slice seed csv jobs =
-    let cell throttle =
-      Server.Experiment.cell ~config:(config ~throttle ~seed) ~clients ~warmup
+    let cell throttle () =
+      Server.Experiment.run ~config:(config ~throttle ~seed) ~clients ~warmup
         ~measure ~slice ()
     in
     let on, off =
@@ -205,8 +205,8 @@ let sweep_cmd =
   let action counts throttle warmup measure slice seed jobs =
     let cells =
       List.map
-        (fun clients ->
-          Server.Experiment.cell ~config:(config ~throttle ~seed) ~clients
+        (fun clients () ->
+          Server.Experiment.run ~config:(config ~throttle ~seed) ~clients
             ~warmup ~measure ~slice ())
         counts
     in
@@ -335,14 +335,14 @@ let chaos_cmd =
             { at; duration = window; fail_prob = glitch; clerks = [ "compile" ] } ]
       else []
     in
-    let cell resilient =
+    let cell resilient () =
       let base =
         if resilient then Server.Config.resilient () else Server.Config.default ()
       in
       let cfg = { base with Server.Config.seed; faults } in
       (* The shared catalog/templates are read-only during runs, so the
          two cells may execute on different domains. *)
-      Server.Experiment.cell ~config:cfg ~catalog ~templates
+      Server.Experiment.run ~config:cfg ~catalog ~templates
         ~client_config:
           { Workload.Client.default_config with Workload.Client.think_mean = think }
         ~clients ~warmup ~measure ~slice ()

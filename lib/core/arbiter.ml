@@ -6,7 +6,7 @@ type config = {
 }
 
 let default_config =
-  { interval = 1.0; horizon = 2.0; window = 16; deadband = 4 * 1024 * 1024 }
+  { interval = 2.0; horizon = 5.0; window = 10; deadband = 8 * 1024 * 1024 }
 
 type claim = {
   weight : float;

@@ -29,6 +29,8 @@ type config = {
           most this many bytes is skipped entirely (no churn on noise) *)
 }
 
+(** A tick every 2 s, a 5 s prediction horizon over a 10-sample trend,
+    and an 8 MiB deadband: the tenant and shard experiments' arbiter. *)
 val default_config : config
 
 (** {1 The pure planner}

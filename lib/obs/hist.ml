@@ -74,6 +74,8 @@ let percentile t q =
     in
     scan 0 0
 
+let percentile_ms t q = float_of_int (percentile t q) /. 1000.
+
 let pp_summary fmt t =
   if t.total = 0 then Format.fprintf fmt "empty"
   else

@@ -30,5 +30,9 @@ val mean : t -> float
     minimum; [q >= 100] the maximum. *)
 val percentile : t -> float -> int
 
+(** [percentile_ms t q] is {!percentile} of a histogram of microseconds,
+    in milliseconds. *)
+val percentile_ms : t -> float -> float
+
 (** One-line summary: [count], [mean], p50/p90/p99 and [max]. *)
 val pp_summary : Format.formatter -> t -> unit

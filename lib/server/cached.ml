@@ -147,16 +147,10 @@ let run ?(trace = Obs.Trace.null) cfg =
   validate cfg;
   let eng = Sim.Engine.create ~seed:cfg.k_seed () in
   let stop = cfg.k_warmup +. cfg.k_measure in
-  let base = Config.default () in
   let server_cfg =
     {
-      base with
-      Config.memory_bytes = cfg.k_memory;
-      seed = cfg.k_seed;
-      min_pool_bytes = min base.Config.min_pool_bytes (cfg.k_memory / 8);
-      min_workspace_bytes =
-        min base.Config.min_workspace_bytes (cfg.k_memory / 8);
-      plan_cache_floor_bytes =
+      (Config.for_pool ~seed:cfg.k_seed cfg.k_memory) with
+      Config.plan_cache_floor_bytes =
         min (Dbmem.Units.mib 64) (cfg.k_memory / 16);
       faults = faults_of cfg;
     }
@@ -186,18 +180,19 @@ let run ?(trace = Obs.Trace.null) cfg =
             { Midcache.Cache.default_config with ttl = cfg.k_ttl }
         in
         (if cfg.k_mode = Cache_brokered then
+           let shrink wanted =
+             let freed = Midcache.Cache.shrink cache wanted in
+             if freed > 0 then begin
+               incr shrink_events;
+               shrink_freed := !shrink_freed + freed;
+               emit (Obs.Event.Midcache_shrink { wanted; freed })
+             end;
+             freed
+           in
            let shrink_to target =
              let target = max cache_floor target in
              let r = Midcache.Cache.resident cache in
-             if r > target then begin
-               let wanted = r - target in
-               let freed = Midcache.Cache.shrink cache wanted in
-               if freed > 0 then begin
-                 incr shrink_events;
-                 shrink_freed := !shrink_freed + freed;
-                 emit (Obs.Event.Midcache_shrink { wanted; freed })
-               end
-             end;
+             if r > target then ignore (shrink (r - target));
              Midcache.Cache.set_budget cache target
            in
            ignore
@@ -210,15 +205,7 @@ let run ?(trace = Obs.Trace.null) cfg =
                   | Qcore.Broker.Can_grow ->
                       Midcache.Cache.set_budget cache cfg.k_cache_bytes
                   | Qcore.Broker.Hold_rate -> ())
-                ~reclaim:(fun wanted ->
-                  let freed = Midcache.Cache.shrink cache wanted in
-                  if freed > 0 then begin
-                    incr shrink_events;
-                    shrink_freed := !shrink_freed + freed;
-                    emit (Obs.Event.Midcache_shrink { wanted; freed })
-                  end;
-                  freed)
-                ()));
+                ~reclaim:shrink ()));
         Some cache
   in
   Dbms.start dbms;
@@ -230,18 +217,14 @@ let run ?(trace = Obs.Trace.null) cfg =
   in
   let series = Sim.Series.create ~name:"cached" () in
   let lat = Obs.Hist.create () in
-  let submit q =
-    let t0 = Sim.Engine.now eng in
-    let r = Midcache.Frontend.submit frontend q in
-    (match r with
-    | Ok () ->
+  let submit =
+    Workload.Client.counting eng series (fun q ->
+        let t0 = Sim.Engine.now eng in
+        let r = Midcache.Frontend.submit frontend q in
         let now = Sim.Engine.now eng in
-        Sim.Series.add series ~time:now 1.;
-        if now >= cfg.k_warmup then
-          Obs.Hist.add lat
-            (int_of_float (Float.round ((now -. t0) *. 1e6)))
-    | Error _ -> ());
-    r
+        if Result.is_ok r && now >= cfg.k_warmup then
+          Obs.Hist.add lat (int_of_float (Float.round ((now -. t0) *. 1e6)));
+        r)
   in
   (* Periodic cache counters for the Chrome trace plus the resident
      watermark the outcome reports. *)
@@ -269,23 +252,16 @@ let run ?(trace = Obs.Trace.null) cfg =
   in
   let stats = Workload.Client.make_stats () in
   let ids = ref 0 in
-  let think_of =
-    Workload.Mix.think_of ?diurnal:cfg.k_diurnal ~base:cfg.k_think ()
-  in
-  (* Client randomness is keyed by (seed, client name): a client's stream
-     does not depend on how many neighbours it has. *)
-  for i = 1 to cfg.k_clients do
-    let cname = Printf.sprintf "client-%d" i in
-    Workload.Client.spawn eng
-      (Sim.Rng.create (cfg.k_seed lxor Hashtbl.hash cname))
-      ~name:cname ~templates ~submit
-      ~config:
-        {
-          Workload.Client.default_config with
-          Workload.Client.think_mean = cfg.k_think;
-        }
-      ~stats ~ids ~until:stop ~think_of
-  done;
+  Workload.Client.spawn_fleet eng ~seed:cfg.k_seed ~label:"client"
+    ~clients:cfg.k_clients ~templates
+    ~submit:(fun _ -> submit)
+    ~config:
+      {
+        Workload.Client.default_config with
+        Workload.Client.think_mean = cfg.k_think;
+      }
+    ~stats ~ids ~until:stop
+    ~think_of:(Workload.Mix.think_of ?diurnal:cfg.k_diurnal ~base:cfg.k_think ());
   List.iter
     (fun f ->
       Workload.Mix.spawn_flash eng ~seed:cfg.k_seed ~label:"flash" ~templates
@@ -315,14 +291,8 @@ let run ?(trace = Obs.Trace.null) cfg =
      to come home before the books are read. *)
   Sim.Engine.run eng ~until:(stop +. 300.);
   Sim.Engine.check_failures ~what:"cached" eng;
-  let slices =
-    Sim.Series.bucket_sum series ~start:cfg.k_warmup ~stop ~width:cfg.k_slice
-  in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-      /. float_of_int (Array.length slices)
+  let w =
+    Workload.Client.window series ~start:cfg.k_warmup ~stop ~slice:cfg.k_slice
   in
   let monitors = Qcore.Compile_gov.monitors (Dbms.governor dbms) in
   let gw_acquires =
@@ -345,10 +315,9 @@ let run ?(trace = Obs.Trace.null) cfg =
   let peak = Metrics.compile_peak metrics in
   {
     o_config = cfg;
-    slices;
-    mean_per_slice;
-    completed =
-      Array.length (Sim.Series.values_between series ~start:cfg.k_warmup ~stop);
+    slices = w.slices;
+    mean_per_slice = w.mean_per_slice;
+    completed = w.completed;
     requests = Midcache.Frontend.requests frontend;
     hits = Midcache.Frontend.hits frontend;
     misses = Midcache.Frontend.misses frontend;
@@ -384,8 +353,8 @@ let run ?(trace = Obs.Trace.null) cfg =
       (if Sim.Stats.Online.count peak = 0 then 0.
        else Sim.Stats.Online.mean peak);
     ooms = Dbmem.Manager.oom_count (Dbms.manager dbms);
-    p50_ms = float_of_int (Obs.Hist.percentile lat 50.) /. 1000.;
-    p99_ms = float_of_int (Obs.Hist.percentile lat 99.) /. 1000.;
+    p50_ms = Obs.Hist.percentile_ms lat 50.;
+    p99_ms = Obs.Hist.percentile_ms lat 99.;
     cl_submitted = stats.Workload.Client.submitted;
     cl_succeeded = stats.Workload.Client.succeeded;
     cl_abandoned = stats.Workload.Client.abandoned;

@@ -115,6 +115,16 @@ let unthrottled () =
       };
   }
 
+let for_pool ~seed bytes =
+  let base = default () in
+  {
+    base with
+    memory_bytes = bytes;
+    seed;
+    min_pool_bytes = min base.min_pool_bytes (bytes / 8);
+    min_workspace_bytes = min base.min_workspace_bytes (bytes / 8);
+  }
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>server: %d cpus, %a memory, %d spindles @ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"

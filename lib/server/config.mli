@@ -78,4 +78,9 @@ val supervised : unit -> t
 (** [default] with throttling disabled (the paper's baseline lines). *)
 val unthrottled : unit -> t
 
+(** [for_pool ~seed bytes] is {!default} on [bytes] of memory, with the
+    buffer-pool and workspace broker floors capped at an eighth of it so
+    they fit a pool that is a small slice of a machine. *)
+val for_pool : seed:int -> int -> t
+
 val pp : Format.formatter -> t -> unit

@@ -755,6 +755,17 @@ let reclaim t n =
   else
     Dbmem.Manager.demand t.manager (Dbmem.Manager.available t.manager + n)
 
+let join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget =
+  let reserved = t.cfg.Config.broker.Qcore.Broker.reserved_fraction in
+  Qcore.Arbiter.register arb ~name ~weight ~min_share ~max_share ~budget
+    ~used:(fun () -> Dbmem.Manager.used t.manager)
+    ~demand:(fun () ->
+      int_of_float
+        (float_of_int (Qcore.Broker.predicted_total t.broker)
+        /. (1. -. reserved)))
+    ~set_budget:(Dbmem.Manager.set_total t.manager)
+    ~reclaim:(reclaim t) ()
+
 (* Snapshot of what the supervision layer saw and did. Meaningful for an
    unsupervised server too: the error budget and completion counts come
    from the metrics, with all supervision counters at zero. *)

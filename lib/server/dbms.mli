@@ -79,6 +79,22 @@ val install_faults :
     budget below its usage. *)
 val reclaim : t -> int -> int
 
+(** [join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget]
+    registers the server as one of [arb]'s pools. The arbiter sizes the
+    whole server: the pool's demand is the broker's aggregate prediction
+    scaled back up by the reserved fraction the broker holds out, its
+    usage and budget are the memory manager's, and it reclaims through
+    {!reclaim}. *)
+val join_arbiter :
+  t ->
+  Qcore.Arbiter.t ->
+  name:string ->
+  weight:float ->
+  min_share:float ->
+  max_share:float ->
+  budget:int ->
+  Qcore.Arbiter.pool
+
 (** Snapshot the supervision layer's books: per-code error budget,
     watchdog / breaker / starvation counters, forced reclaims. [since]
     bounds the completion count and duration (default [0.]). Meaningful

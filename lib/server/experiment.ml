@@ -31,6 +31,31 @@ type result = {
   memory_series : (string * Sim.Series.t) list;
 }
 
+(* Burst clients share the workload's stats and ids so conservation
+   invariants (attempts >= submitted, ...) keep holding under chaos. *)
+let load ?trace cfg cat ~templates ~client_config ~clients ~stop =
+  let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
+  let dbms = Dbms.create ?trace eng cfg cat in
+  Dbms.start dbms;
+  let stats = Workload.Client.make_stats () in
+  let ids = ref 0 in
+  let fleet ~label ~clients ~config ~until =
+    let rng = Sim.Rng.split (Sim.Engine.rng eng) in
+    for i = 1 to clients do
+      Workload.Client.spawn eng rng
+        ~name:(Printf.sprintf "%s-%d" label i)
+        ~templates ~submit:(Dbms.submit_catch dbms) ~config ~stats ~ids ~until
+    done
+  in
+  let spawn_burst ~clients ~think_mean ~until =
+    fleet ~label:"burst" ~clients
+      ~config:{ client_config with Workload.Client.think_mean }
+      ~until:(Float.min until stop)
+  in
+  let injector = Dbms.install_faults ~spawn_burst dbms in
+  fleet ~label:"client" ~clients ~config:client_config ~until:stop;
+  (dbms, stats, injector)
+
 let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     ~warmup ~measure ~slice () =
   let cfg = match config with Some c -> c | None -> Config.default () in
@@ -44,48 +69,19 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
   let templates =
     match templates with Some t -> t | None -> Workload.Sales.templates ()
   in
-  let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let dbms = Dbms.create ?trace eng cfg cat in
-  Dbms.start dbms;
-  let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
   let stop = warmup +. measure in
-  (* Burst clients share the workload's stats/ids so conservation
-     invariants (attempts >= submitted, ...) keep holding under chaos. *)
-  let spawn_burst ~clients ~think_mean ~until =
-    let burst_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-    for i = 1 to clients do
-      Workload.Client.spawn eng burst_rng
-        ~name:(Printf.sprintf "burst-%d" i)
-        ~templates
-        ~submit:(fun q -> Dbms.submit_catch dbms q)
-        ~config:{ client_config with Workload.Client.think_mean }
-        ~stats ~ids ~until:(Float.min until stop)
-    done
+  let dbms, stats, injector =
+    load ?trace cfg cat ~templates ~client_config ~clients ~stop
   in
-  let injector = Dbms.install_faults ~spawn_burst dbms in
-  let client_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-  for i = 1 to clients do
-    Workload.Client.spawn eng client_rng
-      ~name:(Printf.sprintf "client-%d" i)
-      ~templates
-      ~submit:(fun q -> Dbms.submit_catch dbms q)
-      ~config:client_config ~stats ~ids ~until:stop
-  done;
+  let eng = Dbms.engine dbms in
   Sim.Engine.run eng ~until:stop;
   Sim.Engine.check_failures eng;
   let metrics = Dbms.metrics dbms in
   let slices = Metrics.throughput metrics ~start:warmup ~stop ~width:slice in
-  let total_completed = Metrics.total_completions metrics ~since:warmup () in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun acc (_, v) -> acc +. v) 0. slices
-      /. float_of_int (Array.length slices)
-  in
   let ct = Metrics.compile_time metrics and et = Metrics.exec_time metrics in
   let peak = Metrics.compile_peak metrics in
   let safe f s = if Sim.Stats.Online.count s = 0 then 0. else f s in
+  let faults f = Option.fold ~none:0 ~some:f injector in
   {
     clients;
     throttled = cfg.Config.throttle_enabled;
@@ -94,8 +90,8 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     measure;
     slice;
     slices;
-    mean_per_slice;
-    total_completed;
+    mean_per_slice = Workload.Client.slice_mean slices;
+    total_completed = Metrics.total_completions metrics ~since:warmup ();
     total_errors = Metrics.total_errors metrics;
     hard_errors = Metrics.hard_errors metrics;
     retries = Metrics.retries metrics;
@@ -103,20 +99,10 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     degraded = Metrics.degraded metrics;
     errors =
       List.map (fun (k, n) -> (Health.Error.code_name k, n)) (Metrics.errors metrics);
-    faults_started =
-      (match injector with Some i -> Faultsim.Injector.started i | None -> 0);
-    faults_finished =
-      (match injector with
-      | Some i -> Faultsim.Injector.finished i
-      | None -> 0);
-    ballast_peak =
-      (match injector with
-      | Some i -> Faultsim.Injector.ballast_peak i
-      | None -> 0);
-    ballast_refused =
-      (match injector with
-      | Some i -> Faultsim.Injector.ballast_refused i
-      | None -> 0);
+    faults_started = faults Faultsim.Injector.started;
+    faults_finished = faults Faultsim.Injector.finished;
+    ballast_peak = faults Faultsim.Injector.ballast_peak;
+    ballast_refused = faults Faultsim.Injector.ballast_refused;
     client_stats = stats;
     compile_mean_s = safe Sim.Stats.Online.mean ct;
     compile_max_s = safe Sim.Stats.Online.max ct;
@@ -130,50 +116,17 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     memory_series = Metrics.memory_series metrics;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Grids: independent (config, clients, seed) cells fanned over a domain
-   pool. Each cell is self-contained — [run] builds a fresh engine (own
-   RNG), server, metrics, client stats and trace sink per call, and
-   nothing in the library holds top-level mutable state — so cells can
-   execute on any domain in any order. Results come back in submission
-   order, which keeps grid output byte-identical to a sequential run. *)
-
-type cell = {
-  cell_config : Config.t option;
-  cell_client_config : Workload.Client.config option;
-  cell_catalog : Optimizer.Catalog.t option;
-  cell_templates : Workload.Template.t list option;
-  cell_seed : int option;
-  cell_clients : int;
-  cell_warmup : float;
-  cell_measure : float;
-  cell_slice : float;
-}
-
-let cell ?config ?client_config ?catalog ?templates ?seed ~clients ~warmup
-    ~measure ~slice () =
-  {
-    cell_config = config;
-    cell_client_config = client_config;
-    cell_catalog = catalog;
-    cell_templates = templates;
-    cell_seed = seed;
-    cell_clients = clients;
-    cell_warmup = warmup;
-    cell_measure = measure;
-    cell_slice = slice;
-  }
-
-let run_cell c =
-  run ?config:c.cell_config ?client_config:c.cell_client_config
-    ?catalog:c.cell_catalog ?templates:c.cell_templates ?seed:c.cell_seed
-    ~clients:c.cell_clients ~warmup:c.cell_warmup ~measure:c.cell_measure
-    ~slice:c.cell_slice ()
-
+(* Grids: independent cells fanned over a domain pool. Each cell is a
+   thunk that builds a fresh engine (own RNG), server, metrics, client
+   stats and trace sink when it runs, and nothing in the library holds
+   top-level mutable state, so cells can execute on any domain in any
+   order. Results come back in submission order, which keeps grid output
+   byte-identical to a sequential run. *)
 let run_grid ?pool ?(jobs = 1) cells =
+  let run cell = cell () in
   match pool with
-  | Some p -> Parallel.Pool.map p run_cell cells
-  | None -> Parallel.Pool.run ~jobs run_cell cells
+  | Some p -> Parallel.Pool.map p run cells
+  | None -> Parallel.Pool.run ~jobs run cells
 
 let uplift a b =
   (* 0., not nan, against a zero baseline — callers print this straight

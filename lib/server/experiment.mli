@@ -55,38 +55,34 @@ val run :
   unit ->
   result
 
-(** One independent grid cell: the arguments of a single {!run} call.
-    Cells carry no live state, so a grid of them can be fanned over a
-    {!Parallel.Pool} — each cell builds its own engine, RNG, server,
-    metrics and client stats when it runs. A catalog or template list
-    passed explicitly may be shared between cells but must then be
-    treated as read-only. *)
-type cell
-
-val cell :
-  ?config:Config.t ->
-  ?client_config:Workload.Client.config ->
-  ?catalog:Optimizer.Catalog.t ->
-  ?templates:Workload.Template.t list ->
-  ?seed:int ->
+(** [load ?trace cfg cat ~templates ~client_config ~clients ~stop] is
+    {!run}'s setup: a fresh engine seeded from [cfg], a started server on
+    it, the fault schedule in [cfg.faults] installed (burst clients share
+    the workload's templates and client stats), and [clients] closed-loop
+    clients submitting until [stop]. Returns the server, the client stats
+    and the fault injector; the engine has not run yet. *)
+val load :
+  ?trace:Obs.Trace.t ->
+  Config.t ->
+  Optimizer.Catalog.t ->
+  templates:Workload.Template.t list ->
+  client_config:Workload.Client.config ->
   clients:int ->
-  warmup:float ->
-  measure:float ->
-  slice:float ->
-  unit ->
-  cell
+  stop:float ->
+  Dbms.t * Workload.Client.stats * Faultsim.Injector.t option
 
-(** [run_cell c] is {!run} with the cell's arguments. *)
-val run_cell : cell -> result
-
-(** [run_grid ?pool ?jobs cells] runs every cell and returns the results
-    in submission order. With [~jobs:1] (the default) cells run
-    sequentially on the calling domain; with [~jobs:n] they fan out over
-    a temporary n-domain pool ([Invalid_argument] on [jobs < 1]); with [?pool] they reuse the given pool.
-    Because each cell is deterministic given its own seed, the results —
-    and hence any output rendered from them — are identical whichever
-    way the grid is executed. *)
-val run_grid : ?pool:Parallel.Pool.t -> ?jobs:int -> cell list -> result list
+(** [run_grid ?pool ?jobs cells] runs every cell — typically
+    [fun () -> run ...] — and returns the results in submission order.
+    With [~jobs:1] (the default) cells run sequentially on the calling
+    domain; with [~jobs:n] they fan out over a temporary n-domain pool
+    ([Invalid_argument] on [jobs < 1]); with [?pool] they reuse the given
+    pool. A cell must build all its live state when it runs: a catalog or
+    template list it closes over may be shared between cells but must be
+    treated as read-only. Because each cell is deterministic given its
+    own seed, the results — and hence any output rendered from them — are
+    identical whichever way the grid is executed. *)
+val run_grid :
+  ?pool:Parallel.Pool.t -> ?jobs:int -> (unit -> result) list -> result list
 
 (** Relative throughput uplift of [a] over [b] (e.g. throttled over
     unthrottled), from mean completions per slice. [0.] when the

@@ -60,11 +60,8 @@ let figure_series ~title ~throttled ~unthrottled =
   let values a = Array.map snd a in
   Printf.printf "  throttled   %s\n" (sparkline (values throttled));
   Printf.printf "  unthrottled %s\n" (sparkline (values unthrottled));
-  let mean a =
-    if Array.length a = 0 then 0.
-    else Array.fold_left (fun acc (_, v) -> acc +. v) 0. a /. float_of_int (Array.length a)
-  in
-  let m_on = mean throttled and m_off = mean unthrottled in
+  let m_on = Workload.Client.slice_mean throttled
+  and m_off = Workload.Client.slice_mean unthrottled in
   Printf.printf
     "  mean completions/slice: throttled %.1f, unthrottled %.1f (uplift %+.0f%%)\n"
     m_on m_off

@@ -30,37 +30,15 @@ let run_chaos ?(config = Config.supervised ()) ?faults ?seed ?(clients = 35)
   let cfg =
     match seed with Some s -> { cfg with Config.seed = s } | None -> cfg
   in
-  let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let dbms = Dbms.create ?trace eng cfg (Workload.Sales.catalog ()) in
-  Dbms.start dbms;
-  let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
   let stop = warmup +. measure in
-  let templates = Workload.Sales.templates () in
-  let client_config =
-    { Workload.Client.default_config with Workload.Client.think_mean }
+  let dbms, stats, _ =
+    Experiment.load ?trace cfg (Workload.Sales.catalog ())
+      ~templates:(Workload.Sales.templates ())
+      ~client_config:
+        { Workload.Client.default_config with Workload.Client.think_mean }
+      ~clients ~stop
   in
-  let spawn_burst ~clients ~think_mean ~until =
-    let burst_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-    for i = 1 to clients do
-      Workload.Client.spawn eng burst_rng
-        ~name:(Printf.sprintf "burst-%d" i)
-        ~templates
-        ~submit:(fun q -> Dbms.submit_catch dbms q)
-        ~config:{ client_config with Workload.Client.think_mean }
-        ~stats ~ids
-        ~until:(Float.min until stop)
-    done
-  in
-  ignore (Dbms.install_faults ~spawn_burst dbms);
-  let client_rng = Sim.Rng.split (Sim.Engine.rng eng) in
-  for i = 1 to clients do
-    Workload.Client.spawn eng client_rng
-      ~name:(Printf.sprintf "client-%d" i)
-      ~templates
-      ~submit:(fun q -> Dbms.submit_catch dbms q)
-      ~config:client_config ~stats ~ids ~until:stop
-  done;
+  let eng = Dbms.engine dbms in
   (* Clients stop submitting at [stop]; the drain window lets in-flight
      queries finish so a session still watched at the end really is stuck,
      not merely truncated by the clock. *)

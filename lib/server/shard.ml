@@ -168,6 +168,26 @@ let stall t ~duration ~slow_factor =
            end))
   end
 
+let install_faults eng shards = function
+  | [] -> ()
+  | specs ->
+      let n = Array.length shards in
+      let hooks =
+        {
+          Faultsim.Injector.null_hooks with
+          shard_crash =
+            (fun ~shard ~restart_delay ->
+              crash shards.(shard mod n) ~restart_delay);
+          shard_stall =
+            (fun ~shard ~duration ~slow_factor ->
+              stall shards.(shard mod n) ~duration ~slow_factor);
+        }
+      in
+      ignore
+        (Faultsim.Injector.install eng
+           ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
+           ~hooks specs)
+
 (* A completion's booking tag, so a hedged dispatch whose answer the
    client never took can be scrubbed from the books with {!uncount}. *)
 type booking = [ `Refused | `Lost | `Finished ]

@@ -73,6 +73,13 @@ val crash : t -> restart_delay:float -> unit
     I/O at [slow_factor] of the normal rate. No-op while [Down]. *)
 val stall : t -> duration:float -> slow_factor:float -> unit
 
+(** [install_faults eng shards specs] schedules the shard crashes and
+    stalls in [specs] through the {!Faultsim.Injector}, so shard
+    schedules validate, label and replay like single-server chaos
+    schedules. A spec's shard index is taken modulo the number of
+    shards. An empty schedule installs nothing and draws no randomness. *)
+val install_faults : Sim.Engine.t -> t array -> Faultsim.Fault.spec list -> unit
+
 (** Attach the arbiter pool that owns this shard's memory budget; crash
     and restart toggle its offline flag. *)
 val set_pool : t -> Qcore.Arbiter.pool -> unit

@@ -119,14 +119,6 @@ type outcome = {
   shard_results : shard_result list;
 }
 
-let arbiter_config =
-  {
-    Qcore.Arbiter.interval = 2.0;
-    horizon = 5.0;
-    window = 10;
-    deadband = 8 * 1024 * 1024;
-  }
-
 let validate cfg =
   if cfg.c_shards < 2 then invalid_arg "Shards.run: need at least 2 shards";
   if cfg.c_clients < 1 then invalid_arg "Shards.run: clients < 1";
@@ -143,15 +135,10 @@ let run ?trace cfg =
   let stop = cfg.c_warmup +. cfg.c_measure in
   let n = cfg.c_shards in
   let budget = cfg.c_total / n in
-  let base = Config.default () in
   let shard_cfg =
     {
-      base with
-      Config.memory_bytes = budget;
-      seed = cfg.c_seed;
-      throttle_enabled = cfg.c_gateways;
-      min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-      min_workspace_bytes = min base.Config.min_workspace_bytes (budget / 8);
+      (Config.for_pool ~seed:cfg.c_seed budget) with
+      Config.throttle_enabled = cfg.c_gateways;
       (* The whole experiment hinges on warm plan caches: shield a small
          floor (64 MiB comfortably holds every parameterized plan) so
          buffer-pool pressure cannot silently evict the warm set and turn
@@ -168,31 +155,18 @@ let run ?trace cfg =
   (* One machine-level arbiter over the shard pools: symmetric claims, a
      floor of half the fair share each and a cap of twice it, so a down
      shard's memory is lendable but no survivor can swallow the machine. *)
-  let arbiter = Qcore.Arbiter.create ?trace eng ~total:cfg.c_total arbiter_config in
+  let arbiter =
+    Qcore.Arbiter.create ?trace eng ~total:cfg.c_total
+      Qcore.Arbiter.default_config
+  in
   Array.iter
     (fun sh ->
-      let dbms = Shard.dbms sh in
-      let manager = Dbms.manager dbms in
-      let reserved =
-        (Dbms.config dbms).Config.broker.Qcore.Broker.reserved_fraction
-      in
-      let demand () =
-        int_of_float
-          (float_of_int (Qcore.Broker.predicted_total (Dbms.broker dbms))
-          /. (1. -. reserved))
-      in
-      let pool =
-        Qcore.Arbiter.register arbiter ~name:(Shard.name sh) ~weight:1.0
-          ~min_share:(0.5 /. float_of_int n)
-          ~max_share:(Float.min 1.0 (2.0 /. float_of_int n))
-          ~budget
-          ~used:(fun () -> Dbmem.Manager.used manager)
-          ~demand
-          ~set_budget:(fun b -> Dbmem.Manager.set_total manager b)
-          ~reclaim:(fun k -> Dbms.reclaim dbms k)
-          ()
-      in
-      Shard.set_pool sh pool)
+      Shard.set_pool sh
+        (Dbms.join_arbiter (Shard.dbms sh) arbiter ~name:(Shard.name sh)
+           ~weight:1.0
+           ~min_share:(0.5 /. float_of_int n)
+           ~max_share:(Float.min 1.0 (2.0 /. float_of_int n))
+           ~budget))
     shards;
   Qcore.Arbiter.start arbiter;
   let router =
@@ -201,26 +175,7 @@ let run ?trace cfg =
       eng shards
   in
   Router.set_measure_from router cfg.c_warmup;
-  (* Shard faults route through the injector so schedules validate, label
-     and replay exactly like single-server chaos schedules. *)
-  let hooks =
-    {
-      Faultsim.Injector.null_hooks with
-      shard_crash =
-        (fun ~shard ~restart_delay ->
-          Shard.crash shards.(shard mod n) ~restart_delay);
-      shard_stall =
-        (fun ~shard ~duration ~slow_factor ->
-          Shard.stall shards.(shard mod n) ~duration ~slow_factor);
-    }
-  in
-  (match faults_of cfg with
-  | [] -> ()
-  | fs ->
-      ignore
-        (Faultsim.Injector.install eng
-           ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-           ~hooks fs));
+  Shard.install_faults eng shards (faults_of cfg);
   (* Per-shard Chrome counters plus the budget-conservation watermark. *)
   let max_budget_sum = ref 0 in
   ignore
@@ -231,41 +186,23 @@ let run ?trace cfg =
   let templates = Workload.Sales.parameterized_templates ~variants:cfg.c_variants () in
   let series = Sim.Series.create ~name:"shards" () in
   let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
-  let submit q =
-    let r = Router.submit_catch router q in
-    (match r with
-    | Ok () -> Sim.Series.add series ~time:(Sim.Engine.now eng) 1.
-    | Error _ -> ());
-    r
-  in
-  (* Client randomness is keyed by (seed, client name): a client's stream
-     does not depend on how many neighbours it has. *)
-  for i = 1 to cfg.c_clients do
-    let cname = Printf.sprintf "client-%d" i in
-    Workload.Client.spawn eng
-      (Sim.Rng.create (cfg.c_seed lxor Hashtbl.hash cname))
-      ~name:cname ~templates ~submit
-      ~config:
-        {
-          Workload.Client.default_config with
-          Workload.Client.think_mean = cfg.c_think;
-        }
-      ~stats ~ids ~until:stop
-  done;
+  let submit = Workload.Client.counting eng series (Router.submit_catch router) in
+  Workload.Client.spawn_fleet eng ~seed:cfg.c_seed ~label:"client"
+    ~clients:cfg.c_clients ~templates
+    ~submit:(fun _ -> submit)
+    ~config:
+      {
+        Workload.Client.default_config with
+        Workload.Client.think_mean = cfg.c_think;
+      }
+    ~stats ~ids:(ref 0) ~until:stop;
   Sim.Engine.run eng ~until:stop;
   (* Drain: clients have stopped; give in-flight queries (including any
      abandoned hedge losers) a grace window to come home. *)
   Sim.Engine.run eng ~until:(stop +. 600.);
   Sim.Engine.check_failures ~what:"shard" eng;
-  let slices =
-    Sim.Series.bucket_sum series ~start:cfg.c_warmup ~stop ~width:cfg.c_slice
-  in
-  let mean_per_slice =
-    if Array.length slices = 0 then 0.
-    else
-      Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-      /. float_of_int (Array.length slices)
+  let w =
+    Workload.Client.window series ~start:cfg.c_warmup ~stop ~slice:cfg.c_slice
   in
   let lat = Router.latency router in
   let shard_results =
@@ -290,10 +227,9 @@ let run ?trace cfg =
   in
   {
     o_config = cfg;
-    slices;
-    mean_per_slice;
-    completed =
-      Array.length (Sim.Series.values_between series ~start:cfg.c_warmup ~stop);
+    slices = w.slices;
+    mean_per_slice = w.mean_per_slice;
+    completed = w.completed;
     submitted = Router.submitted router;
     ok = Router.ok router;
     failed = Router.failed router;
@@ -303,8 +239,8 @@ let run ?trace cfg =
     hedge_wins = Router.hedge_wins router;
     retries = Router.retries router;
     in_flight_at_stop = Router.in_flight router;
-    p50_ms = float_of_int (Obs.Hist.percentile lat 50.) /. 1000.;
-    p99_ms = float_of_int (Obs.Hist.percentile lat 99.) /. 1000.;
+    p50_ms = Obs.Hist.percentile_ms lat 50.;
+    p99_ms = Obs.Hist.percentile_ms lat 99.;
     cl_submitted = stats.Workload.Client.submitted;
     cl_attempts = stats.Workload.Client.attempts;
     cl_succeeded = stats.Workload.Client.succeeded;

@@ -93,6 +93,11 @@ type outcome = {
   shard_results : shard_result list;
 }
 
+(** Raises [Invalid_argument] on nonsensical configs (fewer than 2
+    shards, under 64 MiB per shard, empty windows...). {!run} calls it
+    first. *)
+val validate : config -> unit
+
 (** Run one cell. Plain-data in, plain-data out (no closures in either),
     so cells fan out over {!Parallel.Pool} and the outcome survives
     marshalling. Deterministic: a pure function of the config. *)

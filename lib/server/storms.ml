@@ -168,26 +168,18 @@ let validate cfg =
   | Some k when k < 0 -> invalid_arg "Storms.run: warm-prime < 0"
   | _ -> ()
 
-let mean_of slices =
-  if Array.length slices = 0 then 0.
-  else
-    Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-    /. float_of_int (Array.length slices)
-
 let run ?trace cfg =
   validate cfg;
   let eng = Sim.Engine.create ~seed:cfg.s_seed () in
   let stop = cfg.s_warmup +. cfg.s_measure in
   let n = cfg.s_shards in
   let budget = cfg.s_total / n in
-  let base = Config.default () in
+  let base = Config.for_pool ~seed:cfg.s_seed budget in
   let defense = defense_of cfg in
   let shard_cfg =
     {
       base with
-      Config.memory_bytes = budget;
-      seed = cfg.s_seed;
-      throttle_enabled = true;
+      Config.throttle_enabled = true;
       (* Plentiful execution hardware. The paper's premise is that
          compilation, not execution, is the scarce resource; on the
          default era-sized disk array this testbed saturates exec-side,
@@ -230,8 +222,6 @@ let run ?trace cfg =
               base.Config.throttle.Qcore.Throttle_config.levels;
         };
       defense;
-      min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-      min_workspace_bytes = min base.Config.min_workspace_bytes (budget / 8);
       (* The storm is the point, but it must be a *trigger*, not ambient
          noise: shield the warm plan set from buffer-pool pressure so
          cold caches happen when the schedule says, not whenever the
@@ -253,26 +243,11 @@ let run ?trace cfg =
      place, the purest form of the cold-cache stampede. *)
   (match cfg.s_schedule with
   | Cold_crash ->
-      let hooks =
-        {
-          Faultsim.Injector.null_hooks with
-          shard_crash =
-            (fun ~shard ~restart_delay ->
-              Shard.crash shards.(shard mod n) ~restart_delay);
-        }
-      in
-      ignore
-        (Faultsim.Injector.install eng
-           ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-           ~hooks
-           [
-             Faultsim.Fault.Shard_crash
-               {
-                 at = fault_at cfg;
-                 shard = 1;
-                 restart_delay = crash_restart_delay cfg;
-               };
-           ])
+      Shard.install_faults eng shards
+        [
+          Faultsim.Fault.Shard_crash
+            { at = fault_at cfg; shard = 1; restart_delay = crash_restart_delay cfg };
+        ]
   | Mass_invalidation ->
       ignore
         (Sim.Engine.schedule eng ~delay:(fault_at cfg) (fun () ->
@@ -289,44 +264,33 @@ let run ?trace cfg =
   in
   let series = Sim.Series.create ~name:"storms" () in
   let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
   (* Per-client retry budgets (the defended arm only): each client owns
      its token bucket, created outside the engine so it costs no
      randomness; the router spends from it on every re-route. *)
-  let mk_budget () =
-    match defense.Config.d_budget with
-    | Some bcfg when cfg.s_defenses -> Some (Resilience.Budget.create bcfg)
-    | _ -> None
+  let submit _ =
+    let budget =
+      match defense.Config.d_budget with
+      | Some bcfg when cfg.s_defenses -> Some (Resilience.Budget.create bcfg)
+      | _ -> None
+    in
+    Workload.Client.counting eng series (Router.submit_catch ?budget router)
   in
-  for i = 1 to cfg.s_clients do
-    let cname = Printf.sprintf "client-%d" i in
-    let budget = mk_budget () in
-    let submit q =
-      let r = Router.submit_catch ?budget router q in
-      (match r with
-      | Ok () -> Sim.Series.add series ~time:(Sim.Engine.now eng) 1.
-      | Error _ -> ());
-      r
-    in
-    (* Stagger arrivals across the first half of warmup. A simultaneous
-       t=0 start is itself a cold-cache stampede, and the arm that
-       handles it worse enters the measure window with a depressed
-       healthy rate — which *lowers* its recovery bar and poisons the
-       A/B. A ramp warms both arms identically, so the trigger is the
-       only storm in the run. *)
-    let start =
-      float_of_int (i - 1) *. (0.5 *. cfg.s_warmup /. float_of_int cfg.s_clients)
-    in
-    Workload.Client.spawn eng ~start
-      (Sim.Rng.create (cfg.s_seed lxor Hashtbl.hash cname))
-      ~name:cname ~templates ~submit
-      ~config:
-        {
-          Workload.Client.default_config with
-          Workload.Client.think_mean = cfg.s_think;
-        }
-      ~stats ~ids ~until:stop
-  done;
+  (* Stagger arrivals across the first half of warmup. A simultaneous
+     t=0 start is itself a cold-cache stampede, and the arm that handles
+     it worse enters the measure window with a depressed healthy rate —
+     which *lowers* its recovery bar and poisons the A/B. A ramp warms
+     both arms identically, so the trigger is the only storm in the run. *)
+  let start i =
+    float_of_int (i - 1) *. (0.5 *. cfg.s_warmup /. float_of_int cfg.s_clients)
+  in
+  Workload.Client.spawn_fleet eng ~seed:cfg.s_seed ~label:"client"
+    ~clients:cfg.s_clients ~templates ~submit ~start
+    ~config:
+      {
+        Workload.Client.default_config with
+        Workload.Client.think_mean = cfg.s_think;
+      }
+    ~stats ~ids:(ref 0) ~until:stop;
   Sim.Engine.run eng ~until:stop;
   Sim.Engine.run eng ~until:(stop +. 600.);
   Sim.Engine.check_failures ~what:"storm" eng;
@@ -344,7 +308,7 @@ let run ?trace cfg =
     Array.of_seq
       (Seq.filter (fun (t, _) -> t >= t_fault) (Array.to_seq slices))
   in
-  let pre_rate = mean_of pre in
+  let pre_rate = Workload.Client.slice_mean pre in
   let recovery_s =
     (* Earliest post-trigger slice from which the rest of the window
        sustains 90% of the healthy rate (a suffix mean). A single lucky
@@ -397,7 +361,7 @@ let run ?trace cfg =
     o_config = cfg;
     slices;
     pre_rate;
-    post_rate = mean_of post;
+    post_rate = Workload.Client.slice_mean post;
     recovery_s;
     recovered = Float.is_finite recovery_s;
     retry_amp =
@@ -418,8 +382,8 @@ let run ?trace cfg =
     rejected = Router.rejected router;
     retries = Router.retries router;
     in_flight_at_stop = Router.in_flight router;
-    p50_ms = float_of_int (Obs.Hist.percentile lat 50.) /. 1000.;
-    p99_ms = float_of_int (Obs.Hist.percentile lat 99.) /. 1000.;
+    p50_ms = Obs.Hist.percentile_ms lat 50.;
+    p99_ms = Obs.Hist.percentile_ms lat 99.;
     cl_submitted;
     cl_succeeded = stats.Workload.Client.succeeded;
     cl_abandoned = stats.Workload.Client.abandoned;

@@ -148,14 +148,6 @@ type live = {
   l_pool : Qcore.Arbiter.pool option;
 }
 
-let arbiter_config =
-  {
-    Qcore.Arbiter.interval = 2.0;
-    horizon = 5.0;
-    window = 10;
-    deadband = 8 * 1024 * 1024;
-  }
-
 let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     ~slice () =
   let specs = if specs = [] then default_specs () else specs in
@@ -172,55 +164,20 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     match mode with
     | Static -> None
     | Isolated | Free_for_all ->
-        Some (Qcore.Arbiter.create ?trace eng ~total:total_bytes arbiter_config)
+        Some
+          (Qcore.Arbiter.create ?trace eng ~total:total_bytes
+             Qcore.Arbiter.default_config)
   in
   let stop = warmup +. measure in
   let lives =
     List.map2
       (fun s budget ->
-        let base = Config.default () in
-        (* The pool's broker floors must fit inside a pool that may be a
-           small slice of the machine. *)
-        let cfg =
-          {
-            base with
-            Config.memory_bytes = budget;
-            seed;
-            min_pool_bytes = min base.Config.min_pool_bytes (budget / 8);
-            min_workspace_bytes =
-              min base.Config.min_workspace_bytes (budget / 8);
-          }
+        let dbms =
+          Dbms.create ?trace eng (Config.for_pool ~seed budget)
+            (catalog_of s.tworkload)
         in
-        let dbms = Dbms.create ?trace eng cfg (catalog_of s.tworkload) in
         Dbms.start dbms;
-        let l_pool =
-          match arbiter with
-          | None -> None
-          | Some arb ->
-              let manager = Dbms.manager dbms in
-              let reserved =
-                (Dbms.config dbms).Config.broker.Qcore.Broker.reserved_fraction
-              in
-              (* The pool's demand signal is its broker's aggregate
-                 prediction, scaled back up by the reserved fraction the
-                 broker holds out — so the arbiter sizes the whole pool,
-                 not just its brokered part. *)
-              let demand () =
-                int_of_float
-                  (float_of_int (Qcore.Broker.predicted_total (Dbms.broker dbms))
-                  /. (1. -. reserved))
-              in
-              let min_share, max_share = shares_of ~mode s in
-              Some
-                (Qcore.Arbiter.register arb ~name:s.tname ~weight:s.tweight
-                   ~min_share ~max_share ~budget
-                   ~used:(fun () -> Dbmem.Manager.used manager)
-                   ~demand
-                   ~set_budget:(fun b -> Dbmem.Manager.set_total manager b)
-                   ~reclaim:(fun n -> Dbms.reclaim dbms n)
-                   ())
-        in
-        let min_share, _ = shares_of ~mode s in
+        let min_share, max_share = shares_of ~mode s in
         {
           l_spec = s;
           l_dbms = dbms;
@@ -230,11 +187,16 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
           l_errors = ref 0;
           l_budget0 = budget;
           l_floor = int_of_float (min_share *. float_of_int total_bytes);
-          l_pool;
+          l_pool =
+            Option.map
+              (fun arb ->
+                Dbms.join_arbiter dbms arb ~name:s.tname ~weight:s.tweight
+                  ~min_share ~max_share ~budget)
+              arbiter;
         })
       specs budgets
   in
-  (match arbiter with None -> () | Some arb -> Qcore.Arbiter.start arb);
+  Option.iter Qcore.Arbiter.start arbiter;
   (* One id counter across every tenant: qids stay globally unique, so a
      run with fewer tenants leaves the survivors' qids unchanged. *)
   let ids = ref 0 in
@@ -245,12 +207,11 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
          order, so a tenant's query stream is identical whether it runs
          solo or with neighbours. *)
       let rng = Sim.Rng.create (seed lxor Hashtbl.hash s.tname) in
-      let submit q =
-        let r = Dbms.submit_catch l.l_dbms q in
-        (match r with
-        | Ok () -> Sim.Series.add l.l_series ~time:(Sim.Engine.now eng) 1.
-        | Error _ -> incr l.l_errors);
-        r
+      let submit =
+        Workload.Client.counting eng l.l_series (fun q ->
+            let r = Dbms.submit_catch l.l_dbms q in
+            if Result.is_error r then incr l.l_errors;
+            r)
       in
       for i = 1 to s.tclients do
         Workload.Client.spawn eng rng
@@ -269,25 +230,14 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
   let tenants =
     List.map
       (fun l ->
-        let slices =
-          Sim.Series.bucket_sum l.l_series ~start:warmup ~stop ~width:slice
-        in
-        let mean_per_slice =
-          if Array.length slices = 0 then 0.
-          else
-            Array.fold_left (fun a (_, v) -> a +. v) 0. slices
-            /. float_of_int (Array.length slices)
-        in
-        let completed =
-          Array.length (Sim.Series.values_between l.l_series ~start:warmup ~stop)
-        in
+        let w = Workload.Client.window l.l_series ~start:warmup ~stop ~slice in
         {
           rname = l.l_spec.tname;
           rworkload = l.l_spec.tworkload;
           rclients = l.l_spec.tclients;
-          slices;
-          mean_per_slice;
-          completed;
+          slices = w.slices;
+          mean_per_slice = w.mean_per_slice;
+          completed = w.completed;
           submitted = l.l_stats.Workload.Client.submitted;
           succeeded = l.l_stats.Workload.Client.succeeded;
           abandoned = l.l_stats.Workload.Client.abandoned;
@@ -303,6 +253,7 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
         })
       lives
   in
+  let arb f default = Option.fold ~none:default ~some:f arbiter in
   {
     omode = mode;
     oseed = seed;
@@ -311,15 +262,11 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     omeasure = measure;
     oslice = slice;
     tenants;
-    arb_ticks = (match arbiter with Some a -> Qcore.Arbiter.ticks a | None -> 0);
-    arb_rebalances =
-      (match arbiter with Some a -> Qcore.Arbiter.rebalances a | None -> 0);
-    arb_moved =
-      (match arbiter with Some a -> Qcore.Arbiter.moved_bytes a | None -> 0);
-    arb_reclaimed =
-      (match arbiter with Some a -> Qcore.Arbiter.reclaimed_bytes a | None -> 0);
-    arb_scarce =
-      (match arbiter with Some a -> Qcore.Arbiter.scarce a | None -> false);
+    arb_ticks = arb Qcore.Arbiter.ticks 0;
+    arb_rebalances = arb Qcore.Arbiter.rebalances 0;
+    arb_moved = arb Qcore.Arbiter.moved_bytes 0;
+    arb_reclaimed = arb Qcore.Arbiter.reclaimed_bytes 0;
+    arb_scarce = arb Qcore.Arbiter.scarce false;
   }
 
 let solo ?(specs = []) ?trace ~victim ~total_bytes ~seed ~warmup ~measure ~slice

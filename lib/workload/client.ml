@@ -46,3 +46,39 @@ let spawn ?(start = 0.) ?think_of eng rng ~name ~templates ~submit ~config
           attempt 0
         end
       done)
+
+let spawn_fleet ?think_of ?(start = fun _ -> 0.) eng ~seed ~label ~clients
+    ~templates ~submit ~config ~stats ~ids ~until =
+  for i = 1 to clients do
+    let cname = Printf.sprintf "%s-%d" label i in
+    spawn ?think_of ~start:(start i) eng
+      (Sim.Rng.create (seed lxor Hashtbl.hash cname))
+      ~name:cname ~templates ~submit:(submit i) ~config ~stats ~ids ~until
+  done
+
+let counting eng series submit q =
+  let r = submit q in
+  (match r with
+  | Ok () -> Sim.Series.add series ~time:(Sim.Engine.now eng) 1.
+  | Error _ -> ());
+  r
+
+type window = {
+  slices : (float * float) array;
+  mean_per_slice : float;
+  completed : int;
+}
+
+let slice_mean slices =
+  if Array.length slices = 0 then 0.
+  else
+    Array.fold_left (fun acc (_, v) -> acc +. v) 0. slices
+    /. float_of_int (Array.length slices)
+
+let window series ~start ~stop ~slice =
+  let slices = Sim.Series.bucket_sum series ~start ~stop ~width:slice in
+  {
+    slices;
+    mean_per_slice = slice_mean slices;
+    completed = Array.length (Sim.Series.values_between series ~start ~stop);
+  }

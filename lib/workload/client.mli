@@ -48,3 +48,45 @@ val spawn :
   unit
 
 val make_stats : unit -> stats
+
+(** [spawn_fleet eng ~seed ~label ~clients ...] spawns clients named
+    [label-1] to [label-n] with {!spawn}. Each client's randomness is
+    keyed by [(seed, its name)], not by spawn order, so a client's query
+    stream does not depend on how many neighbours it has. Client [i]
+    starts at [start i] (default [0.]) and submits through [submit i]. *)
+val spawn_fleet :
+  ?think_of:(float -> float) ->
+  ?start:(int -> float) ->
+  Sim.Engine.t ->
+  seed:int ->
+  label:string ->
+  clients:int ->
+  templates:Template.t list ->
+  submit:(int -> submit) ->
+  config:config ->
+  stats:stats ->
+  ids:int ref ->
+  until:float ->
+  unit
+
+(** {1 The completion window}
+
+    The paper's measure (§5): successful completions per time slice
+    after a warm-up. *)
+
+(** [counting eng series submit] is [submit] that also adds [1.] to
+    [series] at each success's completion time. *)
+val counting : Sim.Engine.t -> Sim.Series.t -> submit -> submit
+
+type window = {
+  slices : (float * float) array;  (** completions per slice *)
+  mean_per_slice : float;
+  completed : int;  (** completions inside the window *)
+}
+
+(** The mean of per-slice values; [0.] over no slices. *)
+val slice_mean : (float * float) array -> float
+
+(** [window series ~start ~stop ~slice] reads the completions counted
+    into [series] over [\[start, stop)] in slices of [slice] seconds. *)
+val window : Sim.Series.t -> start:float -> stop:float -> slice:float -> window

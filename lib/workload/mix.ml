@@ -32,12 +32,9 @@ type flash = { at : float; duration : float; clients : int; think : float }
 let spawn_flash eng ~seed ~label ~templates ~submit ~stats ~ids spec =
   if spec.clients < 0 || spec.duration < 0. || spec.at < 0. then
     invalid_arg "Mix.spawn_flash: negative at/duration/clients";
-  for i = 1 to spec.clients do
-    let cname = Printf.sprintf "%s-%d" label i in
-    Client.spawn eng
-      (Sim.Rng.create (seed lxor Hashtbl.hash cname))
-      ~name:cname ~templates ~submit
-      ~config:{ Client.default_config with think_mean = spec.think }
-      ~stats ~ids ~start:spec.at
-      ~until:(spec.at +. spec.duration)
-  done
+  Client.spawn_fleet eng ~seed ~label ~clients:spec.clients ~templates
+    ~submit:(fun _ -> submit)
+    ~config:{ Client.default_config with think_mean = spec.think }
+    ~stats ~ids
+    ~start:(fun _ -> spec.at)
+    ~until:(spec.at +. spec.duration)

@@ -37,9 +37,9 @@ type flash = {
 }
 
 (** [spawn_flash eng ~seed ~label ~templates ~submit ~stats ~ids spec]
-    spawns the crowd. Each client's randomness is keyed by
-    [(seed, client name)], so the crowd's streams are independent of the
-    rest of the workload. *)
+    spawns the crowd with {!Client.spawn_fleet}, so each client's
+    stream is keyed by [(seed, client name)] and independent of the rest
+    of the workload. *)
 val spawn_flash :
   Sim.Engine.t ->
   seed:int ->

@@ -97,14 +97,12 @@ let test_shutdown_idempotent () =
 let grid_cells ~seeds ~clients =
   List.concat_map
     (fun seed ->
-      [
-        Server.Experiment.cell
-          ~config:{ (Server.Config.default ()) with Server.Config.seed }
-          ~clients ~warmup:5. ~measure:30. ~slice:10. ();
-        Server.Experiment.cell
-          ~config:{ (Server.Config.unthrottled ()) with Server.Config.seed }
-          ~clients ~warmup:5. ~measure:30. ~slice:10. ();
-      ])
+      List.map
+        (fun base () ->
+          Server.Experiment.run
+            ~config:{ base with Server.Config.seed }
+            ~clients ~warmup:5. ~measure:30. ~slice:10. ())
+        [ Server.Config.default (); Server.Config.unthrottled () ])
     seeds
 
 let fingerprint results = Marshal.to_string results [ Marshal.No_sharing ]
