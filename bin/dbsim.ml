@@ -9,7 +9,7 @@ let setup_logs level =
   Logs.set_level level
 
 let clients_arg =
-  Arg.(value & opt int 30 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+  Arg.(value & opt Fanout.pos_int 30 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
 
 let throttle_arg =
   Arg.(value & opt bool true & info [ "throttle" ] ~doc:"Enable compilation throttling.")
@@ -18,10 +18,10 @@ let warmup_arg =
   Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
 
 let measure_arg =
-  Arg.(value & opt float 1800. & info [ "measure" ] ~doc:"Measured window, seconds.")
+  Arg.(value & opt Fanout.pos_float 1800. & info [ "measure" ] ~doc:"Measured window, seconds.")
 
 let slice_arg =
-  Arg.(value & opt float 60. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
+  Arg.(value & opt Fanout.pos_float 60. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
 
 let seed_arg = Fanout.seed_arg
 let jobs_arg = Fanout.jobs_arg
@@ -251,13 +251,13 @@ let sql_cmd =
 
 let chaos_cmd =
   let clients_arg =
-    Arg.(value & opt int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
   let warmup_arg =
     Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
   in
   let measure_arg =
-    Arg.(value & opt float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let ballast_gib =
     Arg.(
@@ -463,13 +463,13 @@ let gib g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
 
 let health_cmd =
   let clients_arg =
-    Arg.(value & opt int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
   let warmup_arg =
     Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from the report).")
   in
   let measure_arg =
-    Arg.(value & opt float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let drain_arg =
     Arg.(
@@ -543,11 +543,11 @@ let tenants_cmd =
     Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
   in
   let measure_arg =
-    Arg.(value & opt float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let total_gib_arg =
     Arg.(
-      value & opt float 4.
+      value & opt Fanout.pos_float 4.
       & info [ "total-gib" ]
           ~doc:"Machine memory split across the tenant pools, GiB.")
   in
@@ -638,11 +638,11 @@ let shards_cmd =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
   in
   let clients_arg =
-    Arg.(value & opt int 32 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
+    Arg.(value & opt Fanout.pos_int 32 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
   in
   let variants_arg =
     Arg.(
-      value & opt int 40
+      value & opt Fanout.pos_int 40
       & info [ "variants" ]
           ~doc:"Parameterized (cacheable) query templates in the workload.")
   in
@@ -653,11 +653,11 @@ let shards_cmd =
     Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
   in
   let measure_arg =
-    Arg.(value & opt float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let total_gib_arg =
     Arg.(
-      value & opt float 8.
+      value & opt Fanout.pos_float 8.
       & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
   in
   let hedge_arg =
@@ -767,7 +767,11 @@ let shards_cmd =
         outcomes
     in
     {
-      Fanout.cells = (fun seed -> List.map (cell seed) kinds);
+      Fanout.cells =
+        (fun seed ->
+          let cfgs = List.map (cell seed) kinds in
+          List.iter validate cfgs;
+          cfgs);
       run = Server.Shards.run;
       section;
       report;
@@ -796,11 +800,11 @@ let storm_cmd =
     Arg.(value & opt int 3 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
   in
   let clients_arg =
-    Arg.(value & opt int 160 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
+    Arg.(value & opt Fanout.pos_int 160 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
   in
   let variants_arg =
     Arg.(
-      value & opt int 96
+      value & opt Fanout.pos_int 96
       & info [ "variants" ]
           ~doc:"Parameterized (cacheable) query templates in the workload.")
   in
@@ -811,14 +815,14 @@ let storm_cmd =
     Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
   in
   let measure_arg =
-    Arg.(value & opt float 900. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 900. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let slice_arg =
-    Arg.(value & opt float 30. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
+    Arg.(value & opt Fanout.pos_float 30. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
   in
   let total_gib_arg =
     Arg.(
-      value & opt float 24.
+      value & opt Fanout.pos_float 24.
       & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
   in
   let defenses_arg =
@@ -1046,7 +1050,7 @@ let cache_cmd =
              $(b,all) (the three-way comparison).")
   in
   let clients_arg =
-    Arg.(value & opt int 16 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Arg.(value & opt Fanout.pos_int 16 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
   let think_arg =
     Fanout.think_arg ~default:30. ~doc:"Client think time, seconds (mean)."
@@ -1061,7 +1065,7 @@ let cache_cmd =
   in
   let variants_arg =
     Arg.(
-      value & opt int 32
+      value & opt Fanout.pos_int 32
       & info [ "variants" ] ~doc:"Distinct parameterized statements.")
   in
   let writers_arg =
@@ -1074,10 +1078,10 @@ let cache_cmd =
     Arg.(value & opt float 200. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
   in
   let measure_arg =
-    Arg.(value & opt float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
+    Arg.(value & opt Fanout.pos_float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let memory_gib_arg =
-    Arg.(value & opt float 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
+    Arg.(value & opt Fanout.pos_float 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
   in
   let cache_mib_arg =
     Arg.(

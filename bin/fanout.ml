@@ -1,7 +1,8 @@
 (* Seed fan-out for dbsim's per-seed scenario subcommands (health,
    tenants, shards, storm, cache). A scenario declares its own flags,
-   its cells for one seed in print order, how to run a cell, and how to
-   print a seed's outcomes to stdout and to a report file. This module
+   its cells for one seed in print order (validated as they are built:
+   an [Invalid_argument] there is a usage error), how to run a cell, and
+   how to print a seed's outcomes to stdout and to a report file. This module
    owns the rest, once: the --seed/--seeds/--jobs/--out/--trace flags,
    one Parallel.Pool fan-out over every (seed, cell), the per-seed report
    files, and the Chrome traces. A traced cell records its trace in the
@@ -38,10 +39,13 @@ let positive conv ~zero ~what =
   in
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
+let pos_int = positive Arg.int ~zero:0 ~what:"integer"
+let pos_float = positive Arg.float ~zero:0. ~what:"number"
+
 let jobs_arg =
   Arg.(
     value
-    & opt (positive Arg.int ~zero:0 ~what:"integer") 1
+    & opt pos_int 1
     & info [ "jobs"; "j" ]
         ~env:(Cmd.Env.info "DBSIM_JOBS")
         ~doc:
@@ -52,7 +56,7 @@ let jobs_arg =
 let think_arg ~default ~doc =
   Arg.(
     value
-    & opt (positive float ~zero:0. ~what:"number") default
+    & opt pos_float default
     & info [ "think" ] ~doc)
 
 let seeds_arg =
@@ -106,7 +110,9 @@ let drive ?traced ?stuck spec seed seeds jobs out trace_prefix =
   let grid =
     List.concat_map
       (fun seed ->
-        let cfgs = spec.cells seed in
+        let cfgs =
+          try spec.cells seed with Invalid_argument msg -> fail msg
+        in
         let t =
           match (trace_prefix, traced) with
           | Some _, Some p -> traced_index p cfgs
