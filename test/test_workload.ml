@@ -327,6 +327,68 @@ let test_client_abandons_after_max_attempts () =
     (stats.Workload.Client.submitted - 1)
     stats.Workload.Client.succeeded
 
+(* A keyed fleet: client i's randomness depends on (seed, its name)
+   only, so the first clients draw the same templates whether they have
+   one neighbour or four, and whatever else drew from the engine's RNG
+   first. Each client records the templates it drew. *)
+let keyed_fleet ?(engine_draws = 0) ~clients () =
+  let eng = Sim.Engine.create ~seed:3 () in
+  for _ = 1 to engine_draws do
+    ignore (Sim.Rng.int (Sim.Engine.rng eng) 10)
+  done;
+  let templates =
+    List.init 5 (fun k ->
+        let tname = Printf.sprintf "t%d" k in
+        {
+          Workload.Template.tname;
+          weight = 1.0;
+          instantiate =
+            (fun _ id ->
+              Optimizer.Query.make ~id:(Printf.sprintf "%s#%d" tname id)
+                ~rels:[ ("t", "t") ] ~preds:[] ~filters:[] ~agg:None);
+        })
+  in
+  let drawn = Array.make (clients + 1) [] in
+  let series = Sim.Series.create () in
+  let submit i =
+    Workload.Client.counting eng series (fun q ->
+        drawn.(i) <- Server.Dbms.template_of_qid q.Optimizer.Query.qid :: drawn.(i);
+        Ok ())
+  in
+  let stats = Workload.Client.make_stats () in
+  Workload.Client.spawn_fleet eng ~seed:11 ~label:"client" ~clients ~templates
+    ~submit ~config:{ Workload.Client.default_config with think_mean = 2.0 }
+    ~stats ~ids:(ref 0) ~until:100.;
+  Sim.Engine.run eng ~until:100.;
+  (Array.map List.rev drawn, series, stats)
+
+let test_fleet_keyed_by_name () =
+  let two, _, _ = keyed_fleet ~clients:2 ()
+  and five, _, _ = keyed_fleet ~engine_draws:7 ~clients:5 () in
+  for i = 1 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "client-%d drew templates" i)
+      true
+      (List.length two.(i) > 10);
+    Alcotest.(check (list string))
+      (Printf.sprintf "client-%d same templates with 1 or 4 neighbours" i)
+      two.(i) five.(i)
+  done
+
+let test_completion_window () =
+  Alcotest.(check (float 0.)) "mean over no slices" 0.
+    (Workload.Client.slice_mean [||]);
+  let _, series, stats = keyed_fleet ~clients:3 () in
+  let w = Workload.Client.window series ~start:0. ~stop:100. ~slice:25. in
+  Alcotest.(check int) "four slices" 4 (Array.length w.slices);
+  Alcotest.(check int) "every success counted" stats.Workload.Client.succeeded
+    w.completed;
+  Alcotest.(check (float 1e-9)) "mean per slice"
+    (float_of_int w.completed /. 4.)
+    w.mean_per_slice;
+  let empty = Workload.Client.window series ~start:0. ~stop:0. ~slice:25. in
+  Alcotest.(check (float 0.)) "empty window mean" 0. empty.mean_per_slice
+
 let suite =
   [
     ("sales catalog size", `Quick, test_sales_catalog_size);
@@ -350,4 +412,6 @@ let suite =
     ("client success path", `Quick, test_client_success_path);
     ("client retries then succeeds", `Quick, test_client_retries_then_succeeds);
     ("client abandons after max", `Quick, test_client_abandons_after_max_attempts);
+    ("fleet keyed by client name", `Quick, test_fleet_keyed_by_name);
+    ("completion window", `Quick, test_completion_window);
   ]
