@@ -127,7 +127,7 @@ let for_pool ~seed bytes =
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>server: %d cpus, %a memory, %d spindles @ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"
+    "@[<v>server: %d cpus, %a memory, %d spindles @@ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"
     t.cpus Dbmem.Units.pp_bytes t.memory_bytes t.disk_spindles
     (t.disk_throughput /. (1024. *. 1024.))
     Dbmem.Units.pp_bytes t.page_bytes
