@@ -14,8 +14,7 @@ let clients_arg =
 let throttle_arg =
   Arg.(value & opt bool true & info [ "throttle" ] ~doc:"Enable compilation throttling.")
 
-let warmup_arg =
-  Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
+let warmup_arg = Fanout.warmup_arg ~default:600.
 
 let measure_arg =
   Arg.(value & opt Fanout.pos_float 1800. & info [ "measure" ] ~doc:"Measured window, seconds.")
@@ -199,7 +198,7 @@ let sweep_cmd =
   let list_arg =
     Arg.(
       value
-      & opt (list int) [ 10; 20; 30; 35; 40 ]
+      & opt (list Fanout.pos_int) [ 10; 20; 30; 35; 40 ]
       & info [ "list" ] ~doc:"Client counts to sweep.")
   in
   let action counts throttle warmup measure slice seed jobs =
@@ -253,43 +252,41 @@ let chaos_cmd =
   let clients_arg =
     Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
-  let warmup_arg =
-    Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:60. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let ballast_gib =
     Arg.(
       value
-      & opt float 12.
+      & opt Fanout.nonneg_float 12.
       & info [ "ballast-gib" ]
           ~doc:"Ballast appetite, GiB (0 disables). May exceed physical \
                 memory: the ramp then absorbs whatever other components \
                 release, like a runaway external process.")
   in
   let ballast_at =
-    Arg.(value & opt float 100. & info [ "ballast-at" ] ~doc:"Ballast spike start, seconds of sim time.")
+    Arg.(value & opt Fanout.nonneg_float 100. & info [ "ballast-at" ] ~doc:"Ballast spike start, seconds of sim time.")
   in
   let ballast_hold =
-    Arg.(value & opt float 0. & info [ "ballast-hold" ] ~doc:"Seconds the ballast holds after its ramp.")
+    Arg.(value & opt Fanout.nonneg_float 0. & info [ "ballast-hold" ] ~doc:"Seconds the ballast holds after its ramp.")
   in
   let ballast_steps =
-    Arg.(value & opt int 240 & info [ "ballast-steps" ] ~doc:"Ballast ramp increments.")
+    Arg.(value & opt Fanout.pos_int 240 & info [ "ballast-steps" ] ~doc:"Ballast ramp increments.")
   in
   let ballast_step_s =
-    Arg.(value & opt float 2.5 & info [ "ballast-step-s" ] ~doc:"Seconds between ballast increments.")
+    Arg.(value & opt Fanout.nonneg_float 2.5 & info [ "ballast-step-s" ] ~doc:"Seconds between ballast increments.")
   in
   let storm_arg =
     Arg.(value & flag & info [ "disk-storm" ] ~doc:"Also degrade the disk during the spike window.")
   in
   let burst_arg =
-    Arg.(value & opt int 0 & info [ "burst" ] ~doc:"Extra burst clients during the spike window (0 = none).")
+    Arg.(value & opt Fanout.nonneg_int 0 & info [ "burst" ] ~doc:"Extra burst clients during the spike window (0 = none).")
   in
   let glitch_arg =
     Arg.(
       value
-      & opt float 0.
+      & opt Fanout.probability 0.
       & info [ "glitch" ]
           ~doc:"Transient allocation-failure probability during the spike window (0 = none).")
   in
@@ -398,7 +395,7 @@ let trace_cmd =
   in
   let trace_clients_arg =
     Arg.(
-      value & opt int 12
+      value & opt Fanout.pos_int 12
       & info [ "clients"; "c" ]
           ~doc:"Concurrent clients (server scenario only).")
   in
@@ -465,15 +462,13 @@ let health_cmd =
   let clients_arg =
     Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
   in
-  let warmup_arg =
-    Arg.(value & opt float 60. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from the report).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:60. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let drain_arg =
     Arg.(
-      value & opt float 900.
+      value & opt Fanout.nonneg_float 900.
       & info [ "drain" ]
           ~doc:"Extra seconds after clients stop, so in-flight queries can \
                 finish; anything still watched after the drain is stuck.")
@@ -487,7 +482,7 @@ let health_cmd =
   in
   let glitch_arg =
     Arg.(
-      value & opt float 0.15
+      value & opt Fanout.probability 0.15
       & info [ "glitch" ]
           ~doc:"Allocation-failure probability on the compile clerk during \
                 the spike window (0 = ballast only).")
@@ -539,9 +534,7 @@ let health_cmd =
       $ resilience_arg $ glitch_arg)
 
 let tenants_cmd =
-  let warmup_arg =
-    Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:400. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
@@ -649,9 +642,7 @@ let shards_cmd =
   let think_arg =
     Fanout.think_arg ~default:20. ~doc:"Client think time, seconds (mean)."
   in
-  let warmup_arg =
-    Arg.(value & opt float 400. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:400. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
@@ -811,9 +802,7 @@ let storm_cmd =
   let think_arg =
     Fanout.think_arg ~default:10. ~doc:"Client think time, seconds (mean)."
   in
-  let warmup_arg =
-    Arg.(value & opt float 600. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:600. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 900. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
@@ -1074,9 +1063,7 @@ let cache_cmd =
       & info [ "writers" ]
           ~doc:"Writer sessions invalidating cached results by relation.")
   in
-  let warmup_arg =
-    Arg.(value & opt float 200. & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:200. in
   let measure_arg =
     Arg.(value & opt Fanout.pos_float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in

@@ -26,21 +26,34 @@ let fail msg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
-(* [conv] restricted to values above [zero]; anything else is cmdliner's
-   structured usage error, exit 124. *)
-let positive conv ~zero ~what =
+(* [conv] restricted to the values [ok] accepts; anything else is
+   cmdliner's structured usage error, exit 124. *)
+let checked conv ~ok ~expected =
   let parse s =
     match Arg.conv_parser conv s with
-    | Ok v when compare v zero > 0 -> Ok v
-    | Ok _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected a positive %s" s what))
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | Error _ as e -> e
   in
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
-let pos_int = positive Arg.int ~zero:0 ~what:"integer"
-let pos_float = positive Arg.float ~zero:0. ~what:"number"
+let pos_int = checked Arg.int ~ok:(fun v -> v > 0) ~expected:"a positive integer"
+let pos_float = checked Arg.float ~ok:(fun v -> v > 0.) ~expected:"a positive number"
+let nonneg_int = checked Arg.int ~ok:(fun v -> v >= 0) ~expected:"a non-negative integer"
+
+let nonneg_float =
+  checked Arg.float ~ok:(fun v -> v >= 0.) ~expected:"a non-negative number"
+
+let probability =
+  checked Arg.float
+    ~ok:(fun v -> v >= 0. && v <= 1.)
+    ~expected:"a probability in [0, 1]"
+
+let warmup_arg ~default =
+  Arg.(
+    value
+    & opt nonneg_float default
+    & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
 
 let jobs_arg =
   Arg.(
