@@ -129,7 +129,6 @@ let hit_rate t =
   if total = 0 then 0. else float_of_int t.hits /. float_of_int total
 
 let evictions t = t.evictions
-let policy_kind t = Policy.kind t.policy
 
 let demand_hint t =
   let unmet = t.misses_window * t.pbytes in

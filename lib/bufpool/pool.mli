@@ -54,7 +54,6 @@ val misses : t -> int
 val hit_rate : t -> float
 
 val evictions : t -> int
-val policy_kind : t -> Policy.kind
 
 (** [demand_hint t] is the pool's current memory demand: resident bytes
     plus the bytes missed since the previous call (unmet demand). Sampled

@@ -126,7 +126,6 @@ let rebalances t = t.rebalances
 let moved_bytes t = t.moved_bytes
 let reclaimed_bytes t = t.reclaimed_bytes
 let pools t = List.rev t.pools_rev
-let pool_name p = p.name
 let budget p = p.budget
 let floor_bytes p = p.floor_b
 let offline p = p.offline
@@ -283,28 +282,3 @@ let start t =
       t.task <-
         Some (Sim.Engine.every t.eng ~interval:t.cfg.interval (fun () -> tick t))
 
-let stop t =
-  match t.task with
-  | None -> ()
-  | Some h ->
-      Sim.Engine.cancel h;
-      t.task <- None
-
-let pp ppf t =
-  let mib n = float_of_int n /. (1024. *. 1024.) in
-  Format.fprintf ppf
-    "@[<v>arbiter: total %.0f MiB, %d ticks, %d rebalances, %.1f MiB moved, \
-     %.1f MiB reclaimed%s@,"
-    (mib t.a_total) t.ticks t.rebalances
-    (mib t.moved_bytes)
-    (mib t.reclaimed_bytes)
-    (if t.scarce then " [scarce]" else "");
-  List.iter
-    (fun p ->
-      Format.fprintf ppf
-        "  %-10s budget %7.1f MiB (floor %7.1f MiB) used %7.1f MiB%s@,"
-        p.name (mib p.budget) (mib p.floor_b)
-        (mib (p.used ()))
-        (if p.offline then " [offline]" else ""))
-    (pools t);
-  Format.fprintf ppf "@]"

@@ -97,8 +97,6 @@ val register :
 (** Begin periodic rebalancing on the engine. *)
 val start : t -> unit
 
-val stop : t -> unit
-
 (** Run one arbitration cycle immediately (also what the periodic task
     does). Exposed for unit tests. *)
 val tick : t -> unit
@@ -122,7 +120,6 @@ val moved_bytes : t -> int
 val reclaimed_bytes : t -> int
 
 val pools : t -> pool list
-val pool_name : pool -> string
 
 (** The pool's current budget, bytes. *)
 val budget : pool -> int
@@ -139,5 +136,3 @@ val floor_bytes : pool -> int
 val set_offline : pool -> bool -> unit
 
 val offline : pool -> bool
-
-val pp : Format.formatter -> t -> unit

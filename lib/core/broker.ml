@@ -292,7 +292,6 @@ let under_pressure t = t.pressure
 let ticks t = t.ticks
 let predicted_total t = t.predicted_sum
 let forced_reclaims t = t.forced_reclaims
-let component_name c = c.name
 let last_notification c = c.last
 let target c = c.ctarget
 

@@ -102,8 +102,6 @@ val predicted_total : t -> int
 (** Forced reclaims performed so far (shrink-compliance interventions). *)
 val forced_reclaims : t -> int
 
-val component_name : component -> string
-
 (** Latest notification computed for this component ([None] before the
     first tick). *)
 val last_notification : component -> notification option

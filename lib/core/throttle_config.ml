@@ -50,7 +50,6 @@ let default () =
   }
 
 let static_only () = { (default ()) with dynamic = false }
-let no_throttle () = { levels = []; dynamic = false }
 
 let single_gate () =
   {

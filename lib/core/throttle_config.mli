@@ -46,9 +46,7 @@ val default : unit -> t
 (** Same ladder with dynamic thresholds disabled (ablation A1). *)
 val static_only : unit -> t
 
-(** Degenerate ladders for ablation A3. *)
-val no_throttle : unit -> t
-
+(** Degenerate ladder for ablation A3. *)
 val single_gate : unit -> t
 
 (** [slot_count slots ~cpus] resolves a slot spec to a concrete limit. *)

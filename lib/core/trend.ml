@@ -66,7 +66,3 @@ let predict t ~horizon =
       match slope t with
       | None -> Some (Float.max 0. v)
       | Some s -> Some (Float.max 0. (v +. (s *. horizon))))
-
-let clear t =
-  t.size <- 0;
-  t.next <- 0

@@ -31,5 +31,3 @@ val predict : t -> horizon:float -> float option
 
 (** Mean of the window (for smoothing decisions). *)
 val mean : t -> float option
-
-val clear : t -> unit

@@ -70,7 +70,6 @@ let release t ?(qid = "") n =
   end
 
 let min_grant t = t.min_grant
-let set_total t n = Sim.Resource.Sem.set_capacity t.sem n
 let total t = Sim.Resource.Sem.capacity t.sem
 let in_use t = Sim.Resource.Sem.in_use t.sem
 let queued t = Sim.Resource.Sem.queued t.sem

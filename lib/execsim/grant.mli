@@ -40,10 +40,6 @@ val acquire :
     returned). *)
 val release : t -> ?qid:string -> int -> unit
 
-(** Adjust the workspace size (broker pressure). In-flight grants are
-    unaffected; the change applies to queued and future requests. *)
-val set_total : t -> int -> unit
-
 (** The floor below which grants are never trimmed. *)
 val min_grant : t -> int
 

@@ -16,12 +16,6 @@ type t = {
 let stuck t = t.watchdog_watched
 let total_errors t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.errors
 
-let severe_errors t =
-  List.fold_left
-    (fun acc (code, n) ->
-      if Error.severity code = Error.Severe then acc + n else acc)
-    0 t.errors
-
 let pp fmt t =
   let line k v = Format.fprintf fmt "  %-28s %s@\n" k v in
   Format.fprintf fmt "health report (%.0f s measured)@\n" t.duration_s;

@@ -28,8 +28,6 @@ val stuck : t -> int
 
 val total_errors : t -> int
 
-val severe_errors : t -> int
-(** Errors whose code is {!Error.Severe}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the snapshot with the error-budget table (code, SQL number,

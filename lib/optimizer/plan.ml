@@ -207,7 +207,6 @@ let stream_agg model ~rows ~groups ~aggs child =
 
 let total_cost t = t.cost_io +. t.cost_cpu
 let cpu_cost t = t.cost_cpu
-let io_cost t = t.cost_io
 
 let rec fold f acc t =
   let acc = f acc t in

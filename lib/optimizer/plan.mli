@@ -71,7 +71,6 @@ val sort_width_cap : int
 val total_cost : t -> float
 
 val cpu_cost : t -> float
-val io_cost : t -> float
 
 (** Pages fetched by all scans in the plan (buffer-pool demand). *)
 val io_pages : t -> float

@@ -31,9 +31,6 @@ type t = {
 let n_rels t = Array.length t.rels
 let joins t = List.length t.preds
 
-let agg_count t =
-  match t.agg with None -> 0 | Some a -> 1 + List.length a.sum_cols
-
 let filters_of t i = List.filter (fun f -> f.frel = i) t.filters
 
 let filter_sel t i =
@@ -188,9 +185,6 @@ let filter_selectivity op value (col : Catalog.column) =
       | Ge ->
           clamp
             (float_of_int (col.Catalog.max_value - value + 1) /. Float.max 1.0 range))
-
-let join_selectivity (a : Catalog.column) (b : Catalog.column) =
-  1.0 /. Float.max 1.0 (Float.max a.Catalog.distinct b.Catalog.distinct)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>query %s: %d rels, %d joins, %d filters%s@,"

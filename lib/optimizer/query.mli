@@ -55,9 +55,6 @@ val make :
 val n_rels : t -> int
 val joins : t -> int
 
-(** Number of aggregate functions of the (optional) aggregation. *)
-val agg_count : t -> int
-
 (** Filters attached to relation [i]. *)
 val filters_of : t -> int -> filter list
 
@@ -88,9 +85,6 @@ val connected_subsets : t -> Relset.t -> Relset.t list
     estimate for [col op value] (used by query generators). *)
 val filter_selectivity :
   filter_op -> int -> Catalog.column -> float
-
-(** Textbook equi-join selectivity [1 / max(d_left, d_right)]. *)
-val join_selectivity : Catalog.column -> Catalog.column -> float
 
 val pp : Format.formatter -> t -> unit
 

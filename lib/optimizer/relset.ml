@@ -10,7 +10,6 @@ let singleton i =
 let mem i t = t land (1 lsl i) <> 0
 let add i t = t lor singleton i
 let union = ( lor )
-let inter = ( land )
 let diff a b = a land lnot b
 let subset a b = a land b = a
 let equal = Int.equal

@@ -9,7 +9,6 @@ val singleton : int -> t
 val mem : int -> t -> bool
 val add : int -> t -> t
 val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
 val subset : t -> t -> bool
 val cardinal : t -> int

@@ -798,7 +798,6 @@ let disk t = t.disk
 let plan_cache t = t.cache
 let grants t = t.grants
 let cpu t = t.cpu
-let catalog t = t.cat
 let clerks t = t.clerk_list
 let ballast_clerk t = t.ballast
 let singleflight t = t.sflight

@@ -118,7 +118,6 @@ val disk : t -> Bufpool.Disk.t
 val plan_cache : t -> Plancache.Cache.t
 val grants : t -> Execsim.Grant.t
 val cpu : t -> Execsim.Cpu.t
-val catalog : t -> Optimizer.Catalog.t
 
 (** Memory clerks by component name
     (["bufpool"; "plancache"; "compile"; "execution"], plus ["ballast"]

@@ -318,9 +318,3 @@ let retries t = t.retries
 let budget_denials t = t.budget_denials
 let in_flight t = t.in_flight
 
-let pp ppf t =
-  Format.fprintf ppf
-    "router: %d submitted, %d ok, %d failed (%d rejected), %d spills, %d \
-     hedges (%d won), %d retries, %d in flight"
-    t.submitted t.ok t.failed t.rejected t.spills t.hedges t.hedge_wins
-    t.retries t.in_flight

@@ -90,4 +90,3 @@ val retries : t -> int
 val budget_denials : t -> int
 
 val in_flight : t -> int
-val pp : Format.formatter -> t -> unit

@@ -248,9 +248,3 @@ let sample t =
            s_budget = budget t;
          })
 
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: %s, %d in flight, %d accepted, %d finished, %d lost, %d refused, \
-     %d crashes, %d stalls"
-    t.s_name (lifecycle_name t.state) t.inflight t.accepted t.finished t.lost
-    t.refused t.crashes t.stalls

@@ -123,5 +123,3 @@ val stalls : t -> int
     cold-cache recompilation storm actually paid. [0] until a
     crash-restart cycle has completed. *)
 val recompiles_after_rejoin : t -> int
-
-val pp : Format.formatter -> t -> unit

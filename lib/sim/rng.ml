@@ -36,7 +36,6 @@ let float t x =
   assert (x > 0.);
   unit_float t *. x
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let uniform t ~lo ~hi = lo +. (unit_float t *. (hi -. lo))
 

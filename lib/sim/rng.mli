@@ -26,8 +26,6 @@ val int : t -> int -> int
 (** [float t x] is uniform on [\[0, x)]. Requires [x > 0.]. *)
 val float : t -> float -> float
 
-val bool : t -> bool
-
 (** [uniform t ~lo ~hi] is uniform on [\[lo, hi)]. *)
 val uniform : t -> lo:float -> hi:float -> float
 

@@ -43,76 +43,6 @@ module Online = struct
         t.mean (stddev t) t.min t.max
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array; (* counts.(0) = underflow, counts.(n+1) = overflow *)
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    assert (hi > lo && buckets > 0);
-    {
-      lo;
-      hi;
-      width = (hi -. lo) /. float_of_int buckets;
-      counts = Array.make (buckets + 2) 0;
-      total = 0;
-    }
-
-  let nbuckets t = Array.length t.counts - 2
-
-  let index t x =
-    if x < t.lo then 0
-    else if x >= t.hi then nbuckets t + 1
-    else 1 + int_of_float ((x -. t.lo) /. t.width)
-
-  let add t x =
-    let i = Stdlib.min (index t x) (Array.length t.counts - 1) in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-
-  let bucket_counts t =
-    let n = nbuckets t in
-    let rows = ref [] in
-    rows := (t.hi, t.counts.(n + 1)) :: !rows;
-    for i = n downto 1 do
-      rows := (t.lo +. (float_of_int (i - 1) *. t.width), t.counts.(i)) :: !rows
-    done;
-    (neg_infinity, t.counts.(0)) :: !rows
-
-  let quantile t q =
-    assert (q >= 0. && q <= 1.);
-    if t.total = 0 then nan
-    else begin
-      let target = q *. float_of_int t.total in
-      let rec scan i acc =
-        if i >= Array.length t.counts then t.hi
-        else begin
-          let acc' = acc +. float_of_int t.counts.(i) in
-          if acc' >= target then
-            if i = 0 then t.lo
-            else if i = Array.length t.counts - 1 then t.hi
-            else t.lo +. ((float_of_int (i - 1) +. 0.5) *. t.width)
-          else scan (i + 1) acc'
-        end
-      in
-      scan 0 0.
-    end
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    List.iter
-      (fun (lo, n) ->
-        if n > 0 then Format.fprintf ppf "%10.3g: %d@," lo n)
-      (bucket_counts t);
-    Format.fprintf ppf "@]"
-end
-
 let percentile values q =
   assert (Array.length values > 0 && q >= 0. && q <= 1.);
   let sorted = Array.copy values in

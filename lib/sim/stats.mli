@@ -20,24 +20,6 @@ module Online : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Fixed-width bucket histogram over [\[lo, hi)] with overflow buckets. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** [bucket_counts t] is [(lower_bound, count)] per bucket, in order,
-      including the two overflow buckets with bounds [-inf] and [hi]. *)
-  val bucket_counts : t -> (float * int) list
-
-  (** Approximate quantile from bucket midpoints; [q] in [\[0, 1\]]. *)
-  val quantile : t -> float -> float
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** [percentile values q] is the exact q-quantile (linear interpolation) of
     [values]; [q] in [\[0, 1\]]. Does not modify [values]. *)
 val percentile : float array -> float -> float

@@ -197,18 +197,6 @@ let test_percentile () =
   check_float "p0" 1.0 (Stats.percentile values 0.0);
   check_float "p100" 10.0 (Stats.percentile values 1.0)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ -1.; 0.5; 0.7; 5.5; 9.9; 15. ];
-  Alcotest.(check int) "count" 6 (Stats.Histogram.count h);
-  let buckets = Stats.Histogram.bucket_counts h in
-  let underflow = List.assoc neg_infinity buckets in
-  Alcotest.(check int) "underflow" 1 underflow;
-  let overflow = List.assoc 10. buckets in
-  Alcotest.(check int) "overflow" 1 overflow;
-  let first = List.assoc 0. buckets in
-  Alcotest.(check int) "first bucket has 2" 2 first
-
 (* ------------------------------------------------------------------ *)
 (* Series *)
 
@@ -755,7 +743,6 @@ let suite =
     ("rng sample distinct", `Quick, test_rng_sample_distinct);
     ("online stats", `Quick, test_online_stats);
     ("percentile", `Quick, test_percentile);
-    ("histogram", `Quick, test_histogram);
     ("series bucket sum", `Quick, test_series_bucket_sum);
     ("series monotonic times", `Quick, test_series_monotonic_times);
     ("series values between", `Quick, test_series_values_between);
