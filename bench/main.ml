@@ -262,7 +262,7 @@ let overhead () =
   let broker_tick =
     let eng = Sim.Engine.create () in
     let m = Dbmem.Manager.create ~total:(Dbmem.Units.gib 4) () in
-    let broker = Qcore.Broker.create eng m Qcore.Broker.default_config in
+    let broker = Qcore.Broker.create eng m in
     List.iter
       (fun name ->
         let clerk = Dbmem.Manager.create_clerk m name in

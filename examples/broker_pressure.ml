@@ -13,7 +13,7 @@ let () =
   let cache = Dbmem.Manager.create_clerk manager "cache" in
   let steady = Dbmem.Manager.create_clerk manager "steady" in
   let bursty = Dbmem.Manager.create_clerk manager "bursty" in
-  let broker = Qcore.Broker.create eng manager Qcore.Broker.default_config in
+  let broker = Qcore.Broker.create eng manager in
 
   (* The cache obeys its broker verdicts: grow opportunistically, release
      down to target when told to shrink. *)

@@ -7,24 +7,20 @@ type notification = {
   pressure : bool;
 }
 
-type config = {
-  interval : float;
-  horizon : float;
-  window : int;
-  reserved_fraction : float;
-  shrink_slack : float;
-  insist_after : int;
-}
+(* Seconds between broker ticks. *)
+let interval = 1.0
 
-let default_config =
-  {
-    interval = 1.0;
-    horizon = 5.0;
-    window = 10;
-    reserved_fraction = 0.05;
-    shrink_slack = 0.02;
-    insist_after = 0;
-  }
+(* Prediction horizon, seconds. *)
+let horizon = 5.0
+
+(* Trend window, in samples. *)
+let window = 10
+
+let reserved_fraction = 0.05
+
+(* Tolerated overshoot of a component's target before demanding a
+   shrink. *)
+let shrink_slack = 0.02
 
 type component = {
   name : string;
@@ -44,7 +40,7 @@ type component = {
 type t = {
   eng : Sim.Engine.t;
   manager : Dbmem.Manager.t;
-  config : config;
+  insist_after : int;
   trace : Obs.Trace.t;
   mutable comps_rev : component list;
   mutable pressure : bool;
@@ -54,14 +50,11 @@ type t = {
   mutable predicted_sum : int;
 }
 
-let create ?(trace = Obs.Trace.null) eng manager config =
-  if config.interval <= 0. then invalid_arg "Broker.create: interval";
-  if config.reserved_fraction < 0. || config.reserved_fraction >= 1. then
-    invalid_arg "Broker.create: reserved_fraction";
+let create ?(trace = Obs.Trace.null) ?(insist_after = 0) eng manager =
   {
     eng;
     manager;
-    config;
+    insist_after;
     trace;
     comps_rev = [];
     pressure = false;
@@ -74,7 +67,7 @@ let create ?(trace = Obs.Trace.null) eng manager config =
 let brokered_bytes t =
   int_of_float
     (float_of_int (Dbmem.Manager.total t.manager)
-    *. (1. -. t.config.reserved_fraction))
+    *. (1. -. reserved_fraction))
 
 let components t = List.rev t.comps_rev
 
@@ -90,7 +83,7 @@ let register t ~name ~clerk ?(weight = 1.) ?(min_bytes = 0) ?demand ?notify
       demand;
       notify;
       reclaim;
-      trend = Trend.create ~window:t.config.window ();
+      trend = Trend.create ~window ();
       ctarget = 0;
       last = None;
       over_ticks = 0;
@@ -172,7 +165,7 @@ let tick t =
           in
           Trend.observe c.trend ~time:now (float_of_int demand);
           let predicted =
-            match Trend.predict c.trend ~horizon:t.config.horizon with
+            match Trend.predict c.trend ~horizon with
             | None -> demand
             | Some p -> max demand (int_of_float p)
           in
@@ -216,7 +209,7 @@ let tick t =
       (fun (c, used, predicted, target) ->
         c.ctarget <- target;
         let verdict =
-          if float_of_int used > float_of_int target *. (1. +. t.config.shrink_slack)
+          if float_of_int used > float_of_int target *. (1. +. shrink_slack)
           then Must_shrink
           else if predicted > target then Hold_rate
           else Can_grow
@@ -253,10 +246,7 @@ let tick t =
                verdict. *)
             if used < c.last_used then c.over_ticks <- 0
             else c.over_ticks <- c.over_ticks + 1;
-            if
-              t.config.insist_after > 0
-              && c.over_ticks >= t.config.insist_after
-            then begin
+            if t.insist_after > 0 && c.over_ticks >= t.insist_after then begin
               c.over_ticks <- 0;
               let wanted = max 0 (used - target) in
               let freed = reclaim wanted in
@@ -279,7 +269,7 @@ let start t =
   | Some _ -> ()
   | None ->
       t.timer <-
-        Some (Sim.Engine.every t.eng ~interval:t.config.interval (fun () -> tick t))
+        Some (Sim.Engine.every t.eng ~interval (fun () -> tick t))
 
 let stop t =
   match t.timer with

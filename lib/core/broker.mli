@@ -24,31 +24,25 @@ type notification = {
   pressure : bool;  (** whether the system as a whole is under pressure *)
 }
 
-type config = {
-  interval : float;  (** seconds between broker ticks *)
-  horizon : float;  (** prediction horizon, seconds *)
-  window : int;  (** trend window, in samples *)
-  reserved_fraction : float;
-      (** fraction of physical memory kept out of brokerage (fixed
-          structures, thread stacks, ...) *)
-  shrink_slack : float;
-      (** tolerated overshoot before demanding a shrink, e.g. [0.02] *)
-  insist_after : int;
-      (** shrink-compliance enforcement: a component whose usage stays
-          above target without falling for this many consecutive
-          [Must_shrink] ticks gets a forced reclaim through its [reclaim]
-          hook. Components without a hook (the ballast, external
-          consumers) cannot be forced — they are outside the broker's
-          writ. [0] (the default) disables insistence — notifications
-          stay advisory, preserving pre-supervision behavior. *)
-}
+(** Fraction of physical memory kept out of brokerage (fixed structures,
+    thread stacks, ...): 5%. *)
+val reserved_fraction : float
 
-val default_config : config
+(** [create ?trace ?insist_after eng manager] — nothing runs until
+    {!start}. The broker ticks every second and predicts each
+    component's usage 5 s ahead from a 10-sample trend.
 
-(** [create ?trace eng manager config] — nothing runs until {!start}.
+    [insist_after] enforces shrink compliance: a component whose usage
+    stays above target without falling for this many consecutive
+    [Must_shrink] ticks gets a forced reclaim through its [reclaim] hook.
+    Components without a hook (the ballast, external consumers) cannot be
+    forced — they are outside the broker's writ. [0] (the default)
+    disables insistence: notifications stay advisory.
+
     When [trace] is an enabled sink, every tick records an
     {!Obs.Event.Broker_tick} with per-component samples and verdicts. *)
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> Dbmem.Manager.t -> config -> t
+val create :
+  ?trace:Obs.Trace.t -> ?insist_after:int -> Sim.Engine.t -> Dbmem.Manager.t -> t
 
 (** [register t ~name ~clerk ?weight ?min_bytes ?demand ?notify ()] adds a
     subcomponent. [weight] scales its share under pressure (default [1.]);

@@ -7,20 +7,16 @@ type resources = {
   rng : Sim.Rng.t;
 }
 
-type config = {
-  cpu_seconds_per_cost : float;
-  spill_io_factor : float;
-  io_interleave : int;
-  cost_page_bytes : int;
-}
+(* Converts {!Optimizer.Plan.cpu_cost} units into CPU seconds. *)
+let cpu_seconds_per_cost = 4.0e-5
 
-let default_config =
-  {
-    cpu_seconds_per_cost = 4.0e-5;
-    spill_io_factor = 2.0;
-    io_interleave = 256;
-    cost_page_bytes = 8192;
-  }
+(* Bytes of extra disk traffic per byte of grant shortfall: written out
+   and read back. *)
+let spill_io_factor = 2.0
+
+(* Page size the cost model counted pages in; converted to pool granules
+   here. *)
+let cost_page_bytes = 8192
 
 type outcome = {
   duration : float;
@@ -30,12 +26,12 @@ type outcome = {
   spilled : bool;
 }
 
-let run_scan res config ~cpu_share (s : Optimizer.Plan.scan) =
+let run_scan res ~cpu_share (s : Optimizer.Plan.scan) =
   let table = Bufpool.Pool.table_id res.pool s.Optimizer.Plan.stable in
   (* Plan page counts are in cost-model pages; the pool caches coarser
      granules. *)
   let granules cost_pages =
-    let bytes = cost_pages *. float_of_int config.cost_page_bytes in
+    let bytes = cost_pages *. float_of_int cost_page_bytes in
     max 1
       (int_of_float
          (ceil (bytes /. float_of_int (Bufpool.Pool.page_bytes res.pool))))
@@ -54,7 +50,6 @@ let run_scan res config ~cpu_share (s : Optimizer.Plan.scan) =
     Bufpool.Pool.read_range res.pool ~table ~first ~count:pages
   end;
   Cpu.busy res.cpu cpu_share;
-  ignore config;
   pages
 
 let spill_io res ~bytes =
@@ -72,7 +67,7 @@ let spill_io res ~bytes =
   go (bytes / 2) true;
   go (bytes / 2) false
 
-let run ?grant_cap ?(qid = "") res config plan =
+let run ?grant_cap ?(qid = "") res plan =
   let start = Sim.Engine.now res.eng in
   let trace = Grant.trace res.grants in
   let emit ev =
@@ -97,7 +92,7 @@ let run ?grant_cap ?(qid = "") res config plan =
               0. scans
           in
           let total_cpu =
-            Optimizer.Plan.cpu_cost plan *. config.cpu_seconds_per_cost
+            Optimizer.Plan.cpu_cost plan *. cpu_seconds_per_cost
           in
           let pages_read =
             List.fold_left
@@ -105,7 +100,7 @@ let run ?grant_cap ?(qid = "") res config plan =
                 let share =
                   total_cpu *. Float.max 1. s.Optimizer.Plan.spages /. total_pages
                 in
-                acc + run_scan res config ~cpu_share:share s)
+                acc + run_scan res ~cpu_share:share s)
               0 scans
           in
           let shortfall = ideal - granted in
@@ -113,7 +108,7 @@ let run ?grant_cap ?(qid = "") res config plan =
           if spilled then begin
             emit (Obs.Event.Spill { bytes = shortfall });
             spill_io res
-              ~bytes:(int_of_float (float_of_int shortfall *. config.spill_io_factor))
+              ~bytes:(int_of_float (float_of_int shortfall *. spill_io_factor))
           end;
           (* Exec_end here, inside the protected body, so the exec span
              closes before [finally] releases the grant — Chrome B/E pairs

@@ -17,20 +17,6 @@ type resources = {
   rng : Sim.Rng.t;
 }
 
-type config = {
-  cpu_seconds_per_cost : float;
-      (** converts {!Optimizer.Plan.cpu_cost} units into CPU seconds *)
-  spill_io_factor : float;
-      (** bytes of extra disk traffic per byte of grant shortfall (write
-          out + read back = 2.0) *)
-  io_interleave : int;  (** pages read between CPU slices *)
-  cost_page_bytes : int;
-      (** page size the cost model counted pages in (converted to pool
-          granules here) *)
-}
-
-val default_config : config
-
 type outcome = {
   duration : float;  (** wall-clock seconds the execution took *)
   granted : int;
@@ -39,7 +25,7 @@ type outcome = {
   spilled : bool;
 }
 
-(** [run ?grant_cap res config plan] — must be called from a simulation
+(** [run ?grant_cap res plan] — must be called from a simulation
     process. The grant is always released, also on error. [grant_cap]
     bounds the bytes requested from the semaphore (degraded, spill-heavy
     execution under memory pressure); spill volume is still measured
@@ -51,6 +37,5 @@ val run :
   ?grant_cap:int ->
   ?qid:string ->
   resources ->
-  config ->
   Optimizer.Plan.t ->
   (outcome, Health.Error.t) result

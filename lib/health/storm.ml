@@ -1,21 +1,15 @@
-type config = {
-  enabled : bool;
-  window_s : float;
-  surge_factor : float;
-  min_misses : int;
-  calm_windows : int;
-}
+(* Bucketing window for arrival counting, seconds. *)
+let window_s = 30.0
 
-let default_config =
-  {
-    enabled = true;
-    window_s = 30.0;
-    surge_factor = 4.0;
-    min_misses = 12;
-    calm_windows = 2;
-  }
+(* A storm is a window whose count reaches this multiple of the
+   baseline. *)
+let surge_factor = 4.0
 
-let disabled = { default_config with enabled = false }
+(* Absolute floor on the storm threshold: a quiet baseline is ~0. *)
+let min_misses = 12
+
+(* Consecutive quiet windows that end an episode. *)
+let calm_windows = 2
 
 (* The EWMA weight for folding a closed window's miss count into the
    baseline. Slow enough that a multi-window storm does not teach the
@@ -24,7 +18,7 @@ let ewma_alpha = 0.2
 
 type t = {
   eng : Sim.Engine.t;
-  config : config;
+  enabled : bool;
   trace : Obs.Trace.t;
   mutable window_start : float;
   mutable cur_count : int;  (* compile arrivals in the open window *)
@@ -37,16 +31,10 @@ type t = {
   mutable on_change : bool -> unit;
 }
 
-let create ?(trace = Obs.Trace.null) eng config =
-  if config.window_s <= 0. then invalid_arg "Storm: window_s must be > 0";
-  if config.surge_factor < 1. then
-    invalid_arg "Storm: surge_factor must be >= 1";
-  if config.min_misses < 1 then invalid_arg "Storm: min_misses must be >= 1";
-  if config.calm_windows < 1 then
-    invalid_arg "Storm: calm_windows must be >= 1";
+let create ?(trace = Obs.Trace.null) eng ~enabled =
   {
     eng;
-    config;
+    enabled;
     trace;
     window_start = Sim.Engine.now eng;
     cur_count = 0;
@@ -69,7 +57,7 @@ let emit t event =
    surge factor over the learned baseline, but never below the absolute
    floor (a quiet system's baseline is ~0 and any flurry would trip it). *)
 let threshold t =
-  max (float_of_int t.config.min_misses) (t.config.surge_factor *. t.baseline)
+  max (float_of_int min_misses) (surge_factor *. t.baseline)
 
 let end_storm t =
   t.storming <- false;
@@ -83,21 +71,21 @@ let end_storm t =
    while storming, counts toward the calm streak that ends the episode. *)
 let roll t =
   let now = Sim.Engine.now t.eng in
-  while now -. t.window_start >= t.config.window_s do
+  while now -. t.window_start >= window_s do
     let count = t.cur_count in
     if t.storming then
       if float_of_int count < threshold t then (
         t.quiet <- t.quiet + 1;
-        if t.quiet >= t.config.calm_windows then end_storm t)
+        if t.quiet >= calm_windows then end_storm t)
       else t.quiet <- 0;
     t.baseline <-
       (ewma_alpha *. float_of_int count) +. ((1. -. ewma_alpha) *. t.baseline);
     t.cur_count <- 0;
-    t.window_start <- t.window_start +. t.config.window_s
+    t.window_start <- t.window_start +. window_s
   done
 
 let note_compile t ~template =
-  if t.config.enabled then (
+  if t.enabled then (
     roll t;
     t.cur_count <- t.cur_count + 1;
     Hashtbl.replace t.hot template
@@ -112,7 +100,7 @@ let note_compile t ~template =
       t.on_change true))
 
 let active t =
-  if not t.config.enabled then false
+  if not t.enabled then false
   else (
     roll t;
     t.storming)

@@ -5,31 +5,19 @@
     the system can stay collapsed after the trigger clears — a metastable
     failure. This detector watches the {e per-template compile-arrival
     trend} (the leading signal) rather than queue depth (the trailing
-    one): compile arrivals are bucketed into fixed windows, each closed
-    window feeds an EWMA baseline, and a window whose count reaches
-    [surge_factor] times that baseline (never below the [min_misses]
-    floor) flags a storm. The episode ends after [calm_windows]
-    consecutive quiet windows. Begin/end flips emit [storm:*] trace
+    one): compile arrivals are bucketed into fixed 30 s windows, each
+    closed window feeds an EWMA baseline, and a window whose count
+    reaches 4 times that baseline (never below a floor of 12 misses)
+    flags a storm. The episode ends after 2 consecutive quiet windows. Begin/end flips emit [storm:*] trace
     events and fire a callback so the server can gate its recovery mode
     (tightened admission, warm-priming the hottest templates). All
     bookkeeping is lazy — no timer process, an idle detector costs
     nothing — and consumes no randomness, so replays are unchanged. *)
 
-type config = {
-  enabled : bool;
-  window_s : float;  (** bucketing window for arrival counting *)
-  surge_factor : float;  (** storm when count >= factor x baseline *)
-  min_misses : int;  (** absolute floor: a quiet baseline is ~0 *)
-  calm_windows : int;  (** consecutive quiet windows that end an episode *)
-}
-
-val default_config : config
-val disabled : config
-
 type t
 
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> config -> t
-(** Raises [Invalid_argument] on non-positive windows/floors. *)
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> enabled:bool -> t
+(** A disabled detector records nothing and never flags a storm. *)
 
 val set_on_change : t -> (bool -> unit) -> unit
 (** [f true] fires when a storm begins, [f false] when it ends. *)

@@ -9,7 +9,7 @@ type defense = {
   d_adaptive_queues : bool;  (* FIFO->LIFO under sustained standing *)
   d_lifo_after_s : float;
   d_deadline_shed : bool;  (* shed gateway waiters past their deadline *)
-  d_storm : Health.Storm.config;  (* miss-storm detector *)
+  d_storm : bool;  (* miss-storm detector *)
   d_warm_prime : int;  (* hottest templates primed on shard rejoin; 0 = off *)
 }
 
@@ -21,7 +21,7 @@ let no_defense =
     d_adaptive_queues = false;
     d_lifo_after_s = 20.;
     d_deadline_shed = false;
-    d_storm = Health.Storm.disabled;
+    d_storm = false;
     d_warm_prime = 0;
   }
 
@@ -33,31 +33,27 @@ let defended =
     d_adaptive_queues = true;
     d_lifo_after_s = 20.;
     d_deadline_shed = true;
-    d_storm = Health.Storm.default_config;
+    d_storm = true;
     d_warm_prime = 4;
   }
+
+let page_bytes = Dbmem.Units.mib 4
+let disk_seek_s = 0.008
 
 type t = {
   cpus : int;
   memory_bytes : int;
-  page_bytes : int;
   disk_spindles : int;
-  disk_seek_s : float;
   disk_throughput : float;
   pool_policy : Bufpool.Policy.kind;
   throttle : Qcore.Throttle_config.t;
   throttle_enabled : bool;
-  broker : Qcore.Broker.config;
   optimizer_params : Optimizer.Cascades.params;
   cost_model : Optimizer.Cost.model;
-  exec_config : Execsim.Runner.config;
-  workspace_frac : float;
-  grant_max_query_frac : float;
   grant_timeout : float;
   min_pool_bytes : int;
   min_workspace_bytes : int;
   plan_cache_floor_bytes : int;
-  metrics_interval : float;
   seed : int;
   resilience : bool;
   supervision : bool;
@@ -69,20 +65,14 @@ let default () =
   {
     cpus = 8;
     memory_bytes = Dbmem.Units.gib 4;
-    page_bytes = Dbmem.Units.mib 4;
     disk_spindles = 8;
-    disk_seek_s = 0.008;
     (* 8 spindles x 40 MB/s ~ a 2-channel Ultra3 SCSI RAID-0 of the era. *)
     disk_throughput = 40. *. 1024. *. 1024.;
     pool_policy = Bufpool.Policy.Lru2;
     throttle = Qcore.Throttle_config.default ();
     throttle_enabled = true;
-    broker = Qcore.Broker.default_config;
     optimizer_params = Optimizer.Cascades.default_params;
     cost_model = Optimizer.Cost.default;
-    exec_config = Execsim.Runner.default_config;
-    workspace_frac = 0.45;
-    grant_max_query_frac = 0.08;
     grant_timeout = 600.;
     min_pool_bytes = Dbmem.Units.mib 256;
     min_workspace_bytes = Dbmem.Units.mib 256;
@@ -92,7 +82,6 @@ let default () =
        buffer-pool pressure — per the paper, a cached plan is the most
        valuable byte in the server (compile cost saved per byte). *)
     plan_cache_floor_bytes = 0;
-    metrics_interval = 5.0;
     seed = 42;
     resilience = false;
     supervision = false;
@@ -130,7 +119,7 @@ let pp ppf t =
     "@[<v>server: %d cpus, %a memory, %d spindles @@ %.0f MB/s, pool granule %a@,throttle %s (%s)@,%a@,%a@]"
     t.cpus Dbmem.Units.pp_bytes t.memory_bytes t.disk_spindles
     (t.disk_throughput /. (1024. *. 1024.))
-    Dbmem.Units.pp_bytes t.page_bytes
+    Dbmem.Units.pp_bytes page_bytes
     (if t.throttle_enabled then "ON" else "OFF")
     (if t.throttle.Qcore.Throttle_config.dynamic then "dynamic thresholds"
      else "static thresholds")
@@ -140,7 +129,7 @@ let pp ppf t =
   if
     t.defense.d_singleflight || t.defense.d_budget <> None
     || t.defense.d_adaptive_queues || t.defense.d_deadline_shed
-    || t.defense.d_storm.Health.Storm.enabled
+    || t.defense.d_storm
   then
     Format.fprintf ppf
       "@,storm defense ON: singleflight=%b budget=%b adaptive-queues=%b \
@@ -148,7 +137,7 @@ let pp ppf t =
       t.defense.d_singleflight
       (t.defense.d_budget <> None)
       t.defense.d_adaptive_queues t.defense.d_deadline_shed
-      t.defense.d_storm.Health.Storm.enabled t.defense.d_warm_prime;
+      t.defense.d_storm t.defense.d_warm_prime;
   match t.faults with
   | [] -> ()
   | faults ->

@@ -18,7 +18,7 @@ type defense = {
   d_lifo_after_s : float;  (** standing time before the flip *)
   d_deadline_shed : bool;
       (** shed gateway waiters whose remaining deadline cannot be met *)
-  d_storm : Health.Storm.config;  (** compile-miss storm detector *)
+  d_storm : bool;  (** the {!Health.Storm} compile-miss storm detector *)
   d_warm_prime : int;
       (** number of hottest templates warm-primed into a rejoining
           shard's plan cache; [0] disables priming *)
@@ -30,22 +30,22 @@ val no_defense : defense
     defenses-on arm). *)
 val defended : defense
 
+(** Buffer-pool granule: 4 MiB. *)
+val page_bytes : int
+
+(** Seek time of one disk spindle: 8 ms. *)
+val disk_seek_s : float
+
 type t = {
   cpus : int;
   memory_bytes : int;
-  page_bytes : int;  (** buffer-pool granule *)
   disk_spindles : int;
-  disk_seek_s : float;
   disk_throughput : float;  (** bytes/second per spindle *)
   pool_policy : Bufpool.Policy.kind;
   throttle : Qcore.Throttle_config.t;
   throttle_enabled : bool;
-  broker : Qcore.Broker.config;
   optimizer_params : Optimizer.Cascades.params;
   cost_model : Optimizer.Cost.model;
-  exec_config : Execsim.Runner.config;
-  workspace_frac : float;  (** fraction of memory for execution grants *)
-  grant_max_query_frac : float;
   grant_timeout : float;
   min_pool_bytes : int;  (** broker floor for the buffer pool *)
   min_workspace_bytes : int;  (** broker floor / clamp for grants *)
@@ -53,7 +53,6 @@ type t = {
       (** bytes of plan cache shielded from donor reclaim and broker
           shrink verdicts; 0 (the default) leaves the cache fully
           donatable, the pre-sharding behaviour *)
-  metrics_interval : float;  (** memory sampling period *)
   seed : int;
   resilience : bool;
       (** the {!Resilience} retry/degrade/shed/deadline policy; off by

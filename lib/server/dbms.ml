@@ -58,6 +58,15 @@ let template_of_qid qid =
   | Some i -> String.sub qid 0 i
   | None -> qid
 
+(* Fraction of the server's memory that execution grants share. *)
+let workspace_frac = 0.45
+
+(* Largest share of the grant workspace one query may hold. *)
+let grant_max_query_frac = 0.08
+
+(* Period of the per-clerk memory samples, seconds. *)
+let metrics_interval = 5.0
+
 let create ?(trace = Obs.Trace.null) eng cfg cat =
   let manager = Dbmem.Manager.create ~total:cfg.Config.memory_bytes () in
   if Obs.Trace.enabled trace then
@@ -68,20 +77,20 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   let exec_clerk = Dbmem.Manager.create_clerk manager "execution" in
   let disk =
     Bufpool.Disk.create eng ~spindles:cfg.Config.disk_spindles
-      ~seek_s:cfg.Config.disk_seek_s
+      ~seek_s:Config.disk_seek_s
       ~throughput_bytes_per_s:cfg.Config.disk_throughput
   in
   let pool =
     Bufpool.Pool.create eng manager ~clerk:pool_clerk ~disk
-      ~page_bytes:cfg.Config.page_bytes ~policy:cfg.Config.pool_policy
+      ~page_bytes:Config.page_bytes ~policy:cfg.Config.pool_policy
   in
   let cache = Plancache.Cache.create manager ~clerk:cache_clerk in
   let workspace =
-    int_of_float (cfg.Config.workspace_frac *. float_of_int cfg.Config.memory_bytes)
+    int_of_float (workspace_frac *. float_of_int cfg.Config.memory_bytes)
   in
   let grants =
     Execsim.Grant.create eng manager ~trace ~clerk:exec_clerk ~total:workspace
-      ~max_query_frac:cfg.Config.grant_max_query_frac
+      ~max_query_frac:grant_max_query_frac
       ~timeout:cfg.Config.grant_timeout ()
   in
   let cpu = Execsim.Cpu.create eng ~cores:cfg.Config.cpus () in
@@ -102,18 +111,15 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   Dbmem.Manager.register_donor manager ~clerk:pool_clerk ~priority:1
     ~shrink:(fun n -> Bufpool.Pool.shrink pool n);
   (* Broker components and their reactions to verdicts. With supervision
-     on, the broker also gets the insistence knob (unless the caller set
-     one explicitly) and per-component reclaim hooks, so a component that
-     ignores [insist_after] consecutive shrink verdicts is shrunk by
-     force — the paper's "broker insists". *)
-  let broker_cfg =
-    if cfg.Config.supervision && cfg.Config.broker.Qcore.Broker.insist_after = 0
-    then
-      { cfg.Config.broker with
-        Qcore.Broker.insist_after = Health.Supervise.insist_after }
-    else cfg.Config.broker
+     on, the broker also insists: a component that ignores
+     [Health.Supervise.insist_after] consecutive shrink verdicts is shrunk
+     by force through its reclaim hook — the paper's "broker insists". *)
+  let broker =
+    Qcore.Broker.create ~trace
+      ~insist_after:
+        (if cfg.Config.supervision then Health.Supervise.insist_after else 0)
+      eng manager
   in
-  let broker = Qcore.Broker.create ~trace eng manager broker_cfg in
   let _pool_comp =
     Qcore.Broker.register broker ~name:"bufpool" ~clerk:pool_clerk ~weight:1.5
       ~min_bytes:cfg.Config.min_pool_bytes
@@ -228,7 +234,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
          in
          Obs.Trace.emit trace ~time:(Sim.Engine.now eng) ~qid:template
            (Obs.Event.Singleflight_coalesce { template; waiters })));
-  let storm = Health.Storm.create ~trace eng defense.Config.d_storm in
+  let storm = Health.Storm.create ~trace eng ~enabled:defense.Config.d_storm in
   if defense.Config.d_adaptive_queues || defense.Config.d_deadline_shed then
     Qcore.Compile_gov.set_defense gov
       {
@@ -273,7 +279,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
 let start t =
   Qcore.Broker.start t.broker;
   Metrics.watch_memory ~trace:t.trace t.metrics
-    ~interval:t.cfg.Config.metrics_interval t.clerk_list;
+    ~interval:metrics_interval t.clerk_list;
   Health.Supervise.start t.super
 
 let emit t ~qid ev =
@@ -544,8 +550,7 @@ let plan t job =
 let exec t job plan =
   beat job;
   let run ?grant_cap () =
-    Execsim.Runner.run ?grant_cap ~qid:job.qid t.exec_resources
-      t.cfg.Config.exec_config plan
+    Execsim.Runner.run ?grant_cap ~qid:job.qid t.exec_resources plan
   in
   let r =
     match run () with
@@ -756,13 +761,12 @@ let reclaim t n =
     Dbmem.Manager.demand t.manager (Dbmem.Manager.available t.manager + n)
 
 let join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget =
-  let reserved = t.cfg.Config.broker.Qcore.Broker.reserved_fraction in
   Qcore.Arbiter.register arb ~name ~weight ~min_share ~max_share ~budget
     ~used:(fun () -> Dbmem.Manager.used t.manager)
     ~demand:(fun () ->
       int_of_float
         (float_of_int (Qcore.Broker.predicted_total t.broker)
-        /. (1. -. reserved)))
+        /. (1. -. Qcore.Broker.reserved_fraction)))
     ~set_budget:(Dbmem.Manager.set_total t.manager)
     ~reclaim:(reclaim t) ()
 

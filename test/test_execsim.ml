@@ -213,7 +213,7 @@ let make_resources ?(memory = Dbmem.Units.gib 1) ?(workspace = mib 256) () =
 let run_plan eng resources plan =
   let result = ref None in
   Sim.Engine.spawn eng (fun () ->
-      result := Some (Runner.run resources Runner.default_config plan));
+      result := Some (Runner.run resources plan));
   Sim.Engine.run_all eng;
   match !result with
   | Some r -> r
@@ -246,7 +246,7 @@ let test_runner_warm_pool_is_faster () =
      strictly faster). *)
   let result = ref None in
   Sim.Engine.spawn eng (fun () ->
-      result := Some (Runner.run resources Runner.default_config plan));
+      result := Some (Runner.run resources plan));
   Sim.Engine.run_all eng;
   match !result with
   | Some (Ok o) ->
@@ -316,7 +316,7 @@ let test_runner_grant_timeout_surfaces () =
   let plan = fact_build_plan ~fact_rows:20_000_000. in
   let result = ref None in
   Sim.Engine.spawn eng ~delay:1.0 (fun () ->
-      result := Some (Runner.run resources Runner.default_config plan));
+      result := Some (Runner.run resources plan));
   Sim.Engine.run eng ~until:2_000.;
   match !result with
   | Some (Error { Health.Error.code = Health.Error.Memory_wait_timeout; _ }) ->

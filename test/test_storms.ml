@@ -255,29 +255,21 @@ let test_cold_stampede_compiles_once () =
 (* ------------------------------------------------------------------ *)
 (* Storm detector *)
 
-let storm_cfg =
-  {
-    Health.Storm.enabled = true;
-    window_s = 10.;
-    surge_factor = 2.;
-    min_misses = 3;
-    calm_windows = 2;
-  }
-
 let test_detector_flags_surge_and_calms () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng storm_cfg in
+  let d = Health.Storm.create eng ~enabled:true in
   let flips = ref [] in
   Health.Storm.set_on_change d (fun on -> flips := on :: !flips);
   Sim.Engine.spawn eng (fun () ->
-      (* A burst over the floor flags a storm eagerly, mid-window. *)
-      for i = 1 to 4 do
+      (* A burst over the 12-miss floor flags a storm eagerly,
+         mid-window. *)
+      for i = 1 to 13 do
         Health.Storm.note_compile d ~template:(Printf.sprintf "p%03d" i)
       done;
       Alcotest.(check bool) "storm active after surge" true
         (Health.Storm.active d);
-      (* Two quiet windows end the episode. *)
-      Sim.Engine.sleep (3. *. storm_cfg.Health.Storm.window_s);
+      (* Two quiet windows end the episode: three 30 s windows close. *)
+      Sim.Engine.sleep 90.;
       Health.Storm.note_compile d ~template:"p001";
       Alcotest.(check bool) "calm after quiet windows" false
         (Health.Storm.active d));
@@ -288,7 +280,7 @@ let test_detector_flags_surge_and_calms () =
 
 let test_detector_disabled_never_flags () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng Health.Storm.disabled in
+  let d = Health.Storm.create eng ~enabled:false in
   Sim.Engine.spawn eng (fun () ->
       for i = 1 to 100 do
         Health.Storm.note_compile d ~template:(Printf.sprintf "p%03d" i)
@@ -299,7 +291,7 @@ let test_detector_disabled_never_flags () =
 
 let test_detector_hottest_deterministic () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng storm_cfg in
+  let d = Health.Storm.create eng ~enabled:true in
   Sim.Engine.spawn eng (fun () ->
       List.iter
         (fun t -> Health.Storm.note_compile d ~template:t)
