@@ -1,12 +1,15 @@
-type config = {
-  interval : float;
-  horizon : float;
-  window : int;
-  deadband : int;
-}
+(* Seconds between arbiter ticks. *)
+let interval = 2.0
 
-let default_config =
-  { interval = 2.0; horizon = 5.0; window = 10; deadband = 8 * 1024 * 1024 }
+(* Demand-prediction horizon, seconds. *)
+let horizon = 5.0
+
+(* Per-pool trend window, in samples. *)
+let window = 10
+
+(* A planned rebalance whose largest per-pool budget move is at most this
+   many bytes is skipped entirely: no churn on noise. *)
+let deadband = 8 * 1024 * 1024
 
 type claim = {
   weight : float;
@@ -90,7 +93,6 @@ type pool = {
 type t = {
   eng : Sim.Engine.t;
   trace : Obs.Trace.t;
-  cfg : config;
   a_total : int;
   mutable pools_rev : pool list;
   mutable task : Sim.Engine.handle option;
@@ -101,14 +103,11 @@ type t = {
   mutable reclaimed_bytes : int;
 }
 
-let create ?(trace = Obs.Trace.null) eng ~total cfg =
+let create ?(trace = Obs.Trace.null) eng ~total =
   if total <= 0 then invalid_arg "Arbiter.create: total must be > 0";
-  if cfg.interval <= 0. then invalid_arg "Arbiter.create: interval must be > 0";
-  if cfg.window < 2 then invalid_arg "Arbiter.create: window must be >= 2";
   {
     eng;
     trace;
-    cfg;
     a_total = total;
     pools_rev = [];
     task = None;
@@ -160,7 +159,7 @@ let register t ~name ?(weight = 1.0) ?(min_share = 0.) ?(max_share = 1.0)
       demand;
       set_budget;
       reclaim;
-      trend = Trend.create ~window:t.cfg.window ();
+      trend = Trend.create ~window ();
       floor_b = int_of_float (min_share *. float_of_int t.a_total);
       budget;
       offline = false;
@@ -192,7 +191,7 @@ let tick t =
             let d = match p.demand with Some f -> max u (f ()) | None -> u in
             Trend.observe p.trend ~time:now (float_of_int d);
             let pr =
-              match Trend.predict p.trend ~horizon:t.cfg.horizon with
+              match Trend.predict p.trend ~horizon with
               | Some v -> int_of_float v
               | None -> d
             in
@@ -229,7 +228,7 @@ let tick t =
     in
     (* Applying only some moves could leave the grants summing past
        [total], so a rebalance inside the deadband is skipped whole. *)
-    if max_delta > t.cfg.deadband then begin
+    if max_delta > deadband then begin
       t.rebalances <- t.rebalances + 1;
       (* Shrink donors before growing borrowers: mid-apply, the sum of
          budgets then never exceeds [total]. *)
@@ -280,5 +279,5 @@ let start t =
   | Some _ -> ()
   | None ->
       t.task <-
-        Some (Sim.Engine.every t.eng ~interval:t.cfg.interval (fun () -> tick t))
+        Some (Sim.Engine.every t.eng ~interval (fun () -> tick t))
 

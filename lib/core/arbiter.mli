@@ -20,19 +20,6 @@
 type t
 type pool
 
-type config = {
-  interval : float;  (** seconds between arbiter ticks *)
-  horizon : float;  (** demand-prediction horizon, seconds *)
-  window : int;  (** per-pool trend window, in samples *)
-  deadband : int;
-      (** a planned rebalance whose largest per-pool budget move is at
-          most this many bytes is skipped entirely (no churn on noise) *)
-}
-
-(** A tick every 2 s, a 5 s prediction horizon over a 10-sample trend,
-    and an 8 MiB deadband: the tenant and shard experiments' arbiter. *)
-val default_config : config
-
 (** {1 The pure planner}
 
     Exposed separately so the split arithmetic can be property-tested
@@ -62,12 +49,16 @@ val plan : total:int -> claim list -> int list
 
 (** {1 Live arbitration} *)
 
-(** [create ?trace eng ~total config] — nothing runs until {!start}.
-    [total] is the physical memory split across the pools. When [trace]
+(** [create ?trace eng ~total] — nothing runs until {!start}. [total] is
+    the physical memory split across the pools. The arbiter ticks every
+    2 s and predicts each pool's demand 5 s ahead from a 10-sample trend.
+    A planned rebalance whose largest per-pool budget move is at most
+    8 MiB (the deadband) is skipped whole, so noise causes no churn.
+    When [trace]
     is an enabled sink every cycle records an
     {!Obs.Event.Arbiter_tick} (and {!Obs.Event.Arbiter_reclaim} for each
     forced pull-back). *)
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> total:int -> config -> t
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> total:int -> t
 
 (** [register t ~name ~budget ~used ~set_budget ~reclaim ()] adds a pool.
     [budget] is the pool's current budget (the caller created the pool's

@@ -1,6 +1,8 @@
-type config = { failure_threshold : int; cooldown_s : float }
+(* Consecutive hard failures that trip a closed breaker open. *)
+let failure_threshold = 3
 
-let default_config = { failure_threshold = 3; cooldown_s = 60.0 }
+(* Open duration before the half-open probe, seconds. *)
+let cooldown_s = 60.0
 
 type state = Closed | Open | Half_open
 
@@ -21,20 +23,15 @@ type cell = {
 
 type t = {
   eng : Sim.Engine.t;
-  config : config;
   trace : Obs.Trace.t;
   cells : (string, cell) Hashtbl.t;
   mutable opened_total : int;
   mutable closed_total : int;
 }
 
-let create ?(trace = Obs.Trace.null) eng config =
-  if config.failure_threshold < 1 then
-    invalid_arg "Breaker: failure_threshold must be >= 1";
-  if config.cooldown_s <= 0. then invalid_arg "Breaker: cooldown_s must be > 0";
+let create ?(trace = Obs.Trace.null) eng =
   {
     eng;
-    config;
     trace;
     cells = Hashtbl.create 16;
     opened_total = 0;
@@ -59,7 +56,7 @@ let emit t template event =
 let refresh t (c : cell) =
   if
     c.cstate = Open
-    && Sim.Engine.now t.eng -. c.opened_at >= t.config.cooldown_s
+    && Sim.Engine.now t.eng -. c.opened_at >= cooldown_s
   then (
     c.cstate <- Half_open;
     c.probe_out <- false)
@@ -104,7 +101,7 @@ let record_failure t ~template =
   match c.cstate with
   | Closed ->
       c.failures <- c.failures + 1;
-      if c.failures >= t.config.failure_threshold then trip t template c
+      if c.failures >= failure_threshold then trip t template c
   | Half_open ->
       (* Only the probe's own failure re-trips. A stale hard failure from
          a query admitted before the trip says nothing about recovery —

@@ -2,23 +2,14 @@
 
     A query template that keeps failing hard (compile OOM, gateway
     timeouts) burns a scarce gateway slot on every attempt. The breaker
-    sheds such a template at the door instead: after
-    [failure_threshold] consecutive hard failures the template's breaker
-    trips {e open} and admissions are refused with
-    {!Error.Breaker_open}. After [cooldown_s] of simulated time the
-    breaker goes {e half-open} and admits exactly one probe query; if the
+    sheds such a template at the door instead: after 3 consecutive hard
+    failures the template's breaker trips {e open} and admissions are
+    refused with {!Error.Breaker_open}. After a 60 s cooldown of
+    simulated time the breaker goes {e half-open} and admits exactly one probe query; if the
     probe succeeds the breaker closes, if it fails the breaker re-opens
     for another cooldown. Probe admission is deterministic (first arrival
     after the cooldown wins) — no randomness is consumed, so enabling
     breakers cannot perturb a run that never trips one. *)
-
-type config = {
-  failure_threshold : int;  (** consecutive hard failures to trip open *)
-  cooldown_s : float;  (** open duration before the half-open probe *)
-}
-
-val default_config : config
-(** 3 consecutive failures; 60 s cooldown. *)
 
 type state = Closed | Open | Half_open
 
@@ -27,7 +18,7 @@ val state_name : state -> string
 type t
 (** A registry of breakers, lazily keyed by template name. *)
 
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> config -> t
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> t
 
 val admit : t -> template:string -> (unit, Error.t) result
 (** Gate an arrival of [template]. [Ok ()] admits (and in half-open marks

@@ -1,12 +1,14 @@
-type config = {
-  audit_s : float;
-  stall_audits : int;
-  widen_by : int;
-  max_widen : int;
-}
+(* Sampling period, seconds. *)
+let audit_s = 60.0
 
-let default_config =
-  { audit_s = 60.0; stall_audits = 3; widen_by = 1; max_widen = 2 }
+(* Consecutive no-progress samples after which a gate is starved. *)
+let stall_audits = 3
+
+(* Slots added per intervention. *)
+let widen_by = 1
+
+(* Most slots a gate may be widened above its base width. *)
+let max_widen = 2
 
 type gate = {
   gname : string;
@@ -21,17 +23,13 @@ type gate = {
 
 type t = {
   eng : Sim.Engine.t;
-  config : config;
   trace : Obs.Trace.t;
   mutable gates : gate list;
   mutable widen_total : int;
 }
 
-let create ?(trace = Obs.Trace.null) eng config =
-  if config.audit_s <= 0. then invalid_arg "Starvation: audit_s must be > 0";
-  if config.stall_audits < 1 then
-    invalid_arg "Starvation: stall_audits must be >= 1";
-  { eng; config; trace; gates = []; widen_total = 0 }
+let create ?(trace = Obs.Trace.null) eng =
+  { eng; trace; gates = []; widen_total = 0 }
 
 let add_gate t ~name ~queued ~admitted ~slots ~set_slots =
   let g =
@@ -65,10 +63,10 @@ let audit_gate t g =
   else if progressed then g.stalled <- 0
   else begin
     g.stalled <- g.stalled + 1;
-    if g.stalled >= t.config.stall_audits then begin
+    if g.stalled >= stall_audits then begin
       g.stalled <- 0;
       let cur = g.slots () in
-      let widened = min (cur + t.config.widen_by) (g.base + t.config.max_widen) in
+      let widened = min (cur + widen_by) (g.base + max_widen) in
       if widened > cur then (
         g.set_slots widened;
         t.widen_total <- t.widen_total + 1;
@@ -78,7 +76,7 @@ let audit_gate t g =
 
 let start t =
   ignore
-    (Sim.Engine.every t.eng ~start:t.config.audit_s ~interval:t.config.audit_s
+    (Sim.Engine.every t.eng ~start:audit_s ~interval:audit_s
        (fun () -> List.iter (audit_gate t) t.gates))
 
 let widen_total t = t.widen_total

@@ -3,12 +3,13 @@
     The throttling ladder converts memory pressure into queueing — which
     is the point — but a gate can starve its queue outright if every slot
     is held by long compilations (the paper's Figure 2 pathology taken to
-    its limit). The auditor samples each registered gate every [audit_s]:
-    a gate with waiters whose cumulative admission counter has not moved
-    for [stall_audits] consecutive samples is {e starved}, and the
-    auditor widens it by [widen_by] slots (cumulatively, at most
-    [max_widen] above its base width). Once the queue drains the base
-    width is restored. Each change emits an {!Obs.Event.Gate_widen}
+    its limit). The auditor samples each registered gate every 60 s: a
+    gate with waiters whose cumulative admission counter has not moved
+    for 3 consecutive samples is {e starved}, and the auditor widens it
+    by one slot (cumulatively, at most 2 above its base width). With the
+    default gateway timeouts (120–600 s) this rescues a starved queue
+    before waiters start timing out en masse. Once the queue drains the
+    base width is restored. Each change emits an {!Obs.Event.Gate_widen}
     record, so interventions are visible in the trace.
 
     Widening uses the gate's own [set_slots] (the monitors' semaphore
@@ -16,21 +17,9 @@
     callback — waking a blocked process from a callback is safe because
     resumptions are scheduled as engine events. *)
 
-type config = {
-  audit_s : float;  (** sampling period *)
-  stall_audits : int;  (** consecutive no-progress samples ⇒ starved *)
-  widen_by : int;  (** slots added per intervention *)
-  max_widen : int;  (** max slots above the base width *)
-}
-
-val default_config : config
-(** Audit every 60 s; starved after 3 stalled audits; widen by 1, at most
-    2 above base. With the default gateway timeouts (120–600 s) this
-    rescues a starved queue before waiters start timing out en masse. *)
-
 type t
 
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> config -> t
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> t
 
 val add_gate :
   t ->

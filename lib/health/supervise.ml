@@ -10,9 +10,9 @@ type t = {
 let create ?trace eng ~enabled =
   {
     enabled;
-    watchdog = Watchdog.create ?trace eng Watchdog.default_config;
-    starvation = Starvation.create ?trace eng Starvation.default_config;
-    breakers = Breaker.create ?trace eng Breaker.default_config;
+    watchdog = Watchdog.create ?trace eng;
+    starvation = Starvation.create ?trace eng;
+    breakers = Breaker.create ?trace eng;
   }
 
 let start t =

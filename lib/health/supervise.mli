@@ -1,6 +1,5 @@
 (** The supervision layer as one switch: a watchdog, a starvation
-    auditor and per-template circuit breakers, each at its own
-    [default_config], plus broker insistence.
+    auditor and per-template circuit breakers, plus broker insistence.
 
     The parts are always built, so their counters can always be read.
     Off is inert: {!start} installs no timer, {!admit} admits everyone,

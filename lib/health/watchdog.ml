@@ -1,6 +1,11 @@
-type config = { poll_s : float; stale_after_s : float; cancel_after_s : float }
+(* Audit period, seconds. *)
+let poll_s = 30.0
 
-let default_config = { poll_s = 30.0; stale_after_s = 240.0; cancel_after_s = 720.0 }
+(* Silence before a session is softened, seconds. *)
+let stale_after_s = 240.0
+
+(* Silence before a session is cancelled, seconds. *)
+let cancel_after_s = 720.0
 
 type session = {
   qid : string;
@@ -13,7 +18,6 @@ type session = {
 
 type t = {
   eng : Sim.Engine.t;
-  config : config;
   trace : Obs.Trace.t;
   sessions : (int, session) Hashtbl.t;
   mutable next_id : int;
@@ -21,13 +25,9 @@ type t = {
   mutable cancel_total : int;
 }
 
-let create ?(trace = Obs.Trace.null) eng config =
-  if config.poll_s <= 0. then invalid_arg "Watchdog: poll_s must be > 0";
-  if config.stale_after_s <= 0. || config.cancel_after_s <= config.stale_after_s
-  then invalid_arg "Watchdog: need 0 < stale_after_s < cancel_after_s";
+let create ?(trace = Obs.Trace.null) eng =
   {
     eng;
-    config;
     trace;
     sessions = Hashtbl.create 64;
     next_id = 0;
@@ -44,11 +44,11 @@ let audit t =
   Hashtbl.iter
     (fun _ s ->
       let age = now -. s.last_beat in
-      if age >= t.config.cancel_after_s && not s.cancel then (
+      if age >= cancel_after_s && not s.cancel then (
         s.cancel <- true;
         t.cancel_total <- t.cancel_total + 1;
         emit t s.qid (Obs.Event.Watchdog_cancel { age }))
-      else if age >= t.config.stale_after_s && not s.soft then (
+      else if age >= stale_after_s && not s.soft then (
         s.soft <- true;
         t.stale_total <- t.stale_total + 1;
         emit t s.qid (Obs.Event.Heartbeat_stale { age })))
@@ -56,7 +56,7 @@ let audit t =
 
 let start t =
   ignore
-    (Sim.Engine.every t.eng ~start:t.config.poll_s ~interval:t.config.poll_s
+    (Sim.Engine.every t.eng ~start:poll_s ~interval:poll_s
        (fun () -> audit t))
 
 let watch t ~qid =

@@ -2,32 +2,22 @@
 
     Every live query holds a watchdog session and beats it at each sign of
     progress (compile allocation, exec start/finish, each slice of a
-    backoff nap). A periodic audit scans the sessions: one silent for
-    [stale_after_s] is {e softened} — the query should take its
-    best-plan-so-far and stop optimising — and one still silent
-    [cancel_after_s] after its last beat is marked for {e cancellation}
-    with {!Error.Watchdog_cancelled}.
+    backoff nap). An audit every 30 s scans the sessions: one silent for
+    240 s is {e softened} — the query should take its best-plan-so-far
+    and stop optimising — and one still silent 720 s after its last beat
+    is marked for {e cancellation} with {!Error.Watchdog_cancelled}.
 
     The simulation is cooperative, so the watchdog cannot interrupt a
     blocked process; it flips per-session flags that the query's own code
     polls at its next allocation or slice boundary (exactly how the
     deadline mechanism works). Gateway waits are bounded by the monitor
-    timeouts (120/300/600 s), so the defaults sit above the biggest
-    gateway timeout: a politely queued query is never shot. *)
-
-type config = {
-  poll_s : float;  (** audit period *)
-  stale_after_s : float;  (** silence before softening *)
-  cancel_after_s : float;  (** silence before cancellation *)
-}
-
-val default_config : config
-(** Poll every 30 s; soften at 240 s silent; cancel at 720 s silent. *)
+    timeouts (120/300/600 s), so the cancellation threshold sits above the
+    biggest gateway timeout: a politely queued query is never shot. *)
 
 type t
 type session
 
-val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> config -> t
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> t
 
 val start : t -> unit
 (** Install the periodic audit timer. Call once, before the run. *)

@@ -1,29 +1,30 @@
+(* Metered bytes per memo group. *)
+let group_bytes = 72 * 1024
+
+(* Metered bytes per logical split recorded. *)
+let lexpr_bytes = 18 * 1024
+
+let phys_bytes = 18 * 1024
+
+(* Report CPU to the env every this many tasks. *)
+let cpu_batch = 64
+
+(* Dynamic optimization: the task budget is the seed plan's cost times
+   this. *)
+let tasks_per_cost = 1.2e-2
+
+(* Splits examined per expand task. *)
+let expand_chunk = 16
+
 type params = {
-  group_bytes : int;
-  lexpr_bytes : int;
-  phys_bytes : int;
   task_cpu : float;
-  cpu_batch : int;
   max_tasks : int;
   min_tasks : int;
-  tasks_per_cost : float;
-  expand_chunk : int;
   honor_stop_early : bool;
 }
 
 let default_params =
-  {
-    group_bytes = 72 * 1024;
-    lexpr_bytes = 18 * 1024;
-    phys_bytes = 18 * 1024;
-    task_cpu = 2.0e-3;
-    cpu_batch = 64;
-    max_tasks = 45_000;
-    min_tasks = 500;
-    tasks_per_cost = 1.2e-2;
-    expand_chunk = 16;
-    honor_stop_early = true;
-  }
+  { task_cpu = 2.0e-3; max_tasks = 45_000; min_tasks = 500; honor_stop_early = true }
 
 type outcome = Complete | Budget_exhausted | Stopped_early
 
@@ -186,7 +187,7 @@ let find_or_create s set =
       let g = acquire_group s.arena set in
       Hashtbl.replace s.groups set g;
       s.n_groups <- s.n_groups + 1;
-      alloc s s.params.group_bytes;
+      alloc s group_bytes;
       (* Cardinality estimation for a new group is part of its footprint. *)
       ignore (Card.card s.card set);
       g
@@ -217,7 +218,7 @@ let process_opt_group s set =
       if Relset.cardinal set = 1 then begin
         let i = Relset.min_elt set in
         let alternatives = Rules.leaf_alternatives s.model s.card i in
-        alloc s (s.params.phys_bytes * List.length alternatives);
+        alloc s (phys_bytes * List.length alternatives);
         s.n_phys <- s.n_phys + List.length alternatives;
         List.iter (update_best g) alternatives;
         g.state <- Done;
@@ -242,12 +243,12 @@ let process_opt_group s set =
         in
         g.splits <- Array.of_list splits;
         s.n_lexprs <- s.n_lexprs + Array.length g.splits;
-        alloc s (s.params.lexpr_bytes * Array.length g.splits);
+        alloc s (lexpr_bytes * Array.length g.splits);
         push s (Expand (g, 0))
       end
 
 let process_expand s g cursor =
-  let stop = min (Array.length g.splits) (cursor + s.params.expand_chunk) in
+  let stop = min (Array.length g.splits) (cursor + expand_chunk) in
   for i = cursor to stop - 1 do
     let sp = g.splits.(i) in
     g.outstanding <- g.outstanding + 1;
@@ -285,7 +286,7 @@ let process_opt_split s g sp =
     match (gl.best, gr.best) with
     | Some pl, Some pr ->
         let alternatives = Rules.join_alternatives s.model s.card pl pr in
-        alloc s (s.params.phys_bytes * List.length alternatives);
+        alloc s (phys_bytes * List.length alternatives);
         s.n_phys <- s.n_phys + List.length alternatives;
         List.iter (update_best g) alternatives;
         group_task_done s g
@@ -346,7 +347,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
     let budget =
       min params.max_tasks
         (max params.min_tasks
-           (int_of_float (seed_join_cost *. params.tasks_per_cost)))
+           (int_of_float (seed_join_cost *. tasks_per_cost)))
     in
     (* Keep the un-aggregated seed in the memo for joining purposes. *)
     let seed_join =
@@ -358,7 +359,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
       | _ -> seed
     in
     update_best root seed_join;
-    alloc s (params.phys_bytes * Plan.n_operators seed_join);
+    alloc s (phys_bytes * Plan.n_operators seed_join);
     push s (Opt_group full);
     let stopped = ref None in
     let rec loop () =
@@ -372,7 +373,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
             s.stack <- rest;
             s.tasks <- s.tasks + 1;
             s.cpu_pending <- s.cpu_pending + 1;
-            if s.cpu_pending >= params.cpu_batch then flush_cpu s;
+            if s.cpu_pending >= cpu_batch then flush_cpu s;
             (match task with
             | Opt_group set -> process_opt_group s set
             | Expand (g, cursor) -> process_expand s g cursor

@@ -22,17 +22,17 @@
     connected split of every connected subset — the same space as {!Dp} —
     hence equal optimal cost. *)
 
+(** Metered bytes per physical alternative costed (18 KiB). A memo group
+    costs 72 KiB and a recorded logical split 18 KiB. *)
+val phys_bytes : int
+
+(** The search's task budget is the seed plan's cost times 0.012, clamped
+    to [\[min_tasks, max_tasks\]]. It reports CPU to the env every 64
+    tasks, and an expand task examines 16 splits. *)
 type params = {
-  group_bytes : int;  (** metered bytes per memo group *)
-  lexpr_bytes : int;  (** per logical split recorded *)
-  phys_bytes : int;  (** per physical alternative costed *)
   task_cpu : float;  (** simulated CPU seconds per task *)
-  cpu_batch : int;  (** report CPU to the env every N tasks *)
   max_tasks : int;  (** hard ceiling on search effort *)
   min_tasks : int;  (** floor, so trivial queries still finish *)
-  tasks_per_cost : float;
-      (** dynamic optimization: budget = seed plan cost * this *)
-  expand_chunk : int;  (** splits examined per expand task *)
   honor_stop_early : bool;
       (** obey [should_stop] (the paper's best-plan extension); when
           [false] the search ignores pressure and risks hard OOM *)

@@ -418,7 +418,7 @@ let compile_greedy t job =
   match
     governed t ~qid:job.qid (fun session ->
         match
-          Qcore.Compile_gov.alloc session (params.Optimizer.Cascades.phys_bytes * n)
+          Qcore.Compile_gov.alloc session (Optimizer.Cascades.phys_bytes * n)
         with
         | Error e -> Error e
         | Ok () ->

@@ -157,7 +157,6 @@ let run ?trace cfg =
      shard's memory is lendable but no survivor can swallow the machine. *)
   let arbiter =
     Qcore.Arbiter.create ?trace eng ~total:cfg.c_total
-      Qcore.Arbiter.default_config
   in
   Array.iter
     (fun sh ->
@@ -169,11 +168,7 @@ let run ?trace cfg =
            ~budget))
     shards;
   Qcore.Arbiter.start arbiter;
-  let router =
-    Router.create ?trace
-      ~cfg:{ Router.default_config with hedge_enabled = cfg.c_hedge }
-      eng shards
-  in
+  let router = Router.create ?trace ~hedge:cfg.c_hedge eng shards in
   Router.set_measure_from router cfg.c_warmup;
   Shard.install_faults eng shards (faults_of cfg);
   (* Per-shard Chrome counters plus the budget-conservation watermark. *)

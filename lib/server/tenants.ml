@@ -165,8 +165,7 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
     | Static -> None
     | Isolated | Free_for_all ->
         Some
-          (Qcore.Arbiter.create ?trace eng ~total:total_bytes
-             Qcore.Arbiter.default_config)
+          (Qcore.Arbiter.create ?trace eng ~total:total_bytes)
   in
   let stop = warmup +. measure in
   let lives =

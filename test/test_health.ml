@@ -69,7 +69,6 @@ let test_breaker_lifecycle () =
   let eng = Sim.Engine.create ~seed:1 () in
   let b =
     Health.Breaker.create eng
-      { Health.Breaker.failure_threshold = 3; cooldown_s = 60. }
   in
   let state tpl = Health.Breaker.state b ~template:tpl in
   (* Fresh template: closed, admits. *)
@@ -155,7 +154,6 @@ let test_breaker_probe_shed () =
   let eng = Sim.Engine.create ~seed:1 () in
   let b =
     Health.Breaker.create eng
-      { Health.Breaker.failure_threshold = 3; cooldown_s = 60. }
   in
   let state tpl = Health.Breaker.state b ~template:tpl in
   for _ = 1 to 3 do
@@ -186,29 +184,27 @@ let test_breaker_probe_shed () =
 
 let test_watchdog_escalation () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let w =
-    Health.Watchdog.create eng
-      { Health.Watchdog.poll_s = 10.; stale_after_s = 30.; cancel_after_s = 90. }
-  in
+  let w = Health.Watchdog.create eng in
   Health.Watchdog.start w;
   let s = Health.Watchdog.watch w ~qid:"q#000001" in
   Alcotest.(check int) "one session watched" 1 (Health.Watchdog.watched w);
-  (* Silent for 25 s: below the stale threshold. *)
-  advance eng 25.;
+  (* Audits run every 30 s. Silent for 200 s: below the 240 s stale
+     threshold. *)
+  advance eng 200.;
   Alcotest.(check bool) "not yet stale" false (Health.Watchdog.softened s);
-  (* Silent for 35 s: softened, not cancelled. *)
-  advance eng 10.;
-  Alcotest.(check bool) "softened at 30s silent" true (Health.Watchdog.softened s);
+  (* Silent for 280 s: softened at the 240 s audit, not cancelled. *)
+  advance eng 80.;
+  Alcotest.(check bool) "softened at 240s silent" true (Health.Watchdog.softened s);
   Alcotest.(check bool) "not cancelled yet" false (Health.Watchdog.cancel_requested s);
   (* A beat un-softens: the query showed progress. *)
   Health.Watchdog.beat s;
   Alcotest.(check bool) "beat clears the soften" false (Health.Watchdog.softened s);
-  (* Silence again: softened a second time, then cancelled at 90 s. *)
-  advance eng 40.;
+  (* Silence again: softened a second time, then cancelled at 720 s. *)
+  advance eng 320.;
   Alcotest.(check bool) "softened again" true (Health.Watchdog.softened s);
   Alcotest.(check bool) "still not cancelled" false (Health.Watchdog.cancel_requested s);
-  advance eng 60.;
-  Alcotest.(check bool) "cancelled at 90s silent" true (Health.Watchdog.cancel_requested s);
+  advance eng 480.;
+  Alcotest.(check bool) "cancelled at 720s silent" true (Health.Watchdog.cancel_requested s);
   (* Cancellation is sticky: a late beat cannot resurrect the query. *)
   Health.Watchdog.beat s;
   Alcotest.(check bool) "cancel is sticky" true (Health.Watchdog.cancel_requested s);
@@ -223,10 +219,7 @@ let test_watchdog_escalation () =
 
 let test_starvation_widens_and_restores () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let sv =
-    Health.Starvation.create eng
-      { Health.Starvation.audit_s = 10.; stall_audits = 3; widen_by = 1; max_widen = 2 }
-  in
+  let sv = Health.Starvation.create eng in
   let queued = ref 5 and admitted = ref 0 and slots = ref 4 in
   Health.Starvation.add_gate sv ~name:"small"
     ~queued:(fun () -> !queued)
@@ -234,40 +227,41 @@ let test_starvation_widens_and_restores () =
     ~slots:(fun () -> !slots)
     ~set_slots:(fun n -> slots := n);
   Health.Starvation.start sv;
-  (* Two stalled audits: below the threshold, no intervention. *)
-  advance eng 25.;
+  (* Audits run every 60 s. Two stalled audits: below the threshold, no
+     intervention. *)
+  advance eng 150.;
   Alcotest.(check int) "no widening below threshold" 4 !slots;
   (* Third stalled audit: widen by one. *)
-  advance eng 10.;
+  advance eng 60.;
   Alcotest.(check int) "widened to 5" 5 !slots;
   Alcotest.(check int) "one intervention" 1 (Health.Starvation.widen_total sv);
   Alcotest.(check (list (pair string int))) "reported above base"
     [ ("small", 1) ]
     (Health.Starvation.widened_now sv);
   (* Three more stalled audits: widen again, to the base+2 cap. *)
-  advance eng 30.;
+  advance eng 180.;
   Alcotest.(check int) "widened to the cap" 6 !slots;
   Alcotest.(check int) "two interventions" 2 (Health.Starvation.widen_total sv);
   (* Still starved, but capped: no further widening, no phantom counts. *)
-  advance eng 30.;
+  advance eng 180.;
   Alcotest.(check int) "capped at base+2" 6 !slots;
   Alcotest.(check int) "capped interventions not counted" 2
     (Health.Starvation.widen_total sv);
   (* Queue drains: the emergency slots are given back. *)
   queued := 0;
-  advance eng 10.;
+  advance eng 60.;
   Alcotest.(check int) "base restored on drain" 4 !slots;
   Alcotest.(check (list (pair string int))) "nothing above base" []
     (Health.Starvation.widened_now sv);
   (* Progress resets the stall count: 2 stalls, a grant, 2 stalls = no
      intervention; a third consecutive stall then triggers one. *)
   queued := 5;
-  advance eng 20.;
+  advance eng 120.;
   admitted := 1;
-  advance eng 10.;
-  advance eng 20.;
+  advance eng 60.;
+  advance eng 120.;
   Alcotest.(check int) "progress reset the stall count" 4 !slots;
-  advance eng 10.;
+  advance eng 60.;
   Alcotest.(check int) "third consecutive stall widens" 5 !slots;
   Alcotest.(check int) "three interventions" 3 (Health.Starvation.widen_total sv)
 

@@ -803,15 +803,11 @@ let prop_arbiter_plan_invariants =
              b >= fl && b <= cap)
            cs bs)
 
-(* A registered pool for arbiter integration tests: budget changes land
-   in [budget_log]; [reclaim] frees everything asked of it. *)
-let make_arb ?(total = mib 100) ?(interval = 1.0) () =
+(* An arbiter over a 100 MiB machine. It ticks every 2 s, and every
+   planned move below exceeds its 8 MiB deadband. *)
+let make_arb () =
   let eng = Sim.Engine.create () in
-  let arb =
-    Arbiter.create eng ~total
-      { Arbiter.interval; horizon = 2.0; window = 4; deadband = mib 1 }
-  in
-  (eng, arb)
+  (eng, Arbiter.create eng ~total:(mib 100))
 
 let test_arbiter_redistributes_idle_to_pressured () =
   let eng, arb = make_arb () in
@@ -831,7 +827,7 @@ let test_arbiter_redistributes_idle_to_pressured () =
       ()
   in
   Arbiter.start arb;
-  Sim.Engine.run eng ~until:5.5;
+  Sim.Engine.run eng ~until:11.;
   Alcotest.(check bool) "ticked" true (Arbiter.ticks arb >= 5);
   Alcotest.(check bool) "busy grew" true (Arbiter.budget busy > mib 50);
   Alcotest.(check bool) "idle lent" true (Arbiter.budget idle < mib 50);
@@ -866,7 +862,7 @@ let test_arbiter_reclaim_on_shrink () =
       ()
   in
   Arbiter.start arb;
-  Sim.Engine.run eng ~until:3.5;
+  Sim.Engine.run eng ~until:7.;
   Alcotest.(check bool) "hog squeezed below usage" true
     (Arbiter.budget hog < mib 60);
   Alcotest.(check bool) "reclaim hook asked" true (!reclaim_asked > 0);
@@ -900,20 +896,20 @@ let test_arbiter_offline_lends_and_claws_back () =
       ()
   in
   Arbiter.start arb;
-  Sim.Engine.run eng ~until:2.5;
+  Sim.Engine.run eng ~until:5.;
   Alcotest.(check bool) "online pool keeps its floor" true
     (Arbiter.budget victim >= Arbiter.floor_bytes victim);
   check_sum "grants fit while both online" survivor victim;
   Arbiter.set_offline victim true;
   Alcotest.(check bool) "offline flag reads back" true (Arbiter.offline victim);
-  Sim.Engine.run eng ~until:6.5;
+  Sim.Engine.run eng ~until:13.;
   Alcotest.(check bool) "down pool drained to keepalive" true
     (Arbiter.budget victim <= 1);
   Alcotest.(check bool) "survivor absorbed the share" true
     (Arbiter.budget survivor > mib 50);
   check_sum "grants fit with one pool down" survivor victim;
   Arbiter.set_offline victim false;
-  Sim.Engine.run eng ~until:10.5;
+  Sim.Engine.run eng ~until:21.;
   Alcotest.(check bool) "rejoined pool clawed its floor back" true
     (Arbiter.budget victim >= Arbiter.floor_bytes victim);
   check_sum "grants fit after rejoin" survivor victim
