@@ -53,9 +53,8 @@ val plan : total:int -> claim list -> int list
     the physical memory split across the pools. The arbiter ticks every
     2 s and predicts each pool's demand 5 s ahead from a 10-sample trend.
     A planned rebalance whose largest per-pool budget move is at most
-    8 MiB (the deadband) is skipped whole, so noise causes no churn.
-    When [trace]
-    is an enabled sink every cycle records an
+    8 MiB (the deadband) is skipped whole, so noise causes no churn. When
+    [trace] is an enabled sink every cycle records an
     {!Obs.Event.Arbiter_tick} (and {!Obs.Event.Arbiter_reclaim} for each
     forced pull-back). *)
 val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> total:int -> t

@@ -5,9 +5,9 @@
     sheds such a template at the door instead: after 3 consecutive hard
     failures the template's breaker trips {e open} and admissions are
     refused with {!Error.Breaker_open}. After a 60 s cooldown of
-    simulated time the breaker goes {e half-open} and admits exactly one probe query; if the
-    probe succeeds the breaker closes, if it fails the breaker re-opens
-    for another cooldown. Probe admission is deterministic (first arrival
+    simulated time the breaker goes {e half-open} and admits exactly one
+    probe query; if the probe succeeds the breaker closes, if it fails
+    the breaker re-opens for another cooldown. Probe admission is deterministic (first arrival
     after the cooldown wins) — no randomness is consumed, so enabling
     breakers cannot perturb a run that never trips one. *)
 

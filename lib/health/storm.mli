@@ -8,11 +8,12 @@
     one): compile arrivals are bucketed into fixed 30 s windows, each
     closed window feeds an EWMA baseline, and a window whose count
     reaches 4 times that baseline (never below a floor of 12 misses)
-    flags a storm. The episode ends after 2 consecutive quiet windows. Begin/end flips emit [storm:*] trace
-    events and fire a callback so the server can gate its recovery mode
-    (tightened admission, warm-priming the hottest templates). All
-    bookkeeping is lazy — no timer process, an idle detector costs
-    nothing — and consumes no randomness, so replays are unchanged. *)
+    flags a storm. The episode ends after 2 consecutive quiet windows.
+    Begin/end flips emit [storm:*] trace events and fire a callback so
+    the server can gate its recovery mode (tightened admission,
+    warm-priming the hottest templates). All bookkeeping is lazy — no
+    timer process, an idle detector costs nothing — and consumes no
+    randomness, so replays are unchanged. *)
 
 type t
 

@@ -1,7 +1,7 @@
 (* Health-aware placement across shards.
 
    Placement is a consistent-hash ring over template names: each shard
-   owns [vnodes] points, a template walks the ring from its own hash and
+   owns ~[vnodes] points, a template walks the ring from its own hash and
    takes the first healthy shard. The walk skips [Down] shards and shards
    whose circuit breaker refuses the arrival (an overflow "spill" — the
    template runs off its home shard until the primary heals, then snaps
