@@ -14,10 +14,7 @@ let order card =
       let best = ref None in
       for i = 0 to n - 1 do
         if not (Relset.mem i !joined) then begin
-          let connected =
-            Query.preds_between q !joined (Relset.singleton i) <> []
-          in
-          if connected then begin
+          if Query.has_pred_between q (Relset.singleton i) !joined then begin
             let c = Card.card card (Relset.add i !joined) in
             match !best with
             | Some (_, bc) when bc <= c -> ()

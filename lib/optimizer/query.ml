@@ -26,6 +26,7 @@ type t = {
   preds : join_pred list;
   filters : filter list;
   agg : aggregate option;
+  adj : Relset.t array;
 }
 
 let n_rels t = Array.length t.rels
@@ -43,86 +44,68 @@ let preds_between t a b =
       || (Relset.mem p.jleft b && Relset.mem p.jright a))
     t.preds
 
-(* Allocation-free [preds_between t a b <> []], for the DP hot loop. A
-   top-level recursive loop rather than [List.exists]: the predicate
-   closure would otherwise be allocated once per call, and this runs once
-   per candidate split of every connected subset. *)
-let rec pred_between_loop preds a b =
-  match preds with
-  | [] -> false
-  | p :: rest ->
-      (Relset.mem p.jleft a && Relset.mem p.jright b)
-      || (Relset.mem p.jleft b && Relset.mem p.jright a)
-      || pred_between_loop rest a b
+(* Union of the adjacency masks of the members of [s]. *)
+let adjacent t s =
+  let acc = ref Relset.empty and m = ref s in
+  while !m <> 0 do
+    acc := !acc lor t.adj.(Relset.ctz !m);
+    m := !m land (!m - 1)
+  done;
+  !acc
 
-let has_pred_between t a b = pred_between_loop t.preds a b
+let has_pred_between t a b = adjacent t a land b <> 0
 
+(* Grow from the lowest member through the adjacency masks, each member
+   entering the frontier once. *)
 let connected t s =
   if Relset.is_empty s then false
   else begin
-    let seed = Relset.singleton (Relset.min_elt s) in
-    let rec grow reached =
-      let next =
-        List.fold_left
-          (fun acc p ->
-            if Relset.mem p.jleft s && Relset.mem p.jright s then
-              if Relset.mem p.jleft acc then Relset.add p.jright acc
-              else if Relset.mem p.jright acc then Relset.add p.jleft acc
-              else acc
-            else acc)
-          reached t.preds
-      in
-      if Relset.equal next reached then reached else grow next
-    in
-    Relset.equal (grow seed) s
+    let low = s land -s in
+    let reached = ref low and frontier = ref low in
+    while !frontier <> 0 do
+      let i = Relset.ctz !frontier in
+      frontier := !frontier land (!frontier - 1);
+      let fresh = t.adj.(i) land s land lnot !reached in
+      reached := !reached lor fresh;
+      frontier := !frontier lor fresh
+    done;
+    !reached = s
   end
 
-let neighborhood t s ~within =
-  List.fold_left
-    (fun acc p ->
-      let acc =
-        if Relset.mem p.jleft s && Relset.mem p.jright within then
-          Relset.add p.jright acc
-        else acc
-      in
-      if Relset.mem p.jright s && Relset.mem p.jleft within then
-        Relset.add p.jleft acc
-      else acc)
-    Relset.empty t.preds
-  |> fun n -> Relset.diff n s
+let neighborhood t s ~within = Relset.diff (adjacent t s land within) s
 
 (* EnumerateCsg: emit every connected subset of the subgraph induced by
    [s], each exactly once. Subsets are seeded at each node v and grown
    only through neighbours, never into nodes smaller than v or already
    prohibited, which is what guarantees uniqueness. *)
-let connected_subsets t s =
-  let result = ref [] in
+let iter_connected_subsets t s f =
   let rec grow c prohibited =
-    result := c :: !result;
+    f c;
     let frontier = Relset.diff (neighborhood t c ~within:s) prohibited in
-    if not (Relset.is_empty frontier) then begin
-      let prohibited' = Relset.union prohibited frontier in
-      (* Every nonempty subset of the frontier, including the full one. *)
-      let rec each = function
-        | None -> ()
-        | Some sub ->
-            grow (Relset.union c sub) prohibited';
-            each (Relset.next_subset frontier sub)
-      in
-      grow (Relset.union c frontier) prohibited';
-      each (Relset.first_subset frontier)
+    if frontier <> 0 then begin
+      let prohibited = prohibited lor frontier in
+      (* The full frontier first, then its nonempty proper subsets in
+         descending submask order. *)
+      grow (c lor frontier) prohibited;
+      let sub = ref ((frontier - 1) land frontier) in
+      while !sub <> 0 do
+        grow (c lor !sub) prohibited;
+        sub := (!sub - 1) land frontier
+      done
     end
   in
-  Relset.iter
-    (fun v ->
-      let smaller =
-        Relset.fold
-          (fun u acc -> if u < v then Relset.add u acc else acc)
-          s Relset.empty
-      in
-      grow (Relset.singleton v) (Relset.add v smaller))
-    s;
-  !result
+  let rest = ref s in
+  while !rest <> 0 do
+    let v = !rest land - !rest in
+    rest := !rest lxor v;
+    (* Prohibit v and every member of [s] below it. *)
+    grow v (s land ((v lsl 1) - 1))
+  done
+
+let connected_subsets t s =
+  let acc = ref [] in
+  iter_connected_subsets t s (fun c -> acc := c :: !acc);
+  !acc
 
 let make ~id ~rels ~preds ~filters ~agg =
   let rels =
@@ -158,7 +141,13 @@ let make ~id ~rels ~preds ~filters ~agg =
   | Some a ->
       List.iter (fun (i, _) -> check_idx "group-by" i) a.group_by;
       List.iter (fun (i, _) -> check_idx "sum" i) a.sum_cols);
-  let q = { qid = id; rels; preds; filters; agg } in
+  let adj = Array.make n Relset.empty in
+  List.iter
+    (fun p ->
+      adj.(p.jleft) <- Relset.add p.jright adj.(p.jleft);
+      adj.(p.jright) <- Relset.add p.jleft adj.(p.jright))
+    preds;
+  let q = { qid = id; rels; preds; filters; agg; adj } in
   if n > 1 && not (connected q (Relset.full n)) then
     invalid_arg "Query.make: join graph is not connected";
   q

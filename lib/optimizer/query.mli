@@ -40,10 +40,14 @@ type t = {
   preds : join_pred list;
   filters : filter list;
   agg : aggregate option;
+  adj : Relset.t array;
+      (** [adj.(i)]: the relations that share a join predicate with
+          relation [i]. Built by {!make}; the graph functions below read
+          only these masks. *)
 }
 
 (** [make ~id ~rels ~preds ~filters ~agg] validates relation indexes, alias
-    uniqueness and graph connectivity. *)
+    uniqueness and graph connectivity, and builds the adjacency masks. *)
 val make :
   id:string ->
   rels:(string * string) list ->
@@ -65,7 +69,7 @@ val filter_sel : t -> int -> float
 val preds_between : t -> Relset.t -> Relset.t -> join_pred list
 
 (** [has_pred_between t a b] is [preds_between t a b <> []] without
-    building the list. *)
+    building the list: one mask test per member of [a]. *)
 val has_pred_between : t -> Relset.t -> Relset.t -> bool
 
 (** [connected t s] — the subgraph induced by [s] is connected. *)
@@ -75,10 +79,15 @@ val connected : t -> Relset.t -> bool
     [within], excluding [s] itself. *)
 val neighborhood : t -> Relset.t -> within:Relset.t -> Relset.t
 
-(** [connected_subsets t s] enumerates every nonempty connected subset of
-    the subgraph induced by [s] (Moerkotte & Neumann's EnumerateCsg). The
-    count is exponential only for dense join graphs; star and chain
-    queries yield O(n) and O(n^2) subsets respectively. *)
+(** [iter_connected_subsets t s f] calls [f] on every nonempty connected
+    subset of the subgraph induced by [s] (Moerkotte & Neumann's
+    EnumerateCsg), each once. It allocates nothing per subset. The count
+    is exponential only for dense join graphs; star and chain queries
+    yield O(n) and O(n^2) subsets respectively. *)
+val iter_connected_subsets : t -> Relset.t -> (Relset.t -> unit) -> unit
+
+(** The subsets {!iter_connected_subsets} visits, listed in the reverse
+    of the order it visits them. *)
 val connected_subsets : t -> Relset.t -> Relset.t list
 
 (** [filter_selectivity op value col] is the textbook uniform-distribution
