@@ -40,122 +40,156 @@ type stats = {
 type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 
 (* ------------------------------------------------------------------ *)
-(* Memo *)
+(* Memo arena
 
-type group_state = Fresh | Expanding | Done
+   The memo keeps costs, never plans. A group is an ordinal into flat
+   columns: its relation set, search state, unfinished-task count, the
+   head of its parked-split list and the end of its split range, plus
+   its best plan as four scalars in a [Rules.tables] (rows, cost_io,
+   cost_cpu, width) and a (tag, split) pair naming the winning physical
+   alternative. Splits are ordinals into three more columns (left side,
+   owning group, next parked split); a group's splits are one contiguous
+   range, written when its expansion starts. Tasks are int pairs on an
+   int stack. A [Plan.t] is built once, from the root, when the search
+   ends, the way {!Dp} reconstructs its winner.
 
-type group = {
-  mutable gset : Relset.t;
-      (* mutable only so arena reuse can recycle the record *)
-  mutable state : group_state;
-  mutable best : Plan.t option;
-  mutable splits : split array;
-      (* valid (left, right) partitions, filled when expansion starts *)
-  mutable outstanding : int;
-      (* unfinished tasks owned by this group: 1 for the expansion itself
-         plus one per recorded split *)
-  mutable pending : task list;
-      (* split tasks of *parent* groups waiting for this group to finish *)
-}
+   Every column, the group index and the split-listing scratch belong to
+   the arena, never to a global: the search suspends inside [env.alloc]
+   (gateway waits), and experiment grids run cells on parallel domains,
+   so each in-flight compile needs storage of its own ({!Dbms} keeps a
+   free pool). [reset_arena] clears logical state but keeps every column
+   at its high-water capacity, which is sized by groups and splits, not
+   by 2^n subsets. Reuse is observationally transparent: the search
+   reads no slot it has not written since the reset. *)
 
-(* Child groups are interned into the split record the first time the
-   split task runs, so re-runs (after a pending child finishes) and the
-   final costing never touch the memo hashtable again. *)
-and split = {
-  sl : Relset.t;
-  sr : Relset.t;
-  mutable child_l : group option;
-  mutable child_r : group option;
-}
+(* Group states. *)
+let fresh = 0
+let expanding = 1
+let finished = 2
 
-(* Tasks carry the group pointer whenever the group is known to exist at
-   push time (Expand and Opt_split are only pushed by their own group),
-   which keeps the per-task hot path free of hashtable lookups.
-   Opt_group keeps the set: creating the group *is* that task's job. *)
-and task =
-  | Opt_group of Relset.t
-  | Expand of group * int (* cursor into the group's split list *)
-  | Opt_split of group * split
+(* Winning tag of a group with no plan yet, and of the root while the
+   greedy seed is its best. Otherwise a [Rules] leaf tag (0-1) or join
+   tag (0-4). *)
+let no_plan = -1
+let seed_tag = -2
 
-(* ------------------------------------------------------------------ *)
-(* Memo arena: the memo's structural storage (the group hashtable and a
-   pool of recyclable group records), reusable across optimize calls.
-   [reset_arena] clears logical state but keeps both at their high-water
-   capacity — [Hashtbl.clear] preserves the bucket array — so a server
-   compiling the same template population over and over stops re-growing
-   (and re-collecting) the same structures on every query.
-
-   An arena is single-compile at a time: the search suspends inside
-   [env.alloc] (gateway waits), so concurrent simulated compiles must
-   each hold their own arena ({!Dbms} keeps a free pool). Reuse is
-   observationally transparent: group records carry no state across
-   resets, the search never iterates the hashtable, and [Hashtbl]
-   find/replace results do not depend on capacity — so plans, costs,
-   stats and trace interactions are identical to a fresh memo (the
-   QCheck identity property in test_optimizer.ml is the guard). *)
+(* The second word of a task; an expand task's is its split cursor. *)
+let opt_group = -1
+let opt_split = -2
 
 type arena = {
-  tbl : (Relset.t, group) Hashtbl.t;
-  mutable pool : group array;  (* recyclable records in [0, filled) *)
-  mutable filled : int;
-  mutable used : int;  (* handed out since the last reset *)
+  mutable g_set : int array;
+  mutable g_state : int array;
+  mutable g_outstanding : int array;
+      (* unfinished tasks owned by the group: 1 for the expansion itself
+         plus one per recorded split *)
+  mutable g_parked : int array;
+      (* first split of a *parent* group waiting for this group to
+         finish, or -1; linked through [sp_next] *)
+  mutable g_end : int array;  (* one past the group's last split *)
+  mutable g_tag : int array;
+  mutable g_win : int array;  (* winning split of a join group *)
+  mutable tb : Rules.tables;
+  mutable n_groups : int;
+  mutable index : int array;
+      (* relation set -> group: open addressing with linear probing, -1
+         empty, at most half full *)
+  mutable sp_l : int array;  (* left side: holds the group's lowest relation *)
+  mutable sp_group : int array;
+  mutable sp_next : int array;
+  mutable n_splits : int;
+  mutable stack : int array;  (* task i is (stack.(2i), stack.(2i+1)) *)
+  mutable top : int;
+  mutable csg : int array;  (* connected subsets of a split listing *)
+  mutable n_csg : int;
+  best : float array;  (* evaluator scratch: cost_io, cost_cpu, total *)
 }
 
-let dummy_group =
+let create_arena () =
+  let groups = 256 in
   {
-    gset = Relset.empty;
-    state = Done;
-    best = None;
-    splits = [||];
-    outstanding = 0;
-    pending = [];
+    g_set = Array.make groups 0;
+    g_state = Array.make groups fresh;
+    g_outstanding = Array.make groups 0;
+    g_parked = Array.make groups (-1);
+    g_end = Array.make groups 0;
+    g_tag = Array.make groups no_plan;
+    g_win = Array.make groups (-1);
+    tb = Rules.make_tables groups;
+    n_groups = 0;
+    index = Array.make (2 * groups) (-1);
+    sp_l = Array.make 1024 0;
+    sp_group = Array.make 1024 0;
+    sp_next = Array.make 1024 (-1);
+    n_splits = 0;
+    stack = Array.make 2048 0;
+    top = 0;
+    csg = Array.make 256 0;
+    n_csg = 0;
+    best = Array.make 3 0.0;
   }
 
-let create_arena () =
-  { tbl = Hashtbl.create 1024; pool = Array.make 256 dummy_group; filled = 0; used = 0 }
-
 let reset_arena a =
-  Hashtbl.clear a.tbl;
-  (* Drop plan/split references so a parked arena does not pin the last
-     query's plan trees; slots beyond [used] are already clean. *)
-  for i = 0 to a.used - 1 do
-    let g = a.pool.(i) in
-    g.best <- None;
-    g.splits <- [||];
-    g.pending <- []
-  done;
-  a.used <- 0
+  if a.n_groups > 0 then Array.fill a.index 0 (Array.length a.index) (-1);
+  a.n_groups <- 0;
+  a.n_splits <- 0;
+  a.top <- 0;
+  a.n_csg <- 0
 
-let acquire_group a set =
-  if a.used < a.filled then begin
-    let g = a.pool.(a.used) in
-    a.used <- a.used + 1;
-    g.gset <- set;
-    g.state <- Fresh;
-    g.outstanding <- 0;
-    g
-  end
-  else begin
-    let g =
-      {
-        gset = set;
-        state = Fresh;
-        best = None;
-        splits = [||];
-        outstanding = 0;
-        pending = [];
-      }
-    in
-    if a.filled >= Array.length a.pool then begin
-      let bigger = Array.make (2 * Array.length a.pool) dummy_group in
-      Array.blit a.pool 0 bigger 0 a.filled;
-      a.pool <- bigger
-    end;
-    a.pool.(a.filled) <- g;
-    a.filled <- a.filled + 1;
-    a.used <- a.used + 1;
-    g
-  end
+let grow_ints xs fill =
+  let ys = Array.make (2 * Array.length xs) fill in
+  Array.blit xs 0 ys 0 (Array.length xs);
+  ys
+
+let grow_floats xs =
+  let ys = Array.make (2 * Array.length xs) 0.0 in
+  Array.blit xs 0 ys 0 (Array.length xs);
+  ys
+
+let hash_set set = (set * 0x2545F4914F6CDD1D) lsr 29
+
+let rec probe a set slot =
+  let g = a.index.(slot) in
+  if g < 0 || a.g_set.(g) = set then slot
+  else probe a set ((slot + 1) land (Array.length a.index - 1))
+
+let slot_of a set = probe a set (hash_set set land (Array.length a.index - 1))
+
+let grow_groups a =
+  a.g_set <- grow_ints a.g_set 0;
+  a.g_state <- grow_ints a.g_state fresh;
+  a.g_outstanding <- grow_ints a.g_outstanding 0;
+  a.g_parked <- grow_ints a.g_parked (-1);
+  a.g_end <- grow_ints a.g_end 0;
+  a.g_tag <- grow_ints a.g_tag no_plan;
+  a.g_win <- grow_ints a.g_win (-1);
+  let tb = a.tb in
+  a.tb <-
+    {
+      Rules.t_rows = grow_floats tb.Rules.t_rows;
+      t_io = grow_floats tb.Rules.t_io;
+      t_cpu = grow_floats tb.Rules.t_cpu;
+      t_width = grow_ints tb.Rules.t_width 0;
+    };
+  a.index <- Array.make (2 * Array.length a.index) (-1);
+  for g = 0 to a.n_groups - 1 do
+    a.index.(slot_of a a.g_set.(g)) <- g
+  done
+
+let add_split a ~l ~g =
+  if a.n_splits = Array.length a.sp_l then begin
+    a.sp_l <- grow_ints a.sp_l 0;
+    a.sp_group <- grow_ints a.sp_group 0;
+    a.sp_next <- grow_ints a.sp_next (-1)
+  end;
+  a.sp_l.(a.n_splits) <- l;
+  a.sp_group.(a.n_splits) <- g;
+  a.n_splits <- a.n_splits + 1
+
+let add_csg a r =
+  if a.n_csg = Array.length a.csg then a.csg <- grow_ints a.csg 0;
+  a.csg.(a.n_csg) <- r;
+  a.n_csg <- a.n_csg + 1
 
 type search = {
   params : params;
@@ -164,11 +198,8 @@ type search = {
   card : Card.t;
   q : Query.t;
   arena : arena;
-  groups : (Relset.t, group) Hashtbl.t;  (* == arena.tbl *)
-  mutable stack : task list;
+  emit_csg : Relset.t -> unit;  (* [add_csg arena], built once *)
   mutable tasks : int;
-  mutable n_groups : int;
-  mutable n_lexprs : int;
   mutable n_phys : int;
   mutable allocated : int;
   mutable cpu_pending : int;
@@ -178,122 +209,151 @@ let alloc s bytes =
   s.allocated <- s.allocated + bytes;
   s.env.Env.alloc bytes
 
-let push s task = s.stack <- task :: s.stack
+let push s x y =
+  let a = s.arena in
+  if 2 * a.top = Array.length a.stack then a.stack <- grow_ints a.stack 0;
+  a.stack.(2 * a.top) <- x;
+  a.stack.((2 * a.top) + 1) <- y;
+  a.top <- a.top + 1
 
 let find_or_create s set =
-  match Hashtbl.find_opt s.groups set with
-  | Some g -> g
-  | None ->
-      let g = acquire_group s.arena set in
-      Hashtbl.replace s.groups set g;
-      s.n_groups <- s.n_groups + 1;
-      alloc s group_bytes;
-      (* Cardinality estimation for a new group is part of its footprint. *)
-      ignore (Card.card s.card set);
-      g
+  let a = s.arena in
+  let slot = slot_of a set in
+  let g = a.index.(slot) in
+  if g >= 0 then g
+  else begin
+    let g = a.n_groups in
+    let slot =
+      if 2 * (g + 1) > Array.length a.index then begin
+        grow_groups a;
+        slot_of a set
+      end
+      else slot
+    in
+    a.index.(slot) <- g;
+    a.n_groups <- g + 1;
+    a.g_set.(g) <- set;
+    a.g_state.(g) <- fresh;
+    a.g_outstanding.(g) <- 0;
+    a.g_parked.(g) <- -1;
+    a.g_tag.(g) <- no_plan;
+    (* [Card.card] of a singleton is exactly its filtered base rows. *)
+    a.tb.Rules.t_rows.(g) <- Card.card s.card set;
+    a.tb.Rules.t_width.(g) <- Card.width s.card set;
+    alloc s group_bytes;
+    g
+  end
 
-let update_best g plan =
-  match g.best with
-  | Some b when Plan.total_cost b <= Plan.total_cost plan -> ()
-  | _ -> g.best <- Some plan
+(* The alternative the evaluator left in [a.best] replaces the group's
+   best only when strictly cheaper: ties keep the incumbent, so the
+   earliest of equal-cost alternatives wins. *)
+let offer a g tag split =
+  let tb = a.tb in
+  if
+    a.g_tag.(g) = no_plan
+    || not (tb.Rules.t_io.(g) +. tb.Rules.t_cpu.(g) <= a.best.(2))
+  then begin
+    tb.Rules.t_io.(g) <- a.best.(0);
+    tb.Rules.t_cpu.(g) <- a.best.(1);
+    a.g_tag.(g) <- tag;
+    a.g_win.(g) <- split
+  end
 
+(* Re-push the parked splits, most recently parked first, so the first
+   parked runs first. *)
 let finish_group s g =
-  g.state <- Done;
-  let pending = g.pending in
-  g.pending <- [];
-  List.iter (fun t -> push s t) pending
+  let a = s.arena in
+  a.g_state.(g) <- finished;
+  let sp = ref a.g_parked.(g) in
+  a.g_parked.(g) <- -1;
+  while !sp >= 0 do
+    let next = a.sp_next.(!sp) in
+    push s !sp opt_split;
+    sp := next
+  done
 
 let group_task_done s g =
-  g.outstanding <- g.outstanding - 1;
-  if g.outstanding = 0 && g.state = Expanding then finish_group s g
+  let a = s.arena in
+  a.g_outstanding.(g) <- a.g_outstanding.(g) - 1;
+  if a.g_outstanding.(g) = 0 && a.g_state.(g) = expanding then
+    finish_group s g
 
 (* ------------------------------------------------------------------ *)
 (* Task processing *)
 
 let process_opt_group s set =
+  let a = s.arena in
   let g = find_or_create s set in
-  match g.state with
-  | Expanding | Done -> ()
-  | Fresh ->
-      if Relset.cardinal set = 1 then begin
-        let i = Relset.min_elt set in
-        let alternatives = Rules.leaf_alternatives s.model s.card i in
-        alloc s (phys_bytes * List.length alternatives);
-        s.n_phys <- s.n_phys + List.length alternatives;
-        List.iter (update_best g) alternatives;
-        g.state <- Done;
-        finish_group s g
-      end
-      else begin
-        g.state <- Expanding;
-        g.outstanding <- 1;
-        (* Enumerate the valid logical splits up front: each unordered
-           partition once (the side holding the lowest relation is the
-           left), both sides connected. EnumerateCsg makes this linear in
-           the number of *valid* alternatives rather than in 2^n. *)
-        let m = Relset.min_elt set in
-        let rest = Relset.diff set (Relset.singleton m) in
-        let splits =
-          Query.connected_subsets s.q rest
-          |> List.filter_map (fun r ->
-                 let l = Relset.diff set r in
-                 if Query.connected s.q l then
-                   Some { sl = l; sr = r; child_l = None; child_r = None }
-                 else None)
-        in
-        g.splits <- Array.of_list splits;
-        s.n_lexprs <- s.n_lexprs + Array.length g.splits;
-        alloc s (lexpr_bytes * Array.length g.splits);
-        push s (Expand (g, 0))
-      end
+  if a.g_state.(g) = fresh then begin
+    if Relset.cardinal set = 1 then begin
+      let i = Relset.min_elt set in
+      let n_alternatives = if Rules.has_index_path s.card i then 2 else 1 in
+      let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
+      alloc s (phys_bytes * n_alternatives);
+      s.n_phys <- s.n_phys + n_alternatives;
+      offer a g tag (-1);
+      finish_group s g
+    end
+    else begin
+      a.g_state.(g) <- expanding;
+      a.g_outstanding.(g) <- 1;
+      (* The valid logical splits: each unordered partition once (the
+         side holding the lowest relation is the left), both sides
+         connected. The right sides are the connected subsets of the
+         rest, listed in reverse of EnumerateCsg's visiting order. *)
+      let rest = Relset.diff set (Relset.singleton (Relset.min_elt set)) in
+      a.n_csg <- 0;
+      Query.iter_connected_subsets s.q rest s.emit_csg;
+      let first = a.n_splits in
+      for k = a.n_csg - 1 downto 0 do
+        let l = Relset.diff set a.csg.(k) in
+        if Query.connected s.q l then add_split a ~l ~g
+      done;
+      a.g_end.(g) <- a.n_splits;
+      alloc s (lexpr_bytes * (a.n_splits - first));
+      push s g first
+    end
+  end
 
 let process_expand s g cursor =
-  let stop = min (Array.length g.splits) (cursor + expand_chunk) in
-  for i = cursor to stop - 1 do
-    let sp = g.splits.(i) in
-    g.outstanding <- g.outstanding + 1;
+  let a = s.arena in
+  let stop = min a.g_end.(g) (cursor + expand_chunk) in
+  for sp = cursor to stop - 1 do
+    a.g_outstanding.(g) <- a.g_outstanding.(g) + 1;
+    let l = a.sp_l.(sp) in
     (* LIFO: children optimize before the split is costed. *)
-    push s (Opt_split (g, sp));
-    push s (Opt_group sp.sr);
-    push s (Opt_group sp.sl)
+    push s sp opt_split;
+    push s (Relset.diff a.g_set.(g) l) opt_group;
+    push s l opt_group
   done;
-  if stop < Array.length g.splits then push s (Expand (g, stop))
+  if stop < a.g_end.(g) then push s g stop
   else
     (* Expansion finished: drop its outstanding unit. *)
     group_task_done s g
 
-(* By the time a split task runs, both child groups exist: the Expand
-   that pushed the split pushed their Opt_group tasks on top of it, so
-   [find_or_create] here is a pure lookup (it never allocates), and the
-   pointer is cached in the split for any later re-run. *)
-let split_child s sp side =
-  match (side, sp.child_l, sp.child_r) with
-  | `L, Some g, _ | `R, _, Some g -> g
-  | `L, None, _ ->
-      let g = find_or_create s sp.sl in
-      sp.child_l <- Some g;
-      g
-  | `R, _, None ->
-      let g = find_or_create s sp.sr in
-      sp.child_r <- Some g;
-      g
-
-let process_opt_split s g sp =
-  let gl = split_child s sp `L and gr = split_child s sp `R in
-  if gl.state <> Done then gl.pending <- Opt_split (g, sp) :: gl.pending
-  else if gr.state <> Done then gr.pending <- Opt_split (g, sp) :: gr.pending
+(* Both child groups exist by the time a split task runs: the expand
+   task pushed their optimize tasks on top of it, so [find_or_create]
+   here is a lookup. A child still in progress parks the split. *)
+let process_opt_split s sp =
+  let a = s.arena in
+  let g = a.sp_group.(sp) in
+  let l = a.sp_l.(sp) in
+  let gl = find_or_create s l in
+  let gr = find_or_create s (Relset.diff a.g_set.(g) l) in
+  if a.g_state.(gl) <> finished then begin
+    a.sp_next.(sp) <- a.g_parked.(gl);
+    a.g_parked.(gl) <- sp
+  end
+  else if a.g_state.(gr) <> finished then begin
+    a.sp_next.(sp) <- a.g_parked.(gr);
+    a.g_parked.(gr) <- sp
+  end
   else begin
-    match (gl.best, gr.best) with
-    | Some pl, Some pr ->
-        let alternatives = Rules.join_alternatives s.model s.card pl pr in
-        alloc s (phys_bytes * List.length alternatives);
-        s.n_phys <- s.n_phys + List.length alternatives;
-        List.iter (update_best g) alternatives;
-        group_task_done s g
-    | _ ->
-        (* A Done child always has a best plan (connected subsets always
-           have at least the left-deep plan through their members). *)
-        assert false
+    let tag = Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best in
+    alloc s (phys_bytes * 5);
+    s.n_phys <- s.n_phys + 5;
+    offer a g tag sp;
+    group_task_done s g
   end
 
 (* ------------------------------------------------------------------ *)
@@ -302,6 +362,20 @@ let flush_cpu s =
   if s.cpu_pending > 0 then begin
     s.env.Env.cpu (float_of_int s.cpu_pending *. s.params.task_cpu);
     s.cpu_pending <- 0
+  end
+
+(* The winning tree of group [g]. Every group it reaches finished before
+   its parent costed it, so the columns hold its final best. *)
+let rec build s g =
+  let a = s.arena in
+  let set = a.g_set.(g) in
+  if Relset.cardinal set = 1 then
+    Rules.leaf_plan s.model s.card (Relset.min_elt set) a.g_tag.(g)
+  else begin
+    let l = a.sp_l.(a.g_win.(g)) in
+    let pl = build s a.index.(slot_of a l) in
+    let pr = build s a.index.(slot_of a (Relset.diff set l)) in
+    Rules.join_plan s.model ~rows:a.tb.Rules.t_rows.(g) a.g_tag.(g) pl pr
   end
 
 let optimize ?(params = default_params) ?arena ~env model cat q =
@@ -325,11 +399,8 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
       card;
       q;
       arena;
-      groups = arena.tbl;
-      stack = [];
+      emit_csg = add_csg arena;
       tasks = 0;
-      n_groups = 0;
-      n_lexprs = 0;
       n_phys = 0;
       allocated = 0;
       cpu_pending = 0;
@@ -358,48 +429,44 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
           (match c.Plan.node with Plan.Sort inner -> inner | _ -> c)
       | _ -> seed
     in
-    update_best root seed_join;
+    arena.tb.Rules.t_io.(root) <- seed_join.Plan.cost_io;
+    arena.tb.Rules.t_cpu.(root) <- seed_join.Plan.cost_cpu;
+    arena.g_tag.(root) <- seed_tag;
     alloc s (phys_bytes * Plan.n_operators seed_join);
-    push s (Opt_group full);
-    let stopped = ref None in
+    push s full opt_group;
     let rec loop () =
-      match s.stack with
-      | [] -> ()
-      | task :: rest ->
-          if s.tasks >= budget then stopped := Some Budget_exhausted
-          else if params.honor_stop_early && s.env.Env.should_stop () then
-            stopped := Some Stopped_early
-          else begin
-            s.stack <- rest;
-            s.tasks <- s.tasks + 1;
-            s.cpu_pending <- s.cpu_pending + 1;
-            if s.cpu_pending >= cpu_batch then flush_cpu s;
-            (match task with
-            | Opt_group set -> process_opt_group s set
-            | Expand (g, cursor) -> process_expand s g cursor
-            | Opt_split (g, sp) -> process_opt_split s g sp);
-            loop ()
-          end
+      if arena.top = 0 then Complete
+      else if s.tasks >= budget then Budget_exhausted
+      else if params.honor_stop_early && env.Env.should_stop () then
+        Stopped_early
+      else begin
+        arena.top <- arena.top - 1;
+        let x = arena.stack.(2 * arena.top)
+        and y = arena.stack.((2 * arena.top) + 1) in
+        s.tasks <- s.tasks + 1;
+        s.cpu_pending <- s.cpu_pending + 1;
+        if s.cpu_pending >= cpu_batch then flush_cpu s;
+        if y = opt_group then process_opt_group s x
+        else if y = opt_split then process_opt_split s x
+        else process_expand s x y;
+        loop ()
+      end
     in
-    (try loop () with
-    | Env.Aborted Env.Out_of_memory when params.honor_stop_early ->
-        (* The paper's second extension: when memory runs out mid-search,
-           return the best plan from the set of already explored plans
-           instead of an out-of-memory error. (The memo always holds a
-           complete plan thanks to the greedy seed.) *)
-        stopped := Some Stopped_early
-    | Env.Aborted _ as e -> raise e);
-    flush_cpu s;
     let outcome =
-      match !stopped with
-      | Some o -> o
-      | None -> Complete
+      match loop () with
+      | o -> o
+      | exception Env.Aborted Env.Out_of_memory when params.honor_stop_early ->
+          (* The paper's second extension: when memory runs out
+             mid-search, return the best plan from the set of already
+             explored plans instead of an out-of-memory error. (The memo
+             always holds a complete plan thanks to the greedy seed.) *)
+          Stopped_early
     in
-    let plan =
-      match root.best with
-      | Some p -> Rules.finalize model card p
-      | None -> seed
+    flush_cpu s;
+    let best =
+      if arena.g_tag.(root) = seed_tag then seed_join else build s root
     in
+    let plan = Rules.finalize model card best in
     Ok
       {
         plan;
@@ -408,8 +475,8 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
         stats =
           {
             tasks = s.tasks;
-            groups = s.n_groups;
-            lexprs = s.n_lexprs;
+            groups = arena.n_groups;
+            lexprs = arena.n_splits;
             phys = s.n_phys;
             allocated_bytes = s.allocated;
             budget;

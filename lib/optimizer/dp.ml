@@ -92,26 +92,12 @@ let optimize_with_stats model card =
      used, so the plan's annotations are bit-identical to the table
      entries. *)
   let rec build s =
-    if Relset.cardinal s = 1 then begin
-      let i = Relset.min_elt s in
-      if op.(s) = 1 then
-        match Plan.index_scan model card i with
-        | Some p -> p
-        | None -> assert false (* tag 1 implies an index exists *)
-      else Plan.seq_scan model card i
-    end
+    if Relset.cardinal s = 1 then Rules.leaf_plan model card (Relset.min_elt s) op.(s)
     else begin
       let l = split.(s) in
-      let r = Relset.diff s l in
       let pl = build l in
-      let pr = build r in
-      let rows = tb.Rules.t_rows.(s) in
-      match op.(s) with
-      | 0 -> Plan.hash_join model ~rows ~build:pl ~probe:pr
-      | 1 -> Plan.hash_join model ~rows ~build:pr ~probe:pl
-      | 2 -> Plan.nl_join model ~rows ~outer:pl ~inner:pr
-      | 3 -> Plan.nl_join model ~rows ~outer:pr ~inner:pl
-      | _ -> Plan.merge_join model ~rows ~left:pl ~right:pr
+      let pr = build (Relset.diff s l) in
+      Rules.join_plan model ~rows:tb.Rules.t_rows.(s) op.(s) pl pr
     end
   in
   (Rules.finalize model card (build full), !entries)

@@ -15,20 +15,23 @@ let join_alternatives model card a b =
   ]
 
 (* ------------------------------------------------------------------- *)
-(* Cost-only alternative evaluation for the flat DP ({!Dp}).
+(* Cost-only alternative evaluation for the flat searches ({!Dp} and
+   {!Cascades}).
 
    The functions below mirror the cost formulas of the [Plan] constructors
    term for term, in the same floating-point evaluation order, so the
    costs they produce are bit-identical to [Plan.total_cost] of the plan
    the constructor would have built. They read and write flat arrays
-   indexed by [Relset.t] and allocate nothing: no [Plan.t] records, no
+   (indexed by [Relset.t] in the DP, by memo group in Cascades) and
+   allocate nothing: no [Plan.t] records, no
    lists, no closures, no boxed floats (all intermediates are local
    unboxed floats; [Cost.spill_factor] and [Float.max] are inlined by
    hand because a non-inlined call would box its float argument).
 
    Anything changed in a [Plan] constructor's cost arithmetic must be
-   changed here identically — the QCheck identity property in
-   [test_optimizer.ml] (flat DP == reference DP) is the guard. *)
+   changed here identically — the QCheck identity properties in
+   [test_optimizer.ml] (flat DP == reference DP, Cascades == its
+   reference) are the guard. *)
 
 type tables = {
   t_rows : float array;  (* plan output rows (leaf: filtered base rows) *)
@@ -53,6 +56,12 @@ let make_tables n =
    and selection below uses strict [<] in that order, so ties resolve to
    the same alternative as [cheapest]. *)
 
+let has_index_path card i =
+  let tbl = Card.table_of card i in
+  List.exists
+    (fun f -> Catalog.has_index_on tbl f.Query.fcol)
+    (Query.filters_of (Card.query card) i)
+
 let cheapest_leaf_into model card i ~best =
   let tbl = Card.table_of card i in
   let pages = Catalog.pages tbl ~page_size:model.Cost.page_size in
@@ -62,13 +71,7 @@ let cheapest_leaf_into model card i ~best =
   best.(0) <- seq_io;
   best.(1) <- seq_cpu;
   best.(2) <- seq_io +. seq_cpu;
-  let q = Card.query card in
-  let indexed =
-    List.exists
-      (fun f -> Catalog.has_index_on tbl f.Query.fcol)
-      (Query.filters_of q i)
-  in
-  if not indexed then 0
+  if not (has_index_path card i) then 0
   else begin
     let sel = out_rows /. Float.max 1.0 tbl.Catalog.rows in
     let ipages = Float.max 1.0 ((pages *. sel) +. 3.) in
@@ -208,6 +211,21 @@ let cheapest_join_into model tb ~s ~l ~r ~best =
     else tag
   in
   tag
+
+let leaf_plan model card i tag =
+  if tag = 1 then
+    match Plan.index_scan model card i with
+    | Some p -> p
+    | None -> invalid_arg "Rules.leaf_plan: no index path"
+  else Plan.seq_scan model card i
+
+let join_plan model ~rows tag pl pr =
+  match tag with
+  | 0 -> Plan.hash_join model ~rows ~build:pl ~probe:pr
+  | 1 -> Plan.hash_join model ~rows ~build:pr ~probe:pl
+  | 2 -> Plan.nl_join model ~rows ~outer:pl ~inner:pr
+  | 3 -> Plan.nl_join model ~rows ~outer:pr ~inner:pl
+  | _ -> Plan.merge_join model ~rows ~left:pl ~right:pr
 
 let cheapest = function
   | [] -> invalid_arg "Rules.cheapest: no alternatives"

@@ -17,11 +17,12 @@ val join_alternatives : Cost.model -> Card.t -> Plan.t -> Plan.t -> Plan.t list
 (** Cheapest element of a nonempty list of alternatives. *)
 val cheapest : Plan.t list -> Plan.t
 
-(** {1 Cost-only evaluation for the flat DP}
+(** {1 Cost-only evaluation for the flat searches}
 
-    {!Dp}'s cost-search pass never builds [Plan.t] values; it works on
-    flat arrays indexed by {!Relset.t} and identifies the winning
-    physical alternative by an integer tag. The evaluators below mirror
+    The cost searches of {!Dp} and {!Cascades} never build [Plan.t]
+    values; they work on flat arrays — indexed by {!Relset.t} in the DP,
+    by memo group ordinal in Cascades — and identify the winning physical
+    alternative by an integer tag. The evaluators below mirror
     the [Plan] constructors' cost arithmetic bit for bit (same terms,
     same floating-point evaluation order), so reconstructing only the
     winning tree afterwards yields exactly the plan the list-based
@@ -29,15 +30,19 @@ val cheapest : Plan.t list -> Plan.t
 
 type tables = {
   t_rows : float array;
-      (** plan output rows per subset (leaf: filtered base rows) *)
-  t_io : float array;  (** cost_io of the best plan for the subset *)
-  t_cpu : float array;  (** cost_cpu of the best plan for the subset *)
+      (** plan output rows per entry (leaf: filtered base rows) *)
+  t_io : float array;  (** cost_io of the entry's best plan *)
+  t_cpu : float array;  (** cost_cpu of the entry's best plan *)
   t_width : int array;  (** output row width, bytes *)
 }
 
-(** [make_tables n] — all-zero tables for subset indices [0 .. n-1]
-    (pass [Relset.full n_rels + 1]). *)
+(** [make_tables n] — all-zero tables for indices [0 .. n-1]. *)
 val make_tables : int -> tables
+
+(** [has_index_path card i] — relation [i] has an index on a filtered
+    column, so {!leaf_alternatives} lists an index scan after the
+    sequential scan. *)
+val has_index_path : Card.t -> int -> bool
 
 (** [cheapest_leaf_into model card i ~best] evaluates the access paths of
     relation [i] and writes the winner's cost_io / cost_cpu / total to
@@ -49,9 +54,9 @@ val cheapest_leaf_into :
   Cost.model -> Card.t -> int -> best:float array -> int
 
 (** [cheapest_join_into model tb ~s ~l ~r ~best] evaluates the five join
-    alternatives for subset [s] split into [l] (which must hold the
-    lowest relation of [s]) and [r], reading both children's entries and
-    [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
+    alternatives for the entry [s] split into the entries [l] (which must
+    hold the lowest relation of [s]) and [r], reading both children's
+    entries and [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
     total to [best.(0..2)] and returns its tag: 0 = hash build-[l],
     1 = hash build-[r], 2 = NL outer-[l], 3 = NL outer-[r], 4 = merge —
     tie-breaking as {!cheapest} over {!join_alternatives}. *)
@@ -63,6 +68,17 @@ val cheapest_join_into :
   r:Relset.t ->
   best:float array ->
   int
+
+(** [leaf_plan model card i tag] builds the access path that
+    {!cheapest_leaf_into} tagged [tag]. *)
+val leaf_plan : Cost.model -> Card.t -> int -> int -> Plan.t
+
+(** [join_plan model ~rows tag l r] builds the join that
+    {!cheapest_join_into} tagged [tag], over the already built children
+    [l] (holding the lowest relation) and [r]. The constructors recompute
+    the cost from the same inputs, so it equals the evaluator's bit for
+    bit. *)
+val join_plan : Cost.model -> rows:float -> int -> Plan.t -> Plan.t -> Plan.t
 
 (** Wrap the final aggregation (cheaper of hash vs stream aggregate) if the
     query has one. *)
