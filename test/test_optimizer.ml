@@ -752,6 +752,234 @@ let prop_arena_reuse_transparent =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The mask-based graph functions against the predicate-list forms kept
+   in [Cascades_reference], and the cost-only Cascades search against
+   the Plan-building search it replaced. *)
+
+(* A connected join graph over [n] relations: a random tree whose parent
+   links reach back at most [reach] relations, plus up to three chords.
+   Short reach keeps the connected-subset count of a 20-relation graph
+   small enough for the list-based oracle. *)
+let random_graph_query rs n =
+  let reach = 1 + Random.State.int rs 3 in
+  let tree =
+    List.init (n - 1) (fun k ->
+        let i = k + 1 in
+        (max 0 (i - 1 - Random.State.int rs reach), i))
+  in
+  let chords =
+    if n < 3 then []
+    else
+      List.init (Random.State.int rs 4) (fun _ ->
+          let a = Random.State.int rs n and b = Random.State.int rs n in
+          (min a b, max a b))
+      |> List.filter (fun (a, b) -> a <> b)
+  in
+  let edges = List.sort_uniq compare (tree @ chords) in
+  Query.make ~id:"graph"
+    ~rels:(List.init n (fun i -> (Printf.sprintf "t%d" i, Printf.sprintf "r%d" i)))
+    ~preds:
+      (List.map
+         (fun (a, b) ->
+           { Query.jleft = a; jlcol = "x"; jright = b; jrcol = "x"; jsel = 0.5 })
+         edges)
+    ~filters:[] ~agg:None
+
+let prop_mask_graph_matches_lists =
+  QCheck.Test.make ~name:"mask graph functions = predicate-list forms" ~count:100
+    QCheck.(pair (int_range 1 20) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let q = random_graph_query rs n in
+      let full = Relset.full n in
+      let within = Random.State.int rs full + 1 in
+      let s = Random.State.int rs full + 1 in
+      Query.connected_subsets q full = Cascades_reference.connected_subsets q full
+      && Query.connected_subsets q within
+         = Cascades_reference.connected_subsets q within
+      && Query.connected q s = Cascades_reference.connected q s
+      && Query.neighborhood q s ~within
+         = Cascades_reference.neighborhood q s ~within
+      && Query.has_pred_between q s within
+         = (Query.preds_between q s within <> []))
+
+(* A snowflake: a random tree of [n] tables, each joined to its parent
+   on the parent's key; some tables index the filtered [attr] column, so
+   leaves have one or two access paths. *)
+let snowflake_cat_query rs ~n =
+  let cat = Catalog.create () in
+  let indexed = Array.init n (fun _ -> Random.State.bool rs) in
+  for i = 0 to n - 1 do
+    let name = Printf.sprintf "s%d" i in
+    let rows = float_of_int (50 + Random.State.int rs 200_000) in
+    Catalog.add_table cat
+      {
+        Catalog.tbl_name = name;
+        rows;
+        columns =
+          [
+            Catalog.int_column "key" ~distinct:rows;
+            Catalog.int_column "fk" ~distinct:rows;
+            {
+              (Catalog.int_column "attr" ~distinct:100.) with
+              Catalog.min_value = 0;
+              max_value = 99;
+            };
+          ];
+        indexes =
+          ({ Catalog.idx_name = name ^ "_pk"; idx_columns = [ "key" ]; clustered = true }
+          ::
+          (if indexed.(i) then
+             [ { Catalog.idx_name = name ^ "_attr"; idx_columns = [ "attr" ]; clustered = false } ]
+           else []));
+      }
+  done;
+  let preds =
+    List.init (n - 1) (fun k ->
+        let i = k + 1 in
+        {
+          Query.jleft = Random.State.int rs i;
+          jlcol = "key";
+          jright = i;
+          jrcol = "fk";
+          jsel = 1.0 /. float_of_int (10 + Random.State.int rs 5_000);
+        })
+  in
+  let filters =
+    List.filter_map
+      (fun i ->
+        if Random.State.int rs 3 = 0 then
+          Some
+            {
+              Query.frel = i;
+              fcol = "attr";
+              fop = Query.Le;
+              fvalue = 9;
+              fsel = 0.01 +. Random.State.float rs 0.5;
+            }
+        else None)
+      (List.init n Fun.id)
+  in
+  let agg =
+    if Random.State.bool rs then
+      Some { Query.group_by = [ (0, "attr") ]; sum_cols = [ (n - 1, "key") ] }
+    else None
+  in
+  (cat, Query.make ~id:"snow" ~rels:(List.init n (fun i -> (Printf.sprintf "s%d" i, Printf.sprintf "s%d" i))) ~preds ~filters ~agg)
+
+type env_call = Alloc of int | Cpu of int64 | Poll
+
+(* An environment that logs every call, turns [should_stop] true after
+   [stop_after] polls and raises [abort] on allocation number
+   [abort_at]. *)
+let logging_env ~stop_after ~abort_at ~abort =
+  let log = ref [] and polls = ref 0 and allocs = ref 0 in
+  let env =
+    {
+      Env.alloc =
+        (fun n ->
+          log := Alloc n :: !log;
+          incr allocs;
+          if !allocs = abort_at then raise (Env.Aborted abort));
+      cpu = (fun x -> log := Cpu (Int64.bits_of_float x) :: !log);
+      should_stop =
+        (fun () ->
+          log := Poll :: !log;
+          incr polls;
+          !polls > stop_after);
+    }
+  in
+  (env, log)
+
+let same_result a b =
+  match (a, b) with
+  | Ok (x : Cascades.result), Ok (y : Cascades.result) ->
+      x.Cascades.plan = y.Cascades.plan
+      && Int64.equal (Int64.bits_of_float x.Cascades.cost)
+           (Int64.bits_of_float y.Cascades.cost)
+      && x.Cascades.outcome = y.Cascades.outcome
+      && x.Cascades.stats = y.Cascades.stats
+  | Error x, Error y -> x = y
+  | _ -> false
+
+let prop_cascades_matches_reference =
+  QCheck.Test.make ~name:"cost-only cascades = plan-building reference"
+    ~count:60 (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let pick_query () =
+        match Random.State.int rs 4 with
+        | 0 ->
+            let templates = Array.of_list (Workload.Sales.templates ()) in
+            let t = templates.(Random.State.int rs (Array.length templates)) in
+            ( Workload.Sales.catalog (),
+              Workload.Template.instance
+                (Sim.Rng.create (Random.State.bits rs))
+                t ~id:1 )
+        | 1 ->
+            let dims = 1 + Random.State.int rs 12 in
+            let cat =
+              star_catalog ~dims
+                ~fact_rows:(1_000 + Random.State.int rs 1_000_000)
+                ~dim_rows:(50 + Random.State.int rs 5_000)
+            in
+            (cat, star_query ~dims ~filters:(Random.State.int rs (dims + 1)) cat)
+        | 2 ->
+            let len = 2 + Random.State.int rs 12 in
+            let cat = chain_catalog ~len ~rows:(100 + Random.State.int rs 50_000) in
+            (cat, chain_query ~len cat)
+        | _ -> snowflake_cat_query rs ~n:(1 + Random.State.int rs 14)
+      in
+      let cat, q = pick_query () in
+      let params =
+        {
+          Cascades.default_params with
+          Cascades.min_tasks = 1 + Random.State.int rs 5_000;
+          max_tasks = 1 + Random.State.int rs 30_000;
+          honor_stop_early = Random.State.bool rs;
+        }
+      in
+      let stop_after =
+        if Random.State.bool rs then max_int else Random.State.int rs 3_000
+      in
+      let abort_at =
+        if Random.State.bool rs then 0 else 1 + Random.State.int rs 3_000
+      in
+      let abort =
+        if Random.State.bool rs then Env.Out_of_memory
+        else Env.Gateway_timeout "gate"
+      in
+      (* Half the runs reuse an arena left mid-state by an aborted search
+         of another query. *)
+      let arena =
+        if Random.State.bool rs then None
+        else begin
+          let a = Cascades.create_arena () in
+          let cat', q' = pick_query () in
+          let env, _ =
+            logging_env ~stop_after:max_int
+              ~abort_at:(1 + Random.State.int rs 2_000)
+              ~abort:(Env.Gateway_timeout "earlier")
+          in
+          ignore (Cascades.optimize ~arena:a ~env model cat' q');
+          Some a
+        end
+      in
+      let env, log = logging_env ~stop_after ~abort_at ~abort in
+      let got = Cascades.optimize ~params ?arena ~env model cat q in
+      let env_ref, log_ref = logging_env ~stop_after ~abort_at ~abort in
+      let want = Cascades_reference.optimize ~params ~env:env_ref model cat q in
+      if same_result got want && !log = !log_ref then true
+      else
+        QCheck.Test.fail_reportf
+          "query %s (%d rels), min %d max %d honor %b stop_after %d abort_at %d, \
+           arena %b: results equal %b, env calls %d vs %d"
+          q.Query.qid (Query.n_rels q) params.Cascades.min_tasks
+          params.Cascades.max_tasks params.Cascades.honor_stop_early stop_after
+          abort_at (arena <> None) (same_result got want) (List.length !log)
+          (List.length !log_ref))
+
 let suite =
   [
     ("relset basics", `Quick, test_relset_basics);
@@ -789,4 +1017,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_star_plans_validate;
     QCheck_alcotest.to_alcotest prop_flat_dp_matches_reference;
     QCheck_alcotest.to_alcotest prop_arena_reuse_transparent;
+    QCheck_alcotest.to_alcotest prop_mask_graph_matches_lists;
+    QCheck_alcotest.to_alcotest prop_cascades_matches_reference;
   ]
