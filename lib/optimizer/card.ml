@@ -4,6 +4,9 @@ type t = {
   tables : Catalog.table array;
   base : float array;
   widths : int array;
+  pred_left : int array;  (* the join predicates, in list order *)
+  pred_right : int array;
+  pred_sel : float array;
   memo : (Relset.t, float) Hashtbl.t;
 }
 
@@ -17,26 +20,41 @@ let create cat q =
         Float.max 1.0 (tables.(i).Catalog.rows *. Query.filter_sel q i))
   in
   let widths = Array.map Catalog.row_width tables in
-  { cat; q; tables; base; widths; memo = Hashtbl.create 256 }
+  let preds = Array.of_list q.Query.preds in
+  {
+    cat;
+    q;
+    tables;
+    base;
+    widths;
+    pred_left = Array.map (fun (p : Query.join_pred) -> p.Query.jleft) preds;
+    pred_right = Array.map (fun (p : Query.join_pred) -> p.Query.jright) preds;
+    pred_sel = Array.map (fun (p : Query.join_pred) -> p.Query.jsel) preds;
+    memo = Hashtbl.create 256;
+  }
 
 let query t = t.q
 let table_of t i = t.tables.(i)
 let base_rows t i = t.base.(i)
 
+(* Loops over flat arrays rather than folds, so a miss allocates only
+   the memo entry. The products run in the same order as before:
+   members in increasing index order, then predicates in list order. *)
 let card t s =
-  match Hashtbl.find_opt t.memo s with
-  | Some c -> c
-  | None ->
-      let rows = Relset.fold (fun i acc -> acc *. t.base.(i)) s 1.0 in
-      let sel =
-        List.fold_left
-          (fun acc (p : Query.join_pred) ->
-            if Relset.mem p.Query.jleft s && Relset.mem p.Query.jright s then
-              acc *. p.Query.jsel
-            else acc)
-          1.0 t.q.Query.preds
-      in
-      let c = Float.max 1.0 (rows *. sel) in
+  match Hashtbl.find t.memo s with
+  | c -> c
+  | exception Not_found ->
+      let rows = ref 1.0 and m = ref s in
+      while !m <> 0 do
+        rows := !rows *. t.base.(Relset.ctz !m);
+        m := !m land (!m - 1)
+      done;
+      let sel = ref 1.0 in
+      for k = 0 to Array.length t.pred_sel - 1 do
+        if Relset.mem t.pred_left.(k) s && Relset.mem t.pred_right.(k) s then
+          sel := !sel *. t.pred_sel.(k)
+      done;
+      let c = Float.max 1.0 (!rows *. !sel) in
       Hashtbl.replace t.memo s c;
       c
 
@@ -50,6 +68,12 @@ let group_card t group_by ~input =
   in
   Float.max 1.0 (Float.min input distinct_product)
 
-let width t s = Relset.fold (fun i acc -> acc + t.widths.(i)) s 0
+let width t s =
+  let w = ref 0 and m = ref s in
+  while !m <> 0 do
+    w := !w + t.widths.(Relset.ctz !m);
+    m := !m land (!m - 1)
+  done;
+  !w
 
 let memo_size t = Hashtbl.length t.memo

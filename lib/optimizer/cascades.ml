@@ -43,24 +43,29 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 (* Memo arena
 
    The memo keeps costs, never plans. A group is an ordinal into flat
-   columns: its relation set, search state, unfinished-task count, the
-   head of its parked-split list and the end of its split range, plus
-   its best plan as four scalars in a [Rules.tables] (rows, cost_io,
-   cost_cpu, width) and a (tag, split) pair naming the winning physical
-   alternative. Splits are ordinals into three more columns (left side,
-   owning group, next parked split); a group's splits are one contiguous
-   range, written when its expansion starts. Tasks are int pairs on an
-   int stack. A [Plan.t] is built once, from the root, when the search
-   ends, the way {!Dp} reconstructs its winner.
+   columns: its relation set, search state, unfinished-task count and
+   the head of its parked-split list, plus its best plan as four scalars
+   in a [Rules.tables] (rows, cost_io, cost_cpu, width) and a (tag, left
+   side) pair naming the winning physical alternative and split. Tasks
+   are int pairs on an int stack; a split task carries its left side and
+   its group, so no split outlives the expansion that lists it. A
+   [Plan.t] is built once, from the root, when the search ends, the way
+   {!Dp} reconstructs its winner.
 
-   Every column, the group index and the split-listing scratch belong to
-   the arena, never to a global: the search suspends inside [env.alloc]
+   Only one group's split list is ever live. An expansion lists the
+   splits into [splits], and its expand tasks run back to back: each
+   pushes its continuation above the tasks it creates, so the next
+   expansion starts only after the last chunk is pushed.
+
+   Every column, the group index and the split buffer belong to the
+   arena, never to a global: the search suspends inside [env.alloc]
    (gateway waits), and experiment grids run cells on parallel domains,
    so each in-flight compile needs storage of its own ({!Dbms} keeps a
    free pool). [reset_arena] clears logical state but keeps every column
-   at its high-water capacity, which is sized by groups and splits, not
-   by 2^n subsets. Reuse is observationally transparent: the search
-   reads no slot it has not written since the reset. *)
+   at its high-water capacity, which is sized by groups and live tasks,
+   not by 2^n subsets, so a pool of parked arenas stays small. Reuse is
+   observationally transparent: the search reads no slot it has not
+   written since the reset. *)
 
 (* Group states. *)
 let fresh = 0
@@ -73,9 +78,12 @@ let finished = 2
 let no_plan = -1
 let seed_tag = -2
 
-(* The second word of a task; an expand task's is its split cursor. *)
+(* A task is a pair (x, y). Optimize-group: (set, -1). Expand: (group,
+   cursor into [splits]), cursor >= 0. Optimize-split: (left side,
+   -2 - group). *)
 let opt_group = -1
-let opt_split = -2
+let split_task g = -2 - g
+let split_owner y = -2 - y
 
 type arena = {
   mutable g_set : int array;
@@ -84,24 +92,26 @@ type arena = {
       (* unfinished tasks owned by the group: 1 for the expansion itself
          plus one per recorded split *)
   mutable g_parked : int array;
-      (* first split of a *parent* group waiting for this group to
-         finish, or -1; linked through [sp_next] *)
-  mutable g_end : int array;  (* one past the group's last split *)
+      (* first parked split of a *parent* group waiting for this group
+         to finish, or -1 *)
   mutable g_tag : int array;
-  mutable g_win : int array;  (* winning split of a join group *)
+  mutable g_win : int array;  (* left side of a join group's winning split *)
   mutable tb : Rules.tables;
   mutable n_groups : int;
   mutable index : int array;
       (* relation set -> group: open addressing with linear probing, -1
          empty, at most half full *)
-  mutable sp_l : int array;  (* left side: holds the group's lowest relation *)
-  mutable sp_group : int array;
-  mutable sp_next : int array;
+  mutable splits : int array;  (* left sides of the expanding group's splits *)
   mutable n_splits : int;
+  (* Parked splits: (left side, group) nodes linked from [g_parked],
+     recycled through a free list. *)
+  mutable pk_l : int array;
+  mutable pk_group : int array;
+  mutable pk_next : int array;
+  mutable pk_used : int;
+  mutable pk_free : int;
   mutable stack : int array;  (* task i is (stack.(2i), stack.(2i+1)) *)
   mutable top : int;
-  mutable csg : int array;  (* connected subsets of a split listing *)
-  mutable n_csg : int;
   best : float array;  (* evaluator scratch: cost_io, cost_cpu, total *)
 }
 
@@ -112,20 +122,20 @@ let create_arena () =
     g_state = Array.make groups fresh;
     g_outstanding = Array.make groups 0;
     g_parked = Array.make groups (-1);
-    g_end = Array.make groups 0;
     g_tag = Array.make groups no_plan;
-    g_win = Array.make groups (-1);
+    g_win = Array.make groups 0;
     tb = Rules.make_tables groups;
     n_groups = 0;
     index = Array.make (2 * groups) (-1);
-    sp_l = Array.make 1024 0;
-    sp_group = Array.make 1024 0;
-    sp_next = Array.make 1024 (-1);
+    splits = Array.make 64 0;
     n_splits = 0;
-    stack = Array.make 2048 0;
+    pk_l = Array.make 256 0;
+    pk_group = Array.make 256 0;
+    pk_next = Array.make 256 (-1);
+    pk_used = 0;
+    pk_free = -1;
+    stack = Array.make 1024 0;
     top = 0;
-    csg = Array.make 256 0;
-    n_csg = 0;
     best = Array.make 3 0.0;
   }
 
@@ -133,8 +143,9 @@ let reset_arena a =
   if a.n_groups > 0 then Array.fill a.index 0 (Array.length a.index) (-1);
   a.n_groups <- 0;
   a.n_splits <- 0;
-  a.top <- 0;
-  a.n_csg <- 0
+  a.pk_used <- 0;
+  a.pk_free <- -1;
+  a.top <- 0
 
 let grow_ints xs fill =
   let ys = Array.make (2 * Array.length xs) fill in
@@ -160,9 +171,8 @@ let grow_groups a =
   a.g_state <- grow_ints a.g_state fresh;
   a.g_outstanding <- grow_ints a.g_outstanding 0;
   a.g_parked <- grow_ints a.g_parked (-1);
-  a.g_end <- grow_ints a.g_end 0;
   a.g_tag <- grow_ints a.g_tag no_plan;
-  a.g_win <- grow_ints a.g_win (-1);
+  a.g_win <- grow_ints a.g_win 0;
   let tb = a.tb in
   a.tb <-
     {
@@ -176,20 +186,33 @@ let grow_groups a =
     a.index.(slot_of a a.g_set.(g)) <- g
   done
 
-let add_split a ~l ~g =
-  if a.n_splits = Array.length a.sp_l then begin
-    a.sp_l <- grow_ints a.sp_l 0;
-    a.sp_group <- grow_ints a.sp_group 0;
-    a.sp_next <- grow_ints a.sp_next (-1)
-  end;
-  a.sp_l.(a.n_splits) <- l;
-  a.sp_group.(a.n_splits) <- g;
+let add_split a l =
+  if a.n_splits = Array.length a.splits then a.splits <- grow_ints a.splits 0;
+  a.splits.(a.n_splits) <- l;
   a.n_splits <- a.n_splits + 1
 
-let add_csg a r =
-  if a.n_csg = Array.length a.csg then a.csg <- grow_ints a.csg 0;
-  a.csg.(a.n_csg) <- r;
-  a.n_csg <- a.n_csg + 1
+(* Park the split (l, g) on group [child]'s list. *)
+let park a child l g =
+  let node =
+    if a.pk_free >= 0 then begin
+      let node = a.pk_free in
+      a.pk_free <- a.pk_next.(node);
+      node
+    end
+    else begin
+      if a.pk_used = Array.length a.pk_l then begin
+        a.pk_l <- grow_ints a.pk_l 0;
+        a.pk_group <- grow_ints a.pk_group 0;
+        a.pk_next <- grow_ints a.pk_next (-1)
+      end;
+      a.pk_used <- a.pk_used + 1;
+      a.pk_used - 1
+    end
+  in
+  a.pk_l.(node) <- l;
+  a.pk_group.(node) <- g;
+  a.pk_next.(node) <- a.g_parked.(child);
+  a.g_parked.(child) <- node
 
 type search = {
   params : params;
@@ -198,8 +221,9 @@ type search = {
   card : Card.t;
   q : Query.t;
   arena : arena;
-  emit_csg : Relset.t -> unit;  (* [add_csg arena], built once *)
+  emit_split : Relset.t -> unit;  (* [add_split arena], built once *)
   mutable tasks : int;
+  mutable n_lexprs : int;
   mutable n_phys : int;
   mutable allocated : int;
   mutable cpu_pending : int;
@@ -247,7 +271,7 @@ let find_or_create s set =
 (* The alternative the evaluator left in [a.best] replaces the group's
    best only when strictly cheaper: ties keep the incumbent, so the
    earliest of equal-cost alternatives wins. *)
-let offer a g tag split =
+let offer a g tag l =
   let tb = a.tb in
   if
     a.g_tag.(g) = no_plan
@@ -256,20 +280,22 @@ let offer a g tag split =
     tb.Rules.t_io.(g) <- a.best.(0);
     tb.Rules.t_cpu.(g) <- a.best.(1);
     a.g_tag.(g) <- tag;
-    a.g_win.(g) <- split
+    a.g_win.(g) <- l
   end
 
 (* Re-push the parked splits, most recently parked first, so the first
-   parked runs first. *)
+   parked runs first, and recycle their nodes. *)
 let finish_group s g =
   let a = s.arena in
   a.g_state.(g) <- finished;
-  let sp = ref a.g_parked.(g) in
+  let node = ref a.g_parked.(g) in
   a.g_parked.(g) <- -1;
-  while !sp >= 0 do
-    let next = a.sp_next.(!sp) in
-    push s !sp opt_split;
-    sp := next
+  while !node >= 0 do
+    let next = a.pk_next.(!node) in
+    push s a.pk_l.(!node) (split_task a.pk_group.(!node));
+    a.pk_next.(!node) <- a.pk_free;
+    a.pk_free <- !node;
+    node := next
   done
 
 let group_task_done s g =
@@ -291,7 +317,7 @@ let process_opt_group s set =
       let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
       alloc s (phys_bytes * n_alternatives);
       s.n_phys <- s.n_phys + n_alternatives;
-      offer a g tag (-1);
+      offer a g tag 0;
       finish_group s g
     end
     else begin
@@ -302,31 +328,39 @@ let process_opt_group s set =
          connected. The right sides are the connected subsets of the
          rest, listed in reverse of EnumerateCsg's visiting order. *)
       let rest = Relset.diff set (Relset.singleton (Relset.min_elt set)) in
-      a.n_csg <- 0;
-      Query.iter_connected_subsets s.q rest s.emit_csg;
-      let first = a.n_splits in
-      for k = a.n_csg - 1 downto 0 do
-        let l = Relset.diff set a.csg.(k) in
-        if Query.connected s.q l then add_split a ~l ~g
+      a.n_splits <- 0;
+      Query.iter_connected_subsets s.q rest s.emit_split;
+      (* Reverse the right sides in place, then keep, in that order, the
+         left side of each whose complement is connected. *)
+      let n = a.n_splits in
+      for k = 0 to (n / 2) - 1 do
+        let r = a.splits.(k) in
+        a.splits.(k) <- a.splits.(n - 1 - k);
+        a.splits.(n - 1 - k) <- r
       done;
-      a.g_end.(g) <- a.n_splits;
-      alloc s (lexpr_bytes * (a.n_splits - first));
-      push s g first
+      a.n_splits <- 0;
+      for k = 0 to n - 1 do
+        let l = Relset.diff set a.splits.(k) in
+        if Query.connected s.q l then add_split a l
+      done;
+      s.n_lexprs <- s.n_lexprs + a.n_splits;
+      alloc s (lexpr_bytes * a.n_splits);
+      push s g 0
     end
   end
 
 let process_expand s g cursor =
   let a = s.arena in
-  let stop = min a.g_end.(g) (cursor + expand_chunk) in
-  for sp = cursor to stop - 1 do
+  let stop = min a.n_splits (cursor + expand_chunk) in
+  for k = cursor to stop - 1 do
     a.g_outstanding.(g) <- a.g_outstanding.(g) + 1;
-    let l = a.sp_l.(sp) in
+    let l = a.splits.(k) in
     (* LIFO: children optimize before the split is costed. *)
-    push s sp opt_split;
+    push s l (split_task g);
     push s (Relset.diff a.g_set.(g) l) opt_group;
     push s l opt_group
   done;
-  if stop < a.g_end.(g) then push s g stop
+  if stop < a.n_splits then push s g stop
   else
     (* Expansion finished: drop its outstanding unit. *)
     group_task_done s g
@@ -334,25 +368,17 @@ let process_expand s g cursor =
 (* Both child groups exist by the time a split task runs: the expand
    task pushed their optimize tasks on top of it, so [find_or_create]
    here is a lookup. A child still in progress parks the split. *)
-let process_opt_split s sp =
+let process_opt_split s l g =
   let a = s.arena in
-  let g = a.sp_group.(sp) in
-  let l = a.sp_l.(sp) in
   let gl = find_or_create s l in
   let gr = find_or_create s (Relset.diff a.g_set.(g) l) in
-  if a.g_state.(gl) <> finished then begin
-    a.sp_next.(sp) <- a.g_parked.(gl);
-    a.g_parked.(gl) <- sp
-  end
-  else if a.g_state.(gr) <> finished then begin
-    a.sp_next.(sp) <- a.g_parked.(gr);
-    a.g_parked.(gr) <- sp
-  end
+  if a.g_state.(gl) <> finished then park a gl l g
+  else if a.g_state.(gr) <> finished then park a gr l g
   else begin
     let tag = Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best in
     alloc s (phys_bytes * 5);
     s.n_phys <- s.n_phys + 5;
-    offer a g tag sp;
+    offer a g tag l;
     group_task_done s g
   end
 
@@ -372,7 +398,7 @@ let rec build s g =
   if Relset.cardinal set = 1 then
     Rules.leaf_plan s.model s.card (Relset.min_elt set) a.g_tag.(g)
   else begin
-    let l = a.sp_l.(a.g_win.(g)) in
+    let l = a.g_win.(g) in
     let pl = build s a.index.(slot_of a l) in
     let pr = build s a.index.(slot_of a (Relset.diff set l)) in
     Rules.join_plan s.model ~rows:a.tb.Rules.t_rows.(g) a.g_tag.(g) pl pr
@@ -399,8 +425,9 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
       card;
       q;
       arena;
-      emit_csg = add_csg arena;
+      emit_split = add_split arena;
       tasks = 0;
+      n_lexprs = 0;
       n_phys = 0;
       allocated = 0;
       cpu_pending = 0;
@@ -447,8 +474,8 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
         s.cpu_pending <- s.cpu_pending + 1;
         if s.cpu_pending >= cpu_batch then flush_cpu s;
         if y = opt_group then process_opt_group s x
-        else if y = opt_split then process_opt_split s x
-        else process_expand s x y;
+        else if y >= 0 then process_expand s x y
+        else process_opt_split s x (split_owner y);
         loop ()
       end
     in
@@ -476,7 +503,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
           {
             tasks = s.tasks;
             groups = arena.n_groups;
-            lexprs = arena.n_splits;
+            lexprs = s.n_lexprs;
             phys = s.n_phys;
             allocated_bytes = s.allocated;
             budget;

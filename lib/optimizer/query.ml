@@ -56,9 +56,11 @@ let adjacent t s =
 let has_pred_between t a b = adjacent t a land b <> 0
 
 (* Grow from the lowest member through the adjacency masks, each member
-   entering the frontier once. *)
+   entering the frontier once. A lowest member adjacent to all the others
+   (the fact table of a star) answers at once. *)
 let connected t s =
   if Relset.is_empty s then false
+  else if Relset.diff s t.adj.(Relset.ctz s) = s land -s then true
   else begin
     let low = s land -s in
     let reached = ref low and frontier = ref low in
@@ -77,29 +79,30 @@ let neighborhood t s ~within = Relset.diff (adjacent t s land within) s
 (* EnumerateCsg: emit every connected subset of the subgraph induced by
    [s], each exactly once. Subsets are seeded at each node v and grown
    only through neighbours, never into nodes smaller than v or already
-   prohibited, which is what guarantees uniqueness. *)
+   prohibited, which is what guarantees uniqueness. [grow] is top level
+   so a walk allocates no closure. *)
+let rec grow t s f c prohibited =
+  f c;
+  let frontier = Relset.diff (neighborhood t c ~within:s) prohibited in
+  if frontier <> 0 then begin
+    let prohibited = prohibited lor frontier in
+    (* The full frontier first, then its nonempty proper subsets in
+       descending submask order. *)
+    grow t s f (c lor frontier) prohibited;
+    let sub = ref ((frontier - 1) land frontier) in
+    while !sub <> 0 do
+      grow t s f (c lor !sub) prohibited;
+      sub := (!sub - 1) land frontier
+    done
+  end
+
 let iter_connected_subsets t s f =
-  let rec grow c prohibited =
-    f c;
-    let frontier = Relset.diff (neighborhood t c ~within:s) prohibited in
-    if frontier <> 0 then begin
-      let prohibited = prohibited lor frontier in
-      (* The full frontier first, then its nonempty proper subsets in
-         descending submask order. *)
-      grow (c lor frontier) prohibited;
-      let sub = ref ((frontier - 1) land frontier) in
-      while !sub <> 0 do
-        grow (c lor !sub) prohibited;
-        sub := (!sub - 1) land frontier
-      done
-    end
-  in
   let rest = ref s in
   while !rest <> 0 do
     let v = !rest land - !rest in
     rest := !rest lxor v;
     (* Prohibit v and every member of [s] below it. *)
-    grow v (s land ((v lsl 1) - 1))
+    grow t s f v (s land ((v lsl 1) - 1))
   done
 
 let connected_subsets t s =
