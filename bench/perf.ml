@@ -37,8 +37,15 @@ let time_bench ~name ~iters f =
   (* One warm-up call keeps first-use effects (catalog build, heap
      growth) out of the measurement. *)
   ignore (f ());
+  (* Empty the minor heap at both ends of the window: on OCaml 5.1,
+     [Gc.allocated_bytes] read between collections is off by an amount
+     that depends on where the last collection fell, so a small op's
+     figure moved with whatever ran before it. After a collection it is
+     exact. *)
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   let (), wall_s = wall (fun () -> for _ = 1 to iters do ignore (f ()) done) in
+  Gc.minor ();
   let alloc = Gc.allocated_bytes () -. a0 in
   {
     name;
@@ -105,7 +112,7 @@ let optimizer_benches () =
 (* Steady-state compile stream, the shape the server actually runs: a
    long mixed-template workload through one Cascades memo arena reused
    across queries, against the same stream paying a fresh memo per query.
-   The pair prices exactly what the arena buys — table/pool reuse at
+   The pair prices exactly what the arena buys — memo columns reused at
    high-water capacity — on realistic SALES instances. *)
 let steady_state_benches () =
   let cat = Workload.Sales.catalog () in

@@ -176,11 +176,12 @@ let read_file path =
 type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (flat
-   DP tables, memo arenas, the pooled event loop) are held to a tight 5%
-   alloc ratchet instead of the global tolerance: their baselines are
-   small and stable, so even a modest absolute creep is a real erosion
-   of the win, not measurement noise. Wall time keeps the global
-   tolerance — it is machine-dependent in a way allocation is not. *)
+   DP tables, the cost-only Cascades memo, the pooled event loop) are
+   held to a tight 5% alloc ratchet instead of the global tolerance:
+   their baselines are small and stable, so even a modest absolute creep
+   is a real erosion of the win, not measurement noise. Wall time keeps
+   the global tolerance — it is machine-dependent in a way allocation is
+   not. *)
 let tight_alloc_tolerance = 0.05
 
 let tight_alloc_benches =
@@ -188,6 +189,7 @@ let tight_alloc_benches =
     "dp_optimize_14rel";
     "cascades_optimize_sales";
     "optimizer_steady_state";
+    "optimizer_steady_state_fresh";
     "sim_engine_event_loop";
   ]
 
