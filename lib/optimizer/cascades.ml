@@ -157,6 +157,7 @@ let grow_floats xs =
   Array.blit xs 0 ys 0 (Array.length xs);
   ys
 
+(* Multiplicative hashing: the product's middle bits index the table. *)
 let hash_set set = (set * 0x2545F4914F6CDD1D) lsr 29
 
 let rec probe a set slot =
@@ -375,7 +376,9 @@ let process_opt_split s l g =
   if a.g_state.(gl) <> finished then park a gl l g
   else if a.g_state.(gr) <> finished then park a gr l g
   else begin
-    let tag = Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best in
+    let tag =
+      Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best
+    in
     alloc s (phys_bytes * 5);
     s.n_phys <- s.n_phys + 5;
     offer a g tag l;

@@ -20,7 +20,15 @@
     budget scales with the estimated cost of the seed plan, so expensive
     queries get (and allocate) more. A completed search explores every
     connected split of every connected subset — the same space as {!Dp} —
-    hence equal optimal cost. *)
+    hence equal optimal cost.
+
+    The memo keeps costs, not plans. Each group's best is a row of flat
+    columns (rows, cost_io, cost_cpu, width, winning operator tag and
+    split), costed by {!Rules.cheapest_leaf_into} and
+    {!Rules.cheapest_join_into}; splits are listed from the query's
+    adjacency masks ({!Query.iter_connected_subsets}); and the one
+    [Plan.t] is built from the root when the search ends. The metered
+    bytes are those of the memo being modelled, not of these columns. *)
 
 (** Metered bytes per physical alternative costed (18 KiB). A memo group
     costs 72 KiB and a recorded logical split 18 KiB. *)
@@ -58,26 +66,27 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 
 (** {1 Memo arena}
 
-    Reusable structural storage for the memo: the group hashtable and a
-    pool of recyclable group records. Passing the same arena to
-    successive {!optimize} calls keeps both at high-water capacity
-    instead of re-growing them per query — steady-state compiles of a
-    stable template population stop churning the allocator. Reuse is
+    Reusable storage for the search: the group columns and index, the
+    split buffer, the parked-split nodes and the task stack. Passing the
+    same arena to successive {!optimize} calls keeps them at high-water
+    capacity instead of re-growing them per query. That capacity follows
+    the number of groups and live tasks, never 2^n subsets. Reuse is
     observationally transparent: results, stats and environment
     interactions are identical to a fresh memo.
 
-    An arena serves one compilation at a time. Searches can suspend
-    inside [env.alloc] (gateway waits), so concurrent compiles need
-    distinct arenas — {!Dbms} keeps a free pool sized by compile
-    concurrency. *)
+    An arena serves one compilation at a time, and all of the search's
+    scratch space lives in it. Searches can suspend inside [env.alloc]
+    (gateway waits), and experiment grids run on parallel domains, so
+    concurrent compiles need distinct arenas — {!Dbms} keeps a free pool
+    sized by compile concurrency. *)
 
 type arena
 
 val create_arena : unit -> arena
 
 (** Clear logical state, keep capacity. {!optimize} resets its arena on
-    entry, so calling this is only needed to drop the references a
-    parked arena still holds into the last query's plans. *)
+    entry, so calling this is never required; an arena holds no
+    references into plans. *)
 val reset_arena : arena -> unit
 
 (** [optimize ?params ?arena ~env model catalog query]. Errors are the

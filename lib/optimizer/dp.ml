@@ -92,7 +92,8 @@ let optimize_with_stats model card =
      used, so the plan's annotations are bit-identical to the table
      entries. *)
   let rec build s =
-    if Relset.cardinal s = 1 then Rules.leaf_plan model card (Relset.min_elt s) op.(s)
+    if Relset.cardinal s = 1 then
+      Rules.leaf_plan model card (Relset.min_elt s) op.(s)
     else begin
       let l = split.(s) in
       let pl = build l in

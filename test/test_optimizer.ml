@@ -778,7 +778,8 @@ let random_graph_query rs n =
   in
   let edges = List.sort_uniq compare (tree @ chords) in
   Query.make ~id:"graph"
-    ~rels:(List.init n (fun i -> (Printf.sprintf "t%d" i, Printf.sprintf "r%d" i)))
+    ~rels:
+      (List.init n (fun i -> (Printf.sprintf "t%d" i, Printf.sprintf "r%d" i)))
     ~preds:
       (List.map
          (fun (a, b) ->
@@ -795,7 +796,8 @@ let prop_mask_graph_matches_lists =
       let full = Relset.full n in
       let within = Random.State.int rs full + 1 in
       let s = Random.State.int rs full + 1 in
-      Query.connected_subsets q full = Cascades_reference.connected_subsets q full
+      Query.connected_subsets q full
+      = Cascades_reference.connected_subsets q full
       && Query.connected_subsets q within
          = Cascades_reference.connected_subsets q within
       && Query.connected q s = Cascades_reference.connected q s
@@ -828,11 +830,21 @@ let snowflake_cat_query rs ~n =
             };
           ];
         indexes =
-          ({ Catalog.idx_name = name ^ "_pk"; idx_columns = [ "key" ]; clustered = true }
+          {
+            Catalog.idx_name = name ^ "_pk";
+            idx_columns = [ "key" ];
+            clustered = true;
+          }
           ::
           (if indexed.(i) then
-             [ { Catalog.idx_name = name ^ "_attr"; idx_columns = [ "attr" ]; clustered = false } ]
-           else []));
+             [
+               {
+                 Catalog.idx_name = name ^ "_attr";
+                 idx_columns = [ "attr" ];
+                 clustered = false;
+               };
+             ]
+           else []);
       }
   done;
   let preds =
@@ -866,7 +878,10 @@ let snowflake_cat_query rs ~n =
       Some { Query.group_by = [ (0, "attr") ]; sum_cols = [ (n - 1, "key") ] }
     else None
   in
-  (cat, Query.make ~id:"snow" ~rels:(List.init n (fun i -> (Printf.sprintf "s%d" i, Printf.sprintf "s%d" i))) ~preds ~filters ~agg)
+  let rels =
+    List.init n (fun i -> (Printf.sprintf "s%d" i, Printf.sprintf "s%d" i))
+  in
+  (cat, Query.make ~id:"snow" ~rels ~preds ~filters ~agg)
 
 type env_call = Alloc of int | Cpu of int64 | Poll
 
@@ -927,7 +942,8 @@ let prop_cascades_matches_reference =
             (cat, star_query ~dims ~filters:(Random.State.int rs (dims + 1)) cat)
         | 2 ->
             let len = 2 + Random.State.int rs 12 in
-            let cat = chain_catalog ~len ~rows:(100 + Random.State.int rs 50_000) in
+            let rows = 100 + Random.State.int rs 50_000 in
+            let cat = chain_catalog ~len ~rows in
             (cat, chain_query ~len cat)
         | _ -> snowflake_cat_query rs ~n:(1 + Random.State.int rs 14)
       in
@@ -950,8 +966,8 @@ let prop_cascades_matches_reference =
         if Random.State.bool rs then Env.Out_of_memory
         else Env.Gateway_timeout "gate"
       in
-      (* Half the runs reuse an arena left mid-state by an aborted search
-         of another query. *)
+      (* Half the runs reuse an arena that a search of another query left
+         behind, mostly one cut short by an abort mid-search. *)
       let arena =
         if Random.State.bool rs then None
         else begin
@@ -959,7 +975,7 @@ let prop_cascades_matches_reference =
           let cat', q' = pick_query () in
           let env, _ =
             logging_env ~stop_after:max_int
-              ~abort_at:(1 + Random.State.int rs 2_000)
+              ~abort_at:(1 + Random.State.int rs 400)
               ~abort:(Env.Gateway_timeout "earlier")
           in
           ignore (Cascades.optimize ~arena:a ~env model cat' q');
