@@ -38,8 +38,9 @@ let table_of t i = t.tables.(i)
 let base_rows t i = t.base.(i)
 
 (* Loops over flat arrays rather than folds, so a miss allocates only
-   the memo entry. The products run in the same order as before:
-   members in increasing index order, then predicates in list order. *)
+   the memo entry. Members multiply in increasing index order, then
+   predicates in list order: the searches' plans depend on these exact
+   bits. *)
 let card t s =
   match Hashtbl.find t.memo s with
   | c -> c

@@ -23,10 +23,10 @@ let join_alternatives model card a b =
    costs they produce are bit-identical to [Plan.total_cost] of the plan
    the constructor would have built. They read and write flat arrays
    (indexed by [Relset.t] in the DP, by memo group in Cascades) and
-   allocate nothing: no [Plan.t] records, no
-   lists, no closures, no boxed floats (all intermediates are local
-   unboxed floats; [Cost.spill_factor] and [Float.max] are inlined by
-   hand because a non-inlined call would box its float argument).
+   allocate nothing: no [Plan.t] records, no lists, no closures, no
+   boxed floats (all intermediates are local unboxed floats;
+   [Cost.spill_factor] and [Float.max] are inlined by hand because a
+   non-inlined call would box its float argument).
 
    Anything changed in a [Plan] constructor's cost arithmetic must be
    changed here identically — the QCheck identity properties in
