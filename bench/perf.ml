@@ -11,7 +11,7 @@
      dune exec bench/perf.exe -- --quick            # CI smoke variant
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
-   Suites: optimizer compile (DP + Cascades on SALES shapes), the
+   Suites: optimizer compile (Cascades on SALES shapes), the
    sim-engine event loop, a full experiment cell, and the parallel grid
    speedup with a byte-identity check. *)
 
@@ -58,52 +58,17 @@ let time_bench ~name ~iters f =
 (* ------------------------------------------------------------------ *)
 (* Optimizer compile *)
 
-(* SALES instances carry 16-20 relations; the DP baseline is capped at
-   [Dp.max_rels], so benchmark it on the instance truncated to that cap
-   (the join graph is a star, so any prefix stays connected). *)
-let truncate_query q ~max_rels =
-  let open Optimizer in
-  if Query.n_rels q <= max_rels then q
-  else begin
-    let keep = max_rels in
-    Query.make
-      ~id:(q.Query.qid ^ "-trunc")
-      ~rels:
-        (Array.to_list (Array.sub q.Query.rels 0 keep)
-        |> List.map (fun r -> (r.Query.rtable, r.Query.ralias)))
-      ~preds:
-        (List.filter
-           (fun (p : Query.join_pred) ->
-             p.Query.jleft < keep && p.Query.jright < keep)
-           q.Query.preds)
-      ~filters:
-        (List.filter (fun (f : Query.filter) -> f.Query.frel < keep) q.Query.filters)
-      ~agg:
-        (Option.map
-           (fun (a : Query.aggregate) ->
-             {
-               Query.group_by = List.filter (fun (i, _) -> i < keep) a.Query.group_by;
-               sum_cols = List.filter (fun (i, _) -> i < keep) a.Query.sum_cols;
-             })
-           q.Query.agg)
-  end
-
 let optimizer_benches () =
   let cat = Workload.Sales.catalog () in
   let templates = Workload.Sales.templates () in
   let rng = Sim.Rng.create 7 in
-  let q_full = Workload.Template.instance rng (List.hd templates) ~id:1 in
-  let q_dp = truncate_query q_full ~max_rels:Optimizer.Dp.max_rels in
-  let dp_iters = if !quick then 3 else 10 in
+  let q = Workload.Template.instance rng (List.hd templates) ~id:1 in
   let casc_iters = if !quick then 25 else 200 in
   [
-    time_bench ~name:"dp_optimize_14rel" ~iters:dp_iters (fun () ->
-        let card = Optimizer.Card.create cat q_dp in
-        ignore (Optimizer.Dp.optimize Optimizer.Cost.default card));
     time_bench ~name:"cascades_optimize_sales" ~iters:casc_iters (fun () ->
         match
           Optimizer.Cascades.optimize ~env:Optimizer.Env.null
-            Optimizer.Cost.default cat q_full
+            Optimizer.Cost.default cat q
         with
         | Ok r -> ignore r.Optimizer.Cascades.plan
         | Error _ -> failwith "cascades aborted in benchmark");

@@ -175,8 +175,8 @@ let read_file path =
 
 type point = { wall_ns : float; alloc : float }
 
-(* Benchmarks whose per-op allocation was deliberately driven down (flat
-   DP tables, the cost-only Cascades memo, the pooled event loop) are
+(* Benchmarks whose per-op allocation was deliberately driven down (the
+   cost-only Cascades memo, the pooled event loop) are
    held to a tight 5% alloc ratchet instead of the global tolerance:
    their baselines are small and stable, so even a modest absolute creep
    is a real erosion of the win, not measurement noise. Wall time keeps
@@ -186,7 +186,6 @@ let tight_alloc_tolerance = 0.05
 
 let tight_alloc_benches =
   [
-    "dp_optimize_14rel";
     "cascades_optimize_sales";
     "optimizer_steady_state";
     "optimizer_steady_state_fresh";

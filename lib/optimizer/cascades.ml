@@ -49,8 +49,7 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
    side) pair naming the winning physical alternative and split. Tasks
    are int pairs on an int stack; a split task carries its left side and
    its group, so no split outlives the expansion that lists it. A
-   [Plan.t] is built once, from the root, when the search ends, the way
-   {!Dp} reconstructs its winner.
+   [Plan.t] is built once, from the root, when the search ends.
 
    Only one group's split list is ever live. An expansion lists the
    splits into [splits], and its expand tasks run back to back: each

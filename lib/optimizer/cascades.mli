@@ -19,8 +19,8 @@
     Search effort follows the paper's "dynamic optimization": the task
     budget scales with the estimated cost of the seed plan, so expensive
     queries get (and allocate) more. A completed search explores every
-    connected split of every connected subset — the same space as {!Dp} —
-    hence equal optimal cost.
+    connected split of every connected subset — the same space as an
+    exhaustive System-R DP, the tests' oracle — hence equal optimal cost.
 
     The memo keeps costs, not plans. Each group's best is a row of flat
     columns (rows, cost_io, cost_cpu, width, winning operator tag and
@@ -72,7 +72,9 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
     capacity instead of re-growing them per query. That capacity follows
     the number of groups and live tasks, never 2^n subsets. Reuse is
     observationally transparent: results, stats and environment
-    interactions are identical to a fresh memo.
+    interactions are identical to a fresh memo. {!optimize} clears an
+    arena's logical state on entry, and an arena holds no plans, so a
+    parked arena needs no reset.
 
     An arena serves one compilation at a time, and all of the search's
     scratch space lives in it. Searches can suspend inside [env.alloc]
@@ -83,11 +85,6 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 type arena
 
 val create_arena : unit -> arena
-
-(** Clear logical state, keep capacity. {!optimize} resets its arena on
-    entry, so calling this is never required; an arena holds no
-    references into plans. *)
-val reset_arena : arena -> unit
 
 (** [optimize ?params ?arena ~env model catalog query]. Errors are the
     governor's abort reasons surfaced by [env.alloc]/[env.cpu]. Without

@@ -1,6 +1,5 @@
 type column = {
   col_name : string;
-  col_ty : Relation.Value.ty;
   distinct : float;
   min_value : int;
   max_value : int;
@@ -64,7 +63,6 @@ let has_index_on tbl col =
 let int_column ?(width = 8) name ~distinct =
   {
     col_name = name;
-    col_ty = Relation.Value.Tint;
     distinct;
     min_value = 0;
     max_value = max 0 (int_of_float distinct - 1);

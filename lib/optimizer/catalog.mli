@@ -3,15 +3,13 @@
     Data is described statistically (row counts, page counts, per-column
     distinct counts and value ranges); the optimizer and the simulated
     executor work entirely from these statistics, which is how they scale
-    to the paper's 524 GB data mart. Tiny physical instances can be
-    materialised from the same statistics for row-level validation (see
-    {!Bridge}). *)
+    to the paper's 524 GB data mart. Columns carry no type: a column's
+    value range is an int domain, and its width is what a row stores. *)
 
 type column = {
   col_name : string;
-  col_ty : Relation.Value.ty;
   distinct : float;  (** number of distinct values *)
-  min_value : int;  (** for [Tint] columns: inclusive value range *)
+  min_value : int;  (** inclusive value range *)
   max_value : int;
   avg_width : int;  (** bytes per value, for row-width estimation *)
   histogram : Histogram.t option;

@@ -1,9 +1,8 @@
 (** Physical execution plans with cost, cardinality and memory annotations.
 
-    Plans are produced by the optimizer ({!Cascades}, {!Dp}, {!Greedy}) and
-    consumed by three clients: the plan cache (sized by {!size_bytes}), the
-    simulated executor (driven by {!io_pages}, {!cpu_cost} and
-    {!grant_bytes}) and the row-level validator ({!Bridge}). *)
+    Plans are produced by the optimizer ({!Cascades}, {!Greedy}) and
+    consumed by the plan cache (sized by {!size_bytes}) and the simulated
+    executor (driven by {!io_pages}, {!cpu_cost} and {!grant_bytes}). *)
 
 type scan = {
   srel : int;  (** query relation index *)
@@ -56,7 +55,7 @@ val stream_agg : Cost.model -> rows:float -> groups:int -> aggs:int -> t -> t
 
 (** {1 Cost-model constants}
 
-    Exposed so {!Rules}'s cost-only evaluators (used by the flat DP) can
+    Exposed so {!Rules}'s cost-only evaluators (used by {!Cascades}) can
     mirror the constructors' memory formulas bit for bit. *)
 
 (** Build-side projection width cap in {!hash_join}'s memory model. *)

@@ -85,8 +85,8 @@ let next_subset t sub =
 
 (* Same enumeration as [first_subset]/[next_subset] but driven by a raw
    int loop: no option box per submask. This runs in the innermost loop
-   of the DP cost search (3^n submask visits over all subsets), where the
-   two words of a [Some] per step used to dominate the allocation
+   of an exhaustive DP (3^n submask visits over all subsets), where the
+   two words of a [Some] per step would dominate the allocation
    profile. *)
 let iter_strict_subsets t f =
   let s = ref ((t - 1) land t) in

@@ -15,23 +15,21 @@ let join_alternatives model card a b =
   ]
 
 (* ------------------------------------------------------------------- *)
-(* Cost-only alternative evaluation for the flat searches ({!Dp} and
-   {!Cascades}).
+(* Cost-only alternative evaluation for the {!Cascades} search.
 
    The functions below mirror the cost formulas of the [Plan] constructors
    term for term, in the same floating-point evaluation order, so the
    costs they produce are bit-identical to [Plan.total_cost] of the plan
    the constructor would have built. They read and write flat arrays
-   (indexed by [Relset.t] in the DP, by memo group in Cascades) and
-   allocate nothing: no [Plan.t] records, no lists, no closures, no
+   indexed by memo group and allocate nothing: no [Plan.t] records, no lists, no closures, no
    boxed floats (all intermediates are local unboxed floats;
    [Cost.spill_factor] and [Float.max] are inlined by hand because a
    non-inlined call would box its float argument).
 
    Anything changed in a [Plan] constructor's cost arithmetic must be
-   changed here identically — the QCheck identity properties in
-   [test_optimizer.ml] (flat DP == reference DP, Cascades == its
-   reference) are the guard. *)
+   changed here identically — the QCheck properties in
+   [test_optimizer.ml] (Cascades == its plan-building reference, complete
+   Cascades == the exhaustive DP) are the guard. *)
 
 type tables = {
   t_rows : float array;  (* plan output rows (leaf: filtered base rows) *)

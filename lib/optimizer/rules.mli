@@ -1,9 +1,9 @@
-(** Implementation rules shared by every plan-search strategy (Cascades, DP,
-    greedy): the physical alternatives for a leaf access and for a join of
-    two subplans, and the final aggregation placement. Keeping them in one
-    place guarantees that all strategies search the same plan space, so an
-    exhaustive Cascades run and the DP baseline must agree on optimal
-    cost. *)
+(** Implementation rules shared by every plan-search strategy (Cascades,
+    greedy, and the tests' exhaustive DP): the physical alternatives for a
+    leaf access and for a join of two subplans, and the final aggregation
+    placement. Keeping them in one place guarantees that all strategies
+    search the same plan space, so an exhaustive Cascades run and the DP
+    must agree on optimal cost. *)
 
 (** Access paths for relation [i]: sequential scan, plus an index scan when
     a filtered column has an index. *)
@@ -17,16 +17,16 @@ val join_alternatives : Cost.model -> Card.t -> Plan.t -> Plan.t -> Plan.t list
 (** Cheapest element of a nonempty list of alternatives. *)
 val cheapest : Plan.t list -> Plan.t
 
-(** {1 Cost-only evaluation for the flat searches}
+(** {1 Cost-only evaluation for the Cascades search}
 
-    The cost searches of {!Dp} and {!Cascades} never build [Plan.t]
-    values; they work on flat arrays — indexed by {!Relset.t} in the DP,
-    by memo group ordinal in Cascades — and identify the winning physical
-    alternative by an integer tag. The evaluators below mirror
-    the [Plan] constructors' cost arithmetic bit for bit (same terms,
-    same floating-point evaluation order), so reconstructing only the
-    winning tree afterwards yields exactly the plan the list-based
-    search would have chosen. They allocate nothing per call. *)
+    The {!Cascades} search never builds a [Plan.t] per alternative; it
+    works on flat arrays indexed by memo group ordinal and identifies
+    the winning physical alternative by an integer tag. The evaluators
+    below mirror the [Plan] constructors' cost arithmetic bit for bit
+    (same terms, same floating-point evaluation order), so
+    reconstructing only the winning tree afterwards yields exactly the
+    plan a list-based search would have chosen. They allocate nothing
+    per call. *)
 
 type tables = {
   t_rows : float array;

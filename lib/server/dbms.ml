@@ -45,11 +45,7 @@ let acquire_arena t =
       a
   | [] -> Optimizer.Cascades.create_arena ()
 
-let release_arena t a =
-  (* Eager reset so a parked arena does not pin the plans of the query it
-     just compiled. *)
-  Optimizer.Cascades.reset_arena a;
-  t.arenas <- a :: t.arenas
+let release_arena t a = t.arenas <- a :: t.arenas
 
 (* Queries are named "<template>#<serial>"; the breaker keys on the
    template so a poison shape trips without condemning its siblings. *)

@@ -50,7 +50,6 @@ let catalog () =
           };
           {
             Catalog.col_name = "pad";
-            col_ty = Relation.Value.Tstring;
             distinct = 20.;
             min_value = 0;
             max_value = 19;
@@ -77,7 +76,6 @@ let catalog () =
     @ [
         {
           Catalog.col_name = "pad";
-          col_ty = Relation.Value.Tstring;
           distinct = 20.;
           min_value = 0;
           max_value = 19;

@@ -57,7 +57,6 @@ let mk_table cat ~name ~rows ~pad ~indexed_attr ~fk =
     @ [
         {
           Catalog.col_name = "pad";
-          col_ty = Relation.Value.Tstring;
           distinct = 20.;
           min_value = 0;
           max_value = 19;
@@ -93,7 +92,6 @@ let catalog () =
     @ [
         {
           Catalog.col_name = "pad";
-          col_ty = Relation.Value.Tstring;
           distinct = 20.;
           min_value = 0;
           max_value = 19;

@@ -42,7 +42,6 @@ let catalog ?(sf = default_sf) () =
         @ [
             {
               Catalog.col_name = "pad";
-              col_ty = Relation.Value.Tstring;
               distinct = 20.;
               min_value = 0;
               max_value = 19;

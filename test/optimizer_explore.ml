@@ -1,11 +1,14 @@
 (* Inside the optimizer: take one SALES-style star query, plan it three
    ways (greedy, budgeted Cascades, exhaustive DP), compare costs and
    memory, then materialise a tiny instance of the warehouse and execute
-   the plans for real to prove they return identical results.
+   the plans for real to prove they return identical results. The DP and
+   the row engine are test oracles; test/optimizer_explore.golden pins
+   this program's output.
 
-     dune exec examples/optimizer_explore.exe *)
+     dune exec test/optimizer_explore.exe *)
 
 open Optimizer
+open Oracle
 
 (* An 8-dimension star so the exhaustive DP baseline is feasible. *)
 let dims = 8

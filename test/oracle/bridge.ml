@@ -1,3 +1,4 @@
+open Optimizer
 open Relation
 
 type instance = { tables : (string, Table.t) Hashtbl.t }
@@ -33,24 +34,13 @@ let materialize rng cat ~scale ?(cap = 2000) () =
     (fun tbl ->
       let schema =
         Schema.make
-          (List.map
-             (fun c -> (c.Catalog.col_name, c.Catalog.col_ty))
-             tbl.Catalog.columns)
+          (List.map (fun c -> (c.Catalog.col_name, Value.Tint)) tbl.Catalog.columns)
       in
       let spec_of (c : Catalog.column) =
         match key_target_of_column names c.Catalog.col_name with
         | Some target when target = tbl.Catalog.tbl_name -> Datagen.Serial
         | Some target -> Datagen.Foreign_key (List.assoc target scaled_rows)
-        | None -> (
-            match c.Catalog.col_ty with
-            | Value.Tint -> Datagen.Uniform_int (c.Catalog.min_value, c.Catalog.max_value)
-            | Value.Tfloat ->
-                Datagen.Uniform_float
-                  (float_of_int c.Catalog.min_value, float_of_int (c.Catalog.max_value + 1))
-            | Value.Tstring ->
-                let n = max 1 (min 26 (int_of_float c.Catalog.distinct)) in
-                Datagen.Choice (Array.init n (fun i -> Printf.sprintf "v%d" i))
-            | Value.Tbool -> Datagen.Flag 0.5)
+        | None -> Datagen.Uniform_int (c.Catalog.min_value, c.Catalog.max_value)
       in
       let specs = List.map spec_of tbl.Catalog.columns in
       let data =

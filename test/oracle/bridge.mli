@@ -3,7 +3,7 @@
 
     Given a catalog, [materialize] generates a tiny but referentially
     consistent physical instance of every table (primary keys dense,
-    foreign keys in range); [to_rowexec] translates a physical {!Plan.t}
+    foreign keys in range); [to_rowexec] translates a physical {!Optimizer.Plan.t}
     into a {!Rowexec.Operator.t} over those tables; [reference] builds the
     canonical nested-loop evaluation of the query. Tests use these to prove
     that whatever join order and algorithms the optimizer picks, the result
@@ -16,9 +16,10 @@ type instance
     [scale], capping at [cap] rows per table (defaults: [cap = 2000]).
     Column naming convention: in table [t], a column named ["t_key"] is its
     dense primary key; a column named ["d_key"] where [d] is another
-    catalog table is a foreign key into [d]. *)
+    catalog table is a foreign key into [d]. Every other column is an int
+    drawn uniformly from its catalog value range. *)
 val materialize :
-  Sim.Rng.t -> Catalog.t -> scale:float -> ?cap:int -> unit -> instance
+  Sim.Rng.t -> Optimizer.Catalog.t -> scale:float -> ?cap:int -> unit -> instance
 
 val table : instance -> string -> Relation.Table.t
 val table_names : instance -> string list
@@ -28,11 +29,13 @@ val table_names : instance -> string list
     at the leaves, every join predicate at the matching join (residual
     predicates as post-join filters), and the query's aggregation on top
     (row count first, then each SUM column). *)
-val to_rowexec : instance -> Query.t -> Plan.t -> Rowexec.Operator.t
+val to_rowexec :
+  instance -> Optimizer.Query.t -> Optimizer.Plan.t -> Rowexec.Operator.t
 
 (** Canonical evaluation: nested-loop join in relation-index order with all
     predicates applied, then hash aggregation. *)
-val reference : instance -> Query.t -> Rowexec.Operator.t
+val reference : instance -> Optimizer.Query.t -> Rowexec.Operator.t
 
 (** [validate inst q plan] executes both and compares result bags. *)
-val validate : instance -> Query.t -> Plan.t -> (unit, string) result
+val validate :
+  instance -> Optimizer.Query.t -> Optimizer.Plan.t -> (unit, string) result

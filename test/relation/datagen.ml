@@ -2,9 +2,6 @@ type column_spec =
   | Serial
   | Uniform_int of int * int
   | Foreign_key of int
-  | Uniform_float of float * float
-  | Choice of string array
-  | Flag of float
 
 let gen_value rng row = function
   | Serial -> Value.Int row
@@ -14,9 +11,6 @@ let gen_value rng row = function
   | Foreign_key n ->
       if n <= 0 then invalid_arg "Datagen: Foreign_key over empty table";
       Value.Int (Sim.Rng.int rng n)
-  | Uniform_float (lo, hi) -> Value.Float (Sim.Rng.uniform rng ~lo ~hi)
-  | Choice options -> Value.String (Sim.Rng.choice rng options)
-  | Flag p -> Value.Bool (Sim.Rng.float rng 1.0 < p)
 
 let table rng schema specs ~rows =
   if List.length specs <> Schema.arity schema then

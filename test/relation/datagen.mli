@@ -8,11 +8,8 @@ type column_spec =
   | Serial  (** 0, 1, 2, ... — primary keys *)
   | Uniform_int of int * int  (** inclusive bounds *)
   | Foreign_key of int  (** uniform in [\[0, n)] — references a Serial pk *)
-  | Uniform_float of float * float
-  | Choice of string array
-  | Flag of float  (** [Bool true] with the given probability *)
 
 (** [table rng schema specs ~rows] generates [rows] tuples; [specs] must
-    match the schema's arity and column types. *)
+    match the schema's arity; every column they generate is an int. *)
 val table :
   Sim.Rng.t -> Schema.t -> column_spec list -> rows:int -> Table.t

@@ -2,8 +2,8 @@
 
     This is the reference execution engine: it materialises genuine result
     tables from genuine data. The throughput simulation never runs rows
-    through it (it uses the cost-based [execsim] instead), but tests and
-    examples use it to prove that the plans produced by the optimizer are
+    through it (it uses the cost-based [execsim] instead), but tests use
+    it to prove that the plans produced by the optimizer are
     semantically correct — every join order and physical algorithm must
     produce the same bag of rows. *)
 

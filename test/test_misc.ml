@@ -71,12 +71,12 @@ let test_result_row_shape () =
 
 let test_materialize_referential_integrity () =
   let cat = Workload.Sales.catalog () in
-  let inst = Optimizer.Bridge.materialize (Sim.Rng.create 3) cat ~scale:1e-5 ~cap:50 () in
-  let fact = Optimizer.Bridge.table inst "sales" in
+  let inst = Oracle.Bridge.materialize (Sim.Rng.create 3) cat ~scale:1e-5 ~cap:50 () in
+  let fact = Oracle.Bridge.table inst "sales" in
   let schema = Relation.Table.schema fact in
   List.iter
     (fun dim ->
-      let dim_rows = Relation.Table.cardinality (Optimizer.Bridge.table inst dim) in
+      let dim_rows = Relation.Table.cardinality (Oracle.Bridge.table inst dim) in
       let idx = Relation.Schema.index_of schema (dim ^ "_key") in
       Array.iter
         (fun row ->
@@ -92,8 +92,8 @@ let test_materialize_referential_integrity () =
 
 let test_materialize_serial_pk () =
   let cat = Workload.Sales.catalog () in
-  let inst = Optimizer.Bridge.materialize (Sim.Rng.create 4) cat ~scale:1e-5 ~cap:50 () in
-  let customer = Optimizer.Bridge.table inst "customer" in
+  let inst = Oracle.Bridge.materialize (Sim.Rng.create 4) cat ~scale:1e-5 ~cap:50 () in
+  let customer = Oracle.Bridge.table inst "customer" in
   let idx = Relation.Schema.index_of (Relation.Table.schema customer) "customer_key" in
   Array.iteri
     (fun i row ->
@@ -104,11 +104,11 @@ let test_materialize_serial_pk () =
 
 let test_materialize_lists_tables () =
   let cat = Workload.Tpch.catalog () in
-  let inst = Optimizer.Bridge.materialize (Sim.Rng.create 5) cat ~scale:1e-6 ~cap:20 () in
-  Alcotest.(check int) "8 tables" 8 (List.length (Optimizer.Bridge.table_names inst));
+  let inst = Oracle.Bridge.materialize (Sim.Rng.create 5) cat ~scale:1e-6 ~cap:20 () in
+  Alcotest.(check int) "8 tables" 8 (List.length (Oracle.Bridge.table_names inst));
   Alcotest.(check bool) "missing table rejected" true
     (try
-       ignore (Optimizer.Bridge.table inst "nope");
+       ignore (Oracle.Bridge.table inst "nope");
        false
      with Invalid_argument _ -> true)
 

@@ -1,7 +1,9 @@
 (* Tests for the optimizer: cardinality estimation, plan costing, greedy /
-   DP / Cascades search, and row-level validation of produced plans. *)
+   DP / Cascades search, and row-level validation of produced plans. The
+   DP and the row-level validator are the test-only [Oracle] library. *)
 
 open Optimizer
+open Oracle
 
 (* ------------------------------------------------------------------ *)
 (* Schema helpers: a star catalog (fact + dimensions) and a chain. *)
@@ -698,10 +700,8 @@ let prop_random_star_plans_validate =
       List.for_all (fun p -> Bridge.validate inst q p = Ok ()) plans)
 
 (* ------------------------------------------------------------------ *)
-(* Identity properties for the allocation-lean paths: the flat two-pass
-   DP against the kept reference implementation, and Cascades memo-arena
-   reuse against fresh memos. Both must be observationally equal — same
-   plan, same costs, same counters — on randomized query shapes. *)
+(* Randomized stars and chains: a complete Cascades search against the
+   exhaustive DP, and memo-arena reuse against fresh memos. *)
 
 let random_cat_query ~star ~n ~salt =
   if star then begin
@@ -719,19 +719,81 @@ let random_cat_query ~star ~n ~salt =
     (cat, chain_query ~len cat)
   end
 
-let prop_flat_dp_matches_reference =
-  QCheck.Test.make ~name:"flat dp = reference dp (plan, cost, entries)"
+(* Both searches cover the same cross-product-free space with the same
+   [Rules], so a search that runs to completion must find a plan of
+   exactly the DP optimum's cost, at every size the DP accepts. *)
+let prop_cascades_complete_matches_dp =
+  QCheck.Test.make ~name:"complete cascades cost = dp cost (stars, chains 2-14)"
     ~count:30
     QCheck.(triple bool (int_range 2 14) (int_range 0 1_000_000))
     (fun (star, n, salt) ->
       let cat, q = random_cat_query ~star ~n ~salt in
-      let flat_plan, flat_entries =
-        Dp.optimize_with_stats model (Card.create cat q)
+      let casc = cascades_complete cat q in
+      let dp = Dp.optimize model (Card.create cat q) in
+      if
+        casc.Cascades.outcome = Cascades.Complete
+        && Plan.total_cost casc.Cascades.plan = Plan.total_cost dp
+      then true
+      else
+        QCheck.Test.fail_reportf "%s (%d rels): complete %b, cascades %.17g, dp %.17g"
+          q.Query.qid (Query.n_rels q)
+          (casc.Cascades.outcome = Cascades.Complete)
+          (Plan.total_cost casc.Cascades.plan) (Plan.total_cost dp))
+
+(* Best-plan-so-far (paper §4.1): when [should_stop] fires the search
+   returns the best plan it holds. Until then it takes the same steps
+   whatever the cap, and the root's best only improves, so a larger
+   compile-memory cap never yields a costlier plan. Caps run from 0 to
+   4 GiB: 0 and 16 KiB * 4^k for k = 0..9. Each case checks a SALES
+   instance and a random star or chain. On SALES instances the search
+   has not been seen to replace its greedy seed before it stops, so
+   their costs come out flat; the chains are where the cost moves. *)
+let prop_best_plan_so_far_monotone_in_cap =
+  let caps = 0 :: List.init 10 (fun k -> 16_384 lsl (2 * k)) in
+  let sales = Workload.Sales.catalog () in
+  let templates = Array.of_list (Workload.Sales.templates ()) in
+  let params =
+    { Cascades.default_params with Cascades.honor_stop_early = true }
+  in
+  let monotone cat q =
+    let cost_at cap =
+      let bytes = ref 0 in
+      let env =
+        {
+          Env.alloc = (fun n -> bytes := !bytes + n);
+          cpu = (fun _ -> ());
+          should_stop = (fun () -> !bytes >= cap);
+        }
       in
-      let ref_plan, ref_entries =
-        Dp.optimize_reference_with_stats model (Card.create cat q)
+      match Cascades.optimize ~params ~env model cat q with
+      | Ok r -> r.Cascades.cost
+      | Error e ->
+          QCheck.Test.fail_reportf "%s: abort %s" q.Query.qid
+            (Format.asprintf "%a" Env.pp_abort_reason e)
+    in
+    let rec check = function
+      | (c1, x1) :: ((c2, x2) :: _ as rest) ->
+          if x2 > x1 then
+            QCheck.Test.fail_reportf
+              "%s (%d rels): cost %.17g at cap %d B rose to %.17g at cap %d B"
+              q.Query.qid (Query.n_rels q) x1 c1 x2 c2
+          else check rest
+      | _ -> true
+    in
+    check (List.map (fun cap -> (cap, cost_at cap)) caps)
+  in
+  QCheck.Test.make
+    ~name:"best-plan-so-far cost never rises as the memory cap grows" ~count:25
+    QCheck.(quad (int_bound 1_000_000_000) bool (int_range 2 14)
+              (int_range 0 1_000_000))
+    (fun (seed, star, n, salt) ->
+      let rs = Random.State.make [| seed |] in
+      let t = templates.(Random.State.int rs (Array.length templates)) in
+      let q =
+        Workload.Template.instance (Sim.Rng.create (Random.State.bits rs)) t ~id:1
       in
-      flat_plan = ref_plan && flat_entries = ref_entries)
+      let cat, q' = random_cat_query ~star ~n ~salt in
+      monotone sales q && monotone cat q')
 
 let prop_arena_reuse_transparent =
   QCheck.Test.make ~name:"cascades arena reuse = fresh memo" ~count:10
@@ -1030,8 +1092,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_relset_subsets_complete;
     QCheck_alcotest.to_alcotest prop_iter_of_cardinality_matches_bruteforce;
     QCheck_alcotest.to_alcotest prop_connected_subsets_match_bruteforce;
+    QCheck_alcotest.to_alcotest prop_best_plan_so_far_monotone_in_cap;
     QCheck_alcotest.to_alcotest prop_random_star_plans_validate;
-    QCheck_alcotest.to_alcotest prop_flat_dp_matches_reference;
+    QCheck_alcotest.to_alcotest prop_cascades_complete_matches_dp;
     QCheck_alcotest.to_alcotest prop_arena_reuse_transparent;
     QCheck_alcotest.to_alcotest prop_mask_graph_matches_lists;
     QCheck_alcotest.to_alcotest prop_cascades_matches_reference;

@@ -196,13 +196,13 @@ let test_tpch_compiles_small () =
 let test_tpch_plans_validate () =
   let rng = Sim.Rng.create 10 in
   let cat = Workload.Tpch.catalog () in
-  let inst = Optimizer.Bridge.materialize (Sim.Rng.create 11) cat ~scale:1e-5 ~cap:40 () in
+  let inst = Oracle.Bridge.materialize (Sim.Rng.create 11) cat ~scale:1e-5 ~cap:40 () in
   List.iteri
     (fun i t ->
       let q = Workload.Template.instance rng t ~id:i in
       let card = Optimizer.Card.create cat q in
       let plan = Optimizer.Greedy.plan Optimizer.Cost.default card in
-      match Optimizer.Bridge.validate inst q plan with
+      match Oracle.Bridge.validate inst q plan with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" t.Workload.Template.tname e)
     (Workload.Tpch.templates ())
@@ -240,7 +240,7 @@ let test_snowflake_plans_validate () =
   let rng = Sim.Rng.create 22 in
   let cat = Workload.Snowflake.catalog () in
   let inst =
-    Optimizer.Bridge.materialize (Sim.Rng.create 23) cat ~scale:1e-5 ~cap:40 ()
+    Oracle.Bridge.materialize (Sim.Rng.create 23) cat ~scale:1e-5 ~cap:40 ()
   in
   List.iteri
     (fun i t ->
@@ -248,7 +248,7 @@ let test_snowflake_plans_validate () =
         let q = Workload.Template.instance rng t ~id:i in
         let card = Optimizer.Card.create cat q in
         let plan = Optimizer.Greedy.plan Optimizer.Cost.default card in
-        match Optimizer.Bridge.validate inst q plan with
+        match Oracle.Bridge.validate inst q plan with
         | Ok () -> ()
         | Error e -> Alcotest.failf "%s: %s" t.Workload.Template.tname e
       end)
