@@ -821,7 +821,7 @@ let storm_cmd =
       & info [ "defenses" ]
           ~doc:
             "Defense stack: $(b,on), $(b,off), or $(b,both) (the A/B \
-             comparison). Tuning flags require the defended arm.")
+             comparison).")
   in
   let schedule_arg =
     Arg.(
@@ -836,73 +836,9 @@ let storm_cmd =
              $(b,invalidation) (every plan cache flushed in place), or \
              $(b,both).")
   in
-  let sf_wait_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "sf-wait" ]
-          ~doc:
-            "Singleflight follower wait, seconds, before compiling solo. \
-             Conflicts with $(b,--defenses off).")
-  in
-  let budget_tokens_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-tokens" ]
-          ~doc:
-            "Initial retry-budget tokens per client. Conflicts with \
-             $(b,--defenses off).")
-  in
-  let lifo_after_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "lifo-after" ]
-          ~doc:
-            "Seconds of sustained gateway standing before the FIFO->LIFO \
-             flip. Conflicts with $(b,--defenses off).")
-  in
-  let warm_prime_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "warm-prime" ]
-          ~doc:
-            "Hottest templates warm-primed on shard rejoin. Conflicts \
-             with $(b,--defenses off).")
-  in
   let spec shards clients variants think warmup measure slice total_gib
-      defenses schedule sf_wait budget_tokens lifo_after warm_prime =
+      defenses schedule =
     let open Server.Storms in
-    (* Structured conflicts, caught before any simulation runs: every
-       tuning flag parameterizes a defense, so with the defended arm
-       excluded there is nothing for it to tune. *)
-    (if defenses = `Off then
-       let conflict name = function
-         | Some _ ->
-             Fanout.fail
-               (Printf.sprintf
-                  "--%s conflicts with --defenses off (it tunes a defense \
-                   that arm never runs)"
-                  name)
-         | None -> ()
-       in
-       conflict "sf-wait" sf_wait;
-       conflict "budget-tokens" budget_tokens;
-       conflict "lifo-after" lifo_after;
-       conflict "warm-prime" (Option.map float_of_int warm_prime));
-    let nonpos name = function
-      | Some v when v <= 0. ->
-          Fanout.fail (Printf.sprintf "--%s must be positive" name)
-      | _ -> ()
-    in
-    nonpos "sf-wait" sf_wait;
-    nonpos "budget-tokens" budget_tokens;
-    nonpos "lifo-after" lifo_after;
-    (match warm_prime with
-    | Some k when k < 0 -> Fanout.fail "--warm-prime must be >= 0"
-    | _ -> ());
     let total_bytes = gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     let schedules =
@@ -915,7 +851,6 @@ let storm_cmd =
       match defenses with `On -> [ true ] | `Off -> [ false ] | `Both -> [ true; false ]
     in
     let cell seed schedule defenses =
-      let tuned v = if defenses then v else None in
       {
         s_shards = shards;
         s_clients = clients;
@@ -926,10 +861,6 @@ let storm_cmd =
         s_slice = slice;
         s_total = total_bytes;
         s_defenses = defenses;
-        s_sf_wait = tuned sf_wait;
-        s_budget_tokens = tuned budget_tokens;
-        s_lifo_after = tuned lifo_after;
-        s_warm_prime = tuned warm_prime;
         s_seed = seed;
         s_schedule = schedule;
       }
@@ -973,7 +904,6 @@ let storm_cmd =
           int "storms" (fun o -> o.storms_detected);
           int "primed" (fun o -> o.primed);
           int "lifo_shifts" (fun o -> o.lifo_shifts);
-          int "deadline_sheds" (fun o -> o.deadline_sheds);
           int "budget_denials" (fun o -> o.budget_denials);
           int "submitted" (fun o -> o.submitted);
           int "ok" (fun o -> o.ok);
@@ -1025,8 +955,7 @@ let storm_cmd =
     Term.(
       const spec $ shards_arg $ clients_arg $ variants_arg $ think_arg
       $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg $ defenses_arg
-      $ schedule_arg $ sf_wait_arg $ budget_tokens_arg $ lifo_after_arg
-      $ warm_prime_arg)
+      $ schedule_arg)
 
 let cache_cmd =
   let mode_arg =

@@ -5,14 +5,7 @@ let pressure_name = function
   | Elevated -> "elevated"
   | Critical -> "critical"
 
-type defense = {
-  adaptive_lifo : bool;  (* flip FIFO->LIFO under sustained standing *)
-  lifo_after_s : float;  (* standing time before the flip *)
-  deadline_shed : bool;  (* shed waiters whose deadline cannot be met *)
-}
-
-let no_defense =
-  { adaptive_lifo = false; lifo_after_s = 10.0; deadline_shed = false }
+let lifo_after_s = 20.
 
 type t = {
   geng : Sim.Engine.t;
@@ -26,10 +19,9 @@ type t = {
   mutable press : pressure;
   mutable active : int;
   genabled : bool;
-  mutable defense : defense;
+  mutable adaptive_lifo : bool; (* flip FIFO->LIFO under sustained standing *)
   standing_since : float array; (* per monitor; nan = queue not standing *)
   mutable lifo_shifts : int;
-  mutable deadline_sheds : int;
 }
 
 type session = {
@@ -39,7 +31,6 @@ type session = {
   mutable speak : int;
   mutable held : int;
   mutable finished : bool;
-  mutable sdeadline : float; (* absolute; infinity = none *)
 }
 
 let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
@@ -66,17 +57,14 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
     press = Calm;
     active = 0;
     genabled = enabled;
-    defense = no_defense;
+    adaptive_lifo = false;
     standing_since = Array.make (Array.length levels) Float.nan;
     lifo_shifts = 0;
-    deadline_sheds = 0;
   }
 
 let enabled t = t.genabled
-let set_defense t d = t.defense <- d
-let defense t = t.defense
+let set_adaptive_lifo t on = t.adaptive_lifo <- on
 let lifo_shifts t = t.lifo_shifts
-let deadline_sheds t = t.deadline_sheds
 
 (* Entry threshold for monitor [i]. The first monitor's threshold is always
    static (it exists to let small diagnostic queries through unthrottled);
@@ -103,19 +91,11 @@ let emit t ~qid event =
   if Obs.Trace.enabled t.gtrace then
     Obs.Trace.emit t.gtrace ~time:(Sim.Engine.now t.geng) ~qid event
 
-let begin_compile ?(qid = "") ?(deadline = Float.infinity) t =
+let begin_compile ?(qid = "") t =
   t.active <- t.active + 1;
   t.counts.(0) <- t.counts.(0) + 1;
   emit t ~qid Obs.Event.Compile_begin;
-  {
-    gov = t;
-    sqid = qid;
-    susage = 0;
-    speak = 0;
-    held = 0;
-    finished = false;
-    sdeadline = deadline;
-  }
+  { gov = t; sqid = qid; susage = 0; speak = 0; held = 0; finished = false }
 
 let promote s =
   let t = s.gov in
@@ -130,14 +110,13 @@ let promote s =
    it first turns a post-storm backlog into completed work instead of a
    parade of timeouts. The queue draining flips it straight back. *)
 let adapt_queue t i =
-  let d = t.defense in
-  if d.adaptive_lifo then begin
+  if t.adaptive_lifo then begin
     let m = t.gmonitors.(i) in
     let now = Sim.Engine.now t.geng in
     if Monitor.queued m > 0 then begin
       if Float.is_nan t.standing_since.(i) then t.standing_since.(i) <- now
       else if
-        now -. t.standing_since.(i) >= d.lifo_after_s
+        now -. t.standing_since.(i) >= lifo_after_s
         && Monitor.discipline m = Sim.Resource.Fifo
       then begin
         Monitor.set_discipline m Sim.Resource.Lifo;
@@ -156,21 +135,11 @@ let adapt_queue t i =
     end
   end
 
-let shed_error t i =
-  Error
-    (Health.Error.make
-       ~detail:("gateway-shed:" ^ Monitor.name t.gmonitors.(i))
-       Health.Error.Deadline_exceeded)
-
 (* Acquire every monitor whose threshold [new_usage] crosses, in order.
    Waiters are served by progress: among compilations blocked at the same
    monitor, the one that has already allocated the most memory goes first
    ("gives preference to compilations that have made the most progress",
-   §4.1), with FIFO among equals. With [deadline_shed] on, a session whose
-   remaining deadline cannot cover the monitor's observed mean wait is
-   refused {e before} enqueueing (it would only stand in line, time out,
-   and meanwhile hold every earlier gateway), and one that does queue has
-   its wait capped at the deadline rather than the gateway timeout. *)
+   §4.1), with FIFO among equals. *)
 let rec pass_gates s new_usage =
   let t = s.gov in
   if s.held >= Array.length t.gmonitors then Ok ()
@@ -179,37 +148,16 @@ let rec pass_gates s new_usage =
     let i = s.held in
     adapt_queue t i;
     let m = t.gmonitors.(i) in
-    let remaining = s.sdeadline -. Sim.Engine.now t.geng in
-    let shed = t.defense.deadline_shed && remaining < Float.infinity in
-    if shed && remaining <= 0. then begin
-      t.deadline_sheds <- t.deadline_sheds + 1;
-      shed_error t i
-    end
-    else if shed && Monitor.queued m > 0 && Monitor.mean_wait m > remaining
-    then begin
-      t.deadline_sheds <- t.deadline_sheds + 1;
-      shed_error t i
-    end
-    else begin
-      let priority = -(new_usage / (1 lsl 20)) in
-      let timeout_override = if shed then Some remaining else None in
-      match
-        Monitor.acquire m ~priority ~qid:s.sqid ?timeout_override ()
-      with
-      | Error `Timeout when shed && remaining < Monitor.timeout m ->
-          (* The deadline cap fired before the gateway's own timeout
-             would have: this is a deadline shed, not an 8645. *)
-          t.deadline_sheds <- t.deadline_sheds + 1;
-          shed_error t i
-      | Error `Timeout ->
-          (* Timed out queued for a compilation gateway: SQL Server 8645. *)
-          Error
-            (Health.Error.make ~detail:(Monitor.name m)
-               Health.Error.Memory_wait_timeout)
-      | Ok () ->
-          promote s;
-          pass_gates s new_usage
-    end
+    let priority = -(new_usage / (1 lsl 20)) in
+    match Monitor.acquire m ~priority ~qid:s.sqid () with
+    | Error `Timeout ->
+        (* Timed out queued for a compilation gateway: SQL Server 8645. *)
+        Error
+          (Health.Error.make ~detail:(Monitor.name m)
+             Health.Error.Memory_wait_timeout)
+    | Ok () ->
+        promote s;
+        pass_gates s new_usage
   end
 
 let alloc s n =

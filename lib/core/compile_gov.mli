@@ -38,31 +38,19 @@ val create :
 
 (** {1 Storm defense} *)
 
-(** Metastable-failure defenses at the gateway ladder, all off by default
-    so the paper's baseline behaviour is untouched. [adaptive_lifo]: when
-    a monitor's queue has been continuously standing for [lifo_after_s],
-    flip its service order to newest-first (and back once it drains) —
-    post-storm, the newest waiter is the one that can still meet its
-    deadline. [deadline_shed]: refuse to enqueue a session whose remaining
-    deadline cannot cover the monitor's observed mean wait, and cap a
-    queued session's wait at its deadline, so doomed waiters stop holding
-    earlier gateways while they die; sheds surface as
-    {!Health.Error.Deadline_exceeded} with detail ["gateway-shed:<gate>"]. *)
-type defense = {
-  adaptive_lifo : bool;
-  lifo_after_s : float;
-  deadline_shed : bool;
-}
+(** Seconds a monitor's queue must stand before the adaptive flip (20). *)
+val lifo_after_s : float
 
-val no_defense : defense
-val set_defense : t -> defense -> unit
-val defense : t -> defense
+(** The metastable-failure defense at the gateway ladder, off by default
+    so the paper's baseline behaviour is untouched. When on, a monitor
+    whose queue has been continuously standing for {!lifo_after_s} flips
+    its service order to newest-first (and back once it drains) —
+    post-storm, the newest waiter is the one whose caller has not yet
+    given up. *)
+val set_adaptive_lifo : t -> bool -> unit
 
 (** FIFO->LIFO flips so far (re-flips to FIFO are not counted). *)
 val lifo_shifts : t -> int
-
-(** Sessions refused or cut short by the deadline shed. *)
-val deadline_sheds : t -> int
 
 (** {1 Sessions} *)
 
@@ -70,9 +58,8 @@ type session
 
 (** [begin_compile t] registers a new compilation (initially below the
     first threshold, hence unthrottled). [qid] labels the session's trace
-    records. [deadline] is the query's absolute deadline, used only by the
-    [deadline_shed] defense (default: none). *)
-val begin_compile : ?qid:string -> ?deadline:float -> t -> session
+    records. *)
+val begin_compile : ?qid:string -> t -> session
 
 (** [alloc s n] reports [n] more bytes of compile memory demand. May block
     the calling process at one or more monitors. On [Error] the compilation

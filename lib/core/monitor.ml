@@ -19,14 +19,9 @@ let emit t ~qid phase ~priority =
     Obs.Trace.emit t.mtrace ~time:(Sim.Engine.now t.meng) ~qid
       (Obs.Event.Gateway { gate = t.mname; phase; priority })
 
-let acquire t ?(priority = 0) ?(qid = "") ?timeout_override () =
+let acquire t ?(priority = 0) ?(qid = "") () =
   emit t ~qid Obs.Event.Wait ~priority;
-  let timeout =
-    match timeout_override with
-    | Some dt -> Float.min t.mtimeout dt
-    | None -> t.mtimeout
-  in
-  match Sim.Resource.Sem.acquire t.sem ~priority ~timeout ~n:1 () with
+  match Sim.Resource.Sem.acquire t.sem ~priority ~timeout:t.mtimeout ~n:1 () with
   | Sim.Resource.Acquired ->
       emit t ~qid Obs.Event.Acquired ~priority;
       Ok ()
@@ -41,12 +36,10 @@ let release ?(qid = "") t =
 let set_slots t n = Sim.Resource.Sem.set_capacity t.sem n
 let set_discipline t d = Sim.Resource.Sem.set_discipline t.sem d
 let discipline t = Sim.Resource.Sem.discipline t.sem
-let mean_wait t = Sim.Stats.Online.mean (Sim.Resource.Sem.wait_stats t.sem)
 let name t = t.mname
 let slots t = Sim.Resource.Sem.capacity t.sem
 let in_use t = Sim.Resource.Sem.in_use t.sem
 let queued t = Sim.Resource.Sem.queued t.sem
-let timeout t = t.mtimeout
 let acquires t = Sim.Resource.Sem.grants t.sem
 let releases t = t.nreleases
 let timeouts t = Sim.Resource.Sem.timeouts t.sem

@@ -23,19 +23,9 @@ val create :
 
 (** [acquire t ()] blocks until a slot is free or the monitor's timeout
     elapses. Must run inside a simulation process. Lower [priority] is
-    served first; default [0] (FIFO). [qid] labels the trace records.
-    [timeout_override], when given, {e caps} the monitor's configured
-    timeout (never extends it) — the deadline-aware shed path uses it so
-    a waiter whose query deadline lands before the gateway timeout gives
-    its queue slot back at the deadline instead of standing dead in
-    line. *)
+    served first; default [0] (FIFO). [qid] labels the trace records. *)
 val acquire :
-  t ->
-  ?priority:int ->
-  ?qid:string ->
-  ?timeout_override:float ->
-  unit ->
-  (unit, [ `Timeout ]) result
+  t -> ?priority:int -> ?qid:string -> unit -> (unit, [ `Timeout ]) result
 
 (** Give the slot back. *)
 val release : ?qid:string -> t -> unit
@@ -53,7 +43,6 @@ val name : t -> string
 val slots : t -> int
 val in_use : t -> int
 val queued : t -> int
-val timeout : t -> float
 
 (** {1 Statistics} *)
 
@@ -68,7 +57,3 @@ val timeouts : t -> int
 (** Distribution of time spent blocked in {!acquire} (successful acquires
     only; zero for fast-path grants). *)
 val wait_stats : t -> Sim.Stats.Online.t
-
-(** Mean of {!wait_stats} — the queue-delay estimate the deadline shed
-    compares against a waiter's remaining budget. *)
-val mean_wait : t -> float

@@ -5,7 +5,6 @@ type code =
   | Admission_shed
   | Breaker_open
   | Watchdog_cancelled
-  | Deadline_exceeded
   | Shard_unavailable
   | Retry_budget_exhausted
 
@@ -22,7 +21,6 @@ let all_codes =
     Admission_shed;
     Breaker_open;
     Watchdog_cancelled;
-    Deadline_exceeded;
     Shard_unavailable;
     Retry_budget_exhausted;
   ]
@@ -34,7 +32,6 @@ let code_name = function
   | Admission_shed -> "admission-shed"
   | Breaker_open -> "breaker-open"
   | Watchdog_cancelled -> "watchdog-cancelled"
-  | Deadline_exceeded -> "deadline-exceeded"
   | Shard_unavailable -> "shard-unavailable"
   | Retry_budget_exhausted -> "retry-budget-exhausted"
 
@@ -42,13 +39,13 @@ let sql_code = function
   | Insufficient_memory -> Some 701
   | Memory_wait_timeout -> Some 8645
   | Low_memory_condition -> Some 8651
-  | Admission_shed | Breaker_open | Watchdog_cancelled | Deadline_exceeded
-  | Shard_unavailable | Retry_budget_exhausted ->
+  | Admission_shed | Breaker_open | Watchdog_cancelled | Shard_unavailable
+  | Retry_budget_exhausted ->
       None
 
 let severity = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition -> Severe
-  | Watchdog_cancelled | Deadline_exceeded -> Warning
+  | Watchdog_cancelled -> Warning
   | Admission_shed | Breaker_open | Shard_unavailable
   | Retry_budget_exhausted ->
       Informational
@@ -57,7 +54,7 @@ let retryable = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition
   | Admission_shed | Breaker_open | Shard_unavailable ->
       true
-  | Watchdog_cancelled | Deadline_exceeded | Retry_budget_exhausted -> false
+  | Watchdog_cancelled | Retry_budget_exhausted -> false
 
 let severity_name = function
   | Severe -> "severe"

@@ -21,7 +21,6 @@ type code =
   | Admission_shed  (** admission control refused the query at the door *)
   | Breaker_open  (** the template's circuit breaker is open *)
   | Watchdog_cancelled  (** the watchdog cancelled a silent/stuck query *)
-  | Deadline_exceeded  (** the query's own deadline expired *)
   | Shard_unavailable
       (** the shard holding this query's placement is down (or its
           connection was lost mid-flight when the shard crashed) — a
@@ -48,14 +47,15 @@ val sql_code : code -> int option
 (** The SQL Server error number the code mirrors, if any. *)
 
 val severity : code -> severity
-(** 701/8645/8651 are [Severe]; watchdog cancels and missed deadlines are
-    [Warning]s (the supervisor chose them); sheds and breaker rejections
-    are [Informational] back-pressure, not failures of the engine. *)
+(** 701/8645/8651 are [Severe]; watchdog cancels are [Warning]s (the
+    supervisor chose them); sheds and breaker rejections are
+    [Informational] back-pressure, not failures of the engine. *)
 
 val retryable : code -> bool
 (** Whether a client retry has a reasonable chance: resource waits and
-    back-pressure are retryable; watchdog cancels and expired deadlines
-    are not (the query itself is the problem, or its budget is gone). *)
+    back-pressure are retryable; watchdog cancels and an empty retry
+    budget are not (the query itself is the problem, or its budget is
+    gone). *)
 
 val severity_name : severity -> string
 

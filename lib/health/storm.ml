@@ -27,8 +27,6 @@ type t = {
   mutable storm_started_at : float;  (* valid while storming *)
   mutable quiet : int;  (* consecutive calm closed windows while storming *)
   mutable storms_total : int;
-  hot : (string, int) Hashtbl.t;  (* cumulative misses per template *)
-  mutable on_change : bool -> unit;
 }
 
 let create ?(trace = Obs.Trace.null) eng ~enabled =
@@ -43,11 +41,7 @@ let create ?(trace = Obs.Trace.null) eng ~enabled =
     storm_started_at = 0.;
     quiet = 0;
     storms_total = 0;
-    hot = Hashtbl.create 16;
-    on_change = (fun _ -> ());
   }
-
-let set_on_change t f = t.on_change <- f
 
 let emit t event =
   if Obs.Trace.enabled t.trace then
@@ -63,8 +57,7 @@ let end_storm t =
   t.storming <- false;
   t.quiet <- 0;
   let duration_s = Sim.Engine.now t.eng -. t.storm_started_at in
-  emit t (Obs.Event.Storm_end { duration_s });
-  t.on_change false
+  emit t (Obs.Event.Storm_end { duration_s })
 
 (* Lazily close every window that has fully elapsed: no timer process, an
    idle detector costs nothing. Each closed window feeds the EWMA and,
@@ -84,32 +77,16 @@ let roll t =
     t.window_start <- t.window_start +. window_s
   done
 
-let note_compile t ~template =
+let note_compile t =
   if t.enabled then (
     roll t;
     t.cur_count <- t.cur_count + 1;
-    Hashtbl.replace t.hot template
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.hot template));
     if (not t.storming) && float_of_int t.cur_count >= threshold t then (
       t.storming <- true;
       t.storm_started_at <- Sim.Engine.now t.eng;
       t.quiet <- 0;
       t.storms_total <- t.storms_total + 1;
       emit t
-        (Obs.Event.Storm_begin { misses = t.cur_count; baseline = t.baseline });
-      t.on_change true))
-
-let active t =
-  if not t.enabled then false
-  else (
-    roll t;
-    t.storming)
+        (Obs.Event.Storm_begin { misses = t.cur_count; baseline = t.baseline })))
 
 let storms_total t = t.storms_total
-let baseline t = t.baseline
-
-let hottest t ~k =
-  Hashtbl.fold (fun template count acc -> (template, count) :: acc) t.hot []
-  |> List.sort (fun (ta, ca) (tb, cb) ->
-         if ca <> cb then compare cb ca else compare ta tb)
-  |> List.filteri (fun i _ -> i < k)

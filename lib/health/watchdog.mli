@@ -9,10 +9,10 @@
 
     The simulation is cooperative, so the watchdog cannot interrupt a
     blocked process; it flips per-session flags that the query's own code
-    polls at its next allocation or slice boundary (exactly how the
-    deadline mechanism works). Gateway waits are bounded by the monitor
-    timeouts (120/300/600 s), so the cancellation threshold sits above the
-    biggest gateway timeout: a politely queued query is never shot. *)
+    polls at its next allocation or slice boundary. Gateway waits are
+    bounded by the monitor timeouts (120/300/600 s), so the cancellation
+    threshold sits above the biggest gateway timeout: a politely queued
+    query is never shot. *)
 
 type t
 type session

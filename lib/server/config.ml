@@ -4,11 +4,8 @@
    switches on. *)
 type defense = {
   d_singleflight : bool;  (* coalesce concurrent same-statement compiles *)
-  d_sf_wait_s : float;  (* follower wait bound before compiling solo *)
   d_budget : Resilience.Budget.config option;  (* retry token bucket *)
   d_adaptive_queues : bool;  (* FIFO->LIFO under sustained standing *)
-  d_lifo_after_s : float;
-  d_deadline_shed : bool;  (* shed gateway waiters past their deadline *)
   d_storm : bool;  (* miss-storm detector *)
   d_warm_prime : int;  (* hottest templates primed on shard rejoin; 0 = off *)
 }
@@ -16,11 +13,8 @@ type defense = {
 let no_defense =
   {
     d_singleflight = false;
-    d_sf_wait_s = 120.;
     d_budget = None;
     d_adaptive_queues = false;
-    d_lifo_after_s = 20.;
-    d_deadline_shed = false;
     d_storm = false;
     d_warm_prime = 0;
   }
@@ -28,11 +22,8 @@ let no_defense =
 let defended =
   {
     d_singleflight = true;
-    d_sf_wait_s = 120.;
     d_budget = Some Resilience.Budget.default_config;
     d_adaptive_queues = true;
-    d_lifo_after_s = 20.;
-    d_deadline_shed = true;
     d_storm = true;
     d_warm_prime = 4;
   }
@@ -128,16 +119,14 @@ let pp ppf t =
     Format.fprintf ppf "@,supervision ON: watchdog + starvation auditor + breakers";
   if
     t.defense.d_singleflight || t.defense.d_budget <> None
-    || t.defense.d_adaptive_queues || t.defense.d_deadline_shed
-    || t.defense.d_storm
+    || t.defense.d_adaptive_queues || t.defense.d_storm
   then
     Format.fprintf ppf
       "@,storm defense ON: singleflight=%b budget=%b adaptive-queues=%b \
-       deadline-shed=%b detector=%b warm-prime=%d"
+       detector=%b warm-prime=%d"
       t.defense.d_singleflight
       (t.defense.d_budget <> None)
-      t.defense.d_adaptive_queues t.defense.d_deadline_shed
-      t.defense.d_storm t.defense.d_warm_prime;
+      t.defense.d_adaptive_queues t.defense.d_storm t.defense.d_warm_prime;
   match t.faults with
   | [] -> ()
   | faults ->

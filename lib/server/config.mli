@@ -8,17 +8,14 @@ type defense = {
   d_singleflight : bool;
       (** coalesce concurrent compiles of one canonical statement onto a
           single in-flight optimization ({!Plancache.Singleflight}) *)
-  d_sf_wait_s : float;
-      (** how long a coalesced follower waits for the leader before
-          giving up and compiling solo *)
   d_budget : Resilience.Budget.config option;
       (** per-client retry token bucket; [None] = unconditional retries *)
   d_adaptive_queues : bool;
-      (** gateway FIFO->LIFO flip under sustained queue standing *)
-  d_lifo_after_s : float;  (** standing time before the flip *)
-  d_deadline_shed : bool;
-      (** shed gateway waiters whose remaining deadline cannot be met *)
-  d_storm : bool;  (** the {!Health.Storm} compile-miss storm detector *)
+      (** gateway FIFO->LIFO flip under sustained queue standing
+          ({!Qcore.Compile_gov.set_adaptive_lifo}) *)
+  d_storm : bool;
+      (** the {!Health.Storm} compile-miss storm detector, which counts
+          episodes for the storm report *)
   d_warm_prime : int;
       (** number of hottest templates warm-primed into a rejoining
           shard's plan cache; [0] disables priming *)
@@ -55,8 +52,7 @@ type t = {
           donatable, the pre-sharding behaviour *)
   seed : int;
   resilience : bool;
-      (** the {!Resilience} retry/degrade/shed/deadline policy; off by
-          default *)
+      (** the {!Resilience} retry/degrade/shed policy; off by default *)
   supervision : bool;
       (** the {!Health.Supervise} layer: watchdog, starvation auditor,
           circuit breakers and broker insistence; off by default *)

@@ -63,6 +63,10 @@ let grant_max_query_frac = 0.08
 (* Period of the per-clerk memory samples, seconds. *)
 let metrics_interval = 5.0
 
+(* How long a coalesced compile follower waits for its singleflight
+   leader before giving up and compiling solo, seconds. *)
+let sf_wait_s = 120.
+
 let create ?(trace = Obs.Trace.null) eng cfg cat =
   let manager = Dbmem.Manager.create ~total:cfg.Config.memory_bytes () in
   if Obs.Trace.enabled trace then
@@ -231,13 +235,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
          Obs.Trace.emit trace ~time:(Sim.Engine.now eng) ~qid:template
            (Obs.Event.Singleflight_coalesce { template; waiters })));
   let storm = Health.Storm.create ~trace eng ~enabled:defense.Config.d_storm in
-  if defense.Config.d_adaptive_queues || defense.Config.d_deadline_shed then
-    Qcore.Compile_gov.set_defense gov
-      {
-        Qcore.Compile_gov.adaptive_lifo = defense.Config.d_adaptive_queues;
-        lifo_after_s = defense.Config.d_lifo_after_s;
-        deadline_shed = defense.Config.d_deadline_shed;
-      };
+  Qcore.Compile_gov.set_adaptive_lifo gov defense.Config.d_adaptive_queues;
   {
     eng;
     trace;
@@ -283,24 +281,16 @@ let emit t ~qid ev =
     Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid ev
 
 (* One query's way through [submit], made at admission and shared by
-   every stage after it. [degraded] sticks once the ladder is entered.
-   [cause] records why a compile was cancelled when the optimizer's
-   abort vocabulary cannot say it: a watchdog cancel, or the governor's
-   deadline shed with its structured error. Either abort ends the query,
-   so the field is set at most once. *)
+   every stage after it. [degraded] sticks once the ladder is entered. *)
 type job = {
   query : Optimizer.Query.t;
   qid : string;
-  template : string;
-  deadline : float option;
   watch : Health.Watchdog.session option;
   mutable degraded : bool;
-  mutable cause : Health.Error.t option;
 }
 
-let new_job ?deadline ?watch ~template q =
-  let qid = q.Optimizer.Query.qid in
-  { query = q; qid; template; deadline; watch; degraded = false; cause = None }
+let new_job ?watch q =
+  { query = q; qid = q.Optimizer.Query.qid; watch; degraded = false }
 
 (* What a completed query books in [settle]. *)
 type completion = { compile_s : float; exec_s : float; cut_down : bool }
@@ -312,20 +302,11 @@ let cancelled job =
 
 let softened job = Option.fold ~none:false ~some:Health.Watchdog.softened job.watch
 
-(* Would [after] more seconds carry the query past its deadline? *)
-let past_deadline ?(after = 0.) t job =
-  match job.deadline with
-  | Some d -> Sim.Engine.now t.eng +. after > d
-  | None -> false
-
 (* Every compilation, full or greedy, runs inside one governor session:
    begin it, run [f], then book the session's peak and end it however
-   [f] left. Returns [f]'s result with the simulated seconds it took.
-   [deadline] feeds the governor's deadline-aware shed: with that
-   defense on, a gateway wait is capped at the deadline and a hopeless
-   waiter is refused before it enqueues. *)
-let governed t ?deadline ~qid f =
-  let session = Qcore.Compile_gov.begin_compile ~qid ?deadline t.gov in
+   [f] left. Returns [f]'s result with the simulated seconds it took. *)
+let governed t ~qid f =
+  let session = Qcore.Compile_gov.begin_compile ~qid t.gov in
   let started = Sim.Engine.now t.eng in
   Fun.protect
     ~finally:(fun () ->
@@ -334,56 +315,44 @@ let governed t ?deadline ~qid f =
     (fun () -> f session)
   |> Result.map (fun r -> (r, Sim.Engine.now t.eng -. started))
 
-let cancel job cause =
-  job.cause <- Some cause;
-  raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled)
-
 (* The Cascades environment of a governed compile: allocations report to
    the governor (which may block at gateways or fail), CPU is burnt on
    the shared pool, and the search stops early when the broker predicts
    compile-memory exhaustion. Every allocation beats the query's
    watchdog session; a softened session forces best-plan-so-far, and a
-   cancel request or a passed deadline aborts at the next allocation
-   rather than holding gateways for work that can no longer matter. *)
+   cancel request aborts at the next allocation rather than holding
+   gateways for work that can no longer matter. *)
 let compile_env t job session =
   {
     Optimizer.Env.alloc =
       (fun n ->
         beat job;
         if cancelled job then
-          cancel job
-            (Health.Error.make ~detail:"compile" Health.Error.Watchdog_cancelled);
-        if past_deadline t job then
           raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled);
         match Qcore.Compile_gov.alloc session n with
         | Ok () -> ()
         | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail } ->
             raise (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
-        | Error ({ Health.Error.code = Health.Error.Deadline_exceeded; _ } as e) ->
-            (* The governor's deadline shed refused or cut short a gateway
-               wait; its error names the shedding gate. *)
-            cancel job e
         | Error _ -> raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
     cpu = (fun s -> Execsim.Cpu.busy t.cpu s);
     should_stop =
       (fun () -> Qcore.Compile_gov.should_stop_early t.gov || softened job);
   }
 
-let abort_error job reason =
-  match (job.cause, reason) with
-  | Some e, _ -> e
-  | None, Optimizer.Env.Out_of_memory ->
+(* Only the watchdog cancels a compile, so [Cancelled] is its cancel. *)
+let abort_error = function
+  | Optimizer.Env.Out_of_memory ->
       Health.Error.make ~detail:"compile" Health.Error.Insufficient_memory
-  | None, Optimizer.Env.Gateway_timeout m ->
+  | Optimizer.Env.Gateway_timeout m ->
       Health.Error.make ~detail:m Health.Error.Memory_wait_timeout
-  | None, Optimizer.Env.Cancelled ->
-      Health.Error.make ~detail:"compile" Health.Error.Deadline_exceeded
+  | Optimizer.Env.Cancelled ->
+      Health.Error.make ~detail:"compile" Health.Error.Watchdog_cancelled
 
 (* The full Cascades search, inserted into the plan cache on success. *)
 let compile_full t job =
   let params = t.cfg.Config.optimizer_params in
   match
-    governed t ?deadline:job.deadline ~qid:job.qid (fun session ->
+    governed t ~qid:job.qid (fun session ->
         let arena = acquire_arena t in
         Fun.protect
           ~finally:(fun () -> release_arena t arena)
@@ -400,7 +369,7 @@ let compile_full t job =
       Plancache.Cache.insert t.cache ~key:job.qid
         ~plan:r.Optimizer.Cascades.plan ~compile_cost;
       Ok (r.Optimizer.Cascades.plan, elapsed, false)
-  | Error reason -> Error (abort_error job reason)
+  | Error reason -> Error (abort_error reason)
 
 (* Bottom rung of the degradation ladder: skip the memo search entirely and
    emit the greedy left-deep plan. Still governed — the (tiny) footprint is
@@ -445,13 +414,13 @@ let rec plan_for t ?(sf_depth = 0) job =
       emit t ~qid:job.qid Obs.Event.Cache_hit;
       Ok (plan, 0., false)
   | None -> (
-      Health.Storm.note_compile t.storm ~template:job.template;
+      Health.Storm.note_compile t.storm;
       if job.degraded then compile_greedy t job
       else
         match
           Plancache.Singleflight.enter t.sflight
             ~key:(Midcache.Frontend.key_of_query job.query)
-            ~max_wait:t.cfg.Config.defense.Config.d_sf_wait_s ()
+            ~max_wait:sf_wait_s ()
         with
         | `Leader tok ->
             Fun.protect
@@ -468,14 +437,11 @@ let rec plan_for t ?(sf_depth = 0) job =
 (* Admission control: with [in_flight] compilations already holding or
    chasing compile memory and each expected to peak near the observed
    mean, admitting another would push predicted demand past
-   [shed_factor * broker target]. Only engages under broker pressure — or
-   during an active miss storm, when the detector's recovery mode
-   tightens admission without waiting for memory pressure to confirm what
-   the arrival trend already shows — so a benign system never sheds. *)
+   [shed_factor * broker target]. Only engages under broker pressure,
+   so a benign system never sheds. *)
 let should_shed t =
   t.cfg.Config.resilience
-  && (Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
-     || Health.Storm.active t.storm)
+  && Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
   &&
   let target = Qcore.Compile_gov.broker_target t.gov in
   target > 0
@@ -491,8 +457,8 @@ let should_shed t =
 
 (* Stage 1, admit. The breaker goes first — the cheapest gate: a poison
    template is refused before it can burn a gateway slot or a grant
-   wait. Then admission control; an admitted query gets its deadline and
-   watchdog session. *)
+   wait. Then admission control; an admitted query gets its watchdog
+   session. *)
 let admit t q ~template =
   let qid = q.Optimizer.Query.qid in
   (* Popularity book for warm-priming: which templates this server is
@@ -515,12 +481,7 @@ let admit t q ~template =
       Health.Supervise.release_probe t.super ~template;
       Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
   | Ok () ->
-      let deadline =
-        if t.cfg.Config.resilience then
-          Some (Sim.Engine.now t.eng +. Resilience.deadline_s)
-        else None
-      in
-      Ok (new_job ?deadline ?watch:(Health.Supervise.watch t.super ~qid) ~template q)
+      Ok (new_job ?watch:(Health.Supervise.watch t.super ~qid) q)
 
 (* Stage 2, plan. Under any broker pressure the full search would queue
    at shrunken gateways (and likely OOM), so go straight to the cheap
@@ -570,8 +531,6 @@ let attempt t job =
   | Error e -> Error (`Final e)
   | Ok _ when cancelled job ->
       Error (`Final (Health.Error.make ~detail:"exec" Health.Error.Watchdog_cancelled))
-  | Ok _ when past_deadline t job ->
-      Error (`Final (Health.Error.make ~detail:"exec" Health.Error.Deadline_exceeded))
   | Ok (p, compile_s, greedy) -> (
       match exec t job p with
       | Ok (outcome, reduced) ->
@@ -609,25 +568,21 @@ let nap t job pause =
     go 0.
   end
 
-(* Stage 4, back off before attempt [n + 1], or give up with [e]: when
-   resilience is off, the retries are spent, or the pause would overrun
-   the deadline. *)
+(* Stage 4, back off before attempt [n + 1], or give up with [e] when
+   resilience is off or the retries are spent. *)
 let back_off t job ~n (e : Health.Error.t) =
   match t.retry_rng with
   | Some rng when t.cfg.Config.resilience && n <= Resilience.max_retries ->
       let pause = Resilience.backoff Resilience.server_backoff ~attempt:n ~rng in
-      if past_deadline ~after:pause t job then Error e
-      else begin
-        Metrics.record_retry t.metrics;
-        emit t ~qid:job.qid
-          (Obs.Event.Retry
-             { attempt = n; pause_s = pause;
-               kind = Health.Error.code_name e.Health.Error.code });
-        nap t job pause;
-        if cancelled job then
-          Error (Health.Error.make ~detail:"retry" Health.Error.Watchdog_cancelled)
-        else Ok ()
-      end
+      Metrics.record_retry t.metrics;
+      emit t ~qid:job.qid
+        (Obs.Event.Retry
+           { attempt = n; pause_s = pause;
+             kind = Health.Error.code_name e.Health.Error.code });
+      nap t job pause;
+      if cancelled job then
+        Error (Health.Error.make ~detail:"retry" Health.Error.Watchdog_cancelled)
+      else Ok ()
   | _ -> Error e
 
 let rec attempts t job n =
@@ -679,7 +634,7 @@ let submit_catch t q =
    storming clients coalesce onto: the prime pays the compile once and
    the whole queue shares it. *)
 let prime t q =
-  let job = new_job ~template:(template_of_qid q.Optimizer.Query.qid) q in
+  let job = new_job q in
   match plan_for t job with
   | Ok (_plan, elapsed, _) ->
       if elapsed > 0. then t.primed <- t.primed + 1;

@@ -247,8 +247,8 @@ let storms_section (o : Storms.outcome) =
     o.Storms.retry_amp o.Storms.dup_compiles o.Storms.coalesced
     o.Storms.storms_detected o.Storms.primed;
   Printf.printf
-    "  defenses: %d LIFO shifts, %d deadline sheds, %d budget denials\n"
-    o.Storms.lifo_shifts o.Storms.deadline_sheds o.Storms.budget_denials;
+    "  defenses: %d LIFO shifts, %d budget denials\n"
+    o.Storms.lifo_shifts o.Storms.budget_denials;
   Printf.printf
     "  router: %d submitted, %d ok, %d failed (%d rejected), %d retries; \
      latency p50 %.0f ms, p99 %.0f ms\n"

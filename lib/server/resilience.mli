@@ -2,7 +2,7 @@
     machine is hostile. [Config.resilience] switches all of it on or off
     at once; off (the default) is the seed pipeline, bit for bit.
 
-    With it on, four mechanisms work together:
+    With it on, three mechanisms work together:
 
     - {b retry}: transient resource errors (gateway timeout, grant
       timeout) are retried inside the server, up to {!max_retries} times,
@@ -17,10 +17,11 @@
     - {b admission control}: when in-flight compilations times the
       observed compile-memory appetite overshoot {!shed_factor} times the
       broker's compile target, new compilations are shed immediately
-      rather than queued into a pile-up;
-    - {b deadline}: a query that cannot finish within {!deadline_s} is
-      cancelled at its next allocation instead of holding gateways
-      forever. *)
+      rather than queued into a pile-up.
+
+    A query's waits stay bounded without a deadline of its own: every
+    compile gateway and the grant queue time out, and the retries are
+    capped at {!max_retries}. *)
 
 (** A backoff curve: the first pause and its jitter. *)
 type backoff = {
@@ -39,9 +40,6 @@ val server_backoff : backoff
 
 (** Shed when [in_flight * predicted_bytes > shed_factor * target] (3.0). *)
 val shed_factor : float
-
-(** Per-query simulated-time budget, in seconds (1800). *)
-val deadline_s : float
 
 (** [backoff b ~attempt ~rng] is the sleep before retry [attempt]
     (1-based): [min backoff_max_s (b.base_s * 2^(attempt-1))] plus

@@ -4,7 +4,7 @@
    stays collapsed after the trigger has cleared. The A/B axis is the
    defense stack ({!Config.defended} vs {!Config.no_defense}): compile
    singleflight, per-client retry budgets, adaptive gateway queues and
-   the storm detector's recovery mode. Everything else — workload,
+   warm-priming on rejoin. Everything else — workload,
    seeds, fault schedule, gateway throttling — is identical between the
    two arms, so the difference in recovery time is the defenses'. *)
 
@@ -24,13 +24,6 @@ type config = {
   s_slice : float;
   s_total : int;  (** machine bytes, split total/shards *)
   s_defenses : bool;  (** the A/B axis: {!Config.defended} when true *)
-  (* Tuning overrides on top of {!Config.defended}; [None] keeps the
-     default. Only meaningful with [s_defenses = true] — the CLI rejects
-     them with defenses off, and [run] ignores them there. *)
-  s_sf_wait : float option;
-  s_budget_tokens : float option;
-  s_lifo_after : float option;
-  s_warm_prime : int option;
   s_seed : int;
   s_schedule : schedule;
 }
@@ -46,51 +39,13 @@ let default_config =
     s_slice = 30.;
     s_total = 24 * 1024 * 1024 * 1024;
     s_defenses = true;
-    s_sf_wait = None;
-    s_budget_tokens = None;
-    s_lifo_after = None;
-    s_warm_prime = None;
     s_seed = 42;
     s_schedule = Mass_invalidation;
   }
 
 (* The defense stack this config's arm actually runs. *)
 let defense_of cfg =
-  if not cfg.s_defenses then Config.no_defense
-  else
-    let d = Config.defended in
-    let d =
-      match cfg.s_sf_wait with
-      | None -> d
-      | Some w -> { d with Config.d_sf_wait_s = w }
-    in
-    let d =
-      match cfg.s_budget_tokens with
-      | None -> d
-      | Some tokens ->
-          let b =
-            Option.value d.Config.d_budget
-              ~default:Resilience.Budget.default_config
-          in
-          {
-            d with
-            Config.d_budget =
-              Some
-                {
-                  b with
-                  Resilience.Budget.initial = tokens;
-                  max_tokens = Float.max tokens b.Resilience.Budget.max_tokens;
-                };
-          }
-    in
-    let d =
-      match cfg.s_lifo_after with
-      | None -> d
-      | Some s -> { d with Config.d_lifo_after_s = s }
-    in
-    match cfg.s_warm_prime with
-    | None -> d
-    | Some k -> { d with Config.d_warm_prime = k }
+  if cfg.s_defenses then Config.defended else Config.no_defense
 
 (* The trigger lands a quarter into the measure window, so the pre-fault
    slices establish the healthy rate the recovery is judged against. *)
@@ -132,7 +87,6 @@ type outcome = {
   storms_detected : int;
   primed : int;
   lifo_shifts : int;  (** gateway FIFO->LIFO queue flips *)
-  deadline_sheds : int;  (** gateway waiters shed as doomed *)
   budget_denials : int;  (** retries refused by empty token buckets *)
   submitted : int;
   ok : int;
@@ -156,17 +110,7 @@ let validate cfg =
     invalid_arg "Storms.run: less than 64 MiB per shard";
   if cfg.s_warmup < 0. || cfg.s_measure <= 0. || cfg.s_slice <= 0. then
     invalid_arg "Storms.run: bad warmup/measure/slice";
-  if cfg.s_think <= 0. then invalid_arg "Storms.run: think <= 0";
-  let bad_opt name = function
-    | Some v when v <= 0. -> invalid_arg ("Storms.run: " ^ name ^ " <= 0")
-    | _ -> ()
-  in
-  bad_opt "sf-wait" cfg.s_sf_wait;
-  bad_opt "budget-tokens" cfg.s_budget_tokens;
-  bad_opt "lifo-after" cfg.s_lifo_after;
-  match cfg.s_warm_prime with
-  | Some k when k < 0 -> invalid_arg "Storms.run: warm-prime < 0"
-  | _ -> ()
+  if cfg.s_think <= 0. then invalid_arg "Storms.run: think <= 0"
 
 let run ?trace cfg =
   validate cfg;
@@ -374,7 +318,6 @@ let run ?trace cfg =
     storms_detected = sum (fun r -> r.sr_storms);
     primed = sum (fun r -> r.sr_primed);
     lifo_shifts = gov_sum Qcore.Compile_gov.lifo_shifts;
-    deadline_sheds = gov_sum Qcore.Compile_gov.deadline_sheds;
     budget_denials = Router.budget_denials router;
     submitted = Router.submitted router;
     ok = Router.ok router;

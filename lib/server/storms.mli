@@ -10,8 +10,8 @@
     throughput can stay collapsed long after the caches could have been
     warm again. The defended arm runs {!Config.defended}: compile
     singleflight, per-client retry budgets, adaptive gateway queues
-    (FIFO->LIFO + deadline shedding) and storm-gated admission with
-    warm-priming on rejoin.
+    (FIFO->LIFO) and warm-priming on rejoin; its storm detector counts
+    the storm episodes the report prints.
 
     The headline numbers are {!outcome.recovery_s} (time back to 90% of
     the pre-trigger rate), {!outcome.retry_amp} (router attempts per
@@ -40,14 +40,6 @@ type config = {
   s_slice : float;
   s_total : int;  (** machine bytes, split [total/shards] *)
   s_defenses : bool;  (** the A/B axis: {!Config.defended} when true *)
-  s_sf_wait : float option;
-      (** override {!Config.defense.d_sf_wait_s} (defended arm only) *)
-  s_budget_tokens : float option;
-      (** override the retry bucket's initial tokens (defended arm only) *)
-  s_lifo_after : float option;
-      (** override {!Config.defense.d_lifo_after_s} (defended arm only) *)
-  s_warm_prime : int option;
-      (** override {!Config.defense.d_warm_prime} (defended arm only) *)
   s_seed : int;
   s_schedule : schedule;
 }
@@ -64,9 +56,8 @@ val fault_at : config -> float
 
 val crash_restart_delay : config -> float
 
-(** The {!Config.defense} this config's arm runs: {!Config.no_defense}
-    with [s_defenses = false], else {!Config.defended} with the tuning
-    overrides applied. *)
+(** The {!Config.defense} this config's arm runs: {!Config.defended}
+    with [s_defenses = true], else {!Config.no_defense}. *)
 val defense_of : config -> Config.defense
 
 type shard_report = {
@@ -102,7 +93,6 @@ type outcome = {
   storms_detected : int;
   primed : int;
   lifo_shifts : int;  (** gateway FIFO->LIFO queue flips *)
-  deadline_sheds : int;  (** gateway waiters shed as doomed *)
   budget_denials : int;  (** retries refused by empty token buckets *)
   submitted : int;
   ok : int;

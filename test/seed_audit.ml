@@ -82,7 +82,6 @@ let midcache_bounds seed =
 let storm_bounds seed =
   let cfg defenses =
     {
-      Server.Storms.default_config with
       Server.Storms.s_shards = 2;
       s_clients = 24;
       s_variants = 16;

@@ -34,11 +34,10 @@ let test_error_taxonomy () =
     [ Admission_shed; Breaker_open; Shard_unavailable ];
   List.iter
     (fun c -> Alcotest.(check bool) (code_name c) true (severity c = Warning))
-    [ Watchdog_cancelled; Deadline_exceeded ];
+    [ Watchdog_cancelled ];
   (* Cancellations are final; resource waits are worth a resubmit. *)
   Alcotest.(check bool) "8645 retryable" true (retryable Memory_wait_timeout);
   Alcotest.(check bool) "cancel not retryable" false (retryable Watchdog_cancelled);
-  Alcotest.(check bool) "deadline not retryable" false (retryable Deadline_exceeded);
   Alcotest.(check string) "rendering with detail" "8645 memory-wait-timeout (big)"
     (to_string (make ~detail:"big" Memory_wait_timeout));
   Alcotest.(check string) "rendering without detail" "701 insufficient-memory"
@@ -56,7 +55,7 @@ let test_error_taxonomy () =
     (severity Retry_budget_exhausted = Informational);
   Alcotest.(check bool) "budget-exhausted not retryable" false
     (retryable Retry_budget_exhausted);
-  Alcotest.(check int) "taxonomy is complete" (List.length all_codes) 9
+  Alcotest.(check int) "taxonomy is complete" (List.length all_codes) 8
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker state machine *)

@@ -255,52 +255,48 @@ let test_cold_stampede_compiles_once () =
 (* ------------------------------------------------------------------ *)
 (* Storm detector *)
 
+(* The detector's episode flips, as its [storm:begin] and [storm:end]
+   trace instants, oldest first. *)
+let storm_instants trace =
+  Obs.Trace.records trace |> Array.to_list
+  |> List.filter_map (fun (r : Obs.Trace.record) ->
+         match Obs.Event.name r.event with
+         | ("storm:begin" | "storm:end") as n -> Some n
+         | _ -> None)
+
 let test_detector_flags_surge_and_calms () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng ~enabled:true in
-  let flips = ref [] in
-  Health.Storm.set_on_change d (fun on -> flips := on :: !flips);
+  let trace = Obs.Trace.create () in
+  let d = Health.Storm.create ~trace eng ~enabled:true in
   Sim.Engine.spawn eng (fun () ->
       (* A burst over the 12-miss floor flags a storm eagerly,
          mid-window. *)
-      for i = 1 to 13 do
-        Health.Storm.note_compile d ~template:(Printf.sprintf "p%03d" i)
+      for _ = 1 to 13 do
+        Health.Storm.note_compile d
       done;
-      Alcotest.(check bool) "storm active after surge" true
-        (Health.Storm.active d);
+      Alcotest.(check (list string)) "storm active after surge"
+        [ "storm:begin" ] (storm_instants trace);
       (* Two quiet windows end the episode: three 30 s windows close. *)
       Sim.Engine.sleep 90.;
-      Health.Storm.note_compile d ~template:"p001";
-      Alcotest.(check bool) "calm after quiet windows" false
-        (Health.Storm.active d));
+      Health.Storm.note_compile d;
+      Alcotest.(check (list string)) "calm after quiet windows"
+        [ "storm:begin"; "storm:end" ] (storm_instants trace));
   Sim.Engine.run eng ~until:1_000.;
   Alcotest.(check int) "one episode" 1 (Health.Storm.storms_total d);
-  Alcotest.(check (list bool)) "begin then end" [ true; false ]
-    (List.rev !flips)
+  Alcotest.(check (list string)) "begin then end"
+    [ "storm:begin"; "storm:end" ] (storm_instants trace)
 
 let test_detector_disabled_never_flags () =
   let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng ~enabled:false in
+  let trace = Obs.Trace.create () in
+  let d = Health.Storm.create ~trace eng ~enabled:false in
   Sim.Engine.spawn eng (fun () ->
-      for i = 1 to 100 do
-        Health.Storm.note_compile d ~template:(Printf.sprintf "p%03d" i)
+      for _ = 1 to 100 do
+        Health.Storm.note_compile d
       done);
   Sim.Engine.run eng ~until:100.;
-  Alcotest.(check bool) "never active" false (Health.Storm.active d);
+  Alcotest.(check (list string)) "never active" [] (storm_instants trace);
   Alcotest.(check int) "no episodes" 0 (Health.Storm.storms_total d)
-
-let test_detector_hottest_deterministic () =
-  let eng = Sim.Engine.create ~seed:1 () in
-  let d = Health.Storm.create eng ~enabled:true in
-  Sim.Engine.spawn eng (fun () ->
-      List.iter
-        (fun t -> Health.Storm.note_compile d ~template:t)
-        [ "b"; "a"; "c"; "a"; "b"; "a" ]);
-  Sim.Engine.run eng ~until:10.;
-  Alcotest.(check (list (pair string int)))
-    "ordered by count, ties by name"
-    [ ("a", 3); ("b", 2); ("c", 1) ]
-    (Health.Storm.hottest d ~k:3)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive queue discipline *)
@@ -370,7 +366,6 @@ let test_uncount_scrubs_booking () =
 let small_storm ?(defenses = true) ?(seed = 11)
     ?(schedule = Server.Storms.Mass_invalidation) () =
   {
-    Server.Storms.default_config with
     Server.Storms.s_shards = 2;
     s_clients = 24;
     s_variants = 16;
@@ -461,36 +456,7 @@ let test_storm_validate_rejects () =
       ("no memory", bad (fun c -> { c with Server.Storms.s_total = mib 64 }));
       ("no clients", bad (fun c -> { c with Server.Storms.s_clients = 0 }));
       ("bad slice", bad (fun c -> { c with Server.Storms.s_slice = 0. }));
-      ( "negative sf wait",
-        bad (fun c -> { c with Server.Storms.s_sf_wait = Some (-1.) }) );
-      ( "negative warm prime",
-        bad (fun c -> { c with Server.Storms.s_warm_prime = Some (-1) }) );
     ]
-
-let test_defense_overrides_apply () =
-  let cfg =
-    {
-      Server.Storms.default_config with
-      Server.Storms.s_sf_wait = Some 7.;
-      s_budget_tokens = Some 3.;
-      s_lifo_after = Some 42.;
-      s_warm_prime = Some 9;
-    }
-  in
-  let d = Server.Storms.defense_of cfg in
-  Alcotest.(check (float 0.)) "sf wait" 7. d.Server.Config.d_sf_wait_s;
-  Alcotest.(check (float 0.)) "lifo after" 42. d.Server.Config.d_lifo_after_s;
-  Alcotest.(check int) "warm prime" 9 d.Server.Config.d_warm_prime;
-  (match d.Server.Config.d_budget with
-  | Some b -> Alcotest.(check (float 0.)) "budget tokens" 3. b.Server.Resilience.Budget.initial
-  | None -> Alcotest.fail "budget expected");
-  (* The off arm ignores every override: it runs no defenses at all. *)
-  let off =
-    Server.Storms.defense_of
-      { cfg with Server.Storms.s_defenses = false }
-  in
-  Alcotest.(check bool) "off arm is no_defense" true
-    (off = Server.Config.no_defense)
 
 let suite =
   [
@@ -510,8 +476,6 @@ let suite =
       test_detector_flags_surge_and_calms;
     Alcotest.test_case "detector disabled never flags" `Quick
       test_detector_disabled_never_flags;
-    Alcotest.test_case "detector hottest deterministic" `Quick
-      test_detector_hottest_deterministic;
     Alcotest.test_case "sem lifo serves newest first" `Quick
       test_sem_lifo_serves_newest_first;
     Alcotest.test_case "uncount scrubs booking" `Quick
@@ -522,6 +486,4 @@ let suite =
       test_storm_crash_schedule_runs;
     Alcotest.test_case "storm validate rejects" `Quick
       test_storm_validate_rejects;
-    Alcotest.test_case "defense overrides apply" `Quick
-      test_defense_overrides_apply;
   ]
