@@ -222,7 +222,9 @@ let sweep_cmd =
 
 let sql_cmd =
   let count_arg =
-    Arg.(value & opt int 2 & info [ "count"; "n" ] ~doc:"Number of instances to print.")
+    Arg.(
+      value & opt Fanout.pos_int 2
+      & info [ "count"; "n" ] ~doc:"Number of instances to print.")
   in
   let workload_arg =
     Arg.(
@@ -401,7 +403,7 @@ let trace_cmd =
   in
   let trace_measure_arg =
     Arg.(
-      value & opt float 240.
+      value & opt Fanout.pos_float 240.
       & info [ "measure" ] ~doc:"Simulated seconds (server scenario only).")
   in
   let action scenario out clients measure seed =
