@@ -37,13 +37,6 @@ let filters_of t i = List.filter (fun f -> f.frel = i) t.filters
 let filter_sel t i =
   List.fold_left (fun acc f -> acc *. f.fsel) 1.0 (filters_of t i)
 
-let preds_between t a b =
-  List.filter
-    (fun p ->
-      (Relset.mem p.jleft a && Relset.mem p.jright b)
-      || (Relset.mem p.jleft b && Relset.mem p.jright a))
-    t.preds
-
 (* Union of the adjacency masks of the members of [s]. *)
 let adjacent t s =
   let acc = ref Relset.empty and m = ref s in

@@ -65,11 +65,8 @@ val filters_of : t -> int -> filter list
 (** Combined filter selectivity of relation [i]. *)
 val filter_sel : t -> int -> float
 
-(** Join predicates with one side in [a] and the other in [b]. *)
-val preds_between : t -> Relset.t -> Relset.t -> join_pred list
-
-(** [has_pred_between t a b] is [preds_between t a b <> []] without
-    building the list: one mask test per member of [a]. *)
+(** [has_pred_between t a b]: some join predicate has one side in [a]
+    and the other in [b]. One mask test per member of [a]. *)
 val has_pred_between : t -> Relset.t -> Relset.t -> bool
 
 (** [connected t s] — the subgraph induced by [s] is connected. *)

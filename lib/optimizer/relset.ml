@@ -70,49 +70,6 @@ let min_elt t =
   if t = 0 then invalid_arg "Relset.min_elt: empty";
   ctz t
 
-(* Standard descending submask enumeration: sub' = (sub - 1) land t. *)
-let first_subset t =
-  if t = 0 then None
-  else begin
-    let s = (t - 1) land t in
-    if s = 0 then None else Some s
-  end
-
-let next_subset t sub =
-  if sub land t <> sub then invalid_arg "Relset.next_subset: not a subset";
-  let s = (sub - 1) land t in
-  if s = 0 then None else Some s
-
-(* Same enumeration as [first_subset]/[next_subset] but driven by a raw
-   int loop: no option box per submask. This runs in the innermost loop
-   of an exhaustive DP (3^n submask visits over all subsets), where the
-   two words of a [Some] per step would dominate the allocation
-   profile. *)
-let iter_strict_subsets t f =
-  let s = ref ((t - 1) land t) in
-  while !s <> 0 do
-    f !s;
-    s := (!s - 1) land t
-  done
-
-(* Gosper's hack: the next larger int with the same population count.
-   Together with the smallest k-bit mask this enumerates all subsets of
-   {0..n-1} of cardinality k in increasing numeric order, with O(1) work
-   and zero allocation per subset. *)
-let iter_of_cardinality ~n ~k f =
-  if n < 0 || n > 62 then invalid_arg "Relset.iter_of_cardinality";
-  if k >= 1 && k <= n then begin
-    let limit = full n in
-    let s = ref ((1 lsl k) - 1) in
-    while !s <= limit do
-      let m = !s in
-      f m;
-      let c = m land -m in
-      let r = m + c in
-      s := ((m lxor r) lsr 2) / c lor r
-    done
-  end
-
 let pp ppf t =
   Format.fprintf ppf "{%s}"
     (String.concat "," (List.map string_of_int (members t)))

@@ -63,10 +63,10 @@ let connected_subsets t s =
         | None -> ()
         | Some sub ->
             grow (Relset.union c sub) prohibited';
-            each (Relset.next_subset frontier sub)
+            each (Oracle.Subsets.next_subset frontier sub)
       in
       grow (Relset.union c frontier) prohibited';
-      each (Relset.first_subset frontier)
+      each (Oracle.Subsets.first_subset frontier)
     end
   in
   Relset.iter

@@ -222,7 +222,7 @@ let reference inst q =
       List.find_opt
         (fun i ->
           Relset.is_empty !covered
-          || Query.preds_between q !covered (Relset.singleton i) <> [])
+          || Subsets.preds_between q !covered (Relset.singleton i) <> [])
         !remaining
     in
     match connected_first with

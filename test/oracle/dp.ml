@@ -24,18 +24,18 @@ let optimize_with_stats model card =
   (* Subsets in increasing cardinality order; an int-ascending sweep is not
      enough (a smaller-cardinality set can have a larger encoding). *)
   for k = 2 to n do
-    Relset.iter_of_cardinality ~n ~k (fun s ->
+    Subsets.iter_of_cardinality ~n ~k (fun s ->
         if Query.connected q s then begin
           let lowest = Relset.min_elt s in
           let candidate = ref None in
-          Relset.iter_strict_subsets s (fun l ->
+          Subsets.iter_strict_subsets s (fun l ->
               (* Each unordered split once: the left part keeps the lowest
                  relation of [s] (the join alternatives try both roles). *)
               if Relset.mem lowest l then begin
                 let r = Relset.diff s l in
                 match (best.(l), best.(r)) with
                 | Some pl, Some pr
-                  when Query.preds_between q l r <> [] ->
+                  when Subsets.preds_between q l r <> [] ->
                     let alt =
                       Rules.cheapest (Rules.join_alternatives model card pl pr)
                     in

@@ -113,7 +113,7 @@ let chain_query ~len cat =
 let model = Cost.default
 
 (* ------------------------------------------------------------------ *)
-(* Relset *)
+(* Relset, and the oracles' subset enumerators (Oracle.Subsets) *)
 
 let test_relset_basics () =
   let s = Relset.add 4 (Relset.add 1 Relset.empty) in
@@ -127,7 +127,7 @@ let test_relset_basics () =
 let test_relset_subset_enumeration () =
   let s = Relset.full 3 in
   let subs = ref [] in
-  Relset.iter_strict_subsets s (fun x -> subs := x :: !subs);
+  Oracle.Subsets.iter_strict_subsets s (fun x -> subs := x :: !subs);
   (* 2^3 - 2 nonempty proper subsets. *)
   Alcotest.(check int) "count" 6 (List.length !subs);
   Alcotest.(check int) "distinct" 6 (List.length (List.sort_uniq compare !subs))
@@ -229,7 +229,7 @@ let test_relset_iter_of_cardinality () =
   let all = ref [] in
   for k = 1 to n + 2 do
     let masks = ref [] in
-    Relset.iter_of_cardinality ~n ~k (fun m -> masks := m :: !masks);
+    Oracle.Subsets.iter_of_cardinality ~n ~k (fun m -> masks := m :: !masks);
     let masks = List.rev !masks in
     if k > n then
       Alcotest.(check int) (Printf.sprintf "k=%d > n yields nothing" k) 0
@@ -260,7 +260,7 @@ let prop_iter_of_cardinality_matches_bruteforce =
     (fun (n, k) ->
       let k = 1 + (k mod n) in
       let got = ref [] in
-      Relset.iter_of_cardinality ~n ~k (fun m -> got := m :: !got);
+      Oracle.Subsets.iter_of_cardinality ~n ~k (fun m -> got := m :: !got);
       let expected = ref [] in
       for m = Relset.full n downto 1 do
         if Relset.cardinal m = k then expected := m :: !expected
@@ -271,7 +271,7 @@ let prop_relset_subsets_complete =
   QCheck.Test.make ~name:"submask enumeration yields exactly the proper subsets"
     ~count:100 (QCheck.int_range 1 255) (fun s ->
       let subs = ref [] in
-      Relset.iter_strict_subsets s (fun x -> subs := x :: !subs);
+      Oracle.Subsets.iter_strict_subsets s (fun x -> subs := x :: !subs);
       let expected = ref [] in
       for x = 1 to s - 1 do
         if x land s = x then expected := x :: !expected
@@ -866,7 +866,7 @@ let prop_mask_graph_matches_lists =
       && Query.neighborhood q s ~within
          = Cascades_reference.neighborhood q s ~within
       && Query.has_pred_between q s within
-         = (Query.preds_between q s within <> []))
+         = (Oracle.Subsets.preds_between q s within <> []))
 
 (* A snowflake: a random tree of [n] tables, each joined to its parent
    on the parent's key; some tables index the filtered [attr] column, so
