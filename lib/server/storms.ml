@@ -212,11 +212,7 @@ let run ?trace cfg =
      its token bucket, created outside the engine so it costs no
      randomness; the router spends from it on every re-route. *)
   let submit _ =
-    let budget =
-      match defense.Config.d_budget with
-      | Some bcfg when cfg.s_defenses -> Some (Resilience.Budget.create bcfg)
-      | _ -> None
-    in
+    let budget = Option.map Resilience.Budget.create defense.Config.d_budget in
     Workload.Client.counting eng series (Router.submit_catch ?budget router)
   in
   (* Stagger arrivals across the first half of warmup. A simultaneous
