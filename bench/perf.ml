@@ -2,7 +2,7 @@
    trajectory. Writes BENCH_perf.json (first tracked point; CI uploads it
    as an artifact per commit) and exits non-zero if the parallel and
    sequential runs of the experiment grid disagree — the determinism gate
-   for the domain pool. Two committed baselines: BENCH_perf.json (full
+   for the domain fan-out. Two committed baselines: BENCH_perf.json (full
    suite) and BENCH_perf_quick.json (--quick, the one CI's ratchet diffs
    against — quick mode shrinks the per-op workloads, so the two are not
    cross-comparable and bench/ratchet.ml refuses to try).
@@ -254,28 +254,6 @@ let cached_cell_bench () =
           k_seed = 42;
         })
 
-(* Per-task round-trip cost of the domain pool itself — submit, queue
-   handoff, result collection — measured on trivial closures through a
-   warm pool. This is the overhead a grid cell pays on top of its own
-   work, and on a 1-core machine it is the whole story of any
-   "slowdown" the parallel grid shows. *)
-let pool_overhead_bench () =
-  let tasks = 1_000 in
-  let iters = if !quick then 3 else 10 in
-  Parallel.Pool.with_pool ~jobs:(max 2 !jobs) (fun pool ->
-      let items = List.init tasks Fun.id in
-      let b =
-        time_bench ~name:"pool_submit_roundtrip" ~iters (fun () ->
-            Parallel.Pool.map pool (fun x -> x + 1) items)
-      in
-      (* Normalise map-of-N to per-task numbers. *)
-      {
-        b with
-        iters = iters * tasks;
-        per_op_ns = b.per_op_ns /. float_of_int tasks;
-        alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int tasks;
-      })
-
 type grid_outcome = {
   cells : int;
   grid_jobs : int;  (* effective: requested clamped to the core count *)
@@ -309,10 +287,10 @@ let grid_bench () =
   let n_cells = List.length cells in
   let cores = Domain.recommended_domain_count () in
   (* Ideal scaling is bounded by whichever is scarcest: cells to run,
-     worker domains, or physical cores. Jobs are clamped to the core
-     count before this point, so on a 1-core box the grid runs inline
-     (jobs=1) instead of reporting a meaningless sub-1x "speedup" from a
-     pool that can only add overhead. *)
+     domains, or physical cores. Jobs are clamped to the core count
+     before this point, so on a 1-core box the grid runs inline (jobs=1)
+     instead of reporting a meaningless sub-1x "speedup" from domains
+     that can only add overhead. *)
   let expected_speedup = float_of_int (min n_cells (min !jobs cores)) in
   let seq_results, seq_s =
     wall (fun () -> Server.Experiment.run_grid ~jobs:1 cells)
@@ -437,7 +415,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !jobs = 0 then jobs := max 2 (Parallel.Pool.default_jobs ());
-  (* Clamp to the machine: worker domains past the core count cannot
+  (* Clamp to the machine: domains past the core count cannot
      speed the grid up, only thrash it, and on a 1-core box they turn
      the speedup report into a fake regression. The requested value is
      still recorded so a clamped run is visible in the JSON. *)
@@ -460,7 +438,6 @@ let () =
         retry_budget_bench ();
         experiment_bench ();
         cached_cell_bench ();
-        pool_overhead_bench ();
       ]
   in
   List.iter
@@ -479,7 +456,7 @@ let () =
     (if grid.identical then "identical" else "DIVERGED");
   if grid.grid_jobs <> grid.grid_jobs_requested then
     Printf.printf
-      "  note: requested %d jobs clamped to %d (%d cores) — extra workers \
+      "  note: requested %d jobs clamped to %d (%d cores) — extra domains \
        cannot speed the grid up, so they are not started\n"
       grid.grid_jobs_requested grid.grid_jobs grid.cores;
   write_json ~benches ~grid !out_path;

@@ -1,12 +1,3 @@
-type t = {
-  n_jobs : int;
-  queue : (unit -> unit) Queue.t;
-  lock : Mutex.t;
-  work_ready : Condition.t;
-  mutable stopping : bool;
-  mutable domains : unit Domain.t list;
-}
-
 let default_jobs () =
   match Sys.getenv_opt "DBSIM_JOBS" with
   | Some s -> (
@@ -15,89 +6,32 @@ let default_jobs () =
       | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-let worker pool =
-  let rec loop () =
-    Mutex.lock pool.lock;
-    while Queue.is_empty pool.queue && not pool.stopping do
-      Condition.wait pool.work_ready pool.lock
-    done;
-    if Queue.is_empty pool.queue then begin
-      (* stopping, and nothing left to drain *)
-      Mutex.unlock pool.lock
-    end
-    else begin
-      let task = Queue.pop pool.queue in
-      Mutex.unlock pool.lock;
-      task ();
-      loop ()
-    end
-  in
-  loop ()
-
-let create ~jobs () =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let pool =
-    {
-      n_jobs = jobs;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      work_ready = Condition.create ();
-      stopping = false;
-      domains = [];
-    }
-  in
-  if jobs > 1 then
-    pool.domains <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker pool));
-  pool
-
-let jobs t = t.n_jobs
-
-let shutdown t =
-  if not t.stopping then begin
-    Mutex.lock t.lock;
-    t.stopping <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-  end
-
-let map_array t f items =
-  let n = Array.length items in
-  if t.n_jobs = 1 || n <= 1 then Array.map f items
+let run ~jobs f items =
+  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
+  if jobs = 1 || List.compare_length_with items 1 <= 0 then List.map f items
   else begin
+    let items = Array.of_list items in
+    let n = Array.length items in
     let results : ('b, exn) result option array = Array.make n None in
-    let remaining = ref n in
-    let all_done = Condition.create () in
-    Mutex.lock t.lock;
-    for i = 0 to n - 1 do
-      Queue.add
-        (fun () ->
-          let r = try Ok (f items.(i)) with exn -> Error exn in
-          Mutex.lock t.lock;
-          results.(i) <- Some r;
-          decr remaining;
-          if !remaining = 0 then Condition.signal all_done;
-          Mutex.unlock t.lock)
-        t.queue
-    done;
-    Condition.broadcast t.work_ready;
-    while !remaining > 0 do
-      Condition.wait all_done t.lock
-    done;
-    Mutex.unlock t.lock;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error exn) -> raise exn
-        | None -> assert false)
-      results
+    let next = Atomic.make 0 in
+    (* Every domain, the caller's included, claims the next unclaimed
+       index until none is left. Each slot is written by one domain and
+       read only after every helper has been joined. *)
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (try Ok (f items.(i)) with exn -> Error exn);
+        drain ()
+      end
+    in
+    let helpers = List.init (min jobs n - 1) (fun _ -> Domain.spawn drain) in
+    drain ();
+    List.iter Domain.join helpers;
+    Array.to_list
+      (Array.map
+         (function
+           | Some (Ok v) -> v
+           | Some (Error exn) -> raise exn
+           | None -> assert false)
+         results)
   end
-
-let map t f items = Array.to_list (map_array t f (Array.of_list items))
-
-let with_pool ~jobs f =
-  let pool = create ~jobs () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let run ~jobs f items = with_pool ~jobs (fun pool -> map pool f items)

@@ -1,47 +1,26 @@
-(** Fixed-size domain pool with a FIFO work queue.
+(** One-shot fan-out of independent work over domains.
 
-    The pool fans independent units of work — typically whole simulation
-    cells, each with its own engine, RNG and metrics — out across CPU
-    cores, and hands results back in submission order, so a caller that
-    prints results as they come out observes exactly the sequential
-    output. Hand-rolled on [Domain]/[Mutex]/[Condition] from the OCaml 5
+    The calls are typically whole simulation cells, each with its own
+    engine, RNG and metrics. Results come back in submission order, so a
+    caller that prints them as they come out observes exactly the
+    sequential output. Built on [Domain] and [Atomic] from the OCaml 5
     standard library; no external dependencies.
-
-    A pool of size 1 spawns no domains at all: work runs inline on the
-    calling domain, making [map] with [~jobs:1] bit-for-bit identical to
-    [List.map] (the determinism baseline the tests compare against).
 
     Work items must be independent: they must not share mutable state
     with each other or with the caller. Read-only structures (a catalog,
     a template list) may be shared freely. *)
 
-type t
-
-(** [create ~jobs ()] — a pool of [jobs] worker domains ([jobs >= 1];
-    [jobs = 1] spawns none and runs inline). Raises [Invalid_argument]
-    on [jobs < 1]. *)
-val create : jobs:int -> unit -> t
-
-val jobs : t -> int
-
 (** [default_jobs ()] — the [DBSIM_JOBS] environment variable when set to
     a positive integer, otherwise [Domain.recommended_domain_count ()]. *)
 val default_jobs : unit -> int
 
-(** [map pool f items] applies [f] to every item, fanning the calls over
-    the pool's domains, and returns the results in submission order. If
-    any call raises, the exception of the earliest-submitted failing item
-    is re-raised in the caller after all items have settled. *)
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [shutdown pool] joins the worker domains. Idempotent; the pool must
-    not be used afterwards. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] — create, apply [f], always shut down. *)
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-
-(** [run ~jobs f items] — one-shot [map] on a temporary pool. *)
+(** [run ~jobs f items] applies [f] to every item on [jobs] domains in
+    total: the calling domain works next to [jobs - 1] spawned ones (never
+    more than there are items), each taking the next unclaimed item, and
+    all of them are joined before [run] returns. Results come back in
+    submission order. If any call raises, the exception of the
+    earliest-submitted failing item is re-raised after every item has
+    settled. With [jobs = 1], or at most one item, it is [List.map f
+    items] on the calling domain, spawning nothing. Raises
+    [Invalid_argument] on [jobs < 1]. *)
 val run : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

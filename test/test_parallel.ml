@@ -1,6 +1,6 @@
-(* Tests for the domain work-pool and the parallel experiment grid: the
-   pool must preserve submission order and exception semantics, and a
-   grid fanned over domains must reproduce the sequential results
+(* Tests for the domain fan-out and the parallel experiment grid:
+   [Pool.run] must preserve submission order and exception semantics, and
+   a grid fanned over domains must reproduce the sequential results
    bit-for-bit (the property the whole bench harness leans on). *)
 
 open Parallel
@@ -25,21 +25,6 @@ let test_map_preserves_order () =
         true (got = expected))
     [ 1; 2; 4 ]
 
-let test_map_array () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      let a = Array.init 20 (fun i -> i) in
-      Alcotest.(check (array int)) "squares in order"
-        (Array.map (fun x -> x * x) a)
-        (Pool.map_array p (fun x -> x * x) a))
-
-let test_pool_reuse () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      Alcotest.(check int) "jobs" 2 (Pool.jobs p);
-      let a = Pool.map p (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.map p (fun x -> x * 2) [ 4; 5 ] in
-      Alcotest.(check (list int)) "first map" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "second map" [ 8; 10 ] b)
-
 let test_jobs_one_inline () =
   (* jobs = 1 spawns no domains: side effects happen on this domain, in
      submission order. *)
@@ -63,9 +48,37 @@ let test_more_jobs_than_items () =
 let test_invalid_jobs () =
   Alcotest.(check bool) "jobs=0 rejected" true
     (try
-       ignore (Pool.create ~jobs:0 ());
+       ignore (Pool.run ~jobs:0 Fun.id [ 1; 2 ]);
        false
      with Invalid_argument _ -> true)
+
+(* With jobs=2 the caller's domain must take items itself. An item run on
+   any other domain waits (at most 2 s of CPU time) for a flag that only
+   an item run on the caller's domain sets. A helper blocked on its first
+   item cannot claim a second one, so the caller always gets one and the
+   waits end at once; if the caller only waited, every wait would run out
+   and every item would report the flag unset. *)
+let test_caller_runs_items () =
+  let caller = Domain.self () in
+  let flag = Atomic.make false in
+  let item x =
+    let on_caller = Domain.self () = caller in
+    if on_caller then Atomic.set flag true
+    else begin
+      let give_up = Sys.time () +. 2. in
+      while (not (Atomic.get flag)) && Sys.time () < give_up do
+        Domain.cpu_relax ()
+      done
+    end;
+    (x, on_caller, Atomic.get flag)
+  in
+  let got = Pool.run ~jobs:2 item [ 0; 1; 2 ] in
+  Alcotest.(check (list int)) "order" [ 0; 1; 2 ]
+    (List.map (fun (x, _, _) -> x) got);
+  Alcotest.(check bool) "an item ran on the calling domain" true
+    (List.exists (fun (_, on_caller, _) -> on_caller) got);
+  Alcotest.(check bool) "every helper item saw the flag" true
+    (List.for_all (fun (_, _, seen) -> seen) got)
 
 exception Boom of int
 
@@ -84,12 +97,6 @@ let test_exception_propagation () =
             (Printf.sprintf "earliest failure at jobs=%d" jobs)
             2 x)
     [ 1; 4 ]
-
-let test_shutdown_idempotent () =
-  let p = Pool.create ~jobs:2 () in
-  ignore (Pool.map p (fun x -> x) [ 1 ]);
-  Pool.shutdown p;
-  Pool.shutdown p
 
 (* ------------------------------------------------------------------ *)
 (* Grid determinism: the point of the whole construction. *)
@@ -132,13 +139,11 @@ let prop_grid_deterministic_under_parallelism =
 let suite =
   [
     ("map preserves submission order", `Quick, test_map_preserves_order);
-    ("map_array", `Quick, test_map_array);
-    ("pool reuse across maps", `Quick, test_pool_reuse);
     ("jobs=1 runs inline", `Quick, test_jobs_one_inline);
     ("more jobs than items", `Quick, test_more_jobs_than_items);
     ("invalid jobs rejected", `Quick, test_invalid_jobs);
+    ("the calling domain runs items", `Quick, test_caller_runs_items);
     ("earliest exception propagates", `Quick, test_exception_propagation);
-    ("shutdown idempotent", `Quick, test_shutdown_idempotent);
     ("parallel grid = sequential grid", `Slow, test_run_grid_parallel_equals_sequential);
     QCheck_alcotest.to_alcotest prop_grid_deterministic_under_parallelism;
   ]
