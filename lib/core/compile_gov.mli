@@ -101,7 +101,6 @@ val broker_target : t -> int
 type pressure = Calm | Elevated | Critical
 
 val pressure : t -> pressure
-val pressure_name : pressure -> string
 
 (** [true] when compilations should wrap up with their best plan so far
     (equivalent to [pressure t = Critical]). *)

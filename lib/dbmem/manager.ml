@@ -13,9 +13,7 @@ and t = {
   mutable clerks_rev : clerk list;
   mutable donors : donor list; (* kept sorted by priority *)
   mutable oom_count : int;
-  mutable alloc_count : int;
   mutable alloc_fault : (string -> int -> bool) option;
-  mutable faulted_allocs : int;
   (* Tracing: dbmem knows no clock, so the trace comes with a [now]
      callback supplied by whoever owns the simulation engine. *)
   mutable trace : Obs.Trace.t;
@@ -32,9 +30,7 @@ let create ~total () =
     clerks_rev = [];
     donors = [];
     oom_count = 0;
-    alloc_count = 0;
     alloc_fault = None;
-    faulted_allocs = 0;
     trace = Obs.Trace.null;
     trace_now = (fun () -> 0.);
   }
@@ -104,14 +100,11 @@ let demand t n = reclaim t ~target_free:n
 let alloc c n =
   if n < 0 then invalid_arg "Manager.alloc: negative";
   let t = c.owner in
-  t.alloc_count <- t.alloc_count + 1;
   (* Injected transient failure: the commit path refuses spuriously, before
      any donor shrink or accounting change (the allocation simply never
      happened, as with a flaky mmap/commit). *)
   match t.alloc_fault with
-  | Some f when f c.cname n ->
-      t.faulted_allocs <- t.faulted_allocs + 1;
-      Error `Out_of_memory
+  | Some f when f c.cname n -> Error `Out_of_memory
   | _ ->
   (* Two-pass reclaim: first spare the requester's own donor (so a cache
      insert draws from the other donors, typically the buffer pool), then
@@ -150,9 +143,7 @@ let clerks t = List.rev t.clerks_rev
 let find_clerk t name = List.find_opt (fun c -> c.cname = name) (clerks t)
 let snapshot t = List.map (fun c -> (c.cname, c.used)) (clerks t)
 let oom_count t = t.oom_count
-let alloc_count t = t.alloc_count
 let set_alloc_fault t f = t.alloc_fault <- f
-let faulted_allocs t = t.faulted_allocs
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>memory %a/%a free %a@," Units.pp_bytes t.used_total

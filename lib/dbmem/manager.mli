@@ -88,9 +88,6 @@ val set_trace : t -> now:(unit -> float) -> Obs.Trace.t -> unit
     a transient commit-path failure. [None] clears the fault. *)
 val set_alloc_fault : t -> (string -> int -> bool) option -> unit
 
-(** Allocations refused by the injected fault so far. *)
-val faulted_allocs : t -> int
-
 (** {1 Introspection} *)
 
 (** [(clerk_name, used_bytes)] for every clerk, in creation order. *)
@@ -99,5 +96,4 @@ val snapshot : t -> (string * int) list
 val clerks : t -> clerk list
 val find_clerk : t -> string -> clerk option
 val oom_count : t -> int
-val alloc_count : t -> int
 val pp : Format.formatter -> t -> unit

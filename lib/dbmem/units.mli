@@ -4,9 +4,7 @@
 val kib : int -> int
 val mib : int -> int
 val gib : int -> int
-val to_kib : int -> float
 val to_mib : int -> float
-val to_gib : int -> float
 
 (** Render a byte count with a human-friendly unit, e.g. ["1.50 GiB"]. *)
 val pp_bytes : Format.formatter -> int -> unit

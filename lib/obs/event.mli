@@ -18,8 +18,6 @@ type value = I of int | F of float | S of string | B of bool
     ([Release]). *)
 type wait_phase = Wait | Acquired | Timeout | Release
 
-val wait_phase_name : wait_phase -> string
-
 (** The broker's per-component verdict, in trace vocabulary: [Grow] = may
     keep allocating, [Stable] = hold the current rate, [Shrink] = release
     down to the target. *)

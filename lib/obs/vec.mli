@@ -21,5 +21,3 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 (** Elements in push order. *)
 val to_list : 'a t -> 'a list
-
-val to_array : 'a t -> 'a array

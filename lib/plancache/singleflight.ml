@@ -16,7 +16,6 @@ type t = {
   mutable coalesced : int;
   mutable duplicates : int;
   mutable timeouts : int;
-  mutable peak_waiters : int;
   mutable on_coalesce : key:string -> waiters:int -> unit;
 }
 
@@ -29,7 +28,6 @@ let create ?(mode = Coalesce) eng =
     coalesced = 0;
     duplicates = 0;
     timeouts = 0;
-    peak_waiters = 0;
     on_coalesce = (fun ~key:_ ~waiters:_ -> ());
   }
 
@@ -52,7 +50,6 @@ let enter t ~key ?max_wait () =
       | Observe -> `Duplicate
       | Coalesce -> (
           f.fwaiters <- f.fwaiters + 1;
-          if f.fwaiters > t.peak_waiters then t.peak_waiters <- f.fwaiters;
           t.coalesced <- t.coalesced + 1;
           t.on_coalesce ~key ~waiters:f.fwaiters;
           let r = Sim.Resource.Waitq.wait f.fq ?timeout:max_wait () in
@@ -75,4 +72,3 @@ let led t = t.led
 let coalesced t = t.coalesced
 let duplicates t = t.duplicates
 let timeouts t = t.timeouts
-let peak_waiters t = t.peak_waiters

@@ -63,6 +63,3 @@ val coalesced : t -> int
 val duplicates : t -> int
 
 val timeouts : t -> int
-
-(** Max concurrent waiters observed on one flight. *)
-val peak_waiters : t -> int

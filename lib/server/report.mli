@@ -21,23 +21,11 @@ val result_row : Experiment.result -> string list
 
 val result_header : string list
 
-(** Resilience counters for a result: hard errors, retries, sheds,
-    degraded completions, client abandonment. *)
-val resilience_row : Experiment.result -> string list
-
-val resilience_header : string list
-
 (** Print the resilience table for a set of results, followed by the
     per-error-kind tallies of any result that recorded errors. *)
 val resilience_section : Experiment.result list -> unit
 
 (** {1 Multi-tenant reports} *)
-
-val tenant_header : string list
-
-(** One row per pool: workload, clients, throughput, budget movement
-    (start [->] end against the guaranteed floor), hit rates, errors. *)
-val tenant_row : Tenants.tenant_result -> string list
 
 (** Print one outcome: mode banner, per-pool table, per-pool throughput
     sparklines, and the arbiter's tick/rebalance/moved/reclaimed
@@ -46,13 +34,6 @@ val tenants_section : Tenants.outcome -> unit
 
 (** {1 Sharded reports} *)
 
-val shard_header : string list
-
-(** One row per shard: final state, crash count, submission accounting
-    (accepted/finished/lost/refused), the cold-cache recompilation count
-    and the closing memory budget. *)
-val shard_row : Shards.shard_result -> string list
-
 (** Print one outcome: schedule banner, per-shard retention table,
     completions sparkline, router and arbiter counters. With [baseline]
     (the same seed's no-fault outcome) a throughput-retention line is
@@ -60,12 +41,6 @@ val shard_row : Shards.shard_result -> string list
 val shards_section : ?baseline:Shards.outcome -> Shards.outcome -> unit
 
 (** {1 Storm (metastable failure) reports} *)
-
-val storm_shard_header : string list
-
-(** One row per shard: final state, cold-cache recompiles, storm
-    episodes, warm-primed templates and the singleflight ledger. *)
-val storm_shard_row : Storms.shard_report -> string list
 
 (** Print one arm: trigger banner, per-shard table, completions
     sparkline, the pre/post rates with the recovery verdict, and the

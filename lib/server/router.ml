@@ -39,8 +39,6 @@ type t = {
   mutable spills : int;
   mutable hedges : int;
   mutable hedge_wins : int;
-  mutable hedge_losses : int;
-      (* losing completions scrubbed from shard books and breakers *)
   mutable retries : int;
   mutable budget_denials : int;
   mutable in_flight : int;
@@ -91,7 +89,6 @@ let create ?(trace = Obs.Trace.null) ?(hedge = false) eng shards =
     spills = 0;
     hedges = 0;
     hedge_wins = 0;
-    hedge_losses = 0;
     retries = 0;
     budget_denials = 0;
     in_flight = 0;
@@ -187,7 +184,6 @@ let hedged_submit t sh ~template q =
              with a phantom probe in flight forever. The alternate was
              never admitted, so touching its breaker would release
              someone else's probe. *)
-          t.hedge_losses <- t.hedge_losses + 1;
           Shard.uncount sh' booking;
           if who = `Primary then
             Health.Breaker.release_probe t.breakers
@@ -305,7 +301,6 @@ let rejected t = t.rejected
 let spills t = t.spills
 let hedges t = t.hedges
 let hedge_wins t = t.hedge_wins
-let hedge_losses t = t.hedge_losses
 let retries t = t.retries
 let budget_denials t = t.budget_denials
 let in_flight t = t.in_flight

@@ -70,10 +70,6 @@ val spills : t -> int
 val hedges : t -> int
 val hedge_wins : t -> int
 
-(** Losing hedge completions scrubbed from shard books and breakers —
-    with correct accounting, [Array.sum discarded = hedge_losses]. *)
-val hedge_losses : t -> int
-
 val retries : t -> int
 
 (** Retries refused because the client's {!Resilience.Budget} was empty. *)

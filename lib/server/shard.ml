@@ -14,6 +14,7 @@ let lifecycle_name = function
   | Down -> "down"
   | Recovering -> "recovering"
 
+(* Stable numeric code for the Chrome trace's shard-state counter. *)
 let lifecycle_code = function
   | Up -> 0
   | Browned_out -> 1

@@ -22,10 +22,6 @@ type lifecycle = Up | Browned_out | Down | Recovering
 
 val lifecycle_name : lifecycle -> string
 
-(** Stable numeric code for Chrome trace counters
-    (0 up, 1 browned-out, 2 down, 3 recovering). *)
-val lifecycle_code : lifecycle -> int
-
 type t
 
 (** [create ?trace ?probation eng ~index ~name cfg cat] builds and starts

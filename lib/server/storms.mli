@@ -54,8 +54,6 @@ val default_config : config
 (** When the trigger fires ([warmup + 0.25 * measure]). *)
 val fault_at : config -> float
 
-val crash_restart_delay : config -> float
-
 (** The {!Config.defense} this config's arm runs: {!Config.defended}
     with [s_defenses = true], else {!Config.no_defense}. *)
 val defense_of : config -> Config.defense

@@ -1,9 +1,8 @@
-type workload = Sales | Tpch | Snowflake | Light
+type workload = Sales | Tpch | Light
 
 let workload_name = function
   | Sales -> "sales"
   | Tpch -> "tpch"
-  | Snowflake -> "snowflake"
   | Light -> "light"
 
 type spec = {
@@ -80,6 +79,8 @@ let claims_of ~mode specs =
       { Qcore.Arbiter.weight = s.tweight; min_share; max_share; predicted = 0 })
     specs
 
+(* Each pool starts at its floor plus a weight-proportional share of the
+   initially-idle surplus (the arbiter's split with zero demand). *)
 let initial_budgets ~mode ~total specs =
   Qcore.Arbiter.plan ~total (claims_of ~mode specs)
 
@@ -94,12 +95,10 @@ let tpch_sf = 1.
 let catalog_of = function
   | Sales | Light -> Workload.Sales.catalog ()
   | Tpch -> Workload.Tpch.catalog ~sf:tpch_sf ()
-  | Snowflake -> Workload.Snowflake.catalog ()
 
 let templates_of = function
   | Sales -> Workload.Sales.templates ()
   | Tpch -> Workload.Tpch.templates ~sf:tpch_sf ()
-  | Snowflake -> Workload.Snowflake.templates ()
   | Light -> [ Workload.Sales.diagnostic_template () ]
 
 type tenant_result = {

@@ -18,7 +18,7 @@
 
 (** Tenant workload mixes. [Light] is the small templated diagnostic
     query (one cacheable template — all plan-cache hits after warmup). *)
-type workload = Sales | Tpch | Snowflake | Light
+type workload = Sales | Tpch | Light
 
 val workload_name : workload -> string
 
@@ -32,11 +32,6 @@ type spec = {
   tworkload : workload;
 }
 
-(** The noisy-neighbour cast: [noisy] (ad-hoc SALES, many eager
-    clients), [victim] (TPC-H, steady), [light] (templated
-    diagnostics). *)
-val default_specs : unit -> spec list
-
 (** How the machine's memory is governed. *)
 type mode =
   | Isolated
@@ -48,12 +43,6 @@ type mode =
   | Static  (** budgets fixed at their initial split; no arbiter *)
 
 val mode_name : mode -> string
-
-(** [initial_budgets ~mode ~total specs] is the byte budget each pool
-    starts with: its floor plus a weight-proportional share of the
-    initially-idle surplus (the {!Qcore.Arbiter.plan} split with zero
-    demand). *)
-val initial_budgets : mode:mode -> total:int -> spec list -> int list
 
 type tenant_result = {
   rname : string;
@@ -91,8 +80,10 @@ type outcome = {
 }
 
 (** [run ~mode ~total_bytes ~seed ~warmup ~measure ~slice ()] builds one
-    engine, one pool per spec (budgets from {!initial_budgets} unless
-    [budgets] overrides them), spawns each tenant's clients and runs to
+    engine, one pool per spec ([specs] defaults to the noisy, victim and
+    light cast above; each pool starts at its floor plus a
+    weight-proportional share of the idle surplus unless [budgets]
+    overrides it), spawns each tenant's clients and runs to
     [warmup + measure]. Per-tenant client RNG streams are derived from
     [seed] and the tenant's name — not from split order — so a tenant
     issues the same query stream whether it runs alone or with
