@@ -83,19 +83,13 @@ let run_one ~clients ~throttle ~warmup ~measure ~slice ~seed =
 (* Detailed single run that keeps the server around for resource stats. *)
 let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
   let cfg = config ~throttle ~seed in
-  let eng = Sim.Engine.create ~seed () in
-  let dbms = Server.Dbms.create eng cfg (Workload.Sales.catalog ()) in
-  Server.Dbms.start dbms;
-  let stats = Workload.Client.make_stats () in
-  let ids = ref 0 in
   let stop = warmup +. measure in
-  let crng = Sim.Rng.split (Sim.Engine.rng eng) in
-  for i = 1 to clients do
-    Workload.Client.spawn eng crng ~name:(Printf.sprintf "c%d" i)
+  let dbms, _, _ =
+    Server.Experiment.load cfg (Workload.Sales.catalog ())
       ~templates:(Workload.Sales.templates ())
-      ~submit:(fun q -> Server.Dbms.submit_catch dbms q)
-      ~config:Workload.Client.default_config ~stats ~ids ~until:stop
-  done;
+      ~client_config:Workload.Client.default_config ~clients ~stop
+  in
+  let eng = Server.Dbms.engine dbms in
   Sim.Engine.run eng ~until:stop;
   Sim.Engine.check_failures eng;
   let m = Server.Dbms.metrics dbms in
@@ -406,6 +400,14 @@ let trace_cmd =
       value & opt Fanout.pos_float 240.
       & info [ "measure" ] ~doc:"Simulated seconds (server scenario only).")
   in
+  let trace_seed_arg =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ]
+          ~doc:
+            "Random seed (server scenario only; $(b,figure2) always runs \
+             seed 7).")
+  in
   let action scenario out clients measure seed =
     let trace = Obs.Trace.create () in
     (match scenario with
@@ -456,7 +458,7 @@ let trace_cmd =
           trace-event JSON + JSONL.")
     Term.(
       const action $ scenario_arg $ out_arg $ trace_clients_arg
-      $ trace_measure_arg $ seed_arg)
+      $ trace_measure_arg $ trace_seed_arg)
 
 let gib g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
 
