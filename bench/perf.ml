@@ -12,8 +12,8 @@
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
    Suites: optimizer compile (Cascades on SALES shapes), the
-   sim-engine event loop, a full experiment cell, and the parallel grid
-   speedup with a byte-identity check. *)
+   sim-engine event loop, buffer-pool access, a full experiment cell, and
+   the parallel grid speedup with a byte-identity check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
@@ -177,6 +177,70 @@ let midcache_bench () =
     per_op_ns = b.per_op_ns /. float_of_int ops;
     alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Buffer-pool access *)
+
+(* The pool's hot path as the storm workload drives it: a resident LRU-2
+   pool at a full machine, seven hits on a re-read hot set for every
+   miss on a fresh page. Each miss finds no free memory, so the manager's
+   donor walk shrinks the pool by one granule before the page is
+   admitted. The hits alone are timed too: that path must read 0 B/op. *)
+let bufpool_bench () =
+  let ops = if !quick then 20_000 else 200_000 in
+  let iters = if !quick then 3 else 5 in
+  let page_bytes = 1 lsl 20 and resident = 1024 and hot = 512 in
+  let eng = Sim.Engine.create ~seed:1 () in
+  let manager = Dbmem.Manager.create ~total:(resident * page_bytes) () in
+  let clerk = Dbmem.Manager.create_clerk manager "bufpool" in
+  let disk =
+    Bufpool.Disk.create eng ~spindles:1 ~seek_s:0.
+      ~throughput_bytes_per_s:1e12
+  in
+  let pool =
+    Bufpool.Pool.create ~clerk ~disk ~page_bytes ~policy:Bufpool.Policy.Lru2
+  in
+  Dbmem.Manager.register_donor manager ~clerk ~priority:0
+    ~shrink:(Bufpool.Pool.shrink pool);
+  let table = Bufpool.Pool.table_id pool "fact" in
+  let fresh = ref resident in
+  let in_process f =
+    Sim.Engine.spawn eng f;
+    Sim.Engine.run_all eng
+  in
+  in_process (fun () ->
+      Bufpool.Pool.read_range pool ~table ~first:0 ~count:resident);
+  let cursor = ref 0 in
+  let hit () =
+    cursor := (!cursor + 7) land (hot - 1);
+    Bufpool.Pool.read pool ~table ~page:!cursor
+  in
+  let mixed =
+    time_bench ~name:"bufpool_access" ~iters (fun () ->
+        in_process (fun () ->
+            for i = 0 to ops - 1 do
+              if i land 7 = 7 then begin
+                Bufpool.Pool.read pool ~table ~page:!fresh;
+                incr fresh
+              end
+              else hit ()
+            done))
+  in
+  let hits =
+    time_bench ~name:"bufpool_access_hits" ~iters (fun () ->
+        for _ = 1 to ops do
+          hit ()
+        done)
+  in
+  let per_op b =
+    {
+      b with
+      iters = iters * ops;
+      per_op_ns = b.per_op_ns /. float_of_int ops;
+      alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
+    }
+  in
+  (per_op mixed, per_op hits)
 
 (* ------------------------------------------------------------------ *)
 (* Storm-defense hot paths *)
@@ -428,12 +492,14 @@ let () =
     (if !jobs <> !jobs_requested then
        Printf.sprintf ", clamped from %d to %d cores" !jobs_requested cores
      else "");
+  let bufpool, bufpool_hits = bufpool_bench () in
   let benches =
     optimizer_benches ()
     @ steady_state_benches ()
     @ [
         engine_bench ();
         midcache_bench ();
+        bufpool;
         singleflight_bench ();
         retry_budget_bench ();
         experiment_bench ();
@@ -445,6 +511,8 @@ let () =
       Printf.printf "  %-26s %8.1f ms/op  %10.0f bytes/op  (%d iters)\n" b.name
         (b.per_op_ns /. 1e6) b.alloc_bytes_per_op b.iters)
     benches;
+  Printf.printf "  %-26s %8.1f ns/op  %10.1f bytes/op  (hits only)\n"
+    bufpool_hits.name bufpool_hits.per_op_ns bufpool_hits.alloc_bytes_per_op;
   let grid = grid_bench () in
   Printf.printf
     "  grid: %d cells  sequential %.2fs  parallel(%d) %.2fs  speedup %.2fx \

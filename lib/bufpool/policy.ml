@@ -1,222 +1,281 @@
-type page = int * int
 type kind = Lru | Clock | Lru2
 
-(* --- LRU: hashtable of current stamps + lazily-cleaned FIFO of (page,
-   stamp) entries; an entry is live iff its stamp is still current. --- *)
-module Lru_impl = struct
-  type t = {
-    stamps : (page, int) Hashtbl.t;
-    queue : (page * int) Queue.t;
-    mutable clock : int;
+(* One flat structure serves all three policies. A page is an int key.
+   Per-page state lives in slot columns; free slots are chained through
+   [next]. The index maps a key to its slot. Nothing on the touch or
+   evict path allocates, and no entry is ever stale: a touch updates the
+   page's own slot in place.
+
+   - LRU and CLOCK keep the resident slots on a circular doubly-linked
+     list whose [head] is the oldest entry. An LRU touch moves the slot to
+     the tail; CLOCK's hand is [head], and giving a page its second chance
+     moves it from head to tail by advancing [head].
+   - LRU-2 keeps the slots in an indexed binary min-heap ordered by
+     (t2, t1). A touch raises the page's key, so it sifts down from where
+     it stands, and the victim is the root. *)
+type t = {
+  kind : kind;
+  mutable index : int array;
+      (* key -> slot: open addressing with linear probing and
+         backward-shift deletion, -1 empty, at most half full *)
+  mutable shift : int;  (* 63 - log2 (length of index) *)
+  mutable keys : int array;
+  mutable prev : int array;  (* LRU, CLOCK: ring links *)
+  mutable next : int array;  (* ring links; free-list links on free slots *)
+  mutable refbit : bool array;  (* CLOCK *)
+  mutable t1 : int array;  (* LRU-2: time of the last access *)
+  mutable t2 : int array;  (* LRU-2: time of the one before, -1 if none *)
+  mutable pos : int array;  (* LRU-2: slot -> heap position *)
+  mutable heap : int array;  (* LRU-2: heap position -> slot *)
+  mutable head : int;  (* LRU, CLOCK: oldest slot, -1 when empty *)
+  mutable size : int;
+  mutable used : int;  (* slots handed out at least once *)
+  mutable free : int;  (* free-slot list, -1 when empty *)
+  mutable clock : int;
+}
+
+let initial_slots = 64
+
+let create kind =
+  let n = initial_slots in
+  {
+    kind;
+    index = Array.make (2 * n) (-1);
+    shift = 63 - 7;
+    keys = Array.make n 0;
+    prev = Array.make n (-1);
+    next = Array.make n (-1);
+    refbit = Array.make n false;
+    t1 = Array.make n 0;
+    t2 = Array.make n 0;
+    pos = Array.make n 0;
+    heap = Array.make n 0;
+    head = -1;
+    size = 0;
+    used = 0;
+    free = -1;
+    clock = 0;
   }
 
-  let create () = { stamps = Hashtbl.create 256; queue = Queue.create (); clock = 0 }
+(* --- Index ---------------------------------------------------------- *)
 
-  (* Every touch pushes a fresh (page, stamp) pair and only [evict] drops
-     stale ones, so a touch-heavy, eviction-free workload grows the queue
-     without bound. Once stale entries outnumber live pages, rebuild the
-     queue from the live entries (FIFO order preserved); the [max _ 32]
-     keeps tiny pools from compacting on every touch. *)
-  let compact t =
-    let fresh = Queue.create () in
-    Queue.iter
-      (fun ((p, stamp) as e) ->
-        match Hashtbl.find_opt t.stamps p with
-        | Some current when current = stamp -> Queue.push e fresh
-        | _ -> ())
-      t.queue;
-    Queue.clear t.queue;
-    Queue.transfer fresh t.queue
+(* Multiplicative hashing on the product's top bits, which depend on
+   every bit of the key: a page's table id sits in its high bits. *)
+let home t key = (key * 0x2545F4914F6CDD1D) lsr t.shift
 
-  let maybe_compact t =
-    let live = Hashtbl.length t.stamps in
-    if Queue.length t.queue - live > max live 32 then compact t
+(* The index position holding [key], or the empty one ending its run. *)
+let rec probe t key i =
+  let s = t.index.(i) in
+  if s < 0 || t.keys.(s) = key then i
+  else probe t key ((i + 1) land (Array.length t.index - 1))
 
-  let insert t p =
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.stamps p t.clock;
-    Queue.push (p, t.clock) t.queue;
-    maybe_compact t
+let find t key = t.index.(probe t key (home t key))
 
-  let touch t p =
-    if Hashtbl.mem t.stamps p then begin
+(* Backward-shift deletion: empty position [hole], then pull later
+   entries of the run back into it, so no probe ever crosses a gap. An
+   entry at [j] may move into the hole unless its home lies cyclically in
+   (hole, j]. *)
+let rec unindex t hole j =
+  let mask = Array.length t.index - 1 in
+  let j = (j + 1) land mask in
+  let s = t.index.(j) in
+  if s < 0 then t.index.(hole) <- -1
+  else if (j - home t t.keys.(s)) land mask >= (j - hole) land mask then begin
+    t.index.(hole) <- s;
+    unindex t j j
+  end
+  else unindex t hole j
+
+(* --- Slots ---------------------------------------------------------- *)
+
+let extend xs fill =
+  let ys = Array.make (2 * Array.length xs) fill in
+  Array.blit xs 0 ys 0 (Array.length xs);
+  ys
+
+(* Doubles every column and rebuilds the index at twice the slot count.
+   Runs only when the free list is empty, so every used slot is
+   resident. *)
+let grow t =
+  t.keys <- extend t.keys 0;
+  t.prev <- extend t.prev (-1);
+  t.next <- extend t.next (-1);
+  t.refbit <- extend t.refbit false;
+  t.t1 <- extend t.t1 0;
+  t.t2 <- extend t.t2 0;
+  t.pos <- extend t.pos 0;
+  t.heap <- extend t.heap 0;
+  t.index <- Array.make (2 * Array.length t.index) (-1);
+  t.shift <- t.shift - 1;
+  for s = 0 to t.used - 1 do
+    let key = t.keys.(s) in
+    t.index.(probe t key (home t key)) <- s
+  done
+
+let alloc_slot t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- t.next.(s);
+    s
+  end
+  else begin
+    if t.used = Array.length t.keys then grow t;
+    t.used <- t.used + 1;
+    t.used - 1
+  end
+
+(* Drops [s]'s key from the index and returns the slot to the free list. *)
+let release_slot t s =
+  let i = probe t t.keys.(s) (home t t.keys.(s)) in
+  unindex t i i;
+  t.next.(s) <- t.free;
+  t.free <- s;
+  t.size <- t.size - 1
+
+(* --- LRU and CLOCK: the ring ---------------------------------------- *)
+
+(* [s] becomes the newest entry, just behind [head]. *)
+let link_tail t s =
+  let h = t.head in
+  if h < 0 then begin
+    t.prev.(s) <- s;
+    t.next.(s) <- s;
+    t.head <- s
+  end
+  else begin
+    let tail = t.prev.(h) in
+    t.prev.(s) <- tail;
+    t.next.(s) <- h;
+    t.next.(tail) <- s;
+    t.prev.(h) <- s
+  end
+
+let unlink t s =
+  let n = t.next.(s) in
+  if n = s then t.head <- -1
+  else begin
+    let p = t.prev.(s) in
+    t.next.(p) <- n;
+    t.prev.(n) <- p;
+    if t.head = s then t.head <- n
+  end
+
+(* CLOCK's hand: a page with its reference bit set loses the bit and goes
+   from head to tail, which in a ring is one step of [head]. *)
+let rec clock_victim t =
+  let s = t.head in
+  if t.refbit.(s) then begin
+    t.refbit.(s) <- false;
+    t.head <- t.next.(s);
+    clock_victim t
+  end
+  else s
+
+(* --- LRU-2: the heap ------------------------------------------------ *)
+
+(* The order of the polymorphic [compare] on (t2, t1, page) that the
+   policy has always used. Each insert or touch stamps a fresh [t1], so
+   live entries never tie on it and the page never decides. *)
+let before t a b =
+  let a2 = t.t2.(a) and b2 = t.t2.(b) in
+  a2 < b2 || (a2 = b2 && t.t1.(a) < t.t1.(b))
+
+let place t s i =
+  t.heap.(i) <- s;
+  t.pos.(s) <- i
+
+(* Hole-based sifts: [s] stays in hand while the entries it passes shift
+   into the hole, and is stored once. *)
+let rec sift_up t s i =
+  if i = 0 then place t s 0
+  else begin
+    let parent = (i - 1) / 2 in
+    let p = t.heap.(parent) in
+    if before t s p then begin
+      place t p i;
+      sift_up t s parent
+    end
+    else place t s i
+  end
+
+let rec sift_down t n s i =
+  let left = (2 * i) + 1 in
+  if left >= n then place t s i
+  else begin
+    let right = left + 1 in
+    let child =
+      if right < n && before t t.heap.(right) t.heap.(left) then right
+      else left
+    in
+    let c = t.heap.(child) in
+    if before t c s then begin
+      place t c i;
+      sift_down t n s child
+    end
+    else place t s i
+  end
+
+(* --- Operations ----------------------------------------------------- *)
+
+let mem t key = find t key >= 0
+
+let insert t key =
+  if mem t key then invalid_arg "Policy.insert: page already resident";
+  let s = alloc_slot t in
+  t.index.(probe t key (home t key)) <- s;
+  t.keys.(s) <- key;
+  t.size <- t.size + 1;
+  match t.kind with
+  | Lru -> link_tail t s
+  | Clock ->
+      t.refbit.(s) <- false;
+      link_tail t s
+  | Lru2 ->
       t.clock <- t.clock + 1;
-      Hashtbl.replace t.stamps p t.clock;
-      Queue.push (p, t.clock) t.queue;
-      maybe_compact t
-    end
+      t.t1.(s) <- t.clock;
+      t.t2.(s) <- -1;
+      sift_up t s (t.size - 1)
 
-  let mem t p = Hashtbl.mem t.stamps p
-
-  let rec evict t =
-    match Queue.take_opt t.queue with
-    | None -> None
-    | Some (p, stamp) -> (
-        match Hashtbl.find_opt t.stamps p with
-        | Some current when current = stamp ->
-            Hashtbl.remove t.stamps p;
-            Some p
-        | _ -> evict t)
-
-  let size t = Hashtbl.length t.stamps
-  let backlog t = Queue.length t.queue
-end
-
-(* --- CLOCK (second chance): FIFO of nodes with reference bits. --- *)
-module Clock_impl = struct
-  type node = { page : page; mutable refbit : bool; mutable dead : bool }
-
-  type t = { nodes : (page, node) Hashtbl.t; ring : node Queue.t }
-
-  let create () = { nodes = Hashtbl.create 256; ring = Queue.create () }
-
-  let insert t p =
-    let n = { page = p; refbit = false; dead = false } in
-    Hashtbl.replace t.nodes p n;
-    Queue.push n t.ring
-
-  let touch t p =
-    match Hashtbl.find_opt t.nodes p with
-    | Some n -> n.refbit <- true
-    | None -> ()
-
-  let mem t p = Hashtbl.mem t.nodes p
-
-  let rec evict t =
-    match Queue.take_opt t.ring with
-    | None -> None
-    | Some n when n.dead -> evict t
-    | Some n when n.refbit ->
-        n.refbit <- false;
-        Queue.push n t.ring;
-        evict t
-    | Some n ->
-        n.dead <- true;
-        Hashtbl.remove t.nodes n.page;
-        Some n.page
-
-  let size t = Hashtbl.length t.nodes
-  let backlog t = Queue.length t.ring
-end
-
-(* --- LRU-2: evict the page with the oldest penultimate access (pages
-   touched only once, t2 = -1, go first in t1 order). Lazily-synced heap
-   keyed by (t2, t1). --- *)
-module Lru2_impl = struct
-  type times = { mutable t1 : int; mutable t2 : int }
-
-  type t = {
-    times : (page, times) Hashtbl.t;
-    heap : (int * int * page) Sim.Heap.t;
-    mutable clock : int;
-  }
-
-  let create () =
-    {
-      times = Hashtbl.create 256;
-      heap = Sim.Heap.create ~cmp:compare ();
-      clock = 0;
-    }
-
-  (* Same lazy-sync bloat as the LRU queue: each touch adds a heap entry
-     and only [evict] discards stale ones. Rebuild the heap from the live
-     entries once stale ones dominate — the comparator is a total order
-     on (t2, t1, page), so re-adding live entries cannot change eviction
-     order. *)
-  let compact t =
-    let entries = Sim.Heap.to_list t.heap in
-    Sim.Heap.clear t.heap;
-    List.iter
-      (fun ((t2, t1, p) as e) ->
-        match Hashtbl.find_opt t.times p with
-        | Some ts when ts.t1 = t1 && ts.t2 = t2 -> Sim.Heap.add t.heap e
-        | _ -> ())
-      entries
-
-  let maybe_compact t =
-    let live = Hashtbl.length t.times in
-    if Sim.Heap.size t.heap - live > max live 32 then compact t
-
-  let push t p (ts : times) = Sim.Heap.add t.heap (ts.t2, ts.t1, p)
-
-  let insert t p =
-    t.clock <- t.clock + 1;
-    let ts = { t1 = t.clock; t2 = -1 } in
-    Hashtbl.replace t.times p ts;
-    push t p ts;
-    maybe_compact t
-
-  let touch t p =
-    match Hashtbl.find_opt t.times p with
-    | None -> ()
-    | Some ts ->
+let touch t key =
+  let s = find t key in
+  if s < 0 then false
+  else begin
+    (match t.kind with
+    | Lru ->
+        unlink t s;
+        link_tail t s
+    | Clock -> t.refbit.(s) <- true
+    | Lru2 ->
         t.clock <- t.clock + 1;
-        ts.t2 <- ts.t1;
-        ts.t1 <- t.clock;
-        push t p ts;
-        maybe_compact t
-
-  let mem t p = Hashtbl.mem t.times p
-
-  let rec evict t =
-    if Sim.Heap.is_empty t.heap then None
-    else begin
-      let t2, t1, p = Sim.Heap.pop_exn t.heap in
-      match Hashtbl.find_opt t.times p with
-      | Some ts when ts.t1 = t1 && ts.t2 = t2 ->
-          Hashtbl.remove t.times p;
-          Some p
-      | _ -> evict t
-    end
-
-  let size t = Hashtbl.length t.times
-  let backlog t = Sim.Heap.size t.heap
-end
-
-type t =
-  | T_lru of Lru_impl.t
-  | T_clock of Clock_impl.t
-  | T_lru2 of Lru2_impl.t
-
-let create = function
-  | Lru -> T_lru (Lru_impl.create ())
-  | Clock -> T_clock (Clock_impl.create ())
-  | Lru2 -> T_lru2 (Lru2_impl.create ())
-
-let insert t p =
-  match t with
-  | T_lru x -> Lru_impl.insert x p
-  | T_clock x -> Clock_impl.insert x p
-  | T_lru2 x -> Lru2_impl.insert x p
-
-let touch t p =
-  match t with
-  | T_lru x -> Lru_impl.touch x p
-  | T_clock x -> Clock_impl.touch x p
-  | T_lru2 x -> Lru2_impl.touch x p
-
-let mem t p =
-  match t with
-  | T_lru x -> Lru_impl.mem x p
-  | T_clock x -> Clock_impl.mem x p
-  | T_lru2 x -> Lru2_impl.mem x p
+        t.t2.(s) <- t.t1.(s);
+        t.t1.(s) <- t.clock;
+        sift_down t t.size s t.pos.(s));
+    true
+  end
 
 let evict t =
-  match t with
-  | T_lru x -> Lru_impl.evict x
-  | T_clock x -> Clock_impl.evict x
-  | T_lru2 x -> Lru2_impl.evict x
+  if t.size = 0 then -1
+  else begin
+    let s =
+      match t.kind with
+      | Lru ->
+          let s = t.head in
+          unlink t s;
+          s
+      | Clock ->
+          let s = clock_victim t in
+          unlink t s;
+          s
+      | Lru2 ->
+          let s = t.heap.(0) in
+          let n = t.size - 1 in
+          if n > 0 then sift_down t n t.heap.(n) 0;
+          s
+    in
+    let key = t.keys.(s) in
+    release_slot t s;
+    key
+  end
 
-let size t =
-  match t with
-  | T_lru x -> Lru_impl.size x
-  | T_clock x -> Clock_impl.size x
-  | T_lru2 x -> Lru2_impl.size x
-
-let backlog t =
-  match t with
-  | T_lru x -> Lru_impl.backlog x
-  | T_clock x -> Clock_impl.backlog x
-  | T_lru2 x -> Lru2_impl.backlog x
-
-let kind = function T_lru _ -> Lru | T_clock _ -> Clock | T_lru2 _ -> Lru2
+let size t = t.size
+let kind t = t.kind

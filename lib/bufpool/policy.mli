@@ -1,11 +1,11 @@
 (** Page replacement policies.
 
-    Pages are identified by [(table, page_no)] pairs of ints. Three classic
-    policies are provided; the buffer pool takes the choice as a parameter
-    (ablated in the benchmarks: the paper's effect is robust to the
-    replacement policy, it is the pool's {e size} that matters). *)
-
-type page = int * int
+    A page is one int key; {!Pool} packs [(table, page_no)] into it.
+    Three classic policies are provided; the buffer pool takes the choice
+    as a parameter (ablated in the benchmarks: the paper's effect is
+    robust to the replacement policy, it is the pool's {e size} that
+    matters). Per-page state lives in flat slot columns behind an int
+    open-addressing index, so {!touch} and {!evict} allocate nothing. *)
 
 type kind = Lru | Clock | Lru2
 
@@ -13,25 +13,20 @@ type t
 
 val create : kind -> t
 
-(** [insert t p] makes [p] resident (must not already be). *)
-val insert : t -> page -> unit
+(** [insert t p] makes [p] resident. Raises [Invalid_argument] if it
+    already is. *)
+val insert : t -> int -> unit
 
-(** [touch t p] records a hit on a resident page (no-op if absent). *)
-val touch : t -> page -> unit
+(** [touch t p] records a hit on [p] if it is resident and returns
+    whether it was. *)
+val touch : t -> int -> bool
 
 (** [mem t p] — residency test. *)
-val mem : t -> page -> bool
+val mem : t -> int -> bool
 
-(** [evict t] removes and returns the policy's victim, if any page is
-    resident. *)
-val evict : t -> page option
+(** [evict t] removes and returns the policy's victim, or [-1] when no
+    page is resident. *)
+val evict : t -> int
 
 val size : t -> int
-
-(** Internal bookkeeping entries currently held (queue/ring/heap length,
-    including lazily-cleaned stale ones). Kept within a constant factor
-    of {!size} by periodic compaction — exposed so tests can pin that
-    bound. *)
-val backlog : t -> int
-
 val kind : t -> kind

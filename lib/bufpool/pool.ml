@@ -9,10 +9,20 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable misses_window : int; (* misses since the last demand_hint call *)
-  io_batch_pages : int;
 }
 
-let create _eng _manager ~clerk ~disk ~page_bytes ~policy =
+(* Misses per disk transfer: sequential runs coalesce, random pages do
+   not. *)
+let io_batch_pages = 64
+let random_batch_pages = 8
+
+(* A page's policy key is [table lsl page_bits lor page]. Both fields are
+   bounded so that distinct pages never share a key and the key stays a
+   non-negative int. *)
+let page_bits = 40
+let max_tables = 1 lsl 22
+
+let create ~clerk ~disk ~page_bytes ~policy =
   if page_bytes <= 0 then invalid_arg "Pool.create: page_bytes";
   {
     disk;
@@ -25,8 +35,13 @@ let create _eng _manager ~clerk ~disk ~page_bytes ~policy =
     misses = 0;
     evictions = 0;
     misses_window = 0;
-    io_batch_pages = 64;
   }
+
+let check_table fn table =
+  if table < 0 || table >= max_tables then invalid_arg (fn ^ ": table id")
+
+let check_page fn page =
+  if page < 0 || page >= 1 lsl page_bits then invalid_arg (fn ^ ": page")
 
 let table_id t name =
   match Hashtbl.find_opt t.tables name with
@@ -39,43 +54,52 @@ let table_id t name =
 
 (* Make a granule resident. If the manager cannot give us a new granule
    (even after donor reclaim), recycle one of our own via the replacement
-   policy; if we own nothing, the page simply is not cached. *)
-let admit t page =
+   policy; if we own nothing, the page simply is not cached. The donor
+   reclaim may itself evict through [shrink], so the key is inserted only
+   after the allocation returns. *)
+let admit t key =
   match Dbmem.Manager.alloc t.clerk t.pbytes with
-  | Ok () -> Policy.insert t.policy page
-  | Error `Out_of_memory -> (
-      match Policy.evict t.policy with
-      | Some _victim ->
-          t.evictions <- t.evictions + 1;
-          Policy.insert t.policy page
-      | None -> ())
+  | Ok () -> Policy.insert t.policy key
+  | Error `Out_of_memory ->
+      if Policy.evict t.policy >= 0 then begin
+        t.evictions <- t.evictions + 1;
+        Policy.insert t.policy key
+      end
 
 (* Returns true on hit. On miss the page is admitted but NOT yet read --
    the caller batches the physical transfer. *)
-let access t page =
-  if Policy.mem t.policy page then begin
-    Policy.touch t.policy page;
+let access t key =
+  if Policy.touch t.policy key then begin
     t.hits <- t.hits + 1;
     true
   end
   else begin
     t.misses <- t.misses + 1;
     t.misses_window <- t.misses_window + 1;
-    admit t page;
+    admit t key;
     false
   end
 
 let read t ~table ~page =
-  if not (access t (table, page)) then Disk.read t.disk ~bytes:t.pbytes
+  check_table "Pool.read" table;
+  check_page "Pool.read" page;
+  if not (access t ((table lsl page_bits) lor page)) then
+    Disk.read t.disk ~bytes:t.pbytes
 
 let flush_misses t n = if n > 0 then Disk.read t.disk ~bytes:(n * t.pbytes)
 
 let read_range t ~table ~first ~count =
+  check_table "Pool.read_range" table;
+  if count > 0 then begin
+    check_page "Pool.read_range" first;
+    check_page "Pool.read_range" (first + count - 1)
+  end;
+  let base = table lsl page_bits in
   let pending = ref 0 in
   for page = first to first + count - 1 do
-    if not (access t (table, page)) then begin
+    if not (access t (base lor page)) then begin
       incr pending;
-      if !pending >= t.io_batch_pages then begin
+      if !pending >= io_batch_pages then begin
         flush_misses t !pending;
         pending := 0
       end
@@ -84,13 +108,16 @@ let read_range t ~table ~first ~count =
   flush_misses t !pending
 
 let read_random t ~table ~pages ~of_pages ~rng =
+  check_table "Pool.read_random" table;
+  let of_pages = max 1 of_pages in
+  check_page "Pool.read_random" (of_pages - 1);
+  let base = table lsl page_bits in
   let pending = ref 0 in
   for _ = 1 to pages do
-    let page = Sim.Rng.int rng (max 1 of_pages) in
-    if not (access t (table, page)) then begin
+    let page = Sim.Rng.int rng of_pages in
+    if not (access t (base lor page)) then begin
       incr pending;
-      (* Random pages do not coalesce: smaller batches. *)
-      if !pending >= 8 then begin
+      if !pending >= random_batch_pages then begin
         flush_misses t !pending;
         pending := 0
       end
@@ -102,12 +129,12 @@ let shrink t n =
   let freed = ref 0 in
   let continue = ref true in
   while !freed < n && !continue do
-    match Policy.evict t.policy with
-    | Some _ ->
-        t.evictions <- t.evictions + 1;
-        Dbmem.Manager.free t.clerk t.pbytes;
-        freed := !freed + t.pbytes
-    | None -> continue := false
+    if Policy.evict t.policy >= 0 then begin
+      t.evictions <- t.evictions + 1;
+      Dbmem.Manager.free t.clerk t.pbytes;
+      freed := !freed + t.pbytes
+    end
+    else continue := false
   done;
   !freed
 

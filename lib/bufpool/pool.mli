@@ -1,6 +1,8 @@
 (** The database page buffer pool.
 
-    The pool caches fixed-size page granules keyed by [(table, page_no)].
+    The pool caches fixed-size page granules keyed by [(table, page_no)],
+    packed into one int for the replacement policy: table ids are below
+    [2^22] and page numbers below [2^40].
     It grows opportunistically — every miss tries to allocate a granule
     from the memory manager — and gives memory back in two ways: its own
     replacement policy recycles granules when allocation fails, and the
@@ -13,8 +15,6 @@
 type t
 
 val create :
-  Sim.Engine.t ->
-  Dbmem.Manager.t ->
   clerk:Dbmem.Manager.clerk ->
   disk:Disk.t ->
   page_bytes:int ->
@@ -25,15 +25,18 @@ val create :
 val table_id : t -> string -> int
 
 (** [read t ~table ~page] — one page through the cache. Blocks on a miss
-    for the disk transfer. Must run inside a simulation process. *)
+    for the disk transfer. Must run inside a simulation process. Raises
+    [Invalid_argument] for a table id outside [\[0, 2^22)] or a page
+    outside [\[0, 2^40)]. A hit allocates nothing. *)
 val read : t -> table:int -> page:int -> unit
 
 (** [read_range t ~table ~first ~count] reads [count] consecutive pages,
-    batching the misses' disk transfers ([io_batch_pages] per transfer). *)
+    batching the misses' disk transfers (64 pages per transfer). *)
 val read_range : t -> table:int -> first:int -> count:int -> unit
 
 (** [read_random t ~table ~pages ~of_pages ~rng] reads [pages] pages drawn
-    uniformly from [\[0, of_pages)] (index lookups). *)
+    uniformly from [\[0, of_pages)] (index lookups), 8 misses per
+    transfer. *)
 val read_random :
   t -> table:int -> pages:int -> of_pages:int -> rng:Sim.Rng.t -> unit
 

@@ -81,7 +81,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
       ~throughput_bytes_per_s:cfg.Config.disk_throughput
   in
   let pool =
-    Bufpool.Pool.create eng manager ~clerk:pool_clerk ~disk
+    Bufpool.Pool.create ~clerk:pool_clerk ~disk
       ~page_bytes:Config.page_bytes ~policy:cfg.Config.pool_policy
   in
   let cache = Plancache.Cache.create manager ~clerk:cache_clerk in

@@ -90,11 +90,3 @@ let pop_exn t =
   top
 
 let pop t = if t.size = 0 then None else Some (pop_exn t)
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.size - 1) []

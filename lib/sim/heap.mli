@@ -32,9 +32,3 @@ val peek_exn : 'a t -> 'a
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-
-(** [clear t] removes every element. *)
-val clear : 'a t -> unit
-
-(** [to_list t] is every element in unspecified order (for tests). *)
-val to_list : 'a t -> 'a list

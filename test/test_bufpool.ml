@@ -60,45 +60,48 @@ let test_disk_write_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Policies *)
 
-let page i : Policy.page = (0, i)
+(* Keys of table 0 are plain page numbers. *)
+let page i = i
 
 let test_lru_evicts_oldest () =
   let p = Policy.create Policy.Lru in
   List.iter (fun i -> Policy.insert p (page i)) [ 1; 2; 3 ];
-  Policy.touch p (page 1);
+  ignore (Policy.touch p (page 1));
   (* Order of last use: 2, 3, 1. *)
-  Alcotest.(check (option (pair int int))) "evict 2" (Some (page 2)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 3" (Some (page 3)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 1" (Some (page 1)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "empty" None (Policy.evict p)
+  Alcotest.(check int) "evict 2" (page 2) (Policy.evict p);
+  Alcotest.(check int) "evict 3" (page 3) (Policy.evict p);
+  Alcotest.(check int) "evict 1" (page 1) (Policy.evict p);
+  Alcotest.(check int) "empty" (-1) (Policy.evict p)
 
 let test_clock_second_chance () =
   let p = Policy.create Policy.Clock in
   List.iter (fun i -> Policy.insert p (page i)) [ 1; 2; 3 ];
-  Policy.touch p (page 1);
+  ignore (Policy.touch p (page 1));
   (* 1 has its reference bit set: the hand skips it once and takes 2. *)
-  Alcotest.(check (option (pair int int))) "evict 2" (Some (page 2)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "evict 3" (Some (page 3)) (Policy.evict p);
-  Alcotest.(check (option (pair int int))) "then 1" (Some (page 1)) (Policy.evict p)
+  Alcotest.(check int) "evict 2" (page 2) (Policy.evict p);
+  Alcotest.(check int) "evict 3" (page 3) (Policy.evict p);
+  Alcotest.(check int) "then 1" (page 1) (Policy.evict p)
 
 let test_lru2_scan_resistance () =
   let p = Policy.create Policy.Lru2 in
   (* Two hot pages, touched twice. *)
   Policy.insert p (page 100);
   Policy.insert p (page 101);
-  Policy.touch p (page 100);
-  Policy.touch p (page 101);
+  ignore (Policy.touch p (page 100));
+  ignore (Policy.touch p (page 101));
   (* A scan floods ten one-touch pages. *)
   for i = 0 to 9 do
     Policy.insert p (page i)
   done;
   (* All ten scan pages must be evicted before either hot page. *)
   for _ = 1 to 10 do
-    match Policy.evict p with
-    | Some (_, i) -> Alcotest.(check bool) "scan page first" true (i < 100)
-    | None -> Alcotest.fail "premature empty"
+    let v = Policy.evict p in
+    if v < 0 then Alcotest.fail "premature empty";
+    Alcotest.(check bool) "scan page first" true (v < 100)
   done;
   Alcotest.(check int) "hot pages survive" 2 (Policy.size p)
+
+let kinds = [ Policy.Lru; Policy.Clock; Policy.Lru2 ]
 
 let test_policy_mem_and_size () =
   List.iter
@@ -108,35 +111,29 @@ let test_policy_mem_and_size () =
       Policy.insert p (page 2);
       Alcotest.(check bool) "mem" true (Policy.mem p (page 1));
       Alcotest.(check bool) "not mem" false (Policy.mem p (page 9));
+      Alcotest.(check bool) "touch reports a hit" true (Policy.touch p (page 2));
+      Alcotest.(check bool) "touch reports a miss" false (Policy.touch p (page 9));
+      Alcotest.(check bool) "absent touch inserts nothing" false
+        (Policy.mem p (page 9));
       Alcotest.(check int) "size" 2 (Policy.size p);
       ignore (Policy.evict p);
       Alcotest.(check int) "size after evict" 1 (Policy.size p))
-    [ Policy.Lru; Policy.Clock; Policy.Lru2 ]
+    kinds
 
-let test_policy_backlog_bounded () =
-  (* The stamp queues (LRU/LRU2) and the clock ring grow on every touch;
-     compaction must keep them within a constant factor of the resident
-     set instead of one entry per historical access. *)
+let test_policy_insert_resident_rejected () =
   List.iter
     (fun kind ->
       let p = Policy.create kind in
-      for i = 0 to 3 do
-        Policy.insert p (page i)
-      done;
-      for t = 0 to 9_999 do
-        Policy.touch p (page (t mod 4))
-      done;
-      let bound = (2 * Policy.size p) + 64 in
-      Alcotest.(check bool)
-        (Printf.sprintf "backlog %d within bound %d" (Policy.backlog p) bound)
-        true
-        (Policy.backlog p <= bound);
-      (* Compaction must not disturb eviction: all four pages drain. *)
-      let rec drain n =
-        match Policy.evict p with Some _ -> drain (n + 1) | None -> n
-      in
-      Alcotest.(check int) "all pages still evictable" 4 (drain 0))
-    [ Policy.Lru; Policy.Lru2 ]
+      Policy.insert p (page 1);
+      Alcotest.(check bool) "second insert rejected" true
+        (try
+           Policy.insert p (page 1);
+           false
+         with Invalid_argument _ -> true);
+      Alcotest.(check int) "still one page" 1 (Policy.size p);
+      Alcotest.(check int) "evicts it" (page 1) (Policy.evict p);
+      Alcotest.(check int) "then empty" (-1) (Policy.evict p))
+    kinds
 
 (* Property: every policy returns each inserted page exactly once across
    evictions, regardless of the touch pattern. *)
@@ -149,17 +146,117 @@ let prop_policy_complete_eviction =
       for i = 0 to 9 do
         Policy.insert p (page i)
       done;
-      List.iter (fun i -> Policy.touch p (page i)) touches;
+      List.iter (fun i -> ignore (Policy.touch p (page i))) touches;
       let evicted = ref [] in
       let rec drain () =
-        match Policy.evict p with
-        | Some pg ->
-            evicted := pg :: !evicted;
-            drain ()
-        | None -> ()
+        let v = Policy.evict p in
+        if v >= 0 then begin
+          evicted := v :: !evicted;
+          drain ()
+        end
       in
       drain ();
       List.sort compare !evicted = List.init 10 (fun i -> page i))
+
+(* Differential oracle: the flat policies against the tuple-keyed ones
+   they replaced (test/oracle/policy_ref.ml). Same victims in the same
+   order, same residency answers, same sizes, on random mixes over
+   several tables, page numbers near 2^40 and a table id near 2^22.
+   Runs of inserts ([Fill]) grow the slot columns and the index past
+   their initial 64 slots. *)
+module Ref = Oracle.Policy_ref
+
+type op =
+  | Insert of int * int
+  | Fill of int * int * int
+  | Touch of int * int
+  | Mem of int * int
+  | Evict
+  | Drain
+
+let pack (table, pg) = (table lsl 40) lor pg
+let unpack key = if key < 0 then None else Some (key lsr 40, key land ((1 lsl 40) - 1))
+
+let gen_ops =
+  let open QCheck.Gen in
+  let table = oneofl [ 0; 1; 2; (1 lsl 22) - 1 ] in
+  let pg =
+    pair table
+      (frequency
+         [
+           (3, int_range 0 11);
+           (1, int_range 0 199);
+           (1, map (fun d -> (1 lsl 40) - 1 - d) (int_range 0 3));
+         ])
+  in
+  list_size (int_range 0 200)
+    (frequency
+       [
+         (5, map (fun p -> Insert (fst p, snd p)) pg);
+         (1, map3 (fun t f c -> Fill (t, f, c)) table (int_range 0 150) (int_range 0 80));
+         (5, map (fun p -> Touch (fst p, snd p)) pg);
+         (2, map (fun p -> Mem (fst p, snd p)) pg);
+         (2, return Evict);
+         (1, return Drain);
+       ])
+
+let show_op = function
+  | Insert (t, p) -> Printf.sprintf "insert(%d,%d)" t p
+  | Fill (t, f, c) -> Printf.sprintf "fill(%d,%d,%d)" t f c
+  | Touch (t, p) -> Printf.sprintf "touch(%d,%d)" t p
+  | Mem (t, p) -> Printf.sprintf "mem(%d,%d)" t p
+  | Evict -> "evict"
+  | Drain -> "drain"
+
+let agrees kind ref_kind ops =
+  let p = Policy.create kind and r = Ref.create ref_kind in
+  let same_victim () = unpack (Policy.evict p) = Ref.evict r in
+  let rec drain () =
+    let v = Ref.evict r in
+    unpack (Policy.evict p) = v && (v = None || drain ())
+  in
+  (* Inserting a resident page is outside both contracts. *)
+  let insert t pg =
+    if not (Ref.mem r (t, pg)) then begin
+      Ref.insert r (t, pg);
+      Policy.insert p (pack (t, pg))
+    end
+  in
+  let step = function
+    | Insert (t, pg) ->
+        insert t pg;
+        true
+    | Fill (t, first, count) ->
+        for pg = first to first + count - 1 do
+          insert t pg
+        done;
+        true
+    | Touch (t, pg) ->
+        let resident = Ref.mem r (t, pg) in
+        Ref.touch r (t, pg);
+        Policy.touch p (pack (t, pg)) = resident
+    | Mem (t, pg) -> Policy.mem p (pack (t, pg)) = Ref.mem r (t, pg)
+    | Evict -> same_victim ()
+    | Drain -> drain ()
+  in
+  List.for_all (fun op -> step op && Policy.size p = Ref.size r) ops && drain ()
+
+let prop_policy_matches_oracle (name, kind, ref_kind) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s matches the reference policy" name)
+    ~count:1000
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_op ops))
+       gen_ops)
+    (agrees kind ref_kind)
+
+let oracle_props =
+  List.map prop_policy_matches_oracle
+    [
+      ("lru", Policy.Lru, Ref.Lru);
+      ("clock", Policy.Clock, Ref.Clock);
+      ("lru-2", Policy.Lru2, Ref.Lru2);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -172,7 +269,7 @@ let make_pool ?(total = mib 64) ?(page_bytes = mib 1) ?(policy = Policy.Lru) () 
     Disk.create eng ~spindles:1 ~seek_s:0.001
       ~throughput_bytes_per_s:(float_of_int (mib 100))
   in
-  let pool = Pool.create eng manager ~clerk ~disk ~page_bytes ~policy in
+  let pool = Pool.create ~clerk ~disk ~page_bytes ~policy in
   (eng, manager, disk, pool)
 
 let in_process eng f =
@@ -310,6 +407,140 @@ let test_pool_hit_rate_fresh () =
   let _, _, _, pool = make_pool () in
   Alcotest.(check (float 1e-9)) "fresh" 0. (Pool.hit_rate pool)
 
+let test_pool_read_rejects_out_of_range () =
+  let _, _, _, pool = make_pool () in
+  let rejected ~table ~page =
+    try
+      Pool.read pool ~table ~page;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative page" true (rejected ~table:0 ~page:(-1));
+  Alcotest.(check bool) "page 2^40" true (rejected ~table:0 ~page:(1 lsl 40));
+  Alcotest.(check bool) "table 2^22" true (rejected ~table:(1 lsl 22) ~page:0);
+  Alcotest.(check int) "nothing admitted" 0 (Pool.resident_pages pool);
+  Alcotest.(check int) "nothing counted" 0 (Pool.hits pool + Pool.misses pool)
+
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The hot path is flat: 10 000 policy touches and 10 000 pool hits move
+   the minor-heap counter no more than an empty window does. *)
+let test_touch_and_hit_allocate_nothing () =
+  List.iter
+    (fun kind ->
+      let p = Policy.create kind in
+      for i = 0 to 3 do
+        Policy.insert p (page i)
+      done;
+      let eng, _, _, pool = make_pool ~policy:kind () in
+      let t = Pool.table_id pool "fact" in
+      in_process eng (fun () -> Pool.read_range pool ~table:t ~first:0 ~count:4);
+      let touches () =
+        for i = 0 to 9_999 do
+          ignore (Policy.touch p (page (i land 3)))
+        done
+      in
+      let hits () =
+        for i = 0 to 9_999 do
+          Pool.read pool ~table:t ~page:(i land 3)
+        done
+      in
+      let empty = minor_words_during ignore in
+      Alcotest.(check (float 0.)) "touches" empty (minor_words_during touches);
+      Alcotest.(check (float 0.)) "pool hits" empty (minor_words_during hits);
+      Alcotest.(check int) "all hits" 10_000 (Pool.hits pool))
+    kinds
+
+(* Where pool and manager meet: random reads over three tables, shrinks,
+   and a second clerk whose allocations reclaim from the pool through the
+   manager's donor walk. After every step the pool's residency matches
+   its clerk, the manager stays within its budget and every access is
+   counted once. *)
+type pool_step =
+  | Range of int * int * int
+  | Random of int * int * int
+  | Shrink of int
+  | Shrink_to of int
+  | Other_alloc of int
+  | Other_free of int
+
+let show_pool_step = function
+  | Range (t, f, c) -> Printf.sprintf "range(%d,%d,%d)" t f c
+  | Random (t, n, o) -> Printf.sprintf "random(%d,%d,%d)" t n o
+  | Shrink n -> Printf.sprintf "shrink %d" n
+  | Shrink_to n -> Printf.sprintf "shrink_to %d" n
+  | Other_alloc n -> Printf.sprintf "other_alloc %d" n
+  | Other_free n -> Printf.sprintf "other_free %d" n
+
+let gen_pool_steps =
+  let open QCheck.Gen in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (4, map3 (fun t f c -> Range (t, f, c)) (int_range 0 2) (int_range 0 30) (int_range 0 12));
+         (3, map3 (fun t n o -> Random (t, n, o)) (int_range 0 2) (int_range 0 12) (int_range 0 40));
+         (1, map (fun n -> Shrink n) (int_range 0 8));
+         (1, map (fun n -> Shrink_to n) (int_range 0 16));
+         (2, map (fun n -> Other_alloc n) (int_range 1 12));
+         (1, map (fun n -> Other_free n) (int_range 1 12));
+       ])
+
+let pool_manager_consistent kind steps =
+  let eng, manager, _, pool = make_pool ~total:(mib 16) ~policy:kind () in
+  let clerk = Option.get (Dbmem.Manager.find_clerk manager "bufpool") in
+  Dbmem.Manager.register_donor manager ~clerk ~priority:0 ~shrink:(Pool.shrink pool);
+  let other = Dbmem.Manager.create_clerk manager "other" in
+  let tables = Array.map (Pool.table_id pool) [| "a"; "b"; "c" |] in
+  let rng = Sim.Rng.create 9 in
+  let accesses = ref 0 and held = ref 0 and ok = ref true in
+  let step = function
+    | Range (t, first, count) ->
+        Pool.read_range pool ~table:tables.(t) ~first ~count;
+        accesses := !accesses + count
+    | Random (t, pages, of_pages) ->
+        Pool.read_random pool ~table:tables.(t) ~pages ~of_pages ~rng;
+        accesses := !accesses + pages
+    | Shrink n -> ignore (Pool.shrink pool (n * mib 1))
+    | Shrink_to n -> ignore (Pool.shrink_to pool (n * mib 1))
+    | Other_alloc n -> (
+        match Dbmem.Manager.alloc other (n * mib 1) with
+        | Ok () -> held := !held + n
+        | Error `Out_of_memory -> ())
+    | Other_free n ->
+        let n = min n !held in
+        Dbmem.Manager.free other (n * mib 1);
+        held := !held - n
+  in
+  Sim.Engine.spawn eng (fun () ->
+      List.iter
+        (fun s ->
+          step s;
+          ok :=
+            !ok
+            && Pool.resident_pages pool * Pool.page_bytes pool
+               = Dbmem.Manager.clerk_used clerk
+            && Dbmem.Manager.used manager <= Dbmem.Manager.total manager
+            && Pool.hits pool + Pool.misses pool = !accesses)
+        steps);
+  Sim.Engine.run_all eng;
+  !ok && Sim.Engine.failures eng = []
+
+let prop_pool_manager (name, kind) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s pool stays consistent with its clerk" name)
+    ~count:200
+    (QCheck.make
+       ~print:(fun steps -> String.concat " " (List.map show_pool_step steps))
+       gen_pool_steps)
+    (pool_manager_consistent kind)
+
+let pool_manager_props =
+  List.map prop_pool_manager
+    [ ("lru", Policy.Lru); ("clock", Policy.Clock); ("lru-2", Policy.Lru2) ]
+
 let suite =
   [
     ("disk service time", `Quick, test_disk_service_time);
@@ -321,7 +552,8 @@ let suite =
     ("clock second chance", `Quick, test_clock_second_chance);
     ("lru2 scan resistance", `Quick, test_lru2_scan_resistance);
     ("policy mem/size", `Quick, test_policy_mem_and_size);
-    ("policy backlog bounded", `Quick, test_policy_backlog_bounded);
+    ("policy insert resident rejected", `Quick, test_policy_insert_resident_rejected);
+    ("touch and hit allocate nothing", `Quick, test_touch_and_hit_allocate_nothing);
     ("pool hit rate fresh", `Quick, test_pool_hit_rate_fresh);
     ("pool hit/miss accounting", `Quick, test_pool_hit_miss_accounting);
     ("pool miss costs io", `Quick, test_pool_miss_costs_io_hit_does_not);
@@ -335,5 +567,7 @@ let suite =
     ("pool demand hint", `Quick, test_pool_demand_hint);
     ("pool read_random bounds", `Quick, test_pool_read_random_in_bounds);
     ("pool lru2 protects hot set", `Quick, test_pool_lru2_protects_hot_set);
+    ("pool read rejects out of range", `Quick, test_pool_read_rejects_out_of_range);
     QCheck_alcotest.to_alcotest prop_policy_complete_eviction;
   ]
+  @ List.map QCheck_alcotest.to_alcotest (oracle_props @ pool_manager_props)

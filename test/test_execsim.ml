@@ -198,7 +198,7 @@ let make_resources ?(memory = Dbmem.Units.gib 1) ?(workspace = mib 256) () =
       ~throughput_bytes_per_s:(float_of_int (mib 40))
   in
   let pool =
-    Bufpool.Pool.create eng manager ~clerk:pool_clerk ~disk ~page_bytes:(mib 1)
+    Bufpool.Pool.create ~clerk:pool_clerk ~disk ~page_bytes:(mib 1)
       ~policy:Bufpool.Policy.Lru2
   in
   let grants =

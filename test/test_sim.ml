@@ -27,12 +27,6 @@ let test_heap_peek_does_not_remove () =
   Alcotest.(check (option int)) "peek" (Some 7) (Heap.peek h);
   Alcotest.(check int) "size" 1 (Heap.size h)
 
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare () in
-  List.iter (Heap.add h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check int) "size" 0 (Heap.size h)
-
 let test_heap_capacity () =
   (* A capacity hint changes only when the array grows, never what comes
      out; zero capacity and a negative one are the edge cases. *)
@@ -728,7 +722,6 @@ let suite =
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap empty", `Quick, test_heap_empty);
     ("heap peek", `Quick, test_heap_peek_does_not_remove);
-    ("heap clear", `Quick, test_heap_clear);
     ("heap capacity hint", `Quick, test_heap_capacity);
     ("heap exn variants", `Quick, test_heap_exn_variants);
     ("rng deterministic", `Quick, test_rng_deterministic);
