@@ -192,10 +192,10 @@ let gen_ops =
   list_size (int_range 0 200)
     (frequency
        [
-         (5, map (fun p -> Insert (fst p, snd p)) pg);
+         (5, map (fun (t, p) -> Insert (t, p)) pg);
          (1, map3 (fun t f c -> Fill (t, f, c)) table (int_range 0 150) (int_range 0 80));
-         (5, map (fun p -> Touch (fst p, snd p)) pg);
-         (2, map (fun p -> Mem (fst p, snd p)) pg);
+         (5, map (fun (t, p) -> Touch (t, p)) pg);
+         (2, map (fun (t, p) -> Mem (t, p)) pg);
          (2, return Evict);
          (1, return Drain);
        ])
@@ -210,7 +210,6 @@ let show_op = function
 
 let agrees kind ref_kind ops =
   let p = Policy.create kind and r = Ref.create ref_kind in
-  let same_victim () = unpack (Policy.evict p) = Ref.evict r in
   let rec drain () =
     let v = Ref.evict r in
     unpack (Policy.evict p) = v && (v = None || drain ())
@@ -236,7 +235,7 @@ let agrees kind ref_kind ops =
         Ref.touch r (t, pg);
         Policy.touch p (pack (t, pg)) = resident
     | Mem (t, pg) -> Policy.mem p (pack (t, pg)) = Ref.mem r (t, pg)
-    | Evict -> same_victim ()
+    | Evict -> unpack (Policy.evict p) = Ref.evict r
     | Drain -> drain ()
   in
   List.for_all (fun op -> step op && Policy.size p = Ref.size r) ops && drain ()
