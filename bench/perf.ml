@@ -12,7 +12,8 @@
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
    Suites: optimizer compile (Cascades on SALES shapes), the
-   sim-engine event loop, buffer-pool access, a full experiment cell, and
+   sim-engine event loop, buffer-pool access, governed compile-memory
+   allocation, a full experiment cell, and
    the parallel grid speedup with a byte-identity check. *)
 
 let quick = ref false
@@ -241,6 +242,58 @@ let bufpool_bench () =
     }
   in
   (per_op mixed, per_op hits)
+
+(* ------------------------------------------------------------------ *)
+(* Governed allocation *)
+
+(* The optimizer meters every memo allocation through
+   [Compile_gov.alloc], thousands per compile. This is its fast path as
+   a compile past the small gate takes it: a dynamic ladder with a
+   broker target, so each call evaluates the medium gate's
+   [target * F / S] threshold, then charges the clerk. Tracing is off,
+   and each run frees what it metered, so the session stays below the
+   medium gate. It must read 0 B/op. *)
+let governed_alloc_bench () =
+  let ops = if !quick then 20_000 else 200_000 in
+  let iters = if !quick then 3 else 5 in
+  let mib = Dbmem.Units.mib in
+  let eng = Sim.Engine.create ~seed:1 () in
+  let manager = Dbmem.Manager.create ~total:(mib 4096) () in
+  let clerk = Dbmem.Manager.create_clerk manager "compile" in
+  let gov =
+    Qcore.Compile_gov.create eng manager ~clerk ~cpus:8
+      ~config:(Qcore.Throttle_config.default ()) ~enabled:true ()
+  in
+  Qcore.Compile_gov.on_notification gov
+    {
+      Qcore.Broker.verdict = Qcore.Broker.Hold_rate;
+      target = mib 640;
+      predicted = mib 640;
+      pressure = true;
+    };
+  let result = ref None in
+  Sim.Engine.spawn eng (fun () ->
+      let s = Qcore.Compile_gov.begin_compile gov in
+      ignore (Qcore.Compile_gov.alloc s (mib 4));
+      result :=
+        Some
+          (time_bench ~name:"governed_alloc" ~iters (fun () ->
+               for _ = 1 to ops do
+                 match Qcore.Compile_gov.alloc s 64 with
+                 | Ok () -> ()
+                 | Error _ -> failwith "governed alloc refused in benchmark"
+               done;
+               Qcore.Compile_gov.free s (64 * ops)));
+      Qcore.Compile_gov.end_compile s);
+  Sim.Engine.run_all eng;
+  Sim.Engine.check_failures ~what:"governed_alloc" eng;
+  let b = Option.get !result in
+  {
+    b with
+    iters = iters * ops;
+    per_op_ns = b.per_op_ns /. float_of_int ops;
+    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Storm-defense hot paths *)
@@ -500,6 +553,7 @@ let () =
         engine_bench ();
         midcache_bench ();
         bufpool;
+        governed_alloc_bench ();
         singleflight_bench ();
         retry_budget_bench ();
         experiment_bench ();

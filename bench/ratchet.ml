@@ -176,8 +176,8 @@ let read_file path =
 type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
-   cost-only Cascades memo, the pooled event loop, the flat buffer pool)
-   are
+   cost-only Cascades memo, the pooled event loop, the flat buffer pool,
+   the governor's metered allocation) are
    held to a tight 5% alloc ratchet instead of the global tolerance:
    their baselines are small and stable, so even a modest absolute creep
    is a real erosion of the win, not measurement noise. Wall time keeps
@@ -192,6 +192,7 @@ let tight_alloc_benches =
     "optimizer_steady_state_fresh";
     "sim_engine_event_loop";
     "bufpool_access";
+    "governed_alloc";
   ]
 
 let benchmarks_of j =
@@ -273,7 +274,10 @@ let () =
   let base_benches = benchmarks_of baseline in
   let failures = ref 0 in
   let check name kind ~tol base cur =
-    let ratio = if base > 0. then cur /. base else 1. in
+    (* A zero baseline (an allocation-free path) admits no growth. *)
+    let ratio =
+      if base > 0. then cur /. base else if cur > 0. then infinity else 1.
+    in
     let bad = ratio > 1. +. tol in
     if bad then incr failures;
     Printf.printf "  %-28s %-8s %12.1f -> %12.1f  %+6.1f%%%s\n" name kind base

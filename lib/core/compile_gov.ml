@@ -71,21 +71,26 @@ let lifo_shifts t = t.lifo_shifts
    later ones follow the paper's [target * F / S] rule when dynamic
    thresholds are on and a broker target is known. [S] is the population of
    the category directly below the monitor. Monotonicity down the ladder is
-   enforced so extreme populations can never invert it. *)
-let threshold t i =
-  let value_of j =
-    let l = t.levels.(j) in
-    if j = 0 || (not t.config.Throttle_config.dynamic) || t.target <= 0 then
-      l.Throttle_config.base_threshold
-    else
-      Throttle_config.dynamic_threshold l ~target:t.target
-        ~population:t.counts.(j)
-  in
-  let thr = ref (value_of 0) in
-  for j = 1 to i do
-    thr := max (value_of j) (2 * !thr)
-  done;
-  !thr
+   enforced so extreme populations can never invert it. Every allocation
+   reads this, so it is written without a closure, a ref or a polymorphic
+   comparison: none of them may allocate or call out per call. *)
+let level_threshold t j =
+  let l = t.levels.(j) in
+  if j = 0 || (not t.config.Throttle_config.dynamic) || t.target <= 0 then
+    l.Throttle_config.base_threshold
+  else
+    Throttle_config.dynamic_threshold l ~target:t.target
+      ~population:t.counts.(j)
+
+(* [thr] is the threshold of level [j - 1]; fold levels [j .. i] on. *)
+let rec ladder_threshold t i j thr =
+  if j > i then thr
+  else begin
+    let v = level_threshold t j and floor = 2 * thr in
+    ladder_threshold t i (j + 1) (if v >= floor then v else floor)
+  end
+
+let threshold t i = ladder_threshold t i 1 (level_threshold t 0)
 
 let emit t ~qid event =
   if Obs.Trace.enabled t.gtrace then
@@ -178,8 +183,11 @@ let alloc s n =
       | Ok () ->
           s.susage <- new_usage;
           if new_usage > s.speak then s.speak <- new_usage;
-          emit t ~qid:s.sqid
-            (Obs.Event.Compile_alloc { bytes = n; usage = new_usage });
+          (* Tested before the record is built: [emit]'s own test comes
+             after its argument is allocated. *)
+          if Obs.Trace.enabled t.gtrace then
+            emit t ~qid:s.sqid
+              (Obs.Event.Compile_alloc { bytes = n; usage = new_usage });
           Ok ())
 
 let free s n =
@@ -201,7 +209,8 @@ let end_compile s =
     Dbmem.Manager.free t.gclerk s.susage;
     s.susage <- 0;
     t.active <- t.active - 1;
-    emit t ~qid:s.sqid (Obs.Event.Compile_end { peak = s.speak })
+    if Obs.Trace.enabled t.gtrace then
+      emit t ~qid:s.sqid (Obs.Event.Compile_end { peak = s.speak })
   end
 
 let usage s = s.susage

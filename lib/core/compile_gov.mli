@@ -24,7 +24,8 @@ type t
     [enabled = false] the governor only does clerk accounting — the
     unthrottled baseline of Figures 3-5. [trace], when enabled, records
     compile begin/alloc/end and every gateway wait (it is passed down to
-    the ladder's monitors). *)
+    the ladder's monitors). The alloc and end records are built only
+    when the trace is enabled. *)
 val create :
   Sim.Engine.t ->
   Dbmem.Manager.t ->
@@ -62,7 +63,9 @@ type session
 val begin_compile : ?qid:string -> t -> session
 
 (** [alloc s n] reports [n] more bytes of compile memory demand. May block
-    the calling process at one or more monitors. On [Error] the compilation
+    the calling process at one or more monitors. Below the session's
+    next gate, with memory free and tracing off, it allocates nothing:
+    the optimizer calls it for every memo allocation. On [Error] the compilation
     must be abandoned: call {!end_compile} to release everything. Errors
     carry the structured taxonomy: a gateway timeout surfaces as
     {!Health.Error.Memory_wait_timeout} (8645) with the monitor's name as

@@ -99,9 +99,12 @@ let validate t ~cpus =
 let dynamic_threshold level ~target ~population =
   if target <= 0 then level.base_threshold
   else begin
-    let s = max 1 population in
+    (* Int comparisons, not [Stdlib.max]/[min]: those are polymorphic
+       and this runs on every governed allocation. *)
+    let s = if population >= 1 then population else 1 in
     let raw = int_of_float (float_of_int target *. level.fraction /. float_of_int s) in
-    min level.max_threshold (max level.min_threshold raw)
+    let lo = if level.min_threshold >= raw then level.min_threshold else raw in
+    if level.max_threshold <= lo then level.max_threshold else lo
   end
 
 let pp ppf t =

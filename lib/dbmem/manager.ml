@@ -39,9 +39,9 @@ let set_trace t ~now trace =
   t.trace <- trace;
   t.trace_now <- now
 
-let emit t event =
-  if Obs.Trace.enabled t.trace then
-    Obs.Trace.emit t.trace ~time:(t.trace_now ()) ~qid:"" event
+(* Callers test [Obs.Trace.enabled] first, so an event record is built
+   only when the trace keeps it. *)
+let emit t event = Obs.Trace.emit t.trace ~time:(t.trace_now ()) ~qid:"" event
 
 let total t = t.total
 let used t = t.used_total
@@ -71,31 +71,36 @@ let free_bytes c n =
   c.used <- c.used - n;
   c.owner.used_total <- c.owner.used_total - n
 
+(* The [except] of a walk that spares no donor: a clerk no manager
+   holds, so no donor's clerk is physically equal to it. *)
+let no_clerk = { cname = ""; used = 0; peak = 0; owner = create ~total:1 () }
+
 (* Ask donors, cheapest-to-shrink first, until the manager has [target_free]
    bytes free. Donors shrink through [free_bytes] on their own clerk.
    [except] omits one clerk's donor from the walk: an allocation must not
    be satisfied by shrinking the requester itself (a cache evicting its
-   own entries to admit a new one gains nothing). *)
-let reclaim ?except t ~target_free =
-  let rec ask donors freed =
-    if available t >= target_free then freed
-    else
-      match donors with
-      | [] -> freed
-      | d :: rest ->
-          let skip = match except with Some c -> c == d.dclerk | None -> false in
-          let want = target_free - available t in
-          let got =
-            if skip || d.dclerk.used = 0 then 0 else d.shrink want
-          in
-          ask rest (freed + got)
-  in
+   own entries to admit a new one gains nothing). The walk is a top-level
+   function over a plain clerk, so a miss allocates nothing here. *)
+let rec ask t ~except ~target_free donors freed =
+  if available t >= target_free then freed
+  else
+    match donors with
+    | [] -> freed
+    | d :: rest ->
+        let want = target_free - available t in
+        let got =
+          if d.dclerk == except || d.dclerk.used = 0 then 0 else d.shrink want
+        in
+        ask t ~except ~target_free rest (freed + got)
+
+let reclaim t ~except ~target_free =
   let wanted = target_free - available t in
-  let freed = ask t.donors 0 in
-  if freed > 0 then emit t (Obs.Event.Reclaim { wanted; freed });
+  let freed = ask t ~except ~target_free t.donors 0 in
+  if freed > 0 && Obs.Trace.enabled t.trace then
+    emit t (Obs.Event.Reclaim { wanted; freed });
   freed
 
-let demand t n = reclaim t ~target_free:n
+let demand t n = reclaim t ~except:no_clerk ~target_free:n
 
 let alloc c n =
   if n < 0 then invalid_arg "Manager.alloc: negative";
@@ -110,12 +115,13 @@ let alloc c n =
      insert draws from the other donors, typically the buffer pool), then
      fall back to the full walk — a donor growing at a full machine still
      recycles its own memory exactly as before. *)
-  if available t < n then ignore (reclaim ~except:c t ~target_free:n);
-  if available t < n then ignore (reclaim t ~target_free:n);
+  if available t < n then ignore (reclaim t ~except:c ~target_free:n);
+  if available t < n then ignore (reclaim t ~except:no_clerk ~target_free:n);
   if available t < n then begin
     t.oom_count <- t.oom_count + 1;
-    emit t
-      (Obs.Event.Oom { clerk = c.cname; requested = n; free = available t });
+    if Obs.Trace.enabled t.trace then
+      emit t
+        (Obs.Event.Oom { clerk = c.cname; requested = n; free = available t });
     Error `Out_of_memory
   end
   else begin

@@ -7,7 +7,10 @@
     retry/shed/degrade decisions of the resilience ladder — has a typed
     event here. Events are pure data: this module depends on nothing, so
     every layer of the system (including [dbmem], which knows nothing about
-    the simulation clock) can emit them. *)
+    the simulation clock) can emit them. Building one allocates, so
+    emitters on hot paths (the governor's per-allocation record, the
+    memory manager's reclaim and OOM records) build it only after
+    {!Trace.enabled} says the trace will keep it. *)
 
 (** Argument values for {!Custom} events and the exporters. *)
 type value = I of int | F of float | S of string | B of bool

@@ -43,10 +43,12 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 (* Memo arena
 
    The memo keeps costs, never plans. A group is an ordinal into flat
-   columns: its relation set, search state, unfinished-task count and
-   the head of its parked-split list, plus its best plan as four scalars
-   in a [Rules.tables] (rows, cost_io, cost_cpu, width) and a (tag, left
-   side) pair naming the winning physical alternative and split. Tasks
+   columns: its relation set, its unfinished-task count (which is also
+   its search state), the head of its parked-split list and its winner
+   (tag and left child group in one int), plus a row of a
+   [Rules.tables]: rows, the best plan's cost_io and cost_cpu, and the
+   group's hash-build spill, sort spill and sort cpu terms, computed
+   once when the group is created. Tasks
    are int pairs on an int stack; a split task carries its left side and
    its group, so no split outlives the expansion that lists it. A
    [Plan.t] is built once, from the root, when the search ends.
@@ -66,16 +68,23 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
    observationally transparent: the search reads no slot it has not
    written since the reset. *)
 
-(* Group states. *)
-let fresh = 0
-let expanding = 1
-let finished = 2
+(* A group's [g_outstanding] is also its state: [fresh] before its
+   optimize task runs, [finished] once every task it owns is done, and
+   n >= 1 while it expands. *)
+let fresh = -1
+let finished = 0
 
-(* Winning tag of a group with no plan yet, and of the root while the
-   greedy seed is its best. Otherwise a [Rules] leaf tag (0-1) or join
-   tag (0-4). *)
-let no_plan = -1
-let seed_tag = -2
+(* A group's winner in one int: the left child group of the winning
+   split (0 for a leaf) and the winning tag, as
+   [(child lsl 3) lor (tag + 2)]. The tag is a [Rules] leaf tag (0-1) or
+   join tag (0-4); [no_plan] marks a group with no plan yet and
+   [seed_win] the root while the greedy seed is its best. A group id,
+   unlike a relation set, leaves the low bits free at any query size. *)
+let pack_win child tag = (child lsl 3) lor (tag + 2)
+let win_child w = w lsr 3
+let win_tag w = (w land 7) - 2
+let no_plan = pack_win 0 (-1)
+let seed_win = pack_win 0 (-2)
 
 (* A task is a pair (x, y). Optimize-group: (set, -1). Expand: (group,
    cursor into [splits]), cursor >= 0. Optimize-split: (left side,
@@ -86,15 +95,14 @@ let split_owner y = -2 - y
 
 type arena = {
   mutable g_set : int array;
-  mutable g_state : int array;
   mutable g_outstanding : int array;
-      (* unfinished tasks owned by the group: 1 for the expansion itself
-         plus one per recorded split *)
+      (* [fresh], [finished], or while expanding the unfinished tasks
+         owned by the group: 1 for the expansion itself plus one per
+         recorded split *)
   mutable g_parked : int array;
       (* first parked split of a *parent* group waiting for this group
          to finish, or -1 *)
-  mutable g_tag : int array;
-  mutable g_win : int array;  (* left side of a join group's winning split *)
+  mutable g_win : int array;  (* [pack_win child tag] *)
   mutable tb : Rules.tables;
   mutable n_groups : int;
   mutable index : int array;
@@ -118,11 +126,9 @@ let create_arena () =
   let groups = 256 in
   {
     g_set = Array.make groups 0;
-    g_state = Array.make groups fresh;
-    g_outstanding = Array.make groups 0;
+    g_outstanding = Array.make groups fresh;
     g_parked = Array.make groups (-1);
-    g_tag = Array.make groups no_plan;
-    g_win = Array.make groups 0;
+    g_win = Array.make groups no_plan;
     tb = Rules.make_tables groups;
     n_groups = 0;
     index = Array.make (2 * groups) (-1);
@@ -168,18 +174,18 @@ let slot_of a set = probe a set (hash_set set land (Array.length a.index - 1))
 
 let grow_groups a =
   a.g_set <- grow_ints a.g_set 0;
-  a.g_state <- grow_ints a.g_state fresh;
-  a.g_outstanding <- grow_ints a.g_outstanding 0;
+  a.g_outstanding <- grow_ints a.g_outstanding fresh;
   a.g_parked <- grow_ints a.g_parked (-1);
-  a.g_tag <- grow_ints a.g_tag no_plan;
-  a.g_win <- grow_ints a.g_win 0;
+  a.g_win <- grow_ints a.g_win no_plan;
   let tb = a.tb in
   a.tb <-
     {
       Rules.t_rows = grow_floats tb.Rules.t_rows;
       t_io = grow_floats tb.Rules.t_io;
       t_cpu = grow_floats tb.Rules.t_cpu;
-      t_width = grow_ints tb.Rules.t_width 0;
+      t_hash_spill = grow_floats tb.Rules.t_hash_spill;
+      t_sort_spill = grow_floats tb.Rules.t_sort_spill;
+      t_sort_cpu = grow_floats tb.Rules.t_sort_cpu;
     };
   a.index <- Array.make (2 * Array.length a.index) (-1);
   for g = 0 to a.n_groups - 1 do
@@ -257,37 +263,36 @@ let find_or_create s set =
     a.index.(slot) <- g;
     a.n_groups <- g + 1;
     a.g_set.(g) <- set;
-    a.g_state.(g) <- fresh;
-    a.g_outstanding.(g) <- 0;
+    a.g_outstanding.(g) <- fresh;
     a.g_parked.(g) <- -1;
-    a.g_tag.(g) <- no_plan;
+    a.g_win.(g) <- no_plan;
     (* [Card.card] of a singleton is exactly its filtered base rows. *)
     a.tb.Rules.t_rows.(g) <- Card.card s.card set;
-    a.tb.Rules.t_width.(g) <- Card.width s.card set;
+    Rules.set_entry_terms s.model a.tb g ~width:(Card.width s.card set);
     alloc s group_bytes;
     g
   end
 
 (* The alternative the evaluator left in [a.best] replaces the group's
    best only when strictly cheaper: ties keep the incumbent, so the
-   earliest of equal-cost alternatives wins. *)
-let offer a g tag l =
+   earliest of equal-cost alternatives wins. [gl] is the split's left
+   child group (0 for a leaf). *)
+let offer a g tag gl =
   let tb = a.tb in
   if
-    a.g_tag.(g) = no_plan
+    a.g_win.(g) = no_plan
     || not (tb.Rules.t_io.(g) +. tb.Rules.t_cpu.(g) <= a.best.(2))
   then begin
     tb.Rules.t_io.(g) <- a.best.(0);
     tb.Rules.t_cpu.(g) <- a.best.(1);
-    a.g_tag.(g) <- tag;
-    a.g_win.(g) <- l
+    a.g_win.(g) <- pack_win gl tag
   end
 
 (* Re-push the parked splits, most recently parked first, so the first
    parked runs first, and recycle their nodes. *)
 let finish_group s g =
   let a = s.arena in
-  a.g_state.(g) <- finished;
+  a.g_outstanding.(g) <- finished;
   let node = ref a.g_parked.(g) in
   a.g_parked.(g) <- -1;
   while !node >= 0 do
@@ -301,8 +306,7 @@ let finish_group s g =
 let group_task_done s g =
   let a = s.arena in
   a.g_outstanding.(g) <- a.g_outstanding.(g) - 1;
-  if a.g_outstanding.(g) = 0 && a.g_state.(g) = expanding then
-    finish_group s g
+  if a.g_outstanding.(g) = finished then finish_group s g
 
 (* ------------------------------------------------------------------ *)
 (* Task processing *)
@@ -310,7 +314,7 @@ let group_task_done s g =
 let process_opt_group s set =
   let a = s.arena in
   let g = find_or_create s set in
-  if a.g_state.(g) = fresh then begin
+  if a.g_outstanding.(g) = fresh then begin
     if Relset.cardinal set = 1 then begin
       let i = Relset.min_elt set in
       let n_alternatives = if Rules.has_index_path s.card i then 2 else 1 in
@@ -321,7 +325,6 @@ let process_opt_group s set =
       finish_group s g
     end
     else begin
-      a.g_state.(g) <- expanding;
       a.g_outstanding.(g) <- 1;
       (* The valid logical splits: each unordered partition once (the
          side holding the lowest relation is the left), both sides
@@ -372,15 +375,15 @@ let process_opt_split s l g =
   let a = s.arena in
   let gl = find_or_create s l in
   let gr = find_or_create s (Relset.diff a.g_set.(g) l) in
-  if a.g_state.(gl) <> finished then park a gl l g
-  else if a.g_state.(gr) <> finished then park a gr l g
+  if a.g_outstanding.(gl) <> finished then park a gl l g
+  else if a.g_outstanding.(gr) <> finished then park a gr l g
   else begin
     let tag =
       Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best
     in
     alloc s (phys_bytes * 5);
     s.n_phys <- s.n_phys + 5;
-    offer a g tag l;
+    offer a g tag gl;
     group_task_done s g
   end
 
@@ -396,14 +399,14 @@ let flush_cpu s =
    its parent costed it, so the columns hold its final best. *)
 let rec build s g =
   let a = s.arena in
-  let set = a.g_set.(g) in
+  let set = a.g_set.(g) and w = a.g_win.(g) in
   if Relset.cardinal set = 1 then
-    Rules.leaf_plan s.model s.card (Relset.min_elt set) a.g_tag.(g)
+    Rules.leaf_plan s.model s.card (Relset.min_elt set) (win_tag w)
   else begin
-    let l = a.g_win.(g) in
-    let pl = build s a.index.(slot_of a l) in
-    let pr = build s a.index.(slot_of a (Relset.diff set l)) in
-    Rules.join_plan s.model ~rows:a.tb.Rules.t_rows.(g) a.g_tag.(g) pl pr
+    let gl = win_child w in
+    let pl = build s gl in
+    let pr = build s a.index.(slot_of a (Relset.diff set a.g_set.(gl))) in
+    Rules.join_plan s.model ~rows:a.tb.Rules.t_rows.(g) (win_tag w) pl pr
   end
 
 let optimize ?(params = default_params) ?arena ~env model cat q =
@@ -460,7 +463,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
     in
     arena.tb.Rules.t_io.(root) <- seed_join.Plan.cost_io;
     arena.tb.Rules.t_cpu.(root) <- seed_join.Plan.cost_cpu;
-    arena.g_tag.(root) <- seed_tag;
+    arena.g_win.(root) <- seed_win;
     alloc s (phys_bytes * Plan.n_operators seed_join);
     push s full opt_group;
     let rec loop () =
@@ -493,7 +496,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
     in
     flush_cpu s;
     let best =
-      if arena.g_tag.(root) = seed_tag then seed_join else build s root
+      if arena.g_win.(root) = seed_win then seed_join else build s root
     in
     let plan = Rules.finalize model card best in
     Ok

@@ -22,10 +22,15 @@
     connected split of every connected subset — the same space as an
     exhaustive System-R DP, the tests' oracle — hence equal optimal cost.
 
-    The memo keeps costs, not plans. Each group's best is a row of flat
-    columns (rows, cost_io, cost_cpu, width, winning operator tag and
-    split), costed by {!Rules.cheapest_leaf_into} and
-    {!Rules.cheapest_join_into}; splits are listed from the query's
+    The memo keeps costs, not plans. Each group is a row of flat
+    columns: rows, its best plan's cost_io and cost_cpu, and the winning
+    operator tag packed with the winning left child group. Three cost
+    terms are per group rather than per split: its spill io as a hash
+    build side, and the spill io and cpu of a Sort over it. They are
+    computed once when the group is created
+    ({!Rules.set_entry_terms}). Groups are costed by
+    {!Rules.cheapest_leaf_into} and {!Rules.cheapest_join_into}; splits
+    are listed from the query's
     adjacency masks ({!Query.iter_connected_subsets}); and the one
     [Plan.t] is built from the root when the search ends. The metered
     bytes are those of the memo being modelled, not of these columns. *)

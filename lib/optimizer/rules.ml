@@ -20,9 +20,13 @@ let join_alternatives model card a b =
    The functions below mirror the cost formulas of the [Plan] constructors
    term for term, in the same floating-point evaluation order, so the
    costs they produce are bit-identical to [Plan.total_cost] of the plan
-   the constructor would have built. They read and write flat arrays
-   indexed by memo group and allocate nothing: no [Plan.t] records, no lists, no closures, no
-   boxed floats (all intermediates are local unboxed floats;
+   the constructor would have built. The terms that depend only on one
+   child's rows and width — its spill io as a hash build side, and the
+   spill io and cpu of an implicit Sort over it — are computed once per
+   entry by [set_entry_terms] and read back per split; the rest is
+   evaluated per split. They read and write flat arrays indexed by memo
+   group and allocate nothing: no [Plan.t] records, no lists, no
+   closures, no boxed floats (all intermediates are local unboxed floats;
    [Cost.spill_factor] and [Float.max] are inlined by hand because a
    non-inlined call would box its float argument).
 
@@ -35,7 +39,9 @@ type tables = {
   t_rows : float array;  (* plan output rows (leaf: filtered base rows) *)
   t_io : float array;  (* cost_io of the best plan for the subset *)
   t_cpu : float array;  (* cost_cpu of the best plan for the subset *)
-  t_width : int array;  (* output row width, bytes *)
+  t_hash_spill : float array;  (* spill io of a hash build over the entry *)
+  t_sort_spill : float array;  (* spill io of a Sort over the entry *)
+  t_sort_cpu : float array;  (* a Sort's cpu over the entry's own *)
 }
 
 let make_tables n =
@@ -43,8 +49,32 @@ let make_tables n =
     t_rows = Array.make n 0.0;
     t_io = Array.make n 0.0;
     t_cpu = Array.make n 0.0;
-    t_width = Array.make n 0;
+    t_hash_spill = Array.make n 0.0;
+    t_sort_spill = Array.make n 0.0;
+    t_sort_cpu = Array.make n 0.0;
   }
+
+(* [Plan.hash_join]'s spill term for this entry as the build side, and
+   [Plan.sort]'s io and cpu terms over it, each as the constructor
+   evaluates it. *)
+let set_entry_terms model tb i ~width =
+  let rows = tb.t_rows.(i) in
+  let page = float_of_int model.Cost.page_size in
+  let wm = float_of_int model.Cost.work_mem in
+  let hwidth =
+    if width <= Plan.hash_build_width then width else Plan.hash_build_width
+  in
+  let hmem = rows *. (float_of_int hwidth +. model.Cost.hash_mem_overhead) in
+  let hsp = if hmem <= wm then 1.0 else 1.0 +. log (hmem /. wm) /. log 2.0 in
+  tb.t_hash_spill.(i) <- (hsp -. 1.0) *. hmem /. page;
+  let swidth =
+    if width <= Plan.sort_width_cap then width else Plan.sort_width_cap
+  in
+  let smem = rows *. float_of_int swidth in
+  let ssp = if smem <= wm then 1.0 else 1.0 +. log (smem /. wm) /. log 2.0 in
+  tb.t_sort_spill.(i) <- (ssp -. 1.0) *. smem /. page;
+  let n = if rows > 2.0 then rows else 2.0 in
+  tb.t_sort_cpu.(i) <- model.Cost.sort_cost *. n *. (log n /. log 2.)
 
 (* Winning-alternative tags, the flat pass's stand-in for a [Plan.node].
    Leaves: 0 = seq scan, 1 = index scan. Joins (l holds the lowest
@@ -89,49 +119,27 @@ let cheapest_join_into model tb ~s ~l ~r ~best =
   let rows_l = tb.t_rows.(l) and rows_r = tb.t_rows.(r) in
   let io_l = tb.t_io.(l) and cpu_l = tb.t_cpu.(l) in
   let io_r = tb.t_io.(r) and cpu_r = tb.t_cpu.(r) in
-  let width_l = tb.t_width.(l) and width_r = tb.t_width.(r) in
-  let page = float_of_int model.Cost.page_size in
-  (* [Cost.spill_factor] is expanded by hand below (likewise [Float.max]
-     further down): even a local helper closure would allocate once per
-     call on this path. *)
-  let wm = float_of_int model.Cost.work_mem in
   let out_cpu = rows *. model.Cost.cpu_tuple_cost in
   (* 0: hash join, build = l. *)
-  let mem0 =
-    rows_l
-    *. (float_of_int (min width_l Plan.hash_build_width)
-       +. model.Cost.hash_mem_overhead)
-  in
-  let sp0 =
-    if mem0 <= wm then 1.0 else 1.0 +. log (mem0 /. wm) /. log 2.0
-  in
   let cpu0 =
     cpu_l +. cpu_r
     +. (rows_l *. model.Cost.hash_build_cost)
     +. (rows_r *. model.Cost.hash_probe_cost)
     +. out_cpu
   in
-  let io0 = ((io_l +. io_r) *. 1.0) +. ((sp0 -. 1.0) *. mem0 /. page) in
+  let io0 = ((io_l +. io_r) *. 1.0) +. tb.t_hash_spill.(l) in
   best.(0) <- io0;
   best.(1) <- cpu0;
   best.(2) <- io0 +. cpu0;
   let tag = 0 in
   (* 1: hash join, build = r. *)
-  let mem1 =
-    rows_r
-    *. (float_of_int (min width_r Plan.hash_build_width)
-       +. model.Cost.hash_mem_overhead)
-  in
-  let sp1 =
-    if mem1 <= wm then 1.0 else 1.0 +. log (mem1 /. wm) /. log 2.0
-  in
   let cpu1 =
     cpu_r +. cpu_l
     +. (rows_r *. model.Cost.hash_build_cost)
     +. (rows_l *. model.Cost.hash_probe_cost)
     +. out_cpu
   in
-  let io1 = ((io_r +. io_l) *. 1.0) +. ((sp1 -. 1.0) *. mem1 /. page) in
+  let io1 = ((io_r +. io_l) *. 1.0) +. tb.t_hash_spill.(r) in
   let tag =
     if io1 +. cpu1 < best.(2) then begin
       best.(0) <- io1;
@@ -178,21 +186,11 @@ let cheapest_join_into model tb ~s ~l ~r ~best =
     else tag
   in
   (* 4: merge join — each side behind an implicit Sort (Plan.sort,
-     inlined; Float.max 2. likewise). *)
-  let n_l = if rows_l > 2.0 then rows_l else 2.0 in
-  let smem_l = rows_l *. float_of_int (min width_l Plan.sort_width_cap) in
-  let ssp_l =
-    if smem_l <= wm then 1.0 else 1.0 +. log (smem_l /. wm) /. log 2.0
-  in
-  let sio_l = io_l +. ((ssp_l -. 1.0) *. smem_l /. page) in
-  let scpu_l = cpu_l +. (model.Cost.sort_cost *. n_l *. (log n_l /. log 2.)) in
-  let n_r = if rows_r > 2.0 then rows_r else 2.0 in
-  let smem_r = rows_r *. float_of_int (min width_r Plan.sort_width_cap) in
-  let ssp_r =
-    if smem_r <= wm then 1.0 else 1.0 +. log (smem_r /. wm) /. log 2.0
-  in
-  let sio_r = io_r +. ((ssp_r -. 1.0) *. smem_r /. page) in
-  let scpu_r = cpu_r +. (model.Cost.sort_cost *. n_r *. (log n_r /. log 2.)) in
+     its per-entry terms read from the tables). *)
+  let sio_l = io_l +. tb.t_sort_spill.(l) in
+  let scpu_l = cpu_l +. tb.t_sort_cpu.(l) in
+  let sio_r = io_r +. tb.t_sort_spill.(r) in
+  let scpu_r = cpu_r +. tb.t_sort_cpu.(r) in
   let cpu4 =
     scpu_l +. scpu_r
     +. ((rows_l +. rows_r) *. model.Cost.cpu_tuple_cost)

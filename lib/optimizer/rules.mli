@@ -25,19 +25,32 @@ val cheapest : Plan.t list -> Plan.t
     below mirror the [Plan] constructors' cost arithmetic bit for bit
     (same terms, same floating-point evaluation order), so
     reconstructing only the winning tree afterwards yields exactly the
-    plan a list-based search would have chosen. They allocate nothing
-    per call. *)
+    plan a list-based search would have chosen. Three terms depend only
+    on one child's rows and width: its spill io as a hash build side,
+    and the spill io and cpu of an implicit Sort over it. They are
+    computed once per entry by {!set_entry_terms}; every other term is
+    evaluated per split. The evaluators allocate nothing per call. *)
 
 type tables = {
   t_rows : float array;
       (** plan output rows per entry (leaf: filtered base rows) *)
   t_io : float array;  (** cost_io of the entry's best plan *)
   t_cpu : float array;  (** cost_cpu of the entry's best plan *)
-  t_width : int array;  (** output row width, bytes *)
+  t_hash_spill : float array;
+      (** spill io of a hash join building on the entry *)
+  t_sort_spill : float array;  (** spill io of a Sort over the entry *)
+  t_sort_cpu : float array;
+      (** cpu a Sort over the entry adds to the entry's own *)
 }
 
 (** [make_tables n] — all-zero tables for indices [0 .. n-1]. *)
 val make_tables : int -> tables
+
+(** [set_entry_terms model tb i ~width] fills entry [i]'s
+    [t_hash_spill], [t_sort_spill] and [t_sort_cpu] from its
+    [t_rows.(i)] and its output row [width] (bytes), each evaluated as
+    [Plan.hash_join] and [Plan.sort] evaluate it. *)
+val set_entry_terms : Cost.model -> tables -> int -> width:int -> unit
 
 (** [has_index_path card i] — relation [i] has an index on a filtered
     column, so {!leaf_alternatives} lists an index scan after the
@@ -56,7 +69,7 @@ val cheapest_leaf_into :
 (** [cheapest_join_into model tb ~s ~l ~r ~best] evaluates the five join
     alternatives for the entry [s] split into the entries [l] (which must
     hold the lowest relation of [s]) and [r], reading both children's
-    entries and [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
+    entries (their per-entry terms included) and [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
     total to [best.(0..2)] and returns its tag: 0 = hash build-[l],
     1 = hash build-[r], 2 = NL outer-[l], 3 = NL outer-[r], 4 = merge —
     tie-breaking as {!cheapest} over {!join_alternatives}. *)

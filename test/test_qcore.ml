@@ -970,6 +970,167 @@ let prop_broker_pressure_respects_floors =
       || List.fold_left (fun a (c, _) -> a + Broker.target c) 0 cs <= budget
          && List.for_all (fun (c, f) -> Broker.target c >= f) cs)
 
+(* A broker notification that changes the gates lands between two
+   allocations of one session, with no engine event in between: the very
+   next allocation must be gated by the new thresholds. Any cache of
+   per-session headroom has to see it. *)
+let test_gov_notification_between_allocs () =
+  let { eng; gov; _ } = make_gov ~cpus:8 () in
+  let notify target =
+    Compile_gov.on_notification gov
+      { Broker.verdict = Broker.Hold_rate; target; predicted = target;
+        pressure = true }
+  in
+  Sim.Engine.spawn eng (fun () ->
+      let s = Compile_gov.begin_compile gov in
+      let events = Sim.Engine.events_executed eng in
+      ignore (Compile_gov.alloc s (mib 10));
+      Alcotest.(check int) "past the small gate" 1 (Compile_gov.level s);
+      (* Medium gate: static 96 MiB. A 64 MiB target with one session in
+         the small category lowers it to the 32 MiB floor. *)
+      notify (mib 64);
+      ignore (Compile_gov.alloc s (mib 30));
+      Alcotest.(check int) "lowered gate taken at once" 2 (Compile_gov.level s);
+      Compile_gov.end_compile s;
+      (* Raising the gate works the same way round: 640 MiB * 0.35 / 1
+         = 224 MiB, so 40 + 60 MiB stays below it. *)
+      let s = Compile_gov.begin_compile gov in
+      ignore (Compile_gov.alloc s (mib 40));
+      Alcotest.(check int) "40 MiB crosses 32 MiB" 2 (Compile_gov.level s);
+      Compile_gov.end_compile s;
+      let s = Compile_gov.begin_compile gov in
+      ignore (Compile_gov.alloc s (mib 10));
+      notify (mib 640);
+      ignore (Compile_gov.alloc s (mib 60));
+      Alcotest.(check int) "raised gate taken at once" 1 (Compile_gov.level s);
+      Compile_gov.end_compile s;
+      Alcotest.(check int) "no engine event in between" events
+        (Sim.Engine.events_executed eng));
+  Sim.Engine.run_all eng;
+  (* A failed check inside a process is recorded by the engine, not
+     raised: surface it. *)
+  Sim.Engine.check_failures eng
+
+(* The metered fast path allocates nothing: 10 000 allocations below the
+   first gate, and 10 000 more between a dynamic second gate and the
+   first, move the minor-heap counter no more than an empty window. *)
+let test_gov_alloc_allocates_nothing () =
+  let { eng; gov; _ } = make_gov ~cpus:8 () in
+  Compile_gov.on_notification gov
+    { Broker.verdict = Broker.Hold_rate; target = mib 640;
+      predicted = mib 640; pressure = true };
+  let allocs s () =
+    for _ = 1 to 10_000 do
+      match Compile_gov.alloc s 1 with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "alloc refused"
+    done
+  in
+  Sim.Engine.spawn eng (fun () ->
+      let s = Compile_gov.begin_compile gov in
+      let minor_words_during = Test_bufpool.minor_words_during in
+      let empty = minor_words_during ignore in
+      Alcotest.(check (float 0.)) "below the first gate" empty
+        (minor_words_during (allocs s));
+      Alcotest.(check int) "no gate taken" 0 (Compile_gov.level s);
+      ignore (Compile_gov.alloc s (mib 10));
+      Alcotest.(check (float 0.)) "below a dynamic gate" empty
+        (minor_words_during (allocs s));
+      Alcotest.(check int) "small gate held" 1 (Compile_gov.level s);
+      Compile_gov.end_compile s);
+  Sim.Engine.run_all eng;
+  Sim.Engine.check_failures eng
+
+(* [Compile_gov.threshold] is the paper's [target * F / S] rule folded
+   down the ladder. Checked against that fold written with [Stdlib.max]
+   and [min], on random ladders (clamps in either order), targets
+   (non-positive included) and populations (empty levels included). *)
+let ref_threshold (config : Throttle_config.t) ~target ~population i =
+  let levels = Array.of_list config.Throttle_config.levels in
+  let value j =
+    let l = levels.(j) in
+    if j = 0 || (not config.Throttle_config.dynamic) || target <= 0 then
+      l.Throttle_config.base_threshold
+    else begin
+      let s = Stdlib.max 1 (population j) in
+      let raw =
+        int_of_float
+          (float_of_int target *. l.Throttle_config.fraction
+          /. float_of_int s)
+      in
+      Stdlib.min l.Throttle_config.max_threshold
+        (Stdlib.max l.Throttle_config.min_threshold raw)
+    end
+  in
+  List.fold_left
+    (fun thr j -> Stdlib.max (value j) (2 * thr))
+    (value 0)
+    (List.init i (fun j -> j + 1))
+
+let prop_gov_threshold_matches_reference =
+  let level_gen =
+    QCheck.Gen.(
+      map
+        (fun (step, fraction, (lo, hi)) -> (step, fraction, lo, hi))
+        (triple (int_range 1 200) (float_range 0.01 1.5)
+           (pair (int_range 0 2048) (int_range 0 2048))))
+  in
+  let gen =
+    QCheck.Gen.(
+      quad bool
+        (list_size (int_range 1 4) level_gen)
+        (int_range (-64) 4096)
+        (list_size (int_range 0 12) (int_range 0 1500)))
+  in
+  QCheck.Test.make ~name:"gov threshold equals the reference fold" ~count:200
+    (QCheck.make gen)
+    (fun (dynamic, steps, target_mib, sizes_mib) ->
+      let base = ref 0 in
+      let levels =
+        List.mapi
+          (fun i (step, fraction, lo, hi) ->
+            base := !base + mib step;
+            {
+              Throttle_config.lname = Printf.sprintf "l%d" i;
+              base_threshold = !base;
+              slots = Throttle_config.Total 64;
+              timeout = 100.;
+              fraction;
+              min_threshold = mib lo;
+              max_threshold = mib hi;
+            })
+          steps
+      in
+      let config = { Throttle_config.levels; dynamic } in
+      let { eng; gov; _ } =
+        make_gov ~total:(1 lsl 50) ~cpus:4 ~config ()
+      in
+      Compile_gov.on_notification gov
+        { Broker.verdict = Broker.Hold_rate; target = mib target_mib;
+          predicted = 0; pressure = false };
+      let agrees () =
+        List.for_all
+          (fun i ->
+            Compile_gov.threshold gov i
+            = ref_threshold config ~target:(mib target_mib)
+                ~population:(Compile_gov.population gov) i)
+          (List.init (List.length levels) Fun.id)
+      in
+      let ok = ref (agrees ()) in
+      let sessions = ref [] in
+      Sim.Engine.spawn eng (fun () ->
+          List.iter
+            (fun size ->
+              let s = Compile_gov.begin_compile gov in
+              ignore (Compile_gov.alloc s (mib size));
+              sessions := s :: !sessions;
+              ok := !ok && agrees ())
+            sizes_mib);
+      Sim.Engine.run_all eng;
+      Sim.Engine.check_failures eng;
+      List.iter Compile_gov.end_compile !sessions;
+      !ok && agrees ())
+
 let suite =
   [
     ("trend linear series", `Quick, test_trend_linear_series);
@@ -1011,6 +1172,8 @@ let suite =
     ("gov stop early requires enabled", `Quick, test_gov_stop_early_requires_enabled);
     ("gov progress priority", `Quick, test_gov_progress_priority);
     ("gov prevents mutual starvation", `Quick, test_gov_prevents_mutual_starvation);
+    ("gov notification between allocs", `Quick, test_gov_notification_between_allocs);
+    ("gov alloc allocates nothing", `Quick, test_gov_alloc_allocates_nothing);
     ("arbiter plan surplus weighted", `Quick, test_arbiter_plan_surplus_lends_weighted);
     ("arbiter plan scarcity floors", `Quick, test_arbiter_plan_scarcity_floors);
     ("arbiter plan caps", `Quick, test_arbiter_plan_caps);
@@ -1023,4 +1186,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trend_slope_recovers_line;
     QCheck_alcotest.to_alcotest prop_gov_respects_slot_limits;
     QCheck_alcotest.to_alcotest prop_gov_thresholds_monotone;
+    QCheck_alcotest.to_alcotest prop_gov_threshold_matches_reference;
   ]
