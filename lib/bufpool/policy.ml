@@ -10,9 +10,15 @@ type kind = Lru | Clock | Lru2
      list whose [head] is the oldest entry. An LRU touch moves the slot to
      the tail; CLOCK's hand is [head], and giving a page its second chance
      moves it from head to tail by advancing [head].
-   - LRU-2 keeps the slots in an indexed binary min-heap ordered by
-     (t2, t1). A touch raises the page's key, so it sifts down from where
-     it stands, and the victim is the root. *)
+   - LRU-2's victim is the least (t2, t1), with t2 = -1 for a page
+     touched only once. Such a page's key is (-1, insertion stamp), so
+     the once-touched pages, in insertion order, precede every
+     re-referenced page. They wait on the ring, which [insert] appends
+     to, and the victim is [head] while there is one. A second touch
+     moves the page into an indexed binary min-heap ordered by (t2, t1);
+     a later touch raises its key, so it sifts down from where it
+     stands. The heap's root is the victim once the ring is empty. This
+     is the A1in/Am split of 2Q, but the victims are exactly LRU-2's. *)
 type t = {
   kind : kind;
   mutable index : int array;
@@ -20,14 +26,15 @@ type t = {
          backward-shift deletion, -1 empty, at most half full *)
   mutable shift : int;  (* 63 - log2 (length of index) *)
   mutable keys : int array;
-  mutable prev : int array;  (* LRU, CLOCK: ring links *)
+  mutable prev : int array;  (* ring links; LRU-2: once-touched pages only *)
   mutable next : int array;  (* ring links; free-list links on free slots *)
   mutable refbit : bool array;  (* CLOCK *)
   mutable t1 : int array;  (* LRU-2: time of the last access *)
   mutable t2 : int array;  (* LRU-2: time of the one before, -1 if none *)
   mutable pos : int array;  (* LRU-2: slot -> heap position *)
   mutable heap : int array;  (* LRU-2: heap position -> slot *)
-  mutable head : int;  (* LRU, CLOCK: oldest slot, -1 when empty *)
+  mutable hsize : int;  (* LRU-2: re-referenced pages in [heap] *)
+  mutable head : int;  (* oldest slot on the ring, -1 when it is empty *)
   mutable size : int;
   mutable used : int;  (* slots handed out at least once *)
   mutable free : int;  (* free-slot list, -1 when empty *)
@@ -50,6 +57,7 @@ let create kind =
     t2 = Array.make n 0;
     pos = Array.make n 0;
     heap = Array.make n 0;
+    hsize = 0;
     head = -1;
     size = 0;
     used = 0;
@@ -132,7 +140,7 @@ let release_slot t s =
   t.free <- s;
   t.size <- t.size - 1
 
-(* --- LRU and CLOCK: the ring ---------------------------------------- *)
+(* --- The ring: LRU, CLOCK, and LRU-2's once-touched pages ----------- *)
 
 (* [s] becomes the newest entry, just behind [head]. *)
 let link_tail t s =
@@ -171,7 +179,7 @@ let rec clock_victim t =
   end
   else s
 
-(* --- LRU-2: the heap ------------------------------------------------ *)
+(* --- LRU-2: the heap of re-referenced pages -------------------------- *)
 
 (* The order of the polymorphic [compare] on (t2, t1, page) that the
    policy has always used. Each insert or touch stamps a fresh [t1], so
@@ -234,7 +242,7 @@ let insert t key =
       t.clock <- t.clock + 1;
       t.t1.(s) <- t.clock;
       t.t2.(s) <- -1;
-      sift_up t s (t.size - 1)
+      link_tail t s
 
 let touch t key =
   let s = find t key in
@@ -247,9 +255,15 @@ let touch t key =
     | Clock -> t.refbit.(s) <- true
     | Lru2 ->
         t.clock <- t.clock + 1;
+        let once = t.t2.(s) < 0 in
         t.t2.(s) <- t.t1.(s);
         t.t1.(s) <- t.clock;
-        sift_down t t.size s t.pos.(s));
+        if once then begin
+          unlink t s;
+          t.hsize <- t.hsize + 1;
+          sift_up t s (t.hsize - 1)
+        end
+        else sift_down t t.hsize s t.pos.(s));
     true
   end
 
@@ -258,18 +272,18 @@ let evict t =
   else begin
     let s =
       match t.kind with
-      | Lru ->
-          let s = t.head in
-          unlink t s;
-          s
       | Clock ->
           let s = clock_victim t in
           unlink t s;
           s
-      | Lru2 ->
+      | Lru2 when t.head < 0 ->
           let s = t.heap.(0) in
-          let n = t.size - 1 in
-          if n > 0 then sift_down t n t.heap.(n) 0;
+          t.hsize <- t.hsize - 1;
+          if t.hsize > 0 then sift_down t t.hsize t.heap.(t.hsize) 0;
+          s
+      | Lru | Lru2 ->
+          let s = t.head in
+          unlink t s;
           s
     in
     let key = t.keys.(s) in

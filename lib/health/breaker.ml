@@ -26,6 +26,7 @@ type t = {
   trace : Obs.Trace.t;
   cells : (string, cell) Hashtbl.t;
   mutable opened_total : int;
+  mutable reopened_total : int;  (* of those, trips of a half-open probe *)
   mutable closed_total : int;
 }
 
@@ -35,6 +36,7 @@ let create ?(trace = Obs.Trace.null) eng =
     trace;
     cells = Hashtbl.create 16;
     opened_total = 0;
+    reopened_total = 0;
     closed_total = 0;
   }
 
@@ -72,6 +74,7 @@ let admit t ~template =
   | Half_open | Open -> Error (Error.make ~detail:template Error.Breaker_open)
 
 let trip t template (c : cell) =
+  if c.cstate = Half_open then t.reopened_total <- t.reopened_total + 1;
   c.cstate <- Open;
   c.opened_at <- Sim.Engine.now t.eng;
   c.failures <- 0;
@@ -138,4 +141,5 @@ let states t =
   |> List.sort compare
 
 let opened_total t = t.opened_total
+let reopened_total t = t.reopened_total
 let closed_total t = t.closed_total

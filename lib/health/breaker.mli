@@ -52,4 +52,12 @@ val states : t -> (string * state) list
 (** Every template with a non-[Closed] breaker, sorted by name. *)
 
 val opened_total : t -> int
+(** Trips, from closed and from half-open alike. *)
+
+val reopened_total : t -> int
+(** Trips of a half-open breaker whose probe failed. Each breaker's
+    history is one trip from closed, then re-trips, then a close or the
+    run's end, so [opened_total - reopened_total - closed_total] is the
+    number of breakers not closed. *)
+
 val closed_total : t -> int

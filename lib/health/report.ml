@@ -6,6 +6,7 @@ type t = {
   watchdog_stale : int;
   watchdog_cancels : int;
   breaker_opens : int;
+  breaker_reopens : int;
   breaker_closes : int;
   breakers_open : (string * Breaker.state) list;
   gate_widens : int;

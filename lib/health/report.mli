@@ -14,6 +14,9 @@ type t = {
   watchdog_stale : int;
   watchdog_cancels : int;
   breaker_opens : int;
+  breaker_reopens : int;
+      (** of [breaker_opens], half-open probes that re-tripped; not
+          printed *)
   breaker_closes : int;
   breakers_open : (string * Breaker.state) list;
       (** breakers not closed at the end of the run *)

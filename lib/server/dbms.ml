@@ -734,6 +734,7 @@ let health_report t ?(since = 0.) () =
     watchdog_stale = Health.Watchdog.stale_total watchdog;
     watchdog_cancels = Health.Watchdog.cancel_total watchdog;
     breaker_opens = Health.Breaker.opened_total breakers;
+    breaker_reopens = Health.Breaker.reopened_total breakers;
     breaker_closes = Health.Breaker.closed_total breakers;
     breakers_open = Health.Breaker.states breakers;
     gate_widens = Health.Starvation.widen_total starvation;

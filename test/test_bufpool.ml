@@ -101,6 +101,58 @@ let test_lru2_scan_resistance () =
   done;
   Alcotest.(check int) "hot pages survive" 2 (Policy.size p)
 
+(* LRU-2 keeps once-touched pages in a FIFO ring and re-referenced
+   pages in a (t2, t1) heap; these pin the order the split must give. *)
+let drain p =
+  let rec go acc =
+    let v = Policy.evict p in
+    if v < 0 then List.rev acc else go (v :: acc)
+  in
+  go []
+
+let inserts p = List.iter (fun i -> Policy.insert p (page i))
+let touches p = List.iter (fun i -> ignore (Policy.touch p (page i)))
+let victims = Alcotest.(check (list int))
+
+let test_lru2_fifo_before_heap () =
+  let p = Policy.create Policy.Lru2 in
+  inserts p [ 10; 11 ];
+  touches p [ 10; 11 ];
+  inserts p [ 3; 1; 2; 5; 4 ];
+  victims "once-touched pages in insertion order, then the heap"
+    [ 3; 1; 2; 5; 4; 10; 11 ] (drain p)
+
+let test_lru2_second_touch_leaves_fifo () =
+  let p = Policy.create Policy.Lru2 in
+  inserts p [ 1; 2; 3 ];
+  touches p [ 1 ];
+  inserts p [ 4; 5 ];
+  victims "the re-referenced page outlives later one-touch inserts"
+    [ 2; 3; 4; 5; 1 ] (drain p)
+
+let test_lru2_heap_order () =
+  let p = Policy.create Policy.Lru2 in
+  (* Stamps: 1 and 2 inserted at 1 and 2; touches at 3 (page 1), 4 and
+     5 (page 2), 6 (page 1), so t2 is 3 for page 1 and 4 for page 2,
+     while page 2's last touch is the older one. Page 3 goes in at 7
+     and is touched at 8. *)
+  inserts p [ 1; 2 ];
+  touches p [ 1; 2; 2; 1 ];
+  inserts p [ 3 ];
+  touches p [ 3 ];
+  victims "an empty ring leaves (t2, t1) order, not LRU order"
+    [ 1; 2; 3 ] (drain p)
+
+let test_lru2_insert_after_drain () =
+  let p = Policy.create Policy.Lru2 in
+  inserts p [ 1; 2 ];
+  touches p [ 1; 2 ];
+  inserts p [ 3 ];
+  Alcotest.(check int) "the ring goes first" (page 3) (Policy.evict p);
+  inserts p [ 4 ];
+  victims "a page inserted into the drained ring precedes the heap"
+    [ 4; 1; 2 ] (drain p)
+
 let kinds = [ Policy.Lru; Policy.Clock; Policy.Lru2 ]
 
 let test_policy_mem_and_size () =
@@ -163,12 +215,15 @@ let prop_policy_complete_eviction =
    order, same residency answers, same sizes, on random mixes over
    several tables, page numbers near 2^40 and a table id near 2^22.
    Runs of inserts ([Fill]) grow the slot columns and the index past
-   their initial 64 slots. *)
+   their initial 64 slots; runs of touches ([Retouch]) move many pages
+   into LRU-2's heap, so evictions also run with a large heap behind an
+   empty ring. *)
 module Ref = Oracle.Policy_ref
 
 type op =
   | Insert of int * int
   | Fill of int * int * int
+  | Retouch of int * int * int
   | Touch of int * int
   | Mem of int * int
   | Evict
@@ -194,6 +249,7 @@ let gen_ops =
        [
          (5, map (fun (t, p) -> Insert (t, p)) pg);
          (1, map3 (fun t f c -> Fill (t, f, c)) table (int_range 0 150) (int_range 0 80));
+         (1, map3 (fun t f c -> Retouch (t, f, c)) table (int_range 0 150) (int_range 0 80));
          (5, map (fun (t, p) -> Touch (t, p)) pg);
          (2, map (fun (t, p) -> Mem (t, p)) pg);
          (2, return Evict);
@@ -203,6 +259,7 @@ let gen_ops =
 let show_op = function
   | Insert (t, p) -> Printf.sprintf "insert(%d,%d)" t p
   | Fill (t, f, c) -> Printf.sprintf "fill(%d,%d,%d)" t f c
+  | Retouch (t, f, c) -> Printf.sprintf "retouch(%d,%d,%d)" t f c
   | Touch (t, p) -> Printf.sprintf "touch(%d,%d)" t p
   | Mem (t, p) -> Printf.sprintf "mem(%d,%d)" t p
   | Evict -> "evict"
@@ -221,6 +278,12 @@ let agrees kind ref_kind ops =
       Policy.insert p (pack (t, pg))
     end
   in
+  let touch t pg =
+    let resident = Ref.mem r (t, pg) in
+    Ref.touch r (t, pg);
+    Policy.touch p (pack (t, pg)) = resident
+  in
+  let rec retouch t pg last = pg > last || (touch t pg && retouch t (pg + 1) last) in
   let step = function
     | Insert (t, pg) ->
         insert t pg;
@@ -230,10 +293,8 @@ let agrees kind ref_kind ops =
           insert t pg
         done;
         true
-    | Touch (t, pg) ->
-        let resident = Ref.mem r (t, pg) in
-        Ref.touch r (t, pg);
-        Policy.touch p (pack (t, pg)) = resident
+    | Retouch (t, first, count) -> retouch t first (first + count - 1)
+    | Touch (t, pg) -> touch t pg
     | Mem (t, pg) -> Policy.mem p (pack (t, pg)) = Ref.mem r (t, pg)
     | Evict -> unpack (Policy.evict p) = Ref.evict r
     | Drain -> drain ()
@@ -453,6 +514,29 @@ let test_touch_and_hit_allocate_nothing () =
       Alcotest.(check int) "all hits" 10_000 (Pool.hits pool))
     kinds
 
+(* The miss path at a full pool is an eviction and an insert. Past the
+   initial 64 slots, 10 000 rounds of both allocate nothing; the touch of
+   every other new page keeps LRU-2 alternating between the ring and the
+   heap for its victim, and CLOCK sweeping reference bits. *)
+let test_evict_and_insert_allocate_nothing () =
+  List.iter
+    (fun kind ->
+      let p = Policy.create kind in
+      for i = 0 to 99 do
+        Policy.insert p (page i)
+      done;
+      let churn () =
+        for i = 100 to 10_099 do
+          ignore (Policy.evict p);
+          Policy.insert p (page i);
+          if i land 1 = 0 then ignore (Policy.touch p (page i))
+        done
+      in
+      let empty = minor_words_during ignore in
+      Alcotest.(check (float 0.)) "evict + insert" empty (minor_words_during churn);
+      Alcotest.(check int) "still 100 resident" 100 (Policy.size p))
+    kinds
+
 (* Where pool and manager meet: random reads over three tables, shrinks,
    and a second clerk whose allocations reclaim from the pool through the
    manager's donor walk. After every step the pool's residency matches
@@ -550,9 +634,14 @@ let suite =
     ("lru evicts oldest", `Quick, test_lru_evicts_oldest);
     ("clock second chance", `Quick, test_clock_second_chance);
     ("lru2 scan resistance", `Quick, test_lru2_scan_resistance);
+    ("lru2 once-touched FIFO before heap", `Quick, test_lru2_fifo_before_heap);
+    ("lru2 second touch leaves the FIFO", `Quick, test_lru2_second_touch_leaves_fifo);
+    ("lru2 heap in (t2, t1) order", `Quick, test_lru2_heap_order);
+    ("lru2 insert after the ring drains", `Quick, test_lru2_insert_after_drain);
     ("policy mem/size", `Quick, test_policy_mem_and_size);
     ("policy insert resident rejected", `Quick, test_policy_insert_resident_rejected);
     ("touch and hit allocate nothing", `Quick, test_touch_and_hit_allocate_nothing);
+    ("evict and insert allocate nothing", `Quick, test_evict_and_insert_allocate_nothing);
     ("pool hit rate fresh", `Quick, test_pool_hit_rate_fresh);
     ("pool hit/miss accounting", `Quick, test_pool_hit_miss_accounting);
     ("pool miss costs io", `Quick, test_pool_miss_costs_io_hit_does_not);
