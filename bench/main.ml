@@ -73,8 +73,6 @@ let figure2 () =
     if !trace_requested then Obs.Trace.create () else Obs.Trace.null
   in
   let r = Server.Figure2.run ~trace () in
-  if r.Server.Figure2.failures > 0 then
-    Printf.printf "  !! %d process failures\n" r.Server.Figure2.failures;
   let series = r.Server.Figure2.series in
   let n = Sim.Series.length series.(0) in
   (* Trim trailing all-zero samples (everything finished). *)
@@ -681,7 +679,6 @@ let experiments =
   ]
 
 let () =
-  Logs.set_level (Some Logs.Error);
   (* DBSIM_JOBS sets the default; an explicit --jobs N wins. *)
   (match Sys.getenv_opt "DBSIM_JOBS" with
   | Some _ -> jobs := Parallel.Pool.default_jobs ()

@@ -4,10 +4,6 @@
 
 open Cmdliner
 
-let setup_logs level =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level level
-
 let clients_arg =
   Arg.(value & opt Fanout.pos_int 30 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
 
@@ -89,9 +85,7 @@ let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
       ~templates:(Workload.Sales.templates ())
       ~client_config:Workload.Client.default_config ~clients ~stop
   in
-  let eng = Server.Dbms.engine dbms in
-  Sim.Engine.run eng ~until:stop;
-  Sim.Engine.check_failures eng;
+  Sim.Engine.run (Server.Dbms.engine dbms) ~until:stop;
   let m = Server.Dbms.metrics dbms in
   let grants = Server.Dbms.grants dbms in
   let disk = Server.Dbms.disk dbms in
@@ -411,10 +405,7 @@ let trace_cmd =
   let action scenario out clients measure seed =
     let trace = Obs.Trace.create () in
     (match scenario with
-    | `Figure2 ->
-        let r = Server.Figure2.run ~trace () in
-        if r.Server.Figure2.failures > 0 then
-          Printf.printf "!! %d process failures\n" r.Server.Figure2.failures
+    | `Figure2 -> ignore (Server.Figure2.run ~trace ())
     | `Server ->
         let cfg = { (Server.Config.default ()) with Server.Config.seed } in
         ignore
@@ -1215,7 +1206,6 @@ let one_line_error raw =
   Printf.sprintf "dbsim: error: %s (try 'dbsim --help')" msg
 
 let () =
-  setup_logs (Some Logs.Warning);
   let doc = "Simulated DBMS reproducing CIDR'07 query-compilation throttling" in
   let group =
     Cmd.group (Cmd.info "dbsim" ~doc)

@@ -290,7 +290,6 @@ let run ?(trace = Obs.Trace.null) cfg =
   (* Drain: clients have stopped; give in-flight queries a grace window
      to come home before the books are read. *)
   Sim.Engine.run eng ~until:(stop +. 300.);
-  Sim.Engine.check_failures ~what:"cached" eng;
   let w =
     Workload.Client.window series ~start:cfg.k_warmup ~stop ~slice:cfg.k_slice
   in

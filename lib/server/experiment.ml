@@ -73,9 +73,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
   let dbms, stats, injector =
     load ?trace cfg cat ~templates ~client_config ~clients ~stop
   in
-  let eng = Dbms.engine dbms in
-  Sim.Engine.run eng ~until:stop;
-  Sim.Engine.check_failures eng;
+  Sim.Engine.run (Dbms.engine dbms) ~until:stop;
   let metrics = Dbms.metrics dbms in
   let slices = Metrics.throughput metrics ~start:warmup ~stop ~width:slice in
   let ct = Metrics.compile_time metrics and et = Metrics.exec_time metrics in

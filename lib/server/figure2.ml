@@ -3,7 +3,6 @@ let mib = Dbmem.Units.mib
 type result = {
   series : Sim.Series.t array;
   trace : Obs.Trace.t;
-  failures : int;
 }
 
 (* A deliberately tight ladder on a small machine so the blocking is
@@ -108,4 +107,4 @@ let run ?(seed = 7) ?(qseed = 11) ?(trace = Obs.Trace.null) ?(until = 600.) () =
   in
   Sim.Engine.run eng ~until;
   Sim.Engine.cancel sampler;
-  { series; trace; failures = List.length (Sim.Engine.failures eng) }
+  { series; trace }

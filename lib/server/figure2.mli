@@ -12,7 +12,6 @@ type result = {
   series : Sim.Series.t array;
       (** sampled compile-memory usage of Q1..Q3, every 2 s *)
   trace : Obs.Trace.t;  (** the sink passed in (or {!Obs.Trace.null}) *)
-  failures : int;  (** simulation process failures (0 in a healthy run) *)
 }
 
 (** [run ?seed ?qseed ?trace ?until ()] — defaults replicate the bench

@@ -43,7 +43,6 @@ let run_chaos ?(config = Config.supervised ()) ?faults ?seed ?(clients = 35)
      queries finish so a session still watched at the end really is stuck,
      not merely truncated by the clock. *)
   Sim.Engine.run eng ~until:(stop +. drain);
-  Sim.Engine.check_failures eng;
   let report = Dbms.health_report dbms ~since:warmup () in
   {
     dbms;

@@ -195,7 +195,6 @@ let run ?trace cfg =
   (* Drain: clients have stopped; give in-flight queries (including any
      abandoned hedge losers) a grace window to come home. *)
   Sim.Engine.run eng ~until:(stop +. 600.);
-  Sim.Engine.check_failures ~what:"shard" eng;
   let w =
     Workload.Client.window series ~start:cfg.c_warmup ~stop ~slice:cfg.c_slice
   in

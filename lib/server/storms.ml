@@ -233,7 +233,6 @@ let run ?trace cfg =
     ~stats ~ids:(ref 0) ~until:stop;
   Sim.Engine.run eng ~until:stop;
   Sim.Engine.run eng ~until:(stop +. 600.);
-  Sim.Engine.check_failures ~what:"storm" eng;
   let slices =
     Sim.Series.bucket_sum series ~start:cfg.s_warmup ~stop ~width:cfg.s_slice
   in

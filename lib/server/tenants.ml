@@ -224,7 +224,6 @@ let run ?(specs = []) ?budgets ?trace ~mode ~total_bytes ~seed ~warmup ~measure
       done)
     lives;
   Sim.Engine.run eng ~until:stop;
-  Sim.Engine.check_failures ~what:"tenant" eng;
   let tenants =
     List.map
       (fun l ->

@@ -41,9 +41,18 @@ type t = {
   push_time : fcell;  (* see [q_push] *)
   root_rng : Rng.t;
   mutable events : int;
-  mutable failures_rev : (string * exn * float) list;
-  mutable current : string;
+  mutable failed : (string * exn * float) list;  (* see [failures] *)
 }
+
+exception Process_failed of { name : string; time : float; exn : exn }
+
+let () =
+  Printexc.register_printer (function
+    | Process_failed { name; time; exn } ->
+        Some
+          (Printf.sprintf "sim process %S failed at t=%.3f: %s" name time
+             (Printexc.to_string exn))
+    | _ -> None)
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
@@ -66,28 +75,13 @@ let create ?(seed = 42) () =
     push_time = { fc = 0. };
     root_rng = Rng.create seed;
     events = 0;
-    failures_rev = [];
-    current = "";
+    failed = [];
   }
 
 let now t = t.now.fc
 let rng t = t.root_rng
 let events_executed t = t.events
-let failures t = List.rev t.failures_rev
-
-let check_failures ?what t =
-  match failures t with
-  | [] -> ()
-  | (name, exn, time) :: _ as fs ->
-      failwith
-        (Printf.sprintf "%ssimulation process failures (%d), first: %s at %.1f: %s"
-           (match what with Some w -> w ^ " " | None -> "")
-           (List.length fs) name time (Printexc.to_string exn))
-
-let record_failure t name exn =
-  t.failures_rev <- (name, exn, t.now.fc) :: t.failures_rev;
-  Logs.err (fun m ->
-      m "sim process %S failed at t=%.3f: %s" name t.now.fc (Printexc.to_string exn))
+let failures t = t.failed
 
 let q_grow t =
   let cap = Array.length t.q_time in
@@ -207,7 +201,7 @@ let cancelled hdl = hdl.hcancelled
 
 (* Run [body] as a process: a deep effect handler interprets the blocking
    operations by scheduling continuation resumptions as engine events. *)
-let start_process t name body =
+let start_process t (name : string) body =
   let open Effect.Deep in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
@@ -217,9 +211,7 @@ let start_process t name body =
             if dt < 0. then
               discontinue k (Invalid_argument "Engine.sleep: negative delay")
             else
-              schedule_anon t ~delay:dt (fun () ->
-                  t.current <- name;
-                  continue k ()))
+              schedule_anon t ~delay:dt (fun () -> continue k ()))
     | Suspend f ->
         Some
           (fun k ->
@@ -227,22 +219,22 @@ let start_process t name body =
             let wake v =
               if not !resumed then begin
                 resumed := true;
-                schedule_anon t (fun () ->
-                    t.current <- name;
-                    continue k v)
+                schedule_anon t (fun () -> continue k v)
               end
             in
             f wake)
     | Self_name -> Some (fun k -> continue k name)
     | _ -> None
   in
-  t.current <- name;
-  match_with body ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun exn -> record_failure t name exn);
-      effc;
-    }
+  (* An exception escaping [body] leaves [run] through whichever event
+     resumed the process, named and timed, with the body's backtrace. *)
+  let exnc exn =
+    let bt = Printexc.get_raw_backtrace () in
+    let time = t.now.fc in
+    t.failed <- [ (name, exn, time) ];
+    Printexc.raise_with_backtrace (Process_failed { name; time; exn }) bt
+  in
+  match_with body () { retc = (fun () -> ()); exnc; effc }
 
 let spawn t ?(name = "") ?(delay = 0.) body =
   schedule_anon t ~delay (fun () -> start_process t name body)
@@ -254,6 +246,7 @@ let self_name () =
   try Effect.perform Self_name with Effect.Unhandled _ -> ""
 
 let run t ~until =
+  t.failed <- [];
   let rec loop () =
     if t.q_size > 0 && t.q_time.(0) <= until then begin
       let time = t.q_time.(0) in
@@ -263,8 +256,7 @@ let run t ~until =
       if not hdl.hcancelled then begin
         t.now.fc <- time;
         t.events <- t.events + 1;
-        t.current <- "";
-        (try fn () with exn -> record_failure t t.current exn)
+        fn ()
       end;
       loop ()
     end

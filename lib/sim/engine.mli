@@ -8,9 +8,14 @@
 
     Determinism: events at equal times fire in schedule order, and all
     randomness is drawn from the engine's seeded {!Rng.t}, so a run is a pure
-    function of its seed. *)
+    function of its seed. An exception escaping a process ends the run, so
+    a model bug cannot leave a broken simulation reporting numbers. *)
 
 type t
+
+(** Raised by {!run} when [exn] escapes process [name] at simulated [time],
+    with the body's backtrace; printed [sim process "name" failed at t=...]. *)
+exception Process_failed of { name : string; time : float; exn : exn }
 
 (** Cancellable handle for a scheduled callback. *)
 type handle
@@ -28,7 +33,7 @@ val rng : t -> Rng.t
 
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay] (default [0.],
     i.e. later in the current instant). [f] must not block; use {!spawn} for
-    blocking code. *)
+    blocking code. An exception [f] raises leaves {!run} as itself. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> handle
 
 (** [cancel h] prevents the callback from firing if it has not fired yet. *)
@@ -40,8 +45,8 @@ val cancelled : handle -> bool
 (** {1 Processes} *)
 
 (** [spawn t ?name ?delay body] starts a new process executing [body ()]
-    after [delay] (default [0.]). Exceptions escaping [body] are recorded in
-    {!failures} rather than aborting the run. *)
+    after [delay] (default [0.]). An exception escaping [body] ends the run
+    with {!Process_failed}. *)
 val spawn : t -> ?name:string -> ?delay:float -> (unit -> unit) -> unit
 
 (** [sleep dt] suspends the calling process for [dt] seconds of virtual
@@ -61,25 +66,22 @@ val self_name : unit -> string
 
 (** [run t ~until] executes events in time order until the queue is empty or
     the clock would pass [until]. The clock finishes at [min until
-    t_last_event]. May be called repeatedly to advance further. *)
+    t_last_event]. May be called repeatedly to advance further. Raises
+    {!Process_failed} at the first exception escaping a process; a raw
+    callback's exception leaves as itself. *)
 val run : t -> until:float -> unit
 
 (** [run_all t] executes until the queue is empty. Beware of self-
-    rescheduling periodic events. *)
+    rescheduling periodic events. Raises as {!run}. *)
 val run_all : t -> unit
 
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** [(process_name, exn, time)] for every exception that escaped a process
-    or callback, oldest first. A correct model leaves this empty. *)
+(** [[(process_name, exn, time)]] if the last {!run} raised
+    {!Process_failed}, else [[]]. Kept only for [perfbench/workloads.ml],
+    which checks it after each cell. *)
 val failures : t -> (string * exn * float) list
-
-(** [check_failures ?what t] raises [Failure] if any process failed,
-    naming how many and the first: ["<what> simulation process failures
-    (n), first: ..."]. A run that keeps going after a model bug would
-    report numbers from a broken simulation. *)
-val check_failures : ?what:string -> t -> unit
 
 (** {1 Periodic tasks} *)
 

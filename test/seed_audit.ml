@@ -160,7 +160,6 @@ let audit_seed seed =
   }
 
 let () =
-  Logs.set_level (Some Logs.Error);
   let seeds = ref 20 and jobs = ref (Parallel.Pool.default_jobs ()) in
   let rec parse = function
     | [] -> ()

@@ -483,11 +483,6 @@ let run_supervised_schedule seed =
       seed opens reopens closes (List.length breakers_open);
   (* Probe wave in calm conditions; starts past any trailing cooldown. *)
   probe_all_templates dbms ~run_for:1000.;
-  (match Sim.Engine.failures (Server.Dbms.engine dbms) with
-  | [] -> ()
-  | (name, exn, _) :: _ ->
-      Alcotest.failf "seed %d: process failure in %s: %s" seed name
-        (Printexc.to_string exn));
   let r2 = Server.Dbms.health_report dbms () in
   (match r2.Health.Report.breakers_open with
   | [] -> ()

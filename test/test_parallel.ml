@@ -121,6 +121,32 @@ let test_run_grid_parallel_equals_sequential () =
   Alcotest.(check bool) "parallel grid = sequential grid" true
     (String.equal (fingerprint seq) (fingerprint par))
 
+(* A process that fails inside one cell fails the whole grid, from
+   whichever domain ran that cell: the grid re-raises the engine's
+   [Process_failed], so no cell's numbers come from a broken run. *)
+let test_run_grid_process_failure () =
+  let healthy () =
+    Server.Experiment.run ~clients:2 ~warmup:5. ~measure:30. ~slice:10. ()
+  in
+  let failing () =
+    let dbms, _, _ =
+      Server.Experiment.load (Server.Config.default ())
+        (Workload.Sales.catalog ()) ~templates:(Workload.Sales.templates ())
+        ~client_config:Workload.Client.default_config ~clients:2 ~stop:35.
+    in
+    let eng = Server.Dbms.engine dbms in
+    Sim.Engine.spawn eng ~name:"bad-probe" ~delay:12. (fun () ->
+        failwith "probe bug");
+    Sim.Engine.run eng ~until:35.;
+    Alcotest.fail "the cell's run did not raise"
+  in
+  match Server.Experiment.run_grid ~jobs:2 [ healthy; failing ] with
+  | _ -> Alcotest.fail "expected Process_failed from the grid"
+  | exception Sim.Engine.Process_failed { name; time; exn } ->
+      Alcotest.(check string) "process" "bad-probe" name;
+      Alcotest.(check (float 0.)) "time" 12. time;
+      Alcotest.(check bool) "inner" true (exn = Failure "probe bug")
+
 (* Fuzzed grids: any mix of seeds and client counts must give identical
    results at jobs=1 and jobs=4. Every result field — series samples,
    online stats, error counters — participates via Marshal. *)
@@ -145,5 +171,6 @@ let suite =
     ("the calling domain runs items", `Quick, test_caller_runs_items);
     ("earliest exception propagates", `Quick, test_exception_propagation);
     ("parallel grid = sequential grid", `Slow, test_run_grid_parallel_equals_sequential);
+    ("grid re-raises a process failure", `Quick, test_run_grid_process_failure);
     QCheck_alcotest.to_alcotest prop_grid_deterministic_under_parallelism;
   ]

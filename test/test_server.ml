@@ -120,7 +120,6 @@ let test_memory_clean_after_quiesce () =
             ignore (Server.Dbms.submit dbms (Workload.Template.instance rng t ~id:i)))
         (Workload.Sales.templates ()));
   Sim.Engine.run eng ~until:10_000.;
-  Alcotest.(check int) "no engine failures" 0 (List.length (Sim.Engine.failures eng));
   let clerks = Server.Dbms.clerks dbms in
   (* Transient consumers are empty once the system is idle; caches keep
      their contents. *)

@@ -246,9 +246,7 @@ let test_engine_sleep_ordering () =
   Alcotest.(check (list (pair string (float 1e-9))))
     "b fires before a"
     [ ("b", 1.0); ("a", 2.0) ]
-    (List.rev !log);
-  Alcotest.(check (list string)) "no failures" []
-    (List.map (fun (n, _, _) -> n) (Engine.failures eng))
+    (List.rev !log)
 
 let test_engine_same_time_fifo () =
   let eng = Engine.create () in
@@ -315,13 +313,39 @@ let test_engine_double_wake_ignored () =
   Engine.run_all eng;
   Alcotest.(check int) "resumed once" 1 !count
 
+(* [run_all eng] must end with [Process_failed]; returns its payload. *)
+let process_failure eng =
+  match Engine.run_all eng with
+  | () -> Alcotest.fail "expected the run to raise Process_failed"
+  | exception Engine.Process_failed { name; time; exn } -> (name, time, exn)
+
+(* A failed process ends the run at its own event: later events do not
+   fire, the clock stays put, and the engine keeps that one failure. *)
 let test_engine_failure_recorded () =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"bad" (fun () -> failwith "boom");
-  Engine.run_all eng;
-  match Engine.failures eng with
-  | [ ("bad", Failure msg, _) ] -> Alcotest.(check string) "message" "boom" msg
-  | _ -> Alcotest.fail "expected one failure"
+  let later = ref false in
+  Engine.spawn eng ~name:"bad" (fun () ->
+      Engine.sleep 1.5;
+      failwith "boom");
+  Engine.spawn eng ~delay:2.0 (fun () -> later := true);
+  let name, time, exn = process_failure eng in
+  Alcotest.(check string) "process" "bad" name;
+  Alcotest.(check (float 0.)) "time" 1.5 time;
+  Alcotest.(check bool) "inner" true (exn = Failure "boom");
+  Alcotest.(check bool) "run stopped" false !later;
+  Alcotest.(check (float 0.)) "clock" 1.5 (Engine.now eng);
+  Alcotest.(check bool) "failures" true
+    (Engine.failures eng = [ ("bad", Failure "boom", 1.5) ]);
+  Alcotest.(check string) "printed"
+    {|sim process "bad" failed at t=1.500: Failure("boom")|}
+    (Printexc.to_string (Engine.Process_failed { name; time; exn }))
+
+(* A raw callback is not a process: its exception leaves [run] as is. *)
+let test_engine_callback_raises () =
+  let eng = Engine.create () in
+  ignore (Engine.schedule eng ~delay:1.0 (fun () -> failwith "tick"));
+  Alcotest.check_raises "unwrapped" (Failure "tick") (fun () ->
+      Engine.run_all eng)
 
 let test_engine_every () =
   let eng = Engine.create () in
@@ -333,9 +357,12 @@ let test_engine_every () =
 
 let test_engine_negative_sleep () =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"neg" (fun () -> Engine.sleep (-1.0));
-  Engine.run_all eng;
-  Alcotest.(check int) "failure recorded" 1 (List.length (Engine.failures eng))
+  Engine.spawn eng ~name:"neg" ~delay:3.0 (fun () -> Engine.sleep (-1.0));
+  let name, time, exn = process_failure eng in
+  Alcotest.(check string) "process" "neg" name;
+  Alcotest.(check (float 0.)) "time" 3.0 time;
+  Alcotest.(check bool) "inner" true
+    (exn = Invalid_argument "Engine.sleep: negative delay")
 
 let test_engine_self_name () =
   let eng = Engine.create () in
@@ -374,7 +401,6 @@ let run_with_sem ~capacity f =
   let sem = Resource.Sem.create eng ~capacity () in
   f eng sem;
   Engine.run_all eng;
-  Alcotest.(check int) "no process failures" 0 (List.length (Engine.failures eng));
   (eng, sem)
 
 let test_sem_fast_path () =
@@ -534,7 +560,7 @@ let prop_sem_never_exceeds_capacity =
               | Resource.Timed_out -> ()))
         jobs;
       Engine.run_all eng;
-      !violations = 0 && Engine.failures eng = [] && Resource.Sem.in_use sem = 0)
+      !violations = 0 && Resource.Sem.in_use sem = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Resource.Waitq *)
@@ -607,11 +633,16 @@ let test_engine_every_custom_start () =
 let test_sem_release_overflow_rejected () =
   let eng = Engine.create () in
   let sem = Resource.Sem.create eng ~capacity:2 () in
-  Engine.spawn eng (fun () ->
+  Engine.spawn eng ~name:"over" (fun () ->
       ignore (Resource.Sem.acquire sem ~n:1 ());
+      Engine.sleep 0.5;
       Resource.Sem.release sem ~n:2);
-  Engine.run_all eng;
-  Alcotest.(check int) "failure recorded" 1 (List.length (Engine.failures eng))
+  let name, time, exn = process_failure eng in
+  Alcotest.(check string) "process" "over" name;
+  Alcotest.(check (float 0.)) "time" 0.5 time;
+  Alcotest.(check bool) "inner" true
+    (exn = Invalid_argument "Sem.release: more than in use");
+  Alcotest.(check int) "in use unchanged" 1 (Resource.Sem.in_use sem)
 
 let test_sem_zero_units () =
   let eng = Engine.create () in
@@ -620,8 +651,7 @@ let test_sem_zero_units () =
       match Resource.Sem.acquire sem ~n:0 () with
       | Resource.Acquired -> ()
       | Resource.Timed_out -> Alcotest.fail "zero units must not block");
-  Engine.run_all eng;
-  Alcotest.(check int) "no failures" 0 (List.length (Engine.failures eng))
+  Engine.run_all eng
 
 let test_sem_priority_tie_is_fifo () =
   let eng = Engine.create () in
@@ -748,6 +778,7 @@ let suite =
     ("engine suspend/resume", `Quick, test_engine_suspend_resume);
     ("engine double wake ignored", `Quick, test_engine_double_wake_ignored);
     ("engine failure recorded", `Quick, test_engine_failure_recorded);
+    ("engine callback raises", `Quick, test_engine_callback_raises);
     ("engine every", `Quick, test_engine_every);
     ("engine negative sleep", `Quick, test_engine_negative_sleep);
     ("engine self name", `Quick, test_engine_self_name);
