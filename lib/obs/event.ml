@@ -87,27 +87,6 @@ type t =
   | Queue_shift of { gate : string; lifo : bool }
   | Custom of { cat : string; name : string; args : (string * value) list }
 
-let category = function
-  | Compile_begin | Compile_alloc _ | Compile_end _ -> "compile"
-  | Gateway _ -> "gateway"
-  | Broker_tick _ -> "broker"
-  | Grant _ -> "grant"
-  | Exec_begin | Exec_end _ | Spill _ -> "exec"
-  | Retry _ | Shed | Degrade _ | Cache_hit | Query_error _ -> "resilience"
-  | Mem _ | Oom _ | Reclaim _ -> "mem"
-  | Heartbeat_stale _ | Watchdog_cancel _ | Breaker_open _ | Breaker_close _
-  | Gate_widen _ ->
-      "health"
-  | Forced_reclaim _ -> "broker"
-  | Arbiter_tick _ | Arbiter_reclaim _ -> "arbiter"
-  | Shard_state _ | Route _ | Shard_sample _ -> "shard"
-  | Midcache_lookup _ | Midcache_store _ | Midcache_invalidate _
-  | Midcache_shrink _ | Midcache_sample _ ->
-      "midcache"
-  | Storm_begin _ | Storm_end _ | Singleflight_coalesce _ | Queue_shift _ ->
-      "storm"
-  | Custom { cat; _ } -> cat
-
 let name = function
   | Compile_begin -> "compile:begin"
   | Compile_alloc _ -> "compile:alloc"
@@ -148,3 +127,9 @@ let name = function
   | Singleflight_coalesce _ -> "storm:coalesce"
   | Queue_shift _ -> "storm:queue_shift"
   | Custom { cat; name; _ } -> cat ^ ":" ^ name
+
+let category = function
+  | Custom { cat; _ } -> cat
+  | e ->
+      let n = name e in
+      String.sub n 0 (String.index n ':')

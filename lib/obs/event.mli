@@ -146,11 +146,13 @@ type t =
           under sustained standing; false: back to FIFO) *)
   | Custom of { cat : string; name : string; args : (string * value) list }
 
-(** Coarse grouping used by exporters and summaries: one of ["compile"],
-    ["gateway"], ["broker"], ["grant"], ["exec"], ["resilience"], ["mem"],
-    ["health"], ["arbiter"], ["shard"], ["midcache"], ["storm"] or the
-    category of the custom event. *)
-val category : t -> string
-
-(** Short display name, e.g. ["gateway:acquired"]. *)
+(** Short display name of the form ["<category>:<what>"], e.g.
+    ["gateway:acquired"]; a custom event's is ["<cat>:<name>"]. *)
 val name : t -> string
+
+(** Coarse grouping used by exporters and summaries: the prefix of
+    {!name} up to its first [':'], one of ["compile"], ["gateway"],
+    ["broker"], ["grant"], ["exec"], ["resilience"], ["mem"], ["health"],
+    ["arbiter"], ["shard"], ["midcache"] or ["storm"]; a custom event's
+    own [cat]. *)
+val category : t -> string

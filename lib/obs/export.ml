@@ -39,333 +39,11 @@ let args_json args =
        args)
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace-event format                                          *)
+(* Event fields                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Events for the whole simulated server (broker ticks, memory samples)
-   go on tid 0; each query id gets its own tid so its compile / wait /
-   hold / exec spans stack on one named track. *)
-let tid_of intern qid =
-  match Hashtbl.find_opt intern qid with
-  | Some tid -> tid
-  | None ->
-      let tid = Hashtbl.length intern + 1 in
-      Hashtbl.add intern qid tid;
-      tid
-
-type emitted = {
-  ph : char;
-  name : string;
-  cat : string;
-  ts : float;
-  tid : int;
-  args : (string * Event.value) list;
-}
-
-(* Lower one record into zero or more Chrome events. Wait → span begin;
-   Acquired → wait-span end plus hold-span begin; Timeout → wait-span
-   end; Release → hold-span end. Chrome matches B/E pairs per tid by
-   nesting, which the emission order in the instrumented code guarantees
-   (waits and holds are properly bracketed inside the compile span). *)
-let lower intern (r : Trace.record) : emitted list =
-  let tid = if r.qid = "" then 0 else tid_of intern r.qid in
-  let ts = r.time *. 1e6 in
-  let ev ?(args = []) ?(cat = Event.category r.event) ph name =
-    { ph; name; cat; ts; tid; args }
-  in
-  match r.event with
-  | Event.Compile_begin -> [ ev 'B' "compile" ]
-  | Event.Compile_alloc { usage; _ } ->
-      [
-        ev 'C' ("compile:" ^ r.qid) ~args:[ ("usage", Event.I usage) ];
-      ]
-  | Event.Compile_end { peak } ->
-      [
-        ev 'C' ("compile:" ^ r.qid) ~args:[ ("usage", Event.I 0) ];
-        ev 'E' "compile" ~args:[ ("peak", Event.I peak) ];
-      ]
-  | Event.Gateway { gate; phase; priority } -> (
-      match phase with
-      | Event.Wait ->
-          [ ev 'B' ("wait:" ^ gate) ~args:[ ("priority", Event.I priority) ] ]
-      | Event.Acquired -> [ ev 'E' ("wait:" ^ gate); ev 'B' ("hold:" ^ gate) ]
-      | Event.Timeout ->
-          [ ev 'E' ("wait:" ^ gate) ~args:[ ("outcome", Event.S "timeout") ] ]
-      | Event.Release -> [ ev 'E' ("hold:" ^ gate) ])
-  | Event.Broker_tick { pressure; budget; components } ->
-      let targets =
-        List.map (fun c -> (c.Event.comp, Event.I c.Event.target)) components
-      in
-      let predicted =
-        List.map (fun c -> (c.Event.comp, Event.I c.Event.predicted)) components
-      in
-      let verdicts =
-        List.map
-          (fun c -> (c.Event.comp, Event.S (Event.verdict_name c.Event.verdict)))
-          components
-      in
-      [
-        ev 'C' "broker:targets" ~args:targets;
-        ev 'C' "broker:predicted" ~args:predicted;
-        ev 'i' "broker:tick"
-          ~args:
-            (( "pressure", Event.B pressure )
-            :: ("budget", Event.I budget)
-            :: verdicts);
-      ]
-  | Event.Grant { phase; bytes } -> (
-      match phase with
-      | Event.Wait ->
-          [ ev 'B' "grant:wait" ~args:[ ("bytes", Event.I bytes) ] ]
-      | Event.Acquired ->
-          [
-            ev 'E' "grant:wait";
-            ev 'B' "grant:hold" ~args:[ ("bytes", Event.I bytes) ];
-          ]
-      | Event.Timeout ->
-          [ ev 'E' "grant:wait" ~args:[ ("outcome", Event.S "timeout") ] ]
-      | Event.Release -> [ ev 'E' "grant:hold" ])
-  | Event.Exec_begin -> [ ev 'B' "exec" ]
-  | Event.Exec_end { granted; ideal; spilled; pages } ->
-      [
-        ev 'E' "exec"
-          ~args:
-            [
-              ("granted", Event.I granted);
-              ("ideal", Event.I ideal);
-              ("spilled", Event.B spilled);
-              ("pages", Event.I pages);
-            ];
-      ]
-  | Event.Spill { bytes } ->
-      [ ev 'i' "spill" ~args:[ ("bytes", Event.I bytes) ] ]
-  | Event.Retry { attempt; pause_s; kind } ->
-      [
-        ev 'i' "retry"
-          ~args:
-            [
-              ("attempt", Event.I attempt);
-              ("pause_s", Event.F pause_s);
-              ("kind", Event.S kind);
-            ];
-      ]
-  | Event.Shed -> [ ev 'i' "shed" ]
-  | Event.Degrade { rung } ->
-      [ ev 'i' "degrade" ~args:[ ("rung", Event.S rung) ] ]
-  | Event.Cache_hit -> [ ev 'i' "cache_hit" ]
-  | Event.Query_error { kind } ->
-      [ ev 'i' "query_error" ~args:[ ("kind", Event.S kind) ] ]
-  | Event.Mem { clerk; used } ->
-      [ ev 'C' ("mem:" ^ clerk) ~args:[ ("used", Event.I used) ] ]
-  | Event.Oom { clerk; requested; free } ->
-      [
-        ev 'i' "oom"
-          ~args:
-            [
-              ("clerk", Event.S clerk);
-              ("requested", Event.I requested);
-              ("free", Event.I free);
-            ];
-      ]
-  | Event.Reclaim { wanted; freed } ->
-      [
-        ev 'i' "reclaim"
-          ~args:[ ("wanted", Event.I wanted); ("freed", Event.I freed) ];
-      ]
-  | Event.Heartbeat_stale { age } ->
-      [ ev 'i' "heartbeat_stale" ~args:[ ("age_s", Event.F age) ] ]
-  | Event.Watchdog_cancel { age } ->
-      [ ev 'i' "watchdog_cancel" ~args:[ ("age_s", Event.F age) ] ]
-  | Event.Breaker_open { template } ->
-      [ ev 'i' "breaker_open" ~args:[ ("template", Event.S template) ] ]
-  | Event.Breaker_close { template } ->
-      [ ev 'i' "breaker_close" ~args:[ ("template", Event.S template) ] ]
-  | Event.Forced_reclaim { comp; wanted; freed } ->
-      [
-        ev 'i' "forced_reclaim"
-          ~args:
-            [
-              ("comp", Event.S comp);
-              ("wanted", Event.I wanted);
-              ("freed", Event.I freed);
-            ];
-      ]
-  | Event.Gate_widen { gate; slots } ->
-      [
-        ev 'i' "gate_widen"
-          ~args:[ ("gate", Event.S gate); ("slots", Event.I slots) ];
-      ]
-  | Event.Arbiter_tick { scarce; total; pools } ->
-      let budgets =
-        List.map (fun p -> (p.Event.pool, Event.I p.Event.pool_budget)) pools
-      in
-      let predicted =
-        List.map (fun p -> (p.Event.pool, Event.I p.Event.pool_predicted)) pools
-      in
-      [
-        ev 'C' "arbiter:budgets" ~args:budgets;
-        ev 'C' "arbiter:predicted" ~args:predicted;
-        ev 'i' "arbiter:tick"
-          ~args:[ ("scarce", Event.B scarce); ("total", Event.I total) ];
-      ]
-  | Event.Arbiter_reclaim { pool; wanted; freed } ->
-      [
-        ev 'i' "arbiter_reclaim"
-          ~args:
-            [
-              ("pool", Event.S pool);
-              ("wanted", Event.I wanted);
-              ("freed", Event.I freed);
-            ];
-      ]
-  | Event.Shard_state { shard; from_state; to_state } ->
-      [
-        ev 'i' "shard_state"
-          ~args:
-            [
-              ("shard", Event.S shard);
-              ("from", Event.S from_state);
-              ("to", Event.S to_state);
-            ];
-      ]
-  | Event.Route { shard; template; spill; hedged } ->
-      [
-        ev 'i' "route"
-          ~args:
-            [
-              ("shard", Event.S shard);
-              ("template", Event.S template);
-              ("spill", Event.B spill);
-              ("hedged", Event.B hedged);
-            ];
-      ]
-  | Event.Shard_sample { shard; s_state; s_inflight; s_budget } ->
-      [
-        ev 'C' ("shard:" ^ shard)
-          ~args:
-            [
-              ("state", Event.I s_state);
-              ("inflight", Event.I s_inflight);
-              ("budget_mib", Event.I (s_budget / (1024 * 1024)));
-            ];
-      ]
-  | Event.Midcache_lookup { hit; bytes } ->
-      [
-        ev 'i'
-          (if hit then "midcache_hit" else "midcache_miss")
-          ~args:[ ("bytes", Event.I bytes) ];
-      ]
-  | Event.Midcache_store { bytes; resident } ->
-      [
-        ev 'i' "midcache_store"
-          ~args:[ ("bytes", Event.I bytes); ("resident", Event.I resident) ];
-      ]
-  | Event.Midcache_invalidate { relation; entries; bytes } ->
-      [
-        ev 'i' "midcache_invalidate"
-          ~args:
-            [
-              ("relation", Event.S relation);
-              ("entries", Event.I entries);
-              ("bytes", Event.I bytes);
-            ];
-      ]
-  | Event.Midcache_shrink { wanted; freed } ->
-      [
-        ev 'i' "midcache_shrink"
-          ~args:[ ("wanted", Event.I wanted); ("freed", Event.I freed) ];
-      ]
-  | Event.Midcache_sample { resident; mc_budget; mc_entries; hit_rate_pct } ->
-      [
-        ev 'C' "midcache:bytes"
-          ~args:
-            [ ("resident", Event.I resident); ("budget", Event.I mc_budget) ];
-        ev 'C' "midcache:entries" ~args:[ ("entries", Event.I mc_entries) ];
-        ev 'C' "midcache:hit_rate"
-          ~args:[ ("pct", Event.I hit_rate_pct) ];
-      ]
-  | Event.Storm_begin { misses; baseline } ->
-      [
-        ev 'i' "storm_begin"
-          ~args:[ ("misses", Event.I misses); ("baseline", Event.F baseline) ];
-      ]
-  | Event.Storm_end { duration_s } ->
-      [ ev 'i' "storm_end" ~args:[ ("duration_s", Event.F duration_s) ] ]
-  | Event.Singleflight_coalesce { template; waiters } ->
-      [
-        ev 'i' "singleflight_coalesce"
-          ~args:[ ("template", Event.S template); ("waiters", Event.I waiters) ];
-      ]
-  | Event.Queue_shift { gate; lifo } ->
-      [
-        ev 'i' "queue_shift"
-          ~args:[ ("gate", Event.S gate); ("lifo", Event.B lifo) ];
-      ]
-  | Event.Custom { cat; name; args } -> [ ev 'i' name ~cat ~args ]
-
-let chrome_event fmt ~first e =
-  if not first then Format.fprintf fmt ",@\n";
-  let scope = if e.ph = 'i' then ",\"s\":\"t\"" else "" in
-  let args =
-    if e.args = [] then "" else Printf.sprintf ",\"args\":{%s}" (args_json e.args)
-  in
-  Format.fprintf fmt
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d%s%s}"
-    (json_escape e.name) (json_escape e.cat) e.ph e.ts e.tid scope args
-
-let chrome fmt records =
-  let intern = Hashtbl.create 64 in
-  Format.fprintf fmt "{\"traceEvents\":[@\n";
-  let first = ref true in
-  (* Name tid 0 up front; query tids are named after the event pass, once
-     the interning table is complete. *)
-  chrome_event fmt ~first:true
-    {
-      ph = 'M';
-      name = "thread_name";
-      cat = "__metadata";
-      ts = 0.;
-      tid = 0;
-      args = [ ("name", Event.S "server") ];
-    };
-  first := false;
-  Array.iter
-    (fun r ->
-      List.iter
-        (fun e ->
-          chrome_event fmt ~first:!first e;
-          first := false)
-        (lower intern r))
-    records;
-  Hashtbl.iter
-    (fun qid tid ->
-      chrome_event fmt ~first:false
-        {
-          ph = 'M';
-          name = "thread_name";
-          cat = "__metadata";
-          ts = 0.;
-          tid;
-          args = [ ("name", Event.S qid) ];
-        })
-    intern;
-  Format.fprintf fmt "@\n],\"displayTimeUnit\":\"ms\"}@."
-
-let with_file path f =
-  let oc = open_out path in
-  let fmt = Format.formatter_of_out_channel oc in
-  Fun.protect
-    ~finally:(fun () ->
-      Format.pp_print_flush fmt ();
-      close_out oc)
-    (fun () -> f fmt)
-
-let chrome_to_file path records = with_file path (fun fmt -> chrome fmt records)
-
-(* ------------------------------------------------------------------ *)
-(* JSONL                                                              *)
-(* ------------------------------------------------------------------ *)
-
+(* The one list of each event's fields: a JSONL line carries them after
+   its base fields, and a Chrome instant carries them as its args. *)
 let fields_of_event = function
   | Event.Compile_begin -> []
   | Event.Compile_alloc { bytes; usage } ->
@@ -480,6 +158,192 @@ let fields_of_event = function
   | Event.Queue_shift { gate; lifo } ->
       [ ("gate", Event.S gate); ("lifo", Event.B lifo) ]
   | Event.Custom { args; _ } -> args
+
+(* ------------------------------------------------------------------ *)
+(* Chrome trace-event format                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Events for the whole simulated server (broker ticks, memory samples)
+   go on tid 0; each query id gets its own tid so its compile / wait /
+   hold / exec spans stack on one named track. *)
+let tid_of intern qid =
+  match Hashtbl.find_opt intern qid with
+  | Some tid -> tid
+  | None ->
+      let tid = Hashtbl.length intern + 1 in
+      Hashtbl.add intern qid tid;
+      tid
+
+type emitted = {
+  ph : char;
+  name : string;
+  cat : string;
+  ts : float;
+  tid : int;
+  args : (string * Event.value) list;
+}
+
+(* An instant's Chrome name is its event name without the
+   ["<category>:"] prefix, except for the spellings the exporter has
+   always written for these events. *)
+let instant_name e =
+  match e with
+  | Event.Query_error _ -> "query_error"
+  | Event.Singleflight_coalesce _ -> "singleflight_coalesce"
+  | Event.Arbiter_reclaim _ | Event.Shard_state _ | Event.Midcache_lookup _
+  | Event.Midcache_store _ | Event.Midcache_invalidate _
+  | Event.Midcache_shrink _ | Event.Storm_begin _ | Event.Storm_end _ ->
+      String.map (fun c -> if c = ':' then '_' else c) (Event.name e)
+  | _ ->
+      let name = Event.name e in
+      let skip = String.length (Event.category e) + 1 in
+      String.sub name skip (String.length name - skip)
+
+(* Lower one record into zero or more Chrome events. Spans and counters
+   have their own cases; every other event is one instant whose args are
+   its fields. A wait phase lowers as: Wait → span begin; Acquired →
+   wait-span end plus hold-span begin; Timeout → wait-span end; Release
+   → hold-span end. Chrome matches B/E pairs per tid by nesting, which
+   the emission order in the instrumented code guarantees (waits and
+   holds are properly bracketed inside the compile span). *)
+let lower intern (r : Trace.record) : emitted list =
+  let tid = if r.qid = "" then 0 else tid_of intern r.qid in
+  let ts = r.time *. 1e6 in
+  let cat = Event.category r.event in
+  let ev ?(args = []) ph name = { ph; name; cat; ts; tid; args } in
+  let wait_span phase ~wait ~hold ~wait_args ~hold_args =
+    match phase with
+    | Event.Wait -> [ ev 'B' wait ~args:wait_args ]
+    | Event.Acquired -> [ ev 'E' wait; ev 'B' hold ~args:hold_args ]
+    | Event.Timeout -> [ ev 'E' wait ~args:[ ("outcome", Event.S "timeout") ] ]
+    | Event.Release -> [ ev 'E' hold ]
+  in
+  match r.event with
+  | Event.Compile_begin -> [ ev 'B' "compile" ]
+  | Event.Compile_alloc { usage; _ } ->
+      [ ev 'C' ("compile:" ^ r.qid) ~args:[ ("usage", Event.I usage) ] ]
+  | Event.Compile_end _ ->
+      [
+        ev 'C' ("compile:" ^ r.qid) ~args:[ ("usage", Event.I 0) ];
+        ev 'E' "compile" ~args:(fields_of_event r.event);
+      ]
+  | Event.Gateway { gate; phase; priority } ->
+      wait_span phase ~wait:("wait:" ^ gate) ~hold:("hold:" ^ gate)
+        ~wait_args:[ ("priority", Event.I priority) ]
+        ~hold_args:[]
+  | Event.Grant { phase; bytes } ->
+      let args = [ ("bytes", Event.I bytes) ] in
+      wait_span phase ~wait:"grant:wait" ~hold:"grant:hold" ~wait_args:args
+        ~hold_args:args
+  | Event.Exec_begin -> [ ev 'B' "exec" ]
+  | Event.Exec_end _ -> [ ev 'E' "exec" ~args:(fields_of_event r.event) ]
+  | Event.Broker_tick { pressure; budget; components } ->
+      let per f = List.map (fun c -> (c.Event.comp, f c)) components in
+      [
+        ev 'C' "broker:targets" ~args:(per (fun c -> Event.I c.Event.target));
+        ev 'C' "broker:predicted"
+          ~args:(per (fun c -> Event.I c.Event.predicted));
+        ev 'i' "broker:tick"
+          ~args:
+            (("pressure", Event.B pressure)
+            :: ("budget", Event.I budget)
+            :: per (fun c -> Event.S (Event.verdict_name c.Event.verdict)));
+      ]
+  | Event.Mem { clerk; used } ->
+      [ ev 'C' ("mem:" ^ clerk) ~args:[ ("used", Event.I used) ] ]
+  | Event.Arbiter_tick { scarce; total; pools } ->
+      let per f = List.map (fun p -> (p.Event.pool, Event.I (f p))) pools in
+      [
+        ev 'C' "arbiter:budgets" ~args:(per (fun p -> p.Event.pool_budget));
+        ev 'C' "arbiter:predicted" ~args:(per (fun p -> p.Event.pool_predicted));
+        ev 'i' "arbiter:tick"
+          ~args:[ ("scarce", Event.B scarce); ("total", Event.I total) ];
+      ]
+  | Event.Shard_sample { shard; s_state; s_inflight; s_budget } ->
+      [
+        ev 'C' ("shard:" ^ shard)
+          ~args:
+            [
+              ("state", Event.I s_state);
+              ("inflight", Event.I s_inflight);
+              ("budget_mib", Event.I (s_budget / (1024 * 1024)));
+            ];
+      ]
+  | Event.Midcache_sample { resident; mc_budget; mc_entries; hit_rate_pct } ->
+      [
+        ev 'C' "midcache:bytes"
+          ~args:
+            [ ("resident", Event.I resident); ("budget", Event.I mc_budget) ];
+        ev 'C' "midcache:entries" ~args:[ ("entries", Event.I mc_entries) ];
+        ev 'C' "midcache:hit_rate" ~args:[ ("pct", Event.I hit_rate_pct) ];
+      ]
+  | Event.Midcache_lookup { bytes; _ } ->
+      (* The hit or miss is already in the name. *)
+      [ ev 'i' (instant_name r.event) ~args:[ ("bytes", Event.I bytes) ] ]
+  | e -> [ ev 'i' (instant_name e) ~args:(fields_of_event e) ]
+
+let chrome_event fmt ~first e =
+  if not first then Format.fprintf fmt ",@\n";
+  let scope = if e.ph = 'i' then ",\"s\":\"t\"" else "" in
+  let args =
+    if e.args = [] then "" else Printf.sprintf ",\"args\":{%s}" (args_json e.args)
+  in
+  Format.fprintf fmt
+    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d%s%s}"
+    (json_escape e.name) (json_escape e.cat) e.ph e.ts e.tid scope args
+
+let chrome fmt records =
+  let intern = Hashtbl.create 64 in
+  Format.fprintf fmt "{\"traceEvents\":[@\n";
+  let first = ref true in
+  (* Name tid 0 up front; query tids are named after the event pass, once
+     the interning table is complete. *)
+  chrome_event fmt ~first:true
+    {
+      ph = 'M';
+      name = "thread_name";
+      cat = "__metadata";
+      ts = 0.;
+      tid = 0;
+      args = [ ("name", Event.S "server") ];
+    };
+  first := false;
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun e ->
+          chrome_event fmt ~first:!first e;
+          first := false)
+        (lower intern r))
+    records;
+  Hashtbl.iter
+    (fun qid tid ->
+      chrome_event fmt ~first:false
+        {
+          ph = 'M';
+          name = "thread_name";
+          cat = "__metadata";
+          ts = 0.;
+          tid;
+          args = [ ("name", Event.S qid) ];
+        })
+    intern;
+  Format.fprintf fmt "@\n],\"displayTimeUnit\":\"ms\"}@."
+
+let with_file path f =
+  let oc = open_out path in
+  let fmt = Format.formatter_of_out_channel oc in
+  Fun.protect
+    ~finally:(fun () ->
+      Format.pp_print_flush fmt ();
+      close_out oc)
+    (fun () -> f fmt)
+
+let chrome_to_file path records = with_file path (fun fmt -> chrome fmt records)
+
+(* ------------------------------------------------------------------ *)
+(* JSONL                                                              *)
+(* ------------------------------------------------------------------ *)
 
 let jsonl fmt records =
   Array.iter
