@@ -581,45 +581,6 @@ let memory_trace () =
     \   bounded and the pool keeps the dimension working set resident)"
 
 (* ------------------------------------------------------------------ *)
-(* Multi-tenant noisy neighbour: an ad-hoc SALES tenant, a TPC-H victim
-   and a light templated tenant share one machine under the memory
-   arbiter. The claim: with min/max-share isolation the victim keeps its
-   solo throughput; demand-chasing arbitration with no guarantees lets
-   the noisy tenant strip the victim's pool. *)
-
-let noisy_neighbor () =
-  section "Noisy neighbour - tenant isolation under the memory arbiter";
-  let total_bytes = Dbmem.Units.gib 4 in
-  let t_warmup = 400. and t_measure = 1200. and t_slice = 60. in
-  let seed = 42 in
-  let run_kind kind =
-    match kind with
-    | `Solo ->
-        Server.Tenants.solo ~victim:"victim" ~total_bytes ~seed
-          ~warmup:t_warmup ~measure:t_measure ~slice:t_slice ()
-    | `Isolated ->
-        Server.Tenants.run ~mode:Server.Tenants.Isolated ~total_bytes ~seed
-          ~warmup:t_warmup ~measure:t_measure ~slice:t_slice ()
-    | `Free ->
-        Server.Tenants.run ~mode:Server.Tenants.Free_for_all ~total_bytes
-          ~seed ~warmup:t_warmup ~measure:t_measure ~slice:t_slice ()
-  in
-  let kinds = [ `Solo; `Isolated; `Free ] in
-  match Parallel.Pool.run ~jobs:!jobs run_kind kinds with
-  | [ o_solo; o_iso; o_free ] ->
-      Server.Report.tenants_section o_solo;
-      Server.Report.tenants_section o_iso;
-      Server.Report.tenants_section o_free;
-      let v = Server.Tenants.find_tenant o_solo "victim" in
-      let vi = Server.Tenants.find_tenant o_iso "victim" in
-      let vf = Server.Tenants.find_tenant o_free "victim" in
-      Printf.printf
-        "\n  victim retention vs solo: isolated %.0f%%, free-for-all %.0f%%\n"
-        (100. *. Server.Tenants.retention ~shared:vi ~solo:v)
-        (100. *. Server.Tenants.retention ~shared:vf ~solo:v)
-  | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
 (* Sharded failover: the scale-out version of the paper's thesis. A
    restarted shard rejoins with an empty plan cache, so every
    parameterized template recompiles at once; the run keeps most of its
@@ -674,7 +635,6 @@ let experiments =
     ("ablation-bestplan", ablation_bestplan);
     ("ablation-ladder", ablation_ladder);
     ("ablation-policy", ablation_policy);
-    ("noisy-neighbor", noisy_neighbor);
     ("shard-failover", shard_failover);
   ]
 
