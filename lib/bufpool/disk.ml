@@ -41,8 +41,6 @@ let clear_degradation t =
   t.throughput_factor <- 1.;
   t.extra_seek_s <- 0.
 
-let degraded t = t.throughput_factor < 1. || t.extra_seek_s > 0.
-
 let service_time t ~bytes =
   t.seek_s +. t.extra_seek_s
   +. (float_of_int bytes /. (t.throughput *. t.throughput_factor))

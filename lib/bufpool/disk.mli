@@ -39,7 +39,6 @@ val set_degradation :
   t -> throughput_factor:float -> extra_seek_s:float -> unit
 
 val clear_degradation : t -> unit
-val degraded : t -> bool
 
 (** Estimated service time of one read, without queueing. *)
 val service_time : t -> bytes:int -> float

@@ -87,10 +87,6 @@ val register :
 (** Begin periodic rebalancing on the engine. *)
 val start : t -> unit
 
-(** Run one arbitration cycle immediately (also what the periodic task
-    does). Exposed for unit tests. *)
-val tick : t -> unit
-
 (** {1 Introspection} *)
 
 val total : t -> int
@@ -108,8 +104,6 @@ val moved_bytes : t -> int
 
 (** Total bytes pulled back through pool reclaim hooks. *)
 val reclaimed_bytes : t -> int
-
-val pools : t -> pool list
 
 (** The pool's current budget, bytes. *)
 val budget : pool -> int

@@ -103,5 +103,4 @@ val last_notification : component -> notification option
 (** Current target; before any tick this is the component's even share. *)
 val target : component -> int
 
-val components : t -> component list
 val pp : Format.formatter -> t -> unit

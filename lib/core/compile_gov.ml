@@ -5,6 +5,7 @@ let pressure_name = function
   | Elevated -> "elevated"
   | Critical -> "critical"
 
+(* Seconds a monitor's queue must stand before the adaptive flip. *)
 let lifo_after_s = 20.
 
 type t = {
@@ -62,7 +63,6 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
     lifo_shifts = 0;
   }
 
-let enabled t = t.genabled
 let set_adaptive_lifo t on = t.adaptive_lifo <- on
 let lifo_shifts t = t.lifo_shifts
 
@@ -236,7 +236,6 @@ let should_stop_early t = t.genabled && t.press = Critical
 let population t i = t.counts.(i)
 let active_sessions t = t.active
 let monitors t = t.gmonitors
-let clerk t = t.gclerk
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>compile governor (enabled=%b, target=%a, pressure=%s)@,"

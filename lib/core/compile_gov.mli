@@ -39,12 +39,9 @@ val create :
 
 (** {1 Storm defense} *)
 
-(** Seconds a monitor's queue must stand before the adaptive flip (20). *)
-val lifo_after_s : float
-
 (** The metastable-failure defense at the gateway ladder, off by default
     so the paper's baseline behaviour is untouched. When on, a monitor
-    whose queue has been continuously standing for {!lifo_after_s} flips
+    whose queue has been continuously standing for 20 s flips
     its service order to newest-first (and back once it drains) —
     post-storm, the newest waiter is the one whose caller has not yet
     given up. *)
@@ -111,8 +108,6 @@ val should_stop_early : t -> bool
 
 (** {1 Introspection} *)
 
-val enabled : t -> bool
-
 (** Current entry threshold of level [i] (dynamic if configured). *)
 val threshold : t -> int -> int
 
@@ -122,5 +117,4 @@ val population : t -> int -> int
 
 val active_sessions : t -> int
 val monitors : t -> Monitor.t array
-val clerk : t -> Dbmem.Manager.clerk
 val pp : Format.formatter -> t -> unit

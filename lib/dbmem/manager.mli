@@ -93,7 +93,6 @@ val set_alloc_fault : t -> (string -> int -> bool) option -> unit
 (** [(clerk_name, used_bytes)] for every clerk, in creation order. *)
 val snapshot : t -> (string * int) list
 
-val clerks : t -> clerk list
 val find_clerk : t -> string -> clerk option
 val oom_count : t -> int
 val pp : Format.formatter -> t -> unit

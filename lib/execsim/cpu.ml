@@ -1,7 +1,6 @@
 type t = {
   eng : Sim.Engine.t;
   sem : Sim.Resource.Sem.t;
-  ncores : int;
   slice : float;
   created_at : float;
   mutable busy_total : float;
@@ -13,7 +12,6 @@ let create eng ~cores ?(slice = 0.25) () =
   {
     eng;
     sem = Sim.Resource.Sem.create eng ~name:"cpu" ~capacity:cores ();
-    ncores = cores;
     slice;
     created_at = Sim.Engine.now eng;
     busy_total = 0.;
@@ -33,7 +31,6 @@ let busy t seconds =
     remaining := !remaining -. q
   done
 
-let cores t = t.ncores
 let busy_seconds t = t.busy_total
 
 let utilization t =

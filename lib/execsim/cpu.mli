@@ -14,8 +14,6 @@ val create : Sim.Engine.t -> cores:int -> ?slice:float -> unit -> t
     for at least that long (more under contention). *)
 val busy : t -> float -> unit
 
-val cores : t -> int
-
 (** Total CPU-seconds executed so far. *)
 val busy_seconds : t -> float
 

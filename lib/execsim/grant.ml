@@ -72,7 +72,5 @@ let release t ?(qid = "") n =
 let min_grant t = t.min_grant
 let total t = Sim.Resource.Sem.capacity t.sem
 let in_use t = Sim.Resource.Sem.in_use t.sem
-let queued t = Sim.Resource.Sem.queued t.sem
 let timeouts t = Sim.Resource.Sem.timeouts t.sem
-let grants t = Sim.Resource.Sem.grants t.sem
 let wait_stats t = Sim.Resource.Sem.wait_stats t.sem

@@ -45,7 +45,5 @@ val min_grant : t -> int
 
 val total : t -> int
 val in_use : t -> int
-val queued : t -> int
 val timeouts : t -> int
-val grants : t -> int
 val wait_stats : t -> Sim.Stats.Online.t

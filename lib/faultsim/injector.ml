@@ -24,14 +24,12 @@ let null_hooks =
   }
 
 type t = {
-  specs : Fault.spec list;
   hooks : hooks;
   mutable started : int;
   mutable finished : int;
   mutable ballast_refused : int;
   mutable ballast_held : int;
   mutable ballast_peak : int;
-  mutable glitch_hits : int;
   mutable storms : (float * float) list;  (* active (factor, extra_seek) *)
   mutable glitches : (string -> int -> bool) list;
 }
@@ -52,12 +50,8 @@ let refresh_glitches t =
   | preds ->
       t.hooks.alloc_fault_set (fun clerk bytes ->
           (* Evaluate every predicate so rng draws do not depend on list
-             order short-circuiting; count a hit once. *)
-          let hit =
-            List.fold_left (fun acc p -> p clerk bytes || acc) false preds
-          in
-          if hit then t.glitch_hits <- t.glitch_hits + 1;
-          hit)
+             order short-circuiting. *)
+          List.fold_left (fun acc p -> p clerk bytes || acc) false preds)
 
 let run_ballast t ~bytes ~hold ~ramp_steps ~step_s =
   let per_step = max 1 (bytes / ramp_steps) in
@@ -108,14 +102,12 @@ let install eng ~rng ~hooks specs =
   List.iter Fault.validate specs;
   let t =
     {
-      specs;
       hooks;
       started = 0;
       finished = 0;
       ballast_refused = 0;
       ballast_held = 0;
       ballast_peak = 0;
-      glitch_hits = 0;
       storms = [];
       glitches = [];
     }
@@ -153,17 +145,4 @@ let install eng ~rng ~hooks specs =
 let started t = t.started
 let finished t = t.finished
 let ballast_refused t = t.ballast_refused
-let ballast_held t = t.ballast_held
 let ballast_peak t = t.ballast_peak
-let glitch_hits t = t.glitch_hits
-let specs t = t.specs
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>fault injector: %d specs, %d started, %d finished@,"
-    (List.length t.specs) t.started t.finished;
-  Format.fprintf ppf
-    "  ballast held %a (refused grabs %d); glitch hits %d@,"
-    Dbmem.Units.pp_bytes t.ballast_held t.ballast_refused t.glitch_hits;
-  List.iter (fun s -> Format.fprintf ppf "  %a@," Fault.pp s) t.specs;
-  Format.fprintf ppf "@]"

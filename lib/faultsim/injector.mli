@@ -52,15 +52,6 @@ val finished : t -> int
 (** Ballast grabs refused by the server (machine already full). *)
 val ballast_refused : t -> int
 
-(** Bytes of ballast currently held across all ballast specs. *)
-val ballast_held : t -> int
-
 (** Highest ballast ever held at once (how much of the configured spike
     the phantom consumer actually got). *)
 val ballast_peak : t -> int
-
-(** Allocations the active glitch predicates have failed so far. *)
-val glitch_hits : t -> int
-
-val specs : t -> Fault.spec list
-val pp : Format.formatter -> t -> unit

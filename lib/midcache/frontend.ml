@@ -8,7 +8,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable bypasses : int;
-  mutable writes : int;
   mutable invalidated_entries : int;
 }
 
@@ -24,7 +23,6 @@ let create ?(trace = Obs.Trace.null) ?(hit_latency = 0.02) eng ~cache ~submit
     hits = 0;
     misses = 0;
     bypasses = 0;
-    writes = 0;
     invalidated_entries = 0;
   }
 
@@ -114,7 +112,6 @@ let submit t q =
           r)
 
 let write t ~rels =
-  t.writes <- t.writes + 1;
   match t.cache with
   | None -> ()
   | Some c ->
@@ -127,10 +124,8 @@ let write t ~rels =
               (Obs.Event.Midcache_invalidate { relation = rel; entries; bytes }))
         rels
 
-let cache t = t.cache
 let requests t = t.requests
 let hits t = t.hits
 let misses t = t.misses
 let bypasses t = t.bypasses
-let writes t = t.writes
 let invalidated_entries t = t.invalidated_entries

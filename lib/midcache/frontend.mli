@@ -50,10 +50,8 @@ val rels_of_query : Optimizer.Query.t -> string list
 
 (** {1 Introspection} *)
 
-val cache : t -> Cache.t option
 val requests : t -> int
 val hits : t -> int
 val misses : t -> int
 val bypasses : t -> int
-val writes : t -> int
 val invalidated_entries : t -> int

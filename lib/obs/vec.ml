@@ -13,8 +13,6 @@ type 'a t = {
 
 let create ?(capacity = 0) () = { data = [||]; len = 0; hint = capacity }
 
-let length t = t.len
-
 let push t x =
   if t.len = Array.length t.data then begin
     let cap' = if t.len = 0 then Stdlib.max 16 t.hint else 2 * t.len in
@@ -28,11 +26,6 @@ let push t x =
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
 
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in

@@ -10,14 +10,11 @@
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
-val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 
 (** [get t i] is the i-th pushed element; raises [Invalid_argument] out of
     bounds. *)
 val get : 'a t -> int -> 'a
-
-val iter : ('a -> unit) -> 'a t -> unit
 
 (** Elements in push order. *)
 val to_list : 'a t -> 'a list

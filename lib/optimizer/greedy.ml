@@ -1,3 +1,6 @@
+(* Left-deep join order: starts from the smallest filtered relation and
+   repeatedly joins the connected relation that minimises the
+   intermediate cardinality. *)
 let order card =
   let q = Card.query card in
   let n = Query.n_rels q in

@@ -5,11 +5,8 @@
     return-best-plan-under-pressure extension — and (b) as the emergency
     fallback plan. *)
 
-(** Left-deep join order: starts from the smallest filtered relation and
-    repeatedly joins the connected relation that minimises the intermediate
-    cardinality. *)
-val order : Card.t -> int list
-
-(** Costed left-deep plan following {!order}, using the cheapest physical
-    alternative at each step, with final aggregation applied. *)
+(** Costed left-deep plan, using the cheapest physical alternative at
+    each step, with final aggregation applied. The join order starts from
+    the smallest filtered relation and repeatedly joins the connected
+    relation that minimises the intermediate cardinality. *)
 val plan : Cost.model -> Card.t -> Plan.t
