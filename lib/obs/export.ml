@@ -186,7 +186,7 @@ type emitted = {
 (* An instant's Chrome name is its event name without the
    ["<category>:"] prefix, except for the spellings the exporter has
    always written for these events. *)
-let instant_name e =
+let instant_name ~cat e =
   match e with
   | Event.Query_error _ -> "query_error"
   | Event.Singleflight_coalesce _ -> "singleflight_coalesce"
@@ -196,7 +196,7 @@ let instant_name e =
       String.map (fun c -> if c = ':' then '_' else c) (Event.name e)
   | _ ->
       let name = Event.name e in
-      let skip = String.length (Event.category e) + 1 in
+      let skip = String.length cat + 1 in
       String.sub name skip (String.length name - skip)
 
 (* Lower one record into zero or more Chrome events. Spans and counters
@@ -279,8 +279,8 @@ let lower intern (r : Trace.record) : emitted list =
       ]
   | Event.Midcache_lookup { bytes; _ } ->
       (* The hit or miss is already in the name. *)
-      [ ev 'i' (instant_name r.event) ~args:[ ("bytes", Event.I bytes) ] ]
-  | e -> [ ev 'i' (instant_name e) ~args:(fields_of_event e) ]
+      [ ev 'i' (instant_name ~cat r.event) ~args:[ ("bytes", Event.I bytes) ] ]
+  | e -> [ ev 'i' (instant_name ~cat e) ~args:(fields_of_event e) ]
 
 let chrome_event fmt ~first e =
   if not first then Format.fprintf fmt ",@\n";
