@@ -251,8 +251,9 @@ let bufpool_bench () =
 (* ------------------------------------------------------------------ *)
 (* Governed allocation *)
 
-(* The optimizer meters every memo allocation through
-   [Compile_gov.alloc], thousands per compile. This is its fast path as
+(* The optimizer meters its memo allocations through
+   [Compile_gov.alloc], batched within the governor's credit but still
+   hundreds of calls per compile. This is its fast path as
    a compile past the small gate takes it: a dynamic ladder with a
    broker target, so each call evaluates the medium gate's
    [target * F / S] threshold, then charges the clerk. Tracing is off,

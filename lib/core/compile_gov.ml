@@ -190,6 +190,21 @@ let alloc s n =
               (Obs.Event.Compile_alloc { bytes = n; usage = new_usage });
           Ok ())
 
+(* Bytes below the next gate's threshold (all of them past the last
+   gate or with the governor off), capped by the clerk's credit. Every
+   input changes only while this session's process is suspended. *)
+let credit s =
+  let t = s.gov in
+  if Obs.Trace.enabled t.gtrace then 0
+  else begin
+    let gate =
+      if t.genabled && s.held < Array.length t.gmonitors then
+        Int.max 0 (threshold t s.held - s.susage)
+      else max_int
+    in
+    Int.min gate (Dbmem.Manager.credit t.gclerk)
+  end
+
 let free s n =
   if s.finished then invalid_arg "Compile_gov.free: session finished";
   if n < 0 || n > s.susage then invalid_arg "Compile_gov.free: bad amount";

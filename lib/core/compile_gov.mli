@@ -62,13 +62,25 @@ val begin_compile : ?qid:string -> t -> session
 (** [alloc s n] reports [n] more bytes of compile memory demand. May block
     the calling process at one or more monitors. Below the session's
     next gate, with memory free and tracing off, it allocates nothing:
-    the optimizer calls it for every memo allocation. On [Error] the compilation
+    the optimizer calls it for each batch of memo allocations that
+    {!credit} does not cover. On [Error] the compilation
     must be abandoned: call {!end_compile} to release everything. Errors
     carry the structured taxonomy: a gateway timeout surfaces as
     {!Health.Error.Memory_wait_timeout} (8645) with the monitor's name as
     detail, a failed physical allocation as
     {!Health.Error.Insufficient_memory} (701). *)
 val alloc : session -> int -> (unit, Health.Error.t) result
+
+(** [credit s] is how many more bytes {!alloc} could take, in one call
+    or in any split of them, without blocking, failing, reclaiming
+    memory or writing a record: the room below the session's next gate
+    ([max_int] past the last gate or with the governor off), capped by
+    {!Dbmem.Manager.credit}. It is 0 while tracing, so that every
+    allocation gets its [Compile_alloc] record. Gate thresholds and
+    populations, the broker target and the manager's memory change only
+    while the session's process is suspended, so the credit holds until
+    then. *)
+val credit : session -> int
 
 (** [free s n] returns [n] bytes early (does not release monitors; real
     optimizers release their arenas only at the end of compilation). *)

@@ -131,6 +131,10 @@ let alloc c n =
     Ok ()
   end
 
+let credit c =
+  let t = c.owner in
+  match t.alloc_fault with Some _ -> 0 | None -> Int.max 0 (available t)
+
 let alloc_exn c n =
   match alloc c n with
   | Ok () -> ()

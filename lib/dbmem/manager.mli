@@ -50,6 +50,14 @@ val reset_peak : clerk -> unit
     excepted — pages already evicted stay evicted, as in a real engine). *)
 val alloc : clerk -> int -> (unit, [ `Out_of_memory ]) result
 
+(** [credit clerk] is how many bytes {!alloc} on [clerk] could take,
+    in any split, acting only on the accounting: no reclaim, no
+    out-of-memory, no call to a fault hook. It is 0 while an alloc fault
+    is installed (the hook sees every call), otherwise {!available}
+    (0 when over-committed). It holds until another component
+    allocates or frees, or the budget or the fault changes. *)
+val credit : clerk -> int
+
 (** Like {!alloc} but raises {!Out_of_memory}. *)
 val alloc_exn : clerk -> int -> unit
 

@@ -1,5 +1,4 @@
 type t = {
-  cat : Catalog.t;
   q : Query.t;
   tables : Catalog.table array;
   base : float array;
@@ -7,7 +6,6 @@ type t = {
   pred_left : int array;  (* the join predicates, in list order *)
   pred_right : int array;
   pred_sel : float array;
-  memo : (Relset.t, float) Hashtbl.t;
 }
 
 let create cat q =
@@ -22,7 +20,6 @@ let create cat q =
   let widths = Array.map Catalog.row_width tables in
   let preds = Array.of_list q.Query.preds in
   {
-    cat;
     q;
     tables;
     base;
@@ -30,34 +27,28 @@ let create cat q =
     pred_left = Array.map (fun (p : Query.join_pred) -> p.Query.jleft) preds;
     pred_right = Array.map (fun (p : Query.join_pred) -> p.Query.jright) preds;
     pred_sel = Array.map (fun (p : Query.join_pred) -> p.Query.jsel) preds;
-    memo = Hashtbl.create 256;
   }
 
 let query t = t.q
 let table_of t i = t.tables.(i)
 let base_rows t i = t.base.(i)
 
-(* Loops over flat arrays rather than folds, so a miss allocates only
-   the memo entry. Members multiply in increasing index order, then
-   predicates in list order: the searches' plans depend on these exact
-   bits. *)
+(* Computed afresh on every call: loops over flat arrays allocate
+   nothing, and each group keeps its own rows in the search arena.
+   Members multiply in increasing index order, then predicates in list
+   order: the searches' plans depend on these exact bits. *)
 let card t s =
-  match Hashtbl.find t.memo s with
-  | c -> c
-  | exception Not_found ->
-      let rows = ref 1.0 and m = ref s in
-      while !m <> 0 do
-        rows := !rows *. t.base.(Relset.ctz !m);
-        m := !m land (!m - 1)
-      done;
-      let sel = ref 1.0 in
-      for k = 0 to Array.length t.pred_sel - 1 do
-        if Relset.mem t.pred_left.(k) s && Relset.mem t.pred_right.(k) s then
-          sel := !sel *. t.pred_sel.(k)
-      done;
-      let c = Float.max 1.0 (!rows *. !sel) in
-      Hashtbl.replace t.memo s c;
-      c
+  let rows = ref 1.0 and m = ref s in
+  while !m <> 0 do
+    rows := !rows *. t.base.(Relset.ctz !m);
+    m := !m land (!m - 1)
+  done;
+  let sel = ref 1.0 in
+  for k = 0 to Array.length t.pred_sel - 1 do
+    if Relset.mem t.pred_left.(k) s && Relset.mem t.pred_right.(k) s then
+      sel := !sel *. t.pred_sel.(k)
+  done;
+  Float.max 1.0 (!rows *. !sel)
 
 let group_card t group_by ~input =
   let distinct_product =
@@ -76,5 +67,3 @@ let width t s =
     m := !m land (!m - 1)
   done;
   !w
-
-let memo_size t = Hashtbl.length t.memo

@@ -2,7 +2,8 @@
     uniformity and independence assumptions: the cardinality of a relation
     subset is the product of filtered base cardinalities times the product
     of the selectivities of every join predicate internal to the subset.
-    Estimates are memoised per subset. *)
+    Estimates are not memoised: one costs a pass over the subset's
+    members and the query's predicates, and allocates nothing. *)
 
 type t
 
@@ -25,6 +26,3 @@ val group_card : t -> (int * string) list -> input:float -> float
 
 (** Output row width in bytes for a subset (sum of member table widths). *)
 val width : t -> Relset.t -> int
-
-(** Number of memoised subsets so far (memory proxy for the estimator). *)
-val memo_size : t -> int

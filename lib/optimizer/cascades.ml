@@ -233,11 +233,32 @@ type search = {
   mutable n_phys : int;
   mutable allocated : int;
   mutable cpu_pending : int;
+  mutable credit : int;  (* bytes the env lets us meter locally *)
+  mutable owed : int;  (* bytes metered locally, not yet reported *)
 }
 
+(* Report the bytes metered locally. Their sum fits in the credit the
+   env granted, so this call crosses no gate and reclaims nothing. *)
+let settle s =
+  if s.owed > 0 then begin
+    let owed = s.owed in
+    s.owed <- 0;
+    ignore (s.env.Env.alloc owed)
+  end
+
+(* Within the credit an allocation is an add; past it, the bytes owed
+   are settled first and the new ones metered as one call, whose credit
+   replaces what was left (see {!Env.t}). *)
 let alloc s bytes =
   s.allocated <- s.allocated + bytes;
-  s.env.Env.alloc bytes
+  if s.credit > 0 && bytes <= s.credit then begin
+    s.credit <- s.credit - bytes;
+    s.owed <- s.owed + bytes
+  end
+  else begin
+    settle s;
+    s.credit <- s.env.Env.alloc bytes
+  end
 
 let push s x y =
   let a = s.arena in
@@ -389,7 +410,10 @@ let process_opt_split s l g =
 
 (* ------------------------------------------------------------------ *)
 
+(* The credit expires at every [cpu] call, and at the end of the search. *)
 let flush_cpu s =
+  settle s;
+  s.credit <- 0;
   if s.cpu_pending > 0 then begin
     s.env.Env.cpu (float_of_int s.cpu_pending *. s.params.task_cpu);
     s.cpu_pending <- 0
@@ -436,6 +460,8 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
       n_phys = 0;
       allocated = 0;
       cpu_pending = 0;
+      credit = 0;
+      owed = 0;
     }
   in
   try

@@ -7,7 +7,9 @@
     - {b metered memory}: every group, logical split and physical
       alternative charges bytes through {!Env.t}, so compile memory grows
       with the number of alternatives considered and is freed only when
-      compilation ends;
+      compilation ends. Bytes within the env's credit are summed locally
+      and reported in one call before the next [cpu] call, before an
+      allocation past the credit, and when the search ends;
     - {b interruptibility}: the environment's [alloc] may block the calling
       simulation process at a gateway for arbitrarily long, or abort the
       compilation by raising {!Env.Aborted};

@@ -3,17 +3,20 @@ type abort_reason = Gateway_timeout of string | Out_of_memory | Cancelled
 exception Aborted of abort_reason
 
 type t = {
-  alloc : int -> unit;
+  alloc : int -> int;
   cpu : float -> unit;
   should_stop : unit -> bool;
 }
 
 let null =
-  { alloc = (fun _ -> ()); cpu = (fun _ -> ()); should_stop = (fun () -> false) }
+  { alloc = (fun _ -> max_int); cpu = (fun _ -> ()); should_stop = (fun () -> false) }
 
 let counting ~bytes ~cpu_seconds =
   {
-    alloc = (fun n -> bytes := !bytes + n);
+    alloc =
+      (fun n ->
+        bytes := !bytes + n;
+        0);
     cpu = (fun s -> cpu_seconds := !cpu_seconds +. s);
     should_stop = (fun () -> false);
   }

@@ -321,7 +321,10 @@ let governed t ~qid f =
    compile-memory exhaustion. Every allocation beats the query's
    watchdog session; a softened session forces best-plan-so-far, and a
    cancel request aborts at the next allocation rather than holding
-   gateways for work that can no longer matter. *)
+   gateways for work that can no longer matter. The credit is the
+   governor's, or 0 once the watchdog has softened or cancelled the job
+   during the call: the next allocation must then reach here, to beat
+   (which clears a soften) or to raise. *)
 let compile_env t job session =
   {
     Optimizer.Env.alloc =
@@ -330,7 +333,9 @@ let compile_env t job session =
         if cancelled job then
           raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled);
         match Qcore.Compile_gov.alloc session n with
-        | Ok () -> ()
+        | Ok () ->
+            if cancelled job || softened job then 0
+            else Qcore.Compile_gov.credit session
         | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail } ->
             raise (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
         | Error _ -> raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));

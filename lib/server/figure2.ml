@@ -72,8 +72,9 @@ let run ?(seed = 7) ?(qseed = 11) ?(trace = Obs.Trace.null) ?(until = 600.) () =
           {
             Optimizer.Env.alloc =
               (fun n ->
+                (* Credit 0: each allocation reaches the governor on its own. *)
                 match Qcore.Compile_gov.alloc session n with
-                | Ok () -> ()
+                | Ok () -> 0
                 | Error _ ->
                     raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
             cpu = (fun s -> Execsim.Cpu.busy cpu s);

@@ -234,9 +234,10 @@ type search = {
   mutable cpu_pending : int;
 }
 
+(* One [alloc] call per allocation, whatever credit the env grants. *)
 let alloc s bytes =
   s.allocated <- s.allocated + bytes;
-  s.env.Env.alloc bytes
+  ignore (s.env.Env.alloc bytes)
 
 let push s task = s.stack <- task :: s.stack
 

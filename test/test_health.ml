@@ -215,6 +215,85 @@ let test_watchdog_escalation () =
   Alcotest.(check int) "unwatch drains (idempotent)" 0 (Health.Watchdog.watched w)
 
 (* ------------------------------------------------------------------ *)
+(* A compile held at a gateway while the watchdog acts
+
+   Three sessions hold the one gateway's slot and the two the
+   starvation auditor may add, until [hold]; they spawn first and meter
+   more, so widening admits them before the query. The query's first
+   allocation, the memo root, waits at the gate from t = 1, silent: the
+   watchdog softens it at 240 s of silence and requests its cancel at
+   720 s. When the gate opens, the next allocation (the greedy seed)
+   beats the watchdog, which clears a soften, or raises on the cancel
+   request. The traced run meters each allocation in its own call (the
+   governor grants no credit while tracing) and the untraced one meters
+   by credit, so both must end the compile at the same point: the same
+   result, compile peak and finishing time. *)
+
+let held_compile ~hold ~traced =
+  let eng = Sim.Engine.create () in
+  let gate =
+    {
+      Qcore.Throttle_config.lname = "only";
+      base_threshold = 16 * 1024;
+      slots = Qcore.Throttle_config.Total 1;
+      timeout = 2000.;
+      fraction = 1.;
+      min_threshold = 16 * 1024;
+      max_threshold = 16 * 1024;
+    }
+  in
+  let cfg =
+    {
+      (Server.Config.supervised ()) with
+      Server.Config.throttle =
+        { Qcore.Throttle_config.levels = [ gate ]; dynamic = false };
+    }
+  in
+  let trace =
+    if traced then Obs.Trace.create ~capacity:(1 lsl 16) () else Obs.Trace.null
+  in
+  let dbms = Server.Dbms.create ~trace eng cfg (Workload.Sales.catalog ()) in
+  Server.Dbms.start dbms;
+  let gov = Server.Dbms.governor dbms in
+  for i = 1 to 3 do
+    Sim.Engine.spawn eng ~name:(Printf.sprintf "holder%d" i) (fun () ->
+        let s = Qcore.Compile_gov.begin_compile gov in
+        ignore (Qcore.Compile_gov.alloc s (Dbmem.Units.mib 8));
+        Sim.Engine.sleep (hold -. Sim.Engine.now eng);
+        Qcore.Compile_gov.end_compile s)
+  done;
+  let outcome = ref "unfinished" and finished = ref Float.nan in
+  Sim.Engine.spawn eng ~name:"query" ~delay:1. (fun () ->
+      let t = List.hd (Workload.Sales.templates ()) in
+      let q = Workload.Template.instance (Sim.Rng.create 5) t ~id:1 in
+      (outcome :=
+         match Server.Dbms.submit dbms q with
+         | Ok () -> "ok"
+         | Error e -> Health.Error.to_string e);
+      finished := Sim.Engine.now eng);
+  Sim.Engine.run eng ~until:(hold +. 3000.);
+  let h = Server.Dbms.health_report dbms () in
+  ( !outcome,
+    Sim.Stats.Online.max (Server.Metrics.compile_peak (Server.Dbms.metrics dbms)),
+    !finished,
+    (h.Health.Report.watchdog_stale, h.Health.Report.watchdog_cancels) )
+
+let check_held_compile ~hold ~outcome ~watchdog =
+  let ((got, _, finished, dog) as untraced) = held_compile ~hold ~traced:false in
+  let per_call = held_compile ~hold ~traced:true in
+  Alcotest.(check string) "outcome" outcome got;
+  Alcotest.(check (pair int int)) "watchdog (stale, cancels)" watchdog dog;
+  Alcotest.(check bool) "finished once the gate opened" true (finished >= hold);
+  Alcotest.(check bool) "credit ends the compile where per-call metering does"
+    true (untraced = per_call)
+
+let test_held_compile_softened () =
+  check_held_compile ~hold:400. ~outcome:"ok" ~watchdog:(1, 0)
+
+let test_held_compile_cancelled () =
+  check_held_compile ~hold:800. ~outcome:"watchdog-cancelled (compile)" ~watchdog:(1, 1)
+
+(* ------------------------------------------------------------------ *)
 (* Starvation auditor *)
 
 let test_starvation_widens_and_restores () =
@@ -559,6 +638,8 @@ let suite =
     ("breaker probe shed is not a failure", `Quick, test_breaker_probe_shed);
     ("supervision off is inert", `Quick, test_supervise_off_is_inert);
     ("watchdog escalation", `Quick, test_watchdog_escalation);
+    ("held compile softened at a gateway", `Quick, test_held_compile_softened);
+    ("held compile cancelled at a gateway", `Quick, test_held_compile_cancelled);
     ("starvation auditor widens and restores", `Quick, test_starvation_widens_and_restores);
     ("broker insists on deaf components", `Quick, test_broker_insists_on_deaf_components);
     ("backoff edge cases", `Quick, test_backoff_edges);

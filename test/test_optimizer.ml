@@ -294,15 +294,6 @@ let test_card_star () =
   (* Full: 5000 * 1000/1000 = 5000 *)
   Alcotest.(check (float 1.)) "full card" 5000. (Card.card card (Relset.full 3))
 
-let test_card_memoizes () =
-  let cat = star_catalog ~dims:3 ~fact_rows:1000 ~dim_rows:100 in
-  let q = star_query ~dims:3 cat in
-  let card = Card.create cat q in
-  ignore (Card.card card (Relset.full 4));
-  let size1 = Card.memo_size card in
-  ignore (Card.card card (Relset.full 4));
-  Alcotest.(check int) "no growth on repeat" size1 (Card.memo_size card)
-
 (* ------------------------------------------------------------------ *)
 (* Histograms *)
 
@@ -608,7 +599,7 @@ let test_cascades_stop_early () =
   let calls = ref 0 in
   let env =
     {
-      Env.alloc = (fun _ -> ());
+      Env.alloc = (fun _ -> max_int);
       cpu = (fun _ -> ());
       should_stop = (fun () -> incr calls; !calls > 50);
     }
@@ -635,7 +626,8 @@ let test_cascades_abort_propagates () =
       Env.alloc =
         (fun n ->
           total := !total + n;
-          if !total > 200_000 then raise (Env.Aborted Env.Out_of_memory));
+          if !total > 200_000 then raise (Env.Aborted Env.Out_of_memory);
+          0);
       cpu = (fun _ -> ());
       should_stop = (fun () -> false);
     }
@@ -760,7 +752,10 @@ let prop_best_plan_so_far_monotone_in_cap =
       let bytes = ref 0 in
       let env =
         {
-          Env.alloc = (fun n -> bytes := !bytes + n);
+          Env.alloc =
+            (fun n ->
+              bytes := !bytes + n;
+              0);
           cpu = (fun _ -> ());
           should_stop = (fun () -> !bytes >= cap);
         }
@@ -958,7 +953,8 @@ let logging_env ~stop_after ~abort_at ~abort =
         (fun n ->
           log := Alloc n :: !log;
           incr allocs;
-          if !allocs = abort_at then raise (Env.Aborted abort));
+          if !allocs = abort_at then raise (Env.Aborted abort);
+          0);
       cpu = (fun x -> log := Cpu (Int64.bits_of_float x) :: !log);
       should_stop =
         (fun () ->
@@ -1058,6 +1054,89 @@ let prop_cascades_matches_reference =
           abort_at (arena <> None) (same_result got want) (List.length !log)
           (List.length !log_ref))
 
+(* The credit protocol of {!Env.t}, differentially. The env below acts
+   like the governor: its state changes only inside [cpu] and inside an
+   allocation that crosses its gate, the one kind of call that blocks.
+   Either moves the gate to a random point near the usage, below it at
+   times, and may raise the stop flag; a crossing allocation may also
+   abort. Run once granting the room below the gate as credit and once
+   granting none, a search must act the same: the same result, the same
+   [cpu] calls and [should_stop] polls in the same order, and the same
+   bytes metered between consecutive [cpu] calls. *)
+
+type gated_call = Cpu_call of int64 * int | Poll_call | End_bytes of int
+
+let gated_env ~seed ~grant =
+  let rs = Random.State.make [| seed |] in
+  let usage = ref 0 and gate = ref (Random.State.int rs 400_000) in
+  let stop = ref false and since_cpu = ref 0 and calls = ref 0 in
+  let log = ref [] in
+  let move () =
+    gate := !usage + Random.State.int rs 500_000 - 100_000;
+    if Random.State.int rs 50 = 0 then stop := true
+  in
+  let env =
+    {
+      Env.alloc =
+        (fun n ->
+          incr calls;
+          usage := !usage + n;
+          since_cpu := !since_cpu + n;
+          if !usage > !gate then begin
+            move ();
+            if Random.State.int rs 80 = 0 then
+              raise
+                (Env.Aborted
+                   (if Random.State.bool rs then Env.Out_of_memory
+                    else Env.Gateway_timeout "gate"))
+          end;
+          if grant then max 0 (!gate - !usage) else 0);
+      cpu =
+        (fun x ->
+          log := Cpu_call (Int64.bits_of_float x, !since_cpu) :: !log;
+          since_cpu := 0;
+          move ());
+      should_stop =
+        (fun () ->
+          log := Poll_call :: !log;
+          !stop);
+    }
+  in
+  (env, fun () -> (List.rev (End_bytes !since_cpu :: !log), !calls))
+
+let prop_credit_matches_per_call =
+  QCheck.Test.make ~name:"metering by credit = metering every allocation"
+    ~count:80
+    QCheck.(quad bool (int_range 2 14) (int_range 0 1_000_000)
+              (int_bound 1_000_000_000))
+    (fun (star, n, salt, seed) ->
+      let cat, q = random_cat_query ~star ~n ~salt in
+      let rs = Random.State.make [| seed |] in
+      let params =
+        {
+          Cascades.default_params with
+          Cascades.min_tasks = 1 + Random.State.int rs 2_000;
+          max_tasks = 1 + Random.State.int rs 15_000;
+          honor_stop_early = Random.State.bool rs;
+        }
+      in
+      let run grant =
+        let env, log = gated_env ~seed ~grant in
+        let r = Cascades.optimize ~params ~env model cat q in
+        (r, log ())
+      in
+      let got, (log, calls) = run true in
+      let want, (log_ref, calls_ref) = run false in
+      if same_result got want && log = log_ref && calls <= calls_ref then true
+      else
+        QCheck.Test.fail_reportf
+          "query %s (%d rels), min %d max %d honor %b: results equal %b, logs \
+           equal %b (%d vs %d entries), alloc calls %d vs %d"
+          q.Query.qid (Query.n_rels q) params.Cascades.min_tasks
+          params.Cascades.max_tasks params.Cascades.honor_stop_early
+          (same_result got want) (log = log_ref) (List.length log)
+          (List.length log_ref) calls calls_ref)
+
 (* Join costing allocates nothing per split: 10 000 evaluations move
    the minor-heap counter no more than an empty window does. *)
 let test_join_costing_allocates_nothing () =
@@ -1087,7 +1166,6 @@ let suite =
     ("relset iter_of_cardinality", `Quick, test_relset_iter_of_cardinality);
     ("dp pinned on sales templates", `Slow, test_dp_pinned_sales);
     ("card star", `Quick, test_card_star);
-    ("card memoizes", `Quick, test_card_memoizes);
     ("greedy plan well formed", `Quick, test_plan_well_formed_greedy);
     ("index scan cheaper when selective", `Quick, test_plan_index_scan_cheaper_when_selective);
     ("hash join memory scales with build", `Quick, test_plan_hash_join_mem_scales);
@@ -1120,4 +1198,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_arena_reuse_transparent;
     QCheck_alcotest.to_alcotest prop_mask_graph_matches_lists;
     QCheck_alcotest.to_alcotest prop_cascades_matches_reference;
+    QCheck_alcotest.to_alcotest prop_credit_matches_per_call;
   ]

@@ -361,6 +361,36 @@ let test_gov_small_query_unthrottled () =
   Sim.Engine.run_all eng;
   Alcotest.(check bool) "alloc ok" true !ok
 
+(* The credit is the room below the session's next gate, capped by the
+   memory free; it is 0 while a fault hook or a trace must see every
+   allocation. *)
+let test_gov_credit () =
+  let session ?(enabled = true) ?trace ~total () =
+    let eng = Sim.Engine.create () in
+    let mgr = Dbmem.Manager.create ~total () in
+    let clerk = Dbmem.Manager.create_clerk mgr "compile" in
+    let gov =
+      Compile_gov.create eng mgr ?trace ~clerk ~cpus:2
+        ~config:(Throttle_config.default ()) ~enabled ()
+    in
+    let s = Compile_gov.begin_compile gov in
+    ignore (Compile_gov.alloc s (mib 1));
+    (gov, mgr, s)
+  in
+  let gov, mgr, s = session ~total:(mib 4096) () in
+  Alcotest.(check int) "room below the first gate"
+    (Compile_gov.threshold gov 0 - mib 1)
+    (Compile_gov.credit s);
+  Dbmem.Manager.set_alloc_fault mgr (Some (fun _ _ -> false));
+  Alcotest.(check int) "fault hook installed" 0 (Compile_gov.credit s);
+  let _, _, s = session ~total:(mib 1 + 4096) () in
+  Alcotest.(check int) "capped by free memory" 4096 (Compile_gov.credit s);
+  let _, _, s = session ~enabled:false ~total:(mib 4096) () in
+  Alcotest.(check int) "governor off" (mib 4095) (Compile_gov.credit s);
+  let trace = Obs.Trace.create ~capacity:16 () in
+  let _, _, s = session ~trace ~total:(mib 4096) () in
+  Alcotest.(check int) "tracing" 0 (Compile_gov.credit s)
+
 let test_gov_crossing_thresholds_acquires_monitors () =
   let { eng; gov; _ } = make_gov ~cpus:8 () in
   Sim.Engine.spawn eng (fun () ->
@@ -1146,6 +1176,7 @@ let suite =
     ("monitor blocks over slots", `Quick, test_monitor_blocks_over_slots);
     ("monitor timeout", `Quick, test_monitor_timeout);
     ("gov small query unthrottled", `Quick, test_gov_small_query_unthrottled);
+    ("gov credit", `Quick, test_gov_credit);
     ("gov crossing thresholds", `Quick, test_gov_crossing_thresholds_acquires_monitors);
     ("gov population accounting", `Quick, test_gov_population_accounting);
     ("gov big serialized", `Quick, test_gov_big_serialized);
