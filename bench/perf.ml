@@ -12,10 +12,10 @@
      dune exec bench/perf.exe -- --quick            # CI smoke variant
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
-   Suites: optimizer compile (Cascades on SALES shapes), the
-   sim-engine event loop, buffer-pool access, governed compile-memory
-   allocation, a full experiment cell, and
-   the parallel grid speedup with a byte-identity check. *)
+   Suites: optimizer compile (Cascades and its greedy seed on SALES
+   shapes), the sim-engine event loop, buffer-pool access, governed
+   compile-memory allocation, a full experiment cell, and the parallel
+   grid speedup with a byte-identity check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
@@ -121,6 +121,37 @@ let steady_state_benches () =
         alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
       })
     [ reused; fresh ]
+
+(* The greedy seed alone, over the same SALES shapes as the stream
+   above: the plan every compile builds before its search starts, and
+   the plan a SALES compile returns. Cardinality set-up is outside the
+   window; per-query numbers. *)
+let greedy_bench () =
+  let cat = Workload.Sales.catalog () in
+  let templates = Array.of_list (Workload.Sales.templates ()) in
+  let n_queries = if !quick then 50 else 200 in
+  let rng = Sim.Rng.create 11 in
+  let cards =
+    Array.init n_queries (fun i ->
+        Optimizer.Card.create cat
+          (Workload.Template.instance rng
+             templates.(i mod Array.length templates)
+             ~id:(1000 + i)))
+  in
+  let iters = if !quick then 4 else 20 in
+  let b =
+    time_bench ~name:"greedy_seed" ~iters (fun () ->
+        Array.iter
+          (fun card ->
+            ignore (Optimizer.Greedy.plan Optimizer.Cost.default card))
+          cards)
+  in
+  {
+    b with
+    iters = iters * n_queries;
+    per_op_ns = b.per_op_ns /. float_of_int n_queries;
+    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sim-engine event loop *)
@@ -562,6 +593,7 @@ let () =
         retry_budget_bench ();
         experiment_bench ();
         cached_cell_bench ();
+        greedy_bench ();
       ]
   in
   (* Each row's time in the unit that fits it: rows span 10 ns to 100 ms. *)

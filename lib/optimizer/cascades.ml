@@ -35,6 +35,7 @@ type stats = {
   phys : int;
   allocated_bytes : int;
   budget : int;
+  costed : int;
 }
 
 type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
@@ -42,16 +43,27 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 (* ------------------------------------------------------------------ *)
 (* Memo arena
 
-   The memo keeps costs, never plans. A group is an ordinal into flat
-   columns: its relation set, its unfinished-task count (which is also
-   its search state), the head of its parked-split list and its winner
-   (tag and left child group in one int), plus a row of a
-   [Rules.tables]: rows, the best plan's cost_io and cost_cpu, and the
-   group's hash-build spill, sort spill and sort cpu terms, computed
-   once when the group is created. Tasks
-   are int pairs on an int stack; a split task carries its left side and
-   its group, so no split outlives the expansion that lists it. A
-   [Plan.t] is built once, from the root, when the search ends.
+   The memo keeps costs, never plans, and the search itself reads no
+   cost. A group is an ordinal into flat columns: its relation set, its
+   unfinished-task count (which is also its search state), the head of
+   its parked-split list and its winner (tag and left child group in one
+   int). Tasks are int pairs on an int stack; a split task carries its
+   left side and its group, so no split outlives the expansion that
+   lists it. A split whose children have finished is metered and then
+   logged as one int, (group, left child group), instead of costed.
+
+   Pricing waits until the plan is built, and happens only if the root
+   was offered something: one of its splits is logged, or it is a
+   one-relation leaf. Otherwise the plan is the greedy seed. Pricing
+   fills a row of a [Rules.tables] per group (rows, the best plan's
+   cost_io and cost_cpu, and the group's hash-build spill, sort spill
+   and sort cpu terms), sets the seed as the root's incumbent, costs
+   every finished leaf, then costs and offers the logged splits in log
+   order. A split is logged only once its children have finished, so
+   after every split of theirs, and leaves are costed before any split:
+   each group sees the same offers in the same order as in a search
+   that costs as it goes, so its winner and cost bits are the same. A
+   [Plan.t] is built once, from the root, after pricing.
 
    Only one group's split list is ever live. An expansion lists the
    splits into [splits], and its expand tasks run back to back: each
@@ -63,10 +75,10 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
    (gateway waits), and experiment grids run cells on parallel domains,
    so each in-flight compile needs storage of its own ({!Dbms} keeps a
    free pool). [reset_arena] clears logical state but keeps every column
-   at its high-water capacity, which is sized by groups and live tasks,
-   not by 2^n subsets, so a pool of parked arenas stays small. Reuse is
-   observationally transparent: the search reads no slot it has not
-   written since the reset. *)
+   at its high-water capacity, which is sized by groups, live tasks and
+   logged splits, not by 2^n subsets, so a pool of parked arenas stays
+   small. Reuse is observationally transparent: neither the search nor
+   the pricing reads a slot it has not written since the reset. *)
 
 (* A group's [g_outstanding] is also its state: [fresh] before its
    optimize task runs, [finished] once every task it owns is done, and
@@ -103,7 +115,7 @@ type arena = {
       (* first parked split of a *parent* group waiting for this group
          to finish, or -1 *)
   mutable g_win : int array;  (* [pack_win child tag] *)
-  mutable tb : Rules.tables;
+  mutable tb : Rules.tables;  (* empty until a plan is priced *)
   mutable n_groups : int;
   mutable index : int array;
       (* relation set -> group: open addressing with linear probing, -1
@@ -119,6 +131,8 @@ type arena = {
   mutable pk_free : int;
   mutable stack : int array;  (* task i is (stack.(2i), stack.(2i+1)) *)
   mutable top : int;
+  mutable log : int array;  (* splits to price, [log_entry group left] *)
+  mutable n_log : int;
   best : float array;  (* evaluator scratch: cost_io, cost_cpu, total *)
 }
 
@@ -129,7 +143,7 @@ let create_arena () =
     g_outstanding = Array.make groups fresh;
     g_parked = Array.make groups (-1);
     g_win = Array.make groups no_plan;
-    tb = Rules.make_tables groups;
+    tb = Rules.make_tables 0;
     n_groups = 0;
     index = Array.make (2 * groups) (-1);
     splits = Array.make 64 0;
@@ -141,6 +155,8 @@ let create_arena () =
     pk_free = -1;
     stack = Array.make 1024 0;
     top = 0;
+    log = Array.make 256 0;
+    n_log = 0;
     best = Array.make 3 0.0;
   }
 
@@ -150,15 +166,11 @@ let reset_arena a =
   a.n_splits <- 0;
   a.pk_used <- 0;
   a.pk_free <- -1;
-  a.top <- 0
+  a.top <- 0;
+  a.n_log <- 0
 
 let grow_ints xs fill =
   let ys = Array.make (2 * Array.length xs) fill in
-  Array.blit xs 0 ys 0 (Array.length xs);
-  ys
-
-let grow_floats xs =
-  let ys = Array.make (2 * Array.length xs) 0.0 in
   Array.blit xs 0 ys 0 (Array.length xs);
   ys
 
@@ -177,20 +189,20 @@ let grow_groups a =
   a.g_outstanding <- grow_ints a.g_outstanding fresh;
   a.g_parked <- grow_ints a.g_parked (-1);
   a.g_win <- grow_ints a.g_win no_plan;
-  let tb = a.tb in
-  a.tb <-
-    {
-      Rules.t_rows = grow_floats tb.Rules.t_rows;
-      t_io = grow_floats tb.Rules.t_io;
-      t_cpu = grow_floats tb.Rules.t_cpu;
-      t_hash_spill = grow_floats tb.Rules.t_hash_spill;
-      t_sort_spill = grow_floats tb.Rules.t_sort_spill;
-      t_sort_cpu = grow_floats tb.Rules.t_sort_cpu;
-    };
   a.index <- Array.make (2 * Array.length a.index) (-1);
   for g = 0 to a.n_groups - 1 do
     a.index.(slot_of a a.g_set.(g)) <- g
   done
+
+(* A logged split: its group and its left child group, each below 2^31. *)
+let log_entry g gl = (g lsl 31) lor gl
+let entry_group e = e lsr 31
+let entry_left e = e land ((1 lsl 31) - 1)
+
+let log_split a g gl =
+  if a.n_log = Array.length a.log then a.log <- grow_ints a.log 0;
+  a.log.(a.n_log) <- log_entry g gl;
+  a.n_log <- a.n_log + 1
 
 let add_split a l =
   if a.n_splits = Array.length a.splits then a.splits <- grow_ints a.splits 0;
@@ -287,26 +299,8 @@ let find_or_create s set =
     a.g_outstanding.(g) <- fresh;
     a.g_parked.(g) <- -1;
     a.g_win.(g) <- no_plan;
-    (* [Card.card] of a singleton is exactly its filtered base rows. *)
-    a.tb.Rules.t_rows.(g) <- Card.card s.card set;
-    Rules.set_entry_terms s.model a.tb g ~width:(Card.width s.card set);
     alloc s group_bytes;
     g
-  end
-
-(* The alternative the evaluator left in [a.best] replaces the group's
-   best only when strictly cheaper: ties keep the incumbent, so the
-   earliest of equal-cost alternatives wins. [gl] is the split's left
-   child group (0 for a leaf). *)
-let offer a g tag gl =
-  let tb = a.tb in
-  if
-    a.g_win.(g) = no_plan
-    || not (tb.Rules.t_io.(g) +. tb.Rules.t_cpu.(g) <= a.best.(2))
-  then begin
-    tb.Rules.t_io.(g) <- a.best.(0);
-    tb.Rules.t_cpu.(g) <- a.best.(1);
-    a.g_win.(g) <- pack_win gl tag
   end
 
 (* Re-push the parked splits, most recently parked first, so the first
@@ -339,10 +333,9 @@ let process_opt_group s set =
     if Relset.cardinal set = 1 then begin
       let i = Relset.min_elt set in
       let n_alternatives = if Rules.has_index_path s.card i then 2 else 1 in
-      let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
       alloc s (phys_bytes * n_alternatives);
       s.n_phys <- s.n_phys + n_alternatives;
-      offer a g tag 0;
+      (* A finished leaf is costed when the plan is priced. *)
       finish_group s g
     end
     else begin
@@ -379,7 +372,7 @@ let process_expand s g cursor =
   for k = cursor to stop - 1 do
     a.g_outstanding.(g) <- a.g_outstanding.(g) + 1;
     let l = a.splits.(k) in
-    (* LIFO: children optimize before the split is costed. *)
+    (* LIFO: children optimize before the split is logged. *)
     push s l (split_task g);
     push s (Relset.diff a.g_set.(g) l) opt_group;
     push s l opt_group
@@ -391,7 +384,9 @@ let process_expand s g cursor =
 
 (* Both child groups exist by the time a split task runs: the expand
    task pushed their optimize tasks on top of it, so [find_or_create]
-   here is a lookup. A child still in progress parks the split. *)
+   here is a lookup. A child still in progress parks the split. The
+   split is logged only once its alternatives are metered: if that
+   allocation raises, a search that costs as it goes never offers it. *)
 let process_opt_split s l g =
   let a = s.arena in
   let gl = find_or_create s l in
@@ -399,12 +394,9 @@ let process_opt_split s l g =
   if a.g_outstanding.(gl) <> finished then park a gl l g
   else if a.g_outstanding.(gr) <> finished then park a gr l g
   else begin
-    let tag =
-      Rules.cheapest_join_into s.model a.tb ~s:g ~l:gl ~r:gr ~best:a.best
-    in
     alloc s (phys_bytes * 5);
     s.n_phys <- s.n_phys + 5;
-    offer a g tag gl;
+    log_split a g gl;
     group_task_done s g
   end
 
@@ -419,8 +411,69 @@ let flush_cpu s =
     s.cpu_pending <- 0
   end
 
+(* The root was offered something: a split of it was logged, or it is a
+   one-relation leaf, whose alternatives are costed against the seed. *)
+let root_offered a root =
+  let rec logged k =
+    k >= 0 && (entry_group a.log.(k) = root || logged (k - 1))
+  in
+  Relset.cardinal a.g_set.(root) = 1 || logged (a.n_log - 1)
+
+(* The alternative the evaluator left in [a.best] replaces the group's
+   best only when strictly cheaper: ties keep the incumbent, so the
+   earliest of equal-cost alternatives wins. [gl] is the split's left
+   child group (0 for a leaf). *)
+let offer a g tag gl =
+  let tb = a.tb in
+  if
+    a.g_win.(g) = no_plan
+    || not (tb.Rules.t_io.(g) +. tb.Rules.t_cpu.(g) <= a.best.(2))
+  then begin
+    tb.Rules.t_io.(g) <- a.best.(0);
+    tb.Rules.t_cpu.(g) <- a.best.(1);
+    a.g_win.(g) <- pack_win gl tag
+  end
+
+(* Price what the search explored, as a search that costs as it goes
+   would have: entry terms for every group, the seed as the root's
+   incumbent, every finished leaf, then the logged splits in order.
+   Returns the number of alternatives priced. *)
+let price s ~root ~(seed_join : Plan.t) =
+  let a = s.arena in
+  if Array.length a.tb.Rules.t_rows < Array.length a.g_set then
+    a.tb <- Rules.make_tables (Array.length a.g_set);
+  let tb = a.tb in
+  for g = 0 to a.n_groups - 1 do
+    let set = a.g_set.(g) in
+    (* [Card.card] of a singleton is exactly its filtered base rows. *)
+    tb.Rules.t_rows.(g) <- Card.card s.card set;
+    Rules.set_entry_terms s.model tb g ~width:(Card.width s.card set)
+  done;
+  tb.Rules.t_io.(root) <- seed_join.Plan.cost_io;
+  tb.Rules.t_cpu.(root) <- seed_join.Plan.cost_cpu;
+  a.g_win.(root) <- seed_win;
+  let costed = ref (5 * a.n_log) in
+  for g = 0 to a.n_groups - 1 do
+    let set = a.g_set.(g) in
+    if Relset.cardinal set = 1 && a.g_outstanding.(g) = finished then begin
+      let i = Relset.min_elt set in
+      let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
+      costed := !costed + if Rules.has_index_path s.card i then 2 else 1;
+      offer a g tag 0
+    end
+  done;
+  for k = 0 to a.n_log - 1 do
+    let g = entry_group a.log.(k) and gl = entry_left a.log.(k) in
+    let gr = a.index.(slot_of a (Relset.diff a.g_set.(g) a.g_set.(gl))) in
+    let tag =
+      Rules.cheapest_join_into s.model tb ~s:g ~l:gl ~r:gr ~best:a.best
+    in
+    offer a g tag gl
+  done;
+  !costed
+
 (* The winning tree of group [g]. Every group it reaches finished before
-   its parent costed it, so the columns hold its final best. *)
+   its parent's split was logged, so the columns hold its final best. *)
 let rec build s g =
   let a = s.arena in
   let set = a.g_set.(g) and w = a.g_win.(g) in
@@ -487,9 +540,6 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
           (match c.Plan.node with Plan.Sort inner -> inner | _ -> c)
       | _ -> seed
     in
-    arena.tb.Rules.t_io.(root) <- seed_join.Plan.cost_io;
-    arena.tb.Rules.t_cpu.(root) <- seed_join.Plan.cost_cpu;
-    arena.g_win.(root) <- seed_win;
     alloc s (phys_bytes * Plan.n_operators seed_join);
     push s full opt_group;
     let rec loop () =
@@ -521,10 +571,14 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
           Stopped_early
     in
     flush_cpu s;
-    let best =
-      if arena.g_win.(root) = seed_win then seed_join else build s root
+    let costed =
+      if root_offered arena root then price s ~root ~seed_join else 0
     in
-    let plan = Rules.finalize model card best in
+    (* [seed] is [Rules.finalize] of [seed_join]. *)
+    let plan =
+      if costed = 0 || arena.g_win.(root) = seed_win then seed
+      else Rules.finalize model card (build s root)
+    in
     Ok
       {
         plan;
@@ -538,6 +592,7 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
             phys = s.n_phys;
             allocated_bytes = s.allocated;
             budget;
+            costed;
           };
       }
   with Env.Aborted reason ->

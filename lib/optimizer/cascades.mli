@@ -24,18 +24,22 @@
     connected split of every connected subset — the same space as an
     exhaustive System-R DP, the tests' oracle — hence equal optimal cost.
 
-    The memo keeps costs, not plans. Each group is a row of flat
-    columns: rows, its best plan's cost_io and cost_cpu, and the winning
-    operator tag packed with the winning left child group. Three cost
-    terms are per group rather than per split: its spill io as a hash
-    build side, and the spill io and cpu of a Sort over it. They are
-    computed once when the group is created
-    ({!Rules.set_entry_terms}). Groups are costed by
-    {!Rules.cheapest_leaf_into} and {!Rules.cheapest_join_into}; splits
-    are listed from the query's
-    adjacency masks ({!Query.iter_connected_subsets}); and the one
-    [Plan.t] is built from the root when the search ends. The metered
-    bytes are those of the memo being modelled, not of these columns. *)
+    The memo keeps costs, not plans, and the search reads no cost: a
+    split whose children have finished is metered and logged, not
+    costed. Splits are listed from the query's adjacency masks
+    ({!Query.iter_connected_subsets}). When the search ends, the plan
+    is the greedy seed unless the root was offered something (one of
+    its splits was logged, or it is a one-relation leaf). Only then is
+    the memo priced: each group gets a row of flat columns (rows, its
+    best plan's cost_io and cost_cpu, and three per-group terms from
+    {!Rules.set_entry_terms}: its spill io as a hash build side, and the
+    spill io and cpu of a Sort over it), finished leaves are costed by
+    {!Rules.cheapest_leaf_into}, and the logged splits by
+    {!Rules.cheapest_join_into} in the order the search logged them, so
+    each group's winner and cost bits are those of a search that costs
+    as it goes. The one [Plan.t] is then built from the root. The
+    metered bytes are those of the memo being modelled, not of these
+    columns. *)
 
 (** Metered bytes per physical alternative costed (18 KiB). A memo group
     costs 72 KiB and a recorded logical split 18 KiB. *)
@@ -67,6 +71,10 @@ type stats = {
   phys : int;
   allocated_bytes : int;  (** total compile memory metered *)
   budget : int;  (** task budget chosen by dynamic optimization *)
+  costed : int;
+      (** alternatives priced when the plan was built: 0 when the greedy
+          seed stood unopposed, else those of every finished leaf and 5
+          per logged split *)
 }
 
 type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
@@ -74,10 +82,12 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
 (** {1 Memo arena}
 
     Reusable storage for the search: the group columns and index, the
-    split buffer, the parked-split nodes and the task stack. Passing the
+    split buffer, the parked-split nodes, the task stack and the split
+    log, plus the cost columns once a plan has been priced. Passing the
     same arena to successive {!optimize} calls keeps them at high-water
     capacity instead of re-growing them per query. That capacity follows
-    the number of groups and live tasks, never 2^n subsets. Reuse is
+    the number of groups, live tasks and logged splits, never 2^n
+    subsets. Reuse is
     observationally transparent: results, stats and environment
     interactions are identical to a fresh memo. {!optimize} clears an
     arena's logical state on entry, and an arena holds no plans, so a

@@ -1,50 +1,70 @@
 (* Left-deep join order: starts from the smallest filtered relation and
    repeatedly joins the connected relation that minimises the
-   intermediate cardinality. *)
+   intermediate cardinality. Each relation after the first comes with
+   the rows of the join that adds it. *)
 let order card =
   let q = Card.query card in
   let n = Query.n_rels q in
-  if n = 1 then [ 0 ]
-  else begin
-    (* Start at the relation with the fewest filtered rows. *)
-    let start = ref 0 in
-    for i = 1 to n - 1 do
-      if Card.base_rows card i < Card.base_rows card !start then start := i
-    done;
-    let joined = ref (Relset.singleton !start) in
-    let picked = ref [ !start ] in
-    while Relset.cardinal !joined < n do
-      let best = ref None in
-      for i = 0 to n - 1 do
-        if not (Relset.mem i !joined) then begin
-          if Query.has_pred_between q (Relset.singleton i) !joined then begin
-            let c = Card.card card (Relset.add i !joined) in
-            match !best with
-            | Some (_, bc) when bc <= c -> ()
-            | _ -> best := Some (i, c)
-          end
+  (* Start at the relation with the fewest filtered rows. *)
+  let start = ref 0 in
+  for i = 1 to n - 1 do
+    if Card.base_rows card i < Card.base_rows card !start then start := i
+  done;
+  let joined = ref (Relset.singleton !start) in
+  let picked = ref [] in
+  while Relset.cardinal !joined < n do
+    let best = ref None in
+    for i = 0 to n - 1 do
+      if not (Relset.mem i !joined) then begin
+        if Query.has_pred_between q (Relset.singleton i) !joined then begin
+          let c = Card.card card (Relset.add i !joined) in
+          match !best with
+          | Some (_, bc) when bc <= c -> ()
+          | _ -> best := Some (i, c)
         end
-      done;
-      match !best with
-      | Some (i, _) ->
-          joined := Relset.add i !joined;
-          picked := i :: !picked
-      | None ->
-          (* Disconnected graphs are rejected by [Query.make]. *)
-          assert false
+      end
     done;
-    List.rev !picked
-  end
+    match !best with
+    | Some ((i, _) as step) ->
+        joined := Relset.add i !joined;
+        picked := step :: !picked
+    | None ->
+        (* Disconnected graphs are rejected by [Query.make]. *)
+        assert false
+  done;
+  (!start, List.rev !picked)
 
+(* Rows of the scratch tables: the plan so far, the next leaf, and
+   their join. *)
+let acc = 0
+let leaf = 1
+let joined = 2
+
+let load model tb k (p : Plan.t) =
+  tb.Rules.t_rows.(k) <- p.Plan.rows;
+  tb.Rules.t_io.(k) <- p.Plan.cost_io;
+  tb.Rules.t_cpu.(k) <- p.Plan.cost_cpu;
+  Rules.set_entry_terms model tb k ~width:p.Plan.width
+
+(* Each step's alternatives are costed by the cost-only evaluators, and
+   only the winner is built. The evaluators match the [Plan]
+   constructors bit for bit and break ties as [Rules.cheapest] does, so
+   the plan is the one that building every alternative and keeping the
+   cheapest would give. *)
 let plan model card =
-  match order card with
-  | [] -> invalid_arg "Greedy.plan: empty query"
-  | first :: rest ->
-      let leaf i = Rules.cheapest (Rules.leaf_alternatives model card i) in
-      let joined =
-        List.fold_left
-          (fun acc i ->
-            Rules.cheapest (Rules.join_alternatives model card acc (leaf i)))
-          (leaf first) rest
-      in
-      Rules.finalize model card joined
+  let tb = Rules.make_tables 3 and best = Array.make 3 0.0 in
+  let leaf_plan i =
+    Rules.leaf_plan model card i (Rules.cheapest_leaf_into model card i ~best)
+  in
+  let step p (i, rows) =
+    let l = leaf_plan i in
+    load model tb acc p;
+    load model tb leaf l;
+    tb.Rules.t_rows.(joined) <- rows;
+    let tag =
+      Rules.cheapest_join_into model tb ~s:joined ~l:acc ~r:leaf ~best
+    in
+    Rules.join_plan model ~rows tag p l
+  in
+  let start, rest = order card in
+  Rules.finalize model card (List.fold_left step (leaf_plan start) rest)

@@ -15,7 +15,8 @@ let join_alternatives model card a b =
   ]
 
 (* ------------------------------------------------------------------- *)
-(* Cost-only alternative evaluation for the {!Cascades} search.
+(* Cost-only alternative evaluation, for {!Cascades} when it prices a
+   plan and for every step of {!Greedy}.
 
    The functions below mirror the cost formulas of the [Plan] constructors
    term for term, in the same floating-point evaluation order, so the
@@ -56,7 +57,10 @@ let make_tables n =
 
 (* [Plan.hash_join]'s spill term for this entry as the build side, and
    [Plan.sort]'s io and cpu terms over it, each as the constructor
-   evaluates it. *)
+   evaluates it. The search never calls this: {!Cascades} fills every
+   group's terms in one pass when it prices a plan, after the search
+   ends, and {!Greedy} refills its plan-so-far and leaf rows each
+   step. *)
 let set_entry_terms model tb i ~width =
   let rows = tb.t_rows.(i) in
   let page = float_of_int model.Cost.page_size in

@@ -17,15 +17,16 @@ val join_alternatives : Cost.model -> Card.t -> Plan.t -> Plan.t -> Plan.t list
 (** Cheapest element of a nonempty list of alternatives. *)
 val cheapest : Plan.t list -> Plan.t
 
-(** {1 Cost-only evaluation for the Cascades search}
+(** {1 Cost-only evaluation}
 
-    The {!Cascades} search never builds a [Plan.t] per alternative; it
-    works on flat arrays indexed by memo group ordinal and identifies
-    the winning physical alternative by an integer tag. The evaluators
-    below mirror the [Plan] constructors' cost arithmetic bit for bit
-    (same terms, same floating-point evaluation order), so
-    reconstructing only the winning tree afterwards yields exactly the
-    plan a list-based search would have chosen. Three terms depend only
+    Neither {!Cascades} nor {!Greedy} builds a [Plan.t] per alternative;
+    they price alternatives over flat arrays (indexed by memo group
+    ordinal when {!Cascades} prices a plan after its search, by a
+    3-row scratch table in {!Greedy}) and identify the winning physical
+    alternative by an integer tag. The evaluators below mirror the
+    [Plan] constructors' cost arithmetic bit for bit (same terms, same
+    floating-point evaluation order), so building only the winners
+    yields exactly the plan a list-based search would have chosen. Three terms depend only
     on one child's rows and width: its spill io as a hash build side,
     and the spill io and cpu of an implicit Sort over it. They are
     computed once per entry by {!set_entry_terms}; every other term is

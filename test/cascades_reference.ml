@@ -5,7 +5,7 @@
    list-based graph functions below (the predicate-list forms of
    [Query.connected], [neighborhood] and [connected_subsets]). It shares
    the parameter and result types with the real search so results
-   compare with [=]. Test-only. *)
+   compare with [=], all but [stats.costed]. Test-only. *)
 
 open Optimizer
 open Cascades
@@ -474,6 +474,9 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
             phys = s.n_phys;
             allocated_bytes = s.allocated;
             budget;
+            (* This search prices as it goes, so it has no count of what
+               pricing at the end would cost; comparisons skip it. *)
+            costed = 0;
           };
       }
   with Env.Aborted reason ->
