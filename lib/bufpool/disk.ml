@@ -20,7 +20,7 @@ let create eng ~spindles ~seek_s ~throughput_bytes_per_s =
      array speed and concurrent streams share it by queueing. *)
   {
     eng;
-    spindles = Sim.Resource.Sem.create eng ~name:"disk" ~capacity:1 ();
+    spindles = Sim.Resource.Sem.create eng ~capacity:1 ();
     seek_s;
     throughput = float_of_int spindles *. throughput_bytes_per_s;
     reads = 0;

@@ -11,7 +11,7 @@ let create eng ?(trace = Obs.Trace.null) ~name ~slots ~timeout () =
   if slots < 1 then invalid_arg "Monitor.create: slots must be >= 1";
   if timeout <= 0. then invalid_arg "Monitor.create: timeout must be > 0";
   { mname = name; meng = eng; mtrace = trace;
-    sem = Sim.Resource.Sem.create eng ~name ~capacity:slots ();
+    sem = Sim.Resource.Sem.create eng ~capacity:slots ();
     mtimeout = timeout; nreleases = 0 }
 
 let emit t ~qid phase ~priority =
@@ -33,7 +33,6 @@ let release ?(qid = "") t =
   t.nreleases <- t.nreleases + 1;
   emit t ~qid Obs.Event.Release ~priority:0;
   Sim.Resource.Sem.release t.sem ~n:1
-let set_slots t n = Sim.Resource.Sem.set_capacity t.sem n
 let set_discipline t d = Sim.Resource.Sem.set_discipline t.sem d
 let discipline t = Sim.Resource.Sem.discipline t.sem
 let name t = t.mname

@@ -30,9 +30,6 @@ val acquire :
 (** Give the slot back. *)
 val release : ?qid:string -> t -> unit
 
-(** Adjust concurrency at runtime (dynamic policies). *)
-val set_slots : t -> int -> unit
-
 (** Switch the waiting queue's service order (see
     {!Sim.Resource.discipline}); applies to new arrivals only. *)
 val set_discipline : t -> Sim.Resource.discipline -> unit

@@ -11,7 +11,7 @@ let create eng ~cores ?(slice = 0.25) () =
   if slice <= 0. then invalid_arg "Cpu.create: slice";
   {
     eng;
-    sem = Sim.Resource.Sem.create eng ~name:"cpu" ~capacity:cores ();
+    sem = Sim.Resource.Sem.create eng ~capacity:cores ();
     slice;
     created_at = Sim.Engine.now eng;
     busy_total = 0.;

@@ -16,7 +16,7 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~total
   {
     eng;
     gtrace = trace;
-    sem = Sim.Resource.Sem.create eng ~name:"grants" ~capacity:total ();
+    sem = Sim.Resource.Sem.create eng ~capacity:total ();
     clerk;
     max_query_frac;
     min_grant;

@@ -9,8 +9,6 @@ type t = {
   breaker_reopens : int;
   breaker_closes : int;
   breakers_open : (string * Breaker.state) list;
-  gate_widens : int;
-  gates_widened : (string * int) list;
   forced_reclaims : int;
 }
 
@@ -36,13 +34,6 @@ let pp fmt t =
               (fun (tpl, st) ->
                 Printf.sprintf "%s:%s" tpl (Breaker.state_name st))
               open_now)));
-  line "gate widenings" (string_of_int t.gate_widens);
-  (match t.gates_widened with
-  | [] -> ()
-  | widened ->
-      line "gates still widened"
-        (String.concat ", "
-           (List.map (fun (g, extra) -> Printf.sprintf "%s:+%d" g extra) widened)));
   line "forced reclaims" (string_of_int t.forced_reclaims);
   Format.fprintf fmt "  error budget@\n";
   Format.fprintf fmt "    %-22s %5s  %-8s %-9s %7s@\n" "code" "sql" "severity"

@@ -20,8 +20,6 @@ type t = {
   breaker_closes : int;
   breakers_open : (string * Breaker.state) list;
       (** breakers not closed at the end of the run *)
-  gate_widens : int;
-  gates_widened : (string * int) list;  (** still above base width *)
   forced_reclaims : int;
 }
 

@@ -3,7 +3,6 @@ let insist_after = 5
 type t = {
   enabled : bool;
   watchdog : Watchdog.t;
-  starvation : Starvation.t;
   breakers : Breaker.t;
 }
 
@@ -11,15 +10,10 @@ let create ?trace eng ~enabled =
   {
     enabled;
     watchdog = Watchdog.create ?trace eng;
-    starvation = Starvation.create ?trace eng;
     breakers = Breaker.create ?trace eng;
   }
 
-let start t =
-  if t.enabled then begin
-    Watchdog.start t.watchdog;
-    Starvation.start t.starvation
-  end
+let start t = if t.enabled then Watchdog.start t.watchdog
 
 let admit t ~template =
   if t.enabled then Breaker.admit t.breakers ~template else Ok ()

@@ -1,5 +1,5 @@
-(** The supervision layer as one switch: a watchdog, a starvation
-    auditor and per-template circuit breakers, plus broker insistence.
+(** The supervision layer as one switch: a watchdog and per-template
+    circuit breakers, plus broker insistence.
 
     The parts are always built, so their counters can always be read.
     Off is inert: {!start} installs no timer, {!admit} admits everyone,
@@ -14,13 +14,12 @@ val insist_after : int
 type t = {
   enabled : bool;
   watchdog : Watchdog.t;
-  starvation : Starvation.t;  (** gates are added by the caller *)
   breakers : Breaker.t;
 }
 
 val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> enabled:bool -> t
 
-(** Start the watchdog and starvation audits; a no-op when off. *)
+(** Start the watchdog's audit; a no-op when off. *)
 val start : t -> unit
 
 (** The {!Breaker} calls when on; [Ok ()] and no-ops when off. *)

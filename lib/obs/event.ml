@@ -56,7 +56,6 @@ type t =
   | Breaker_open of { template : string }
   | Breaker_close of { template : string }
   | Forced_reclaim of { comp : string; wanted : int; freed : int }
-  | Gate_widen of { gate : string; slots : int }
   | Arbiter_tick of {
       scarce : bool;
       total : int;
@@ -110,7 +109,6 @@ let name = function
   | Breaker_open _ -> "health:breaker_open"
   | Breaker_close _ -> "health:breaker_close"
   | Forced_reclaim _ -> "broker:forced_reclaim"
-  | Gate_widen _ -> "health:gate_widen"
   | Arbiter_tick _ -> "arbiter:tick"
   | Arbiter_reclaim _ -> "arbiter:reclaim"
   | Shard_state _ -> "shard:state"

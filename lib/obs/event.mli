@@ -89,9 +89,6 @@ type t =
   | Forced_reclaim of { comp : string; wanted : int; freed : int }
       (** the broker insisted: component [comp] ignored its shrink target
           for too many ticks and [freed] bytes were reclaimed by force *)
-  | Gate_widen of { gate : string; slots : int }
-      (** starvation auditor changed the named gateway to [slots] slots
-          (widened while starved, or restored when the queue drained) *)
   | Arbiter_tick of {
       scarce : bool;  (** predicted aggregate demand exceeds the machine *)
       total : int;  (** physical bytes the arbiter splits across pools *)

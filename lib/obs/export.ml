@@ -97,8 +97,6 @@ let fields_of_event = function
         ("wanted", Event.I wanted);
         ("freed", Event.I freed);
       ]
-  | Event.Gate_widen { gate; slots } ->
-      [ ("gate", Event.S gate); ("slots", Event.I slots) ]
   | Event.Arbiter_tick { scarce; total; pools } ->
       [
         ("scarce", Event.B scarce);

@@ -1,32 +1,15 @@
-(* Storm-defense layer (metastable-failure defenses). Everything off in
+(* Storm-defense layer (metastable-failure defenses). Off in
    [no_defense] so every pre-existing configuration replays its seed
    byte-for-byte; [defended] is the full stack the storm experiment
-   switches on. *)
+   switches on. The stack is one switch: it is on exactly when the retry
+   budget is configured. *)
 type defense = {
-  d_singleflight : bool;  (* coalesce concurrent same-statement compiles *)
   d_budget : Resilience.Budget.config option;  (* retry token bucket *)
-  d_adaptive_queues : bool;  (* FIFO->LIFO under sustained standing *)
-  d_storm : bool;  (* miss-storm detector *)
-  d_warm_prime : int;  (* hottest templates primed on shard rejoin; 0 = off *)
 }
 
-let no_defense =
-  {
-    d_singleflight = false;
-    d_budget = None;
-    d_adaptive_queues = false;
-    d_storm = false;
-    d_warm_prime = 0;
-  }
-
-let defended =
-  {
-    d_singleflight = true;
-    d_budget = Some Resilience.Budget.default_config;
-    d_adaptive_queues = true;
-    d_storm = true;
-    d_warm_prime = 4;
-  }
+let no_defense = { d_budget = None }
+let defended = { d_budget = Some Resilience.Budget.default_config }
+let defense_on d = Option.is_some d.d_budget
 
 let page_bytes = Dbmem.Units.mib 4
 let disk_seek_s = 0.008
@@ -116,17 +99,11 @@ let pp ppf t =
      else "static thresholds")
     Qcore.Throttle_config.pp t.throttle Resilience.pp t.resilience;
   if t.supervision then
-    Format.fprintf ppf "@,supervision ON: watchdog + starvation auditor + breakers";
-  if
-    t.defense.d_singleflight || t.defense.d_budget <> None
-    || t.defense.d_adaptive_queues || t.defense.d_storm
-  then
+    Format.fprintf ppf "@,supervision ON: watchdog + breakers";
+  if defense_on t.defense then
     Format.fprintf ppf
-      "@,storm defense ON: singleflight=%b budget=%b adaptive-queues=%b \
-       detector=%b warm-prime=%d"
-      t.defense.d_singleflight
-      (t.defense.d_budget <> None)
-      t.defense.d_adaptive_queues t.defense.d_storm t.defense.d_warm_prime;
+      "@,storm defense ON: singleflight + retry budget + adaptive queues + \
+       storm detector + warm-prime";
   match t.faults with
   | [] -> ()
   | faults ->

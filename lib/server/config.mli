@@ -1,24 +1,19 @@
 (** Server configuration. {!default} models the paper's testbed: 8 CPUs,
     4 GB of memory, 8 SCSI disks in RAID-0 (§5.2). *)
 
-(** Metastable-failure (storm) defense knobs — see DESIGN.md §11. All off
-    in {!no_defense}, the default, so pre-existing configurations replay
-    their seed byte-for-byte. *)
+(** The metastable-failure (storm) defense stack — see DESIGN.md §11 —
+    as one switch: it is on exactly when [d_budget] is [Some]. On, the
+    server coalesces concurrent compiles of one canonical statement
+    ({!Plancache.Singleflight}), flips a gateway queue FIFO->LIFO under
+    sustained standing ({!Qcore.Compile_gov.set_adaptive_lifo}), runs the
+    {!Health.Storm} miss-storm detector and warm-primes a rejoining
+    shard's plan cache; the storm scenario gives each client the retry
+    budget. Off in {!no_defense}, the default, so pre-existing
+    configurations replay their seed byte-for-byte. *)
 type defense = {
-  d_singleflight : bool;
-      (** coalesce concurrent compiles of one canonical statement onto a
-          single in-flight optimization ({!Plancache.Singleflight}) *)
   d_budget : Resilience.Budget.config option;
-      (** per-client retry token bucket; [None] = unconditional retries *)
-  d_adaptive_queues : bool;
-      (** gateway FIFO->LIFO flip under sustained queue standing
-          ({!Qcore.Compile_gov.set_adaptive_lifo}) *)
-  d_storm : bool;
-      (** the {!Health.Storm} compile-miss storm detector, which counts
-          episodes for the storm report *)
-  d_warm_prime : int;
-      (** number of hottest templates warm-primed into a rejoining
-          shard's plan cache; [0] disables priming *)
+      (** per-client retry token bucket; [None] = the stack is off and
+          retries are unconditional *)
 }
 
 val no_defense : defense
@@ -26,6 +21,9 @@ val no_defense : defense
 (** Every defense on at default strength (the storm experiment's
     defenses-on arm). *)
 val defended : defense
+
+(** Whether the stack is on: [d_budget <> None]. *)
+val defense_on : defense -> bool
 
 (** Buffer-pool granule: 4 MiB. *)
 val page_bytes : int
@@ -54,8 +52,8 @@ type t = {
   resilience : bool;
       (** the {!Resilience} retry/degrade/shed policy; off by default *)
   supervision : bool;
-      (** the {!Health.Supervise} layer: watchdog, starvation auditor,
-          circuit breakers and broker insistence; off by default *)
+      (** the {!Health.Supervise} layer: watchdog, circuit breakers and
+          broker insistence; off by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];

@@ -205,23 +205,11 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
   let super =
     Health.Supervise.create ~trace eng ~enabled:cfg.Config.supervision
   in
-  (* The audited gates are the compile gateways; the grant queue is
-     byte-denominated and already trims per query, so widening it is the
-     broker's job, not the auditor's. *)
-  Array.iter
-    (fun m ->
-      Health.Starvation.add_gate super.Health.Supervise.starvation
-        ~name:(Qcore.Monitor.name m)
-        ~queued:(fun () -> Qcore.Monitor.queued m)
-        ~admitted:(fun () -> Qcore.Monitor.acquires m)
-        ~slots:(fun () -> Qcore.Monitor.slots m)
-        ~set_slots:(fun n -> Qcore.Monitor.set_slots m n))
-    (Qcore.Compile_gov.monitors gov);
-  let defense = cfg.Config.defense in
+  let defended = Config.defense_on cfg.Config.defense in
   let sflight =
     Plancache.Singleflight.create
       ~mode:
-        (if defense.Config.d_singleflight then Plancache.Singleflight.Coalesce
+        (if defended then Plancache.Singleflight.Coalesce
          else Plancache.Singleflight.Observe)
       eng
   in
@@ -234,8 +222,8 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
          in
          Obs.Trace.emit trace ~time:(Sim.Engine.now eng) ~qid:template
            (Obs.Event.Singleflight_coalesce { template; waiters })));
-  let storm = Health.Storm.create ~trace eng ~enabled:defense.Config.d_storm in
-  Qcore.Compile_gov.set_adaptive_lifo gov defense.Config.d_adaptive_queues;
+  let storm = Health.Storm.create ~trace eng ~enabled:defended in
+  Qcore.Compile_gov.set_adaptive_lifo gov defended;
   {
     eng;
     trace;
@@ -468,8 +456,8 @@ let admit t q ~template =
   let qid = q.Optimizer.Query.qid in
   (* Popularity book for warm-priming: which templates this server is
      asked for, and one representative query per template to prime from.
-     Only kept when priming is configured, so other runs stay lean. *)
-  if t.cfg.Config.defense.Config.d_warm_prime > 0 then begin
+     Only kept when the defense stack is on, so other runs stay lean. *)
+  if Config.defense_on t.cfg.Config.defense then begin
     Hashtbl.replace t.template_counts template
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.template_counts template));
     if not (Hashtbl.mem t.prime_reps template) then
@@ -646,16 +634,18 @@ let prime t q =
       Ok ()
   | Error e -> Error e
 
+(* Templates a warm-prime recompiles: the hottest 4. *)
+let warm_prime_templates = 4
+
 (* Prime the hottest templates by observed submission count (ties broken
    by name, so the order is deterministic). Runs in the caller's process
    and blocks at the gateways; spawn it. *)
 let warm_prime t =
-  let k = t.cfg.Config.defense.Config.d_warm_prime in
-  if k > 0 then
+  if Config.defense_on t.cfg.Config.defense then
     Hashtbl.fold (fun tpl count acc -> (tpl, count) :: acc) t.template_counts []
     |> List.sort (fun (ta, ca) (tb, cb) ->
            if ca <> cb then compare cb ca else compare ta tb)
-    |> List.filteri (fun i _ -> i < k)
+    |> List.filteri (fun i _ -> i < warm_prime_templates)
     |> List.iter (fun (tpl, _) ->
            match Hashtbl.find_opt t.prime_reps tpl with
            | Some q -> ignore (prime t q)
@@ -730,7 +720,7 @@ let join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget =
    unsupervised server too: the error budget and completion counts come
    from the metrics, with all supervision counters at zero. *)
 let health_report t ?(since = 0.) () =
-  let { Health.Supervise.watchdog; starvation; breakers; _ } = t.super in
+  let { Health.Supervise.watchdog; breakers; _ } = t.super in
   {
     Health.Report.duration_s = Sim.Engine.now t.eng -. since;
     completed = Metrics.total_completions t.metrics ~since ();
@@ -742,8 +732,6 @@ let health_report t ?(since = 0.) () =
     breaker_reopens = Health.Breaker.reopened_total breakers;
     breaker_closes = Health.Breaker.closed_total breakers;
     breakers_open = Health.Breaker.states breakers;
-    gate_widens = Health.Starvation.widen_total starvation;
-    gates_widened = Health.Starvation.widened_now starvation;
     forced_reclaims = Qcore.Broker.forced_reclaims t.broker;
   }
 

@@ -43,16 +43,16 @@ val submit_catch : t -> Optimizer.Query.t -> (unit, string) result
 
     Driven by {!Config.defense}. Singleflight always runs — in [Observe]
     mode (defenses off) it only counts the duplicate compiles coalescing
-    would have saved; with [d_singleflight] on, concurrent compiles of
-    one canonical statement coalesce onto the leader's optimization. *)
+    would have saved; with the defenses on, concurrent compiles of one
+    canonical statement coalesce onto the leader's optimization. *)
 
 (** Compile [q] into the plan cache {e without} executing it — the
     warm-prime path for a shard rejoining cold. Takes the gateways like
     any query; must run in a simulation process. *)
 val prime : t -> Optimizer.Query.t -> (unit, Health.Error.t) result
 
-(** Prime the [d_warm_prime] hottest templates (by observed submission
-    count, deterministic order). No-op when priming is off. Blocks at the
+(** Prime the 4 hottest templates (by observed submission count,
+    deterministic order). No-op when the defenses are off. Blocks at the
     gateways; spawn it. *)
 val warm_prime : t -> unit
 
@@ -96,7 +96,7 @@ val join_arbiter :
   Qcore.Arbiter.pool
 
 (** Snapshot the supervision layer's books: per-code error budget,
-    watchdog / breaker / starvation counters, forced reclaims. [since]
+    watchdog / breaker counters, forced reclaims. [since]
     bounds the completion count and duration (default [0.]). Meaningful
     for unsupervised servers too (supervision counters read zero). *)
 val health_report : t -> ?since:float -> unit -> Health.Report.t

@@ -14,8 +14,7 @@ module Sem = struct
 
   type t = {
     eng : Engine.t;
-    sname : string;
-    mutable capacity : int;
+    capacity : int;
     mutable in_use : int;
     mutable seq : int;
     mutable disc : discipline;
@@ -30,11 +29,10 @@ module Sem = struct
     let c = compare a.priority b.priority in
     if c <> 0 then c else compare a.order b.order
 
-  let create eng ?(name = "sem") ~capacity () =
+  let create eng ~capacity () =
     if capacity < 0 then invalid_arg "Sem.create: negative capacity";
     {
       eng;
-      sname = name;
       capacity;
       in_use = 0;
       seq = 0;
@@ -46,7 +44,6 @@ module Sem = struct
       grants = 0;
     }
 
-  let name t = t.sname
   let capacity t = t.capacity
   let in_use t = t.in_use
   let discipline t = t.disc
@@ -56,7 +53,6 @@ module Sem = struct
      and nobody already waiting is reshuffled behind newer arrivals
      retroactively. *)
   let set_discipline t d = t.disc <- d
-  let available t = max 0 (t.capacity - t.in_use)
   let queued t = t.queued
   let wait_stats t = t.wait_stats
   let timeouts t = t.timeouts
@@ -132,25 +128,10 @@ module Sem = struct
               in
               w.timer <- Some h)
 
-  let try_acquire t ~n =
-    if n < 0 then invalid_arg "Sem.try_acquire: negative n";
-    if no_live_waiter t && t.capacity - t.in_use >= n then begin
-      t.in_use <- t.in_use + n;
-      t.grants <- t.grants + 1;
-      Stats.Online.add t.wait_stats 0.;
-      true
-    end
-    else false
-
   let release t ~n =
     if n < 0 then invalid_arg "Sem.release: negative n";
     if n > t.in_use then invalid_arg "Sem.release: more than in use";
     t.in_use <- t.in_use - n;
-    drain t
-
-  let set_capacity t c =
-    if c < 0 then invalid_arg "Sem.set_capacity: negative capacity";
-    t.capacity <- c;
     drain t
 end
 

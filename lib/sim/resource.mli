@@ -18,13 +18,12 @@ type discipline = Fifo | Lifo
 
     Waiters are served in [(priority, arrival)] order and there is no
     overtaking: if the head waiter does not fit, later (even smaller)
-    requests wait behind it, like SQL Server's resource semaphore. Capacity
-    can be adjusted at runtime (dynamic gateway limits). *)
+    requests wait behind it, like SQL Server's resource semaphore. *)
 module Sem : sig
   type t
 
   (** [create eng ~capacity ()] with [capacity >= 0] units. *)
-  val create : Engine.t -> ?name:string -> capacity:int -> unit -> t
+  val create : Engine.t -> capacity:int -> unit -> t
 
   (** [acquire t ?priority ?timeout ~n ()] blocks until [n] units are
       granted or [timeout] elapses. Lower [priority] values are served
@@ -32,16 +31,8 @@ module Sem : sig
   val acquire :
     t -> ?priority:int -> ?timeout:float -> n:int -> unit -> acquire_result
 
-  (** [try_acquire t ~n] grants immediately or not at all (never blocks).
-      Only succeeds when no waiter is queued (no overtaking). *)
-  val try_acquire : t -> n:int -> bool
-
   (** [release t ~n] returns [n] units and wakes eligible waiters. *)
   val release : t -> n:int -> unit
-
-  (** [set_capacity t c] adjusts total capacity. Shrinking below [in_use]
-      is allowed; the deficit recovers as units are released. *)
-  val set_capacity : t -> int -> unit
 
   (** [set_discipline t d] switches service order within each priority
       class for waiters enqueued {e from now on}; processes already queued
@@ -51,10 +42,8 @@ module Sem : sig
 
   val discipline : t -> discipline
 
-  val name : t -> string
   val capacity : t -> int
   val in_use : t -> int
-  val available : t -> int
 
   (** Number of processes currently blocked in {!acquire}. *)
   val queued : t -> int

@@ -1,5 +1,5 @@
 (* Supervision-layer tests: unit tests for the error taxonomy, circuit
-   breakers, watchdog, starvation auditor and backoff edges; integration
+   breakers, watchdog and backoff edges; integration
    tests on the canonical chaos scenario (breakers trip and recover,
    supervised throughput, golden health report); and a QCheck property
    over fuzzed fault schedules (no query is ever permanently stuck, the
@@ -217,12 +217,11 @@ let test_watchdog_escalation () =
 (* ------------------------------------------------------------------ *)
 (* A compile held at a gateway while the watchdog acts
 
-   Three sessions hold the one gateway's slot and the two the
-   starvation auditor may add, until [hold]; they spawn first and meter
-   more, so widening admits them before the query. The query's first
-   allocation, the memo root, waits at the gate from t = 1, silent: the
-   watchdog softens it at 240 s of silence and requests its cancel at
-   720 s. When the gate opens, the next allocation (the greedy seed)
+   A holder session takes the one gateway's slot at t = 0 and keeps it
+   until [hold]. The query's first allocation, the memo root, waits at
+   the gate from t = 1, silent: the watchdog softens it at 240 s of
+   silence and requests its cancel at 720 s. When the gate opens, the
+   next allocation (the greedy seed)
    beats the watchdog, which clears a soften, or raises on the cancel
    request. The traced run meters each allocation in its own call (the
    governor grants no credit while tracing) and the untraced one meters
@@ -255,13 +254,11 @@ let held_compile ~hold ~traced =
   let dbms = Server.Dbms.create ~trace eng cfg (Workload.Sales.catalog ()) in
   Server.Dbms.start dbms;
   let gov = Server.Dbms.governor dbms in
-  for i = 1 to 3 do
-    Sim.Engine.spawn eng ~name:(Printf.sprintf "holder%d" i) (fun () ->
-        let s = Qcore.Compile_gov.begin_compile gov in
-        ignore (Qcore.Compile_gov.alloc s (Dbmem.Units.mib 8));
-        Sim.Engine.sleep (hold -. Sim.Engine.now eng);
-        Qcore.Compile_gov.end_compile s)
-  done;
+  Sim.Engine.spawn eng ~name:"holder" (fun () ->
+      let s = Qcore.Compile_gov.begin_compile gov in
+      ignore (Qcore.Compile_gov.alloc s (Dbmem.Units.mib 8));
+      Sim.Engine.sleep (hold -. Sim.Engine.now eng);
+      Qcore.Compile_gov.end_compile s);
   let outcome = ref "unfinished" and finished = ref Float.nan in
   Sim.Engine.spawn eng ~name:"query" ~delay:1. (fun () ->
       let t = List.hd (Workload.Sales.templates ()) in
@@ -292,57 +289,6 @@ let test_held_compile_softened () =
 
 let test_held_compile_cancelled () =
   check_held_compile ~hold:800. ~outcome:"watchdog-cancelled (compile)" ~watchdog:(1, 1)
-
-(* ------------------------------------------------------------------ *)
-(* Starvation auditor *)
-
-let test_starvation_widens_and_restores () =
-  let eng = Sim.Engine.create ~seed:1 () in
-  let sv = Health.Starvation.create eng in
-  let queued = ref 5 and admitted = ref 0 and slots = ref 4 in
-  Health.Starvation.add_gate sv ~name:"small"
-    ~queued:(fun () -> !queued)
-    ~admitted:(fun () -> !admitted)
-    ~slots:(fun () -> !slots)
-    ~set_slots:(fun n -> slots := n);
-  Health.Starvation.start sv;
-  (* Audits run every 60 s. Two stalled audits: below the threshold, no
-     intervention. *)
-  advance eng 150.;
-  Alcotest.(check int) "no widening below threshold" 4 !slots;
-  (* Third stalled audit: widen by one. *)
-  advance eng 60.;
-  Alcotest.(check int) "widened to 5" 5 !slots;
-  Alcotest.(check int) "one intervention" 1 (Health.Starvation.widen_total sv);
-  Alcotest.(check (list (pair string int))) "reported above base"
-    [ ("small", 1) ]
-    (Health.Starvation.widened_now sv);
-  (* Three more stalled audits: widen again, to the base+2 cap. *)
-  advance eng 180.;
-  Alcotest.(check int) "widened to the cap" 6 !slots;
-  Alcotest.(check int) "two interventions" 2 (Health.Starvation.widen_total sv);
-  (* Still starved, but capped: no further widening, no phantom counts. *)
-  advance eng 180.;
-  Alcotest.(check int) "capped at base+2" 6 !slots;
-  Alcotest.(check int) "capped interventions not counted" 2
-    (Health.Starvation.widen_total sv);
-  (* Queue drains: the emergency slots are given back. *)
-  queued := 0;
-  advance eng 60.;
-  Alcotest.(check int) "base restored on drain" 4 !slots;
-  Alcotest.(check (list (pair string int))) "nothing above base" []
-    (Health.Starvation.widened_now sv);
-  (* Progress resets the stall count: 2 stalls, a grant, 2 stalls = no
-     intervention; a third consecutive stall then triggers one. *)
-  queued := 5;
-  advance eng 120.;
-  admitted := 1;
-  advance eng 60.;
-  advance eng 120.;
-  Alcotest.(check int) "progress reset the stall count" 4 !slots;
-  advance eng 60.;
-  Alcotest.(check int) "third consecutive stall widens" 5 !slots;
-  Alcotest.(check int) "three interventions" 3 (Health.Starvation.widen_total sv)
 
 (* ------------------------------------------------------------------ *)
 (* Broker insistence: a component that ignores consecutive shrink
@@ -640,7 +586,6 @@ let suite =
     ("watchdog escalation", `Quick, test_watchdog_escalation);
     ("held compile softened at a gateway", `Quick, test_held_compile_softened);
     ("held compile cancelled at a gateway", `Quick, test_held_compile_cancelled);
-    ("starvation auditor widens and restores", `Quick, test_starvation_widens_and_restores);
     ("broker insists on deaf components", `Quick, test_broker_insists_on_deaf_components);
     ("backoff edge cases", `Quick, test_backoff_edges);
     ("breakers trip and recover under chaos", `Slow, test_breaker_trips_and_recovers);

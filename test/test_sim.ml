@@ -505,39 +505,6 @@ let test_sem_no_overtaking () =
   in
   Alcotest.(check (list string)) "no overtaking" [ "big"; "small" ] (List.rev !order)
 
-let test_sem_set_capacity_wakes () =
-  let acquired = ref false in
-  let _ =
-    run_with_sem ~capacity:0 (fun eng sem ->
-        Engine.spawn eng (fun () ->
-            ignore (Resource.Sem.acquire sem ~n:1 ());
-            acquired := true);
-        ignore (Engine.schedule eng ~delay:1.0 (fun () -> Resource.Sem.set_capacity sem 1)))
-  in
-  Alcotest.(check bool) "woken by capacity increase" true !acquired
-
-let test_sem_shrink_below_in_use () =
-  let _, sem =
-    run_with_sem ~capacity:2 (fun eng sem ->
-        Engine.spawn eng (fun () ->
-            ignore (Resource.Sem.acquire sem ~n:2 ());
-            Resource.Sem.set_capacity sem 1;
-            Alcotest.(check int) "available clamps to 0" 0 (Resource.Sem.available sem);
-            Resource.Sem.release sem ~n:2))
-  in
-  Alcotest.(check int) "capacity" 1 (Resource.Sem.capacity sem);
-  Alcotest.(check int) "available recovers" 1 (Resource.Sem.available sem)
-
-let test_sem_try_acquire () =
-  let _ =
-    run_with_sem ~capacity:1 (fun eng sem ->
-        Engine.spawn eng (fun () ->
-            Alcotest.(check bool) "first try ok" true (Resource.Sem.try_acquire sem ~n:1);
-            Alcotest.(check bool) "second try fails" false (Resource.Sem.try_acquire sem ~n:1);
-            Resource.Sem.release sem ~n:1))
-  in
-  ()
-
 let prop_sem_never_exceeds_capacity =
   QCheck.Test.make ~name:"semaphore never over-grants" ~count:60
     QCheck.(pair (int_range 1 5) (list (pair (int_range 1 3) (int_range 0 20))))
@@ -788,9 +755,6 @@ let suite =
     ("sem timeout counts", `Quick, test_sem_timeout_counts);
     ("sem priority order", `Quick, test_sem_priority_order);
     ("sem no overtaking", `Quick, test_sem_no_overtaking);
-    ("sem set_capacity wakes", `Quick, test_sem_set_capacity_wakes);
-    ("sem shrink below in-use", `Quick, test_sem_shrink_below_in_use);
-    ("sem try_acquire", `Quick, test_sem_try_acquire);
     ("waitq signal fifo", `Quick, test_waitq_signal_fifo);
     ("engine cancel after fire", `Quick, test_engine_cancel_after_fire_noop);
     ("engine negative schedule", `Quick, test_engine_schedule_negative_rejected);
