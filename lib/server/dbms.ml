@@ -639,17 +639,17 @@ let warm_prime_templates = 4
 
 (* Prime the hottest templates by observed submission count (ties broken
    by name, so the order is deterministic). Runs in the caller's process
-   and blocks at the gateways; spawn it. *)
+   and blocks at the gateways; spawn it. With the defenses off [admit]
+   books no template, so there is nothing to prime. *)
 let warm_prime t =
-  if Config.defense_on t.cfg.Config.defense then
-    Hashtbl.fold (fun tpl count acc -> (tpl, count) :: acc) t.template_counts []
-    |> List.sort (fun (ta, ca) (tb, cb) ->
-           if ca <> cb then compare cb ca else compare ta tb)
-    |> List.filteri (fun i _ -> i < warm_prime_templates)
-    |> List.iter (fun (tpl, _) ->
-           match Hashtbl.find_opt t.prime_reps tpl with
-           | Some q -> ignore (prime t q)
-           | None -> ())
+  Hashtbl.fold (fun tpl count acc -> (tpl, count) :: acc) t.template_counts []
+  |> List.sort (fun (ta, ca) (tb, cb) ->
+         if ca <> cb then compare cb ca else compare ta tb)
+  |> List.filteri (fun i _ -> i < warm_prime_templates)
+  |> List.iter (fun (tpl, _) ->
+         match Hashtbl.find_opt t.prime_reps tpl with
+         | Some q -> ignore (prime t q)
+         | None -> ())
 
 (* Wire the configured fault schedule into this server's attack surface.
    [spawn_burst] is supplied by whoever owns the workload (Experiment, the

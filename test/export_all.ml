@@ -108,9 +108,9 @@ let events =
           } );
     ]
 
-(* Records are 0.5 s apart in list order, except that the slot at 14 s
-   after the forced reclaim stays empty: a constructor removed from
-   [Obs.Event.t] leaves every later record at the time the golden pins. *)
+(* Records are 0.5 s apart in list order. The slot at 14 s, after the
+   forced reclaim, stays empty, so the records after it keep the times
+   test/export_all.golden pins. *)
 let records =
   Array.of_list
     (List.mapi
