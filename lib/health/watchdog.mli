@@ -12,7 +12,14 @@
     polls at its next allocation or slice boundary. Gateway waits are
     bounded by the monitor timeouts (120/300/600 s), so the cancellation
     threshold sits above the biggest gateway timeout: a politely queued
-    query is never shot. *)
+    query is never shot.
+
+    A cancel is a request. A query honours it while it compiles, between
+    plan and exec, and after a retry backoff; execution (the grant wait
+    and the scans) never polls the flag, so a query marked there
+    finishes regardless. {!cancel_total} (the health report's
+    [cancels]) counts requests; the error budget's [watchdog-cancelled]
+    row counts the queries that were shot. *)
 
 type t
 type session
@@ -41,4 +48,6 @@ val watched : t -> int
 (** Sessions currently registered; 0 once a run has drained. *)
 
 val stale_total : t -> int
+
 val cancel_total : t -> int
+(** Cancel requests so far, honoured or not. *)

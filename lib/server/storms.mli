@@ -55,7 +55,9 @@ val default_config : config
 val fault_at : config -> float
 
 (** The {!Config.defense} this config's arm runs: {!Config.defended}
-    with [s_defenses = true], else {!Config.no_defense}. *)
+    with [s_defenses = true], else {!Config.no_defense}. The record is
+    one switch, so the arm's whole stack follows [s_defenses]; its
+    [d_budget] is also each client's retry budget. *)
 val defense_of : config -> Config.defense
 
 type shard_report = {
