@@ -897,7 +897,6 @@ let storm_cmd =
           int "dup_compiles" (fun o -> o.dup_compiles);
           int "coalesced" (fun o -> o.coalesced);
           int "storms" (fun o -> o.storms_detected);
-          int "primed" (fun o -> o.primed);
           int "lifo_shifts" (fun o -> o.lifo_shifts);
           int "budget_denials" (fun o -> o.budget_denials);
           int "submitted" (fun o -> o.submitted);
@@ -939,7 +938,7 @@ let storm_cmd =
        ~doc:
          "Metastable-failure experiment: cold-cache storms (crash-failover \
           or mass invalidation) with the defense stack — singleflight, \
-          retry budgets, adaptive queues, warm-priming — on vs off.")
+          retry budgets, adaptive queues — on vs off.")
     ~report:"storm report"
     ~trace:
       ( "Trace the defended first-schedule cell (the first cell, under \
@@ -1005,7 +1004,7 @@ let cache_cmd =
   in
   let ttl_arg =
     Arg.(
-      value & opt float 600.
+      value & opt Fanout.nonneg_float 600.
       & info [ "ttl" ] ~doc:"Cached-entry lifetime, seconds (0 = no expiry).")
   in
   let ballast_gib_arg =

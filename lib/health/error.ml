@@ -4,11 +4,10 @@ type code =
   | Low_memory_condition
   | Admission_shed
   | Breaker_open
-  | Watchdog_cancelled
   | Shard_unavailable
   | Retry_budget_exhausted
 
-type severity = Severe | Warning | Informational
+type severity = Severe | Informational
 type t = { code : code; detail : string }
 
 let make ?(detail = "") code = { code; detail }
@@ -20,7 +19,6 @@ let all_codes =
     Low_memory_condition;
     Admission_shed;
     Breaker_open;
-    Watchdog_cancelled;
     Shard_unavailable;
     Retry_budget_exhausted;
   ]
@@ -31,7 +29,6 @@ let code_name = function
   | Low_memory_condition -> "low-memory-condition"
   | Admission_shed -> "admission-shed"
   | Breaker_open -> "breaker-open"
-  | Watchdog_cancelled -> "watchdog-cancelled"
   | Shard_unavailable -> "shard-unavailable"
   | Retry_budget_exhausted -> "retry-budget-exhausted"
 
@@ -39,13 +36,12 @@ let sql_code = function
   | Insufficient_memory -> Some 701
   | Memory_wait_timeout -> Some 8645
   | Low_memory_condition -> Some 8651
-  | Admission_shed | Breaker_open | Watchdog_cancelled | Shard_unavailable
+  | Admission_shed | Breaker_open | Shard_unavailable
   | Retry_budget_exhausted ->
       None
 
 let severity = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition -> Severe
-  | Watchdog_cancelled -> Warning
   | Admission_shed | Breaker_open | Shard_unavailable
   | Retry_budget_exhausted ->
       Informational
@@ -54,11 +50,10 @@ let retryable = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition
   | Admission_shed | Breaker_open | Shard_unavailable ->
       true
-  | Watchdog_cancelled | Retry_budget_exhausted -> false
+  | Retry_budget_exhausted -> false
 
 let severity_name = function
   | Severe -> "severe"
-  | Warning -> "warning"
   | Informational -> "info"
 
 let to_string t =

@@ -6,7 +6,7 @@
     8645 (timeout waiting for a memory resource) and 8651 (could not get
     the requested memory under low-memory conditions). The supervision
     layer adds its own codes for the decisions it takes (shed, breaker
-    open, watchdog cancel) so that {e every} failure in a health report is
+    open) so that {e every} failure in a health report is
     accounted for — no anonymous errors. *)
 
 type code =
@@ -20,7 +20,6 @@ type code =
           low-memory conditions — SQL Server 8651 *)
   | Admission_shed  (** admission control refused the query at the door *)
   | Breaker_open  (** the template's circuit breaker is open *)
-  | Watchdog_cancelled  (** the watchdog cancelled a silent/stuck query *)
   | Shard_unavailable
       (** the shard holding this query's placement is down (or its
           connection was lost mid-flight when the shard crashed) — a
@@ -30,7 +29,7 @@ type code =
           a fixed fraction of goodput, so during an outage further retries
           fail fast here instead of amplifying the storm *)
 
-type severity = Severe | Warning | Informational
+type severity = Severe | Informational
 
 type t = { code : code; detail : string }
 (** [detail] names the failing resource (gateway name, clerk, template). *)
@@ -47,15 +46,14 @@ val sql_code : code -> int option
 (** The SQL Server error number the code mirrors, if any. *)
 
 val severity : code -> severity
-(** 701/8645/8651 are [Severe]; watchdog cancels are [Warning]s (the
-    supervisor chose them); sheds and breaker rejections are
-    [Informational] back-pressure, not failures of the engine. *)
+(** 701/8645/8651 are [Severe]; sheds, breaker rejections, lost shards
+    and an empty retry budget are [Informational] back-pressure, not
+    failures of the engine. *)
 
 val retryable : code -> bool
 (** Whether a client retry has a reasonable chance: resource waits and
-    back-pressure are retryable; watchdog cancels and an empty retry
-    budget are not (the query itself is the problem, or its budget is
-    gone). *)
+    back-pressure are retryable; an empty retry budget is not (the
+    query's budget is gone). *)
 
 val severity_name : severity -> string
 

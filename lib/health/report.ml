@@ -4,7 +4,6 @@ type t = {
   errors : (Error.code * int) list;
   watchdog_watched : int;
   watchdog_stale : int;
-  watchdog_cancels : int;
   breaker_opens : int;
   breaker_reopens : int;
   breaker_closes : int;
@@ -21,8 +20,7 @@ let pp fmt t =
   line "completed queries" (string_of_int t.completed);
   line "failed queries" (string_of_int (total_errors t));
   line "permanently stuck" (string_of_int (stuck t));
-  line "watchdog stale / cancels"
-    (Printf.sprintf "%d / %d" t.watchdog_stale t.watchdog_cancels);
+  line "watchdog stale" (string_of_int t.watchdog_stale);
   line "breaker opens / closes"
     (Printf.sprintf "%d / %d" t.breaker_opens t.breaker_closes);
   (match t.breakers_open with

@@ -11,8 +11,7 @@ type t = {
   completed : int;  (** queries that finished successfully *)
   errors : (Error.code * int) list;  (** all codes, fixed order *)
   watchdog_watched : int;  (** sessions still registered at the end *)
-  watchdog_stale : int;
-  watchdog_cancels : int;
+  watchdog_stale : int;  (** softens: sessions silent for 240 s *)
   breaker_opens : int;
   breaker_reopens : int;
       (** of [breaker_opens], half-open probes that re-tripped; not

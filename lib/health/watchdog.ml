@@ -4,16 +4,12 @@ let poll_s = 30.0
 (* Silence before a session is softened, seconds. *)
 let stale_after_s = 240.0
 
-(* Silence before a session is cancelled, seconds. *)
-let cancel_after_s = 720.0
-
 type session = {
   qid : string;
   id : int;
   seng : Sim.Engine.t;
   mutable last_beat : float;
   mutable soft : bool;
-  mutable cancel : bool;
 }
 
 type t = {
@@ -22,7 +18,6 @@ type t = {
   sessions : (int, session) Hashtbl.t;
   mutable next_id : int;
   mutable stale_total : int;
-  mutable cancel_total : int;
 }
 
 let create ?(trace = Obs.Trace.null) eng =
@@ -32,7 +27,6 @@ let create ?(trace = Obs.Trace.null) eng =
     sessions = Hashtbl.create 64;
     next_id = 0;
     stale_total = 0;
-    cancel_total = 0;
   }
 
 let emit t qid event =
@@ -44,11 +38,7 @@ let audit t =
   Hashtbl.iter
     (fun _ s ->
       let age = now -. s.last_beat in
-      if age >= cancel_after_s && not s.cancel then (
-        s.cancel <- true;
-        t.cancel_total <- t.cancel_total + 1;
-        emit t s.qid (Obs.Event.Watchdog_cancel { age }))
-      else if age >= stale_after_s && not s.soft then (
+      if age >= stale_after_s && not s.soft then (
         s.soft <- true;
         t.stale_total <- t.stale_total + 1;
         emit t s.qid (Obs.Event.Heartbeat_stale { age })))
@@ -69,7 +59,6 @@ let watch t ~qid =
       seng = t.eng;
       last_beat = Sim.Engine.now t.eng;
       soft = false;
-      cancel = false;
     }
   in
   Hashtbl.replace t.sessions id s;
@@ -77,13 +66,10 @@ let watch t ~qid =
 
 let beat s =
   s.last_beat <- Sim.Engine.now s.seng;
-  (* A fresh sign of life un-softens the query — unless the watchdog has
-     already escalated; cancellation is sticky. *)
-  if not s.cancel then s.soft <- false
+  (* A fresh sign of life un-softens the query. *)
+  s.soft <- false
 
 let unwatch t s = Hashtbl.remove t.sessions s.id
 let softened s = s.soft
-let cancel_requested s = s.cancel
 let watched t = Hashtbl.length t.sessions
 let stale_total t = t.stale_total
-let cancel_total t = t.cancel_total

@@ -52,7 +52,6 @@ type t =
   | Oom of { clerk : string; requested : int; free : int }
   | Reclaim of { wanted : int; freed : int }
   | Heartbeat_stale of { age : float }
-  | Watchdog_cancel of { age : float }
   | Breaker_open of { template : string }
   | Breaker_close of { template : string }
   | Forced_reclaim of { comp : string; wanted : int; freed : int }
@@ -105,7 +104,6 @@ let name = function
   | Oom _ -> "mem:oom"
   | Reclaim _ -> "mem:reclaim"
   | Heartbeat_stale _ -> "health:heartbeat_stale"
-  | Watchdog_cancel _ -> "health:watchdog_cancel"
   | Breaker_open _ -> "health:breaker_open"
   | Breaker_close _ -> "health:breaker_close"
   | Forced_reclaim _ -> "broker:forced_reclaim"

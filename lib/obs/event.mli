@@ -79,9 +79,6 @@ type t =
   | Heartbeat_stale of { age : float }
       (** watchdog: a query's last heartbeat is [age] seconds old; the
           session has been softened (best-plan-so-far forced) *)
-  | Watchdog_cancel of { age : float }
-      (** watchdog escalation: the query stayed silent for [age] seconds
-          after softening and has been marked for cancellation *)
   | Breaker_open of { template : string }
       (** circuit breaker for a query template tripped open *)
   | Breaker_close of { template : string }

@@ -1,4 +1,4 @@
-type abort_reason = Gateway_timeout of string | Out_of_memory | Cancelled
+type abort_reason = Gateway_timeout of string | Out_of_memory
 
 exception Aborted of abort_reason
 
@@ -24,4 +24,3 @@ let counting ~bytes ~cpu_seconds =
 let pp_abort_reason ppf = function
   | Gateway_timeout m -> Format.fprintf ppf "gateway timeout (%s)" m
   | Out_of_memory -> Format.fprintf ppf "out of memory"
-  | Cancelled -> Format.fprintf ppf "cancelled"

@@ -22,15 +22,11 @@
     while the compiling process is suspended, inside [cpu] or a blocking
     [alloc]. It must return 0 when the next allocation must reach it:
     when it records or counts every call, when a per-call hook may fire,
-    or when this call left state that the next call acts on (a cancel
-    request it raises on, or a soften that the next call's heartbeat
-    clears before [should_stop] reads it). With a credit of 0 every
-    allocation calls [alloc]. *)
+    or when this call left state that the next call acts on (a soften
+    that the next call's heartbeat clears before [should_stop] reads
+    it). With a credit of 0 every allocation calls [alloc]. *)
 
-type abort_reason =
-  | Gateway_timeout of string
-  | Out_of_memory
-  | Cancelled
+type abort_reason = Gateway_timeout of string | Out_of_memory
 
 (** Raised by [alloc] (or [cpu]) to abandon the compilation. *)
 exception Aborted of abort_reason

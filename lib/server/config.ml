@@ -103,7 +103,7 @@ let pp ppf t =
   if defense_on t.defense then
     Format.fprintf ppf
       "@,storm defense ON: singleflight + retry budget + adaptive queues + \
-       storm detector + warm-prime";
+       storm detector";
   match t.faults with
   | [] -> ()
   | faults ->

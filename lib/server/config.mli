@@ -5,10 +5,9 @@
     as one switch: it is on exactly when [d_budget] is [Some]. On, the
     server coalesces concurrent compiles of one canonical statement
     ({!Plancache.Singleflight}), flips a gateway queue FIFO->LIFO under
-    sustained standing ({!Qcore.Compile_gov.set_adaptive_lifo}), runs the
-    {!Health.Storm} miss-storm detector and warm-primes a rejoining
-    shard's plan cache; the storm scenario gives each client the retry
-    budget. Off in {!no_defense}, the default, so pre-existing
+    sustained standing ({!Qcore.Compile_gov.set_adaptive_lifo}) and runs
+    the {!Health.Storm} miss-storm detector; the storm scenario gives
+    each client the retry budget. Off in {!no_defense}, the default, so pre-existing
     configurations replay their seed byte-for-byte. *)
 type defense = {
   d_budget : Resilience.Budget.config option;

@@ -26,11 +26,6 @@ type t = {
          only counts the duplicate compiles coalescing would have saved,
          so a defenses-off run can report its duplication factor *)
   storm : Health.Storm.t;
-  prime_reps : (string, Optimizer.Query.t) Hashtbl.t;
-      (* one representative query per template, for warm-priming *)
-  template_counts : (string, int) Hashtbl.t;
-      (* submissions per template: the popularity order priming follows *)
-  mutable primed : int;
   mutable arenas : Optimizer.Cascades.arena list;
       (* free pool of memo arenas, one per concurrent compile: compiles
          suspend at governor gateways, so in-flight searches cannot share
@@ -252,9 +247,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     super;
     sflight;
     storm;
-    prime_reps = Hashtbl.create 16;
-    template_counts = Hashtbl.create 16;
-    primed = 0;
     arenas = [];
   }
 
@@ -277,16 +269,10 @@ type job = {
   mutable degraded : bool;
 }
 
-let new_job ?watch q =
-  { query = q; qid = q.Optimizer.Query.qid; watch; degraded = false }
-
 (* What a completed query books in [settle]. *)
 type completion = { compile_s : float; exec_s : float; cut_down : bool }
 
 let beat job = Option.iter Health.Watchdog.beat job.watch
-
-let cancelled job =
-  Option.fold ~none:false ~some:Health.Watchdog.cancel_requested job.watch
 
 let softened job = Option.fold ~none:false ~some:Health.Watchdog.softened job.watch
 
@@ -307,23 +293,18 @@ let governed t ~qid f =
    the governor (which may block at gateways or fail), CPU is burnt on
    the shared pool, and the search stops early when the broker predicts
    compile-memory exhaustion. Every allocation beats the query's
-   watchdog session; a softened session forces best-plan-so-far, and a
-   cancel request aborts at the next allocation rather than holding
-   gateways for work that can no longer matter. The credit is the
-   governor's, or 0 once the watchdog has softened or cancelled the job
+   watchdog session; a softened session forces best-plan-so-far. The
+   credit is the governor's, or 0 once the watchdog has softened the job
    during the call: the next allocation must then reach here, to beat
-   (which clears a soften) or to raise. *)
+   (which clears the soften). *)
 let compile_env t job session =
   {
     Optimizer.Env.alloc =
       (fun n ->
         beat job;
-        if cancelled job then
-          raise (Optimizer.Env.Aborted Optimizer.Env.Cancelled);
         match Qcore.Compile_gov.alloc session n with
         | Ok () ->
-            if cancelled job || softened job then 0
-            else Qcore.Compile_gov.credit session
+            if softened job then 0 else Qcore.Compile_gov.credit session
         | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail } ->
             raise (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
         | Error _ -> raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
@@ -332,14 +313,11 @@ let compile_env t job session =
       (fun () -> Qcore.Compile_gov.should_stop_early t.gov || softened job);
   }
 
-(* Only the watchdog cancels a compile, so [Cancelled] is its cancel. *)
 let abort_error = function
   | Optimizer.Env.Out_of_memory ->
       Health.Error.make ~detail:"compile" Health.Error.Insufficient_memory
   | Optimizer.Env.Gateway_timeout m ->
       Health.Error.make ~detail:m Health.Error.Memory_wait_timeout
-  | Optimizer.Env.Cancelled ->
-      Health.Error.make ~detail:"compile" Health.Error.Watchdog_cancelled
 
 (* The full Cascades search, inserted into the plan cache on success. *)
 let compile_full t job =
@@ -454,15 +432,6 @@ let should_shed t =
    session. *)
 let admit t q ~template =
   let qid = q.Optimizer.Query.qid in
-  (* Popularity book for warm-priming: which templates this server is
-     asked for, and one representative query per template to prime from.
-     Only kept when the defense stack is on, so other runs stay lean. *)
-  if Config.defense_on t.cfg.Config.defense then begin
-    Hashtbl.replace t.template_counts template
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.template_counts template));
-    if not (Hashtbl.mem t.prime_reps template) then
-      Hashtbl.add t.prime_reps template q
-  end;
   match Health.Supervise.admit t.super ~template with
   | Error e -> Error e
   | Ok () when should_shed t ->
@@ -474,7 +443,13 @@ let admit t q ~template =
       Health.Supervise.release_probe t.super ~template;
       Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
   | Ok () ->
-      Ok (new_job ?watch:(Health.Supervise.watch t.super ~qid) q)
+      Ok
+        {
+          query = q;
+          qid;
+          watch = Health.Supervise.watch t.super ~qid;
+          degraded = false;
+        }
 
 (* Stage 2, plan. Under any broker pressure the full search would queue
    at shrunken gateways (and likely OOM), so go straight to the cheap
@@ -522,8 +497,6 @@ let attempt t job =
   | Error ({ Health.Error.code = Health.Error.Memory_wait_timeout; _ } as e) ->
       Error (`Retry e)
   | Error e -> Error (`Final e)
-  | Ok _ when cancelled job ->
-      Error (`Final (Health.Error.make ~detail:"exec" Health.Error.Watchdog_cancelled))
   | Ok (p, compile_s, greedy) -> (
       match exec t job p with
       | Ok (outcome, reduced) ->
@@ -561,7 +534,7 @@ let nap t job pause =
     go 0.
   end
 
-(* Stage 4, back off before attempt [n + 1], or give up with [e] when
+(* Stage 4, back off before attempt [n + 1]; [false] (give up) when
    resilience is off or the retries are spent. *)
 let back_off t job ~n (e : Health.Error.t) =
   match t.retry_rng with
@@ -573,19 +546,15 @@ let back_off t job ~n (e : Health.Error.t) =
            { attempt = n; pause_s = pause;
              kind = Health.Error.code_name e.Health.Error.code });
       nap t job pause;
-      if cancelled job then
-        Error (Health.Error.make ~detail:"retry" Health.Error.Watchdog_cancelled)
-      else Ok ()
-  | _ -> Error e
+      true
+  | _ -> false
 
 let rec attempts t job n =
   match attempt t job with
   | Ok c -> Ok c
   | Error (`Final e) -> Error e
-  | Error (`Retry e) -> (
-      match back_off t job ~n e with
-      | Ok () -> attempts t job (n + 1)
-      | Error e -> Error e)
+  | Error (`Retry e) ->
+      if back_off t job ~n e then attempts t job (n + 1) else Error e
 
 (* Stage 5, settle: book the query's one terminal outcome. Hard failures
    feed the template's breaker; back-pressure results (sheds, breaker
@@ -620,36 +589,6 @@ let submit_catch t q =
   match submit t q with
   | Ok () -> Ok ()
   | Error e -> Error (Health.Error.to_string e)
-
-(* Compile [q] into the plan cache without executing it — the warm-prime
-   path. Goes through [plan_for], so a priming compile takes the gateways
-   like any other and, with singleflight on, becomes the leader that
-   storming clients coalesce onto: the prime pays the compile once and
-   the whole queue shares it. *)
-let prime t q =
-  let job = new_job q in
-  match plan_for t job with
-  | Ok (_plan, elapsed, _) ->
-      if elapsed > 0. then t.primed <- t.primed + 1;
-      Ok ()
-  | Error e -> Error e
-
-(* Templates a warm-prime recompiles: the hottest 4. *)
-let warm_prime_templates = 4
-
-(* Prime the hottest templates by observed submission count (ties broken
-   by name, so the order is deterministic). Runs in the caller's process
-   and blocks at the gateways; spawn it. With the defenses off [admit]
-   books no template, so there is nothing to prime. *)
-let warm_prime t =
-  Hashtbl.fold (fun tpl count acc -> (tpl, count) :: acc) t.template_counts []
-  |> List.sort (fun (ta, ca) (tb, cb) ->
-         if ca <> cb then compare cb ca else compare ta tb)
-  |> List.filteri (fun i _ -> i < warm_prime_templates)
-  |> List.iter (fun (tpl, _) ->
-         match Hashtbl.find_opt t.prime_reps tpl with
-         | Some q -> ignore (prime t q)
-         | None -> ())
 
 (* Wire the configured fault schedule into this server's attack surface.
    [spawn_burst] is supplied by whoever owns the workload (Experiment, the
@@ -727,7 +666,6 @@ let health_report t ?(since = 0.) () =
     errors = Metrics.errors t.metrics;
     watchdog_watched = Health.Watchdog.watched watchdog;
     watchdog_stale = Health.Watchdog.stale_total watchdog;
-    watchdog_cancels = Health.Watchdog.cancel_total watchdog;
     breaker_opens = Health.Breaker.opened_total breakers;
     breaker_reopens = Health.Breaker.reopened_total breakers;
     breaker_closes = Health.Breaker.closed_total breakers;
@@ -751,4 +689,3 @@ let clerks t = t.clerk_list
 let ballast_clerk t = t.ballast
 let singleflight t = t.sflight
 let storm_detector t = t.storm
-let primed_total t = t.primed

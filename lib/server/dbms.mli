@@ -46,21 +46,8 @@ val submit_catch : t -> Optimizer.Query.t -> (unit, string) result
     would have saved; with the defenses on, concurrent compiles of one
     canonical statement coalesce onto the leader's optimization. *)
 
-(** Compile [q] into the plan cache {e without} executing it — the
-    warm-prime path for a shard rejoining cold. Takes the gateways like
-    any query; must run in a simulation process. *)
-val prime : t -> Optimizer.Query.t -> (unit, Health.Error.t) result
-
-(** Prime the 4 hottest templates (by observed submission count,
-    deterministic order). No-op when the defenses are off. Blocks at the
-    gateways; spawn it. *)
-val warm_prime : t -> unit
-
 val singleflight : t -> Plancache.Singleflight.t
 val storm_detector : t -> Health.Storm.t
-
-(** Templates actually compiled (not found cached) by {!prime}. *)
-val primed_total : t -> int
 
 (** Schedule the configured [config.faults] against this server; [None]
     when the schedule is empty. [spawn_burst], when given, realises

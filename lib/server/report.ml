@@ -205,7 +205,7 @@ let shards_section ?baseline (o : Shards.outcome) =
 
 let storm_shard_header =
   [ "shard"; "state"; "crashes"; "recompiles"; "cache hit"; "storms";
-    "primed"; "sf led"; "coalesced"; "dup compiles" ]
+    "sf led"; "coalesced"; "dup compiles" ]
 
 let storm_shard_row (r : Storms.shard_report) =
   [
@@ -215,7 +215,6 @@ let storm_shard_row (r : Storms.shard_report) =
     string_of_int r.Storms.sr_recompiles;
     Printf.sprintf "%.0f%%" (100. *. r.Storms.sr_cache_hit);
     string_of_int r.Storms.sr_storms;
-    string_of_int r.Storms.sr_primed;
     string_of_int r.Storms.sr_sf_led;
     string_of_int r.Storms.sr_sf_coalesced;
     string_of_int r.Storms.sr_sf_dup;
@@ -243,9 +242,9 @@ let storms_section (o : Storms.outcome) =
      else "never (still collapsed at window end)");
   Printf.printf
     "  storm: retry amplification %.2fx, %d duplicate compiles (%d \
-     coalesced away), %d episodes detected, %d templates warm-primed\n"
+     coalesced away), %d episodes detected\n"
     o.Storms.retry_amp o.Storms.dup_compiles o.Storms.coalesced
-    o.Storms.storms_detected o.Storms.primed;
+    o.Storms.storms_detected;
   Printf.printf
     "  defenses: %d LIFO shifts, %d budget denials\n"
     o.Storms.lifo_shifts o.Storms.budget_denials;

@@ -121,13 +121,6 @@ let restart t =
   t.rejoined <- true;
   transition t Recovering;
   set_offline t false;
-  (* Warm-prime the rejoining cache (on with the defense stack): one
-     spawned process recompiles the hottest templates, and the storming
-     clients coalesce onto those priming compiles instead of stampeding
-     the gateways. *)
-  if Config.defense_on (Dbms.config t.dbms).Config.defense then
-    Sim.Engine.spawn t.eng ~name:(t.s_name ^ ":warm-prime") (fun () ->
-        Dbms.warm_prime t.dbms);
   let epoch0 = t.epoch in
   ignore
     (Sim.Engine.schedule t.eng ~delay:t.probation (fun () ->

@@ -3,9 +3,8 @@
    and we measure whether the system climbs back out of the storm or
    stays collapsed after the trigger has cleared. The A/B axis is the
    defense stack ({!Config.defended} vs {!Config.no_defense}): compile
-   singleflight, per-client retry budgets, adaptive gateway queues and
-   warm-priming on rejoin. Everything else — workload,
-   seeds, fault schedule, gateway throttling — is identical between the
+   singleflight, per-client retry budgets and adaptive gateway queues.
+   Everything else — workload, seeds, fault schedule, gateway throttling — is identical between the
    two arms, so the difference in recovery time is the defenses'. *)
 
 type schedule = Cold_crash | Mass_invalidation
@@ -59,7 +58,6 @@ type shard_report = {
   sr_recompiles : int;  (** plan-cache misses since rejoin *)
   sr_cache_hit : float;
   sr_storms : int;  (** storm episodes the detector flagged *)
-  sr_primed : int;  (** templates warm-primed on rejoin *)
   sr_sf_led : int;  (** singleflight leaders (real compiles) *)
   sr_sf_coalesced : int;  (** followers who waited instead of compiling *)
   sr_sf_dup : int;
@@ -85,7 +83,6 @@ type outcome = {
   dup_compiles : int;  (** sum of [sr_sf_dup] *)
   coalesced : int;
   storms_detected : int;
-  primed : int;
   lifo_shifts : int;  (** gateway FIFO->LIFO queue flips *)
   budget_denials : int;  (** retries refused by empty token buckets *)
   submitted : int;
@@ -282,7 +279,6 @@ let run ?trace cfg =
              sr_recompiles = Shard.recompiles_after_rejoin sh;
              sr_cache_hit = Plancache.Cache.hit_rate (Dbms.plan_cache dbms);
              sr_storms = Health.Storm.storms_total (Dbms.storm_detector dbms);
-             sr_primed = Dbms.primed_total dbms;
              sr_sf_led = Plancache.Singleflight.led sf;
              sr_sf_coalesced = Plancache.Singleflight.coalesced sf;
              sr_sf_dup =
@@ -311,7 +307,6 @@ let run ?trace cfg =
     dup_compiles = sum (fun r -> r.sr_sf_dup);
     coalesced = sum (fun r -> r.sr_sf_coalesced);
     storms_detected = sum (fun r -> r.sr_storms);
-    primed = sum (fun r -> r.sr_primed);
     lifo_shifts = gov_sum Qcore.Compile_gov.lifo_shifts;
     budget_denials = Router.budget_denials router;
     submitted = Router.submitted router;

@@ -9,9 +9,9 @@
     compiles the same templates, retries amplify the arrival rate, and
     throughput can stay collapsed long after the caches could have been
     warm again. The defended arm runs {!Config.defended}: compile
-    singleflight, per-client retry budgets, adaptive gateway queues
-    (FIFO->LIFO) and warm-priming on rejoin; its storm detector counts
-    the storm episodes the report prints.
+    singleflight, per-client retry budgets and adaptive gateway queues
+    (FIFO->LIFO); its storm detector counts the storm episodes the
+    report prints.
 
     The headline numbers are {!outcome.recovery_s} (time back to 90% of
     the pre-trigger rate), {!outcome.retry_amp} (router attempts per
@@ -67,7 +67,6 @@ type shard_report = {
   sr_recompiles : int;  (** plan-cache misses since rejoin *)
   sr_cache_hit : float;
   sr_storms : int;  (** storm episodes the detector flagged *)
-  sr_primed : int;  (** templates warm-primed on rejoin *)
   sr_sf_led : int;  (** singleflight leaders (real compiles) *)
   sr_sf_coalesced : int;  (** followers who waited instead of compiling *)
   sr_sf_dup : int;
@@ -91,7 +90,6 @@ type outcome = {
   dup_compiles : int;  (** sum of [sr_sf_dup] across shards *)
   coalesced : int;
   storms_detected : int;
-  primed : int;
   lifo_shifts : int;  (** gateway FIFO->LIFO queue flips *)
   budget_denials : int;  (** retries refused by empty token buckets *)
   submitted : int;
