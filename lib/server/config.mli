@@ -7,8 +7,8 @@
     ({!Plancache.Singleflight}), flips a gateway queue FIFO->LIFO under
     sustained standing ({!Qcore.Compile_gov.set_adaptive_lifo}) and runs
     the {!Health.Storm} miss-storm detector; the storm scenario gives
-    each client the retry budget. Off in {!no_defense}, the default, so pre-existing
-    configurations replay their seed byte-for-byte. *)
+    each client the retry budget. Off in {!no_defense}, the default, so
+    pre-existing configurations replay their seed byte-for-byte. *)
 type defense = {
   d_budget : Resilience.Budget.config option;
       (** per-client retry token bucket; [None] = the stack is off and

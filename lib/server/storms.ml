@@ -4,8 +4,9 @@
    stays collapsed after the trigger has cleared. The A/B axis is the
    defense stack ({!Config.defended} vs {!Config.no_defense}): compile
    singleflight, per-client retry budgets and adaptive gateway queues.
-   Everything else — workload, seeds, fault schedule, gateway throttling — is identical between the
-   two arms, so the difference in recovery time is the defenses'. *)
+   Everything else — workload, seeds, fault schedule, gateway
+   throttling — is identical between the two arms, so the difference in
+   recovery time is the defenses'. *)
 
 type schedule = Cold_crash | Mass_invalidation
 
