@@ -466,7 +466,7 @@ let health_cmd =
       value & opt Fanout.nonneg_float 900.
       & info [ "drain" ]
           ~doc:"Extra seconds after clients stop, so in-flight queries can \
-                finish; anything still watched after the drain is stuck.")
+                finish; anything still in flight after the drain is stuck.")
   in
   let resilience_arg =
     Arg.(

@@ -2,8 +2,7 @@ type t = {
   duration_s : float;
   completed : int;
   errors : (Error.code * int) list;
-  watchdog_watched : int;
-  watchdog_stale : int;
+  in_flight : int;
   breaker_opens : int;
   breaker_reopens : int;
   breaker_closes : int;
@@ -11,16 +10,23 @@ type t = {
   forced_reclaims : int;
 }
 
-let stuck t = t.watchdog_watched
+let stuck t = t.in_flight
 let total_errors t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.errors
 
 let pp fmt t =
   let line k v = Format.fprintf fmt "  %-28s %s@\n" k v in
   Format.fprintf fmt "health report (%.0f s measured)@\n" t.duration_s;
   line "completed queries" (string_of_int t.completed);
-  line "failed queries" (string_of_int (total_errors t));
+  let hard =
+    List.fold_left
+      (fun acc (code, n) ->
+        if Error.severity code = Error.Severe then acc + n else acc)
+      0 t.errors
+  in
+  let total = total_errors t in
+  line "failed attempts"
+    (Printf.sprintf "%d (%d hard, %d refused)" total hard (total - hard));
   line "permanently stuck" (string_of_int (stuck t));
-  line "watchdog stale" (string_of_int t.watchdog_stale);
   line "breaker opens / closes"
     (Printf.sprintf "%d / %d" t.breaker_opens t.breaker_closes);
   (match t.breakers_open with

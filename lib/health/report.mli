@@ -10,8 +10,7 @@ type t = {
   duration_s : float;  (** measured interval *)
   completed : int;  (** queries that finished successfully *)
   errors : (Error.code * int) list;  (** all codes, fixed order *)
-  watchdog_watched : int;  (** sessions still registered at the end *)
-  watchdog_stale : int;  (** softens: sessions silent for 240 s *)
+  in_flight : int;  (** queries submitted and not yet settled *)
   breaker_opens : int;
   breaker_reopens : int;
       (** of [breaker_opens], half-open probes that re-tripped; not
@@ -23,12 +22,14 @@ type t = {
 }
 
 val stuck : t -> int
-(** Queries permanently stuck: still watched when the run ended. The
+(** Queries permanently stuck: still in flight when the run ended. The
     supervised acceptance criterion is [stuck r = 0]. *)
 
 val total_errors : t -> int
 
-
 val pp : Format.formatter -> t -> unit
 (** Render the snapshot with the error-budget table (code, SQL number,
-    severity, retryability, count). *)
+    severity, retryability, count). The failed-attempts line splits its
+    total into hard failures ({!Error.Severe}: 701, 8645, 8651) and
+    refusals (every {!Error.Informational} code: sheds, open breakers,
+    downed shards, spent retry budgets). *)

@@ -51,7 +51,6 @@ type t =
   | Mem of { clerk : string; used : int }
   | Oom of { clerk : string; requested : int; free : int }
   | Reclaim of { wanted : int; freed : int }
-  | Heartbeat_stale of { age : float }
   | Breaker_open of { template : string }
   | Breaker_close of { template : string }
   | Forced_reclaim of { comp : string; wanted : int; freed : int }
@@ -103,7 +102,6 @@ let name = function
   | Mem _ -> "mem:sample"
   | Oom _ -> "mem:oom"
   | Reclaim _ -> "mem:reclaim"
-  | Heartbeat_stale _ -> "health:heartbeat_stale"
   | Breaker_open _ -> "health:breaker_open"
   | Breaker_close _ -> "health:breaker_close"
   | Forced_reclaim _ -> "broker:forced_reclaim"

@@ -76,9 +76,6 @@ type t =
   | Oom of { clerk : string; requested : int; free : int }
   | Reclaim of { wanted : int; freed : int }
       (** donor shrink: the manager asked caches to give memory back *)
-  | Heartbeat_stale of { age : float }
-      (** watchdog: a query's last heartbeat is [age] seconds old; the
-          session has been softened (best-plan-so-far forced) *)
   | Breaker_open of { template : string }
       (** circuit breaker for a query template tripped open *)
   | Breaker_close of { template : string }

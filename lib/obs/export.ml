@@ -87,7 +87,6 @@ let fields_of_event = function
       ]
   | Event.Reclaim { wanted; freed } ->
       [ ("wanted", Event.I wanted); ("freed", Event.I freed) ]
-  | Event.Heartbeat_stale { age } -> [ ("age_s", Event.F age) ]
   | Event.Breaker_open { template } -> [ ("template", Event.S template) ]
   | Event.Breaker_close { template } -> [ ("template", Event.S template) ]
   | Event.Forced_reclaim { comp; wanted; freed } ->

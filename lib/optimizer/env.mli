@@ -22,9 +22,8 @@
     while the compiling process is suspended, inside [cpu] or a blocking
     [alloc]. It must return 0 when the next allocation must reach it:
     when it records or counts every call, when a per-call hook may fire,
-    or when this call left state that the next call acts on (a soften
-    that the next call's heartbeat clears before [should_stop] reads
-    it). With a credit of 0 every allocation calls [alloc]. *)
+    or when this call left state that the next call acts on. With a
+    credit of 0 every allocation calls [alloc]. *)
 
 type abort_reason = Gateway_timeout of string | Out_of_memory
 

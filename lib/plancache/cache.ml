@@ -16,7 +16,7 @@ type t = {
   mutable evicted_window : int; (* bytes evicted since the last demand_hint *)
 }
 
-let create _manager ~clerk =
+let create ~clerk =
   {
     clerk;
     table = Hashtbl.create 1024;

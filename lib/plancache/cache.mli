@@ -12,7 +12,7 @@
 
 type t
 
-val create : Dbmem.Manager.t -> clerk:Dbmem.Manager.clerk -> t
+val create : clerk:Dbmem.Manager.clerk -> t
 
 (** [lookup t key] returns the cached plan and bumps its use count. *)
 val lookup : t -> string -> Optimizer.Plan.t option

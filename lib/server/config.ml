@@ -99,7 +99,7 @@ let pp ppf t =
      else "static thresholds")
     Qcore.Throttle_config.pp t.throttle Resilience.pp t.resilience;
   if t.supervision then
-    Format.fprintf ppf "@,supervision ON: watchdog + breakers";
+    Format.fprintf ppf "@,supervision ON: breakers + broker insistence";
   if defense_on t.defense then
     Format.fprintf ppf
       "@,storm defense ON: singleflight + retry budget + adaptive queues + \

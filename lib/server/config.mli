@@ -51,8 +51,8 @@ type t = {
   resilience : bool;
       (** the {!Resilience} retry/degrade/shed policy; off by default *)
   supervision : bool;
-      (** the {!Health.Supervise} layer: watchdog, circuit breakers and
-          broker insistence; off by default *)
+      (** the {!Health.Supervise} layer: circuit breakers and broker
+          insistence; off by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];

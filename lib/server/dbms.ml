@@ -26,6 +26,9 @@ type t = {
          only counts the duplicate compiles coalescing would have saved,
          so a defenses-off run can report its duplication factor *)
   storm : Health.Storm.t;
+  mutable in_flight : int;
+      (* queries inside [submit] that have not settled; one still counted
+         once the run has drained is stuck *)
   mutable arenas : Optimizer.Cascades.arena list;
       (* free pool of memo arenas, one per concurrent compile: compiles
          suspend at governor gateways, so in-flight searches cannot share
@@ -79,7 +82,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     Bufpool.Pool.create ~clerk:pool_clerk ~disk
       ~page_bytes:Config.page_bytes ~policy:cfg.Config.pool_policy
   in
-  let cache = Plancache.Cache.create manager ~clerk:cache_clerk in
+  let cache = Plancache.Cache.create ~clerk:cache_clerk in
   let workspace =
     int_of_float (workspace_frac *. float_of_int cfg.Config.memory_bytes)
   in
@@ -247,14 +250,14 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     super;
     sflight;
     storm;
+    in_flight = 0;
     arenas = [];
   }
 
 let start t =
   Qcore.Broker.start t.broker;
   Metrics.watch_memory ~trace:t.trace t.metrics
-    ~interval:metrics_interval t.clerk_list;
-  Health.Supervise.start t.super
+    ~interval:metrics_interval t.clerk_list
 
 let emit t ~qid ev =
   if Obs.Trace.enabled t.trace then
@@ -265,16 +268,11 @@ let emit t ~qid ev =
 type job = {
   query : Optimizer.Query.t;
   qid : string;
-  watch : Health.Watchdog.session option;
   mutable degraded : bool;
 }
 
 (* What a completed query books in [settle]. *)
 type completion = { compile_s : float; exec_s : float; cut_down : bool }
-
-let beat job = Option.iter Health.Watchdog.beat job.watch
-
-let softened job = Option.fold ~none:false ~some:Health.Watchdog.softened job.watch
 
 (* Every compilation, full or greedy, runs inside one governor session:
    begin it, run [f], then book the session's peak and end it however
@@ -292,25 +290,18 @@ let governed t ~qid f =
 (* The Cascades environment of a governed compile: allocations report to
    the governor (which may block at gateways or fail), CPU is burnt on
    the shared pool, and the search stops early when the broker predicts
-   compile-memory exhaustion. Every allocation beats the query's
-   watchdog session; a softened session forces best-plan-so-far. The
-   credit is the governor's, or 0 once the watchdog has softened the job
-   during the call: the next allocation must then reach here, to beat
-   (which clears the soften). *)
-let compile_env t job session =
+   compile-memory exhaustion. The credit is the governor's. *)
+let compile_env t session =
   {
     Optimizer.Env.alloc =
       (fun n ->
-        beat job;
         match Qcore.Compile_gov.alloc session n with
-        | Ok () ->
-            if softened job then 0 else Qcore.Compile_gov.credit session
+        | Ok () -> Qcore.Compile_gov.credit session
         | Error { Health.Error.code = Health.Error.Memory_wait_timeout; detail } ->
             raise (Optimizer.Env.Aborted (Optimizer.Env.Gateway_timeout detail))
         | Error _ -> raise (Optimizer.Env.Aborted Optimizer.Env.Out_of_memory));
     cpu = (fun s -> Execsim.Cpu.busy t.cpu s);
-    should_stop =
-      (fun () -> Qcore.Compile_gov.should_stop_early t.gov || softened job);
+    should_stop = (fun () -> Qcore.Compile_gov.should_stop_early t.gov);
   }
 
 let abort_error = function
@@ -329,7 +320,7 @@ let compile_full t job =
           ~finally:(fun () -> release_arena t arena)
           (fun () ->
             Optimizer.Cascades.optimize ~params ~arena
-              ~env:(compile_env t job session) t.cfg.Config.cost_model t.cat
+              ~env:(compile_env t session) t.cfg.Config.cost_model t.cat
               job.query))
   with
   | Ok (r, elapsed) ->
@@ -428,8 +419,7 @@ let should_shed t =
 
 (* Stage 1, admit. The breaker goes first — the cheapest gate: a poison
    template is refused before it can burn a gateway slot or a grant
-   wait. Then admission control; an admitted query gets its watchdog
-   session. *)
+   wait. Then admission control. *)
 let admit t q ~template =
   let qid = q.Optimizer.Query.qid in
   match Health.Supervise.admit t.super ~template with
@@ -443,13 +433,7 @@ let admit t q ~template =
       Health.Supervise.release_probe t.super ~template;
       Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
   | Ok () ->
-      Ok
-        {
-          query = q;
-          qid;
-          watch = Health.Supervise.watch t.super ~qid;
-          degraded = false;
-        }
+      Ok { query = q; qid; degraded = false }
 
 (* Stage 2, plan. Under any broker pressure the full search would queue
    at shrunken gateways (and likely OOM), so go straight to the cheap
@@ -473,20 +457,15 @@ let plan t job =
    completes while the full-size run cannot. Returns the run and whether
    its grant was cut down. *)
 let exec t job plan =
-  beat job;
   let run ?grant_cap () =
     Execsim.Runner.run ?grant_cap ~qid:job.qid t.exec_resources plan
   in
-  let r =
-    match run () with
-    | Error { Health.Error.code = Health.Error.Low_memory_condition; _ }
-      when t.cfg.Config.resilience ->
-        run ~grant_cap:(Execsim.Grant.min_grant t.grants) ()
-        |> Result.map (fun o -> (o, true))
-    | r -> Result.map (fun o -> (o, false)) r
-  in
-  if Result.is_ok r then beat job;
-  r
+  match run () with
+  | Error { Health.Error.code = Health.Error.Low_memory_condition; _ }
+    when t.cfg.Config.resilience ->
+      run ~grant_cap:(Execsim.Grant.min_grant t.grants) ()
+      |> Result.map (fun o -> (o, true))
+  | r -> Result.map (fun o -> (o, false)) r
 
 (* One attempt: plan, then exec. A memory-wait timeout at a gateway and
    any execution failure (grant timeouts, low-memory grants — symptoms of
@@ -508,27 +487,22 @@ let attempt t job =
             }
       | Error e -> Error (`Retry e))
 
-(* The backoff sleep. Unwatched in calm weather it is one plain sleep.
-   Otherwise it is sliced so a watched query's heartbeat stays fresh (a
-   parked query is waiting, not stuck): 15 s slices while calm, 5 s under
-   broker pressure. Under pressure the failure is storm-induced, so the
-   nap is cut short (after a minimum base pause) as soon as the broker
-   calms: queries stranded behind a spike retry at the release instead of
-   a full exponential later. *)
-let nap t job pause =
+(* The backoff sleep. In calm weather it is one plain sleep. Under
+   broker pressure the failure is storm-induced, so the nap is taken in
+   5 s slices and cut short (after a minimum base pause) as soon as the
+   broker calms: queries stranded behind a spike retry at the release
+   instead of a full exponential later. *)
+let nap t pause =
   let pressed () = Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm in
-  let parked = pressed () in
-  if (not parked) && Option.is_none job.watch then Sim.Engine.sleep pause
+  if not (pressed ()) then Sim.Engine.sleep pause
   else begin
-    let slice = if parked then 5.0 else 15.0 in
     let minimum = Float.min pause Resilience.server_backoff.Resilience.base_s in
     let rec go slept =
       if slept < pause then begin
-        let step = Float.min slice (pause -. slept) in
+        let step = Float.min 5.0 (pause -. slept) in
         Sim.Engine.sleep step;
-        beat job;
         let slept = slept +. step in
-        if (not parked) || slept < minimum || pressed () then go slept
+        if slept < minimum || pressed () then go slept
       end
     in
     go 0.
@@ -545,7 +519,7 @@ let back_off t job ~n (e : Health.Error.t) =
         (Obs.Event.Retry
            { attempt = n; pause_s = pause;
              kind = Health.Error.code_name e.Health.Error.code });
-      nap t job pause;
+      nap t pause;
       true
   | _ -> false
 
@@ -560,7 +534,9 @@ let rec attempts t job n =
    feed the template's breaker; back-pressure results (sheds, breaker
    refusals) must not, or an open breaker would keep itself open with
    its own rejections. *)
-let settle t ~qid ~template = function
+let settle t ~qid ~template outcome =
+  t.in_flight <- t.in_flight - 1;
+  match outcome with
   | Ok c ->
       Metrics.record_completion t.metrics ~compile_s:c.compile_s ~exec_s:c.exec_s;
       if c.cut_down then Metrics.record_degraded t.metrics;
@@ -577,13 +553,11 @@ let settle t ~qid ~template = function
 let submit t q =
   let qid = q.Optimizer.Query.qid in
   let template = template_of_qid qid in
+  t.in_flight <- t.in_flight + 1;
   settle t ~qid ~template
     (match admit t q ~template with
     | Error e -> Error e
-    | Ok job ->
-        Fun.protect
-          ~finally:(fun () -> Health.Supervise.unwatch t.super job.watch)
-          (fun () -> attempts t job 1))
+    | Ok job -> attempts t job 1)
 
 let submit_catch t q =
   match submit t q with
@@ -659,13 +633,12 @@ let join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget =
    unsupervised server too: the error budget and completion counts come
    from the metrics, with all supervision counters at zero. *)
 let health_report t ?(since = 0.) () =
-  let { Health.Supervise.watchdog; breakers; _ } = t.super in
+  let breakers = t.super.Health.Supervise.breakers in
   {
     Health.Report.duration_s = Sim.Engine.now t.eng -. since;
     completed = Metrics.total_completions t.metrics ~since ();
     errors = Metrics.errors t.metrics;
-    watchdog_watched = Health.Watchdog.watched watchdog;
-    watchdog_stale = Health.Watchdog.stale_total watchdog;
+    in_flight = t.in_flight;
     breaker_opens = Health.Breaker.opened_total breakers;
     breaker_reopens = Health.Breaker.reopened_total breakers;
     breaker_closes = Health.Breaker.closed_total breakers;

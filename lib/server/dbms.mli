@@ -31,8 +31,8 @@ val start : t -> unit
     between attempts after a transient failure, then settle (the one
     terminal outcome is booked). With [config.resilience] off (the
     default) the behaviour is the seed pipeline exactly; with
-    [config.supervision] on the query additionally holds a watchdog
-    heartbeat and is gated by its template's circuit breaker. Every
+    [config.supervision] on the query is additionally gated by its
+    template's circuit breaker. Every
     failure carries a structured {!Health.Error.t}. *)
 val submit : t -> Optimizer.Query.t -> (unit, Health.Error.t) result
 
@@ -83,7 +83,7 @@ val join_arbiter :
   Qcore.Arbiter.pool
 
 (** Snapshot the supervision layer's books: per-code error budget,
-    watchdog / breaker counters, forced reclaims. [since]
+    queries still in flight, breaker counters, forced reclaims. [since]
     bounds the completion count and duration (default [0.]). Meaningful
     for unsupervised servers too (supervision counters read zero). *)
 val health_report : t -> ?since:float -> unit -> Health.Report.t

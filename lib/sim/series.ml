@@ -77,8 +77,8 @@ let bucket_mean t ~start ~stop ~width =
     sums
 
 let values_between t ~start ~stop =
-  (* Count-then-fill: two passes over unboxed float arrays beat a boxing
-     cons per matching value. *)
+  (* Count-then-fill: two passes over unboxed float arrays cost less
+     than a boxing cons per matching value. *)
   let n = ref 0 in
   for i = 0 to t.size - 1 do
     let time = t.times.(i) in

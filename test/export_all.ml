@@ -53,7 +53,6 @@ let events =
       ("", Mem { clerk = "compile"; used = 777 });
       ("q4", Oom { clerk = "exec"; requested = 1000; free = 10 });
       ("", Reclaim { wanted = 500; freed = 400 });
-      ("q4", Heartbeat_stale { age = 12.5 });
       ("", Breaker_open { template = "t\\7" });
       ("", Breaker_close { template = "t\\7" });
       ("", Forced_reclaim { comp = "compile"; wanted = 300; freed = 200 });
@@ -107,10 +106,10 @@ let events =
           } );
     ]
 
-(* Records are 0.5 s apart in list order. The slots at 12 s, after the
-   stale heartbeat, and at 14 s, after the forced reclaim, stay empty, so
-   the records after them keep the times test/export_all.golden pins. *)
-let empty_slots = [ 24; 28 ]
+(* Records are 0.5 s apart in list order. The slots at 11.5 s and 12 s,
+   after the reclaim, and at 14 s, after the forced reclaim, stay empty,
+   so the records after them keep the times test/export_all.golden pins. *)
+let empty_slots = [ 23; 24; 28 ]
 
 let records =
   Array.of_list

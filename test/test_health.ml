@@ -1,5 +1,5 @@
 (* Supervision-layer tests: unit tests for the error taxonomy, circuit
-   breakers, watchdog and backoff edges; integration
+   breakers and backoff edges; integration
    tests on the canonical chaos scenario (breakers trip and recover,
    supervised throughput, golden health report); and a QCheck property
    over fuzzed fault schedules (no query is ever permanently stuck, the
@@ -123,20 +123,18 @@ let test_breaker_lifecycle () =
   Health.Breaker.record_success b ~template:"T1";
   Alcotest.check breaker_state "late success ignored while open" Health.Breaker.Open (state "T1")
 
-(* Supervision off is inert: no timer, no session, no booked template,
-   whatever the server reports to it. *)
+(* Supervision off is inert: no timer, no booked template, whatever the
+   server reports to it. *)
 let test_supervise_off_is_inert () =
   let eng = Sim.Engine.create ~seed:1 () in
   let trace = Obs.Trace.create () in
   let s = Health.Supervise.create ~trace eng ~enabled:false in
-  Health.Supervise.start s;
   for _ = 1 to 10 do
     Health.Supervise.record_failure s ~template:"t"
   done;
   Alcotest.(check bool) "admits" true (Health.Supervise.admit s ~template:"t" = Ok ());
   Health.Supervise.release_probe s ~template:"t";
   Health.Supervise.record_success s ~template:"t";
-  Alcotest.(check bool) "no session" true (Health.Supervise.watch s ~qid:"t#1" = None);
   Sim.Engine.run eng ~until:3600.;
   Alcotest.(check int) "no timer fired" 0 (Sim.Engine.events_executed eng);
   Alcotest.(check int) "no trace record" 0 (Obs.Trace.length trace);
@@ -176,56 +174,19 @@ let test_breaker_probe_shed () =
     (state "T")
 
 (* ------------------------------------------------------------------ *)
-(* Watchdog: softening is its only rung *)
-
-let test_watchdog_escalation () =
-  let eng = Sim.Engine.create ~seed:1 () in
-  let w = Health.Watchdog.create eng in
-  Health.Watchdog.start w;
-  let s = Health.Watchdog.watch w ~qid:"q#000001" in
-  Alcotest.(check int) "one session watched" 1 (Health.Watchdog.watched w);
-  (* Audits run every 30 s. Silent for 200 s: below the 240 s stale
-     threshold. *)
-  advance eng 200.;
-  Alcotest.(check bool) "not yet stale" false (Health.Watchdog.softened s);
-  (* Silent for 280 s: softened at the 240 s audit. *)
-  advance eng 80.;
-  Alcotest.(check bool) "softened at 240s silent" true (Health.Watchdog.softened s);
-  Alcotest.(check int) "one stale episode" 1 (Health.Watchdog.stale_total w);
-  (* A beat un-softens: the query showed progress. *)
-  Health.Watchdog.beat s;
-  Alcotest.(check bool) "beat clears the soften" false (Health.Watchdog.softened s);
-  (* Silence again, for 1,020 s: softened a second time, once, and
-     never more than softened. *)
-  advance eng 320.;
-  Alcotest.(check bool) "softened again" true (Health.Watchdog.softened s);
-  advance eng 700.;
-  Alcotest.(check bool) "still softened after 1000s silent" true
-    (Health.Watchdog.softened s);
-  Alcotest.(check int) "one soften per episode" 2 (Health.Watchdog.stale_total w);
-  (* A beat clears a soften at any age. *)
-  Health.Watchdog.beat s;
-  Alcotest.(check bool) "late beat clears the soften" false
-    (Health.Watchdog.softened s);
-  Health.Watchdog.unwatch w s;
-  Health.Watchdog.unwatch w s;
-  Alcotest.(check int) "unwatch drains (idempotent)" 0 (Health.Watchdog.watched w)
-
-(* ------------------------------------------------------------------ *)
-(* A compile held at a gateway while the watchdog acts
+(* A compile held at a gateway
 
    A holder session takes the one gateway's slot at t = 0 and keeps it
    until [hold]. The query's first allocation, the memo root, waits at
-   the gate from t = 1, silent: the watchdog softens it at 240 s of
-   silence, and does nothing more however long the gate stays shut.
-   When the gate opens, the next allocation (the greedy seed) beats the
-   watchdog, which clears the soften. The traced run meters each
-   allocation in its own call (the governor grants no credit while
-   tracing) and the untraced one meters by credit, so both must end the
-   compile at the same point: the same result, compile peak and
-   finishing time. *)
+   the gate from t = 1 and goes on when the gate opens. The traced run
+   meters each allocation in its own call (the governor grants no
+   credit while tracing) and the untraced one meters by credit, so both
+   must end the compile at the same point: the same result, compile
+   peak and finishing time. The health report is also read halfway
+   through the hold, while the query is still in flight, and once the
+   run has ended. *)
 
-let held_compile ~hold ~traced =
+let held_compile ?(supervised = true) ~hold ~traced () =
   let eng = Sim.Engine.create () in
   let gate =
     {
@@ -241,8 +202,8 @@ let held_compile ~hold ~traced =
   let cfg =
     {
       (Server.Config.supervised ()) with
-      Server.Config.throttle =
-        { Qcore.Throttle_config.levels = [ gate ]; dynamic = false };
+      Server.Config.supervision = supervised;
+      throttle = { Qcore.Throttle_config.levels = [ gate ]; dynamic = false };
     }
   in
   let trace =
@@ -251,6 +212,7 @@ let held_compile ~hold ~traced =
   let dbms = Server.Dbms.create ~trace eng cfg (Workload.Sales.catalog ()) in
   Server.Dbms.start dbms;
   let gov = Server.Dbms.governor dbms in
+  let stuck () = Health.Report.stuck (Server.Dbms.health_report dbms ()) in
   Sim.Engine.spawn eng ~name:"holder" (fun () ->
       let s = Qcore.Compile_gov.begin_compile gov in
       ignore (Qcore.Compile_gov.alloc s (Dbmem.Units.mib 8));
@@ -265,26 +227,37 @@ let held_compile ~hold ~traced =
          | Ok () -> "ok"
          | Error e -> Health.Error.to_string e);
       finished := Sim.Engine.now eng);
+  let stuck_mid = ref (-1) in
+  ignore
+    (Sim.Engine.schedule eng ~delay:(hold /. 2.) (fun () -> stuck_mid := stuck ()));
   Sim.Engine.run eng ~until:(hold +. 3000.);
-  let h = Server.Dbms.health_report dbms () in
   ( !outcome,
     Sim.Stats.Online.max (Server.Metrics.compile_peak (Server.Dbms.metrics dbms)),
     !finished,
-    h.Health.Report.watchdog_stale )
+    (!stuck_mid, stuck ()) )
 
-let check_held_compile ~hold =
-  let ((got, _, finished, stale) as untraced) = held_compile ~hold ~traced:false in
-  let per_call = held_compile ~hold ~traced:true in
+let test_held_compile_credit () =
+  let hold = 400. in
+  let ((got, _, finished, _) as untraced) = held_compile ~hold ~traced:false () in
+  let per_call = held_compile ~hold ~traced:true () in
   Alcotest.(check string) "outcome" "ok" got;
-  Alcotest.(check int) "watchdog stale" 1 stale;
   Alcotest.(check bool) "finished once the gate opened" true (finished >= hold);
   Alcotest.(check bool) "credit ends the compile where per-call metering does"
     true (untraced = per_call)
 
-let test_held_compile_softened () = check_held_compile ~hold:400.
-
-(* Held past 720 s of silence: softened once, and nothing more. *)
-let test_held_compile_outlives () = check_held_compile ~hold:800.
+(* [stuck] counts what was submitted and has not settled, supervised or
+   not: the held query while the gate is shut, nothing once it is done. *)
+let test_stuck_counts_in_flight () =
+  List.iter
+    (fun supervised ->
+      let label = if supervised then "supervised" else "unsupervised" in
+      let got, _, _, (mid, after) =
+        held_compile ~supervised ~hold:400. ~traced:false ()
+      in
+      Alcotest.(check string) (label ^ ": outcome") "ok" got;
+      Alcotest.(check int) (label ^ ": stuck while held") 1 mid;
+      Alcotest.(check int) (label ^ ": stuck once settled") 0 after)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Broker insistence: a component that ignores consecutive shrink
@@ -441,10 +414,9 @@ let test_supervised_throughput () =
   let plain = run (Server.Config.resilient ()) in
   (* Tolerance pinned by the seed audit (test/seed_audit.exe): across
      seeds 1..20 the supervised/resilient completion ratio spans
-     [0.974, 1.007] — supervision is not free at every seed (a watchdog
-     cancel or breaker refusal can cost a completion the plain server
-     kept), so "never loses more than 5%" is the seed-robust bound, not
-     ">=". *)
+     [0.974, 1.007] — supervision is not free at every seed (a breaker
+     refusal can cost a completion the plain server kept), so "never
+     loses more than 5%" is the seed-robust bound, not ">=". *)
   let ratio =
     float_of_int sup.Server.Scenario.completed
     /. float_of_int (max 1 plain.Server.Scenario.completed)
@@ -579,9 +551,9 @@ let suite =
     ("breaker lifecycle", `Quick, test_breaker_lifecycle);
     ("breaker probe shed is not a failure", `Quick, test_breaker_probe_shed);
     ("supervision off is inert", `Quick, test_supervise_off_is_inert);
-    ("watchdog escalation", `Quick, test_watchdog_escalation);
-    ("held compile softened at a gateway", `Quick, test_held_compile_softened);
-    ("held compile outlives the old cancel threshold", `Quick, test_held_compile_outlives);
+    ("held compile: credit ends where per-call metering does", `Quick,
+     test_held_compile_credit);
+    ("stuck counts queries still in flight", `Quick, test_stuck_counts_in_flight);
     ("broker insists on deaf components", `Quick, test_broker_insists_on_deaf_components);
     ("backoff edge cases", `Quick, test_backoff_edges);
     ("breakers trip and recover under chaos", `Slow, test_breaker_trips_and_recovers);

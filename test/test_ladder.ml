@@ -6,7 +6,7 @@
    rungs carry part of the load. The run is a pure function of the
    seed, so the rendered result and a digest of its full JSONL trace
    pin the ladder's behaviour: retries, backoff naps, degraded plans,
-   sheds, watchdog beats and breaker calls. It runs once with
+   sheds and breaker calls. It runs once with
    resilience alone and once with supervision on top. *)
 
 let impatient base =

@@ -44,7 +44,7 @@ let plan_of_joins n =
 let make_cache ?(total = mib 64) () =
   let manager = Dbmem.Manager.create ~total () in
   let clerk = Dbmem.Manager.create_clerk manager "plancache" in
-  (manager, Cache.create manager ~clerk)
+  (manager, Cache.create ~clerk)
 
 let test_insert_lookup () =
   let _, cache = make_cache () in
