@@ -472,8 +472,8 @@ let health_cmd =
     Arg.(
       value & opt bool true
       & info [ "resilience" ]
-          ~doc:"Keep the retry/degrade/shed ladder on underneath the \
-                supervision layer (false = supervision alone).")
+          ~doc:"Run with the retry/degrade/shed ladder on (false = the \
+                default server, no resilience).")
   in
   let glitch_arg =
     Arg.(
@@ -484,15 +484,14 @@ let health_cmd =
   in
   let spec clients warmup measure drain resilience glitch =
     let config =
-      if resilience then Server.Config.supervised ()
-      else { (Server.Config.default ()) with Server.Config.supervision = true }
+      if resilience then Server.Config.resilient ()
+      else Server.Config.default ()
     in
     let faults = Server.Scenario.chaos_faults ~glitch () in
     let section seed =
       List.iter (fun (o : Server.Scenario.outcome) ->
           Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
-            (if resilience then "supervision + resilience"
-             else "supervision only");
+            (if resilience then "resilience on" else "resilience off");
           List.iter
             (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f))
             o.faults;
@@ -500,7 +499,7 @@ let health_cmd =
           Format.printf "%a@." Health.Report.pp o.report;
           let stuck = Health.Report.stuck o.report in
           Printf.printf "\n  stuck queries: %d%s\n" stuck
-            (if stuck = 0 then "" else "  <-- SUPERVISION FAILURE"))
+            (if stuck = 0 then "" else "  <-- QUERIES STUCK"))
     in
     let report oc _ =
       List.iter (fun (o : Server.Scenario.outcome) ->
@@ -520,8 +519,8 @@ let health_cmd =
   Fanout.cmd
     (Cmd.info "health"
        ~doc:
-         "Run the canonical chaos schedule under the supervision layer and \
-          print the health report with the error-budget table.")
+         "Run the canonical chaos schedule and print the health report \
+          with the error-budget table.")
     ~report:"health report"
     ~stuck:(fun (o : Server.Scenario.outcome) -> Health.Report.stuck o.report)
     Term.(

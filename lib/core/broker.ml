@@ -29,38 +29,31 @@ type component = {
   min_bytes : int;
   demand : (unit -> int) option;
   notify : (notification -> unit) option;
-  reclaim : (int -> int) option;
   trend : Trend.t;
   mutable ctarget : int;
   mutable last : notification option;
-  mutable over_ticks : int;
-  mutable last_used : int;
 }
 
 type t = {
   eng : Sim.Engine.t;
   manager : Dbmem.Manager.t;
-  insist_after : int;
   trace : Obs.Trace.t;
   mutable comps_rev : component list;
   mutable pressure : bool;
   mutable ticks : int;
   mutable timer : Sim.Engine.handle option;
-  mutable forced_reclaims : int;
   mutable predicted_sum : int;
 }
 
-let create ?(trace = Obs.Trace.null) ?(insist_after = 0) eng manager =
+let create ?(trace = Obs.Trace.null) eng manager =
   {
     eng;
     manager;
-    insist_after;
     trace;
     comps_rev = [];
     pressure = false;
     ticks = 0;
     timer = None;
-    forced_reclaims = 0;
     predicted_sum = 0;
   }
 
@@ -72,7 +65,7 @@ let brokered_bytes t =
 let components t = List.rev t.comps_rev
 
 let register t ~name ~clerk ?(weight = 1.) ?(min_bytes = 0) ?demand ?notify
-    ?reclaim () =
+    ?reclaim:_ () =
   if weight <= 0. then invalid_arg "Broker.register: weight must be > 0";
   let c =
     {
@@ -82,12 +75,9 @@ let register t ~name ~clerk ?(weight = 1.) ?(min_bytes = 0) ?demand ?notify
       min_bytes;
       demand;
       notify;
-      reclaim;
       trend = Trend.create ~window ();
       ctarget = 0;
       last = None;
-      over_ticks = 0;
-      last_used = 0;
     }
   in
   t.comps_rev <- c :: t.comps_rev;
@@ -230,33 +220,7 @@ let tick t =
             :: !samples_rev;
         let n = { verdict; target; predicted; pressure } in
         c.last <- Some n;
-        (match c.notify with None -> () | Some f -> f n);
-        (* Shrink compliance: a component that stays above target for
-           [insist_after] consecutive ticks has ignored its notifications,
-           and the broker insists, reclaiming through the component's own
-           hook. Only components that registered a hook can be forced —
-           a hookless consumer (the ballast, a query mid-flight) is
-           outside the broker's writ, exactly like the paper's external
-           memory pressure, and squeezing innocent donors on its behalf
-           would only burn cache hits. *)
-        (match (verdict, c.reclaim) with
-        | Must_shrink, Some reclaim ->
-            (* A component whose usage is falling is complying, just
-               slowly; insistence is for components that ignore the
-               verdict. *)
-            if used < c.last_used then c.over_ticks <- 0
-            else c.over_ticks <- c.over_ticks + 1;
-            if t.insist_after > 0 && c.over_ticks >= t.insist_after then begin
-              c.over_ticks <- 0;
-              let wanted = max 0 (used - target) in
-              let freed = reclaim wanted in
-              t.forced_reclaims <- t.forced_reclaims + 1;
-              if Obs.Trace.enabled t.trace then
-                Obs.Trace.emit t.trace ~time:now ~qid:""
-                  (Obs.Event.Forced_reclaim { comp = c.name; wanted; freed })
-            end
-        | _ -> c.over_ticks <- 0);
-        c.last_used <- used)
+        match c.notify with None -> () | Some f -> f n)
       targets;
     if Obs.Trace.enabled t.trace then
       Obs.Trace.emit t.trace ~time:now ~qid:""
@@ -281,7 +245,6 @@ let stop t =
 let under_pressure t = t.pressure
 let ticks t = t.ticks
 let predicted_total t = t.predicted_sum
-let forced_reclaims t = t.forced_reclaims
 let last_notification c = c.last
 let target c = c.ctarget
 

@@ -28,21 +28,14 @@ type notification = {
     thread stacks, ...): 5%. *)
 val reserved_fraction : float
 
-(** [create ?trace ?insist_after eng manager] — nothing runs until
-    {!start}. The broker ticks every second and predicts each
-    component's usage 5 s ahead from a 10-sample trend.
-
-    [insist_after] enforces shrink compliance: a component whose usage
-    stays above target without falling for this many consecutive
-    [Must_shrink] ticks gets a forced reclaim through its [reclaim] hook.
-    Components without a hook (the ballast, external consumers) cannot be
-    forced — they are outside the broker's writ. [0] (the default)
-    disables insistence: notifications stay advisory.
+(** [create ?trace eng manager] — nothing runs until {!start}. The
+    broker ticks every second and predicts each component's usage 5 s
+    ahead from a 10-sample trend. Its verdicts are advisory, as in the
+    paper: the broker notifies and each component decides how to comply.
 
     When [trace] is an enabled sink, every tick records an
     {!Obs.Event.Broker_tick} with per-component samples and verdicts. *)
-val create :
-  ?trace:Obs.Trace.t -> ?insist_after:int -> Sim.Engine.t -> Dbmem.Manager.t -> t
+val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> Dbmem.Manager.t -> t
 
 (** [register t ~name ~clerk ?weight ?min_bytes ?demand ?notify ()] adds a
     subcomponent. [weight] scales its share under pressure (default [1.]);
@@ -51,11 +44,9 @@ val create :
     — caches use it to report unmet demand (e.g. resident bytes plus recent
     miss inflow), without which a squeezed cache would trend flat and never
     win its memory back; [notify] is invoked on every tick with the
-    component's current notification; [reclaim], when given, is how the
-    broker insists — called with the bytes of overage when the component
-    has ignored [insist_after] consecutive shrink verdicts without its
-    usage falling, returning the bytes actually freed. Components without
-    a hook are never forced. *)
+    component's current notification. [reclaim] is accepted and
+    ignored: the broker never reclaims by force. It stays only because
+    [perfbench/workloads.ml] still passes it. *)
 val register :
   t ->
   name:string ->
@@ -92,9 +83,6 @@ val ticks : t -> int
     appetite — the tenant arbiter samples it as the pool's demand
     signal. *)
 val predicted_total : t -> int
-
-(** Forced reclaims performed so far (shrink-compliance interventions). *)
-val forced_reclaims : t -> int
 
 (** Latest notification computed for this component ([None] before the
     first tick). *)

@@ -11,7 +11,7 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-(* Internal per-template cell. [Open] remembers when it tripped so the
+(* Internal per-key cell. [Open] remembers when it tripped so the
    cooldown can be checked lazily at the next admission — no timer is
    needed and an idle open breaker costs nothing. *)
 type cell = {
@@ -25,20 +25,10 @@ type t = {
   eng : Sim.Engine.t;
   trace : Obs.Trace.t;
   cells : (string, cell) Hashtbl.t;
-  mutable opened_total : int;
-  mutable reopened_total : int;  (* of those, trips of a half-open probe *)
-  mutable closed_total : int;
 }
 
 let create ?(trace = Obs.Trace.null) eng =
-  {
-    eng;
-    trace;
-    cells = Hashtbl.create 16;
-    opened_total = 0;
-    reopened_total = 0;
-    closed_total = 0;
-  }
+  { eng; trace; cells = Hashtbl.create 16 }
 
 let cell t template =
   match Hashtbl.find_opt t.cells template with
@@ -67,19 +57,17 @@ let admit t ~template =
   let c = cell t template in
   refresh t c;
   match c.cstate with
-  | Closed -> Ok ()
+  | Closed -> true
   | Half_open when not c.probe_out ->
       c.probe_out <- true;
-      Ok ()
-  | Half_open | Open -> Error (Error.make ~detail:template Error.Breaker_open)
+      true
+  | Half_open | Open -> false
 
 let trip t template (c : cell) =
-  if c.cstate = Half_open then t.reopened_total <- t.reopened_total + 1;
   c.cstate <- Open;
   c.opened_at <- Sim.Engine.now t.eng;
   c.failures <- 0;
   c.probe_out <- false;
-  t.opened_total <- t.opened_total + 1;
   emit t template (Obs.Event.Breaker_open { template })
 
 let record_success t ~template =
@@ -91,7 +79,6 @@ let record_success t ~template =
       c.cstate <- Closed;
       c.failures <- 0;
       c.probe_out <- false;
-      t.closed_total <- t.closed_total + 1;
       emit t template (Obs.Event.Breaker_close { template })
   | Open ->
       (* A query admitted before the trip finished late; its success says
@@ -117,12 +104,12 @@ let release_probe t ~template =
   | None -> ()
   | Some c ->
       refresh t c;
-      (* The probe was admitted but never ran (shed by admission control
-         downstream). Returning the slot keeps the breaker testable: the
-         next arrival becomes the probe instead of the cell wedging
-         half-open with a phantom probe in flight. Counting the shed as a
-         failure would re-open a breaker whose template never got to
-         prove itself. *)
+      (* The probe was admitted but proved nothing (refused downstream,
+         or its answer was dropped). Returning the slot keeps the breaker
+         testable: the next arrival becomes the probe instead of the cell
+         wedging half-open with a phantom probe in flight. Counting it as
+         a failure would re-open a breaker that never got to prove
+         itself. *)
       if c.cstate = Half_open && c.probe_out then c.probe_out <- false
 
 let state t ~template =
@@ -131,15 +118,3 @@ let state t ~template =
   | Some c ->
       refresh t c;
       c.cstate
-
-let states t =
-  Hashtbl.fold
-    (fun template c acc ->
-      refresh t c;
-      if c.cstate = Closed then acc else (template, c.cstate) :: acc)
-    t.cells []
-  |> List.sort compare
-
-let opened_total t = t.opened_total
-let reopened_total t = t.reopened_total
-let closed_total t = t.closed_total

@@ -1,28 +1,29 @@
-(** Per-template circuit breakers.
+(** Circuit breakers, lazily keyed by name.
 
-    A query template that keeps failing hard (compile OOM, gateway
-    timeouts) burns a scarce gateway slot on every attempt. The breaker
-    sheds such a template at the door instead: after 3 consecutive hard
-    failures the template's breaker trips {e open} and admissions are
-    refused with {!Error.Breaker_open}. After a 60 s cooldown of
-    simulated time the breaker goes {e half-open} and admits exactly one
-    probe query; if the probe succeeds the breaker closes, if it fails
-    the breaker re-opens for another cooldown. Probe admission is deterministic (first arrival
-    after the cooldown wins) — no randomness is consumed, so enabling
-    breakers cannot perturb a run that never trips one. *)
+    The router keeps one per shard: a shard that keeps failing hard
+    (compile OOM, gateway timeouts, lost connections) would otherwise
+    take every arrival its ring position sends it. After 3 consecutive
+    hard failures the key's breaker trips {e open} and admissions are
+    refused, so the router spills the arrival to the next shard. After a
+    60 s cooldown of simulated time the breaker goes {e half-open} and
+    admits exactly one probe; if the probe succeeds the breaker closes,
+    if it fails the breaker re-opens for another cooldown. Probe
+    admission is deterministic (first arrival after the cooldown wins) —
+    no randomness is consumed, so a run that never trips a breaker is
+    unperturbed by it. *)
 
 type state = Closed | Open | Half_open
 
 val state_name : state -> string
 
 type t
-(** A registry of breakers, lazily keyed by template name. *)
+(** A registry of breakers, lazily keyed by name. *)
 
 val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> t
 
-val admit : t -> template:string -> (unit, Error.t) result
-(** Gate an arrival of [template]. [Ok ()] admits (and in half-open marks
-    this query as the probe); [Error] carries {!Error.Breaker_open}. *)
+val admit : t -> template:string -> bool
+(** Gate an arrival for [template]. [true] admits (and in half-open marks
+    this arrival as the probe); [false] refuses. *)
 
 val record_success : t -> template:string -> unit
 (** The admitted query completed. Resets the failure streak; closes a
@@ -30,7 +31,7 @@ val record_success : t -> template:string -> unit
 
 val record_failure : t -> template:string -> unit
 (** The admitted query failed {e hard}. Callers must not report
-    back-pressure results (sheds, breaker rejections) here — only real
+    back-pressure results (sheds, refusals) here — only real
     failures count toward tripping. Trips a closed breaker at the
     threshold; re-opens a half-open one whose probe is in flight. A hard
     failure reaching a half-open breaker with {e no} probe out (a query
@@ -38,26 +39,11 @@ val record_failure : t -> template:string -> unit
     failure against an open breaker. *)
 
 val release_probe : t -> template:string -> unit
-(** The half-open probe admitted by {!admit} was shed by a downstream
-    admission gate before it could run. Returns the probe slot without
-    counting a failure — the shed is back-pressure, not evidence about
-    the template — so the next arrival becomes the probe. No-op in every
-    other state. *)
+(** The half-open probe admitted by {!admit} never produced evidence
+    about [template] (it was refused downstream, or lost a hedge).
+    Returns the probe slot without counting a failure, so the next
+    arrival becomes the probe. No-op in every other state. *)
 
 val state : t -> template:string -> state
-(** [Closed] for templates never seen. Reflects cooldown expiry: an open
+(** [Closed] for names never seen. Reflects cooldown expiry: an open
     breaker whose cooldown has elapsed reports [Half_open]. *)
-
-val states : t -> (string * state) list
-(** Every template with a non-[Closed] breaker, sorted by name. *)
-
-val opened_total : t -> int
-(** Trips, from closed and from half-open alike. *)
-
-val reopened_total : t -> int
-(** Trips of a half-open breaker whose probe failed. Each breaker's
-    history is one trip from closed, then re-trips, then a close or the
-    run's end, so [opened_total - reopened_total - closed_total] is the
-    number of breakers not closed. *)
-
-val closed_total : t -> int

@@ -3,7 +3,6 @@ type code =
   | Memory_wait_timeout
   | Low_memory_condition
   | Admission_shed
-  | Breaker_open
   | Shard_unavailable
   | Retry_budget_exhausted
 
@@ -18,7 +17,6 @@ let all_codes =
     Memory_wait_timeout;
     Low_memory_condition;
     Admission_shed;
-    Breaker_open;
     Shard_unavailable;
     Retry_budget_exhausted;
   ]
@@ -28,7 +26,6 @@ let code_name = function
   | Memory_wait_timeout -> "memory-wait-timeout"
   | Low_memory_condition -> "low-memory-condition"
   | Admission_shed -> "admission-shed"
-  | Breaker_open -> "breaker-open"
   | Shard_unavailable -> "shard-unavailable"
   | Retry_budget_exhausted -> "retry-budget-exhausted"
 
@@ -36,20 +33,16 @@ let sql_code = function
   | Insufficient_memory -> Some 701
   | Memory_wait_timeout -> Some 8645
   | Low_memory_condition -> Some 8651
-  | Admission_shed | Breaker_open | Shard_unavailable
-  | Retry_budget_exhausted ->
-      None
+  | Admission_shed | Shard_unavailable | Retry_budget_exhausted -> None
 
 let severity = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition -> Severe
-  | Admission_shed | Breaker_open | Shard_unavailable
-  | Retry_budget_exhausted ->
+  | Admission_shed | Shard_unavailable | Retry_budget_exhausted ->
       Informational
 
 let retryable = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition
-  | Admission_shed | Breaker_open | Shard_unavailable ->
-      true
+  | Admission_shed | Shard_unavailable -> true
   | Retry_budget_exhausted -> false
 
 let severity_name = function

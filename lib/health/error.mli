@@ -4,9 +4,9 @@
     gets one code here, mirroring the SQL Server errors the paper's
     mechanism surfaces in production: 701 (insufficient memory to run),
     8645 (timeout waiting for a memory resource) and 8651 (could not get
-    the requested memory under low-memory conditions). The supervision
-    layer adds its own codes for the decisions it takes (shed, breaker
-    open) so that {e every} failure in a health report is
+    the requested memory under low-memory conditions). The server's own
+    refusals (admission sheds, downed shards, spent retry budgets) get
+    codes too, so that {e every} failure in a health report is
     accounted for — no anonymous errors. *)
 
 type code =
@@ -19,7 +19,6 @@ type code =
       (** the requested workspace grant could not be produced under
           low-memory conditions — SQL Server 8651 *)
   | Admission_shed  (** admission control refused the query at the door *)
-  | Breaker_open  (** the template's circuit breaker is open *)
   | Shard_unavailable
       (** the shard holding this query's placement is down (or its
           connection was lost mid-flight when the shard crashed) — a
@@ -46,9 +45,9 @@ val sql_code : code -> int option
 (** The SQL Server error number the code mirrors, if any. *)
 
 val severity : code -> severity
-(** 701/8645/8651 are [Severe]; sheds, breaker rejections, lost shards
-    and an empty retry budget are [Informational] back-pressure, not
-    failures of the engine. *)
+(** 701/8645/8651 are [Severe]; sheds, lost shards and an empty retry
+    budget are [Informational] back-pressure, not failures of the
+    engine. *)
 
 val retryable : code -> bool
 (** Whether a client retry has a reasonable chance: resource waits and

@@ -3,11 +3,6 @@ type t = {
   completed : int;
   errors : (Error.code * int) list;
   in_flight : int;
-  breaker_opens : int;
-  breaker_reopens : int;
-  breaker_closes : int;
-  breakers_open : (string * Breaker.state) list;
-  forced_reclaims : int;
 }
 
 let stuck t = t.in_flight
@@ -27,18 +22,6 @@ let pp fmt t =
   line "failed attempts"
     (Printf.sprintf "%d (%d hard, %d refused)" total hard (total - hard));
   line "permanently stuck" (string_of_int (stuck t));
-  line "breaker opens / closes"
-    (Printf.sprintf "%d / %d" t.breaker_opens t.breaker_closes);
-  (match t.breakers_open with
-  | [] -> ()
-  | open_now ->
-      line "breakers not closed"
-        (String.concat ", "
-           (List.map
-              (fun (tpl, st) ->
-                Printf.sprintf "%s:%s" tpl (Breaker.state_name st))
-              open_now)));
-  line "forced reclaims" (string_of_int t.forced_reclaims);
   Format.fprintf fmt "  error budget@\n";
   Format.fprintf fmt "    %-22s %5s  %-8s %-9s %7s@\n" "code" "sql" "severity"
     "retryable" "count";

@@ -1,4 +1,5 @@
-(** Health snapshot: what the supervision layer saw and did.
+(** Health snapshot: completions, failures by code and queries still in
+    flight.
 
     Built by the server at the end of a run; printed by [dbsim health].
     The error-budget table accounts for {e every} failure by
@@ -11,19 +12,11 @@ type t = {
   completed : int;  (** queries that finished successfully *)
   errors : (Error.code * int) list;  (** all codes, fixed order *)
   in_flight : int;  (** queries submitted and not yet settled *)
-  breaker_opens : int;
-  breaker_reopens : int;
-      (** of [breaker_opens], half-open probes that re-tripped; not
-          printed *)
-  breaker_closes : int;
-  breakers_open : (string * Breaker.state) list;
-      (** breakers not closed at the end of the run *)
-  forced_reclaims : int;
 }
 
 val stuck : t -> int
-(** Queries permanently stuck: still in flight when the run ended. The
-    supervised acceptance criterion is [stuck r = 0]. *)
+(** Queries permanently stuck: still in flight when the run ended. A
+    chaos run that drained is healthy only if [stuck r = 0]. *)
 
 val total_errors : t -> int
 
@@ -31,5 +24,5 @@ val pp : Format.formatter -> t -> unit
 (** Render the snapshot with the error-budget table (code, SQL number,
     severity, retryability, count). The failed-attempts line splits its
     total into hard failures ({!Error.Severe}: 701, 8645, 8651) and
-    refusals (every {!Error.Informational} code: sheds, open breakers,
-    downed shards, spent retry budgets). *)
+    refusals (every {!Error.Informational} code: sheds, downed shards,
+    spent retry budgets). *)

@@ -53,7 +53,6 @@ type t =
   | Reclaim of { wanted : int; freed : int }
   | Breaker_open of { template : string }
   | Breaker_close of { template : string }
-  | Forced_reclaim of { comp : string; wanted : int; freed : int }
   | Arbiter_tick of {
       scarce : bool;
       total : int;
@@ -104,7 +103,6 @@ let name = function
   | Reclaim _ -> "mem:reclaim"
   | Breaker_open _ -> "health:breaker_open"
   | Breaker_close _ -> "health:breaker_close"
-  | Forced_reclaim _ -> "broker:forced_reclaim"
   | Arbiter_tick _ -> "arbiter:tick"
   | Arbiter_reclaim _ -> "arbiter:reclaim"
   | Shard_state _ -> "shard:state"

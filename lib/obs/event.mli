@@ -77,12 +77,9 @@ type t =
   | Reclaim of { wanted : int; freed : int }
       (** donor shrink: the manager asked caches to give memory back *)
   | Breaker_open of { template : string }
-      (** circuit breaker for a query template tripped open *)
+      (** a router's circuit breaker for shard [template] tripped open *)
   | Breaker_close of { template : string }
       (** circuit breaker recovered (half-open probe succeeded) *)
-  | Forced_reclaim of { comp : string; wanted : int; freed : int }
-      (** the broker insisted: component [comp] ignored its shrink target
-          for too many ticks and [freed] bytes were reclaimed by force *)
   | Arbiter_tick of {
       scarce : bool;  (** predicted aggregate demand exceeds the machine *)
       total : int;  (** physical bytes the arbiter splits across pools *)

@@ -89,12 +89,6 @@ let fields_of_event = function
       [ ("wanted", Event.I wanted); ("freed", Event.I freed) ]
   | Event.Breaker_open { template } -> [ ("template", Event.S template) ]
   | Event.Breaker_close { template } -> [ ("template", Event.S template) ]
-  | Event.Forced_reclaim { comp; wanted; freed } ->
-      [
-        ("comp", Event.S comp);
-        ("wanted", Event.I wanted);
-        ("freed", Event.I freed);
-      ]
   | Event.Arbiter_tick { scarce; total; pools } ->
       [
         ("scarce", Event.B scarce);

@@ -205,7 +205,7 @@ let run ?(trace = Obs.Trace.null) cfg =
                   | Qcore.Broker.Can_grow ->
                       Midcache.Cache.set_budget cache cfg.k_cache_bytes
                   | Qcore.Broker.Hold_rate -> ())
-                ~reclaim:shrink ()));
+                ()));
         Some cache
   in
   Dbms.start dbms;

@@ -11,8 +11,8 @@
       is charged to a real memory clerk, so it squeezes the engine's
       caches and workspaces, but it never answers to the broker;
     - {!Cache_brokered}: same cache registered as a first-class broker
-      component (demand hint, shrink-to-target on [Must_shrink],
-      forced-reclaim hook), so under memory pressure the cache gives its
+      component (demand hint, shrink-to-target on [Must_shrink]), so
+      under memory pressure the cache gives its
       bytes back and traffic falls through to the compile gateways.
 
     An optional memory ballast reproduces the paper's contention regime

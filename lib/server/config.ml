@@ -30,7 +30,6 @@ type t = {
   plan_cache_floor_bytes : int;
   seed : int;
   resilience : bool;
-  supervision : bool;
   defense : defense;
   faults : Faultsim.Fault.spec list;
 }
@@ -58,13 +57,11 @@ let default () =
     plan_cache_floor_bytes = 0;
     seed = 42;
     resilience = false;
-    supervision = false;
     defense = no_defense;
     faults = [];
   }
 
 let resilient () = { (default ()) with resilience = true }
-let supervised () = { (resilient ()) with supervision = true }
 
 let unthrottled () =
   let base = default () in
@@ -98,8 +95,6 @@ let pp ppf t =
     (if t.throttle.Qcore.Throttle_config.dynamic then "dynamic thresholds"
      else "static thresholds")
     Qcore.Throttle_config.pp t.throttle Resilience.pp t.resilience;
-  if t.supervision then
-    Format.fprintf ppf "@,supervision ON: breakers + broker insistence";
   if defense_on t.defense then
     Format.fprintf ppf
       "@,storm defense ON: singleflight + retry budget + adaptive queues + \

@@ -50,9 +50,6 @@ type t = {
   seed : int;
   resilience : bool;
       (** the {!Resilience} retry/degrade/shed policy; off by default *)
-  supervision : bool;
-      (** the {!Health.Supervise} layer: circuit breakers and broker
-          insistence; off by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];
@@ -63,9 +60,6 @@ val default : unit -> t
 
 (** [default] with the full resilience policy switched on. *)
 val resilient : unit -> t
-
-(** [resilient] plus the supervision layer. *)
-val supervised : unit -> t
 
 (** [default] with throttling disabled (the paper's baseline lines). *)
 val unthrottled : unit -> t

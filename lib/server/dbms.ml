@@ -19,8 +19,6 @@ type t = {
   retry_rng : Sim.Rng.t option;
       (* jitter stream, split only when resilience is on so the disabled
          configuration replays the seed byte for byte *)
-  super : Health.Supervise.t;
-      (* always built; inert unless [Config.supervision] is on *)
   sflight : Plancache.Singleflight.t;
       (* always present: Observe mode costs nothing and blocks nobody, it
          only counts the duplicate compiles coalescing would have saved,
@@ -45,8 +43,8 @@ let acquire_arena t =
 
 let release_arena t a = t.arenas <- a :: t.arenas
 
-(* Queries are named "<template>#<serial>"; the breaker keys on the
-   template so a poison shape trips without condemning its siblings. *)
+(* Queries are named "<template>#<serial>"; the router places by the
+   template so every serial of one shape lands on the same shard. *)
 let template_of_qid qid =
   match String.index_opt qid '#' with
   | Some i -> String.sub qid 0 i
@@ -108,16 +106,8 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
       if spare = 0 then 0 else Plancache.Cache.shrink cache (min n spare));
   Dbmem.Manager.register_donor manager ~clerk:pool_clerk ~priority:1
     ~shrink:(fun n -> Bufpool.Pool.shrink pool n);
-  (* Broker components and their reactions to verdicts. With supervision
-     on, the broker also insists: a component that ignores
-     [Health.Supervise.insist_after] consecutive shrink verdicts is shrunk
-     by force through its reclaim hook — the paper's "broker insists". *)
-  let broker =
-    Qcore.Broker.create ~trace
-      ~insist_after:
-        (if cfg.Config.supervision then Health.Supervise.insist_after else 0)
-      eng manager
-  in
+  (* Broker components and their reactions to verdicts. *)
+  let broker = Qcore.Broker.create ~trace eng manager in
   let _pool_comp =
     Qcore.Broker.register broker ~name:"bufpool" ~clerk:pool_clerk ~weight:1.5
       ~min_bytes:cfg.Config.min_pool_bytes
@@ -127,7 +117,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
         | Qcore.Broker.Must_shrink ->
             ignore (Bufpool.Pool.shrink_to pool n.Qcore.Broker.target)
         | Qcore.Broker.Hold_rate | Qcore.Broker.Can_grow -> ())
-      ~reclaim:(fun n -> Bufpool.Pool.shrink pool n)
       ()
   in
   let _cache_comp =
@@ -147,7 +136,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
             let excess = Plancache.Cache.bytes cache - keep in
             if excess > 0 then ignore (Plancache.Cache.shrink cache excess)
         | Qcore.Broker.Hold_rate | Qcore.Broker.Can_grow -> ())
-      ~reclaim:(fun n -> Plancache.Cache.shrink cache n)
       ()
   in
   let _compile_comp =
@@ -200,9 +188,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     then Some (Sim.Rng.split (Sim.Engine.rng eng))
     else None
   in
-  let super =
-    Health.Supervise.create ~trace eng ~enabled:cfg.Config.supervision
-  in
   let defended = Config.defense_on cfg.Config.defense in
   let sflight =
     Plancache.Singleflight.create
@@ -247,7 +232,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
       @ match ballast with Some c -> [ ("ballast", c) ] | None -> []);
     ballast;
     retry_rng;
-    super;
     sflight;
     storm;
     in_flight = 0;
@@ -417,23 +401,15 @@ let should_shed t =
   float_of_int in_flight *. predicted_per_query
   > Resilience.shed_factor *. float_of_int target
 
-(* Stage 1, admit. The breaker goes first — the cheapest gate: a poison
-   template is refused before it can burn a gateway slot or a grant
-   wait. Then admission control. *)
-let admit t q ~template =
+(* Stage 1, admit: admission control refuses the query before it can
+   burn a gateway slot or a grant wait. *)
+let admit t q =
   let qid = q.Optimizer.Query.qid in
-  match Health.Supervise.admit t.super ~template with
-  | Error e -> Error e
-  | Ok () when should_shed t ->
-      emit t ~qid Obs.Event.Shed;
-      (* If this arrival was a half-open breaker's probe, hand the probe
-         slot back: the shed is our own back-pressure, not evidence about
-         the template, and a phantom in-flight probe would wedge the
-         breaker half-open. *)
-      Health.Supervise.release_probe t.super ~template;
-      Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
-  | Ok () ->
-      Ok { query = q; qid; degraded = false }
+  if should_shed t then begin
+    emit t ~qid Obs.Event.Shed;
+    Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
+  end
+  else Ok { query = q; qid; degraded = false }
 
 (* Stage 2, plan. Under any broker pressure the full search would queue
    at shrunken gateways (and likely OOM), so go straight to the cheap
@@ -530,32 +506,24 @@ let rec attempts t job n =
   | Error (`Retry e) ->
       if back_off t job ~n e then attempts t job (n + 1) else Error e
 
-(* Stage 5, settle: book the query's one terminal outcome. Hard failures
-   feed the template's breaker; back-pressure results (sheds, breaker
-   refusals) must not, or an open breaker would keep itself open with
-   its own rejections. *)
-let settle t ~qid ~template outcome =
+(* Stage 5, settle: book the query's one terminal outcome. *)
+let settle t ~qid outcome =
   t.in_flight <- t.in_flight - 1;
   match outcome with
   | Ok c ->
       Metrics.record_completion t.metrics ~compile_s:c.compile_s ~exec_s:c.exec_s;
       if c.cut_down then Metrics.record_degraded t.metrics;
-      Health.Supervise.record_success t.super ~template;
       Ok ()
   | Error (e : Health.Error.t) ->
       Metrics.record_error t.metrics e.Health.Error.code;
       emit t ~qid
         (Obs.Event.Query_error { kind = Health.Error.code_name e.Health.Error.code });
-      if Metrics.is_hard_error e.Health.Error.code then
-        Health.Supervise.record_failure t.super ~template;
       Error e
 
 let submit t q =
-  let qid = q.Optimizer.Query.qid in
-  let template = template_of_qid qid in
   t.in_flight <- t.in_flight + 1;
-  settle t ~qid ~template
-    (match admit t q ~template with
+  settle t ~qid:q.Optimizer.Query.qid
+    (match admit t q with
     | Error e -> Error e
     | Ok job -> attempts t job 1)
 
@@ -629,21 +597,12 @@ let join_arbiter t arb ~name ~weight ~min_share ~max_share ~budget =
     ~set_budget:(Dbmem.Manager.set_total t.manager)
     ~reclaim:(reclaim t) ()
 
-(* Snapshot of what the supervision layer saw and did. Meaningful for an
-   unsupervised server too: the error budget and completion counts come
-   from the metrics, with all supervision counters at zero. *)
 let health_report t ?(since = 0.) () =
-  let breakers = t.super.Health.Supervise.breakers in
   {
     Health.Report.duration_s = Sim.Engine.now t.eng -. since;
     completed = Metrics.total_completions t.metrics ~since ();
     errors = Metrics.errors t.metrics;
     in_flight = t.in_flight;
-    breaker_opens = Health.Breaker.opened_total breakers;
-    breaker_reopens = Health.Breaker.reopened_total breakers;
-    breaker_closes = Health.Breaker.closed_total breakers;
-    breakers_open = Health.Breaker.states breakers;
-    forced_reclaims = Qcore.Broker.forced_reclaims t.broker;
   }
 
 let engine t = t.eng

@@ -18,22 +18,20 @@ type t
 val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> Config.t -> Optimizer.Catalog.t -> t
 
 (** Queries are named ["<template>#<serial>"]; this strips the serial
-    (identity on ids without a ['#']). Breakers and routers key on it. *)
+    (identity on ids without a ['#']). The router places by it. *)
 val template_of_qid : string -> string
 
 (** Start the broker ticks and memory sampling. *)
 val start : t -> unit
 
 (** Process-blocking end-to-end query execution, as a pipeline of
-    stages: admit (breaker, then admission control), then attempts of
+    stages: admit (admission control), then attempts of
     plan (plan-cache probe, governed compilation on the ladder's rung)
     and exec (grant acquisition, simulated execution), with a backoff
     between attempts after a transient failure, then settle (the one
     terminal outcome is booked). With [config.resilience] off (the
-    default) the behaviour is the seed pipeline exactly; with
-    [config.supervision] on the query is additionally gated by its
-    template's circuit breaker. Every
-    failure carries a structured {!Health.Error.t}. *)
+    default) the behaviour is the seed pipeline exactly. Every failure
+    carries a structured {!Health.Error.t}. *)
 val submit : t -> Optimizer.Query.t -> (unit, Health.Error.t) result
 
 (** {!submit} with the error rendered as a string (client callback form). *)
@@ -82,10 +80,9 @@ val join_arbiter :
   budget:int ->
   Qcore.Arbiter.pool
 
-(** Snapshot the supervision layer's books: per-code error budget,
-    queries still in flight, breaker counters, forced reclaims. [since]
-    bounds the completion count and duration (default [0.]). Meaningful
-    for unsupervised servers too (supervision counters read zero). *)
+(** Snapshot the server's books: completions, the per-code error budget
+    and queries still in flight. [since] bounds the completion count and
+    duration (default [0.]). *)
 val health_report : t -> ?since:float -> unit -> Health.Report.t
 
 (** {1 Component access (metrics, tests, benches)} *)

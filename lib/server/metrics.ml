@@ -1,7 +1,7 @@
 (* Errors are counted by structured taxonomy code (Health.Error), so the
    server's books and the health report speak the same vocabulary. *)
 
-(* Back-pressure refusals (sheds, open breakers) are deliberate, polite
+(* Back-pressure refusals (sheds, downed shards) are deliberate, polite
    refusals under overload; everything else is a hard resource failure
    (the reliability numbers of §5). *)
 let is_hard_error code = Health.Error.severity code <> Health.Error.Informational

@@ -8,9 +8,9 @@
     claims; per-clerk memory is sampled periodically for the
     Figure-2-style memory traces. *)
 
-(** Back-pressure refusals ({!Health.Error.Admission_shed},
-    {!Health.Error.Breaker_open} — the [Informational] severity) are
-    deliberate; all other codes are hard resource failures. *)
+(** Back-pressure refusals (sheds, downed shards, spent retry budgets —
+    the [Informational] severity) are deliberate; all other codes are
+    hard resource failures. *)
 val is_hard_error : Health.Error.code -> bool
 
 type t

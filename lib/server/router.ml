@@ -137,9 +137,8 @@ let pick t ~template =
     | idx :: rest ->
         let sh = t.shards.(idx) in
         if Shard.state sh = Shard.Down then go ~spill:true rest
-        else if
-          Result.is_ok (Health.Breaker.admit t.breakers ~template:(Shard.name sh))
-        then Some (sh, spill)
+        else if Health.Breaker.admit t.breakers ~template:(Shard.name sh) then
+          Some (sh, spill)
         else go ~spill:true rest
   in
   go ~spill:false (preference t ~template)
@@ -292,7 +291,6 @@ let submit_catch ?budget t q =
   | Error e -> Error (Health.Error.to_string e)
 
 let shards t = t.shards
-let breakers t = t.breakers
 let latency t = t.latency
 let submitted t = t.submitted
 let ok t = t.ok

@@ -56,7 +56,6 @@ val set_measure_from : t -> float -> unit
 (** {1 Introspection} *)
 
 val shards : t -> Shard.t array
-val breakers : t -> Health.Breaker.t
 val latency : t -> Obs.Hist.t
 
 (** Conservation: [submitted = ok + failed + in_flight] at all times;

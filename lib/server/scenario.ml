@@ -22,7 +22,7 @@ type outcome = {
   client_stats : Workload.Client.stats;
 }
 
-let run_chaos ?(config = Config.supervised ()) ?faults ?seed ?(clients = 35)
+let run_chaos ?(config = Config.resilient ()) ?faults ?seed ?(clients = 35)
     ?(warmup = 60.) ?(measure = 1000.) ?(drain = 900.) ?(think_mean = 100.)
     ?trace () =
   let faults = match faults with Some f -> f | None -> chaos_faults () in

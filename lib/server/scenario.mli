@@ -1,5 +1,5 @@
 (** The canonical chaos scenario, shared by [dbsim health], the golden
-    health-report test and the supervision property tests, so the CLI and
+    health-report test and the chaos property tests, so the CLI and
     the test suite always exercise the same schedule.
 
     Everything is deterministic in the seed: the same parameters and seed
@@ -8,7 +8,7 @@
 (** The default schedule: a 12 GiB external ballast ramping over 600 s
     starting at [at] (the paper's §3 external-pressure transient), plus a
     transient allocation-failure window on the compile clerk for the same
-    600 s so the circuit breakers and the error taxonomy see real 701s.
+    600 s so the retry ladder and the error taxonomy see real 701s.
     [ballast_gib = 0.] / [glitch = 0.] drop the respective fault. *)
 val chaos_faults :
   ?ballast_gib:float ->
@@ -28,7 +28,7 @@ type outcome = {
 }
 
 (** [run_chaos ()] builds a server from [config]
-    ({!Config.supervised} by default), installs [faults]
+    ({!Config.resilient} by default), installs [faults]
     ({!chaos_faults} by default), loads it with [clients] SALES clients
     until [warmup + measure], then keeps the engine running for [drain]
     further seconds with no new submissions so in-flight queries can

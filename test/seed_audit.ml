@@ -1,11 +1,11 @@
-(* Flaky-seed audit: the three seed-sensitive acceptance bounds in the
+(* Flaky-seed audit: the seed-sensitive acceptance bounds in the
    test suite, swept across seeds 1..N in CI-identical configurations.
    Not part of [dune runtest] — run it when retuning a tolerance:
 
      dune exec test/seed_audit.exe -- --seeds 20 --jobs 4
 
    Prints one row per seed per bound plus the min/max envelope, so a
-   tolerance in test_shards.ml / test_health.ml / test_midcache.ml can be
+   tolerance in test_shards.ml / test_midcache.ml / test_storms.ml can be
    pinned against the observed spread rather than one lucky seed (the
    audited envelopes are recorded in DESIGN.md §10, the storm ones in
    §11). *)
@@ -35,18 +35,6 @@ let shards_retention seed =
       { base with Server.Shards.c_schedule = Server.Shards.Crash_failover }
   in
   Server.Shards.retention ~fault:crash ~no_fault
-
-(* test_health.ml test_supervised_throughput: supervised completions over
-   resilient completions under the canonical chaos schedule. *)
-let supervised_ratio seed =
-  let faults = Server.Scenario.chaos_faults () in
-  let run config = Server.Scenario.run_chaos ~config ~faults ~seed () in
-  let sup = run (Server.Config.supervised ()) in
-  let plain = run (Server.Config.resilient ()) in
-  if plain.Server.Scenario.completed = 0 then infinity
-  else
-    float_of_int sup.Server.Scenario.completed
-    /. float_of_int plain.Server.Scenario.completed
 
 (* test_midcache.ml acceptance cells, verbatim config. *)
 let midcache_bounds seed =
@@ -110,7 +98,6 @@ let storm_bounds seed =
 type row = {
   seed : int;
   retention : float;
-  sup_ratio : float;
   mc_uplift : float;
   mc_gw_drop : int;
   mc_calm_shrinks : int;
@@ -127,7 +114,6 @@ type row = {
 
 let audit_seed seed =
   let retention = shards_retention seed in
-  let sup_ratio = supervised_ratio seed in
   let mc_uplift, mc_gw_drop, mc_calm_shrinks, mc_ballast_shrinks,
       mc_ballast_retention =
     midcache_bounds seed
@@ -144,7 +130,6 @@ let audit_seed seed =
   {
     seed;
     retention;
-    sup_ratio;
     mc_uplift;
     mc_gw_drop;
     mc_calm_shrinks;
@@ -182,16 +167,16 @@ let () =
   let seed_list = List.init !seeds (fun i -> i + 1) in
   let rows = Parallel.Pool.run ~jobs:!jobs audit_seed seed_list in
   Printf.printf
-    "seed  shards_retention  supervised_ratio  mc_uplift  mc_gw_drop  \
+    "seed  shards_retention  mc_uplift  mc_gw_drop  \
      mc_calm_shrinks  mc_ballast_shrinks  mc_ballast_retention  st_dup_on  \
      st_dup_off  st_coalesced  st_recovery_on  st_recovery_off  st_amp_on  \
      st_amp_off\n";
   List.iter
     (fun r ->
       Printf.printf
-        "%4d  %16.3f  %16.3f  %9.3f  %10d  %15d  %18d  %20.3f  %9d  %10d  \
+        "%4d  %16.3f  %9.3f  %10d  %15d  %18d  %20.3f  %9d  %10d  \
          %12d  %14.0f  %15.0f  %9.2f  %10.2f\n"
-        r.seed r.retention r.sup_ratio r.mc_uplift r.mc_gw_drop
+        r.seed r.retention r.mc_uplift r.mc_gw_drop
         r.mc_calm_shrinks r.mc_ballast_shrinks r.mc_ballast_retention
         r.st_dup_on r.st_dup_off r.st_coalesced r.st_recovery_on
         r.st_recovery_off r.st_amp_on r.st_amp_off)
@@ -201,14 +186,12 @@ let () =
     (List.fold_left min infinity vs, List.fold_left max neg_infinity vs)
   in
   let lo_r, hi_r = env (fun r -> r.retention) in
-  let lo_s, hi_s = env (fun r -> r.sup_ratio) in
   let lo_u, hi_u = env (fun r -> r.mc_uplift) in
   let lo_g, hi_g = env (fun r -> float_of_int r.mc_gw_drop) in
   let lo_b, hi_b = env (fun r -> float_of_int r.mc_ballast_shrinks) in
   let lo_br, hi_br = env (fun r -> r.mc_ballast_retention) in
   Printf.printf "\nenvelopes over %d seeds:\n" !seeds;
   Printf.printf "  shards crash-failover retention   [%.3f, %.3f]\n" lo_r hi_r;
-  Printf.printf "  supervised/resilient completions  [%.3f, %.3f]\n" lo_s hi_s;
   Printf.printf "  midcache brokered/off uplift      [%.3f, %.3f]\n" lo_u hi_u;
   Printf.printf "  midcache gateway-admission drop   [%.0f, %.0f]\n" lo_g hi_g;
   Printf.printf "  midcache ballast shrink events    [%.0f, %.0f]\n" lo_b hi_b;

@@ -6,8 +6,7 @@
    rungs carry part of the load. The run is a pure function of the
    seed, so the rendered result and a digest of its full JSONL trace
    pin the ladder's behaviour: retries, backoff naps, degraded plans,
-   sheds and breaker calls. It runs once with
-   resilience alone and once with supervision on top. *)
+   sheds and the broker's verdicts. *)
 
 let impatient base =
   {
@@ -81,10 +80,7 @@ let run name config =
   render name r trace
 
 let test_ladder_golden () =
-  let got =
-    run "resilient" (Server.Config.resilient ())
-    ^ run "supervised" (Server.Config.supervised ())
-  in
+  let got = run "resilient" (Server.Config.resilient ()) in
   let expected =
     Test_trace.read_file (Test_trace.golden_path "ladder_retry.golden")
   in

@@ -69,6 +69,77 @@ let test_ring_stable_under_health () =
   Alcotest.(check (list int)) "preference unchanged by a crash" before
     (Server.Router.preference router ~template:"p007")
 
+(* The per-shard breakers: a home shard that fails hard three times in a
+   row trips its breaker, the next arrival spills to the next shard on
+   the ring, and after the 60 s cooldown a successful probe sends the
+   template home again. Compile allocations on the home shard fail
+   until the fault is cleared, so each attempt there ends in a 701. *)
+let test_router_breaker_spills_and_heals () =
+  let eng = Sim.Engine.create ~seed:1 () in
+  let shards = make_shards eng 2 in
+  let trace = Obs.Trace.create () in
+  let router = Server.Router.create ~trace eng shards in
+  let rng = Sim.Rng.create 5 in
+  let sales = List.hd (Workload.Sales.templates ()) in
+  let query id = Workload.Template.instance rng sales ~id in
+  let first = query 1 in
+  let template = Server.Dbms.template_of_qid first.Optimizer.Query.qid in
+  let home, next =
+    match Server.Router.preference router ~template with
+    | h :: n :: _ -> (shards.(h), shards.(n))
+    | _ -> Alcotest.fail "two shards expected"
+  in
+  let breaker_records name =
+    Array.fold_left
+      (fun (opens, closes) (r : Obs.Trace.record) ->
+        match r.event with
+        | Obs.Event.Breaker_open { template } when template = name ->
+            (opens + 1, closes)
+        | Obs.Event.Breaker_close { template } when template = name ->
+            (opens, closes + 1)
+        | _ -> (opens, closes))
+      (0, 0) (Obs.Trace.records trace)
+  in
+  let home_name = Server.Shard.name home in
+  let manager = Server.Dbms.manager (Server.Shard.dbms home) in
+  Dbmem.Manager.set_alloc_fault manager
+    (Some (fun clerk _ -> clerk = "compile"));
+  let finished = ref false in
+  Sim.Engine.spawn eng ~name:"client" (fun () ->
+      (* One submission: the router retries the retryable 701 twice, and
+         every attempt goes home while its breaker is closed. *)
+      (match Server.Router.submit router first with
+      | Error { Health.Error.code = Health.Error.Insufficient_memory; _ } -> ()
+      | Ok () -> Alcotest.fail "the faulted home shard completed a query"
+      | Error e -> Alcotest.failf "unexpected error %s" (Health.Error.to_string e));
+      let tripped_at = Sim.Engine.now eng in
+      Alcotest.(check int) "three attempts at home" 3 (Server.Shard.accepted home);
+      Alcotest.(check (pair int int)) "home breaker opened" (1, 0)
+        (breaker_records home_name);
+      Alcotest.(check int) "no spill yet" 0 (Server.Router.spills router);
+      (* The next arrival spills along the ring and completes there. *)
+      Alcotest.(check bool) "spilled arrival completes" true
+        (Result.is_ok (Server.Router.submit router (query 2)));
+      Alcotest.(check int) "spill counted" 1 (Server.Router.spills router);
+      Alcotest.(check int) "ran on the next shard" 1 (Server.Shard.accepted next);
+      Alcotest.(check int) "home left alone" 3 (Server.Shard.accepted home);
+      (* The fault clears; past the cooldown the next arrival is the
+         half-open probe, succeeds at home and closes the breaker. *)
+      Dbmem.Manager.set_alloc_fault manager None;
+      Sim.Engine.sleep (Float.max 0. (tripped_at +. 60. -. Sim.Engine.now eng));
+      Alcotest.(check bool) "probe completes" true
+        (Result.is_ok (Server.Router.submit router (query 3)));
+      Alcotest.(check int) "probe ran at home" 4 (Server.Shard.accepted home);
+      Alcotest.(check (pair int int)) "home breaker closed" (1, 1)
+        (breaker_records home_name);
+      Alcotest.(check bool) "later arrival completes" true
+        (Result.is_ok (Server.Router.submit router (query 4)));
+      Alcotest.(check int) "template home again" 5 (Server.Shard.accepted home);
+      Alcotest.(check int) "no further spill" 1 (Server.Router.spills router);
+      finished := true);
+  Sim.Engine.run eng ~until:10_000.;
+  Alcotest.(check bool) "client finished" true !finished
+
 (* ------------------------------------------------------------------ *)
 (* Shard lifecycle *)
 
@@ -281,6 +352,7 @@ let suite =
   [
     ("ring spreads templates", `Quick, test_ring_spreads_templates);
     ("ring stable under health changes", `Quick, test_ring_stable_under_health);
+    ("router breaker spills and heals", `Quick, test_router_breaker_spills_and_heals);
     ("shard lifecycle", `Quick, test_shard_lifecycle);
     ("fault schedules validate", `Quick, test_fault_schedules_validate);
     ("non-positive think rejected", `Quick, test_rejects_non_positive_think);
