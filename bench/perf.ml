@@ -13,7 +13,8 @@
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
    Suites: optimizer compile (Cascades and its greedy seed on SALES
-   shapes), the sim-engine event loop, buffer-pool access, governed
+   shapes), the sim-engine event loop, CPU slice hand-off, buffer-pool
+   access, governed
    compile-memory allocation, a full experiment cell, and the parallel
    grid speedup with a byte-identity check. *)
 
@@ -172,6 +173,33 @@ let engine_bench () =
       done;
       Sim.Engine.run eng ~until:horizon;
       Sim.Engine.events_executed eng)
+
+(* ------------------------------------------------------------------ *)
+(* CPU hand-off *)
+
+(* Sixteen processes round-robin on a two-core [Cpu]: every slice end
+   hands its core to the head of the run queue. One engine and pool serve
+   every run, so the row prices the slices (the per-job set-up is spread
+   over them); per-slice numbers. *)
+let cpu_handoff_bench () =
+  let procs = 16 and slices = if !quick then 20_000 else 200_000 in
+  let iters = if !quick then 3 else 5 in
+  let eng = Sim.Engine.create ~seed:1 () in
+  let cpu = Execsim.Cpu.create eng ~cores:2 () in
+  let demand = 0.25 *. float_of_int (slices / procs) in
+  let b =
+    time_bench ~name:"cpu_handoff" ~iters (fun () ->
+        for _ = 1 to procs do
+          Sim.Engine.spawn eng (fun () -> Execsim.Cpu.busy cpu demand)
+        done;
+        Sim.Engine.run_all eng)
+  in
+  {
+    b with
+    iters = iters * slices;
+    per_op_ns = b.per_op_ns /. float_of_int slices;
+    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int slices;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Mid-tier cache ops *)
@@ -586,6 +614,7 @@ let () =
     @ steady_state_benches ()
     @ [
         engine_bench ();
+        cpu_handoff_bench ();
         midcache_bench ();
         bufpool;
         governed_alloc_bench ();

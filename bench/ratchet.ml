@@ -176,8 +176,8 @@ let read_file path =
 type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
-   cost-only Cascades memo, the pooled event loop, the flat buffer pool,
-   the governor's metered allocation) are
+   cost-only Cascades memo, the pooled event loop, the CPU hand-off
+   queue, the flat buffer pool, the governor's metered allocation) are
    held to a tight 5% alloc ratchet instead of the global tolerance:
    their baselines are small and stable, so even a modest absolute creep
    is a real erosion of the win, not measurement noise. Wall time keeps
@@ -191,6 +191,7 @@ let tight_alloc_benches =
     "optimizer_steady_state";
     "optimizer_steady_state_fresh";
     "sim_engine_event_loop";
+    "cpu_handoff";
     "bufpool_access";
     "governed_alloc";
   ]

@@ -4,7 +4,14 @@
     one server with the aggregate bandwidth ([spindles *
     throughput_bytes_per_s]): a lone stream gets full array speed;
     concurrent streams queue and share it — the physical I/O pressure that
-    appears in the paper when compilations steal buffer-pool pages. *)
+    appears in the paper when compilations steal buffer-pool pages.
+
+    Transfers are served first come, first served. A transfer to an idle
+    array is a plain {!Sim.Engine.sleep}. One that finds the array busy
+    parks ({!Sim.Engine.park}) in a FIFO; each completion event hands the
+    array to the head, which adds its wait to {!queue_wait} and reads its
+    {!service_time} at that moment, and the transfer resumes inside its
+    own completion event. *)
 
 type t
 
@@ -25,7 +32,8 @@ val reads : t -> int
 val bytes_read : t -> int
 val bytes_written : t -> int
 
-(** Seconds spent queueing for a spindle, across all requests. *)
+(** Seconds spent queueing for the array, across all requests (a
+    transfer to an idle array adds a [0.]). *)
 val queue_wait : t -> Sim.Stats.Online.t
 
 (** {1 Fault injection}
@@ -33,7 +41,12 @@ val queue_wait : t -> Sim.Stats.Online.t
     A degraded array (rebuild in progress, failing spindle) delivers
     [throughput_factor] of nominal bandwidth and pays [extra_seek_s] extra
     latency per transfer. Used by the chaos harness; a freshly created
-    disk is never degraded. *)
+    disk is never degraded.
+
+    A queued transfer reads the degradation in force when the array is
+    handed to it, i.e. at the previous transfer's completion. A change
+    made at exactly that simulated time applies to the queued transfer
+    only if it ran in an earlier event of that instant. *)
 
 val set_degradation :
   t -> throughput_factor:float -> extra_seek_s:float -> unit

@@ -1,40 +1,100 @@
+(* A job's two floats live in a flat all-float record, so the per-slice
+   updates are unboxed stores. *)
+type span = { mutable remaining : float; mutable q : float }
+
+type job = {
+  span : span;
+  resume : unit -> unit;  (* continues the parked process *)
+  fire : unit -> unit;  (* the job's slice-end event *)
+}
+
 type t = {
   eng : Sim.Engine.t;
-  sem : Sim.Resource.Sem.t;
   slice : float;
   created_at : float;
-  mutable busy_total : float;
+  mutable free : int;  (* idle cores; > 0 only while [runq] is empty *)
+  runq : job Sim.Fifo.t;
+  busy_total : Sim.Engine.fcell;
+  delay : Sim.Engine.fcell;  (* staging cell for [Engine.after] *)
 }
+
+let dummy = { span = { remaining = 0.; q = 0. }; resume = ignore; fire = ignore }
 
 let create eng ~cores ?(slice = 0.25) () =
   if cores < 1 then invalid_arg "Cpu.create: cores";
   if slice <= 0. then invalid_arg "Cpu.create: slice";
   {
     eng;
-    sem = Sim.Resource.Sem.create eng ~capacity:cores ();
     slice;
     created_at = Sim.Engine.now eng;
-    busy_total = 0.;
+    free = cores;
+    runq = Sim.Fifo.create ~dummy ();
+    busy_total = { fc = 0. };
+    delay = { fc = 0. };
   }
+
+(* Run [j]'s next slice on a core it already holds. [min slice
+   remaining], written as a comparison (the same value for the positive
+   non-NaN operands here). *)
+let start t j =
+  let s = j.span in
+  s.q <- (if s.remaining < t.slice then s.remaining else t.slice);
+  t.delay.fc <- s.q;
+  Sim.Engine.after t.eng t.delay j.fire
+
+(* A core falls free: the head of the run queue gets it, or it idles. *)
+let release t =
+  if Sim.Fifo.is_empty t.runq then t.free <- t.free + 1
+  else start t (Sim.Fifo.pop t.runq)
+
+let slice_end t j =
+  let s = j.span in
+  t.busy_total.fc <- t.busy_total.fc +. s.q;
+  s.remaining <- s.remaining -. s.q;
+  if s.remaining > 1e-9 then
+    if Sim.Fifo.is_empty t.runq then start t j
+    else begin
+      (* Round robin: the head takes the core, [j] goes to the back. *)
+      let h = Sim.Fifo.pop t.runq in
+      Sim.Fifo.push t.runq j;
+      start t h
+    end
+  else begin
+    release t;
+    j.resume ()
+  end
 
 let busy t seconds =
   if seconds < 0. then invalid_arg "Cpu.busy: negative";
-  let remaining = ref seconds in
-  while !remaining > 1e-9 do
-    (match Sim.Resource.Sem.acquire t.sem ~n:1 () with
-    | Sim.Resource.Acquired -> ()
-    | Sim.Resource.Timed_out -> assert false);
-    let q = Float.min t.slice !remaining in
-    Sim.Engine.sleep q;
-    Sim.Resource.Sem.release t.sem ~n:1;
-    t.busy_total <- t.busy_total +. q;
-    remaining := !remaining -. q
-  done
+  if seconds > 1e-9 then
+    if t.free > 0 && seconds <= t.slice then begin
+      (* One slice on an idle core: no job, just a sleep. *)
+      t.free <- t.free - 1;
+      Sim.Engine.sleep seconds;
+      t.busy_total.fc <- t.busy_total.fc +. seconds;
+      release t
+    end
+    else
+      (* The job stays parked across all its slices; each slice end is
+         one event, and the last resumes the process inside it. *)
+      Sim.Engine.park (fun resume ->
+          let rec j =
+            {
+              span = { remaining = seconds; q = 0. };
+              resume;
+              fire = (fun () -> slice_end t j);
+            }
+          in
+          if t.free > 0 then begin
+            t.free <- t.free - 1;
+            start t j
+          end
+          else Sim.Fifo.push t.runq j)
 
-let busy_seconds t = t.busy_total
+let busy_seconds t = t.busy_total.fc
 
 let utilization t =
   let elapsed = Sim.Engine.now t.eng -. t.created_at in
-  if elapsed <= 0. then 0. else t.busy_total /. elapsed
+  if elapsed <= 0. then 0. else t.busy_total.fc /. elapsed
 
-let queued t = Sim.Resource.Sem.queued t.sem
+let queued t = Sim.Fifo.length t.runq

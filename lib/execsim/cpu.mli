@@ -1,10 +1,17 @@
 (** Processor pool: [cores] identical CPUs shared by all sessions.
 
-    CPU demand is consumed in small time slices through a FIFO semaphore,
-    approximating round-robin scheduling: when runnable work exceeds the
-    core count, every consumer slows down proportionally — the saturation
+    CPU demand is consumed in [slice]-second time slices, served round
+    robin from one FIFO run queue: when runnable work exceeds the core
+    count, every consumer slows down proportionally — the saturation
     behaviour behind the paper's "at and beyond the capabilities of the
-    hardware" experiments. *)
+    hardware" experiments.
+
+    A slice end hands its core straight to the head of the run queue, in
+    the same engine event, and the preempted job goes to the back. A job
+    stays parked ({!Sim.Engine.park}) across all its slices and resumes
+    inside its last slice's end event, so a queued slice costs one event
+    and allocates nothing. A single slice on an idle core is a plain
+    {!Sim.Engine.sleep}. *)
 
 type t
 

@@ -57,6 +57,7 @@ let () =
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Park : (('a -> unit) -> unit) -> 'a Effect.t
   | Self_name : string Effect.t
 
 (* A long experiment keeps thousands of timers in flight (one per client
@@ -196,6 +197,13 @@ let schedule_anon t ?(delay = 0.) fn =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_event t ~hdl:anon_hdl ~time:(t.now.fc +. delay) fn
 
+(* The delay arrives in a flat cell for the reason [q_push] takes its
+   time from one: a float argument to a call from another module is
+   boxed. *)
+let after t delay fn =
+  if delay.fc < 0. then invalid_arg "Engine.after: negative delay";
+  schedule_event t ~hdl:anon_hdl ~time:(t.now.fc +. delay.fc) fn
+
 let cancel hdl = hdl.hcancelled <- true
 let cancelled hdl = hdl.hcancelled
 
@@ -223,6 +231,7 @@ let start_process t (name : string) body =
               end
             in
             f wake)
+    | Park f -> Some (fun k -> f (fun v -> continue k v))
     | Self_name -> Some (fun k -> continue k name)
     | _ -> None
   in
@@ -241,6 +250,7 @@ let spawn t ?(name = "") ?(delay = 0.) body =
 
 let sleep dt = Effect.perform (Sleep dt)
 let suspend f = Effect.perform (Suspend f)
+let park f = Effect.perform (Park f)
 
 let self_name () =
   try Effect.perform Self_name with Effect.Unhandled _ -> ""

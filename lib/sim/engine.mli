@@ -36,6 +36,17 @@ val rng : t -> Rng.t
     blocking code. An exception [f] raises leaves {!run} as itself. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> handle
 
+(** A float in a flat record: reading and writing [fc] is an unboxed
+    load or store. *)
+type fcell = { mutable fc : float }
+
+(** [after t delay f] runs [f ()] at [now t +. delay.fc], reading the
+    cell now. Unlike {!schedule} it returns no handle, so it cannot be
+    cancelled, and it allocates nothing: a float passed to a function of
+    another module is boxed, a cell is not. [delay.fc < 0.] is an
+    error. *)
+val after : t -> fcell -> (unit -> unit) -> unit
+
 (** [cancel h] prevents the callback from firing if it has not fired yet. *)
 val cancel : handle -> unit
 
@@ -58,6 +69,19 @@ val sleep : float -> unit
     process/callback). Extra calls to [wake] are ignored. This is the single
     primitive from which waits, timeouts and resources are built. *)
 val suspend : (('a -> unit) -> unit) -> 'a
+
+(** [park f] parks the calling process and calls [f resume], like
+    {!suspend}, but [resume v] continues the process at once, inside the
+    event that calls it, instead of scheduling a wake event at the same
+    instant. The process runs until it next blocks or ends, and then
+    [resume] returns. So a hand-off queue that resumes its head from its
+    own completion event costs that one event. An exception escaping the
+    process leaves through [resume] as {!Process_failed}, naming the
+    process at the resuming event's time. [resume] may be called only
+    once: a second call raises [Effect.Continuation_already_resumed].
+    Call it from a raw callback ({!schedule}, {!after}) or from [f]
+    itself, never from inside another process. *)
+val park : (('a -> unit) -> unit) -> 'a
 
 (** [name ()] is the current process name ("" outside a named process). *)
 val self_name : unit -> string

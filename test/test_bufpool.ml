@@ -57,6 +57,139 @@ let test_disk_write_accounting () =
   Alcotest.(check int) "written" 300 (Disk.bytes_written d);
   Alcotest.(check int) "not counted as read" 0 (Disk.bytes_read d)
 
+(* Differential oracle: the hand-off FIFO against the semaphore disk it
+   replaced ([Oracle.Disk_ref]). Transfers arrive at a few shared
+   instants (so arrivals tie), reads and writes of random sizes (zero
+   included), while degradation is set and cleared at random times that
+   fall between completions. After every transfer both sides must read
+   the same clock, counters and [queue_wait] count, mean and variance,
+   compared as float bits. *)
+type disk_case = {
+  spindles : int;
+  seek : float;
+  transfers : (float * (bool * int) list) list;  (* arrival, (write?, bytes) *)
+  faults : (float * (float * float) option) list;  (* None clears *)
+}
+
+let gen_disk_case =
+  let open QCheck.Gen in
+  let* spindles = int_range 1 4 in
+  let* seek = oneofl [ 0.; 0.004; 0.3 ] in
+  let* instants = list_size (int_range 1 4) (float_range 0. 4.) in
+  let instants = Array.of_list instants in
+  let bytes = frequency [ (1, return 0); (9, int_range 1 2000) ] in
+  let* transfers =
+    list_size (int_range 1 24)
+      (pair
+         (map (fun i -> instants.(i mod Array.length instants)) nat)
+         (list_size (int_range 1 2) (pair bool bytes)))
+  in
+  let+ faults =
+    list_size (int_range 0 4)
+      (pair (float_range 0. 8.)
+         (opt (pair (float_range 0.1 1.) (float_range 0. 0.2))))
+  in
+  { spindles; seek; transfers; faults }
+
+let print_disk_case c =
+  Printf.sprintf "spindles=%d seek=%g transfers=%s faults=%s" c.spindles c.seek
+    (String.concat " "
+       (List.map
+          (fun (at, ts) ->
+            Printf.sprintf "%h:[%s]" at
+              (String.concat ";"
+                 (List.map
+                    (fun (w, b) -> Printf.sprintf "%c%d" (if w then 'w' else 'r') b)
+                    ts)))
+          c.transfers))
+    (String.concat " "
+       (List.map
+          (fun (at, f) ->
+            match f with
+            | None -> Printf.sprintf "%h:clear" at
+            | Some (k, x) -> Printf.sprintf "%h:%h,%h" at k x)
+          c.faults))
+
+type disk_ops = {
+  transfer : write:bool -> bytes:int -> unit;
+  degrade : (float * float) option -> unit;
+  observe : unit -> int * int * int * int * int64 * int64;
+}
+
+let run_disk_case c make =
+  let eng = Sim.Engine.create () in
+  let ops = make eng in
+  List.iter
+    (fun (at, f) ->
+      ignore (Sim.Engine.schedule eng ~delay:at (fun () -> ops.degrade f)))
+    c.faults;
+  let samples = ref [] in
+  List.iteri
+    (fun i (at, ts) ->
+      Sim.Engine.spawn eng ~delay:at (fun () ->
+          List.iter
+            (fun (write, bytes) ->
+              ops.transfer ~write ~bytes;
+              let now = Int64.bits_of_float (Sim.Engine.now eng) in
+              samples := (i, now, ops.observe ()) :: !samples)
+            ts))
+    c.transfers;
+  Sim.Engine.run_all eng;
+  List.rev !samples
+
+let prop_disk_matches_oracle =
+  QCheck.Test.make ~name:"disk hand-off queue = semaphore oracle" ~count:500
+    (QCheck.make ~print:print_disk_case gen_disk_case)
+    (fun c ->
+      let bits = Int64.bits_of_float in
+      let stats w =
+        ( Sim.Stats.Online.count w,
+          bits (Sim.Stats.Online.mean w),
+          bits (Sim.Stats.Online.variance w) )
+      in
+      let shipped eng =
+        let d =
+          Disk.create eng ~spindles:c.spindles ~seek_s:c.seek
+            ~throughput_bytes_per_s:1000.
+        in
+        {
+          transfer =
+            (fun ~write ~bytes ->
+              if write then Disk.write d ~bytes else Disk.read d ~bytes);
+          degrade =
+            (function
+            | Some (throughput_factor, extra_seek_s) ->
+                Disk.set_degradation d ~throughput_factor ~extra_seek_s
+            | None -> Disk.clear_degradation d);
+          observe =
+            (fun () ->
+              let n, m, v = stats (Disk.queue_wait d) in
+              (Disk.reads d, Disk.bytes_read d, Disk.bytes_written d, n, m, v));
+        }
+      in
+      let oracle eng =
+        let module R = Oracle.Disk_ref in
+        let d =
+          R.create eng ~spindles:c.spindles ~seek_s:c.seek
+            ~throughput_bytes_per_s:1000.
+        in
+        {
+          transfer =
+            (fun ~write ~bytes ->
+              if write then R.write d ~bytes else R.read d ~bytes);
+          degrade =
+            (function
+            | Some (throughput_factor, extra_seek_s) ->
+                R.set_degradation d ~throughput_factor ~extra_seek_s
+            | None -> R.clear_degradation d);
+          observe =
+            (fun () ->
+              let n, m, v = stats (R.queue_wait d) in
+              (R.reads d, R.bytes_read d, R.bytes_written d, n, m, v));
+        }
+      in
+      run_disk_case c shipped = run_disk_case c oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Policies *)
 
@@ -630,6 +763,7 @@ let suite =
     ("disk concurrent reads queue", `Quick, test_disk_concurrent_reads_queue);
     ("disk zero bytes", `Quick, test_disk_zero_bytes_instant);
     ("disk write accounting", `Quick, test_disk_write_accounting);
+    QCheck_alcotest.to_alcotest prop_disk_matches_oracle;
     ("lru evicts oldest", `Quick, test_lru_evicts_oldest);
     ("clock second chance", `Quick, test_clock_second_chance);
     ("lru2 scan resistance", `Quick, test_lru2_scan_resistance);

@@ -58,6 +58,124 @@ let test_cpu_utilization () =
   (* 4 busy core-seconds over an 8-second window. *)
   Alcotest.(check (float 1e-6)) "utilization" 0.5 (Cpu.utilization cpu)
 
+(* An exception raised just after [busy] returns leaves the run through
+   the slice-end event that resumed the parked job: named after the
+   process, at that event's time. Two 0.6 s jobs share one core in
+   0.25 s slices taken in turn, so "late" ends after four full slices
+   and two of 0.6 - 0.25 - 0.25. *)
+let test_cpu_failure_after_busy () =
+  let eng = Sim.Engine.create () in
+  let cpu = Cpu.create eng ~cores:1 () in
+  Sim.Engine.spawn eng ~name:"early" (fun () -> Cpu.busy cpu 0.6);
+  Sim.Engine.spawn eng ~name:"late" (fun () ->
+      Cpu.busy cpu 0.6;
+      failwith "after busy");
+  match Sim.Engine.run_all eng with
+  | () -> Alcotest.fail "expected Process_failed"
+  | exception Sim.Engine.Process_failed { name; time; exn } ->
+      Alcotest.(check string) "process" "late" name;
+      Alcotest.(check (float 0.)) "slice-end time"
+        (let tail = 0.6 -. 0.25 -. 0.25 in
+         0.25 +. 0.25 +. 0.25 +. 0.25 +. tail +. tail)
+        time;
+      Alcotest.(check bool) "inner" true (exn = Failure "after busy")
+
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A contended slice allocates nothing: four jobs round-robin on one
+   core, and a hundred times as many slices move the minor-heap counter
+   by exactly as much as the short run does. What the run does allocate
+   (processes, jobs, spawns) is per job. *)
+let test_cpu_slices_allocate_nothing () =
+  let run slices () =
+    let eng = Sim.Engine.create () in
+    let cpu = Cpu.create eng ~cores:1 () in
+    for _ = 1 to 4 do
+      Sim.Engine.spawn eng (fun () -> Cpu.busy cpu (0.25 *. float_of_int slices))
+    done;
+    Sim.Engine.run_all eng
+  in
+  run 10 ();
+  let short = minor_words_during (run 10) in
+  let long = minor_words_during (run 1000) in
+  Alcotest.(check (float 0.)) "minor words per run" short long
+
+(* Differential oracle: the hand-off run queue against the semaphore
+   pool it replaced ([Oracle.Cpu_ref]). Processes arrive at a few shared
+   instants (so arrivals tie), each runs one or two demands, and after
+   every demand it samples the clock, [busy_seconds], [utilization] and
+   [queued]. Both sides must produce the same samples in the same order,
+   compared as float bits. *)
+type cpu_case = {
+  cores : int;
+  slice : float;
+  procs : (float * float list) list;  (* arrival, demands *)
+}
+
+let gen_cpu_case =
+  let open QCheck.Gen in
+  let* cores = int_range 1 4 in
+  let* slice = oneofl [ 0.25; 0.1; 0.7 ] in
+  let* instants = list_size (int_range 1 4) (float_range 0. 3.) in
+  let instants = Array.of_list instants in
+  let demand = frequency [ (1, return 0.); (9, float_range 0. 1.5) ] in
+  let+ procs =
+    list_size (int_range 1 24)
+      (pair
+         (map (fun i -> instants.(i mod Array.length instants)) nat)
+         (list_size (int_range 1 2) demand))
+  in
+  { cores; slice; procs }
+
+let print_cpu_case c =
+  Printf.sprintf "cores=%d slice=%g %s" c.cores c.slice
+    (String.concat " "
+       (List.map
+          (fun (at, ds) ->
+            Printf.sprintf "%h:[%s]" at
+              (String.concat ";" (List.map (Printf.sprintf "%h") ds)))
+          c.procs))
+
+let run_cpu_case c make =
+  let eng = Sim.Engine.create () in
+  let busy, observe = make eng in
+  let samples = ref [] in
+  List.iteri
+    (fun i (at, demands) ->
+      Sim.Engine.spawn eng ~delay:at (fun () ->
+          List.iter
+            (fun d ->
+              busy d;
+              let now = Int64.bits_of_float (Sim.Engine.now eng) in
+              samples := (i, now, observe ()) :: !samples)
+            demands))
+    c.procs;
+  Sim.Engine.run_all eng;
+  List.rev !samples
+
+let prop_cpu_matches_oracle =
+  QCheck.Test.make ~name:"cpu hand-off queue = semaphore oracle" ~count:500
+    (QCheck.make ~print:print_cpu_case gen_cpu_case)
+    (fun c ->
+      let bits = Int64.bits_of_float in
+      let shipped eng =
+        let cpu = Cpu.create eng ~cores:c.cores ~slice:c.slice () in
+        ( Cpu.busy cpu,
+          fun () ->
+            (bits (Cpu.busy_seconds cpu), bits (Cpu.utilization cpu), Cpu.queued cpu) )
+      in
+      let oracle eng =
+        let module R = Oracle.Cpu_ref in
+        let cpu = R.create eng ~cores:c.cores ~slice:c.slice () in
+        ( R.busy cpu,
+          fun () ->
+            (bits (R.busy_seconds cpu), bits (R.utilization cpu), R.queued cpu) )
+      in
+      run_cpu_case c shipped = run_cpu_case c oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Grant *)
 
@@ -329,6 +447,9 @@ let suite =
     ("cpu contention", `Quick, test_cpu_contention_stretches_wallclock);
     ("cpu parallel cores", `Quick, test_cpu_parallel_cores);
     ("cpu utilization", `Quick, test_cpu_utilization);
+    ("cpu failure after busy", `Quick, test_cpu_failure_after_busy);
+    ("cpu slices allocate nothing", `Quick, test_cpu_slices_allocate_nothing);
+    QCheck_alcotest.to_alcotest prop_cpu_matches_oracle;
     ("grant full when fits", `Quick, test_grant_full_when_it_fits);
     ("grant trims large", `Quick, test_grant_trims_large_requests);
     ("grant min floor", `Quick, test_grant_min_grant_floor);

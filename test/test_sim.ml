@@ -313,6 +313,90 @@ let test_engine_double_wake_ignored () =
   Engine.run_all eng;
   Alcotest.(check int) "resumed once" 1 !count
 
+(* [park]'s resume continues the process inside the resuming event: the
+   callback sees the process's effects as soon as [resume] returns, and
+   the run costs the spawn and the callback. [suspend]'s wake schedules
+   a third event and the process has not run when [wake] returns. *)
+let test_engine_park_resumes_inline () =
+  let run block =
+    let eng = Engine.create () in
+    let resume = ref ignore and got = ref 0 and at = ref (-1.) in
+    let seen = ref 0 in
+    Engine.spawn eng (fun () ->
+        got := block (fun r -> resume := r);
+        at := Engine.now eng);
+    ignore
+      (Engine.schedule eng ~delay:2.0 (fun () ->
+           !resume 7;
+           seen := !got));
+    Engine.run_all eng;
+    (!got, !at, !seen, Engine.events_executed eng)
+  in
+  let got, at, seen, events = run Engine.park in
+  Alcotest.(check int) "park: value" 7 got;
+  check_float "park: resumed at the callback's time" 2.0 at;
+  Alcotest.(check int) "park: ran inside the callback" 7 seen;
+  Alcotest.(check int) "park: spawn + callback" 2 events;
+  let got, at, seen, events = run Engine.suspend in
+  Alcotest.(check int) "suspend: value" 7 got;
+  check_float "suspend: same instant" 2.0 at;
+  Alcotest.(check int) "suspend: not yet run" 0 seen;
+  Alcotest.(check int) "suspend: spawn + callback + wake" 3 events
+
+(* The ring keeps FIFO order across wrap-around and growth. *)
+let test_fifo_order () =
+  let q = Fifo.create ~dummy:0 () in
+  let out = ref [] in
+  let pop () = out := Fifo.pop q :: !out in
+  for i = 1 to 10 do
+    Fifo.push q i
+  done;
+  for _ = 1 to 7 do
+    pop ()
+  done;
+  (* The head sits mid-ring: these pushes wrap, then grow it twice. *)
+  for i = 11 to 60 do
+    Fifo.push q i
+  done;
+  Alcotest.(check int) "length" 53 (Fifo.length q);
+  while not (Fifo.is_empty q) do
+    pop ()
+  done;
+  Alcotest.(check (list int)) "fifo" (List.init 60 (fun i -> i + 1)) (List.rev !out);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Fifo.pop: empty")
+    (fun () -> ignore (Fifo.pop q))
+
+(* Push a fresh 200-word array, still young. Not inlined, so no stack
+   slot of the caller holds it. *)
+let[@inline never] push_young q = Fifo.push q (Sys.opaque_identity (Array.make 200 0))
+
+(* A popped value is unreachable from the ring. Behind an old element,
+   a linked queue links the young one from an old cell; the minor
+   collector keeps that field as a root after both are popped and
+   promotes the young value with everything it holds. The ring resets
+   the slot, so the next minor collection promotes none of it. A weak
+   pointer would keep its young value alive through a minor collection,
+   so retention is checked apart, across a major one. *)
+let test_fifo_pop_retains_nothing () =
+  let q = Fifo.create ~dummy:[||] () in
+  let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+  Fifo.push q [| 1 |];
+  Gc.full_major ();
+  push_young q;
+  ignore (Sys.opaque_identity (Fifo.pop q));
+  ignore (Sys.opaque_identity (Fifo.pop q));
+  let p0 = promoted () in
+  Gc.minor ();
+  Alcotest.(check bool) "the popped array is not promoted" true
+    (promoted () -. p0 < 200.);
+  let w = Weak.create 1 in
+  let x = Sys.opaque_identity (Array.make 200 0) in
+  Weak.set w 0 (Some x);
+  Fifo.push q x;
+  ignore (Sys.opaque_identity (Fifo.pop q));
+  Gc.full_major ();
+  Alcotest.(check bool) "not retained" false (Weak.check w 0)
+
 (* [run_all eng] must end with [Process_failed]; returns its payload. *)
 let process_failure eng =
   match Engine.run_all eng with
@@ -744,6 +828,9 @@ let suite =
     ("engine nested spawn", `Quick, test_engine_nested_spawn);
     ("engine suspend/resume", `Quick, test_engine_suspend_resume);
     ("engine double wake ignored", `Quick, test_engine_double_wake_ignored);
+    ("engine park resumes inline", `Quick, test_engine_park_resumes_inline);
+    ("fifo order", `Quick, test_fifo_order);
+    ("fifo pop retains nothing", `Quick, test_fifo_pop_retains_nothing);
     ("engine failure recorded", `Quick, test_engine_failure_recorded);
     ("engine callback raises", `Quick, test_engine_callback_raises);
     ("engine every", `Quick, test_engine_every);
