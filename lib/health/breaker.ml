@@ -30,19 +30,19 @@ type t = {
 let create ?(trace = Obs.Trace.null) eng =
   { eng; trace; cells = Hashtbl.create 16 }
 
-let cell t template =
-  match Hashtbl.find_opt t.cells template with
+let cell t key =
+  match Hashtbl.find_opt t.cells key with
   | Some c -> c
   | None ->
       let c =
         { cstate = Closed; failures = 0; opened_at = 0.; probe_out = false }
       in
-      Hashtbl.add t.cells template c;
+      Hashtbl.add t.cells key c;
       c
 
-let emit t template event =
+let emit t key event =
   if Obs.Trace.enabled t.trace then
-    Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid:template event
+    Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid:key event
 
 (* Lazily move an expired-open cell to half-open. *)
 let refresh t (c : cell) =
@@ -53,8 +53,8 @@ let refresh t (c : cell) =
     c.cstate <- Half_open;
     c.probe_out <- false)
 
-let admit t ~template =
-  let c = cell t template in
+let admit t ~key =
+  let c = cell t key in
   refresh t c;
   match c.cstate with
   | Closed -> true
@@ -63,15 +63,15 @@ let admit t ~template =
       true
   | Half_open | Open -> false
 
-let trip t template (c : cell) =
+let trip t key (c : cell) =
   c.cstate <- Open;
   c.opened_at <- Sim.Engine.now t.eng;
   c.failures <- 0;
   c.probe_out <- false;
-  emit t template (Obs.Event.Breaker_open { template })
+  emit t key (Obs.Event.Breaker_open { shard = key })
 
-let record_success t ~template =
-  let c = cell t template in
+let record_success t ~key =
+  let c = cell t key in
   refresh t c;
   match c.cstate with
   | Closed -> c.failures <- 0
@@ -79,28 +79,28 @@ let record_success t ~template =
       c.cstate <- Closed;
       c.failures <- 0;
       c.probe_out <- false;
-      emit t template (Obs.Event.Breaker_close { template })
+      emit t key (Obs.Event.Breaker_close { shard = key })
   | Open ->
       (* A query admitted before the trip finished late; its success says
          nothing about the fault that opened the breaker. *)
       ()
 
-let record_failure t ~template =
-  let c = cell t template in
+let record_failure t ~key =
+  let c = cell t key in
   refresh t c;
   match c.cstate with
   | Closed ->
       c.failures <- c.failures + 1;
-      if c.failures >= failure_threshold then trip t template c
+      if c.failures >= failure_threshold then trip t key c
   | Half_open ->
       (* Only the probe's own failure re-trips. A stale hard failure from
          a query admitted before the trip says nothing about recovery —
          ignoring it mirrors the [Open] case below. *)
-      if c.probe_out then trip t template c
+      if c.probe_out then trip t key c
   | Open -> ()
 
-let release_probe t ~template =
-  match Hashtbl.find_opt t.cells template with
+let release_probe t ~key =
+  match Hashtbl.find_opt t.cells key with
   | None -> ()
   | Some c ->
       refresh t c;
@@ -112,8 +112,8 @@ let release_probe t ~template =
          itself. *)
       if c.cstate = Half_open && c.probe_out then c.probe_out <- false
 
-let state t ~template =
-  match Hashtbl.find_opt t.cells template with
+let state t ~key =
+  match Hashtbl.find_opt t.cells key with
   | None -> Closed
   | Some c ->
       refresh t c;

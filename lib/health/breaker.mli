@@ -21,15 +21,15 @@ type t
 
 val create : ?trace:Obs.Trace.t -> Sim.Engine.t -> t
 
-val admit : t -> template:string -> bool
-(** Gate an arrival for [template]. [true] admits (and in half-open marks
+val admit : t -> key:string -> bool
+(** Gate an arrival for [key]. [true] admits (and in half-open marks
     this arrival as the probe); [false] refuses. *)
 
-val record_success : t -> template:string -> unit
+val record_success : t -> key:string -> unit
 (** The admitted query completed. Resets the failure streak; closes a
     half-open breaker (emitting [Breaker_close]). *)
 
-val record_failure : t -> template:string -> unit
+val record_failure : t -> key:string -> unit
 (** The admitted query failed {e hard}. Callers must not report
     back-pressure results (sheds, refusals) here — only real
     failures count toward tripping. Trips a closed breaker at the
@@ -38,12 +38,12 @@ val record_failure : t -> template:string -> unit
     admitted before the trip, finishing late) is ignored, like a late
     failure against an open breaker. *)
 
-val release_probe : t -> template:string -> unit
+val release_probe : t -> key:string -> unit
 (** The half-open probe admitted by {!admit} never produced evidence
-    about [template] (it was refused downstream, or lost a hedge).
+    about [key] (it was refused downstream, or lost a hedge).
     Returns the probe slot without counting a failure, so the next
     arrival becomes the probe. No-op in every other state. *)
 
-val state : t -> template:string -> state
+val state : t -> key:string -> state
 (** [Closed] for names never seen. Reflects cooldown expiry: an open
     breaker whose cooldown has elapsed reports [Half_open]. *)

@@ -51,8 +51,8 @@ type t =
   | Mem of { clerk : string; used : int }
   | Oom of { clerk : string; requested : int; free : int }
   | Reclaim of { wanted : int; freed : int }
-  | Breaker_open of { template : string }
-  | Breaker_close of { template : string }
+  | Breaker_open of { shard : string }
+  | Breaker_close of { shard : string }
   | Arbiter_tick of {
       scarce : bool;
       total : int;

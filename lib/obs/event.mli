@@ -76,9 +76,9 @@ type t =
   | Oom of { clerk : string; requested : int; free : int }
   | Reclaim of { wanted : int; freed : int }
       (** donor shrink: the manager asked caches to give memory back *)
-  | Breaker_open of { template : string }
-      (** a router's circuit breaker for shard [template] tripped open *)
-  | Breaker_close of { template : string }
+  | Breaker_open of { shard : string }
+      (** a router's circuit breaker for [shard] tripped open *)
+  | Breaker_close of { shard : string }
       (** circuit breaker recovered (half-open probe succeeded) *)
   | Arbiter_tick of {
       scarce : bool;  (** predicted aggregate demand exceeds the machine *)

@@ -87,8 +87,8 @@ let fields_of_event = function
       ]
   | Event.Reclaim { wanted; freed } ->
       [ ("wanted", Event.I wanted); ("freed", Event.I freed) ]
-  | Event.Breaker_open { template } -> [ ("template", Event.S template) ]
-  | Event.Breaker_close { template } -> [ ("template", Event.S template) ]
+  | Event.Breaker_open { shard } -> [ ("shard", Event.S shard) ]
+  | Event.Breaker_close { shard } -> [ ("shard", Event.S shard) ]
   | Event.Arbiter_tick { scarce; total; pools } ->
       [
         ("scarce", Event.B scarce);

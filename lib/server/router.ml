@@ -137,7 +137,7 @@ let pick t ~template =
     | idx :: rest ->
         let sh = t.shards.(idx) in
         if Shard.state sh = Shard.Down then go ~spill:true rest
-        else if Health.Breaker.admit t.breakers ~template:(Shard.name sh) then
+        else if Health.Breaker.admit t.breakers ~key:(Shard.name sh) then
           Some (sh, spill)
         else go ~spill:true rest
   in
@@ -185,8 +185,7 @@ let hedged_submit t sh ~template q =
              someone else's probe. *)
           Shard.uncount sh' booking;
           if who = `Primary then
-            Health.Breaker.release_probe t.breakers
-              ~template:(Shard.name sh')
+            Health.Breaker.release_probe t.breakers ~key:(Shard.name sh')
         end
       in
       Sim.Engine.spawn t.eng
@@ -207,7 +206,7 @@ let hedged_submit t sh ~template q =
 
 let record_outcome t ~shard_name r =
   match r with
-  | Ok () -> Health.Breaker.record_success t.breakers ~template:shard_name
+  | Ok () -> Health.Breaker.record_success t.breakers ~key:shard_name
   | Error (e : Health.Error.t) ->
       (* A lost connection or refused placement is the shard's fault and
          counts toward its breaker even though the taxonomy files it as
@@ -215,8 +214,8 @@ let record_outcome t ~shard_name r =
       if
         Metrics.is_hard_error e.code
         || e.code = Health.Error.Shard_unavailable
-      then Health.Breaker.record_failure t.breakers ~template:shard_name
-      else Health.Breaker.release_probe t.breakers ~template:shard_name
+      then Health.Breaker.record_failure t.breakers ~key:shard_name
+      else Health.Breaker.release_probe t.breakers ~key:shard_name
 
 let rec attempt t q ~template ~budget ~attempt_no =
   match pick t ~template with

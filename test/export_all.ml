@@ -53,8 +53,8 @@ let events =
       ("", Mem { clerk = "compile"; used = 777 });
       ("q4", Oom { clerk = "exec"; requested = 1000; free = 10 });
       ("", Reclaim { wanted = 500; freed = 400 });
-      ("", Breaker_open { template = "t\\7" });
-      ("", Breaker_close { template = "t\\7" });
+      ("", Breaker_open { shard = "t\\7" });
+      ("", Breaker_close { shard = "t\\7" });
       ( "",
         Arbiter_tick
           {

@@ -65,51 +65,51 @@ let test_breaker_lifecycle () =
   let b =
     Health.Breaker.create eng
   in
-  let state tpl = Health.Breaker.state b ~template:tpl in
-  (* Fresh template: closed, admits. *)
-  Alcotest.check breaker_state "unknown template closed" Health.Breaker.Closed (state "T1");
-  Alcotest.(check bool) "closed admits" true (Health.Breaker.admit b ~template:"T1");
+  let state key = Health.Breaker.state b ~key in
+  (* Fresh key: closed, admits. *)
+  Alcotest.check breaker_state "unknown key closed" Health.Breaker.Closed (state "T1");
+  Alcotest.(check bool) "closed admits" true (Health.Breaker.admit b ~key:"T1");
   (* Two failures: still below the threshold. *)
-  Health.Breaker.record_failure b ~template:"T1";
-  Health.Breaker.record_failure b ~template:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
   Alcotest.check breaker_state "below threshold" Health.Breaker.Closed (state "T1");
   (* A success resets the streak: two more failures still do not trip. *)
-  Health.Breaker.record_success b ~template:"T2";
-  Health.Breaker.record_failure b ~template:"T2";
-  Health.Breaker.record_failure b ~template:"T2";
-  Health.Breaker.record_success b ~template:"T2";
-  Health.Breaker.record_failure b ~template:"T2";
-  Health.Breaker.record_failure b ~template:"T2";
+  Health.Breaker.record_success b ~key:"T2";
+  Health.Breaker.record_failure b ~key:"T2";
+  Health.Breaker.record_failure b ~key:"T2";
+  Health.Breaker.record_success b ~key:"T2";
+  Health.Breaker.record_failure b ~key:"T2";
+  Health.Breaker.record_failure b ~key:"T2";
   Alcotest.check breaker_state "success resets the streak" Health.Breaker.Closed (state "T2");
   (* Third consecutive failure trips T1 open; arrivals are refused. *)
-  Health.Breaker.record_failure b ~template:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
   Alcotest.check breaker_state "tripped" Health.Breaker.Open (state "T1");
   Alcotest.(check bool) "open breaker refuses" false
-    (Health.Breaker.admit b ~template:"T1");
+    (Health.Breaker.admit b ~key:"T1");
   (* Cooldown expiry is lazy: after 60 s the breaker reports half-open and
      admits exactly one probe. *)
   advance eng 60.;
   Alcotest.check breaker_state "half-open after cooldown" Health.Breaker.Half_open (state "T1");
-  Alcotest.(check bool) "probe admitted" true (Health.Breaker.admit b ~template:"T1");
+  Alcotest.(check bool) "probe admitted" true (Health.Breaker.admit b ~key:"T1");
   Alcotest.(check bool) "second concurrent probe refused" false
-    (Health.Breaker.admit b ~template:"T1");
+    (Health.Breaker.admit b ~key:"T1");
   (* Probe success closes. *)
-  Health.Breaker.record_success b ~template:"T1";
+  Health.Breaker.record_success b ~key:"T1";
   Alcotest.check breaker_state "closed after probe success" Health.Breaker.Closed (state "T1");
   (* Probe failure re-trips for another full cooldown. *)
-  Health.Breaker.record_failure b ~template:"T1";
-  Health.Breaker.record_failure b ~template:"T1";
-  Health.Breaker.record_failure b ~template:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
+  Health.Breaker.record_failure b ~key:"T1";
   advance eng 60.;
   Alcotest.(check bool) "second probe admitted" true
-    (Health.Breaker.admit b ~template:"T1");
-  Health.Breaker.record_failure b ~template:"T1";
+    (Health.Breaker.admit b ~key:"T1");
+  Health.Breaker.record_failure b ~key:"T1";
   Alcotest.check breaker_state "probe failure re-trips" Health.Breaker.Open (state "T1");
   Alcotest.check breaker_state "for a full cooldown" Health.Breaker.Open
     (advance eng 59.;
      state "T1");
   (* Late success from a query admitted before the trip is ignored. *)
-  Health.Breaker.record_success b ~template:"T1";
+  Health.Breaker.record_success b ~key:"T1";
   Alcotest.check breaker_state "late success ignored while open" Health.Breaker.Open (state "T1")
 
 (* A half-open probe that never ran (refused downstream) — releasing it
@@ -120,24 +120,24 @@ let test_breaker_probe_shed () =
   let b =
     Health.Breaker.create eng
   in
-  let state tpl = Health.Breaker.state b ~template:tpl in
+  let state key = Health.Breaker.state b ~key in
   for _ = 1 to 3 do
-    Health.Breaker.record_failure b ~template:"T"
+    Health.Breaker.record_failure b ~key:"T"
   done;
   Alcotest.check breaker_state "tripped" Health.Breaker.Open (state "T");
   advance eng 60.;
-  Alcotest.(check bool) "probe admitted" true (Health.Breaker.admit b ~template:"T");
-  Health.Breaker.release_probe b ~template:"T";
+  Alcotest.(check bool) "probe admitted" true (Health.Breaker.admit b ~key:"T");
+  Health.Breaker.release_probe b ~key:"T";
   Alcotest.check breaker_state "shed is not a failure: still half-open"
     Health.Breaker.Half_open (state "T");
   Alcotest.(check bool) "next arrival becomes the probe" true
-    (Health.Breaker.admit b ~template:"T");
-  Health.Breaker.record_success b ~template:"T";
+    (Health.Breaker.admit b ~key:"T");
+  Health.Breaker.record_success b ~key:"T";
   Alcotest.check breaker_state "recovers through the replacement probe"
     Health.Breaker.Closed (state "T");
-  (* Releasing with no probe out, or for an unseen template, is a no-op. *)
-  Health.Breaker.release_probe b ~template:"T";
-  Health.Breaker.release_probe b ~template:"never-seen";
+  (* Releasing with no probe out, or for an unseen key, is a no-op. *)
+  Health.Breaker.release_probe b ~key:"T";
+  Health.Breaker.release_probe b ~key:"never-seen";
   Alcotest.check breaker_state "release is a no-op when closed" Health.Breaker.Closed
     (state "T")
 

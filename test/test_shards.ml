@@ -93,9 +93,9 @@ let test_router_breaker_spills_and_heals () =
     Array.fold_left
       (fun (opens, closes) (r : Obs.Trace.record) ->
         match r.event with
-        | Obs.Event.Breaker_open { template } when template = name ->
+        | Obs.Event.Breaker_open { shard } when shard = name ->
             (opens + 1, closes)
-        | Obs.Event.Breaker_close { template } when template = name ->
+        | Obs.Event.Breaker_close { shard } when shard = name ->
             (opens, closes + 1)
         | _ -> (opens, closes))
       (0, 0) (Obs.Trace.records trace)
