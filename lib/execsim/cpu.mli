@@ -11,7 +11,16 @@
     stays parked ({!Sim.Engine.park}) across all its slices and resumes
     inside its last slice's end event, so a queued slice costs one event
     and allocates nothing. A single slice on an idle core is a plain
-    {!Sim.Engine.sleep}. *)
+    {!Sim.Engine.sleep}.
+
+    Slice ends, grant order and the counters below are those of the
+    semaphore version this replaced (the test oracle
+    [test/oracle/cpu_ref.ml]), with one exception: a handed-over
+    slice's end event is scheduled at the hand-off, where the semaphore
+    scheduled it from a wake event later in the same instant. So it can
+    order differently against another event at exactly the same end
+    time that was scheduled in between, e.g. a slice started at the same
+    instant on a core freed in a later event of it. *)
 
 type t
 

@@ -66,8 +66,9 @@ val sleep : float -> unit
 
 (** [suspend f] parks the calling process and calls [f wake]. The process
     resumes, returning [v], when [wake v] is called (from any other
-    process/callback). Extra calls to [wake] are ignored. This is the single
-    primitive from which waits, timeouts and resources are built. *)
+    process/callback), in a wake event scheduled at that instant. Extra
+    calls to [wake] are ignored. Waits, timeouts and semaphores are
+    built on it. *)
 val suspend : (('a -> unit) -> unit) -> 'a
 
 (** [park f] parks the calling process and calls [f resume], like
@@ -80,7 +81,8 @@ val suspend : (('a -> unit) -> unit) -> 'a
     process at the resuming event's time. [resume] may be called only
     once: a second call raises [Effect.Continuation_already_resumed].
     Call it from a raw callback ({!schedule}, {!after}) or from [f]
-    itself, never from inside another process. *)
+    itself, never from inside another process, which would report the
+    resumed process's failure as its own. *)
 val park : (('a -> unit) -> unit) -> 'a
 
 (** [name ()] is the current process name ("" outside a named process). *)
