@@ -14,9 +14,8 @@
 
    Suites: optimizer compile (Cascades and its greedy seed on SALES
    shapes), the sim-engine event loop, CPU slice hand-off, buffer-pool
-   access, governed
-   compile-memory allocation, a full experiment cell, and the parallel
-   grid speedup with a byte-identity check. *)
+   access, governed compile-memory allocation, a full experiment cell,
+   and the parallel grid speedup with a byte-identity check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
