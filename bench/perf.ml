@@ -93,11 +93,11 @@ let steady_state_benches () =
           ~id:(1000 + i))
   in
   let iters = if !quick then 2 else 5 in
-  let run ?arena () =
+  let run ?arena ?replay () =
     Array.iter
       (fun q ->
         match
-          Optimizer.Cascades.optimize ?arena ~env:Optimizer.Env.null
+          Optimizer.Cascades.optimize ?arena ?replay ~env:Optimizer.Env.null
             Optimizer.Cost.default cat q
         with
         | Ok r -> ignore r.Optimizer.Cascades.plan
@@ -111,6 +111,15 @@ let steady_state_benches () =
   let fresh =
     time_bench ~name:"optimizer_steady_state_fresh" ~iters (fun () -> run ())
   in
+  (* The same stream through one replay memo, as a server compiles it.
+     The warm-up pass records each join graph's search; the timed passes
+     replay them, so the row prices a replayed compile: the greedy seed
+     plus the replay loop. *)
+  let replay = Optimizer.Cascades.create_replay_memo () in
+  let replayed =
+    time_bench ~name:"optimizer_replay_stream" ~iters (fun () ->
+        run ~arena ~replay ())
+  in
   (* Normalise run-of-N to per-query numbers. *)
   List.map
     (fun b ->
@@ -120,7 +129,7 @@ let steady_state_benches () =
         per_op_ns = b.per_op_ns /. float_of_int n_queries;
         alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
       })
-    [ reused; fresh ]
+    [ reused; fresh; replayed ]
 
 (* The greedy seed alone, over the same SALES shapes as the stream
    above: the plan every compile builds before its search starts, and

@@ -9,174 +9,16 @@
    two files were produced on machines with the same core count: CI
    runners are heterogeneous, and a wall "regression" measured on a
    slower box is noise, not a ratchet violation. Stdlib only: the JSON
-   is parsed with a small recursive-descent reader, no dependencies. *)
+   is parsed by [Json], a small recursive-descent reader. *)
 
-(* --- Minimal JSON ------------------------------------------------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    String.iter (fun c -> expect c) word;
-    value
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              go ()
-          | Some 'u' ->
-              (* Our writer only emits \u00xx control escapes. *)
-              advance ();
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xff));
-              go ()
-          | Some c ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | None -> fail "unterminated escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          List (elements [])
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let num_field j key =
-  match member key j with Some (Num f) -> Some f | _ -> None
-
-let bool_field j key =
-  match member key j with Some (Bool b) -> Some b | _ -> None
-
-let str_field j key =
-  match member key j with Some (Str s) -> Some s | _ -> None
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+open Json
 
 (* --- Comparison --------------------------------------------------- *)
 
 type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
-   cost-only Cascades memo, the pooled event loop, the CPU hand-off
+   cost-only Cascades memo and its replay, the pooled event loop, the CPU hand-off
    queue, the flat buffer pool, the governor's metered allocation) are
    held to a tight 5% alloc ratchet instead of the global tolerance:
    their baselines are small and stable, so even a modest absolute creep
@@ -190,6 +32,7 @@ let tight_alloc_benches =
     "cascades_optimize_sales";
     "optimizer_steady_state";
     "optimizer_steady_state_fresh";
+    "optimizer_replay_stream";
     "sim_engine_event_loop";
     "cpu_handoff";
     "bufpool_access";

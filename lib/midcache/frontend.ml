@@ -26,27 +26,21 @@ let create ?(trace = Obs.Trace.null) ?(hit_latency = 0.02) eng ~cache ~submit
     invalidated_entries = 0;
   }
 
-let template_of_qid qid =
-  match String.index_opt qid '#' with
-  | Some i -> String.sub qid 0 i
-  | None -> qid
-
 (* The SQL text ends with a "-- fingerprint <qid>" comment whose serial
    would make every replayed parameterized statement look distinct; the
    cache key is the template plus the statement text proper, so identical
-   statements (same shape, same literals) alias as they should. *)
+   statements (same shape, same literals) alias as they should. The text
+   is written once, straight into the key's buffer. *)
 let key_of_query q =
-  let sql = Optimizer.Query.to_sql q in
-  let marker = "\n-- fingerprint" in
-  let mlen = String.length marker in
-  let body =
-    match String.rindex_opt sql '\n' with
-    | Some i
-      when String.length sql - i >= mlen && String.sub sql i mlen = marker ->
-        String.sub sql 0 i
-    | _ -> sql
-  in
-  template_of_qid q.Optimizer.Query.qid ^ "|" ^ body
+  let qid = q.Optimizer.Query.qid in
+  let buf = Buffer.create 512 in
+  (* The template: the qid with its "#<serial>" stripped. *)
+  (match String.index_opt qid '#' with
+  | Some i -> Buffer.add_substring buf qid 0 i
+  | None -> Buffer.add_string buf qid);
+  Buffer.add_char buf '|';
+  Optimizer.Query.add_sql_body buf q;
+  Buffer.contents buf
 
 (* Simulated result size: each GROUP BY column has ~100 distinct values
    (the SALES catalog's [attr]), so the group count is 100^cols, capped at

@@ -3,8 +3,9 @@ type t = {
   tables : Catalog.table array;
   base : float array;
   widths : int array;
-  pred_left : int array;  (* the join predicates, in list order *)
-  pred_right : int array;
+  pred_ends : int array;
+      (* the join predicates in list order, each as the set of its two
+         relations *)
   pred_sel : float array;
 }
 
@@ -24,8 +25,11 @@ let create cat q =
     tables;
     base;
     widths;
-    pred_left = Array.map (fun (p : Query.join_pred) -> p.Query.jleft) preds;
-    pred_right = Array.map (fun (p : Query.join_pred) -> p.Query.jright) preds;
+    pred_ends =
+      Array.map
+        (fun (p : Query.join_pred) ->
+          (1 lsl p.Query.jleft) lor (1 lsl p.Query.jright))
+        preds;
     pred_sel = Array.map (fun (p : Query.join_pred) -> p.Query.jsel) preds;
   }
 
@@ -36,19 +40,23 @@ let base_rows t i = t.base.(i)
 (* Computed afresh on every call: loops over flat arrays allocate
    nothing, and each group keeps its own rows in the search arena.
    Members multiply in increasing index order, then predicates in list
-   order: the searches' plans depend on these exact bits. *)
-let card t s =
-  let rows = ref 1.0 and m = ref s in
-  while !m <> 0 do
-    rows := !rows *. t.base.(Relset.ctz !m);
-    m := !m land (!m - 1)
+   order: the searches' plans depend on these exact bits. The tests are
+   inline bit operations, not calls, and the body is inlined into both
+   entry points, so [card_into] returns no boxed float. *)
+let[@inline] estimate t s =
+  let rows = ref 1.0 in
+  for i = 0 to Array.length t.base - 1 do
+    if s land (1 lsl i) <> 0 then rows := !rows *. t.base.(i)
   done;
   let sel = ref 1.0 in
   for k = 0 to Array.length t.pred_sel - 1 do
-    if Relset.mem t.pred_left.(k) s && Relset.mem t.pred_right.(k) s then
-      sel := !sel *. t.pred_sel.(k)
+    let ends = t.pred_ends.(k) in
+    if s land ends = ends then sel := !sel *. t.pred_sel.(k)
   done;
   Float.max 1.0 (!rows *. !sel)
+
+let card t s = estimate t s
+let card_into t s out k = out.(k) <- estimate t s
 
 let group_card t group_by ~input =
   let distinct_product =

@@ -20,6 +20,10 @@ val base_rows : t -> int -> float
     subset. *)
 val card : t -> Relset.t -> float
 
+(** [card_into t s out k] writes [card t s] to [out.(k)], with no boxed
+    float on the way. *)
+val card_into : t -> Relset.t -> float array -> int -> unit
+
 (** Estimated distinct-value count of a group-by over the given columns,
     capped by the input cardinality. *)
 val group_card : t -> (int * string) list -> input:float -> float

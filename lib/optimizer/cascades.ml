@@ -232,45 +232,175 @@ let park a child l g =
   a.pk_next.(node) <- a.g_parked.(child);
   a.g_parked.(child) <- node
 
-type search = {
-  params : params;
+(* ------------------------------------------------------------------ *)
+(* Metering
+
+   What the environment sees of a search, and the counters its stats
+   report. A live search and a replay drive the same meter through the
+   same four kinds of allocation: a group, a leaf's alternatives, an
+   expansion's logical splits and a split's physical alternatives. Each
+   updates its counters in the same order relative to its [alloc], so
+   both make the same env calls and leave the same stats, also when an
+   [alloc] raises.
+
+   While a search is recorded, the meter also writes its tape. A task
+   meters at most a group and then one other kind of allocation. Its
+   code is [k_group] if it created a group, plus the other kind: 1 or 2
+   for that many leaf alternatives, [k_lexprs] or [k_split]. A task that
+   meters nothing has code 0. Each tape byte holds a run of up to
+   [max_run] tasks of code 0 in its high nibble and then, when its low
+   nibble is not 0, one task of that code. A code holding [k_lexprs] is
+   followed by the split count as a varint, since even a count of 0 can
+   reach the env. *)
+
+let k_lexprs = 3
+let k_split = 4
+let k_group = 5
+let max_run = 15
+
+type writer = {
+  w_buf : Buffer.t;
+  mutable w_run : int;  (* tasks of code 0 not yet written *)
+  mutable w_code : int;  (* the current task's code so far *)
+  mutable w_count : int;  (* its split count, when it holds [k_lexprs] *)
+}
+
+type meter = {
   env : Env.t;
-  model : Cost.model;
-  card : Card.t;
-  q : Query.t;
-  arena : arena;
-  emit_split : Relset.t -> unit;  (* [add_split arena], built once *)
+  task_cpu : float;
   mutable tasks : int;
-  mutable n_lexprs : int;
-  mutable n_phys : int;
+  mutable groups : int;
+  mutable lexprs : int;
+  mutable phys : int;
   mutable allocated : int;
   mutable cpu_pending : int;
   mutable credit : int;  (* bytes the env lets us meter locally *)
   mutable owed : int;  (* bytes metered locally, not yet reported *)
+  mutable tape : writer option;  (* [Some] while the search is recorded *)
 }
+
+let create_meter env ~task_cpu =
+  {
+    env;
+    task_cpu;
+    tasks = 0;
+    groups = 0;
+    lexprs = 0;
+    phys = 0;
+    allocated = 0;
+    cpu_pending = 0;
+    credit = 0;
+    owed = 0;
+    tape = None;
+  }
 
 (* Report the bytes metered locally. Their sum fits in the credit the
    env granted, so this call crosses no gate and reclaims nothing. *)
-let settle s =
-  if s.owed > 0 then begin
-    let owed = s.owed in
-    s.owed <- 0;
-    ignore (s.env.Env.alloc owed)
+let settle m =
+  if m.owed > 0 then begin
+    let owed = m.owed in
+    m.owed <- 0;
+    ignore (m.env.Env.alloc owed)
   end
 
 (* Within the credit an allocation is an add; past it, the bytes owed
    are settled first and the new ones metered as one call, whose credit
    replaces what was left (see {!Env.t}). *)
-let alloc s bytes =
-  s.allocated <- s.allocated + bytes;
-  if s.credit > 0 && bytes <= s.credit then begin
-    s.credit <- s.credit - bytes;
-    s.owed <- s.owed + bytes
+let alloc m bytes =
+  m.allocated <- m.allocated + bytes;
+  if m.credit > 0 && bytes <= m.credit then begin
+    m.credit <- m.credit - bytes;
+    m.owed <- m.owed + bytes
   end
   else begin
-    settle s;
-    s.credit <- s.env.Env.alloc bytes
+    settle m;
+    m.credit <- m.env.Env.alloc bytes
   end
+
+let note m kind count =
+  match m.tape with
+  | None -> ()
+  | Some w ->
+      assert (w.w_code = 0 || (w.w_code = k_group && kind < k_group));
+      w.w_code <- w.w_code + kind;
+      w.w_count <- count
+
+let meter_group m =
+  m.groups <- m.groups + 1;
+  note m k_group 0;
+  alloc m group_bytes
+
+let meter_leaf m n =
+  note m n 0;
+  alloc m (phys_bytes * n);
+  m.phys <- m.phys + n
+
+let meter_lexprs m n =
+  m.lexprs <- m.lexprs + n;
+  note m k_lexprs n;
+  alloc m (lexpr_bytes * n)
+
+let meter_split m =
+  note m k_split 0;
+  alloc m (phys_bytes * 5);
+  m.phys <- m.phys + 5
+
+(* The credit expires at every [cpu] call, and at the end of the search. *)
+let flush_cpu m =
+  settle m;
+  m.credit <- 0;
+  if m.cpu_pending > 0 then begin
+    m.env.Env.cpu (float_of_int m.cpu_pending *. m.task_cpu);
+    m.cpu_pending <- 0
+  end
+
+let tick m =
+  m.tasks <- m.tasks + 1;
+  m.cpu_pending <- m.cpu_pending + 1;
+  if m.cpu_pending >= cpu_batch then flush_cpu m
+
+let add_byte w b = Buffer.add_char w.w_buf (Char.unsafe_chr b)
+
+let rec add_varint w n =
+  if n < 0x80 then add_byte w n
+  else begin
+    add_byte w (0x80 lor (n land 0x7f));
+    add_varint w (n lsr 7)
+  end
+
+let end_task w =
+  if w.w_code = 0 then w.w_run <- w.w_run + 1
+  else begin
+    while w.w_run > max_run do
+      add_byte w (max_run lsl 4);
+      w.w_run <- w.w_run - max_run
+    done;
+    add_byte w ((w.w_run lsl 4) lor w.w_code);
+    if w.w_code mod k_group = k_lexprs then add_varint w w.w_count;
+    w.w_run <- 0;
+    w.w_code <- 0
+  end
+
+let close_tape w =
+  while w.w_run > 0 do
+    let r = min w.w_run max_run in
+    add_byte w (r lsl 4);
+    w.w_run <- w.w_run - r
+  done;
+  Buffer.contents w.w_buf
+
+(* ------------------------------------------------------------------ *)
+(* The live search *)
+
+type search = {
+  model : Cost.model;
+  card : Card.t;
+  q : Query.t;
+  idx_bits : int;  (* [Rules.index_path_bits card] *)
+  arena : arena;
+  emit_split : Relset.t -> unit;  (* [add_split arena], built once *)
+  m : meter;
+}
 
 let push s x y =
   let a = s.arena in
@@ -299,7 +429,7 @@ let find_or_create s set =
     a.g_outstanding.(g) <- fresh;
     a.g_parked.(g) <- -1;
     a.g_win.(g) <- no_plan;
-    alloc s group_bytes;
+    meter_group s.m;
     g
   end
 
@@ -323,18 +453,17 @@ let group_task_done s g =
   a.g_outstanding.(g) <- a.g_outstanding.(g) - 1;
   if a.g_outstanding.(g) = finished then finish_group s g
 
-(* ------------------------------------------------------------------ *)
-(* Task processing *)
-
+(* The task code below does set arithmetic with raw bit operations
+   ([land lnot] for a difference, [land (x - 1)] to drop the lowest
+   member) rather than {!Relset} calls: the recorder runs these once per
+   task, and a call into another module is not inlined. *)
 let process_opt_group s set =
   let a = s.arena in
   let g = find_or_create s set in
   if a.g_outstanding.(g) = fresh then begin
-    if Relset.cardinal set = 1 then begin
+    if set land (set - 1) = 0 then begin
       let i = Relset.min_elt set in
-      let n_alternatives = if Rules.has_index_path s.card i then 2 else 1 in
-      alloc s (phys_bytes * n_alternatives);
-      s.n_phys <- s.n_phys + n_alternatives;
+      meter_leaf s.m (if s.idx_bits land (1 lsl i) <> 0 then 2 else 1);
       (* A finished leaf is costed when the plan is priced. *)
       finish_group s g
     end
@@ -344,7 +473,7 @@ let process_opt_group s set =
          side holding the lowest relation is the left), both sides
          connected. The right sides are the connected subsets of the
          rest, listed in reverse of EnumerateCsg's visiting order. *)
-      let rest = Relset.diff set (Relset.singleton (Relset.min_elt set)) in
+      let rest = set land (set - 1) in
       a.n_splits <- 0;
       Query.iter_connected_subsets s.q rest s.emit_split;
       (* Reverse the right sides in place, then keep, in that order, the
@@ -357,11 +486,10 @@ let process_opt_group s set =
       done;
       a.n_splits <- 0;
       for k = 0 to n - 1 do
-        let l = Relset.diff set a.splits.(k) in
+        let l = set land lnot a.splits.(k) in
         if Query.connected s.q l then add_split a l
       done;
-      s.n_lexprs <- s.n_lexprs + a.n_splits;
-      alloc s (lexpr_bytes * a.n_splits);
+      meter_lexprs s.m a.n_splits;
       push s g 0
     end
   end
@@ -374,7 +502,7 @@ let process_expand s g cursor =
     let l = a.splits.(k) in
     (* LIFO: children optimize before the split is logged. *)
     push s l (split_task g);
-    push s (Relset.diff a.g_set.(g) l) opt_group;
+    push s (a.g_set.(g) land lnot l) opt_group;
     push s l opt_group
   done;
   if stop < a.n_splits then push s g stop
@@ -390,26 +518,35 @@ let process_expand s g cursor =
 let process_opt_split s l g =
   let a = s.arena in
   let gl = find_or_create s l in
-  let gr = find_or_create s (Relset.diff a.g_set.(g) l) in
+  let gr = find_or_create s (a.g_set.(g) land lnot l) in
   if a.g_outstanding.(gl) <> finished then park a gl l g
   else if a.g_outstanding.(gr) <> finished then park a gr l g
   else begin
-    alloc s (phys_bytes * 5);
-    s.n_phys <- s.n_phys + 5;
+    meter_split s.m;
     log_split a g gl;
     group_task_done s g
   end
 
-(* ------------------------------------------------------------------ *)
+let step s =
+  let a = s.arena in
+  a.top <- a.top - 1;
+  let x = a.stack.(2 * a.top) and y = a.stack.((2 * a.top) + 1) in
+  tick s.m;
+  if y = opt_group then process_opt_group s x
+  else if y >= 0 then process_expand s x y
+  else process_opt_split s x (split_owner y)
 
-(* The credit expires at every [cpu] call, and at the end of the search. *)
-let flush_cpu s =
-  settle s;
-  s.credit <- 0;
-  if s.cpu_pending > 0 then begin
-    s.env.Env.cpu (float_of_int s.cpu_pending *. s.params.task_cpu);
-    s.cpu_pending <- 0
+let rec run_live s ~budget ~honor =
+  if s.arena.top = 0 then Complete
+  else if s.m.tasks >= budget then Budget_exhausted
+  else if honor && s.m.env.Env.should_stop () then Stopped_early
+  else begin
+    step s;
+    run_live s ~budget ~honor
   end
+
+(* ------------------------------------------------------------------ *)
+(* Pricing and plan building *)
 
 (* The root was offered something: a split of it was logged, or it is a
    one-relation leaf, whose alternatives are costed against the seed. *)
@@ -458,7 +595,7 @@ let price s ~root ~(seed_join : Plan.t) =
     if Relset.cardinal set = 1 && a.g_outstanding.(g) = finished then begin
       let i = Relset.min_elt set in
       let tag = Rules.cheapest_leaf_into s.model s.card i ~best:a.best in
-      costed := !costed + if Rules.has_index_path s.card i then 2 else 1;
+      costed := !costed + if s.idx_bits land (1 lsl i) <> 0 then 2 else 1;
       offer a g tag 0
     end
   done;
@@ -486,50 +623,384 @@ let rec build s g =
     Rules.join_plan s.model ~rows:a.tb.Rules.t_rows.(g) (win_tag w) pl pr
   end
 
-let optimize ?(params = default_params) ?arena ~env model cat q =
-  let card = Card.create cat q in
-  let full = Relset.full (Query.n_rels q) in
-  (* Reset on entry rather than trusting the caller: an aborted previous
-     search leaves an arena mid-state, and the reset makes reuse safe
-     regardless of how the last call ended. *)
-  let arena =
-    match arena with
-    | Some a ->
-        reset_arena a;
-        a
-    | None -> create_arena ()
+(* The plan of a search whose memo is [s.arena]: the greedy seed unless
+   the root was offered something, and then the priced memo's. Returns
+   the plan and the number of alternatives priced. *)
+let plan_of s ~root ~seed ~(seed_join : Plan.t) =
+  let costed =
+    if root_offered s.arena root then price s ~root ~seed_join else 0
   in
-  let s =
+  (* [seed] is [Rules.finalize] of [seed_join]. *)
+  if costed = 0 || s.arena.g_win.(root) = seed_win then (seed, costed)
+  else (Rules.finalize s.model s.card (build s root), costed)
+
+(* ------------------------------------------------------------------ *)
+(* Replay
+
+   A search that reads no cost takes a course fixed by its key: the
+   query's adjacency masks (their count is the relation count), its
+   index-path bits and the params. Its budget and the env only decide
+   where it stops, and costs only decide its plan, through the pricing
+   that follows a search whose root was offered something.
+
+   The memo records each key's course silently, a stretch at a time. A
+   key's first recording covers the memo's horizon, or the budget if
+   that is smaller. A replay that reaches the end of its tape before
+   its budget extends it: it takes a longer recording another replay
+   made meanwhile, or records anew to twice the length, or its budget
+   if that is smaller, and reads on from the same task. A replay drives
+   the instance's own meter from the tape, task by task: the budget
+   check, the [should_stop] poll, [tick] and the task's allocations, so
+   the env sees what it sees of the live search.
+
+   A recording notes the first task after which the root had been
+   offered something. An instance whose budget reaches that task
+   searches live. A replay that was already running when an extension
+   found that task, and that ran past it, needs the memo the live search
+   would hold: the recorder rebuilds it by running the search silently
+   to the same point, to the allocation that raised if one did, and the
+   plan is priced from it. *)
+
+type key = { k_adj : Relset.t array; k_bits : int; k_params : params }
+
+module Keys = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.k_bits = b.k_bits && a.k_adj = b.k_adj && a.k_params = b.k_params
+
+  let hash k =
+    Array.fold_left (fun h x -> (h * 31) + x) k.k_bits k.k_adj land max_int
+end)
+
+type recording = {
+  r_tasks : int;  (* tasks the tape covers *)
+  r_tape : string;
+  r_offered : int;
+      (* the first task after which the root had been offered something,
+         or [max_int] if none within [r_tasks] *)
+  r_complete : bool;  (* the search emptied its task stack at [r_tasks] *)
+}
+
+(* A memo's recordings, and the arena and tape buffer the recorder
+   reuses. Made by the memo's first search, so a server that never
+   compiles pays nothing for them. *)
+type memo_state = {
+  entries : recording Keys.t;
+  recorder : arena;
+  tape_buf : Buffer.t;
+  mutable recordings : int;
+  mutable recorded_tasks : int;
+}
+
+type replay_memo = { horizon : int; mutable state : memo_state option }
+
+let default_horizon = 16384
+
+let create_replay_memo ?(horizon = default_horizon) () =
+  if horizon < 1 then invalid_arg "Cascades.create_replay_memo: horizon < 1";
+  { horizon; state = None }
+
+let memo_state memo =
+  match memo.state with
+  | Some st -> st
+  | None ->
+      let st =
+        {
+          entries = Keys.create 64;
+          recorder = create_arena ();
+          tape_buf = Buffer.create 4096;
+          recordings = 0;
+          recorded_tasks = 0;
+        }
+      in
+      memo.state <- Some st;
+      st
+
+type memo_stats = {
+  keys : int;
+  live_keys : int;
+  recordings : int;
+  recorded_tasks : int;
+  tape_bytes : int;
+}
+
+let memo_stats memo =
+  let empty =
     {
-      params;
-      env;
-      model;
-      card;
-      q;
-      arena;
-      emit_split = add_split arena;
-      tasks = 0;
-      n_lexprs = 0;
-      n_phys = 0;
-      allocated = 0;
-      cpu_pending = 0;
-      credit = 0;
-      owed = 0;
+      keys = 0;
+      live_keys = 0;
+      recordings = 0;
+      recorded_tasks = 0;
+      tape_bytes = 0;
     }
+  in
+  match memo.state with
+  | None -> empty
+  | Some st ->
+      Keys.fold
+        (fun _ r acc ->
+          {
+            acc with
+            keys = acc.keys + 1;
+            live_keys =
+              (acc.live_keys + if r.r_offered < max_int then 1 else 0);
+            tape_bytes = acc.tape_bytes + String.length r.r_tape;
+          })
+        st.entries
+        {
+          empty with
+          recordings = st.recordings;
+          recorded_tasks = st.recorded_tasks;
+        }
+
+(* A search of [q] on the recorder's arena, its root group made and its
+   first task pushed, metering into [env]. *)
+let silent_search st ~model ~card ~q ~idx_bits ~env =
+  let arena = st.recorder in
+  reset_arena arena;
+  let m = create_meter env ~task_cpu:0.0 in
+  let s =
+    { model; card; q; idx_bits; arena; emit_split = add_split arena; m }
+  in
+  let full = Relset.full (Query.n_rels q) in
+  let root = find_or_create s full in
+  push s full opt_group;
+  (s, root)
+
+(* Run the search to [horizon] tasks with no env, so without suspending,
+   writing its tape. A one-relation root is a leaf, offered from the
+   start. *)
+let record st ~model ~card ~q ~idx_bits ~horizon =
+  Buffer.clear st.tape_buf;
+  let s, root = silent_search st ~model ~card ~q ~idx_bits ~env:Env.null in
+  let a = s.arena and m = s.m in
+  let w = { w_buf = st.tape_buf; w_run = 0; w_code = 0; w_count = 0 } in
+  m.tape <- Some w;
+  let offered = ref (if root_offered a root then 0 else max_int) in
+  while a.top > 0 && m.tasks < horizon do
+    let logged = a.n_log in
+    step s;
+    end_task w;
+    if
+      !offered = max_int && a.n_log > logged
+      && entry_group a.log.(logged) = root
+    then offered := m.tasks
+  done;
+  st.recordings <- st.recordings + 1;
+  st.recorded_tasks <- st.recorded_tasks + m.tasks;
+  {
+    r_tasks = m.tasks;
+    r_tape = close_tape w;
+    r_offered = !offered;
+    r_complete = a.top = 0;
+  }
+
+(* A replay: the instance's context, the recording it reads and its
+   place in the tape. *)
+type cursor = {
+  st : memo_state;
+  key : key;
+  c_model : Cost.model;
+  c_card : Card.t;
+  c_q : Query.t;
+  c_bits : int;
+  budget : int;
+  mutable r : recording;
+  mutable pos : int;
+  mutable run : int;  (* tasks of code 0 left in the current byte *)
+  mutable next : int;  (* the code of the task after them, or 0 *)
+  mutable ev : int;  (* allocations begun in the current task *)
+}
+
+(* The recording to replay for an instance, made now if the key has
+   none; [None] when the instance must search live. *)
+let recording_for memo params ~model ~card ~q ~idx_bits ~budget =
+  let st = memo_state memo in
+  let key = { k_adj = q.Query.adj; k_bits = idx_bits; k_params = params } in
+  let r =
+    match Keys.find_opt st.entries key with
+    | Some r -> r
+    | None ->
+        let r =
+          record st ~model ~card ~q ~idx_bits
+            ~horizon:(Int.min budget memo.horizon)
+        in
+        Keys.replace st.entries key r;
+        r
+  in
+  if r.r_offered <= budget then None
+  else
+    Some
+      {
+        st;
+        key;
+        c_model = model;
+        c_card = card;
+        c_q = q;
+        c_bits = idx_bits;
+        budget;
+        r;
+        pos = 0;
+        run = 0;
+        next = 0;
+        ev = 0;
+      }
+
+let read_byte c =
+  let b = Char.code c.r.r_tape.[c.pos] in
+  c.pos <- c.pos + 1;
+  b
+
+let rec read_varint c shift acc =
+  let b = read_byte c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else read_varint c (shift + 7) acc
+
+(* Place the cursor after the first [n] tasks of its tape. *)
+let skip c n =
+  c.pos <- 0;
+  c.run <- 0;
+  c.next <- 0;
+  let left = ref n in
+  while !left > 0 do
+    if c.run > 0 then begin
+      let k = Int.min c.run !left in
+      c.run <- c.run - k;
+      left := !left - k
+    end
+    else if c.next <> 0 then begin
+      if c.next mod k_group = k_lexprs then ignore (read_varint c 0 0);
+      c.next <- 0;
+      decr left
+    end
+    else begin
+      let b = read_byte c in
+      c.run <- b lsr 4;
+      c.next <- b land 15
+    end
+  done
+
+(* The tape ends before the budget: read on from a longer recording. *)
+let extend c =
+  let at = c.r.r_tasks in
+  let r =
+    match Keys.find_opt c.st.entries c.key with
+    | Some r when r.r_tasks > at -> r
+    | _ ->
+        let r =
+          record c.st ~model:c.c_model ~card:c.c_card ~q:c.c_q
+            ~idx_bits:c.c_bits
+            ~horizon:(Int.min c.budget (Int.max (2 * at) (at + 1)))
+        in
+        Keys.replace c.st.entries c.key r;
+        r
+  in
+  c.r <- r;
+  skip c at
+
+(* Meter one task's allocations as the recorded search did. *)
+let rec replay_task m c =
+  if c.run > 0 then c.run <- c.run - 1
+  else if c.next = 0 then begin
+    let b = read_byte c in
+    c.run <- b lsr 4;
+    c.next <- b land 15;
+    replay_task m c
+  end
+  else begin
+    let code = c.next in
+    c.next <- 0;
+    let kind =
+      if code >= k_group then begin
+        c.ev <- 1;
+        meter_group m;
+        code - k_group
+      end
+      else code
+    in
+    if kind > 0 then c.ev <- c.ev + 1;
+    if kind = k_split then meter_split m
+    else if kind = k_lexprs then meter_lexprs m (read_varint c 0 0)
+    else if kind > 0 then meter_leaf m kind
+  end
+
+(* The live loop's checks, in its order, with [replay_task] for the
+   task. *)
+let rec run_replay m c ~honor =
+  if m.tasks = c.r.r_tasks && c.r.r_complete then Complete
+  else if m.tasks >= c.budget then Budget_exhausted
+  else if honor && m.env.Env.should_stop () then Stopped_early
+  else begin
+    if m.tasks = c.r.r_tasks then extend c;
+    c.ev <- 0;
+    tick m;
+    if c.run > 0 then c.run <- c.run - 1 else replay_task m c;
+    run_replay m c ~honor
+  end
+
+exception Cut
+
+(* The memo of the live search the replay [c] stands for, which ran
+   [tasks] tasks; [cut] when an allocation of the last of them raised,
+   the [c.ev]th (or when its [tick] did, with [c.ev] = 0). *)
+let rebuild c ~tasks ~cut =
+  let trap = ref 0 in
+  let env =
+    {
+      Env.alloc =
+        (fun _ ->
+          if !trap > 0 then begin
+            decr trap;
+            if !trap = 0 then raise Cut
+          end;
+          0);
+      cpu = ignore;
+      should_stop = (fun () -> false);
+    }
+  in
+  let s, root =
+    silent_search c.st ~model:c.c_model ~card:c.c_card ~q:c.c_q
+      ~idx_bits:c.c_bits ~env
+  in
+  for _ = 1 to if cut then tasks - 1 else tasks do
+    step s
+  done;
+  if cut && c.ev > 0 then begin
+    trap := c.ev;
+    try step s with Cut -> ()
+  end;
+  (s, root)
+
+(* ------------------------------------------------------------------ *)
+
+let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
+  let card = Card.create cat q in
+  let m = create_meter env ~task_cpu:params.task_cpu in
+  let honor = params.honor_stop_early in
+  (* The paper's second extension: when memory runs out mid-search,
+     return the best plan from the set of already explored plans instead
+     of an out-of-memory error. (The memo always holds a complete plan
+     thanks to the greedy seed.) [cut] records that an allocation raised. *)
+  let cut = ref false in
+  let best_so_far_on_oom run =
+    match run () with
+    | o -> o
+    | exception Env.Aborted Env.Out_of_memory when honor ->
+        cut := true;
+        Stopped_early
   in
   try
     (* Seed: greedy left-deep plan guarantees a complete plan exists from
-       the start (pre-aggregation form lives in the memo root). *)
-    let root = find_or_create s full in
+       the start (pre-aggregation form lives in the memo root). It makes
+       no env call, so computing it before the root group is metered
+       changes nothing the env sees. *)
     let seed = Greedy.plan model card in
-    let seed_join_cost =
-      (* Budget scales with estimated query cost (dynamic optimization). *)
-      Plan.total_cost seed
-    in
     let budget =
+      (* Budget scales with estimated query cost (dynamic optimization). *)
       min params.max_tasks
         (max params.min_tasks
-           (int_of_float (seed_join_cost *. tasks_per_cost)))
+           (int_of_float (Plan.total_cost seed *. tasks_per_cost)))
     in
     (* Keep the un-aggregated seed in the memo for joining purposes. *)
     let seed_join =
@@ -540,44 +1011,49 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
           (match c.Plan.node with Plan.Sort inner -> inner | _ -> c)
       | _ -> seed
     in
-    alloc s (phys_bytes * Plan.n_operators seed_join);
-    push s full opt_group;
-    let rec loop () =
-      if arena.top = 0 then Complete
-      else if s.tasks >= budget then Budget_exhausted
-      else if params.honor_stop_early && env.Env.should_stop () then
-        Stopped_early
-      else begin
-        arena.top <- arena.top - 1;
-        let x = arena.stack.(2 * arena.top)
-        and y = arena.stack.((2 * arena.top) + 1) in
-        s.tasks <- s.tasks + 1;
-        s.cpu_pending <- s.cpu_pending + 1;
-        if s.cpu_pending >= cpu_batch then flush_cpu s;
-        if y = opt_group then process_opt_group s x
-        else if y >= 0 then process_expand s x y
-        else process_opt_split s x (split_owner y);
-        loop ()
-      end
+    let idx_bits = Rules.index_path_bits card in
+    let cursor =
+      match replay with
+      | Some memo ->
+          recording_for memo params ~model ~card ~q ~idx_bits ~budget
+      | None -> None
     in
-    let outcome =
-      match loop () with
-      | o -> o
-      | exception Env.Aborted Env.Out_of_memory when params.honor_stop_early ->
-          (* The paper's second extension: when memory runs out
-             mid-search, return the best plan from the set of already
-             explored plans instead of an out-of-memory error. (The memo
-             always holds a complete plan thanks to the greedy seed.) *)
-          Stopped_early
-    in
-    flush_cpu s;
-    let costed =
-      if root_offered arena root then price s ~root ~seed_join else 0
-    in
-    (* [seed] is [Rules.finalize] of [seed_join]. *)
-    let plan =
-      if costed = 0 || arena.g_win.(root) = seed_win then seed
-      else Rules.finalize model card (build s root)
+    let (plan, costed), outcome =
+      match cursor with
+      | Some c ->
+          (* The root group, then the seed, as the live search meters
+             them. *)
+          meter_group m;
+          alloc m (phys_bytes * Plan.n_operators seed_join);
+          let outcome = best_so_far_on_oom (fun () -> run_replay m c ~honor) in
+          flush_cpu m;
+          if c.r.r_offered > m.tasks then ((seed, 0), outcome)
+          else
+            let s, root = rebuild c ~tasks:m.tasks ~cut:!cut in
+            (plan_of s ~root ~seed ~seed_join, outcome)
+      | None ->
+          (* Reset on entry rather than trusting the caller: an aborted
+             previous search leaves an arena mid-state, and the reset
+             makes reuse safe regardless of how the last call ended. *)
+          let arena =
+            match arena with
+            | Some a ->
+                reset_arena a;
+                a
+            | None -> create_arena ()
+          in
+          let s =
+            { model; card; q; idx_bits; arena; emit_split = add_split arena; m }
+          in
+          let full = Relset.full (Query.n_rels q) in
+          let root = find_or_create s full in
+          alloc m (phys_bytes * Plan.n_operators seed_join);
+          push s full opt_group;
+          let outcome =
+            best_so_far_on_oom (fun () -> run_live s ~budget ~honor)
+          in
+          flush_cpu m;
+          (plan_of s ~root ~seed ~seed_join, outcome)
     in
     Ok
       {
@@ -586,11 +1062,11 @@ let optimize ?(params = default_params) ?arena ~env model cat q =
         outcome;
         stats =
           {
-            tasks = s.tasks;
-            groups = arena.n_groups;
-            lexprs = s.n_lexprs;
-            phys = s.n_phys;
-            allocated_bytes = s.allocated;
+            tasks = m.tasks;
+            groups = m.groups;
+            lexprs = m.lexprs;
+            phys = m.phys;
+            allocated_bytes = m.allocated;
             budget;
             costed;
           };

@@ -39,7 +39,16 @@
     each group's winner and cost bits are those of a search that costs
     as it goes. The one [Plan.t] is then built from the root. The
     metered bytes are those of the memo being modelled, not of these
-    columns. *)
+    columns.
+
+    Because no cost steers it, a search takes a course fixed by the
+    join graph, the per-relation index-path bits and the params; its
+    budget and the env only decide where it stops, and costs only decide
+    its plan. Given a {!replay_memo}, {!optimize} records that course
+    silently, once per key and server, extending the recording only when
+    an instance runs past its end, and replays it for every instance:
+    the same env calls, the same aborts, the same stats and the same
+    plan as the live search, at about a tenth of a live task's cost. *)
 
 (** Metered bytes per physical alternative costed (18 KiB). A memo group
     costs 72 KiB and a recorded logical split 18 KiB. *)
@@ -103,12 +112,62 @@ type arena
 
 val create_arena : unit -> arena
 
-(** [optimize ?params ?arena ~env model catalog query]. Errors are the
-    governor's abort reasons surfaced by [env.alloc]/[env.cpu]. Without
-    [?arena] a fresh single-use memo is built, as before. *)
+(** {1 Replay memo}
+
+    Recorded searches, keyed by everything a search reads: the query's
+    adjacency masks (their count is the relation count), the bit
+    {!Rules.has_index_path} of each relation, and the params. The first
+    compile of a key runs the search silently on the memo's own arena,
+    with no env calls (so it never suspends), to the memo's [horizon] or
+    its budget if that is smaller, and stores its per-task allocation
+    stream: the run length of each stretch of tasks that allocate
+    nothing, and the kind of each allocation. Every compile of the key
+    then replays that stream through its own env, task by task: the
+    budget check, the [should_stop] poll, the CPU batching and each
+    allocation with its credit, so a replay is observationally a live
+    search. A replay that reaches the end of the stream before its
+    budget extends it, recording silently to twice the length (or the
+    budget), and reads on.
+
+    A recording notes the first task after which the root had been
+    offered something (always, for a one-relation query). An instance
+    whose budget reaches that task searches live, as its plan depends on
+    costs. A replay that was already running when an extension found
+    that task, and that ran past it, rebuilds the live search's memo
+    silently and prices it, so its plan is the live search's too.
+
+    A memo holds no plan and no cost, and a replay reads a recording that
+    no later recording changes, so compiles that suspend mid-replay can
+    share one memo. It is not safe across domains: {!Dbms} keeps one per
+    server. *)
+
+type replay_memo
+
+(** [create_replay_memo ?horizon ()]: a key's first recording covers at
+    most [horizon] tasks (default 16384, at least 1). *)
+val create_replay_memo : ?horizon:int -> unit -> replay_memo
+
+type memo_stats = {
+  keys : int;
+  live_keys : int;
+      (** keys whose recording offered the root: their compiles search
+          live once their budget reaches that task *)
+  recordings : int;  (** silent searches run, extensions included *)
+  recorded_tasks : int;  (** tasks those searches ran *)
+  tape_bytes : int;  (** bytes held by the recorded streams *)
+}
+
+val memo_stats : replay_memo -> memo_stats
+
+(** [optimize ?params ?arena ?replay ~env model catalog query]. Errors
+    are the governor's abort reasons surfaced by [env.alloc]/[env.cpu].
+    Without [?arena] a fresh single-use memo is built, as before. With
+    [?replay] a search whose key is recorded replays instead, and
+    [?arena] goes unused; without it every search runs live. *)
 val optimize :
   ?params:params ->
   ?arena:arena ->
+  ?replay:replay_memo ->
   env:Env.t ->
   Cost.model ->
   Catalog.t ->

@@ -12,25 +12,31 @@ let order card =
   done;
   let joined = ref (Relset.singleton !start) in
   let picked = ref [] in
+  let rows = [| 0.0 |] in
   while Relset.cardinal !joined < n do
-    let best = ref None in
+    (* The best candidate so far lives in an int and a float local, and
+       [Card.card_into] returns its rows unboxed, so a candidate
+       allocates nothing. The incumbent is replaced unless its rows are
+       [<=] the new ones: ties keep the lower relation, and a NaN on
+       either side replaces. *)
+    let best_i = ref (-1) and best_c = ref 0.0 in
     for i = 0 to n - 1 do
-      if not (Relset.mem i !joined) then begin
-        if Query.has_pred_between q (Relset.singleton i) !joined then begin
-          let c = Card.card card (Relset.add i !joined) in
-          match !best with
-          | Some (_, bc) when bc <= c -> ()
-          | _ -> best := Some (i, c)
+      (* [i] is not joined yet and shares a predicate with the joined
+         set: one of its adjacency bits is in it. *)
+      if !joined land (1 lsl i) = 0 && q.Query.adj.(i) land !joined <> 0
+      then begin
+        Card.card_into card (Relset.add i !joined) rows 0;
+        let c = rows.(0) in
+        if !best_i < 0 || not (!best_c <= c) then begin
+          best_i := i;
+          best_c := c
         end
       end
     done;
-    match !best with
-    | Some ((i, _) as step) ->
-        joined := Relset.add i !joined;
-        picked := step :: !picked
-    | None ->
-        (* Disconnected graphs are rejected by [Query.make]. *)
-        assert false
+    (* Disconnected graphs are rejected by [Query.make]. *)
+    assert (!best_i >= 0);
+    joined := Relset.add !best_i !joined;
+    picked := (!best_i, !best_c) :: !picked
   done;
   (!start, List.rev !picked)
 

@@ -46,14 +46,12 @@ let adjacent t s =
   done;
   !acc
 
-let has_pred_between t a b = adjacent t a land b <> 0
-
 (* Grow from the lowest member through the adjacency masks, each member
    entering the frontier once. A lowest member adjacent to all the others
    (the fact table of a star) answers at once. *)
 let connected t s =
-  if Relset.is_empty s then false
-  else if Relset.diff s t.adj.(Relset.ctz s) = s land -s then true
+  if s = 0 then false
+  else if s land lnot t.adj.(Relset.ctz s) = s land -s then true
   else begin
     let low = s land -s in
     let reached = ref low and frontier = ref low in
@@ -67,24 +65,23 @@ let connected t s =
     !reached = s
   end
 
-let neighborhood t s ~within = Relset.diff (adjacent t s land within) s
-
 (* EnumerateCsg: emit every connected subset of the subgraph induced by
    [s], each exactly once. Subsets are seeded at each node v and grown
    only through neighbours, never into nodes smaller than v or already
    prohibited, which is what guarantees uniqueness. [grow] is top level
-   so a walk allocates no closure. *)
-let rec grow t s f c prohibited =
+   so a walk allocates no closure. [cadj] is [adjacent t c], carried
+   down so a step unions in only the adjacency of the members it adds. *)
+let rec grow t s f c cadj prohibited =
   f c;
-  let frontier = Relset.diff (neighborhood t c ~within:s) prohibited in
+  let frontier = cadj land s land lnot c land lnot prohibited in
   if frontier <> 0 then begin
     let prohibited = prohibited lor frontier in
     (* The full frontier first, then its nonempty proper subsets in
        descending submask order. *)
-    grow t s f (c lor frontier) prohibited;
+    grow t s f (c lor frontier) (cadj lor adjacent t frontier) prohibited;
     let sub = ref ((frontier - 1) land frontier) in
     while !sub <> 0 do
-      grow t s f (c lor !sub) prohibited;
+      grow t s f (c lor !sub) (cadj lor adjacent t !sub) prohibited;
       sub := (!sub - 1) land frontier
     done
   end
@@ -95,13 +92,8 @@ let iter_connected_subsets t s f =
     let v = !rest land - !rest in
     rest := !rest lxor v;
     (* Prohibit v and every member of [s] below it. *)
-    grow t s f v (s land ((v lsl 1) - 1))
+    grow t s f v (t.adj.(Relset.ctz v)) (s land ((v lsl 1) - 1))
   done
-
-let connected_subsets t s =
-  let acc = ref [] in
-  iter_connected_subsets t s (fun c -> acc := c :: !acc);
-  !acc
 
 let make ~id ~rels ~preds ~filters ~agg =
   let rels =
@@ -189,54 +181,78 @@ let pp ppf t =
     t.preds;
   Format.fprintf ppf "@]"
 
-let to_sql t =
-  let buf = Buffer.create 512 in
-  let alias i = t.rels.(i).ralias in
-  Buffer.add_string buf "SELECT ";
+(* The statement without its fingerprint line, written straight into
+   [buf]: no format strings, no intermediate lists. *)
+let add_sql_body buf t =
+  let str = Buffer.add_string buf in
+  let col i c =
+    str t.rels.(i).ralias;
+    Buffer.add_char buf '.';
+    str c
+  in
+  str "SELECT ";
   (match t.agg with
   | None ->
-      Buffer.add_string buf
-        (String.concat ", "
-           (Array.to_list (Array.map (fun r -> r.ralias ^ ".*") t.rels)))
+      Array.iteri
+        (fun k r ->
+          if k > 0 then str ", ";
+          str r.ralias;
+          str ".*")
+        t.rels
   | Some a ->
-      let groups =
-        List.map (fun (i, c) -> Printf.sprintf "%s.%s" (alias i) c) a.group_by
-      in
-      let sums =
-        List.map (fun (i, c) -> Printf.sprintf "SUM(%s.%s)" (alias i) c) a.sum_cols
-      in
-      Buffer.add_string buf
-        (String.concat ", " (groups @ ("COUNT(*)" :: sums))));
-  Buffer.add_string buf "\nFROM ";
-  Buffer.add_string buf
-    (String.concat ", "
-       (Array.to_list
-          (Array.map (fun r -> Printf.sprintf "%s AS %s" r.rtable r.ralias) t.rels)));
-  let join_conds =
-    List.map
-      (fun p ->
-        Printf.sprintf "%s.%s = %s.%s" (alias p.jleft) p.jlcol (alias p.jright)
-          p.jrcol)
-      t.preds
+      List.iter
+        (fun (i, c) ->
+          col i c;
+          str ", ")
+        a.group_by;
+      str "COUNT(*)";
+      List.iter
+        (fun (i, c) ->
+          str ", SUM(";
+          col i c;
+          Buffer.add_char buf ')')
+        a.sum_cols);
+  str "\nFROM ";
+  Array.iteri
+    (fun k r ->
+      if k > 0 then str ", ";
+      str r.rtable;
+      str " AS ";
+      str r.ralias)
+    t.rels;
+  (* Join conditions, then filters, the first after "WHERE ". *)
+  let first = ref true in
+  let cond () =
+    str (if !first then "\nWHERE " else "\n  AND ");
+    first := false
   in
-  let filter_conds =
-    List.map
-      (fun f ->
-        let op = match f.fop with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-        Printf.sprintf "%s.%s %s %d" (alias f.frel) f.fcol op f.fvalue)
-      t.filters
-  in
-  (match join_conds @ filter_conds with
-  | [] -> ()
-  | conds ->
-      Buffer.add_string buf "\nWHERE ";
-      Buffer.add_string buf (String.concat "\n  AND " conds));
-  (match t.agg with
+  List.iter
+    (fun p ->
+      cond ();
+      col p.jleft p.jlcol;
+      str " = ";
+      col p.jright p.jrcol)
+    t.preds;
+  List.iter
+    (fun f ->
+      cond ();
+      col f.frel f.fcol;
+      str (match f.fop with Le -> " <= " | Ge -> " >= " | Eq -> " = ");
+      str (string_of_int f.fvalue))
+    t.filters;
+  match t.agg with
   | Some a when a.group_by <> [] ->
-      Buffer.add_string buf "\nGROUP BY ";
-      Buffer.add_string buf
-        (String.concat ", "
-           (List.map (fun (i, c) -> Printf.sprintf "%s.%s" (alias i) c) a.group_by))
-  | _ -> ());
-  Buffer.add_string buf (Printf.sprintf "\n-- fingerprint %s" t.qid);
+      str "\nGROUP BY ";
+      List.iteri
+        (fun k (i, c) ->
+          if k > 0 then str ", ";
+          col i c)
+        a.group_by
+  | _ -> ()
+
+let to_sql t =
+  let buf = Buffer.create 512 in
+  add_sql_body buf t;
+  Buffer.add_string buf "\n-- fingerprint ";
+  Buffer.add_string buf t.qid;
   Buffer.contents buf

@@ -65,16 +65,8 @@ val filters_of : t -> int -> filter list
 (** Combined filter selectivity of relation [i]. *)
 val filter_sel : t -> int -> float
 
-(** [has_pred_between t a b]: some join predicate has one side in [a]
-    and the other in [b]. One mask test per member of [a]. *)
-val has_pred_between : t -> Relset.t -> Relset.t -> bool
-
 (** [connected t s] — the subgraph induced by [s] is connected. *)
 val connected : t -> Relset.t -> bool
-
-(** Relations adjacent (via join predicates) to members of [s], within
-    [within], excluding [s] itself. *)
-val neighborhood : t -> Relset.t -> within:Relset.t -> Relset.t
 
 (** [iter_connected_subsets t s f] calls [f] on every nonempty connected
     subset of the subgraph induced by [s] (Moerkotte & Neumann's
@@ -82,10 +74,6 @@ val neighborhood : t -> Relset.t -> within:Relset.t -> Relset.t
     is exponential only for dense join graphs; star and chain queries
     yield O(n) and O(n^2) subsets respectively. *)
 val iter_connected_subsets : t -> Relset.t -> (Relset.t -> unit) -> unit
-
-(** The subsets {!iter_connected_subsets} visits, listed in the reverse
-    of the order it visits them. *)
-val connected_subsets : t -> Relset.t -> Relset.t list
 
 (** [filter_selectivity op value col] is the textbook uniform-distribution
     estimate for [col op value] (used by query generators). *)
@@ -99,3 +87,7 @@ val pp : Format.formatter -> t -> unit
     uniquification (two instances of one template differ only in literals
     and dimension subsets). *)
 val to_sql : t -> string
+
+(** [add_sql_body buf t] appends {!to_sql}'s text up to, not including,
+    its closing ["\n-- fingerprint <qid>"] line. *)
+val add_sql_body : Buffer.t -> t -> unit

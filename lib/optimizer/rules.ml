@@ -1,22 +1,7 @@
-let leaf_alternatives model card i =
-  let seq = Plan.seq_scan model card i in
-  match Plan.index_scan model card i with
-  | Some idx -> [ seq; idx ]
-  | None -> [ seq ]
-
-let join_alternatives model card a b =
-  let rows = Card.card card (Relset.union a.Plan.rset b.Plan.rset) in
-  [
-    Plan.hash_join model ~rows ~build:a ~probe:b;
-    Plan.hash_join model ~rows ~build:b ~probe:a;
-    Plan.nl_join model ~rows ~outer:a ~inner:b;
-    Plan.nl_join model ~rows ~outer:b ~inner:a;
-    Plan.merge_join model ~rows ~left:a ~right:b;
-  ]
-
 (* ------------------------------------------------------------------- *)
 (* Cost-only alternative evaluation, for {!Cascades} when it prices a
-   plan and for every step of {!Greedy}.
+   plan and for every step of {!Greedy}. The plan-building alternatives
+   they replaced live on as the tests' oracle ([Oracle.Alternatives]).
 
    The functions below mirror the cost formulas of the [Plan] constructors
    term for term, in the same floating-point evaluation order, so the
@@ -84,7 +69,7 @@ let set_entry_terms model tb i ~width =
    Leaves: 0 = seq scan, 1 = index scan. Joins (l holds the lowest
    relation of the subset, r the rest): 0 = hash build-l, 1 = hash
    build-r, 2 = NL outer-l, 3 = NL outer-r, 4 = merge. The numeric order
-   matches the list order of [leaf_alternatives] / [join_alternatives],
+   matches the list order of [Oracle.Alternatives.leaf] / [join],
    and selection below uses strict [<] in that order, so ties resolve to
    the same alternative as [cheapest]. *)
 
@@ -93,6 +78,20 @@ let has_index_path card i =
   List.exists
     (fun f -> Catalog.has_index_on tbl f.Query.fcol)
     (Query.filters_of (Card.query card) i)
+
+(* [has_index_path] of every relation at once, in one pass over the
+   filters. *)
+let rec index_bits card bits = function
+  | [] -> bits
+  | f :: rest ->
+      let i = f.Query.frel in
+      index_bits card
+        (if Catalog.has_index_on (Card.table_of card i) f.Query.fcol then
+           bits lor (1 lsl i)
+         else bits)
+        rest
+
+let index_path_bits card = index_bits card 0 (Card.query card).Query.filters
 
 let cheapest_leaf_into model card i ~best =
   let tbl = Card.table_of card i in

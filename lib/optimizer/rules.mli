@@ -3,16 +3,11 @@
     leaf access and for a join of two subplans, and the final aggregation
     placement. Keeping them in one place guarantees that all strategies
     search the same plan space, so an exhaustive Cascades run and the DP
-    must agree on optimal cost. *)
-
-(** Access paths for relation [i]: sequential scan, plus an index scan when
-    a filtered column has an index. *)
-val leaf_alternatives : Cost.model -> Card.t -> int -> Plan.t list
-
-(** Physical joins of two subplans (both hash orientations, both
-    nested-loop orientations, merge join). [rows] of the output is computed
-    from the union set. *)
-val join_alternatives : Cost.model -> Card.t -> Plan.t -> Plan.t -> Plan.t list
+    must agree on optimal cost. The leaf's access paths are a sequential
+    scan, plus an index scan when a filtered column has an index; a join
+    has both hash orientations, both nested-loop orientations and a merge
+    join. The tests' oracles build them as [Plan.t] lists
+    ([Oracle.Alternatives]); the searches price them here, by tag. *)
 
 (** Cheapest element of a nonempty list of alternatives. *)
 val cheapest : Plan.t list -> Plan.t
@@ -54,16 +49,19 @@ val make_tables : int -> tables
 val set_entry_terms : Cost.model -> tables -> int -> width:int -> unit
 
 (** [has_index_path card i] — relation [i] has an index on a filtered
-    column, so {!leaf_alternatives} lists an index scan after the
-    sequential scan. *)
+    column, so its access paths are a sequential scan and then an index
+    scan. *)
 val has_index_path : Card.t -> int -> bool
+
+(** Bit [i] is [has_index_path card i], for every relation [i]. *)
+val index_path_bits : Card.t -> int
 
 (** [cheapest_leaf_into model card i ~best] evaluates the access paths of
     relation [i] and writes the winner's cost_io / cost_cpu / total to
     [best.(0..2)] (a caller-provided scratch array, length >= 3).
     Returns the winning tag: 0 = seq scan, 1 = index scan. Ties go to
-    the earlier alternative, exactly as {!cheapest} over
-    {!leaf_alternatives}. *)
+    the earlier alternative, exactly as {!cheapest} over the list
+    [\[seq; index\]]. *)
 val cheapest_leaf_into :
   Cost.model -> Card.t -> int -> best:float array -> int
 
@@ -73,7 +71,8 @@ val cheapest_leaf_into :
     entries (their per-entry terms included) and [t_rows.(s)] from [tb]. Writes the winner's cost_io / cost_cpu /
     total to [best.(0..2)] and returns its tag: 0 = hash build-[l],
     1 = hash build-[r], 2 = NL outer-[l], 3 = NL outer-[r], 4 = merge —
-    tie-breaking as {!cheapest} over {!join_alternatives}. *)
+    tie-breaking as {!cheapest} over the alternatives listed in that
+    order. *)
 val cheapest_join_into :
   Cost.model ->
   tables ->

@@ -32,6 +32,11 @@ type t = {
          suspend at governor gateways, so in-flight searches cannot share
          storage. Steady state settles at the compile-concurrency
          high-water mark and every compile reuses grown memo structures *)
+  replay : Optimizer.Cascades.replay_memo;
+      (* each join graph's search, recorded once and replayed by every
+         compile of it; per server, because grids run cells on parallel
+         domains. A replayed compile leaves its pooled arena untouched:
+         only live searches grow one *)
 }
 
 let acquire_arena t =
@@ -236,6 +241,7 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     storm;
     in_flight = 0;
     arenas = [];
+    replay = Optimizer.Cascades.create_replay_memo ();
   }
 
 let start t =
@@ -303,7 +309,7 @@ let compile_full t job =
         Fun.protect
           ~finally:(fun () -> release_arena t arena)
           (fun () ->
-            Optimizer.Cascades.optimize ~params ~arena
+            Optimizer.Cascades.optimize ~params ~arena ~replay:t.replay
               ~env:(compile_env t session) t.cfg.Config.cost_model t.cat
               job.query))
   with

@@ -278,7 +278,7 @@ let process_opt_group s set =
   | Fresh ->
       if Relset.cardinal set = 1 then begin
         let i = Relset.min_elt set in
-        let alternatives = Rules.leaf_alternatives s.model s.card i in
+        let alternatives = Oracle.Alternatives.leaf s.model s.card i in
         alloc s (phys_bytes * List.length alternatives);
         s.n_phys <- s.n_phys + List.length alternatives;
         List.iter (update_best g) alternatives;
@@ -346,7 +346,7 @@ let process_opt_split s g sp =
   else begin
     match (gl.best, gr.best) with
     | Some pl, Some pr ->
-        let alternatives = Rules.join_alternatives s.model s.card pl pr in
+        let alternatives = Oracle.Alternatives.join s.model s.card pl pr in
         alloc s (phys_bytes * List.length alternatives);
         s.n_phys <- s.n_phys + List.length alternatives;
         List.iter (update_best g) alternatives;

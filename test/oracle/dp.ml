@@ -2,7 +2,7 @@ open Optimizer
 
 let max_rels = 14
 
-(* Materialises every alternative via [Rules.join_alternatives] and keeps
+(* Materialises every alternative via [Alternatives.join] and keeps
    whole [Plan.t] trees in the table: slow and allocation-heavy, but
    written independently of the Cascades search it checks. *)
 let optimize_with_stats model card =
@@ -18,7 +18,7 @@ let optimize_with_stats model card =
   (* Leaves. *)
   for i = 0 to n - 1 do
     best.(Relset.singleton i) <-
-      Some (Rules.cheapest (Rules.leaf_alternatives model card i));
+      Some (Rules.cheapest (Alternatives.leaf model card i));
     incr entries
   done;
   (* Subsets in increasing cardinality order; an int-ascending sweep is not
@@ -37,7 +37,7 @@ let optimize_with_stats model card =
                 | Some pl, Some pr
                   when Subsets.preds_between q l r <> [] ->
                     let alt =
-                      Rules.cheapest (Rules.join_alternatives model card pl pr)
+                      Rules.cheapest (Alternatives.join model card pl pr)
                     in
                     (* Strictly cheaper replaces: on ties the earlier
                        split wins. *)

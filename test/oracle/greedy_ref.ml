@@ -20,7 +20,7 @@ let order card =
       let best = ref None in
       for i = 0 to n - 1 do
         if not (Relset.mem i !joined) then begin
-          if Query.has_pred_between q (Relset.singleton i) !joined then begin
+          if Subsets.preds_between q (Relset.singleton i) !joined <> [] then begin
             let c = Card.card card (Relset.add i !joined) in
             match !best with
             | Some (_, bc) when bc <= c -> ()
@@ -43,11 +43,11 @@ let plan model card =
   match order card with
   | [] -> invalid_arg "Greedy_ref.plan: empty query"
   | first :: rest ->
-      let leaf i = Rules.cheapest (Rules.leaf_alternatives model card i) in
+      let leaf i = Rules.cheapest (Alternatives.leaf model card i) in
       let joined =
         List.fold_left
           (fun acc i ->
-            Rules.cheapest (Rules.join_alternatives model card acc (leaf i)))
+            Rules.cheapest (Alternatives.join model card acc (leaf i)))
           (leaf first) rest
       in
       Rules.finalize model card joined

@@ -47,3 +47,8 @@ let preds_between (q : Query.t) a b =
       (Relset.mem p.jleft a && Relset.mem p.jright b)
       || (Relset.mem p.jleft b && Relset.mem p.jright a))
     q.preds
+
+let connected_subsets q s =
+  let acc = ref [] in
+  Optimizer.Query.iter_connected_subsets q s (fun c -> acc := c :: !acc);
+  !acc

@@ -1,5 +1,7 @@
 (** Subset enumeration and predicate lookup for the oracles, written
-    independently of the adjacency masks the Cascades search uses. *)
+    independently of the adjacency masks the Cascades search uses, and
+    the list form of the search's own enumeration, for the tests that
+    compare it with brute force and with the predicate-list form. *)
 
 (** [iter_of_cardinality ~n ~k f] calls [f] on every subset of
     [{0, ..., n-1}] with exactly [k] members, in increasing numeric order
@@ -26,3 +28,8 @@ val preds_between :
   Optimizer.Relset.t ->
   Optimizer.Relset.t ->
   Optimizer.Query.join_pred list
+
+(** The subsets {!Optimizer.Query.iter_connected_subsets} visits, listed
+    in the reverse of the order it visits them. *)
+val connected_subsets :
+  Optimizer.Query.t -> Optimizer.Relset.t -> Optimizer.Relset.t list

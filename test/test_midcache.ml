@@ -471,6 +471,34 @@ let test_rejects_non_positive_think () =
                { Server.Cached.default_config with k_think = think })))
     [ 0.; -5. ]
 
+(* ------------------------------------------------------------------ *)
+(* The cache key, written straight into one buffer, against the old
+   render-then-cut key and [sprintf] rendering kept in the oracle. *)
+
+let test_key_matches_oracle () =
+  let instances ts =
+    List.concat_map
+      (fun (t : Workload.Template.t) ->
+        List.init 4 (fun i ->
+            Workload.Template.instance (Sim.Rng.create (31 * i)) t ~id:(i + 1)))
+      ts
+  in
+  let queries =
+    instances (Workload.Sales.templates ())
+    @ instances (Workload.Sales.parameterized_templates ~variants:12 ())
+    @ instances (Workload.Tpch.templates ())
+    @ instances (Workload.Snowflake.templates ())
+    @ [ (Workload.Sales.diagnostic_template ()).instantiate (Sim.Rng.create 1) 1 ]
+  in
+  List.iter
+    (fun q ->
+      let qid = q.Optimizer.Query.qid in
+      Alcotest.(check string) (qid ^ ": sql") (Oracle.Sql_ref.to_sql q)
+        (Optimizer.Query.to_sql q);
+      Alcotest.(check string) (qid ^ ": key") (Oracle.Sql_ref.key_of_query q)
+        (Midcache.Frontend.key_of_query q))
+    queries
+
 let suite =
   [
     ("ttl boundary is a miss", `Quick, test_ttl_boundary);
@@ -482,6 +510,7 @@ let suite =
     ("shrink is monotone, no re-grow", `Quick, test_shrink_monotonic);
     ("charge-hook veto refuses cleanly", `Quick, test_charge_hook_refusal);
     ("demand hint windows evictions", `Quick, test_demand_hint_window);
+    ("key = rendered-and-cut oracle", `Quick, test_key_matches_oracle);
     QCheck_alcotest.to_alcotest prop_fuzzed_interleavings;
     ("mixed templates at ratio bounds", `Quick, test_mixed_templates_ratio_bounds);
     ("diurnal think curve", `Quick, test_diurnal_curve);

@@ -164,7 +164,7 @@ let prop_connected_subsets_match_bruteforce =
           ~filters:[] ~agg:None
       in
       let full = Relset.full n in
-      let enumerated = List.sort compare (Query.connected_subsets q full) in
+      let enumerated = List.sort compare (Subsets.connected_subsets q full) in
       let brute = ref [] in
       for s = 1 to full do
         if Query.connected q s then brute := s :: !brute
@@ -853,15 +853,11 @@ let prop_mask_graph_matches_lists =
       let full = Relset.full n in
       let within = Random.State.int rs full + 1 in
       let s = Random.State.int rs full + 1 in
-      Query.connected_subsets q full
+      Subsets.connected_subsets q full
       = Cascades_reference.connected_subsets q full
-      && Query.connected_subsets q within
+      && Subsets.connected_subsets q within
          = Cascades_reference.connected_subsets q within
-      && Query.connected q s = Cascades_reference.connected q s
-      && Query.neighborhood q s ~within
-         = Cascades_reference.neighborhood q s ~within
-      && Query.has_pred_between q s within
-         = (Oracle.Subsets.preds_between q s within <> []))
+      && Query.connected q s = Cascades_reference.connected q s)
 
 (* A snowflake: a random tree of [n] tables, each joined to its parent
    on the parent's key; some tables index the filtered [attr] column, so
@@ -944,8 +940,8 @@ type env_call = Alloc of int | Cpu of int64 | Poll
 
 (* An environment that logs every call, turns [should_stop] true after
    [stop_after] polls and raises [abort] on allocation number
-   [abort_at]. *)
-let logging_env ~stop_after ~abort_at ~abort =
+   [abort_at]. Every [alloc] grants [credit] (default 0). *)
+let logging_env ?(credit = 0) ~stop_after ~abort_at ~abort () =
   let log = ref [] and polls = ref 0 and allocs = ref 0 in
   let env =
     {
@@ -954,7 +950,7 @@ let logging_env ~stop_after ~abort_at ~abort =
           log := Alloc n :: !log;
           incr allocs;
           if !allocs = abort_at then raise (Env.Aborted abort);
-          0);
+          credit);
       cpu = (fun x -> log := Cpu (Int64.bits_of_float x) :: !log);
       should_stop =
         (fun () ->
@@ -978,73 +974,79 @@ let same_result a b =
   | Error x, Error y -> x = y
   | _ -> false
 
+(* PR 20's generators: a SALES instance, a random star, chain or
+   snowflake, random budgets, stop polls and allocation aborts. *)
+let pick_query rs =
+  match Random.State.int rs 4 with
+  | 0 ->
+      let templates = Array.of_list (Workload.Sales.templates ()) in
+      let t = templates.(Random.State.int rs (Array.length templates)) in
+      ( Workload.Sales.catalog (),
+        Workload.Template.instance (Sim.Rng.create (Random.State.bits rs)) t ~id:1
+      )
+  | 1 ->
+      let dims = 1 + Random.State.int rs 12 in
+      let cat =
+        star_catalog ~dims
+          ~fact_rows:(1_000 + Random.State.int rs 1_000_000)
+          ~dim_rows:(50 + Random.State.int rs 5_000)
+      in
+      (cat, star_query ~dims ~filters:(Random.State.int rs (dims + 1)) cat)
+  | 2 ->
+      let len = 2 + Random.State.int rs 12 in
+      let rows = 100 + Random.State.int rs 50_000 in
+      let cat = chain_catalog ~len ~rows in
+      (cat, chain_query ~len cat)
+  | _ -> snowflake_cat_query rs ~n:(1 + Random.State.int rs 14)
+
+let pick_params rs =
+  {
+    Cascades.default_params with
+    Cascades.min_tasks = 1 + Random.State.int rs 5_000;
+    max_tasks = 1 + Random.State.int rs 30_000;
+    honor_stop_early = Random.State.bool rs;
+  }
+
+let pick_stop_abort rs =
+  let stop_after =
+    if Random.State.bool rs then max_int else Random.State.int rs 3_000
+  in
+  let abort_at =
+    if Random.State.bool rs then 0 else 1 + Random.State.int rs 3_000
+  in
+  let abort =
+    if Random.State.bool rs then Env.Out_of_memory
+    else Env.Gateway_timeout "gate"
+  in
+  (stop_after, abort_at, abort)
+
 let prop_cascades_matches_reference =
   QCheck.Test.make ~name:"cost-only cascades = plan-building reference"
     ~count:60 (QCheck.int_bound 1_000_000_000)
     (fun seed ->
       let rs = Random.State.make [| seed |] in
-      let pick_query () =
-        match Random.State.int rs 4 with
-        | 0 ->
-            let templates = Array.of_list (Workload.Sales.templates ()) in
-            let t = templates.(Random.State.int rs (Array.length templates)) in
-            ( Workload.Sales.catalog (),
-              Workload.Template.instance
-                (Sim.Rng.create (Random.State.bits rs))
-                t ~id:1 )
-        | 1 ->
-            let dims = 1 + Random.State.int rs 12 in
-            let cat =
-              star_catalog ~dims
-                ~fact_rows:(1_000 + Random.State.int rs 1_000_000)
-                ~dim_rows:(50 + Random.State.int rs 5_000)
-            in
-            (cat, star_query ~dims ~filters:(Random.State.int rs (dims + 1)) cat)
-        | 2 ->
-            let len = 2 + Random.State.int rs 12 in
-            let rows = 100 + Random.State.int rs 50_000 in
-            let cat = chain_catalog ~len ~rows in
-            (cat, chain_query ~len cat)
-        | _ -> snowflake_cat_query rs ~n:(1 + Random.State.int rs 14)
-      in
-      let cat, q = pick_query () in
-      let params =
-        {
-          Cascades.default_params with
-          Cascades.min_tasks = 1 + Random.State.int rs 5_000;
-          max_tasks = 1 + Random.State.int rs 30_000;
-          honor_stop_early = Random.State.bool rs;
-        }
-      in
-      let stop_after =
-        if Random.State.bool rs then max_int else Random.State.int rs 3_000
-      in
-      let abort_at =
-        if Random.State.bool rs then 0 else 1 + Random.State.int rs 3_000
-      in
-      let abort =
-        if Random.State.bool rs then Env.Out_of_memory
-        else Env.Gateway_timeout "gate"
-      in
+      let cat, q = pick_query rs in
+      let params = pick_params rs in
+      let stop_after, abort_at, abort = pick_stop_abort rs in
       (* Half the runs reuse an arena that a search of another query left
          behind, mostly one cut short by an abort mid-search. *)
       let arena =
         if Random.State.bool rs then None
         else begin
           let a = Cascades.create_arena () in
-          let cat', q' = pick_query () in
+          let cat', q' = pick_query rs in
           let env, _ =
             logging_env ~stop_after:max_int
               ~abort_at:(1 + Random.State.int rs 400)
-              ~abort:(Env.Gateway_timeout "earlier")
+              ~abort:(Env.Gateway_timeout "earlier") ()
           in
           ignore (Cascades.optimize ~arena:a ~env model cat' q');
           Some a
         end
       in
-      let env, log = logging_env ~stop_after ~abort_at ~abort in
+      let env, log = logging_env ~stop_after ~abort_at ~abort () in
       let got = Cascades.optimize ~params ?arena ~env model cat q in
-      let env_ref, log_ref = logging_env ~stop_after ~abort_at ~abort in
+      let env_ref, log_ref = logging_env ~stop_after ~abort_at ~abort () in
       let want = Cascades_reference.optimize ~params ~env:env_ref model cat q in
       if same_result got want && !log = !log_ref then true
       else
@@ -1138,6 +1140,193 @@ let prop_credit_matches_per_call =
           params.Cascades.max_tasks params.Cascades.honor_stop_early
           (same_result got want) (log = log_ref) (List.length log)
           (List.length log_ref) calls calls_ref)
+
+(* ------------------------------------------------------------------ *)
+(* The replay memo. A search replayed from a recording must be the live
+   search as every observer sees it: the same result, plan, cost bits,
+   outcome and stats, and the same env calls in the same order, for the
+   instance that recorded and for every later one. *)
+
+(* The query with every join selectivity scaled by [f]: the same key
+   (graph, index-path bits), another cost and so another budget. *)
+let scale_joins q f =
+  {
+    q with
+    Query.preds =
+      List.map
+        (fun p -> { p with Query.jsel = Float.min 1.0 (p.Query.jsel *. f) })
+        q.Query.preds;
+  }
+
+(* The query without the filters of its first relation that has an
+   index path: the same graph, one index-path bit cleared. *)
+let drop_index_path cat q =
+  let card = Card.create cat q in
+  List.find_opt (Rules.has_index_path card) (List.init (Query.n_rels q) Fun.id)
+  |> Option.map (fun i ->
+         {
+           q with
+           Query.filters = List.filter (fun f -> f.Query.frel <> i) q.Query.filters;
+         })
+
+type env_log = Logged of env_call list | Gated of (gated_call list * int)
+
+let prop_replay_matches_live =
+  QCheck.Test.make ~name:"replayed search = live search" ~count:200
+    (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let cat, q = pick_query rs in
+      (* Mostly honoring [should_stop], so an out-of-memory abort returns
+         the seed with the stats of the moment it struck. *)
+      let params =
+        { (pick_params rs) with Cascades.honor_stop_early = Random.State.int rs 4 > 0 }
+      in
+      let stop_after, _, _ = pick_stop_abort rs in
+      (* Half the cases log every allocation (credit 0), where an abort
+         can land on any one of them. *)
+      let kind = max 0 (Random.State.int rs 6 - 2) in
+      let gate_seed = Random.State.bits rs in
+      let credit = if kind = 0 then 0 else max_int in
+      let abort =
+        if Random.State.int rs 4 = 0 then Env.Gateway_timeout "gate"
+        else Env.Out_of_memory
+      in
+      (* Abort at none of the allocations, at any of them, or at one the
+         size of a leaf's alternatives, so that leaves are hit too. *)
+      let abort_at =
+        let env, log =
+          logging_env ~credit ~stop_after ~abort_at:0 ~abort ()
+        in
+        ignore (Cascades.optimize ~params ~env model cat q);
+        let sizes =
+          List.filter_map (function Alloc n -> Some n | _ -> None) (List.rev !log)
+          |> List.mapi (fun k n -> (k + 1, n))
+        in
+        let leafy =
+          List.filter
+            (fun (_, n) -> n = Cascades.phys_bytes || n = 2 * Cascades.phys_bytes)
+            sizes
+        in
+        let pick = function
+          | [] -> 0
+          | l -> fst (List.nth l (Random.State.int rs (List.length l)))
+        in
+        match Random.State.int rs 4 with
+        | 0 -> 0
+        | 1 -> pick sizes
+        | _ -> pick leafy
+      in
+      let run ?replay q =
+        let env, log =
+          match kind with
+          | 0 | 1 ->
+              let env, log =
+                logging_env ~credit ~stop_after ~abort_at ~abort ()
+              in
+              (env, fun () -> Logged !log)
+          | _ ->
+              let env, log = gated_env ~seed:gate_seed ~grant:(kind = 2) in
+              (env, fun () -> Gated (log ()))
+        in
+        let r = Cascades.optimize ~params ?replay ~env model cat q in
+        (r, log ())
+      in
+      let same (a, la) (b, lb) =
+        same_result a b && la = lb
+        &&
+        match (a, b) with
+        | Ok x, Ok y -> x.Cascades.stats = y.Cascades.stats
+        | _ -> true
+      in
+      let budget q =
+        match Cascades.optimize ~params ~env:Env.null model cat q with
+        | Ok r -> r.Cascades.stats.Cascades.budget
+        | Error _ -> 0
+      in
+      (* Pre-seed the memo, in random order, with instances of the same
+         key whose budgets are shorter and longer than this one's, and
+         with the same graph under other index-path bits. *)
+      let target = budget q in
+      let scaled =
+        List.map (scale_joins q) [ 1e-4; 1e-2; 0.5; 2.0; 1e2; 1e4 ]
+      in
+      let shorter = List.find_opt (fun v -> budget v < target) scaled in
+      let longer = List.find_opt (fun v -> budget v > target) scaled in
+      let seeds =
+        List.filter_map Fun.id [ shorter; longer; drop_index_path cat q ]
+        |> List.filter (fun _ -> Random.State.bool rs)
+        |> List.map (fun v -> (Random.State.bits rs, v))
+        |> List.sort compare |> List.map snd
+      in
+      (* A short horizon makes replays extend their tapes, and rebuild
+         a memo when an extension finds the root offered. *)
+      let horizon =
+        if Random.State.bool rs then 16384 else 1 + Random.State.int rs 2_000
+      in
+      let memo = Cascades.create_replay_memo ~horizon () in
+      List.iter
+        (fun v ->
+          ignore (Cascades.optimize ~params ~replay:memo ~env:Env.null model cat v))
+        seeds;
+      let live = run q in
+      let first = run ~replay:memo q and later = run ~replay:memo q in
+      if same first live && same later live then true
+      else
+        QCheck.Test.fail_reportf
+          "query %s (%d rels), min %d max %d honor %b stop_after %d abort_at \
+           %d env %d, horizon %d, %d pre-seeds: first %b, later %b"
+          q.Query.qid (Query.n_rels q) params.Cascades.min_tasks
+          params.Cascades.max_tasks params.Cascades.honor_stop_early stop_after
+          abort_at kind horizon (List.length seeds) (same first live)
+          (same later live))
+
+(* Two instances that differ only in one relation's index path differ in
+   the stream the search meters (one leaf alternative or two), so they
+   record separately; a search that offers its root runs live. *)
+let test_replay_keys () =
+  let cat = Workload.Sales.catalog () in
+  let t = List.hd (Workload.Sales.templates ()) in
+  let q = Workload.Template.instance (Sim.Rng.create 7) t ~id:1 in
+  let q' =
+    match drop_index_path cat q with
+    | Some q' -> q'
+    | None -> Alcotest.fail "no relation of the instance has an index path"
+  in
+  Alcotest.(check bool) "same join graph" true (q.Query.adj = q'.Query.adj);
+  (* One recording per key: the first covers the whole budget. *)
+  let memo = Cascades.create_replay_memo ~horizon:max_int () in
+  let budget q =
+    List.iter
+      (fun q ->
+        let live = Cascades.optimize ~env:Env.null model cat q in
+        let replayed = Cascades.optimize ~replay:memo ~env:Env.null model cat q in
+        Alcotest.(check bool) (q.Query.qid ^ ": replayed = live") true
+          (live = replayed))
+      [ q; q ];
+    match Cascades.optimize ~env:Env.null model cat q with
+    | Ok r -> r.Cascades.stats.Cascades.budget
+    | Error _ -> Alcotest.fail "aborted under Env.null"
+  in
+  let budgets = budget q + budget q' in
+  let st = Cascades.memo_stats memo in
+  Alcotest.(check (pair int int)) "keys, recordings" (2, 2)
+    (st.Cascades.keys, st.Cascades.recordings);
+  Alcotest.(check int) "each recorded to its budget" budgets
+    st.Cascades.recorded_tasks;
+  Alcotest.(check bool) "tapes held" true (st.Cascades.tape_bytes > 0);
+  let chain = chain_catalog ~len:5 ~rows:5_000 in
+  let complete =
+    { Cascades.default_params with Cascades.min_tasks = 100_000; max_tasks = 100_000 }
+  in
+  for _ = 1 to 2 do
+    ignore
+      (Cascades.optimize ~params:complete ~replay:memo ~env:Env.null model chain
+         (chain_query ~len:5 chain))
+  done;
+  let st = Cascades.memo_stats memo in
+  Alcotest.(check (pair int int)) "live keys, recordings" (1, 3)
+    (st.Cascades.live_keys, st.Cascades.recordings)
 
 (* ------------------------------------------------------------------ *)
 (* Pricing at plan-build time. The search logs each split whose
@@ -1257,7 +1446,9 @@ let prop_priced_matches_reference =
       let rs = Random.State.make [| seed |] in
       let cat, q = pick rs in
       let run ?arena ~stop_after ~abort_at () =
-        let env, log = logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory in
+        let env, log =
+          logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory ()
+        in
         let r = Cascades.optimize ~params ?arena ~env model cat q in
         (r, List.rev !log)
       in
@@ -1303,7 +1494,7 @@ let prop_priced_matches_reference =
       in
       let got, log = run ?arena ~stop_after ~abort_at () in
       let env_ref, log_ref =
-        logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory
+        logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory ()
       in
       let want = Cascades_reference.optimize ~params ~env:env_ref model cat q in
       let priced_as_built =
@@ -1324,6 +1515,86 @@ let prop_priced_matches_reference =
           q.Query.qid (Query.n_rels q) k0 total stop_after abort_at
           (arena <> None) (same_result got want) (log = List.rev !log_ref)
           priced_as_built)
+
+(* A replay that runs past the root's first offer. The memo's horizon
+   ends before that task, so the replay starts, and an extension finds
+   the offer while it runs; the replay then stops after it, by
+   [should_stop] or by an Out_of_memory allocation, and must rebuild and
+   price the memo the live search holds at that point. Result, cost
+   bits, outcome, stats (priced alternatives included) and env calls
+   must be the live search's. *)
+let prop_replay_rebuilds_priced_memo =
+  let params =
+    {
+      Cascades.default_params with
+      Cascades.min_tasks = 2_000_000;
+      max_tasks = 2_000_000;
+      honor_stop_early = true;
+    }
+  in
+  QCheck.Test.make ~name:"replay past the root's offer = live search"
+    ~count:60 (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let n = 4 + Random.State.int rs 7 in
+      let cat, q =
+        if Random.State.bool rs then
+          let cat = chain_catalog ~len:n ~rows:(100 + Random.State.int rs 50_000) in
+          (cat, chain_query ~len:n cat)
+        else snowflake_cat_query rs ~n
+      in
+      let run ?replay ~stop_after ~abort_at () =
+        let env, log =
+          logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory ()
+        in
+        let r = Cascades.optimize ~params ?replay ~env model cat q in
+        (r, List.rev !log)
+      in
+      let stats (r, _) =
+        match r with
+        | Ok r -> r.Cascades.stats
+        | Error _ -> QCheck.Test.fail_reportf "%s: aborted" q.Query.qid
+      in
+      let allocs log =
+        List.length (List.filter (function Alloc _ -> true | _ -> false) log)
+      in
+      let complete = run ~stop_after:max_int ~abort_at:0 () in
+      let total = (stats complete).Cascades.tasks in
+      let rec first_priced lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if (stats (run ~stop_after:mid ~abort_at:0 ())).Cascades.costed > 0
+          then first_priced lo mid
+          else first_priced (mid + 1) hi
+      in
+      let k0 = first_priced 0 total in
+      let stop_after, abort_at =
+        if Random.State.bool rs then (k0 + Random.State.int rs (total - k0 + 1), 0)
+        else begin
+          let a0 = allocs (snd (run ~stop_after:k0 ~abort_at:0 ())) in
+          let a1 = allocs (snd complete) in
+          (max_int, a0 + 1 + Random.State.int rs (a1 - a0))
+        end
+      in
+      let live = run ~stop_after ~abort_at () in
+      let horizon = 1 + Random.State.int rs (max 1 (k0 - 1)) in
+      let replay = Cascades.create_replay_memo ~horizon () in
+      let got = run ~replay ~stop_after ~abort_at () in
+      let priced = (stats live).Cascades.costed > 0 in
+      if k0 > 1 && not priced then
+        QCheck.Test.fail_reportf "%s: live search not priced" q.Query.qid
+      else if same_result (fst got) (fst live) && stats got = stats live
+              && snd got = snd live
+      then true
+      else
+        QCheck.Test.fail_reportf
+          "query %s (%d rels), root offered after %d of %d tasks, horizon \
+           %d, stop_after %d abort_at %d: results equal %b, stats equal %b, \
+           env calls equal %b"
+          q.Query.qid (Query.n_rels q) k0 total horizon stop_after abort_at
+          (same_result (fst got) (fst live))
+          (stats got = stats live) (snd got = snd live))
 
 (* Join costing allocates nothing per split: 10 000 evaluations move
    the minor-heap counter no more than an empty window does. *)
@@ -1371,6 +1642,7 @@ let suite =
     ("join costing allocates nothing", `Quick, test_join_costing_allocates_nothing);
     ("sales seeds stand unpriced", `Quick, test_sales_seed_unpriced);
     ("complete search prices what it metered", `Quick, test_complete_search_priced);
+    ("replay keys hold the index-path bits", `Quick, test_replay_keys);
     ("plans validated on star", `Quick, test_plans_validated_star);
     ("plans validated on chain", `Quick, test_plans_validated_chain);
     ("query to_sql", `Quick, test_query_to_sql);
@@ -1389,6 +1661,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mask_graph_matches_lists;
     QCheck_alcotest.to_alcotest prop_cascades_matches_reference;
     QCheck_alcotest.to_alcotest prop_credit_matches_per_call;
+    QCheck_alcotest.to_alcotest prop_replay_matches_live;
     QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
     QCheck_alcotest.to_alcotest prop_priced_matches_reference;
+    QCheck_alcotest.to_alcotest prop_replay_rebuilds_priced_memo;
   ]
