@@ -644,11 +644,11 @@ let plan_of s ~root ~seed ~(seed_join : Plan.t) =
    that follows a search whose root was offered something.
 
    The memo records each key's course silently, a stretch at a time. A
-   key's first recording covers the memo's horizon, or the budget if
-   that is smaller. A replay that reaches the end of its tape before
-   its budget extends it: it takes a longer recording another replay
-   made meanwhile, or records anew to twice the length, or its budget
-   if that is smaller, and reads on from the same task. A replay drives
+   key's first recording covers [horizon] tasks, or the budget if that
+   is smaller. A replay that reaches the end of its tape before its
+   budget extends it: it takes a longer recording another replay made
+   meanwhile, or records anew to twice the length, or its budget if
+   that is smaller, and reads on from the same task. A replay drives
    the instance's own meter from the tape, task by task: the budget
    check, the [should_stop] poll, [tick] and the task's allocations, so
    the env sees what it sees of the live search.
@@ -682,24 +682,25 @@ type recording = {
   r_complete : bool;  (* the search emptied its task stack at [r_tasks] *)
 }
 
-(* A memo's recordings, and the arena and tape buffer the recorder
-   reuses. Made by the memo's first search, so a server that never
-   compiles pays nothing for them. *)
+(* A memo's recordings, the arena and tape buffer the recorder reuses,
+   and the free arenas of its live searches: compiles suspend at
+   governor gateways, so searches in flight need distinct arenas, and
+   the pool settles at the most that ran at once. Made by the memo's
+   first search, so a server that never compiles pays nothing for
+   them. *)
 type memo_state = {
   entries : recording Keys.t;
   recorder : arena;
   tape_buf : Buffer.t;
-  mutable recordings : int;
-  mutable recorded_tasks : int;
+  mutable spare : arena list;
 }
 
-type replay_memo = { horizon : int; mutable state : memo_state option }
+type replay_memo = { mutable state : memo_state option }
 
-let default_horizon = 16384
+(* The most tasks a key's first recording covers. *)
+let horizon = 16384
 
-let create_replay_memo ?(horizon = default_horizon) () =
-  if horizon < 1 then invalid_arg "Cascades.create_replay_memo: horizon < 1";
-  { horizon; state = None }
+let create_replay_memo () = { state = None }
 
 let memo_state memo =
   match memo.state with
@@ -710,49 +711,11 @@ let memo_state memo =
           entries = Keys.create 64;
           recorder = create_arena ();
           tape_buf = Buffer.create 4096;
-          recordings = 0;
-          recorded_tasks = 0;
+          spare = [];
         }
       in
       memo.state <- Some st;
       st
-
-type memo_stats = {
-  keys : int;
-  live_keys : int;
-  recordings : int;
-  recorded_tasks : int;
-  tape_bytes : int;
-}
-
-let memo_stats memo =
-  let empty =
-    {
-      keys = 0;
-      live_keys = 0;
-      recordings = 0;
-      recorded_tasks = 0;
-      tape_bytes = 0;
-    }
-  in
-  match memo.state with
-  | None -> empty
-  | Some st ->
-      Keys.fold
-        (fun _ r acc ->
-          {
-            acc with
-            keys = acc.keys + 1;
-            live_keys =
-              (acc.live_keys + if r.r_offered < max_int then 1 else 0);
-            tape_bytes = acc.tape_bytes + String.length r.r_tape;
-          })
-        st.entries
-        {
-          empty with
-          recordings = st.recordings;
-          recorded_tasks = st.recorded_tasks;
-        }
 
 (* A search of [q] on the recorder's arena, its root group made and its
    first task pushed, metering into [env]. *)
@@ -768,17 +731,17 @@ let silent_search st ~model ~card ~q ~idx_bits ~env =
   push s full opt_group;
   (s, root)
 
-(* Run the search to [horizon] tasks with no env, so without suspending,
+(* Run the search to [upto] tasks with no env, so without suspending,
    writing its tape. A one-relation root is a leaf, offered from the
    start. *)
-let record st ~model ~card ~q ~idx_bits ~horizon =
+let record st ~model ~card ~q ~idx_bits ~upto =
   Buffer.clear st.tape_buf;
   let s, root = silent_search st ~model ~card ~q ~idx_bits ~env:Env.null in
   let a = s.arena and m = s.m in
   let w = { w_buf = st.tape_buf; w_run = 0; w_code = 0; w_count = 0 } in
   m.tape <- Some w;
   let offered = ref (if root_offered a root then 0 else max_int) in
-  while a.top > 0 && m.tasks < horizon do
+  while a.top > 0 && m.tasks < upto do
     let logged = a.n_log in
     step s;
     end_task w;
@@ -787,8 +750,6 @@ let record st ~model ~card ~q ~idx_bits ~horizon =
       && entry_group a.log.(logged) = root
     then offered := m.tasks
   done;
-  st.recordings <- st.recordings + 1;
-  st.recorded_tasks <- st.recorded_tasks + m.tasks;
   {
     r_tasks = m.tasks;
     r_tape = close_tape w;
@@ -823,8 +784,7 @@ let recording_for memo params ~model ~card ~q ~idx_bits ~budget =
     | Some r -> r
     | None ->
         let r =
-          record st ~model ~card ~q ~idx_bits
-            ~horizon:(Int.min budget memo.horizon)
+          record st ~model ~card ~q ~idx_bits ~upto:(Int.min budget horizon)
         in
         Keys.replace st.entries key r;
         r
@@ -891,7 +851,7 @@ let extend c =
         let r =
           record c.st ~model:c.c_model ~card:c.c_card ~q:c.c_q
             ~idx_bits:c.c_bits
-            ~horizon:(Int.min c.budget (Int.max (2 * at) (at + 1)))
+            ~upto:(Int.min c.budget (Int.max (2 * at) (at + 1)))
         in
         Keys.replace c.st.entries c.key r;
         r
@@ -972,6 +932,12 @@ let rebuild c ~tasks ~cut =
   end;
   (s, root)
 
+(* Return a live search's arena to the memo it was borrowed from. A
+   search that aborts does not return it, and the memo's next live
+   search makes a new one. *)
+let give_back pool a =
+  match pool with Some st -> st.spare <- a :: st.spare | None -> ()
+
 (* ------------------------------------------------------------------ *)
 
 let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
@@ -1032,16 +998,23 @@ let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
             let s, root = rebuild c ~tasks:m.tasks ~cut:!cut in
             (plan_of s ~root ~seed ~seed_join, outcome)
       | None ->
+          let pool =
+            match (arena, replay) with
+            | None, Some memo -> Some (memo_state memo)
+            | _ -> None
+          in
+          let arena =
+            match (arena, pool) with
+            | Some a, _ -> a
+            | None, Some ({ spare = a :: rest; _ } as st) ->
+                st.spare <- rest;
+                a
+            | None, _ -> create_arena ()
+          in
           (* Reset on entry rather than trusting the caller: an aborted
              previous search leaves an arena mid-state, and the reset
              makes reuse safe regardless of how the last call ended. *)
-          let arena =
-            match arena with
-            | Some a ->
-                reset_arena a;
-                a
-            | None -> create_arena ()
-          in
+          reset_arena arena;
           let s =
             { model; card; q; idx_bits; arena; emit_split = add_split arena; m }
           in
@@ -1053,7 +1026,9 @@ let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
             best_so_far_on_oom (fun () -> run_live s ~budget ~honor)
           in
           flush_cpu m;
-          (plan_of s ~root ~seed ~seed_join, outcome)
+          let pc = plan_of s ~root ~seed ~seed_join in
+          give_back pool arena;
+          (pc, outcome)
     in
     Ok
       {

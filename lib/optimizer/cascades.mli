@@ -105,8 +105,8 @@ type result = { plan : Plan.t; cost : float; outcome : outcome; stats : stats }
     An arena serves one compilation at a time, and all of the search's
     scratch space lives in it. Searches can suspend inside [env.alloc]
     (gateway waits), and experiment grids run on parallel domains, so
-    concurrent compiles need distinct arenas — {!Dbms} keeps a free pool
-    sized by compile concurrency. *)
+    concurrent compiles need distinct arenas; a {!replay_memo} keeps a
+    free pool of them for its live searches. *)
 
 type arena
 
@@ -118,8 +118,8 @@ val create_arena : unit -> arena
     adjacency masks (their count is the relation count), the bit
     {!Rules.has_index_path} of each relation, and the params. The first
     compile of a key runs the search silently on the memo's own arena,
-    with no env calls (so it never suspends), to the memo's [horizon] or
-    its budget if that is smaller, and stores its per-task allocation
+    with no env calls (so it never suspends), to 16384 tasks or its
+    budget if that is smaller, and stores its per-task allocation
     stream: the run length of each stretch of tasks that allocate
     nothing, and the kind of each allocation. Every compile of the key
     then replays that stream through its own env, task by task: the
@@ -143,27 +143,14 @@ val create_arena : unit -> arena
 
 type replay_memo
 
-(** [create_replay_memo ?horizon ()]: a key's first recording covers at
-    most [horizon] tasks (default 16384, at least 1). *)
-val create_replay_memo : ?horizon:int -> unit -> replay_memo
-
-type memo_stats = {
-  keys : int;
-  live_keys : int;
-      (** keys whose recording offered the root: their compiles search
-          live once their budget reaches that task *)
-  recordings : int;  (** silent searches run, extensions included *)
-  recorded_tasks : int;  (** tasks those searches ran *)
-  tape_bytes : int;  (** bytes held by the recorded streams *)
-}
-
-val memo_stats : replay_memo -> memo_stats
+val create_replay_memo : unit -> replay_memo
 
 (** [optimize ?params ?arena ?replay ~env model catalog query]. Errors
     are the governor's abort reasons surfaced by [env.alloc]/[env.cpu].
-    Without [?arena] a fresh single-use memo is built, as before. With
-    [?replay] a search whose key is recorded replays instead, and
-    [?arena] goes unused; without it every search runs live. *)
+    With [?replay] a search whose key is recorded replays instead and
+    uses no arena; without it every search runs live. A live search runs
+    on [?arena], else on a free arena of [?replay]'s pool, else on a
+    fresh single-use one. *)
 val optimize :
   ?params:params ->
   ?arena:arena ->

@@ -27,26 +27,11 @@ type t = {
   mutable in_flight : int;
       (* queries inside [submit] that have not settled; one still counted
          once the run has drained is stuck *)
-  mutable arenas : Optimizer.Cascades.arena list;
-      (* free pool of memo arenas, one per concurrent compile: compiles
-         suspend at governor gateways, so in-flight searches cannot share
-         storage. Steady state settles at the compile-concurrency
-         high-water mark and every compile reuses grown memo structures *)
   replay : Optimizer.Cascades.replay_memo;
       (* each join graph's search, recorded once and replayed by every
-         compile of it; per server, because grids run cells on parallel
-         domains. A replayed compile leaves its pooled arena untouched:
-         only live searches grow one *)
+         compile of it, and the arenas of the searches that run live;
+         per server, because grids run cells on parallel domains *)
 }
-
-let acquire_arena t =
-  match t.arenas with
-  | a :: rest ->
-      t.arenas <- rest;
-      a
-  | [] -> Optimizer.Cascades.create_arena ()
-
-let release_arena t a = t.arenas <- a :: t.arenas
 
 (* Queries are named "<template>#<serial>"; the router places by the
    template so every serial of one shape lands on the same shard. *)
@@ -240,7 +225,6 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
     sflight;
     storm;
     in_flight = 0;
-    arenas = [];
     replay = Optimizer.Cascades.create_replay_memo ();
   }
 
@@ -305,13 +289,8 @@ let compile_full t job =
   let params = t.cfg.Config.optimizer_params in
   match
     governed t ~qid:job.qid (fun session ->
-        let arena = acquire_arena t in
-        Fun.protect
-          ~finally:(fun () -> release_arena t arena)
-          (fun () ->
-            Optimizer.Cascades.optimize ~params ~arena ~replay:t.replay
-              ~env:(compile_env t session) t.cfg.Config.cost_model t.cat
-              job.query))
+        Optimizer.Cascades.optimize ~params ~replay:t.replay
+          ~env:(compile_env t session) t.cfg.Config.cost_model t.cat job.query)
   with
   | Ok (r, elapsed) ->
       let compile_cost =

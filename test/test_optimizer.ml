@@ -1259,12 +1259,7 @@ let prop_replay_matches_live =
         |> List.map (fun v -> (Random.State.bits rs, v))
         |> List.sort compare |> List.map snd
       in
-      (* A short horizon makes replays extend their tapes, and rebuild
-         a memo when an extension finds the root offered. *)
-      let horizon =
-        if Random.State.bool rs then 16384 else 1 + Random.State.int rs 2_000
-      in
-      let memo = Cascades.create_replay_memo ~horizon () in
+      let memo = Cascades.create_replay_memo () in
       List.iter
         (fun v ->
           ignore (Cascades.optimize ~params ~replay:memo ~env:Env.null model cat v))
@@ -1275,15 +1270,17 @@ let prop_replay_matches_live =
       else
         QCheck.Test.fail_reportf
           "query %s (%d rels), min %d max %d honor %b stop_after %d abort_at \
-           %d env %d, horizon %d, %d pre-seeds: first %b, later %b"
+           %d env %d, %d pre-seeds: first %b, later %b"
           q.Query.qid (Query.n_rels q) params.Cascades.min_tasks
           params.Cascades.max_tasks params.Cascades.honor_stop_early stop_after
-          abort_at kind horizon (List.length seeds) (same first live)
+          abort_at kind (List.length seeds) (same first live)
           (same later live))
 
 (* Two instances that differ only in one relation's index path differ in
    the stream the search meters (one leaf alternative or two), so they
-   record separately; a search that offers its root runs live. *)
+   must record separately: replayed in turn on one memo, each equals its
+   own live search, stats included. A complete search offers its root,
+   so it searches live, env calls and all. *)
 let test_replay_keys () =
   let cat = Workload.Sales.catalog () in
   let t = List.hd (Workload.Sales.templates ()) in
@@ -1294,39 +1291,37 @@ let test_replay_keys () =
     | None -> Alcotest.fail "no relation of the instance has an index path"
   in
   Alcotest.(check bool) "same join graph" true (q.Query.adj = q'.Query.adj);
-  (* One recording per key: the first covers the whole budget. *)
-  let memo = Cascades.create_replay_memo ~horizon:max_int () in
-  let budget q =
-    List.iter
-      (fun q ->
-        let live = Cascades.optimize ~env:Env.null model cat q in
-        let replayed = Cascades.optimize ~replay:memo ~env:Env.null model cat q in
-        Alcotest.(check bool) (q.Query.qid ^ ": replayed = live") true
-          (live = replayed))
-      [ q; q ];
-    match Cascades.optimize ~env:Env.null model cat q with
-    | Ok r -> r.Cascades.stats.Cascades.budget
-    | Error _ -> Alcotest.fail "aborted under Env.null"
-  in
-  let budgets = budget q + budget q' in
-  let st = Cascades.memo_stats memo in
-  Alcotest.(check (pair int int)) "keys, recordings" (2, 2)
-    (st.Cascades.keys, st.Cascades.recordings);
-  Alcotest.(check int) "each recorded to its budget" budgets
-    st.Cascades.recorded_tasks;
-  Alcotest.(check bool) "tapes held" true (st.Cascades.tape_bytes > 0);
+  let memo = Cascades.create_replay_memo () in
+  List.iter
+    (fun (name, q) ->
+      let live = Cascades.optimize ~env:Env.null model cat q in
+      let replayed = Cascades.optimize ~replay:memo ~env:Env.null model cat q in
+      Alcotest.(check bool) (name ^ ": replayed = live") true (live = replayed))
+    [ ("q", q); ("q'", q'); ("q again", q); ("q' again", q') ];
   let chain = chain_catalog ~len:5 ~rows:5_000 in
   let complete =
     { Cascades.default_params with Cascades.min_tasks = 100_000; max_tasks = 100_000 }
   in
+  let run ?replay () =
+    let env, log =
+      logging_env ~stop_after:max_int ~abort_at:0 ~abort:Env.Out_of_memory ()
+    in
+    let r =
+      Cascades.optimize ~params:complete ?replay ~env model chain
+        (chain_query ~len:5 chain)
+    in
+    (r, List.rev !log)
+  in
+  let live = run () in
+  (match fst live with
+  | Ok r ->
+      Alcotest.(check bool) "chain searched to completion" true
+        (r.Cascades.outcome = Cascades.Complete)
+  | Error _ -> Alcotest.fail "chain aborted");
   for _ = 1 to 2 do
-    ignore
-      (Cascades.optimize ~params:complete ~replay:memo ~env:Env.null model chain
-         (chain_query ~len:5 chain))
-  done;
-  let st = Cascades.memo_stats memo in
-  Alcotest.(check (pair int int)) "live keys, recordings" (1, 3)
-    (st.Cascades.live_keys, st.Cascades.recordings)
+    Alcotest.(check bool) "chain: replayed = live, env calls included" true
+      (run ~replay:memo () = live)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Pricing at plan-build time. The search logs each split whose
@@ -1516,34 +1511,31 @@ let prop_priced_matches_reference =
           (arena <> None) (same_result got want) (log = List.rev !log_ref)
           priced_as_built)
 
-(* A replay that runs past the root's first offer. The memo's horizon
-   ends before that task, so the replay starts, and an extension finds
+(* A replay that runs past the root's first offer. The memo is
+   pre-seeded by an instance of the same key whose budget ends before
+   that task, so the replay starts from its tape, and an extension finds
    the offer while it runs; the replay then stops after it, by
    [should_stop] or by an Out_of_memory allocation, and must rebuild and
    price the memo the live search holds at that point. Result, cost
    bits, outcome, stats (priced alternatives included) and env calls
-   must be the live search's. *)
+   must be the live search's, and so must those of a later compile,
+   which searches live. *)
 let prop_replay_rebuilds_priced_memo =
+  (* Budgets follow cost, so instances of one key differ in budget. *)
   let params =
     {
       Cascades.default_params with
-      Cascades.min_tasks = 2_000_000;
+      Cascades.min_tasks = 1;
       max_tasks = 2_000_000;
       honor_stop_early = true;
     }
   in
+  let unbounded = { params with Cascades.min_tasks = 2_000_000 } in
   QCheck.Test.make ~name:"replay past the root's offer = live search"
     ~count:60 (QCheck.int_bound 1_000_000_000)
     (fun seed ->
       let rs = Random.State.make [| seed |] in
-      let n = 4 + Random.State.int rs 7 in
-      let cat, q =
-        if Random.State.bool rs then
-          let cat = chain_catalog ~len:n ~rows:(100 + Random.State.int rs 50_000) in
-          (cat, chain_query ~len:n cat)
-        else snowflake_cat_query rs ~n
-      in
-      let run ?replay ~stop_after ~abort_at () =
+      let run ?(params = params) ?replay ~stop_after ~abort_at cat q =
         let env, log =
           logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory ()
         in
@@ -1553,48 +1545,83 @@ let prop_replay_rebuilds_priced_memo =
       let stats (r, _) =
         match r with
         | Ok r -> r.Cascades.stats
-        | Error _ -> QCheck.Test.fail_reportf "%s: aborted" q.Query.qid
+        | Error _ -> QCheck.Test.fail_report "aborted"
       in
+      (* A chain or snowflake, the task [k0] after which its search has
+         offered the root, its complete task count, and two instances of
+         its key: a pre-seed whose budget ends before [k0] and a target
+         whose budget does not. *)
+      let rec pick () =
+        let n = 4 + Random.State.int rs 7 in
+        let cat, q =
+          if Random.State.bool rs then
+            let cat = chain_catalog ~len:n ~rows:(100 + Random.State.int rs 50_000) in
+            (cat, chain_query ~len:n cat)
+          else snowflake_cat_query rs ~n
+        in
+        let probe stop_after =
+          stats (run ~params:unbounded ~stop_after ~abort_at:0 cat q)
+        in
+        let total = (probe max_int).Cascades.tasks in
+        let rec first_priced lo hi =
+          if lo >= hi then lo
+          else
+            let mid = (lo + hi) / 2 in
+            if (probe mid).Cascades.costed > 0 then first_priced lo mid
+            else first_priced (mid + 1) hi
+        in
+        let k0 = first_priced 0 total in
+        let budgeted =
+          List.map
+            (fun f ->
+              let v = scale_joins q f in
+              (stats (run ~stop_after:max_int ~abort_at:0 cat v)).Cascades.budget, v)
+            [ 1e-6; 1e-4; 1e-2; 0.1; 1.0; 10.; 1e2; 1e4; 1e6 ]
+        in
+        let one = function
+          | [] -> None
+          | l -> Some (snd (List.nth l (Random.State.int rs (List.length l))))
+        in
+        match
+          ( one (List.filter (fun (b, _) -> b < k0) budgeted),
+            one (List.filter (fun (b, _) -> b > k0) budgeted) )
+        with
+        | Some pre, Some target -> (cat, pre, target, k0, total)
+        | _ -> pick ()
+      in
+      let cat, pre, q, k0, total = pick () in
       let allocs log =
         List.length (List.filter (function Alloc _ -> true | _ -> false) log)
       in
-      let complete = run ~stop_after:max_int ~abort_at:0 () in
-      let total = (stats complete).Cascades.tasks in
-      let rec first_priced lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if (stats (run ~stop_after:mid ~abort_at:0 ())).Cascades.costed > 0
-          then first_priced lo mid
-          else first_priced (mid + 1) hi
-      in
-      let k0 = first_priced 0 total in
       let stop_after, abort_at =
         if Random.State.bool rs then (k0 + Random.State.int rs (total - k0 + 1), 0)
         else begin
-          let a0 = allocs (snd (run ~stop_after:k0 ~abort_at:0 ())) in
-          let a1 = allocs (snd complete) in
+          let probe stop_after =
+            snd (run ~params:unbounded ~stop_after ~abort_at:0 cat q)
+          in
+          let a0 = allocs (probe k0) and a1 = allocs (probe max_int) in
           (max_int, a0 + 1 + Random.State.int rs (a1 - a0))
         end
       in
-      let live = run ~stop_after ~abort_at () in
-      let horizon = 1 + Random.State.int rs (max 1 (k0 - 1)) in
-      let replay = Cascades.create_replay_memo ~horizon () in
-      let got = run ~replay ~stop_after ~abort_at () in
-      let priced = (stats live).Cascades.costed > 0 in
-      if k0 > 1 && not priced then
+      let live = run ~stop_after ~abort_at cat q in
+      let replay = Cascades.create_replay_memo () in
+      ignore (Cascades.optimize ~params ~replay ~env:Env.null model cat pre);
+      let got = run ~replay ~stop_after ~abort_at cat q in
+      let later = run ~replay ~stop_after ~abort_at cat q in
+      let same (r, log) (r', log') =
+        same_result r r' && stats (r, log) = stats (r', log') && log = log'
+      in
+      if (stats live).Cascades.costed = 0 then
         QCheck.Test.fail_reportf "%s: live search not priced" q.Query.qid
-      else if same_result (fst got) (fst live) && stats got = stats live
-              && snd got = snd live
-      then true
+      else if same got live && same later live then true
       else
         QCheck.Test.fail_reportf
-          "query %s (%d rels), root offered after %d of %d tasks, horizon \
-           %d, stop_after %d abort_at %d: results equal %b, stats equal %b, \
-           env calls equal %b"
-          q.Query.qid (Query.n_rels q) k0 total horizon stop_after abort_at
+          "query %s (%d rels), root offered after %d of %d tasks, stop_after \
+           %d abort_at %d: results equal %b, stats equal %b, env calls equal \
+           %b, later equal %b"
+          q.Query.qid (Query.n_rels q) k0 total stop_after abort_at
           (same_result (fst got) (fst live))
-          (stats got = stats live) (snd got = snd live))
+          (stats got = stats live) (snd got = snd live) (same later live))
 
 (* Join costing allocates nothing per split: 10 000 evaluations move
    the minor-heap counter no more than an empty window does. *)
