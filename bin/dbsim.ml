@@ -1,6 +1,6 @@
-(* Command-line driver for the simulated DBMS: run single experiments,
-   throttled-vs-unthrottled comparisons, and client sweeps. The full
-   paper-reproduction harness lives in bench/main.exe. *)
+(* Command-line driver for the simulated DBMS: single runs,
+   throttled-vs-unthrottled comparisons, client sweeps, the scenario
+   experiments, and the paper's evaluation ([dbsim paper], bin/paper.ml). *)
 
 open Cmdliner
 
@@ -67,18 +67,14 @@ let csv_of_memory path series =
       in
       write_csv path ("time_s" :: List.map (fun n -> n ^ "_bytes") names) rows
 
-let config ~throttle ~seed =
-  let base = if throttle then Server.Config.default () else Server.Config.unthrottled () in
-  { base with Server.Config.seed }
-
 let run_one ~clients ~throttle ~warmup ~measure ~slice ~seed =
   Server.Experiment.run
-    ~config:(config ~throttle ~seed)
+    ~config:(Paper.config ~throttle ~seed)
     ~clients ~warmup ~measure ~slice ()
 
 (* Detailed single run that keeps the server around for resource stats. *)
 let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
-  let cfg = config ~throttle ~seed in
+  let cfg = Paper.config ~throttle ~seed in
   let stop = warmup +. measure in
   let dbms, _, _ =
     Server.Experiment.load cfg (Workload.Sales.catalog ())
@@ -153,21 +149,11 @@ let run_cmd =
 
 let compare_cmd =
   let action clients warmup measure slice seed csv jobs =
-    let cell throttle () =
-      Server.Experiment.run ~config:(config ~throttle ~seed) ~clients ~warmup
-        ~measure ~slice ()
-    in
     let on, off =
-      match Server.Experiment.run_grid ~jobs [ cell true; cell false ] with
-      | [ on; off ] -> (on, off)
-      | _ -> assert false
+      Paper.throughput_pair ~jobs
+        ~title:(Printf.sprintf "Throughput, %d clients (completions per %.0fs slice)" clients slice)
+        ~clients ~warmup ~measure ~slice ~seed
     in
-    Server.Report.figure_series
-      ~title:(Printf.sprintf "Throughput, %d clients (completions per %.0fs slice)" clients slice)
-      ~throttled:on.Server.Experiment.slices
-      ~unthrottled:off.Server.Experiment.slices;
-    Server.Report.table ~header:Server.Report.result_header
-      [ Server.Report.result_row on; Server.Report.result_row off ];
     match csv with
     | None -> ()
     | Some prefix ->
@@ -190,23 +176,33 @@ let sweep_cmd =
       & info [ "list" ] ~doc:"Client counts to sweep.")
   in
   let action counts throttle warmup measure slice seed jobs =
-    let cells =
-      List.map
-        (fun clients () ->
-          Server.Experiment.run ~config:(config ~throttle ~seed) ~clients
-            ~warmup ~measure ~slice ())
-        counts
-    in
-    let rows =
-      List.map Server.Report.result_row
-        (Server.Experiment.run_grid ~jobs cells)
-    in
-    Server.Report.table ~header:Server.Report.result_header rows
+    Paper.sweep ~jobs ~throttles:[ throttle ] ~counts ~warmup ~measure ~slice
+      ~seed
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep client counts (peak-throughput claim).")
     Term.(
       const action $ list_arg $ throttle_arg $ warmup_arg $ measure_arg
       $ slice_arg $ seed_arg $ jobs_arg)
+
+let paper_cmd =
+  let experiments_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (name, _) -> (name, name)) Paper.experiments)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, in order (default: all). One of %s."
+               (String.concat ", "
+                  (List.map (fun (name, _) -> Printf.sprintf "$(b,%s)" name)
+                     Paper.experiments))))
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Reproduce the paper's figures, tables and ablations (pinned by \
+          test/paper.golden).")
+    Term.(const (fun names jobs -> Paper.run ~jobs names) $ experiments_arg $ jobs_arg)
 
 let sql_cmd =
   let count_arg =
@@ -436,6 +432,27 @@ let trace_cmd =
       (Obs.Analyze.max_holders records);
     let violations = Obs.Analyze.admission_violations records in
     Printf.printf "admission-order violations: %d\n" (List.length violations);
+    (* Figure 2 from the trace: each query's usage staircase, and the
+       gateway waits that explain its flat segments. *)
+    if scenario = `Figure2 then begin
+      List.iter
+        (fun (qid, pts) ->
+          let peak = List.fold_left (fun a (_, u) -> max a u) 0 pts in
+          Printf.printf "  %-10s %d usage points, peak %s\n" qid
+            (List.length pts)
+            (Dbmem.Units.bytes_to_string peak))
+        (Obs.Analyze.usage_points records);
+      List.iter
+        (fun (w : Obs.Analyze.wait) ->
+          if w.finish -. w.start > 0.5 then
+            Printf.printf "  %-10s blocked at %-8s %7.1fs .. %7.1fs (%s)\n"
+              w.qid w.gate w.start w.finish
+              (match w.outcome with
+              | `Acquired -> "acquired"
+              | `Timeout -> "timeout"
+              | `Open -> "open"))
+        (Obs.Analyze.gateway_waits records)
+    end;
     let chrome = out ^ ".json" and jsonl = out ^ ".jsonl" in
     Obs.Export.chrome_to_file chrome records;
     Obs.Export.jsonl_to_file jsonl records;
@@ -1207,7 +1224,7 @@ let () =
   let doc = "Simulated DBMS reproducing CIDR'07 query-compilation throttling" in
   let group =
     Cmd.group (Cmd.info "dbsim" ~doc)
-      [ run_cmd; compare_cmd; sweep_cmd; chaos_cmd; health_cmd; tenants_cmd;
+      [ run_cmd; compare_cmd; sweep_cmd; paper_cmd; chaos_cmd; health_cmd; tenants_cmd;
         shards_cmd; cache_cmd; storm_cmd; trace_cmd; info_cmd; verbose_cmd;
         sql_cmd ]
   in
