@@ -14,8 +14,10 @@
 
    Suites: optimizer compile (Cascades and its greedy seed on SALES
    shapes), the sim-engine event loop, CPU slice hand-off, buffer-pool
-   access, governed compile-memory allocation, a full experiment cell,
-   and the parallel grid speedup with a byte-identity check. *)
+   access, governed compile-memory allocation, the paper's mechanism
+   overhead (broker tick, clerk, gateway, full ladder, trend), a full
+   experiment cell, and the parallel grid speedup with a byte-identity
+   check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
@@ -55,6 +57,15 @@ let time_bench ~name ~iters f =
     wall_s;
     per_op_ns = wall_s *. 1e9 /. float_of_int iters;
     alloc_bytes_per_op = alloc /. float_of_int iters;
+  }
+
+(* A row whose every iteration ran [ops] operations, per operation. *)
+let per_op ops b =
+  {
+    b with
+    iters = b.iters * ops;
+    per_op_ns = b.per_op_ns /. float_of_int ops;
+    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -121,15 +132,7 @@ let steady_state_benches () =
         run ~arena ~replay ())
   in
   (* Normalise run-of-N to per-query numbers. *)
-  List.map
-    (fun b ->
-      {
-        b with
-        iters = b.iters * n_queries;
-        per_op_ns = b.per_op_ns /. float_of_int n_queries;
-        alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
-      })
-    [ reused; fresh; replayed ]
+  List.map (per_op n_queries) [ reused; fresh; replayed ]
 
 (* The greedy seed alone, over the same SALES shapes as the stream
    above: the plan every compile builds before its search starts, and
@@ -155,12 +158,7 @@ let greedy_bench () =
             ignore (Optimizer.Greedy.plan Optimizer.Cost.default card))
           cards)
   in
-  {
-    b with
-    iters = iters * n_queries;
-    per_op_ns = b.per_op_ns /. float_of_int n_queries;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int n_queries;
-  }
+  per_op n_queries b
 
 (* ------------------------------------------------------------------ *)
 (* Sim-engine event loop *)
@@ -202,12 +200,7 @@ let cpu_handoff_bench () =
         done;
         Sim.Engine.run_all eng)
   in
-  {
-    b with
-    iters = iters * slices;
-    per_op_ns = b.per_op_ns /. float_of_int slices;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int slices;
-  }
+  per_op slices b
 
 (* ------------------------------------------------------------------ *)
 (* Mid-tier cache ops *)
@@ -239,13 +232,7 @@ let midcache_bench () =
                  ~rels:[ rels.(i land 3) ])
         done)
   in
-  (* Normalise run-of-N to per-op numbers. *)
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+  per_op ops b
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-pool access *)
@@ -305,15 +292,7 @@ let bufpool_bench () =
           hit ()
         done)
   in
-  let per_op b =
-    {
-      b with
-      iters = iters * ops;
-      per_op_ns = b.per_op_ns /. float_of_int ops;
-      alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-    }
-  in
-  (per_op mixed, per_op hits)
+  (per_op ops mixed, per_op ops hits)
 
 (* ------------------------------------------------------------------ *)
 (* Governed allocation *)
@@ -360,12 +339,7 @@ let governed_alloc_bench () =
       Qcore.Compile_gov.end_compile s);
   Sim.Engine.run_all eng;
   let b = Option.get !result in
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+  per_op ops b
 
 (* ------------------------------------------------------------------ *)
 (* Storm-defense hot paths *)
@@ -387,12 +361,7 @@ let singleflight_bench () =
           | _ -> assert false
         done)
   in
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+  per_op ops b
 
 (* Retry-budget token bucket: the per-retry spend / per-success earn the
    router pays on every outcome. *)
@@ -409,12 +378,91 @@ let retry_budget_bench () =
           else ignore (Server.Resilience.Budget.try_spend budget)
         done)
   in
-  {
-    b with
-    iters = iters * ops;
-    per_op_ns = b.per_op_ns /. float_of_int ops;
-    alloc_bytes_per_op = b.alloc_bytes_per_op /. float_of_int ops;
-  }
+  per_op ops b
+
+(* ------------------------------------------------------------------ *)
+(* Mechanism overhead: the paper's "extremely small" (T4). The
+   governor's allocation below the ladder is [governed_alloc] above. *)
+
+let overhead_ops () = if !quick then 20_000 else 200_000
+let overhead_iters () = if !quick then 3 else 5
+
+(* A timed loop of [overhead_ops] calls of [op], per call. *)
+let overhead_bench ~name op =
+  let ops = overhead_ops () in
+  per_op ops
+    (time_bench ~name ~iters:(overhead_iters ()) (fun () ->
+         for _ = 1 to ops do
+           op ()
+         done))
+
+let overhead_benches () =
+  let mib = Dbmem.Units.mib and gib = Dbmem.Units.gib in
+  (* The broker's periodic tick over four registered components. *)
+  let broker_tick =
+    let eng = Sim.Engine.create ~seed:1 () in
+    let m = Dbmem.Manager.create ~total:(gib 4) () in
+    let broker = Qcore.Broker.create eng m in
+    List.iter
+      (fun name ->
+        let clerk = Dbmem.Manager.create_clerk m name in
+        Dbmem.Manager.alloc_exn clerk (mib 100);
+        ignore (Qcore.Broker.register broker ~name ~clerk ()))
+      [ "bufpool"; "plancache"; "compile"; "execution" ];
+    fun () -> Qcore.Broker.tick broker
+  in
+  (* A clerk allocation round trip. *)
+  let clerk_alloc_free =
+    let m = Dbmem.Manager.create ~total:(gib 4) () in
+    let clerk = Dbmem.Manager.create_clerk m "bench" in
+    fun () ->
+      Dbmem.Manager.alloc_exn clerk 4096;
+      Dbmem.Manager.free clerk 4096
+  in
+  (* A gateway's uncontended acquire and release. *)
+  let gateway =
+    let eng = Sim.Engine.create ~seed:1 () in
+    let monitor =
+      Qcore.Monitor.create eng ~name:"bench" ~slots:8 ~timeout:100. ()
+    in
+    fun () ->
+      (match Qcore.Monitor.acquire monitor () with
+      | Ok () -> ()
+      | Error `Timeout -> failwith "gateway timed out in benchmark");
+      Qcore.Monitor.release monitor
+  in
+  (* A governed compilation that crosses the whole ladder. *)
+  let full_ladder =
+    let eng = Sim.Engine.create ~seed:1 () in
+    let m = Dbmem.Manager.create ~total:(gib 16) () in
+    let clerk = Dbmem.Manager.create_clerk m "compile" in
+    let gov =
+      Qcore.Compile_gov.create eng m ~clerk ~cpus:8
+        ~config:(Qcore.Throttle_config.default ()) ~enabled:true ()
+    in
+    fun () ->
+      let s = Qcore.Compile_gov.begin_compile gov in
+      (match Qcore.Compile_gov.alloc s (mib 600) with
+      | Ok () -> ()
+      | Error _ -> failwith "ladder compile refused in benchmark");
+      Qcore.Compile_gov.end_compile s
+  in
+  (* The broker's trend: one observation and one prediction. *)
+  let trend =
+    let t = Qcore.Trend.create ~window:10 () in
+    let clock = ref 0. in
+    fun () ->
+      clock := !clock +. 1.;
+      Qcore.Trend.observe t ~time:!clock 42.;
+      ignore (Qcore.Trend.predict t ~horizon:5.)
+  in
+  [
+    overhead_bench ~name:"broker_tick" broker_tick;
+    overhead_bench ~name:"clerk_alloc_free" clerk_alloc_free;
+    overhead_bench ~name:"gateway_acquire_release" gateway;
+    overhead_bench ~name:"full_ladder_compile" full_ladder;
+    overhead_bench ~name:"trend_observe_predict" trend;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Experiment cells and the parallel grid *)
@@ -632,6 +680,7 @@ let () =
         cached_cell_bench ();
         greedy_bench ();
       ]
+    @ overhead_benches ()
   in
   (* Each row's time in the unit that fits it: rows span 10 ns to 100 ms. *)
   let per_op ns =
