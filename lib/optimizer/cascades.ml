@@ -655,11 +655,10 @@ let plan_of s ~root ~seed ~(seed_join : Plan.t) =
 
    A recording notes the first task after which the root had been
    offered something. An instance whose budget reaches that task
-   searches live. A replay that was already running when an extension
-   found that task, and that ran past it, needs the memo the live search
-   would hold: the recorder rebuilds it by running the search silently
-   to the same point, to the allocation that raised if one did, and the
-   plan is priced from it. *)
+   searches live. So does a replay whose extension finds that task
+   within its budget: it runs the search silently to the task it has
+   reached, on an arena of its own, and continues it on its own meter,
+   from that task's budget check on. *)
 
 type key = { k_adj : Relset.t array; k_bits : int; k_params : params }
 
@@ -717,12 +716,11 @@ let memo_state memo =
       memo.state <- Some st;
       st
 
-(* A search of [q] on the recorder's arena, its root group made and its
-   first task pushed, metering into [env]. *)
-let silent_search st ~model ~card ~q ~idx_bits ~env =
-  let arena = st.recorder in
+(* A search of [q] on [arena], its root group made and its first task
+   pushed, metering into [m]. Reset on entry rather than trusting the
+   caller: an aborted previous search leaves an arena mid-state. *)
+let start_search ~arena ~m ~model ~card ~q ~idx_bits =
   reset_arena arena;
-  let m = create_meter env ~task_cpu:0.0 in
   let s =
     { model; card; q; idx_bits; arena; emit_split = add_split arena; m }
   in
@@ -731,12 +729,18 @@ let silent_search st ~model ~card ~q ~idx_bits ~env =
   push s full opt_group;
   (s, root)
 
-(* Run the search to [upto] tasks with no env, so without suspending,
+(* The search's meter when nothing watches it: no env, so it never
+   suspends. *)
+let silent () = create_meter Env.null ~task_cpu:0.0
+
+(* Run the search to [upto] tasks silently, on the recorder's arena,
    writing its tape. A one-relation root is a leaf, offered from the
    start. *)
 let record st ~model ~card ~q ~idx_bits ~upto =
   Buffer.clear st.tape_buf;
-  let s, root = silent_search st ~model ~card ~q ~idx_bits ~env:Env.null in
+  let s, root =
+    start_search ~arena:st.recorder ~m:(silent ()) ~model ~card ~q ~idx_bits
+  in
   let a = s.arena and m = s.m in
   let w = { w_buf = st.tape_buf; w_run = 0; w_code = 0; w_count = 0 } in
   m.tape <- Some w;
@@ -771,7 +775,6 @@ type cursor = {
   mutable pos : int;
   mutable run : int;  (* tasks of code 0 left in the current byte *)
   mutable next : int;  (* the code of the task after them, or 0 *)
-  mutable ev : int;  (* allocations begun in the current task *)
 }
 
 (* The recording to replay for an instance, made now if the key has
@@ -804,7 +807,6 @@ let recording_for memo params ~model ~card ~q ~idx_bits ~budget =
         pos = 0;
         run = 0;
         next = 0;
-        ev = 0;
       }
 
 let read_byte c =
@@ -841,7 +843,8 @@ let skip c n =
     end
   done
 
-(* The tape ends before the budget: read on from a longer recording. *)
+(* The tape ends before the budget: read on from a longer recording.
+   True when that recording has the root offered within the budget. *)
 let extend c =
   let at = c.r.r_tasks in
   let r =
@@ -857,7 +860,8 @@ let extend c =
         r
   in
   c.r <- r;
-  skip c at
+  skip c at;
+  r.r_offered <= c.budget
 
 (* Meter one task's allocations as the recorded search did. *)
 let rec replay_task m c =
@@ -873,64 +877,33 @@ let rec replay_task m c =
     c.next <- 0;
     let kind =
       if code >= k_group then begin
-        c.ev <- 1;
         meter_group m;
         code - k_group
       end
       else code
     in
-    if kind > 0 then c.ev <- c.ev + 1;
     if kind = k_split then meter_split m
     else if kind = k_lexprs then meter_lexprs m (read_varint c 0 0)
     else if kind > 0 then meter_leaf m kind
   end
 
 (* The live loop's checks, in its order, with [replay_task] for the
-   task. *)
-let rec run_replay m c ~honor =
-  if m.tasks = c.r.r_tasks && c.r.r_complete then Complete
+   task. When an extension finds the root offered within the budget,
+   [live ()] continues the search live from this task's checks on, so
+   the env sees each task's poll once. *)
+let rec run_replay m c ~honor ~live =
+  if
+    m.tasks = c.r.r_tasks && m.tasks < c.budget && (not c.r.r_complete)
+    && extend c
+  then live ()
+  else if m.tasks = c.r.r_tasks && c.r.r_complete then Complete
   else if m.tasks >= c.budget then Budget_exhausted
   else if honor && m.env.Env.should_stop () then Stopped_early
   else begin
-    if m.tasks = c.r.r_tasks then extend c;
-    c.ev <- 0;
     tick m;
     if c.run > 0 then c.run <- c.run - 1 else replay_task m c;
-    run_replay m c ~honor
+    run_replay m c ~honor ~live
   end
-
-exception Cut
-
-(* The memo of the live search the replay [c] stands for, which ran
-   [tasks] tasks; [cut] when an allocation of the last of them raised,
-   the [c.ev]th (or when its [tick] did, with [c.ev] = 0). *)
-let rebuild c ~tasks ~cut =
-  let trap = ref 0 in
-  let env =
-    {
-      Env.alloc =
-        (fun _ ->
-          if !trap > 0 then begin
-            decr trap;
-            if !trap = 0 then raise Cut
-          end;
-          0);
-      cpu = ignore;
-      should_stop = (fun () -> false);
-    }
-  in
-  let s, root =
-    silent_search c.st ~model:c.c_model ~card:c.c_card ~q:c.c_q
-      ~idx_bits:c.c_bits ~env
-  in
-  for _ = 1 to if cut then tasks - 1 else tasks do
-    step s
-  done;
-  if cut && c.ev > 0 then begin
-    trap := c.ev;
-    try step s with Cut -> ()
-  end;
-  (s, root)
 
 (* Return a live search's arena to the memo it was borrowed from. A
    search that aborts does not return it, and the memo's next live
@@ -947,14 +920,11 @@ let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
   (* The paper's second extension: when memory runs out mid-search,
      return the best plan from the set of already explored plans instead
      of an out-of-memory error. (The memo always holds a complete plan
-     thanks to the greedy seed.) [cut] records that an allocation raised. *)
-  let cut = ref false in
+     thanks to the greedy seed.) *)
   let best_so_far_on_oom run =
     match run () with
     | o -> o
-    | exception Env.Aborted Env.Out_of_memory when honor ->
-        cut := true;
-        Stopped_early
+    | exception Env.Aborted Env.Out_of_memory when honor -> Stopped_early
   in
   try
     (* Seed: greedy left-deep plan guarantees a complete plan exists from
@@ -984,51 +954,59 @@ let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
           recording_for memo params ~model ~card ~q ~idx_bits ~budget
       | None -> None
     in
-    let (plan, costed), outcome =
+    (* A live search runs on [arena], else on a free arena of the memo's
+       pool, else on a new one. Its first [skip] tasks run silently: a
+       replay going live reruns the tasks it has replayed. *)
+    let pool =
+      match (arena, replay) with
+      | None, Some memo -> Some (memo_state memo)
+      | _ -> None
+    in
+    let live = ref None in
+    let start_live ~skip =
+      let arena =
+        match (arena, pool) with
+        | Some a, _ -> a
+        | None, Some ({ spare = a :: rest; _ } as st) ->
+            st.spare <- rest;
+            a
+        | None, _ -> create_arena ()
+      in
+      let s, root =
+        start_search ~arena
+          ~m:(if skip > 0 then silent () else m)
+          ~model ~card ~q ~idx_bits
+      in
+      for _ = 1 to skip do
+        step s
+      done;
+      let s = { s with m } in
+      live := Some (s, root);
+      s
+    in
+    let outcome =
       match cursor with
       | Some c ->
           (* The root group, then the seed, as the live search meters
              them. *)
           meter_group m;
           alloc m (phys_bytes * Plan.n_operators seed_join);
-          let outcome = best_so_far_on_oom (fun () -> run_replay m c ~honor) in
-          flush_cpu m;
-          if c.r.r_offered > m.tasks then ((seed, 0), outcome)
-          else
-            let s, root = rebuild c ~tasks:m.tasks ~cut:!cut in
-            (plan_of s ~root ~seed ~seed_join, outcome)
+          best_so_far_on_oom (fun () ->
+              run_replay m c ~honor ~live:(fun () ->
+                  run_live (start_live ~skip:m.tasks) ~budget ~honor))
       | None ->
-          let pool =
-            match (arena, replay) with
-            | None, Some memo -> Some (memo_state memo)
-            | _ -> None
-          in
-          let arena =
-            match (arena, pool) with
-            | Some a, _ -> a
-            | None, Some ({ spare = a :: rest; _ } as st) ->
-                st.spare <- rest;
-                a
-            | None, _ -> create_arena ()
-          in
-          (* Reset on entry rather than trusting the caller: an aborted
-             previous search leaves an arena mid-state, and the reset
-             makes reuse safe regardless of how the last call ended. *)
-          reset_arena arena;
-          let s =
-            { model; card; q; idx_bits; arena; emit_split = add_split arena; m }
-          in
-          let full = Relset.full (Query.n_rels q) in
-          let root = find_or_create s full in
+          let s = start_live ~skip:0 in
           alloc m (phys_bytes * Plan.n_operators seed_join);
-          push s full opt_group;
-          let outcome =
-            best_so_far_on_oom (fun () -> run_live s ~budget ~honor)
-          in
-          flush_cpu m;
+          best_so_far_on_oom (fun () -> run_live s ~budget ~honor)
+    in
+    flush_cpu m;
+    let plan, costed =
+      match !live with
+      | None -> (seed, 0)
+      | Some (s, root) ->
           let pc = plan_of s ~root ~seed ~seed_join in
-          give_back pool arena;
-          (pc, outcome)
+          give_back pool s.arena;
+          pc
     in
     Ok
       {

@@ -132,9 +132,10 @@ val create_arena : unit -> arena
     A recording notes the first task after which the root had been
     offered something (always, for a one-relation query). An instance
     whose budget reaches that task searches live, as its plan depends on
-    costs. A replay that was already running when an extension found
-    that task, and that ran past it, rebuilds the live search's memo
-    silently and prices it, so its plan is the live search's too.
+    costs. So does a replay whose extension finds that task within its
+    budget: it reruns the search silently to the task it has reached,
+    then continues it live through its own env, so its env calls and
+    plan are the live search's too.
 
     A memo holds no plan and no cost, and a replay reads a recording that
     no later recording changes, so compiles that suspend mid-replay can
