@@ -70,19 +70,6 @@ let int_column ?(width = 8) name ~distinct =
     histogram = None;
   }
 
-let with_histogram col values =
-  let h = Histogram.build values in
-  let distinct_sample =
-    Array.of_list (List.sort_uniq compare (Array.to_list values))
-  in
-  {
-    col with
-    histogram = Some h;
-    min_value = Histogram.min_value h;
-    max_value = Histogram.max_value h;
-    distinct = float_of_int (Array.length distinct_sample);
-  }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>catalog (%d tables, %s)@," (List.length (tables t))
     (Dbmem.Units.bytes_to_string (data_bytes t));

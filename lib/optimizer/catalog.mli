@@ -57,9 +57,4 @@ val has_index_on : table -> string -> bool
     [0 .. distinct-1]. *)
 val int_column : ?width:int -> string -> distinct:float -> column
 
-(** [with_histogram col values] attaches an equi-depth histogram built from
-    the sampled [values] and refreshes the column's distinct count and
-    value range from it. *)
-val with_histogram : column -> int array -> column
-
 val pp : Format.formatter -> t -> unit

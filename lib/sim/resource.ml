@@ -181,16 +181,6 @@ module Waitq = struct
     (match w.timer with Some h -> Engine.cancel h | None -> ());
     w.wake Acquired
 
-  let signal t =
-    (* Wake the oldest live waiter. *)
-    let oldest_first = List.rev t.waiters in
-    match List.find_opt (fun w -> w.alive) oldest_first with
-    | None -> ()
-    | Some w ->
-        t.waiters <- List.filter (fun x -> x != w) t.waiters;
-        t.queued <- t.queued - 1;
-        wake_one w
-
   let broadcast t =
     let ws = List.rev t.waiters in
     t.waiters <- [];

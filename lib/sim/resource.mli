@@ -65,9 +65,6 @@ module Waitq : sig
   (** [wait t ?timeout ()] blocks until signalled. *)
   val wait : t -> ?timeout:float -> unit -> acquire_result
 
-  (** [signal t] wakes the longest-waiting process, if any. *)
-  val signal : t -> unit
-
   (** [broadcast t] wakes every waiting process. *)
   val broadcast : t -> unit
 

@@ -43,30 +43,6 @@ let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
 
-let gaussian t ~mean ~std =
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = unit_float t in
-  let r = sqrt (-2.0 *. log u1) in
-  mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))
-
-let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~std:sigma)
-
-let lognormal_mean t ~mean ~cv =
-  assert (mean > 0. && cv >= 0.);
-  if cv = 0. then mean
-  else begin
-    let sigma2 = log (1.0 +. (cv *. cv)) in
-    let mu = log mean -. (sigma2 /. 2.0) in
-    lognormal t ~mu ~sigma:(sqrt sigma2)
-  end
-
-let choice t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
 let weighted_choice t items =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 items in
   assert (total > 0.);
@@ -80,6 +56,7 @@ let weighted_choice t items =
   in
   pick 0.0 items
 
+(* Fisher-Yates, in place. *)
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -32,27 +32,9 @@ val uniform : t -> lo:float -> hi:float -> float
 (** [exponential t ~mean] is an exponential variate with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** [gaussian t ~mean ~std] is a normal variate (Box-Muller). *)
-val gaussian : t -> mean:float -> std:float -> float
-
-(** [lognormal t ~mu ~sigma] is [exp] of a normal variate with parameters
-    [mu], [sigma] (of the underlying normal). *)
-val lognormal : t -> mu:float -> sigma:float -> float
-
-(** [lognormal_mean t ~mean ~cv] is a lognormal variate parameterised by its
-    own mean and coefficient of variation — more convenient for workload
-    calibration than [mu]/[sigma]. *)
-val lognormal_mean : t -> mean:float -> cv:float -> float
-
-(** [choice t a] is a uniformly random element of [a]. Requires [a] nonempty. *)
-val choice : t -> 'a array -> 'a
-
 (** [weighted_choice t items] picks proportionally to the (positive)
     weights. Requires a nonempty list with positive total weight. *)
 val weighted_choice : t -> (float * 'a) list -> 'a
-
-(** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** [sample t a k] is [k] distinct elements of [a] ([k <= length a]). *)
 val sample : t -> 'a array -> int -> 'a array

@@ -330,7 +330,7 @@ let test_histogram_beats_uniform_on_skew () =
     /. 10_000.
   in
   let col = Catalog.int_column "skewed" ~distinct:1000. in
-  let col_h = Catalog.with_histogram col values in
+  let col_h = { col with Catalog.histogram = Some (Histogram.build values) } in
   let hist_est = Query.filter_selectivity Query.Le 0 col_h in
   let uniform_est = Query.filter_selectivity Query.Le 0 { col with Catalog.max_value = 999 } in
   let err e = Float.abs (e -. truth_le0) in
@@ -338,13 +338,6 @@ let test_histogram_beats_uniform_on_skew () =
     (Printf.sprintf "histogram err %.3f << uniform err %.3f" (err hist_est) (err uniform_est))
     true
     (err hist_est < 0.05 && err hist_est *. 10. < err uniform_est)
-
-let test_with_histogram_refreshes_stats () =
-  let col = Catalog.int_column "c" ~distinct:5. in
-  let col' = Catalog.with_histogram col [| 10; 20; 20; 30; 40; 40; 40 |] in
-  Alcotest.(check int) "min" 10 col'.Catalog.min_value;
-  Alcotest.(check int) "max" 40 col'.Catalog.max_value;
-  Alcotest.(check (float 1e-9)) "distinct" 4. col'.Catalog.distinct
 
 let prop_histogram_le_monotone =
   QCheck.Test.make ~name:"histogram selectivity_le is monotone and bounded" ~count:60
@@ -1676,7 +1669,6 @@ let suite =
     ("histogram basics", `Quick, test_histogram_basics);
     ("histogram uniform accuracy", `Quick, test_histogram_uniform_accuracy);
     ("histogram beats uniform on skew", `Quick, test_histogram_beats_uniform_on_skew);
-    ("with_histogram refreshes stats", `Quick, test_with_histogram_refreshes_stats);
     QCheck_alcotest.to_alcotest prop_histogram_le_monotone;
     QCheck_alcotest.to_alcotest prop_relset_subsets_complete;
     QCheck_alcotest.to_alcotest prop_iter_of_cardinality_matches_bruteforce;

@@ -127,26 +127,6 @@ let test_rng_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean close to 4" true (Float.abs (mean -. 4.0) < 0.1)
 
-let test_rng_gaussian_moments () =
-  let r = Rng.create 19 in
-  let n = 50_000 in
-  let stats = Stats.Online.create () in
-  for _ = 1 to n do
-    Stats.Online.add stats (Rng.gaussian r ~mean:10. ~std:2.)
-  done;
-  Alcotest.(check bool) "mean" true (Float.abs (Stats.Online.mean stats -. 10.) < 0.05);
-  Alcotest.(check bool) "std" true (Float.abs (Stats.Online.stddev stats -. 2.) < 0.05)
-
-let test_rng_lognormal_mean_param () =
-  let r = Rng.create 23 in
-  let n = 100_000 in
-  let sum = ref 0. in
-  for _ = 1 to n do
-    sum := !sum +. Rng.lognormal_mean r ~mean:50. ~cv:0.5
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool) "mean parameterisation" true (Float.abs (mean -. 50.) < 1.0)
-
 let test_rng_weighted_choice () =
   let r = Rng.create 29 in
   let counts = Hashtbl.create 3 in
@@ -616,23 +596,6 @@ let prop_sem_never_exceeds_capacity =
 (* ------------------------------------------------------------------ *)
 (* Resource.Waitq *)
 
-let test_waitq_signal_fifo () =
-  let eng = Engine.create () in
-  let q = Resource.Waitq.create eng () in
-  let order = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn eng ~delay:(float_of_int i) (fun () ->
-        ignore (Resource.Waitq.wait q ());
-        order := i :: !order)
-  done;
-  ignore
-    (Engine.schedule eng ~delay:10.0 (fun () ->
-         Resource.Waitq.signal q;
-         Resource.Waitq.signal q;
-         Resource.Waitq.signal q));
-  Engine.run_all eng;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !order)
-
 let test_waitq_timeout () =
   let eng = Engine.create () in
   let q = Resource.Waitq.create eng () in
@@ -723,24 +686,6 @@ let test_sem_priority_tie_is_fifo () =
   Alcotest.(check (list string)) "fifo among equal priorities"
     [ "first"; "second"; "third" ] (List.rev !order)
 
-let test_waitq_signal_skips_timed_out () =
-  let eng = Engine.create () in
-  let q = Resource.Waitq.create eng () in
-  let woken = ref [] in
-  Engine.spawn eng (fun () ->
-      match Resource.Waitq.wait q ~timeout:2.0 () with
-      | Resource.Timed_out -> woken := "timeout" :: !woken
-      | Resource.Acquired -> woken := "wrong" :: !woken);
-  Engine.spawn eng ~delay:1.0 (fun () ->
-      match Resource.Waitq.wait q () with
-      | Resource.Acquired -> woken := "second" :: !woken
-      | Resource.Timed_out -> ());
-  (* Signal after the first waiter timed out: it must wake the second. *)
-  ignore (Engine.schedule eng ~delay:5.0 (fun () -> Resource.Waitq.signal q));
-  Engine.run_all eng;
-  Alcotest.(check (list string)) "timed-out waiter skipped"
-    [ "timeout"; "second" ] (List.rev !woken)
-
 let test_rng_copy_same_stream () =
   let a = Rng.create 99 in
   ignore (Rng.int a 10);
@@ -748,14 +693,6 @@ let test_rng_copy_same_stream () =
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
   let ys = List.init 20 (fun _ -> Rng.int b 1000) in
   Alcotest.(check (list int)) "copy continues identically" xs ys
-
-let prop_rng_shuffle_is_permutation =
-  QCheck.Test.make ~name:"shuffle permutes" ~count:100
-    QCheck.(pair int (list int))
-    (fun (seed, xs) ->
-      let a = Array.of_list xs in
-      Rng.shuffle (Rng.create seed) a;
-      List.sort compare (Array.to_list a) = List.sort compare xs)
 
 let test_engine_stress_many_events () =
   (* 200k events execute in order and in reasonable wall time. *)
@@ -811,8 +748,6 @@ let suite =
     ("rng int range", `Quick, test_rng_int_range);
     ("rng float range", `Quick, test_rng_float_range);
     ("rng exponential mean", `Slow, test_rng_exponential_mean);
-    ("rng gaussian moments", `Slow, test_rng_gaussian_moments);
-    ("rng lognormal mean", `Slow, test_rng_lognormal_mean_param);
     ("rng weighted choice", `Slow, test_rng_weighted_choice);
     ("rng sample distinct", `Quick, test_rng_sample_distinct);
     ("online stats", `Quick, test_online_stats);
@@ -842,14 +777,12 @@ let suite =
     ("sem timeout counts", `Quick, test_sem_timeout_counts);
     ("sem priority order", `Quick, test_sem_priority_order);
     ("sem no overtaking", `Quick, test_sem_no_overtaking);
-    ("waitq signal fifo", `Quick, test_waitq_signal_fifo);
     ("engine cancel after fire", `Quick, test_engine_cancel_after_fire_noop);
     ("engine negative schedule", `Quick, test_engine_schedule_negative_rejected);
     ("engine every custom start", `Quick, test_engine_every_custom_start);
     ("sem release overflow", `Quick, test_sem_release_overflow_rejected);
     ("sem zero units", `Quick, test_sem_zero_units);
     ("sem priority tie fifo", `Quick, test_sem_priority_tie_is_fifo);
-    ("waitq signal skips timed out", `Quick, test_waitq_signal_skips_timed_out);
     ("rng copy", `Quick, test_rng_copy_same_stream);
     ("engine stress 200k events", `Slow, test_engine_stress_many_events);
     ("engine deterministic processes", `Quick, test_engine_deterministic_processes);
@@ -858,5 +791,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_engine_event_times_nondecreasing;
     QCheck_alcotest.to_alcotest prop_sem_never_exceeds_capacity;
-    QCheck_alcotest.to_alcotest prop_rng_shuffle_is_permutation;
   ]
