@@ -1507,9 +1507,9 @@ let prop_priced_matches_reference =
 (* A replay that runs past the root's first offer. The memo is
    pre-seeded by an instance of the same key whose budget ends before
    that task, so the replay starts from its tape, and an extension finds
-   the offer while it runs; the replay then stops after it, by
-   [should_stop] or by an Out_of_memory allocation, and must rebuild and
-   price the memo the live search holds at that point. Result, cost
+   the offer while it runs; the replay then goes live there and stops
+   after it, by [should_stop] or by an Out_of_memory allocation, and
+   must price the memo the live search holds at that point. Result, cost
    bits, outcome, stats (priced alternatives included) and env calls
    must be the live search's, and so must those of a later compile,
    which searches live. *)
