@@ -888,16 +888,18 @@ let rec replay_task m c =
   end
 
 (* The live loop's checks, in its order, with [replay_task] for the
-   task. When an extension finds the root offered within the budget,
-   [live ()] continues the search live from this task's checks on, so
-   the env sees each task's poll once. *)
+   task. At the tape's end an unfinished search extends it first, and
+   when the extension finds the root offered within the budget, [live ()]
+   continues the search live from this task's checks on, so the env sees
+   each task's poll once. *)
 let rec run_replay m c ~honor ~live =
-  if
-    m.tasks = c.r.r_tasks && m.tasks < c.budget && (not c.r.r_complete)
-    && extend c
-  then live ()
-  else if m.tasks = c.r.r_tasks && c.r.r_complete then Complete
-  else if m.tasks >= c.budget then Budget_exhausted
+  if m.tasks <> c.r.r_tasks then replay_step m c ~honor ~live
+  else if c.r.r_complete then Complete
+  else if m.tasks < c.budget && extend c then live ()
+  else replay_step m c ~honor ~live
+
+and replay_step m c ~honor ~live =
+  if m.tasks >= c.budget then Budget_exhausted
   else if honor && m.env.Env.should_stop () then Stopped_early
   else begin
     tick m;
