@@ -448,27 +448,6 @@ let attempt t job =
             }
       | Error e -> Error (`Retry e))
 
-(* The backoff sleep. In calm weather it is one plain sleep. Under
-   broker pressure the failure is storm-induced, so the nap is taken in
-   5 s slices and cut short (after a minimum base pause) as soon as the
-   broker calms: queries stranded behind a spike retry at the release
-   instead of a full exponential later. *)
-let nap t pause =
-  let pressed () = Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm in
-  if not (pressed ()) then Sim.Engine.sleep pause
-  else begin
-    let minimum = Float.min pause Resilience.server_backoff.Resilience.base_s in
-    let rec go slept =
-      if slept < pause then begin
-        let step = Float.min 5.0 (pause -. slept) in
-        Sim.Engine.sleep step;
-        let slept = slept +. step in
-        if slept < minimum || pressed () then go slept
-      end
-    in
-    go 0.
-  end
-
 (* Stage 4, back off before attempt [n + 1]; [false] (give up) when
    resilience is off or the retries are spent. *)
 let back_off t job ~n (e : Health.Error.t) =
@@ -480,7 +459,7 @@ let back_off t job ~n (e : Health.Error.t) =
         (Obs.Event.Retry
            { attempt = n; pause_s = pause;
              kind = Health.Error.code_name e.Health.Error.code });
-      nap t pause;
+      Sim.Engine.sleep pause;
       true
   | _ -> false
 
