@@ -350,7 +350,7 @@ let chaos_cmd =
     Printf.printf
       "\n  completions uplift with resilience: %+.0f%% (%d vs %d); hard errors %d vs %d\n"
       up on.Server.Experiment.total_completed off.Server.Experiment.total_completed
-      on.Server.Experiment.hard_errors off.Server.Experiment.hard_errors
+      on.Server.Experiment.total_errors off.Server.Experiment.total_errors
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -489,7 +489,7 @@ let health_cmd =
     Arg.(
       value & opt bool true
       & info [ "resilience" ]
-          ~doc:"Run with the retry/degrade/shed ladder on (false = the \
+          ~doc:"Run with the retry/degrade ladder on (false = the \
                 default server, no resilience).")
   in
   let glitch_arg =

@@ -18,7 +18,6 @@ type t = {
   counts : int array; (* counts.(i): sessions holding exactly i monitors *)
   mutable target : int; (* latest broker target for compile memory, 0 = unknown *)
   mutable press : pressure;
-  mutable active : int;
   genabled : bool;
   mutable adaptive_lifo : bool; (* flip FIFO->LIFO under sustained standing *)
   standing_since : float array; (* per monitor; nan = queue not standing *)
@@ -56,7 +55,6 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
     counts = Array.make (Array.length levels + 1) 0;
     target = 0;
     press = Calm;
-    active = 0;
     genabled = enabled;
     adaptive_lifo = false;
     standing_since = Array.make (Array.length levels) Float.nan;
@@ -97,7 +95,6 @@ let emit t ~qid event =
     Obs.Trace.emit t.gtrace ~time:(Sim.Engine.now t.geng) ~qid event
 
 let begin_compile ?(qid = "") t =
-  t.active <- t.active + 1;
   t.counts.(0) <- t.counts.(0) + 1;
   emit t ~qid Obs.Event.Compile_begin;
   { gov = t; sqid = qid; susage = 0; speak = 0; held = 0; finished = false }
@@ -223,7 +220,6 @@ let end_compile s =
     s.held <- 0;
     Dbmem.Manager.free t.gclerk s.susage;
     s.susage <- 0;
-    t.active <- t.active - 1;
     if Obs.Trace.enabled t.gtrace then
       emit t ~qid:s.sqid (Obs.Event.Compile_end { peak = s.speak })
   end
@@ -245,11 +241,9 @@ let on_notification t (n : Broker.notification) =
         else Elevated
     | Broker.Hold_rate | Broker.Can_grow -> Calm)
 
-let broker_target t = t.target
 let pressure t = if t.genabled then t.press else Calm
 let should_stop_early t = t.genabled && t.press = Critical
 let population t i = t.counts.(i)
-let active_sessions t = t.active
 let monitors t = t.gmonitors
 
 let pp ppf t =

@@ -102,9 +102,6 @@ val level : session -> int
     this as the [notify] callback of {!Broker.register}). *)
 val on_notification : t -> Broker.notification -> unit
 
-(** Latest compile-memory target learned from the broker (0 if none). *)
-val broker_target : t -> int
-
 (** Compile-memory pressure ladder, derived from the latest broker
     notification. [Calm]: no shrink demanded. [Elevated]: the broker wants
     compile memory released. [Critical]: predicted usage far overshoots
@@ -127,6 +124,5 @@ val threshold : t -> int -> int
     monitors. *)
 val population : t -> int -> int
 
-val active_sessions : t -> int
 val monitors : t -> Monitor.t array
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ type code =
   | Insufficient_memory
   | Memory_wait_timeout
   | Low_memory_condition
-  | Admission_shed
   | Shard_unavailable
   | Retry_budget_exhausted
 
@@ -16,7 +15,6 @@ let all_codes =
     Insufficient_memory;
     Memory_wait_timeout;
     Low_memory_condition;
-    Admission_shed;
     Shard_unavailable;
     Retry_budget_exhausted;
   ]
@@ -25,7 +23,6 @@ let code_name = function
   | Insufficient_memory -> "insufficient-memory"
   | Memory_wait_timeout -> "memory-wait-timeout"
   | Low_memory_condition -> "low-memory-condition"
-  | Admission_shed -> "admission-shed"
   | Shard_unavailable -> "shard-unavailable"
   | Retry_budget_exhausted -> "retry-budget-exhausted"
 
@@ -33,16 +30,15 @@ let sql_code = function
   | Insufficient_memory -> Some 701
   | Memory_wait_timeout -> Some 8645
   | Low_memory_condition -> Some 8651
-  | Admission_shed | Shard_unavailable | Retry_budget_exhausted -> None
+  | Shard_unavailable | Retry_budget_exhausted -> None
 
 let severity = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition -> Severe
-  | Admission_shed | Shard_unavailable | Retry_budget_exhausted ->
-      Informational
+  | Shard_unavailable | Retry_budget_exhausted -> Informational
 
 let retryable = function
   | Insufficient_memory | Memory_wait_timeout | Low_memory_condition
-  | Admission_shed | Shard_unavailable -> true
+  | Shard_unavailable -> true
   | Retry_budget_exhausted -> false
 
 let severity_name = function

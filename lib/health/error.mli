@@ -4,10 +4,9 @@
     gets one code here, mirroring the SQL Server errors the paper's
     mechanism surfaces in production: 701 (insufficient memory to run),
     8645 (timeout waiting for a memory resource) and 8651 (could not get
-    the requested memory under low-memory conditions). The server's own
-    refusals (admission sheds, downed shards, spent retry budgets) get
-    codes too, so that {e every} failure in a health report is
-    accounted for — no anonymous errors. *)
+    the requested memory under low-memory conditions). The routing
+    layer's refusals (downed shards, spent retry budgets) get codes too,
+    so that {e every} failure is accounted for — no anonymous errors. *)
 
 type code =
   | Insufficient_memory
@@ -18,7 +17,6 @@ type code =
   | Low_memory_condition
       (** the requested workspace grant could not be produced under
           low-memory conditions — SQL Server 8651 *)
-  | Admission_shed  (** admission control refused the query at the door *)
   | Shard_unavailable
       (** the shard holding this query's placement is down (or its
           connection was lost mid-flight when the shard crashed) — a
@@ -45,7 +43,7 @@ val sql_code : code -> int option
 (** The SQL Server error number the code mirrors, if any. *)
 
 val severity : code -> severity
-(** 701/8645/8651 are [Severe]; sheds, lost shards and an empty retry
+(** 701/8645/8651 are [Severe]; lost shards and an empty retry
     budget are [Informational] back-pressure, not failures of the
     engine. *)
 

@@ -12,15 +12,7 @@ let pp fmt t =
   let line k v = Format.fprintf fmt "  %-28s %s@\n" k v in
   Format.fprintf fmt "health report (%.0f s measured)@\n" t.duration_s;
   line "completed queries" (string_of_int t.completed);
-  let hard =
-    List.fold_left
-      (fun acc (code, n) ->
-        if Error.severity code = Error.Severe then acc + n else acc)
-      0 t.errors
-  in
-  let total = total_errors t in
-  line "failed attempts"
-    (Printf.sprintf "%d (%d hard, %d refused)" total hard (total - hard));
+  line "failed attempts" (string_of_int (total_errors t));
   line "permanently stuck" (string_of_int (stuck t));
   Format.fprintf fmt "  error budget@\n";
   Format.fprintf fmt "    %-22s %5s  %-8s %-9s %7s@\n" "code" "sql" "severity"

@@ -22,7 +22,4 @@ val total_errors : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Render the snapshot with the error-budget table (code, SQL number,
-    severity, retryability, count). The failed-attempts line splits its
-    total into hard failures ({!Error.Severe}: 701, 8645, 8651) and
-    refusals (every {!Error.Informational} code: sheds, downed shards,
-    spent retry budgets). *)
+    severity, retryability, count) under the failed-attempts total. *)

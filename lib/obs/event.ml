@@ -44,7 +44,6 @@ type t =
   | Exec_end of { granted : int; ideal : int; spilled : bool; pages : int }
   | Spill of { bytes : int }
   | Retry of { attempt : int; pause_s : float; kind : string }
-  | Shed
   | Degrade of { rung : string }
   | Cache_hit
   | Query_error of { kind : string }
@@ -94,7 +93,6 @@ let name = function
   | Exec_end _ -> "exec:end"
   | Spill _ -> "exec:spill"
   | Retry _ -> "resilience:retry"
-  | Shed -> "resilience:shed"
   | Degrade _ -> "resilience:degrade"
   | Cache_hit -> "resilience:cache_hit"
   | Query_error _ -> "resilience:error"

@@ -4,7 +4,7 @@
     depends on being able to {e see} — compile start/finish, each gateway
     acquire-wait/acquired/timeout/release, broker ticks with per-component
     targets and verdicts, grant-queue entry/grant/spill, and the
-    retry/shed/degrade decisions of the resilience ladder — has a typed
+    retry/degrade decisions of the resilience ladder — has a typed
     event here. Events are pure data: this module depends on nothing, so
     every layer of the system (including [dbmem], which knows nothing about
     the simulation clock) can emit them. Building one allocates, so
@@ -67,7 +67,6 @@ type t =
   | Retry of { attempt : int; pause_s : float; kind : string }
       (** resilience ladder: attempt [attempt] failed with [kind], backing
           off [pause_s] seconds before the next attempt *)
-  | Shed  (** admission control refused the query outright *)
   | Degrade of { rung : string }
       (** the query fell down the degradation ladder (e.g. greedy plan) *)
   | Cache_hit  (** plan served from the plan cache; no compile memory *)

@@ -73,7 +73,6 @@ let fields_of_event = function
         ("pause_s", Event.F pause_s);
         ("kind", Event.S kind);
       ]
-  | Event.Shed -> []
   | Event.Degrade { rung } -> [ ("rung", Event.S rung) ]
   | Event.Cache_hit -> []
   | Event.Query_error { kind } -> [ ("kind", Event.S kind) ]

@@ -49,7 +49,7 @@ type t = {
           donatable, the pre-sharding behaviour *)
   seed : int;
   resilience : bool;
-      (** the {!Resilience} retry/degrade/shed policy; off by default *)
+      (** the {!Resilience} retry/degrade policy; off by default *)
   defense : defense;  (** storm defenses; {!no_defense} by default *)
   faults : Faultsim.Fault.spec list;
       (** chaos schedule injected by {!Experiment.run} / [dbsim chaos];

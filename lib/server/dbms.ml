@@ -237,8 +237,8 @@ let emit t ~qid ev =
   if Obs.Trace.enabled t.trace then
     Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid ev
 
-(* One query's way through [submit], made at admission and shared by
-   every stage after it. [degraded] sticks once the ladder is entered. *)
+(* One query's way through [submit], shared by every stage. [degraded]
+   sticks once the ladder is entered. *)
 type job = {
   query : Optimizer.Query.t;
   qid : string;
@@ -365,38 +365,7 @@ let rec plan_for t ?(sf_depth = 0) job =
         | `Coalesced | `Timed_out ->
             compile_full t job)
 
-(* Admission control: with [in_flight] compilations already holding or
-   chasing compile memory and each expected to peak near the observed
-   mean, admitting another would push predicted demand past
-   [shed_factor * broker target]. Only engages under broker pressure,
-   so a benign system never sheds. *)
-let should_shed t =
-  t.cfg.Config.resilience
-  && Qcore.Compile_gov.pressure t.gov <> Qcore.Compile_gov.Calm
-  &&
-  let target = Qcore.Compile_gov.broker_target t.gov in
-  target > 0
-  &&
-  let peaks = Metrics.compile_peak t.metrics in
-  let predicted_per_query =
-    if Sim.Stats.Online.count peaks > 0 then Sim.Stats.Online.mean peaks
-    else float_of_int (Dbmem.Units.mib 32)
-  in
-  let in_flight = Qcore.Compile_gov.active_sessions t.gov + 1 in
-  float_of_int in_flight *. predicted_per_query
-  > Resilience.shed_factor *. float_of_int target
-
-(* Stage 1, admit: admission control refuses the query before it can
-   burn a gateway slot or a grant wait. *)
-let admit t q =
-  let qid = q.Optimizer.Query.qid in
-  if should_shed t then begin
-    emit t ~qid Obs.Event.Shed;
-    Error (Health.Error.make ~detail:"admission" Health.Error.Admission_shed)
-  end
-  else Ok { query = q; qid; degraded = false }
-
-(* Stage 2, plan. Under any broker pressure the full search would queue
+(* Stage 1, plan. Under any broker pressure the full search would queue
    at shrunken gateways (and likely OOM), so go straight to the cheap
    rung instead of burning a long gateway wait first. If the full search
    could not get memory, fall down the ladder at once: the greedy plan
@@ -412,7 +381,7 @@ let plan t job =
       plan_for t job
   | r -> r
 
-(* Stage 3, exec, with the ladder's exec rung: when the plan's ideal
+(* Stage 2, exec, with the ladder's exec rung: when the plan's ideal
    workspace is not physically available, rerun at once asking for the
    grant floor and spill the shortfall to disk — slower, but it
    completes while the full-size run cannot. Returns the run and whether
@@ -448,7 +417,7 @@ let attempt t job =
             }
       | Error e -> Error (`Retry e))
 
-(* Stage 4, back off before attempt [n + 1]; [false] (give up) when
+(* Stage 3, back off before attempt [n + 1]; [false] (give up) when
    resilience is off or the retries are spent. *)
 let back_off t job ~n (e : Health.Error.t) =
   match t.retry_rng with
@@ -470,7 +439,7 @@ let rec attempts t job n =
   | Error (`Retry e) ->
       if back_off t job ~n e then attempts t job (n + 1) else Error e
 
-(* Stage 5, settle: book the query's one terminal outcome. *)
+(* Stage 4, settle: book the query's one terminal outcome. *)
 let settle t ~qid outcome =
   t.in_flight <- t.in_flight - 1;
   match outcome with
@@ -486,10 +455,8 @@ let settle t ~qid outcome =
 
 let submit t q =
   t.in_flight <- t.in_flight + 1;
-  settle t ~qid:q.Optimizer.Query.qid
-    (match admit t q with
-    | Error e -> Error e
-    | Ok job -> attempts t job 1)
+  let qid = q.Optimizer.Query.qid in
+  settle t ~qid (attempts t { query = q; qid; degraded = false } 1)
 
 let submit_catch t q =
   match submit t q with

@@ -25,8 +25,8 @@ val template_of_qid : string -> string
 val start : t -> unit
 
 (** Process-blocking end-to-end query execution, as a pipeline of
-    stages: admit (admission control), then attempts of
-    plan (plan-cache probe, governed compilation on the ladder's rung)
+    stages: attempts of plan (plan-cache probe, governed compilation on
+    the ladder's rung)
     and exec (grant acquisition, simulated execution), with a backoff
     between attempts after a transient failure, then settle (the one
     terminal outcome is booked). With [config.resilience] off (the

@@ -9,9 +9,7 @@ type result = {
   mean_per_slice : float;
   total_completed : int;
   total_errors : int;
-  hard_errors : int;
   retries : int;
-  sheds : int;
   degraded : int;
   errors : (string * int) list;
   faults_started : int;
@@ -91,9 +89,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     mean_per_slice = Workload.Client.slice_mean slices;
     total_completed = Metrics.total_completions metrics ~since:warmup ();
     total_errors = Metrics.total_errors metrics;
-    hard_errors = Metrics.hard_errors metrics;
     retries = Metrics.retries metrics;
-    sheds = Metrics.sheds metrics;
     degraded = Metrics.degraded metrics;
     errors =
       List.map (fun (k, n) -> (Health.Error.code_name k, n)) (Metrics.errors metrics);
@@ -146,9 +142,9 @@ let pp_summary ppf r =
     r.cpu_utilization;
   if r.resilient || r.faults_started > 0 then
     Format.fprintf ppf
-      "@,resilience: %d hard errors, %d retries, %d sheds, %d degraded \
+      "@,resilience: %d hard errors, %d retries, %d degraded \
        completions; faults %d/%d run; ballast peak %s (%d refused grabs)"
-      r.hard_errors r.retries r.sheds r.degraded r.faults_finished
+      r.total_errors r.retries r.degraded r.faults_finished
       r.faults_started
       (Dbmem.Units.bytes_to_string r.ballast_peak)
       r.ballast_refused

@@ -14,9 +14,7 @@ type result = {
   mean_per_slice : float;
   total_completed : int;  (** within the measured window *)
   total_errors : int;
-  hard_errors : int;  (** errors excluding admission sheds *)
   retries : int;  (** server-side retries of transient errors *)
-  sheds : int;  (** queries refused by admission control *)
   degraded : int;  (** completions via the greedy fallback ladder *)
   errors : (string * int) list;
   faults_started : int;  (** fault episodes that began before [stop] *)

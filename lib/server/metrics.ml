@@ -1,7 +1,7 @@
 (* Errors are counted by structured taxonomy code (Health.Error), so the
    server's books and the health report speak the same vocabulary. *)
 
-(* Back-pressure refusals (sheds, downed shards) are deliberate, polite
+(* Back-pressure refusals (downed shards, spent retry budgets) are deliberate, polite
    refusals under overload; everything else is a hard resource failure
    (the reliability numbers of §5). *)
 let is_hard_error code = Health.Error.severity code <> Health.Error.Informational
@@ -78,12 +78,6 @@ let errors t = List.map (fun (k, r) -> (k, !r)) t.error_counts
 let error_count t code = !(List.assoc code t.error_counts)
 let total_errors t = List.fold_left (fun acc (_, r) -> acc + !r) 0 t.error_counts
 
-let hard_errors t =
-  List.fold_left
-    (fun acc (k, r) -> if is_hard_error k then acc + !r else acc)
-    0 t.error_counts
-
-let sheds t = error_count t Health.Error.Admission_shed
 let cache_hits t = t.cache_hits
 let retries t = t.retries
 let degraded t = t.degraded

@@ -8,7 +8,7 @@
     claims; per-clerk memory is sampled periodically for the
     Figure-2-style memory traces. *)
 
-(** Back-pressure refusals (sheds, downed shards, spent retry budgets —
+(** Back-pressure refusals (downed shards, spent retry budgets —
     the [Informational] severity) are deliberate; all other codes are
     hard resource failures. *)
 val is_hard_error : Health.Error.code -> bool
@@ -55,11 +55,6 @@ val errors : t -> (Health.Error.code * int) list
 
 val error_count : t -> Health.Error.code -> int
 val total_errors : t -> int
-
-(** Errors excluding back-pressure (the reliability number of §5). *)
-val hard_errors : t -> int
-
-val sheds : t -> int
 val cache_hits : t -> int
 val retries : t -> int
 val degraded : t -> int

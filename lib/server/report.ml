@@ -88,16 +88,15 @@ let result_row (r : Experiment.result) =
   ]
 
 let resilience_header =
-  [ "resilience"; "completed"; "hard errors"; "retries"; "sheds"; "degraded";
+  [ "resilience"; "completed"; "hard errors"; "retries"; "degraded";
     "client abandoned" ]
 
 let resilience_row (r : Experiment.result) =
   [
     (if r.Experiment.resilient then "on" else "off");
     string_of_int r.Experiment.total_completed;
-    string_of_int r.Experiment.hard_errors;
+    string_of_int r.Experiment.total_errors;
     string_of_int r.Experiment.retries;
-    string_of_int r.Experiment.sheds;
     string_of_int r.Experiment.degraded;
     string_of_int r.Experiment.client_stats.Workload.Client.abandoned;
   ]
@@ -369,7 +368,7 @@ let cached_comparison (outcomes : Cached.outcome list) =
   | _ -> ()
 
 (* The resilience section of a report: per-error-kind tallies plus the
-   retry/shed/degrade counters, one block per result. *)
+   retry/degrade counters, one block per result. *)
 let resilience_section results =
   print_newline ();
   table ~header:resilience_header (List.map resilience_row results);

@@ -6,7 +6,6 @@ type backoff = { base_s : float; jitter_frac : float }
 let max_retries = 5
 let backoff_max_s = 240.
 let server_backoff = { base_s = 15.; jitter_frac = 0.5 }
-let shed_factor = 3.0
 
 let backoff b ~attempt ~rng =
   (* Clamp rather than trust the caller: an attempt counter that underflowed
@@ -98,7 +97,6 @@ let pp ppf on =
   else
     Format.fprintf ppf
       "resilience ON: retries<=%d backoff %.0f-%.0fs (jitter %.0f%%), \
-       degrade=true shed=true (factor %.1f)"
+       degrade=true"
       max_retries server_backoff.base_s backoff_max_s
       (100. *. server_backoff.jitter_frac)
-      shed_factor

@@ -2,7 +2,7 @@
     machine is hostile. [Config.resilience] switches all of it on or off
     at once; off (the default) is the seed pipeline, bit for bit.
 
-    With it on, three mechanisms work together:
+    With it on, two mechanisms work together:
 
     - {b retry}: transient resource errors (gateway timeout, grant
       timeout) are retried inside the server, up to {!max_retries} times,
@@ -13,11 +13,7 @@
       to the greedy left-deep plan, which needs almost no compile memory,
       and an execution refused its ideal workspace reruns at the grant
       floor and spills (the paper's §4.3 best-plan-so-far idea taken one
-      rung further);
-    - {b admission control}: when in-flight compilations times the
-      observed compile-memory appetite overshoot {!shed_factor} times the
-      broker's compile target, new compilations are shed immediately
-      rather than queued into a pile-up.
+      rung further).
 
     A query's waits stay bounded without a deadline of its own: every
     compile gateway and the grant queue time out, and the retries are
@@ -37,9 +33,6 @@ val backoff_max_s : float
 
 (** The server's retry curve: 15 s, 50% jitter. *)
 val server_backoff : backoff
-
-(** Shed when [in_flight * predicted_bytes > shed_factor * target] (3.0). *)
-val shed_factor : float
 
 (** [backoff b ~attempt ~rng] is the sleep before retry [attempt]
     (1-based): [min backoff_max_s (b.base_s * 2^(attempt-1))] plus

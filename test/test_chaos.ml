@@ -38,7 +38,7 @@ let test_ladder_beats_unprotected () =
   (* The unprotected server suffered: the errors are there to be saved. *)
   Alcotest.(check bool)
     "unprotected run hits hard errors" true
-    (off.Server.Experiment.hard_errors > 50);
+    (off.Server.Experiment.total_errors > 50);
   (* Acceptance: >= 20% more completions, strictly fewer hard errors. *)
   Alcotest.(check bool)
     (Printf.sprintf "completions %d >= 1.2 * %d"
@@ -48,10 +48,10 @@ let test_ladder_beats_unprotected () =
     (float_of_int on.Server.Experiment.total_completed
     >= 1.2 *. float_of_int off.Server.Experiment.total_completed);
   Alcotest.(check bool)
-    (Printf.sprintf "hard errors %d < %d" on.Server.Experiment.hard_errors
-       off.Server.Experiment.hard_errors)
+    (Printf.sprintf "hard errors %d < %d" on.Server.Experiment.total_errors
+       off.Server.Experiment.total_errors)
     true
-    (on.Server.Experiment.hard_errors < off.Server.Experiment.hard_errors);
+    (on.Server.Experiment.total_errors < off.Server.Experiment.total_errors);
   (* The ladder, not luck: degraded rungs actually carried queries. *)
   Alcotest.(check bool)
     "degraded completions used" true
@@ -68,12 +68,10 @@ let test_deterministic_replay () =
   Alcotest.(check int)
     "retries" a.Server.Experiment.retries b.Server.Experiment.retries;
   Alcotest.(check int)
-    "sheds" a.Server.Experiment.sheds b.Server.Experiment.sheds;
-  Alcotest.(check int)
     "degraded" a.Server.Experiment.degraded b.Server.Experiment.degraded;
   Alcotest.(check int)
-    "hard errors" a.Server.Experiment.hard_errors
-    b.Server.Experiment.hard_errors;
+    "errors" a.Server.Experiment.total_errors
+    b.Server.Experiment.total_errors;
   Alcotest.(check (list (pair string int)))
     "error tallies" a.Server.Experiment.errors b.Server.Experiment.errors;
   Alcotest.(check int)
@@ -115,6 +113,54 @@ let test_full_schedule_composes () =
   Alcotest.(check int)
     "completions = successes" c.Workload.Client.succeeded
     r.Server.Experiment.total_completed
+
+(* The chaos smoke's schedule (test/chaos_smoke.golden): a 4 GiB ballast
+   ramped in from 50 s over 60 steps of 2.5 s and held for 60 s. With
+   [burst], the other fault kinds join it over the same window, as in
+   test/chaos_burst.golden. *)
+let smoke_faults ~burst =
+  let at = 50. and window = (60. *. 2.5) +. 60. in
+  Faultsim.Fault.pressure_spike ~ramp_steps:60 ~step_s:2.5 ~at ~bytes:(gib 4)
+    ~hold:60. ()
+  @
+  if burst then
+    [
+      Faultsim.Fault.Disk_storm
+        { at; duration = window; throughput_factor = 0.5; extra_seek_s = 0.004 };
+      Faultsim.Fault.Client_burst
+        { at; duration = window; clients = 6; think_mean = 10. };
+      Faultsim.Fault.Alloc_glitch
+        { at; duration = window; fail_prob = 0.1; clerks = [ "compile" ] };
+    ]
+  else []
+
+(* A single server refuses nothing on its own: every error it books is a
+   severe resource failure (701, 8645, 8651), so its total error count is
+   its hard-error count. The informational codes belong to the routing
+   layer above it. *)
+let test_server_books_only_severe () =
+  List.iter
+    (fun burst ->
+      let config =
+        {
+          (Server.Config.resilient ()) with
+          Server.Config.seed = 42;
+          faults = smoke_faults ~burst;
+        }
+      in
+      let r =
+        Server.Experiment.run ~config ~clients:35 ~warmup:30. ~measure:300.
+          ~slice:60. ()
+      in
+      List.iter
+        (fun code ->
+          let n = List.assoc (Health.Error.code_name code) r.Server.Experiment.errors in
+          if Health.Error.severity code <> Health.Error.Severe then
+            Alcotest.(check int)
+              (Printf.sprintf "%s (burst %b)" (Health.Error.code_name code) burst)
+              0 n)
+        Health.Error.all_codes)
+    [ false; true ]
 
 (* With an empty schedule and resilience off, install_faults is a no-op
    and the config is exactly the seed default. *)
@@ -164,4 +210,5 @@ let suite =
     ("full schedule composes", `Slow, test_full_schedule_composes);
     ("deterministic replay", `Slow, test_deterministic_replay);
     ("ladder beats unprotected", `Slow, test_ladder_beats_unprotected);
+    ("server books only severe codes", `Slow, test_server_books_only_severe);
   ]

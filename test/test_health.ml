@@ -21,7 +21,8 @@ let test_error_taxonomy () =
   Alcotest.(check (option int)) "701" (Some 701) (sql_code Insufficient_memory);
   Alcotest.(check (option int)) "8645" (Some 8645) (sql_code Memory_wait_timeout);
   Alcotest.(check (option int)) "8651" (Some 8651) (sql_code Low_memory_condition);
-  Alcotest.(check (option int)) "sheds have no SQL code" None (sql_code Admission_shed);
+  Alcotest.(check (option int)) "refusals have no SQL code" None
+    (sql_code Shard_unavailable);
   (* Severity drives hard-error accounting: back-pressure refusals are
      informational and never count as failures of the engine. *)
   List.iter
@@ -31,15 +32,15 @@ let test_error_taxonomy () =
     (fun c ->
       Alcotest.(check bool) (code_name c) true (severity c = Informational);
       Alcotest.(check bool) (code_name c) false (Server.Metrics.is_hard_error c))
-    [ Admission_shed; Shard_unavailable ];
+    [ Shard_unavailable; Retry_budget_exhausted ];
   (* Resource waits are worth a resubmit. *)
   Alcotest.(check bool) "8645 retryable" true (retryable Memory_wait_timeout);
   Alcotest.(check string) "rendering with detail" "8645 memory-wait-timeout (big)"
     (to_string (make ~detail:"big" Memory_wait_timeout));
   Alcotest.(check string) "rendering without detail" "701 insufficient-memory"
     (to_string (make Insufficient_memory));
-  Alcotest.(check string) "rendering without SQL code" "admission-shed (admission)"
-    (to_string (make ~detail:"admission" Admission_shed));
+  Alcotest.(check string) "rendering without SQL code" "shard-unavailable (s1)"
+    (to_string (make ~detail:"s1" Shard_unavailable));
   (* A shard-down refusal is routing back-pressure: retryable against a
      surviving shard. *)
   Alcotest.(check bool) "shard-unavailable retryable" true
@@ -51,7 +52,7 @@ let test_error_taxonomy () =
     (severity Retry_budget_exhausted = Informational);
   Alcotest.(check bool) "budget-exhausted not retryable" false
     (retryable Retry_budget_exhausted);
-  Alcotest.(check int) "taxonomy is complete" (List.length all_codes) 6
+  Alcotest.(check int) "taxonomy is complete" (List.length all_codes) 5
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker state machine *)

@@ -5,8 +5,8 @@
    time out at the gateways and back off, and the greedy and spill
    rungs carry part of the load. The run is a pure function of the
    seed, so the rendered result and a digest of its full JSONL trace
-   pin the ladder's behaviour: retries, backoff naps, degraded plans,
-   sheds and the broker's verdicts. *)
+   pin the ladder's behaviour: retries, backoff sleeps, degraded plans
+   and the broker's verdicts. *)
 
 let impatient base =
   {
@@ -43,9 +43,8 @@ let render name (r : Server.Experiment.result) trace =
   line "warmup %g measure %g slice %g" r.warmup r.measure r.slice;
   Array.iter (fun (t, v) -> line "slice %g %g" t v) r.slices;
   line "mean_per_slice %.17g" r.mean_per_slice;
-  line "completed %d errors %d hard %d retries %d sheds %d degraded %d"
-    r.total_completed r.total_errors r.hard_errors r.retries r.sheds
-    r.degraded;
+  line "completed %d errors %d retries %d degraded %d" r.total_completed
+    r.total_errors r.retries r.degraded;
   List.iter (fun (k, n) -> line "error %s %d" k n) r.errors;
   line "faults %d/%d ballast_peak %d refused %d" r.faults_started
     r.faults_finished r.ballast_peak r.ballast_refused;

@@ -142,7 +142,7 @@ let test_chrome_escapes_qids () =
 let test_trace_null_sink () =
   Alcotest.(check bool) "disabled" false (Trace.enabled Trace.null);
   (* Emission on the null sink is a no-op, not an error. *)
-  Trace.emit Trace.null ~time:0. ~qid:"q" Event.Shed;
+  Trace.emit Trace.null ~time:0. ~qid:"q" Event.Cache_hit;
   Alcotest.(check int) "length" 0 (Trace.length Trace.null);
   Alcotest.(check int) "dropped" 0 (Trace.dropped Trace.null)
 
