@@ -245,7 +245,7 @@ let chaos_cmd =
   let ballast_gib =
     Arg.(
       value
-      & opt Fanout.nonneg_float 12.
+      & opt (Fanout.gib ~zero:true) 12.
       & info [ "ballast-gib" ]
           ~doc:"Ballast appetite, GiB (0 disables). May exceed physical \
                 memory: the ramp then absorbs whatever other components \
@@ -301,7 +301,7 @@ let chaos_cmd =
       (if ballast_gib > 0. then
          Faultsim.Fault.pressure_spike ~ramp_steps:ballast_steps
            ~step_s:ballast_step_s ~at
-           ~bytes:(int_of_float (ballast_gib *. float_of_int (Dbmem.Units.gib 1)))
+           ~bytes:(Fanout.gib_bytes ballast_gib)
            ~hold ()
        else [])
       @ (if storm then
@@ -468,7 +468,6 @@ let trace_cmd =
       const action $ scenario_arg $ out_arg $ trace_clients_arg
       $ trace_measure_arg $ trace_seed_arg)
 
-let gib g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
 
 let health_cmd =
   let clients_arg =
@@ -551,13 +550,13 @@ let tenants_cmd =
   in
   let total_gib_arg =
     Arg.(
-      value & opt Fanout.pos_float 4.
+      value & opt (Fanout.gib ~zero:false) 4.
       & info [ "total-gib" ]
           ~doc:"Machine memory split across the tenant pools, GiB.")
   in
   let spec warmup measure slice total_gib =
     let open Server.Tenants in
-    let total_bytes = gib total_gib in
+    let total_bytes = Fanout.gib_bytes total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     (* Per seed: the victim alone at its pool size, the cast under the
        guaranteed arbiter, and the cast under demand-chasing arbitration
@@ -659,7 +658,7 @@ let shards_cmd =
   in
   let total_gib_arg =
     Arg.(
-      value & opt Fanout.pos_float 8.
+      value & opt (Fanout.gib ~zero:false) 8.
       & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
   in
   let hedge_arg =
@@ -677,7 +676,7 @@ let shards_cmd =
   let spec shards clients variants think warmup measure slice total_gib hedge
       rolling =
     let open Server.Shards in
-    let total_bytes = gib total_gib in
+    let total_bytes = Fanout.gib_bytes total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     (* Per seed: the healthy baseline, then crash-failover with gateways
        on and off — the off cell shows what the recompilation storm costs
@@ -822,7 +821,7 @@ let storm_cmd =
   in
   let total_gib_arg =
     Arg.(
-      value & opt Fanout.pos_float 24.
+      value & opt (Fanout.gib ~zero:false) 24.
       & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
   in
   let defenses_arg =
@@ -850,7 +849,7 @@ let storm_cmd =
   let spec shards clients variants think warmup measure slice total_gib
       defenses schedule =
     let open Server.Storms in
-    let total_bytes = gib total_gib in
+    let total_bytes = Fanout.gib_bytes total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     let schedules =
       match schedule with
@@ -985,7 +984,7 @@ let cache_cmd =
   in
   let ratio_arg =
     Arg.(
-      value & opt float 0.6
+      value & opt Fanout.probability 0.6
       & info [ "param-ratio" ]
           ~doc:
             "Fraction of traffic replaying parameterized (cacheable) \
@@ -1007,7 +1006,7 @@ let cache_cmd =
     Arg.(value & opt Fanout.pos_float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
   in
   let memory_gib_arg =
-    Arg.(value & opt Fanout.pos_float 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
+    Arg.(value & opt (Fanout.gib ~zero:false) 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
   in
   let cache_mib_arg =
     Arg.(
@@ -1025,7 +1024,7 @@ let cache_cmd =
   in
   let ballast_gib_arg =
     Arg.(
-      value & opt float 0.
+      value & opt (Fanout.gib ~zero:true) 0.
       & info [ "ballast-gib" ]
           ~doc:
             "Inject a memory ballast mid-window (GiB): the pressure under \
@@ -1042,7 +1041,7 @@ let cache_cmd =
   in
   let peak_load_arg =
     Arg.(
-      value & opt float 1.
+      value & opt Fanout.at_least_one 1.
       & info [ "peak-load" ]
           ~doc:
             "Diurnal curve: load swings sinusoidally up to this multiple \
@@ -1057,8 +1056,6 @@ let cache_cmd =
         Fanout.fail
           "--cache-mib conflicts with --mode off (cache-off runs no cache)"
     | _ -> ());
-    if ratio < 0. || ratio > 1. then Fanout.fail "--param-ratio outside [0, 1]";
-    if peak_load < 1. then Fanout.fail "--peak-load below 1";
     if flash < 0 then Fanout.fail "--flash below 0";
     let modes =
       match mode with
@@ -1079,7 +1076,7 @@ let cache_cmd =
         k_warmup = warmup;
         k_measure = measure;
         k_slice = slice;
-        k_memory = gib memory_gib;
+        k_memory = Fanout.gib_bytes memory_gib;
         k_cache_bytes = Dbmem.Units.mib (Option.value cache_mib ~default:256);
         k_ttl = ttl;
         k_ballast_gib = ballast_gib;

@@ -49,6 +49,27 @@ let probability =
     ~ok:(fun v -> v >= 0. && v <= 1.)
     ~expected:"a probability in [0, 1]"
 
+let at_least_one =
+  checked Arg.float
+    ~ok:(fun v -> Float.is_finite v && v >= 1.)
+    ~expected:"a finite number of at least 1"
+
+(* A size in GiB, as bytes. *)
+let gib_bytes g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
+
+(* A GiB flag is a byte count: a finite size that comes to at least one
+   byte (and fits an int), or also 0 when 0 switches the feature off. *)
+let gib ~zero =
+  let sized v =
+    let bytes = v *. float_of_int (Dbmem.Units.gib 1) in
+    bytes >= 1. && bytes < 0x1p62
+  in
+  checked Arg.float
+    ~ok:(fun v -> (zero && v = 0.) || sized v)
+    ~expected:
+      (if zero then "0 or a finite size of at least one byte, in GiB"
+       else "a finite size of at least one byte, in GiB")
+
 let warmup_arg ~default =
   Arg.(
     value
