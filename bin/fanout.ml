@@ -54,14 +54,16 @@ let at_least_one =
     ~ok:(fun v -> Float.is_finite v && v >= 1.)
     ~expected:"a finite number of at least 1"
 
+let bytes_per_gib = float_of_int (Dbmem.Units.gib 1)
+
 (* A size in GiB, as bytes. *)
-let gib_bytes g = int_of_float (g *. float_of_int (Dbmem.Units.gib 1))
+let gib_bytes g = int_of_float (g *. bytes_per_gib)
 
 (* A GiB flag is a byte count: a finite size that comes to at least one
    byte (and fits an int), or also 0 when 0 switches the feature off. *)
 let gib ~zero =
   let sized v =
-    let bytes = v *. float_of_int (Dbmem.Units.gib 1) in
+    let bytes = v *. bytes_per_gib in
     bytes >= 1. && bytes < 0x1p62
   in
   checked Arg.float
