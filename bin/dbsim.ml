@@ -301,7 +301,7 @@ let chaos_cmd =
       (if ballast_gib > 0. then
          Faultsim.Fault.pressure_spike ~ramp_steps:ballast_steps
            ~step_s:ballast_step_s ~at
-           ~bytes:(Fanout.gib_bytes ballast_gib)
+           ~bytes:(Dbmem.Units.of_gib ballast_gib)
            ~hold ()
        else [])
       @ (if storm then
@@ -556,7 +556,7 @@ let tenants_cmd =
   in
   let spec warmup measure slice total_gib =
     let open Server.Tenants in
-    let total_bytes = Fanout.gib_bytes total_gib in
+    let total_bytes = Dbmem.Units.of_gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     (* Per seed: the victim alone at its pool size, the cast under the
        guaranteed arbiter, and the cast under demand-chasing arbitration
@@ -676,7 +676,7 @@ let shards_cmd =
   let spec shards clients variants think warmup measure slice total_gib hedge
       rolling =
     let open Server.Shards in
-    let total_bytes = Fanout.gib_bytes total_gib in
+    let total_bytes = Dbmem.Units.of_gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     (* Per seed: the healthy baseline, then crash-failover with gateways
        on and off — the off cell shows what the recompilation storm costs
@@ -849,7 +849,7 @@ let storm_cmd =
   let spec shards clients variants think warmup measure slice total_gib
       defenses schedule =
     let open Server.Storms in
-    let total_bytes = Fanout.gib_bytes total_gib in
+    let total_bytes = Dbmem.Units.of_gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     let schedules =
       match schedule with
@@ -1076,7 +1076,7 @@ let cache_cmd =
         k_warmup = warmup;
         k_measure = measure;
         k_slice = slice;
-        k_memory = Fanout.gib_bytes memory_gib;
+        k_memory = Dbmem.Units.of_gib memory_gib;
         k_cache_bytes = Dbmem.Units.mib (Option.value cache_mib ~default:256);
         k_ttl = ttl;
         k_ballast_gib = ballast_gib;

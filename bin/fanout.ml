@@ -54,18 +54,11 @@ let at_least_one =
     ~ok:(fun v -> Float.is_finite v && v >= 1.)
     ~expected:"a finite number of at least 1"
 
-let bytes_per_gib = float_of_int (Dbmem.Units.gib 1)
-
-(* A size in GiB, as bytes. *)
-let gib_bytes g = int_of_float (g *. bytes_per_gib)
-
 (* A GiB flag is a byte count: a finite size that comes to at least one
-   byte (and fits an int), or also 0 when 0 switches the feature off. *)
+   byte (and fits an int: under 2^32 GiB is under 2^62 bytes), or also 0
+   when 0 switches the feature off. *)
 let gib ~zero =
-  let sized v =
-    let bytes = v *. bytes_per_gib in
-    bytes >= 1. && bytes < 0x1p62
-  in
+  let sized v = v > 0. && v < 0x1p32 && Dbmem.Units.of_gib v >= 1 in
   checked Arg.float
     ~ok:(fun v -> (zero && v = 0.) || sized v)
     ~expected:

@@ -1,6 +1,7 @@
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
 let gib n = n * 1024 * 1024 * 1024
+let of_gib g = int_of_float (g *. float_of_int (gib 1))
 let to_mib n = float_of_int n /. (1024. *. 1024.)
 
 let pp_bytes ppf n =

@@ -4,6 +4,10 @@
 val kib : int -> int
 val mib : int -> int
 val gib : int -> int
+
+(** A size in GiB, as bytes (truncated). *)
+val of_gib : float -> int
+
 val to_mib : int -> float
 
 (** Render a byte count with a human-friendly unit, e.g. ["1.50 GiB"]. *)

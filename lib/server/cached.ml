@@ -127,9 +127,7 @@ let faults_of cfg =
     Faultsim.Fault.pressure_spike ~ramp_steps
       ~step_s:(0.2 *. cfg.k_measure /. float_of_int ramp_steps)
       ~at:(cfg.k_warmup +. (0.3 *. cfg.k_measure))
-      ~bytes:
-        (int_of_float
-           (cfg.k_ballast_gib *. float_of_int (Dbmem.Units.gib 1)))
+      ~bytes:(Dbmem.Units.of_gib cfg.k_ballast_gib)
       ~hold:(0.25 *. cfg.k_measure) ()
 
 (* Writers update dimension tables. Most writes touch one of the optional

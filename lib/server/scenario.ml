@@ -3,7 +3,7 @@ let chaos_faults ?(ballast_gib = 12.) ?(at = 100.) ?(ramp_steps = 240)
   let window = float_of_int ramp_steps *. step_s in
   (if ballast_gib > 0. then
      Faultsim.Fault.pressure_spike ~ramp_steps ~step_s ~at
-       ~bytes:(int_of_float (ballast_gib *. float_of_int (Dbmem.Units.gib 1)))
+       ~bytes:(Dbmem.Units.of_gib ballast_gib)
        ~hold:0. ()
    else [])
   @
