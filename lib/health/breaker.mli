@@ -31,7 +31,7 @@ val record_success : t -> key:string -> unit
 
 val record_failure : t -> key:string -> unit
 (** The admitted query failed {e hard}. Callers must not report
-    back-pressure results (sheds, refusals) here — only real
+    back-pressure results (downed shards, refusals) here — only real
     failures count toward tripping. Trips a closed breaker at the
     threshold; re-opens a half-open one whose probe is in flight. A hard
     failure reaching a half-open breaker with {e no} probe out (a query

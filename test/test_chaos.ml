@@ -22,9 +22,14 @@ let run_spike ~resilient =
   Server.Experiment.run ~config ~clients:35 ~warmup:60. ~measure:1000.
     ~slice:60. ()
 
+(* Both arms of the spike, run once and shared by the tests that read
+   them. *)
+let spike_on = lazy (run_spike ~resilient:true)
+let spike_off = lazy (run_spike ~resilient:false)
+
 let test_ladder_beats_unprotected () =
-  let on = run_spike ~resilient:true in
-  let off = run_spike ~resilient:false in
+  let on = Lazy.force spike_on in
+  let off = Lazy.force spike_off in
   (* The storm actually happened, identically, in both runs. *)
   Alcotest.(check int) "fault started (on)" 1 on.Server.Experiment.faults_started;
   Alcotest.(check int) "fault finished (on)" 1 on.Server.Experiment.faults_finished;
@@ -114,53 +119,23 @@ let test_full_schedule_composes () =
     "completions = successes" c.Workload.Client.succeeded
     r.Server.Experiment.total_completed
 
-(* The chaos smoke's schedule (test/chaos_smoke.golden): a 4 GiB ballast
-   ramped in from 50 s over 60 steps of 2.5 s and held for 60 s. With
-   [burst], the other fault kinds join it over the same window, as in
-   test/chaos_burst.golden. *)
-let smoke_faults ~burst =
-  let at = 50. and window = (60. *. 2.5) +. 60. in
-  Faultsim.Fault.pressure_spike ~ramp_steps:60 ~step_s:2.5 ~at ~bytes:(gib 4)
-    ~hold:60. ()
-  @
-  if burst then
-    [
-      Faultsim.Fault.Disk_storm
-        { at; duration = window; throughput_factor = 0.5; extra_seek_s = 0.004 };
-      Faultsim.Fault.Client_burst
-        { at; duration = window; clients = 6; think_mean = 10. };
-      Faultsim.Fault.Alloc_glitch
-        { at; duration = window; fail_prob = 0.1; clerks = [ "compile" ] };
-    ]
-  else []
-
-(* A single server refuses nothing on its own: every error it books is a
-   severe resource failure (701, 8645, 8651), so its total error count is
-   its hard-error count. The informational codes belong to the routing
-   layer above it. *)
+(* A single server refuses nothing on its own: every error it books on
+   either arm of the spike is a severe resource failure (701, 8645,
+   8651), so its total error count is its hard-error count. The
+   informational codes belong to the routing layer above it. *)
 let test_server_books_only_severe () =
   List.iter
-    (fun burst ->
-      let config =
-        {
-          (Server.Config.resilient ()) with
-          Server.Config.seed = 42;
-          faults = smoke_faults ~burst;
-        }
-      in
-      let r =
-        Server.Experiment.run ~config ~clients:35 ~warmup:30. ~measure:300.
-          ~slice:60. ()
-      in
+    (fun (arm, r) ->
       List.iter
         (fun code ->
-          let n = List.assoc (Health.Error.code_name code) r.Server.Experiment.errors in
           if Health.Error.severity code <> Health.Error.Severe then
+            let name = Health.Error.code_name code in
             Alcotest.(check int)
-              (Printf.sprintf "%s (burst %b)" (Health.Error.code_name code) burst)
-              0 n)
+              (Printf.sprintf "%s (%s)" name arm)
+              0
+              (List.assoc name r.Server.Experiment.errors))
         Health.Error.all_codes)
-    [ false; true ]
+    [ ("on", Lazy.force spike_on); ("off", Lazy.force spike_off) ]
 
 (* With an empty schedule and resilience off, install_faults is a no-op
    and the config is exactly the seed default. *)
