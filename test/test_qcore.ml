@@ -1003,6 +1003,131 @@ let prop_broker_pressure_respects_floors =
       || List.fold_left (fun a (c, _) -> a + Broker.target c) 0 cs <= budget
          && List.for_all (fun (c, f) -> Broker.target c >= f) cs)
 
+(* [Trend] against the fold-based [Oracle.Trend_ref], bit for bit, after
+   every observation: windows that the series wraps, runs of equal times,
+   and series whose times never move (a degenerate spread throughout). *)
+let prop_trend_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 8) (float_range 0. 100.) bool
+        (list_size (int_range 0 24)
+           (pair
+              (oneof [ return 0.; float_range 0. 5. ])
+              (float_range (-1e9) 1e9))))
+  in
+  let print =
+    QCheck.Print.(quad int float bool (list (pair float float)))
+  in
+  QCheck.Test.make ~name:"trend slope and prediction equal the reference"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (window, horizon, frozen, steps) ->
+      let t = Trend.create ~window () in
+      let r = Oracle.Trend_ref.create ~window () in
+      let bits = Option.map Int64.bits_of_float in
+      let agrees () =
+        bits (Trend.slope t) = bits (Oracle.Trend_ref.slope r)
+        && bits (Trend.predict t ~horizon)
+           = bits (Oracle.Trend_ref.predict r ~horizon)
+        && bits (Trend.mean t) = bits (Oracle.Trend_ref.mean r)
+      in
+      let time = ref 0. in
+      agrees ()
+      && List.for_all
+           (fun (dt, v) ->
+             if not frozen then time := !time +. dt;
+             Trend.observe t ~time:!time v;
+             Oracle.Trend_ref.observe r ~time:!time v;
+             agrees ())
+           steps)
+
+(* [Broker] against the list-based [Oracle.Broker_ref], both reading the
+   same clerks: one to six components with weights in (0, 3] and floors
+   that sum below or above the 950 MiB budget, some with a [~demand]
+   series, over ticks whose clock steps include zero. After registration
+   and after every tick the targets, notifications, pressure and
+   predicted total must be equal. *)
+let prop_broker_matches_reference =
+  let comp_gen =
+    QCheck.Gen.(
+      triple
+        (map (fun x -> 3. -. x) (float_bound_exclusive 3.))
+        (int_range 0 400) bool)
+  in
+  let tick_gen =
+    QCheck.Gen.(
+      pair
+        (oneofl [ 0.; 0.5; 1.; 2.5 ])
+        (list_repeat 6 (pair (int_range 0 160) (int_range 0 400))))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 6) comp_gen)
+        (list_size (int_range 1 14) tick_gen))
+  in
+  let print =
+    QCheck.Print.(
+      pair (list (triple float int bool))
+        (list (pair float (list (pair int int)))))
+  in
+  QCheck.Test.make ~name:"broker tick equals the list-based reference"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (comps, ticks) ->
+      let eng, m, broker = make_broker () in
+      let r = Oracle.Broker_ref.create eng m in
+      (* The demand each component reports this tick, in MiB. *)
+      let demand = Array.make 6 0 in
+      let pairs =
+        List.mapi
+          (fun i (weight, min_mib, has_demand) ->
+            let name = Printf.sprintf "c%d" i in
+            let clerk = Dbmem.Manager.create_clerk m name in
+            let min_bytes = mib min_mib in
+            let demand = if has_demand then Some (fun () -> mib demand.(i)) else None in
+            ( clerk,
+              Broker.register broker ~name ~clerk ~weight ~min_bytes ?demand (),
+              Oracle.Broker_ref.register r ~name ~clerk ~weight ~min_bytes
+                ?demand () ))
+          comps
+      in
+      let agrees () =
+        Broker.under_pressure broker = Oracle.Broker_ref.under_pressure r
+        && Broker.predicted_total broker = Oracle.Broker_ref.predicted_total r
+        && List.for_all
+             (fun (_, c, rc) ->
+               Broker.target c = Oracle.Broker_ref.target rc
+               && Broker.last_notification c
+                  = Oracle.Broker_ref.last_notification rc)
+             pairs
+      in
+      agrees ()
+      && List.for_all
+           (fun (dt, levels) ->
+             if dt > 0. then begin
+               ignore (Sim.Engine.schedule eng ~delay:dt ignore);
+               Sim.Engine.run_all eng
+             end;
+             let levels = Array.of_list levels in
+             (* Frees before allocations, so the clerks never overrun
+                the manager on the way. *)
+             List.iteri
+               (fun i (clerk, _, _) ->
+                 let used = Dbmem.Manager.clerk_used clerk
+                 and want = mib (fst levels.(i)) in
+                 if want < used then Dbmem.Manager.free clerk (used - want))
+               pairs;
+             List.iteri
+               (fun i (clerk, _, _) ->
+                 let used = Dbmem.Manager.clerk_used clerk
+                 and want = mib (fst levels.(i)) in
+                 if want > used then Dbmem.Manager.alloc_exn clerk (want - used);
+                 demand.(i) <- snd levels.(i))
+               pairs;
+             Broker.tick broker;
+             Oracle.Broker_ref.tick r;
+             agrees ())
+           ticks)
+
 (* A broker notification that changes the gates lands between two
    allocations of one session, with no engine event in between: the very
    next allocation must be gated by the new thresholds. Any cache of
@@ -1207,6 +1332,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_arbiter_plan_invariants;
     QCheck_alcotest.to_alcotest prop_broker_pressure_respects_floors;
     QCheck_alcotest.to_alcotest prop_trend_slope_recovers_line;
+    QCheck_alcotest.to_alcotest prop_trend_matches_reference;
+    QCheck_alcotest.to_alcotest prop_broker_matches_reference;
     QCheck_alcotest.to_alcotest prop_gov_respects_slot_limits;
     QCheck_alcotest.to_alcotest prop_gov_thresholds_monotone;
     QCheck_alcotest.to_alcotest prop_gov_threshold_matches_reference;
