@@ -398,17 +398,18 @@ let overhead_bench ~name op =
 
 let overhead_benches () =
   let mib = Dbmem.Units.mib and gib = Dbmem.Units.gib in
-  (* The broker's periodic tick over four registered components. *)
-  let broker_tick =
+  (* The broker's periodic tick over four registered components, each
+     holding [used] bytes with the given [min_bytes] floor. *)
+  let broker_tick comps =
     let eng = Sim.Engine.create ~seed:1 () in
     let m = Dbmem.Manager.create ~total:(gib 4) () in
     let broker = Qcore.Broker.create eng m in
     List.iter
-      (fun name ->
+      (fun (name, used, min_bytes) ->
         let clerk = Dbmem.Manager.create_clerk m name in
-        Dbmem.Manager.alloc_exn clerk (mib 100);
-        ignore (Qcore.Broker.register broker ~name ~clerk ()))
-      [ "bufpool"; "plancache"; "compile"; "execution" ];
+        Dbmem.Manager.alloc_exn clerk used;
+        ignore (Qcore.Broker.register broker ~name ~clerk ~min_bytes ()))
+      comps;
     fun () -> Qcore.Broker.tick broker
   in
   (* A clerk allocation round trip. *)
@@ -457,7 +458,21 @@ let overhead_benches () =
       ignore (Qcore.Trend.predict t ~horizon:5.)
   in
   [
-    overhead_bench ~name:"broker_tick" broker_tick;
+    overhead_bench ~name:"broker_tick"
+      (broker_tick
+         (List.map
+            (fun name -> (name, mib 100, 0))
+            [ "bufpool"; "plancache"; "compile"; "execution" ]));
+    (* Under pressure: 4000 MiB used against a 3891 MiB budget, so the
+       split runs, and its floors pin the two small components. *)
+    overhead_bench ~name:"broker_tick_pressure"
+      (broker_tick
+         [
+           ("bufpool", mib 2400, 0);
+           ("plancache", mib 300, mib 600);
+           ("compile", mib 200, mib 500);
+           ("execution", mib 1100, 0);
+         ]);
     overhead_bench ~name:"clerk_alloc_free" clerk_alloc_free;
     overhead_bench ~name:"gateway_acquire_release" gateway;
     overhead_bench ~name:"full_ladder_compile" full_ladder;

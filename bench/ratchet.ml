@@ -20,7 +20,7 @@ type point = { wall_ns : float; alloc : float }
 (* Benchmarks whose per-op allocation was deliberately driven down (the
    cost-only Cascades memo and its replay, the pooled event loop, the CPU hand-off
    queue, the flat buffer pool, the governor's metered allocation, a
-   clerk's allocation round trip) are
+   clerk's allocation round trip, the broker's tick and its trend) are
    held to a tight 5% alloc ratchet instead of the global tolerance:
    their baselines are small and stable, so even a modest absolute creep
    is a real erosion of the win, not measurement noise. Wall time keeps
@@ -39,6 +39,9 @@ let tight_alloc_benches =
     "bufpool_access";
     "governed_alloc";
     "clerk_alloc_free";
+    "broker_tick";
+    "broker_tick_pressure";
+    "trend_observe_predict";
   ]
 
 let benchmarks_of j =

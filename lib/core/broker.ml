@@ -32,13 +32,19 @@ type component = {
   trend : Trend.t;
   mutable ctarget : int;
   mutable last : notification option;
+  (* Scratch of one tick: this tick's sample and prediction, and whether
+     the pressure split has yet to pin this component. *)
+  mutable used : int;
+  mutable predicted : int;
+  mutable unpinned : bool;
 }
 
 type t = {
   eng : Sim.Engine.t;
   manager : Dbmem.Manager.t;
   trace : Obs.Trace.t;
-  mutable comps_rev : component list;
+  clock : Sim.Engine.fcell; (* the tick's time, read without boxing *)
+  mutable comps : component array; (* in registration order *)
   mutable pressure : bool;
   mutable ticks : int;
   mutable timer : Sim.Engine.handle option;
@@ -50,7 +56,8 @@ let create ?(trace = Obs.Trace.null) eng manager =
     eng;
     manager;
     trace;
-    comps_rev = [];
+    clock = { Sim.Engine.fc = 0. };
+    comps = [||];
     pressure = false;
     ticks = 0;
     timer = None;
@@ -61,8 +68,6 @@ let brokered_bytes t =
   int_of_float
     (float_of_int (Dbmem.Manager.total t.manager)
     *. (1. -. reserved_fraction))
-
-let components t = List.rev t.comps_rev
 
 let register t ~name ~clerk ?(weight = 1.) ?(min_bytes = 0) ?demand ?notify
     ?reclaim:_ () =
@@ -78,154 +83,152 @@ let register t ~name ~clerk ?(weight = 1.) ?(min_bytes = 0) ?demand ?notify
       trend = Trend.create ~window ();
       ctarget = 0;
       last = None;
+      used = 0;
+      predicted = 0;
+      unpinned = false;
     }
   in
-  t.comps_rev <- c :: t.comps_rev;
+  t.comps <- Array.append t.comps [| c |];
   (* Before the first tick, hand out even shares so targets are sane. *)
-  let n = List.length t.comps_rev in
-  List.iter
-    (fun c -> c.ctarget <- brokered_bytes t / n)
-    t.comps_rev;
+  let share = brokered_bytes t / Array.length t.comps in
+  Array.iter (fun c -> c.ctarget <- share) t.comps;
   c
 
-(* Split [budget] over the [(component, used, predicted)] items
-   proportionally to weighted predicted demand, honouring [min_bytes]
-   floors without overflowing the budget: a component whose proportional
-   share falls below its floor is pinned at the floor and the remainder
-   is re-split among the rest. Terminates because each round pins at
-   least one component. When the floors alone exceed the budget every
-   component gets exactly its floor — the overshoot lands in the
-   manager's reserved slack rather than being invented per-component.
-   Returns targets keyed by component (physical identity). *)
-let split_under_pressure budget items =
-  let rec go budget items acc =
-    match items with
-    | [] -> acc
-    | _ ->
-        let floors =
-          List.fold_left (fun a (c, _, _) -> a + c.min_bytes) 0 items
-        in
-        if floors >= budget then
-          List.fold_left (fun acc (c, _, _) -> (c, c.min_bytes) :: acc) acc items
-        else
-          let demand_sum =
-            List.fold_left
-              (fun a (c, _, p) -> a +. (c.weight *. float_of_int (max 1 p)))
-              0. items
-          in
-          let share (c, _, p) =
+(* Split [budget] over [comps] proportionally to weighted predicted
+   demand, honouring [min_bytes] floors without overflowing the budget: a
+   component whose proportional share falls below its floor is pinned at
+   the floor and the remainder is re-split among the rest. Terminates
+   because each round pins at least one component. When the floors alone
+   exceed the budget every unpinned component gets exactly its floor — the
+   overshoot lands in the manager's reserved slack rather than being
+   invented per-component. Writes each target; every sum runs in
+   registration order. *)
+let split_under_pressure budget comps =
+  Array.iter (fun c -> c.unpinned <- true) comps;
+  let budget = ref budget and again = ref true in
+  while !again do
+    let floors = ref 0 and demand_sum = ref 0. in
+    for i = 0 to Array.length comps - 1 do
+      let c = comps.(i) in
+      if c.unpinned then begin
+        floors := !floors + c.min_bytes;
+        demand_sum :=
+          !demand_sum +. (c.weight *. float_of_int (Int.max 1 c.predicted))
+      end
+    done;
+    let floors_only = !floors >= !budget and pinned_bytes = ref 0
+    and pinned = ref false in
+    for i = 0 to Array.length comps - 1 do
+      let c = comps.(i) in
+      if c.unpinned then
+        if floors_only then c.ctarget <- c.min_bytes
+        else begin
+          let share =
             int_of_float
-              (float_of_int budget
-              *. (c.weight *. float_of_int (max 1 p))
-              /. demand_sum)
+              (float_of_int !budget
+              *. (c.weight *. float_of_int (Int.max 1 c.predicted))
+              /. !demand_sum)
           in
-          let pinned, rest =
-            List.partition (fun ((c, _, _) as it) -> share it < c.min_bytes) items
-          in
-          if pinned = [] then
-            List.fold_left
-              (fun acc ((c, _, _) as it) -> (c, share it) :: acc)
-              acc items
-          else
-            let acc =
-              List.fold_left (fun acc (c, _, _) -> (c, c.min_bytes) :: acc) acc
-                pinned
-            in
-            let pinned_bytes =
-              List.fold_left (fun a (c, _, _) -> a + c.min_bytes) 0 pinned
-            in
-            go (budget - pinned_bytes) rest acc
-  in
-  go budget items []
+          if share < c.min_bytes then begin
+            c.ctarget <- c.min_bytes;
+            c.unpinned <- false;
+            pinned := true;
+            pinned_bytes := !pinned_bytes + c.min_bytes
+          end
+          else c.ctarget <- share
+        end
+    done;
+    budget := !budget - !pinned_bytes;
+    again := !pinned
+  done
 
-(* One broker cycle: sample, predict, split the budget, notify. *)
+let verdict_of c =
+  if float_of_int c.used > float_of_int c.ctarget *. (1. +. shrink_slack)
+  then Must_shrink
+  else if c.predicted > c.ctarget then Hold_rate
+  else Can_grow
+
+let sample c =
+  {
+    Obs.Event.comp = c.name;
+    used = c.used;
+    predicted = c.predicted;
+    target = c.ctarget;
+    verdict =
+      (match verdict_of c with
+      | Can_grow -> Obs.Event.Grow
+      | Hold_rate -> Obs.Event.Stable
+      | Must_shrink -> Obs.Event.Shrink);
+  }
+
+(* One broker cycle: sample, predict, split the budget, notify. Untraced,
+   it builds nothing but each component's notification. *)
 let tick t =
-  let comps = components t in
+  let comps = t.comps in
   t.ticks <- t.ticks + 1;
-  if comps <> [] then begin
-    let now = Sim.Engine.now t.eng in
+  if Array.length comps > 0 then begin
+    Sim.Engine.now_into t.eng t.clock;
     let budget = brokered_bytes t in
     (* 1. Sample and predict. *)
-    let predictions =
-      List.map
-        (fun c ->
-          let used = Dbmem.Manager.clerk_used c.clerk in
-          let demand =
-            match c.demand with Some f -> max used (f ()) | None -> used
-          in
-          Trend.observe c.trend ~time:now (float_of_int demand);
-          let predicted =
-            match Trend.predict c.trend ~horizon with
-            | None -> demand
-            | Some p -> max demand (int_of_float p)
-          in
-          (c, used, predicted))
-        comps
-    in
-    let total_predicted =
-      List.fold_left (fun acc (_, _, p) -> acc + p) 0 predictions
-    in
+    let total_predicted = ref 0 in
+    for i = 0 to Array.length comps - 1 do
+      let c = comps.(i) in
+      let used = Dbmem.Manager.clerk_used c.clerk in
+      let demand =
+        match c.demand with Some f -> Int.max used (f ()) | None -> used
+      in
+      c.used <- used;
+      c.predicted <-
+        Trend.observe_bytes c.trend ~time:t.clock ~horizon demand;
+      total_predicted := !total_predicted + c.predicted
+    done;
+    let total_predicted = !total_predicted in
     let pressure = total_predicted > budget in
     t.pressure <- pressure;
     t.predicted_sum <- total_predicted;
     (* 2. Compute targets. *)
-    let targets =
-      if not pressure then begin
-        (* No action needed: targets are "your prediction plus your share of
-           the slack" so components know how much headroom exists. *)
-        let slack = budget - total_predicted in
-        let weight_sum = List.fold_left (fun a (c, _, _) -> a +. c.weight) 0. predictions in
-        List.map
-          (fun (c, used, predicted) ->
-            let share = float_of_int slack *. (c.weight /. weight_sum) in
-            (c, used, predicted, max c.min_bytes (predicted + int_of_float share)))
-          predictions
-      end
-      else begin
-        (* Pressure: distribute the budget proportionally to weighted
-           predicted demand, pinning components at their [min_bytes]
-           floor and re-splitting the remainder so targets never sum
-           past the budget. *)
-        let granted = split_under_pressure budget predictions in
-        List.map
-          (fun (c, used, predicted) ->
-            (c, used, predicted, List.assq c granted))
-          predictions
-      end
-    in
+    if not pressure then begin
+      (* No action needed: targets are "your prediction plus your share of
+         the slack" so components know how much headroom exists. *)
+      let slack = budget - total_predicted and weight_sum = ref 0. in
+      for i = 0 to Array.length comps - 1 do
+        weight_sum := !weight_sum +. comps.(i).weight
+      done;
+      for i = 0 to Array.length comps - 1 do
+        let c = comps.(i) in
+        let share = float_of_int slack *. (c.weight /. !weight_sum) in
+        c.ctarget <-
+          Int.max c.min_bytes (c.predicted + int_of_float share)
+      done
+    end
+    else
+      (* Pressure: distribute the budget proportionally to weighted
+         predicted demand, pinning components at their [min_bytes] floor
+         and re-splitting the remainder so targets never sum past the
+         budget. *)
+      split_under_pressure budget comps;
     (* 3. Decide verdicts and notify. *)
-    let samples_rev = ref [] in
-    List.iter
-      (fun (c, used, predicted, target) ->
-        c.ctarget <- target;
-        let verdict =
-          if float_of_int used > float_of_int target *. (1. +. shrink_slack)
-          then Must_shrink
-          else if predicted > target then Hold_rate
-          else Can_grow
-        in
-        if Obs.Trace.enabled t.trace then
-          samples_rev :=
-            {
-              Obs.Event.comp = c.name;
-              used;
-              predicted;
-              target;
-              verdict =
-                (match verdict with
-                | Can_grow -> Obs.Event.Grow
-                | Hold_rate -> Obs.Event.Stable
-                | Must_shrink -> Obs.Event.Shrink);
-            }
-            :: !samples_rev;
-        let n = { verdict; target; predicted; pressure } in
-        c.last <- Some n;
-        match c.notify with None -> () | Some f -> f n)
-      targets;
+    for i = 0 to Array.length comps - 1 do
+      let c = comps.(i) in
+      let n =
+        {
+          verdict = verdict_of c;
+          target = c.ctarget;
+          predicted = c.predicted;
+          pressure;
+        }
+      in
+      c.last <- Some n;
+      match c.notify with None -> () | Some f -> f n
+    done;
     if Obs.Trace.enabled t.trace then
-      Obs.Trace.emit t.trace ~time:now ~qid:""
+      Obs.Trace.emit t.trace ~time:t.clock.fc ~qid:""
         (Obs.Event.Broker_tick
-           { pressure; budget; components = List.rev !samples_rev })
+           {
+             pressure;
+             budget;
+             components = Array.to_list (Array.map sample comps);
+           })
   end
 
 let start t =
@@ -251,10 +254,10 @@ let target c = c.ctarget
 let pp ppf t =
   Format.fprintf ppf "@[<v>broker ticks=%d pressure=%b budget=%a@," t.ticks
     t.pressure Dbmem.Units.pp_bytes (brokered_bytes t);
-  List.iter
+  Array.iter
     (fun c ->
       let used = Dbmem.Manager.clerk_used c.clerk in
       Format.fprintf ppf "  %-12s used=%a target=%a@," c.name
         Dbmem.Units.pp_bytes used Dbmem.Units.pp_bytes c.ctarget)
-    (components t);
+    t.comps;
   Format.fprintf ppf "@]"

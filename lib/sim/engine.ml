@@ -80,6 +80,7 @@ let create ?(seed = 42) () =
   }
 
 let now t = t.now.fc
+let now_into t cell = cell.fc <- t.now.fc
 let rng t = t.root_rng
 let events_executed t = t.events
 let failures t = t.failed

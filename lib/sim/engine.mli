@@ -47,6 +47,10 @@ type fcell = { mutable fc : float }
     error. *)
 val after : t -> fcell -> (unit -> unit) -> unit
 
+(** [now_into t cell] stores {!now} in [cell]. Unlike {!now} it
+    allocates nothing: a float returned to another module is boxed. *)
+val now_into : t -> fcell -> unit
+
 (** [cancel h] prevents the callback from firing if it has not fired yet. *)
 val cancel : handle -> unit
 

@@ -1128,6 +1128,51 @@ let prop_broker_matches_reference =
              agrees ())
            ticks)
 
+(* Untraced, a tick builds nothing but each component's notification and
+   its [Some]: 5 + 2 words a component. 10 000 ticks of four components,
+   calm and under pressure, with floors that pin two components. *)
+let test_broker_tick_allocates_nothing () =
+  List.iter
+    (fun (label, pressure, comps) ->
+      let _, m, broker = make_broker ~total:(Dbmem.Units.gib 4) () in
+      List.iter
+        (fun (name, used, min_bytes) ->
+          let clerk = Dbmem.Manager.create_clerk m name in
+          Dbmem.Manager.alloc_exn clerk used;
+          ignore (Broker.register broker ~name ~clerk ~min_bytes ()))
+        comps;
+      Broker.tick broker;
+      let minor_words_during = Test_bufpool.minor_words_during in
+      let empty = minor_words_during ignore in
+      Gc.minor ();
+      let words =
+        minor_words_during (fun () ->
+            for _ = 1 to 10_000 do
+              Broker.tick broker
+            done)
+      in
+      Alcotest.(check (float 0.))
+        (label ^ ": notifications only")
+        (empty +. (10_000. *. 4. *. 7.))
+        words;
+      Alcotest.(check bool) (label ^ ": pressure") pressure
+        (Broker.under_pressure broker))
+    [
+      ( "calm",
+        false,
+        List.map
+          (fun name -> (name, mib 100, 0))
+          [ "bufpool"; "plancache"; "compile"; "execution" ] );
+      ( "pressure",
+        true,
+        [
+          ("bufpool", mib 2400, 0);
+          ("plancache", mib 300, mib 600);
+          ("compile", mib 200, mib 500);
+          ("execution", mib 1100, 0);
+        ] );
+    ]
+
 (* A broker notification that changes the gates lands between two
    allocations of one session, with no engine event in between: the very
    next allocation must be gated by the new thresholds. Any cache of
@@ -1298,6 +1343,7 @@ let suite =
     ("broker hold-rate prediction", `Quick, test_broker_hold_rate_verdict);
     ("monitor wait stats", `Quick, test_monitor_wait_stats);
     ("broker periodic ticks", `Quick, test_broker_periodic_ticks);
+    ("broker tick allocates nothing", `Quick, test_broker_tick_allocates_nothing);
     ("config default valid", `Quick, test_config_default_valid);
     ("config paper slot counts", `Quick, test_config_paper_slot_counts);
     ("config monotone thresholds", `Quick, test_config_monotone_thresholds);
