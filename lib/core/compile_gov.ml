@@ -17,6 +17,7 @@ type t = {
   gmonitors : Monitor.t array;
   counts : int array; (* counts.(i): sessions holding exactly i monitors *)
   mutable target : int; (* latest broker target for compile memory, 0 = unknown *)
+  thresholds : int array; (* thresholds.(i): monitor i's entry threshold *)
   mutable press : pressure;
   genabled : bool;
   mutable adaptive_lifo : bool; (* flip FIFO->LIFO under sustained standing *)
@@ -33,6 +34,32 @@ type session = {
   mutable finished : bool;
 }
 
+(* Entry threshold for monitor [j] on its own. The first monitor's
+   threshold is always static (it exists to let small diagnostic queries
+   through unthrottled); later ones follow the paper's [target * F / S]
+   rule when dynamic thresholds are on and a broker target is known. [S]
+   is the population of the category directly below the monitor. *)
+let level_threshold t j =
+  let l = t.levels.(j) in
+  if j = 0 || (not t.config.Throttle_config.dynamic) || t.target <= 0 then
+    l.Throttle_config.base_threshold
+  else
+    Throttle_config.dynamic_threshold l ~target:t.target
+      ~population:t.counts.(j)
+
+(* Every allocation reads the ladder's thresholds, and they change only
+   with [target] or a population, so they are recomputed there: in
+   [begin_compile], [promote], [end_compile] and [on_notification].
+   Monotonicity down the ladder is enforced so extreme populations can
+   never invert it: each threshold is at least twice the one before. *)
+let refresh_thresholds t =
+  let thr = t.thresholds in
+  thr.(0) <- level_threshold t 0;
+  for j = 1 to Array.length thr - 1 do
+    let v = level_threshold t j and floor = 2 * thr.(j - 1) in
+    thr.(j) <- (if v >= floor then v else floor)
+  done
+
 let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
     ~enabled () =
   Throttle_config.validate config ~cpus;
@@ -45,50 +72,30 @@ let create eng _manager ?(trace = Obs.Trace.null) ~clerk ~cpus ~config
           ~timeout:l.timeout ())
       levels
   in
-  {
-    geng = eng;
-    gtrace = trace;
-    gclerk = clerk;
-    config;
-    levels;
-    gmonitors;
-    counts = Array.make (Array.length levels + 1) 0;
-    target = 0;
-    press = Calm;
-    genabled = enabled;
-    adaptive_lifo = false;
-    standing_since = Array.make (Array.length levels) Float.nan;
-    lifo_shifts = 0;
-  }
+  let t =
+    {
+      geng = eng;
+      gtrace = trace;
+      gclerk = clerk;
+      config;
+      levels;
+      gmonitors;
+      counts = Array.make (Array.length levels + 1) 0;
+      target = 0;
+      thresholds = Array.make (Array.length levels) 0;
+      press = Calm;
+      genabled = enabled;
+      adaptive_lifo = false;
+      standing_since = Array.make (Array.length levels) Float.nan;
+      lifo_shifts = 0;
+    }
+  in
+  refresh_thresholds t;
+  t
 
+let threshold t i = t.thresholds.(i)
 let set_adaptive_lifo t on = t.adaptive_lifo <- on
 let lifo_shifts t = t.lifo_shifts
-
-(* Entry threshold for monitor [i]. The first monitor's threshold is always
-   static (it exists to let small diagnostic queries through unthrottled);
-   later ones follow the paper's [target * F / S] rule when dynamic
-   thresholds are on and a broker target is known. [S] is the population of
-   the category directly below the monitor. Monotonicity down the ladder is
-   enforced so extreme populations can never invert it. Every allocation
-   reads this, so it is written without a closure, a ref or a polymorphic
-   comparison: none of them may allocate or call out per call. *)
-let level_threshold t j =
-  let l = t.levels.(j) in
-  if j = 0 || (not t.config.Throttle_config.dynamic) || t.target <= 0 then
-    l.Throttle_config.base_threshold
-  else
-    Throttle_config.dynamic_threshold l ~target:t.target
-      ~population:t.counts.(j)
-
-(* [thr] is the threshold of level [j - 1]; fold levels [j .. i] on. *)
-let rec ladder_threshold t i j thr =
-  if j > i then thr
-  else begin
-    let v = level_threshold t j and floor = 2 * thr in
-    ladder_threshold t i (j + 1) (if v >= floor then v else floor)
-  end
-
-let threshold t i = ladder_threshold t i 1 (level_threshold t 0)
 
 let emit t ~qid event =
   if Obs.Trace.enabled t.gtrace then
@@ -96,6 +103,7 @@ let emit t ~qid event =
 
 let begin_compile ?(qid = "") t =
   t.counts.(0) <- t.counts.(0) + 1;
+  refresh_thresholds t;
   emit t ~qid Obs.Event.Compile_begin;
   { gov = t; sqid = qid; susage = 0; speak = 0; held = 0; finished = false }
 
@@ -103,7 +111,8 @@ let promote s =
   let t = s.gov in
   t.counts.(s.held) <- t.counts.(s.held) - 1;
   s.held <- s.held + 1;
-  t.counts.(s.held) <- t.counts.(s.held) + 1
+  t.counts.(s.held) <- t.counts.(s.held) + 1;
+  refresh_thresholds t
 
 (* Adaptive queue discipline: track how long monitor [i]'s queue has been
    continuously standing (checked lazily at every acquire attempt — no
@@ -217,6 +226,7 @@ let end_compile s =
       Monitor.release ~qid:s.sqid t.gmonitors.(i)
     done;
     t.counts.(s.held) <- t.counts.(s.held) - 1;
+    refresh_thresholds t;
     s.held <- 0;
     Dbmem.Manager.free t.gclerk s.susage;
     s.susage <- 0;
@@ -230,6 +240,7 @@ let level s = s.held
 
 let on_notification t (n : Broker.notification) =
   t.target <- n.Broker.target;
+  refresh_thresholds t;
   (* Three-rung pressure ladder. [Critical] — best-plan-so-far / greedy
      fallback territory — is reserved for *predicted exhaustion*, not
      routine pressure: the forecast must overshoot the target

@@ -1239,7 +1239,8 @@ let test_gov_alloc_allocates_nothing () =
 (* [Compile_gov.threshold] is the paper's [target * F / S] rule folded
    down the ladder. Checked against that fold written with [Stdlib.max]
    and [min], on random ladders (clamps in either order), targets
-   (non-positive included) and populations (empty levels included). *)
+   (non-positive included) and populations (empty levels included),
+   after every call that moves a target or a population. *)
 let ref_threshold (config : Throttle_config.t) ~target ~population i =
   let levels = Array.of_list config.Throttle_config.levels in
   let value j =
@@ -1262,22 +1263,37 @@ let ref_threshold (config : Throttle_config.t) ~target ~population i =
     (value 0)
     (List.init i (fun j -> j + 1))
 
+(* One step of the governor's life: a compile begins, a live session
+   allocates (and so may promote), a live session ends, or the broker
+   notifies a new target. Session indices wrap over the live sessions. *)
+type gov_op = Begin | Alloc of int * int | End of int | Notify of int
+
 let prop_gov_threshold_matches_reference =
   let level_gen =
     QCheck.Gen.(
       triple (int_range 1 200) (float_range 0.01 1.5)
         (pair (int_range 0 2048) (int_range 0 2048)))
   in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return Begin);
+          (4, map2 (fun i n -> Alloc (i, n)) nat (int_range 0 1500));
+          (2, map (fun i -> End i) nat);
+          (1, map (fun n -> Notify n) (int_range (-64) 4096));
+        ])
+  in
   let gen =
     QCheck.Gen.(
       quad bool
         (list_size (int_range 1 4) level_gen)
         (int_range (-64) 4096)
-        (list_size (int_range 0 12) (int_range 0 1500)))
+        (list_size (int_range 0 30) op_gen))
   in
   QCheck.Test.make ~name:"gov threshold equals the reference fold" ~count:200
     (QCheck.make gen)
-    (fun (dynamic, steps, target_mib, sizes_mib) ->
+    (fun (dynamic, steps, target_mib, ops) ->
       let base = ref 0 in
       let levels =
         List.mapi
@@ -1298,29 +1314,43 @@ let prop_gov_threshold_matches_reference =
       let { eng; gov; _ } =
         make_gov ~total:(1 lsl 50) ~cpus:4 ~config ()
       in
-      Compile_gov.on_notification gov
-        { Broker.verdict = Broker.Hold_rate; target = mib target_mib;
-          predicted = 0; pressure = false };
+      let target = ref 0 in
+      let notify target_mib =
+        target := mib target_mib;
+        Compile_gov.on_notification gov
+          { Broker.verdict = Broker.Hold_rate; target = !target;
+            predicted = 0; pressure = false }
+      in
       let agrees () =
         List.for_all
           (fun i ->
             Compile_gov.threshold gov i
-            = ref_threshold config ~target:(mib target_mib)
+            = ref_threshold config ~target:!target
                 ~population:(Compile_gov.population gov) i)
           (List.init (List.length levels) Fun.id)
       in
       let ok = ref (agrees ()) in
-      let sessions = ref [] in
+      notify target_mib;
+      ok := !ok && agrees ();
+      let live = ref [] in
+      let nth i = List.nth !live (i mod List.length !live) in
       Sim.Engine.spawn eng (fun () ->
           List.iter
-            (fun size ->
-              let s = Compile_gov.begin_compile gov in
-              ignore (Compile_gov.alloc s (mib size));
-              sessions := s :: !sessions;
+            (fun op ->
+              (match op with
+              | Begin -> live := Compile_gov.begin_compile gov :: !live
+              | Alloc (i, size) when !live <> [] ->
+                  ignore (Compile_gov.alloc (nth i) (mib size))
+              | End i when !live <> [] ->
+                  let s = nth i in
+                  Compile_gov.end_compile s;
+                  live := List.filter (fun s' -> s' != s) !live
+              | Alloc _ | End _ -> ()
+              | Notify n -> notify n);
               ok := !ok && agrees ())
-            sizes_mib);
+            ops);
       Sim.Engine.run_all eng;
-      List.iter Compile_gov.end_compile !sessions;
+      List.iter Compile_gov.end_compile !live;
       !ok && agrees ())
 
 let suite =
