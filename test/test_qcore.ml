@@ -1076,14 +1076,16 @@ let prop_broker_matches_reference =
       let eng, m, broker = make_broker () in
       let r = Oracle.Broker_ref.create eng m in
       (* The demand each component reports this tick, in MiB. *)
-      let demand = Array.make 6 0 in
+      let demand_mib = Array.make 6 0 in
       let pairs =
         List.mapi
           (fun i (weight, min_mib, has_demand) ->
             let name = Printf.sprintf "c%d" i in
             let clerk = Dbmem.Manager.create_clerk m name in
             let min_bytes = mib min_mib in
-            let demand = if has_demand then Some (fun () -> mib demand.(i)) else None in
+            let demand =
+              if has_demand then Some (fun () -> mib demand_mib.(i)) else None
+            in
             ( clerk,
               Broker.register broker ~name ~clerk ~weight ~min_bytes ?demand (),
               Oracle.Broker_ref.register r ~name ~clerk ~weight ~min_bytes
@@ -1121,7 +1123,7 @@ let prop_broker_matches_reference =
                  let used = Dbmem.Manager.clerk_used clerk
                  and want = mib (fst levels.(i)) in
                  if want > used then Dbmem.Manager.alloc_exn clerk (want - used);
-                 demand.(i) <- snd levels.(i))
+                 demand_mib.(i) <- snd levels.(i))
                pairs;
              Broker.tick broker;
              Oracle.Broker_ref.tick r;
