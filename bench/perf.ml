@@ -13,11 +13,11 @@
      dune exec bench/perf.exe -- --jobs 4 --out BENCH_perf.json
 
    Suites: optimizer compile (Cascades and its greedy seed on SALES
-   shapes), the sim-engine event loop, CPU slice hand-off, buffer-pool
-   access, governed compile-memory allocation, the paper's mechanism
-   overhead (broker tick, clerk, gateway, full ladder, trend), a full
-   experiment cell, and the parallel grid speedup with a byte-identity
-   check. *)
+   shapes), the sim-engine event loop, CPU slice hand-off, a process's
+   block and resume, buffer-pool access, governed compile-memory
+   allocation, the paper's mechanism overhead (broker tick, clerk,
+   gateway, full ladder, trend), a full experiment cell, and the
+   parallel grid speedup with a byte-identity check. *)
 
 let quick = ref false
 let jobs = ref 0 (* 0 = auto; clamped to the core count after parsing *)
@@ -201,6 +201,40 @@ let cpu_handoff_bench () =
         Sim.Engine.run_all eng)
   in
   per_op slices b
+
+(* ------------------------------------------------------------------ *)
+(* Blocking and resuming a process *)
+
+(* The sim kernel's price of one block: a sleep, a two-slice
+   [Cpu.busy] on a held core and a queued [Disk.read], in equal numbers.
+   Two processes of each kind keep the core and the disk contended. One
+   engine, pool and disk serve every run, so the row prices the blocks
+   (the spawns are spread over them); per block. *)
+let block_resume_bench () =
+  let rounds = if !quick then 5_000 else 50_000 in
+  let iters = if !quick then 3 else 5 in
+  let eng = Sim.Engine.create ~seed:1 () in
+  let cpu = Execsim.Cpu.create eng ~cores:1 () in
+  let disk =
+    Bufpool.Disk.create eng ~spindles:1 ~seek_s:0.001
+      ~throughput_bytes_per_s:1e9
+  in
+  let repeat f () =
+    for _ = 1 to rounds do
+      f ()
+    done
+  in
+  let b =
+    time_bench ~name:"block_resume" ~iters (fun () ->
+        for _ = 1 to 2 do
+          Sim.Engine.spawn eng (repeat (fun () -> Sim.Engine.sleep 1.0));
+          Sim.Engine.spawn eng (repeat (fun () -> Execsim.Cpu.busy cpu 0.5));
+          Sim.Engine.spawn eng
+            (repeat (fun () -> Bufpool.Disk.read disk ~bytes:4096))
+        done;
+        Sim.Engine.run_all eng)
+  in
+  per_op (6 * rounds) b
 
 (* ------------------------------------------------------------------ *)
 (* Mid-tier cache ops *)
@@ -686,6 +720,7 @@ let () =
     @ [
         engine_bench ();
         cpu_handoff_bench ();
+        block_resume_bench ();
         midcache_bench ();
         bufpool;
         governed_alloc_bench ();

@@ -19,13 +19,14 @@ type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
    cost-only Cascades memo and its replay, the pooled event loop, the CPU hand-off
-   queue, the flat buffer pool, the governor's metered allocation, a
-   clerk's allocation round trip, the broker's tick and its trend) are
-   held to a tight 5% alloc ratchet instead of the global tolerance:
-   their baselines are small and stable, so even a modest absolute creep
-   is a real erosion of the win, not measurement noise. Wall time keeps
-   the global tolerance — it is machine-dependent in a way allocation is
-   not. *)
+   queue, a process's block and resume, the flat buffer pool, the
+   governor's metered allocation, a clerk's allocation round trip, the
+   broker's tick and its trend) and the two whole cells that sum them
+   are held to a tight 5% alloc ratchet instead of the global tolerance:
+   their baselines are stable to the byte from run to run, so even a
+   modest creep is a real erosion of the win, not measurement noise.
+   Wall time keeps the global tolerance — it is machine-dependent in a
+   way allocation is not. *)
 let tight_alloc_tolerance = 0.05
 
 let tight_alloc_benches =
@@ -36,12 +37,15 @@ let tight_alloc_benches =
     "optimizer_replay_stream";
     "sim_engine_event_loop";
     "cpu_handoff";
+    "block_resume";
     "bufpool_access";
     "governed_alloc";
     "clerk_alloc_free";
     "broker_tick";
     "broker_tick_pressure";
     "trend_observe_predict";
+    "experiment_cell";
+    "cached_cell_brokered";
   ]
 
 let benchmarks_of j =

@@ -1,13 +1,22 @@
-(* A transfer parked behind the one in service. *)
-type waiter = { bytes : int; enqueued_at : float; resume : unit -> unit }
+(* A transfer parked behind the one in service. Waiters are pooled: each
+   serves one queued transfer after another. *)
+type waiter = {
+  mutable bytes : int;
+  enqueued_at : Sim.Engine.fcell;  (* flat: stored without boxing *)
+  mutable resume : unit -> unit;
+}
 
 type t = {
   eng : Sim.Engine.t;
   mutable busy : bool;  (* a transfer is in service *)
   waiting : waiter Sim.Fifo.t;  (* empty while the array idles *)
+  spare : waiter Sim.Fifo.t;  (* waiters between queued transfers *)
+  mutable staged : int;  (* the parking transfer's [bytes] *)
+  mutable parker : Sim.Engine.parker;
   mutable serving : waiter;  (* the parked transfer in service, if any *)
   wait_stats : Sim.Stats.Online.t;
   delay : Sim.Engine.fcell;  (* staging cell for [Engine.after] *)
+  clock : Sim.Engine.fcell;  (* [Engine.now], read without boxing *)
   mutable complete : unit -> unit;  (* [serving]'s completion event *)
   seek_s : float;
   throughput : float;
@@ -20,7 +29,7 @@ type t = {
   mutable throughput_factor : float;
 }
 
-let idle = { bytes = 0; enqueued_at = 0.; resume = ignore }
+let idle = { bytes = 0; enqueued_at = { fc = 0. }; resume = ignore }
 
 let set_degradation t ~throughput_factor ~extra_seek_s =
   if throughput_factor <= 0. || throughput_factor > 1. then
@@ -33,7 +42,7 @@ let clear_degradation t =
   t.throughput_factor <- 1.;
   t.extra_seek_s <- 0.
 
-let service_time t ~bytes =
+let[@inline] service_time t ~bytes =
   t.seek_s +. t.extra_seek_s
   +. (float_of_int bytes /. (t.throughput *. t.throughput_factor))
 
@@ -43,7 +52,8 @@ let release t =
   if Sim.Fifo.is_empty t.waiting then t.busy <- false
   else begin
     let w = Sim.Fifo.pop t.waiting in
-    Sim.Stats.Online.add t.wait_stats (Sim.Engine.now t.eng -. w.enqueued_at);
+    Sim.Engine.now_into t.eng t.clock;
+    Sim.Stats.Online.add t.wait_stats (t.clock.fc -. w.enqueued_at.fc);
     t.serving <- w;
     t.delay.fc <- service_time t ~bytes:w.bytes;
     Sim.Engine.after t.eng t.delay t.complete
@@ -53,7 +63,21 @@ let complete t () =
   let w = t.serving in
   t.serving <- idle;
   release t;
+  Sim.Fifo.push t.spare w;
   w.resume ()
+
+(* [transfer]'s park: a spare waiter (or a new one) takes the staged
+   size and the time, and queues. *)
+let enqueue t resume =
+  let w =
+    if Sim.Fifo.is_empty t.spare then
+      { bytes = 0; enqueued_at = { fc = 0. }; resume }
+    else Sim.Fifo.pop t.spare
+  in
+  w.bytes <- t.staged;
+  Sim.Engine.now_into t.eng w.enqueued_at;
+  w.resume <- resume;
+  Sim.Fifo.push t.waiting w
 
 let create eng ~spindles ~seek_s ~throughput_bytes_per_s =
   if spindles < 1 then invalid_arg "Disk.create: spindles";
@@ -66,9 +90,13 @@ let create eng ~spindles ~seek_s ~throughput_bytes_per_s =
       eng;
       busy = false;
       waiting = Sim.Fifo.create ~dummy:idle ();
+      spare = Sim.Fifo.create ~dummy:idle ();
+      staged = 0;
+      parker = Sim.Engine.parker ignore;
       serving = idle;
       wait_stats = Sim.Stats.Online.create ();
       delay = { fc = 0. };
+      clock = { fc = 0. };
       complete = ignore;
       seek_s;
       throughput = float_of_int spindles *. throughput_bytes_per_s;
@@ -80,6 +108,7 @@ let create eng ~spindles ~seek_s ~throughput_bytes_per_s =
     }
   in
   t.complete <- complete t;
+  t.parker <- Sim.Engine.parker (enqueue t);
   t
 
 let transfer t ~bytes =
@@ -91,10 +120,10 @@ let transfer t ~bytes =
       Sim.Engine.sleep (service_time t ~bytes);
       release t
     end
-    else
-      Sim.Engine.park (fun resume ->
-          Sim.Fifo.push t.waiting
-            { bytes; enqueued_at = Sim.Engine.now t.eng; resume })
+    else begin
+      t.staged <- bytes;
+      Sim.Engine.park_with t.parker
+    end
 
 let read t ~bytes =
   transfer t ~bytes;

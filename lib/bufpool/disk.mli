@@ -8,10 +8,10 @@
 
     Transfers are served first come, first served. A transfer to an idle
     array is a plain {!Sim.Engine.sleep}. One that finds the array busy
-    parks ({!Sim.Engine.park}) in a FIFO; each completion event hands the
-    array to the head, which adds its wait to {!queue_wait} and reads its
-    {!service_time} at that moment, and the transfer resumes inside its
-    own completion event. *)
+    parks ({!Sim.Engine.park_with}) in a FIFO of pooled waiters; each
+    completion event hands the array to the head, which adds its wait to
+    {!queue_wait} and reads its {!service_time} at that moment, and the
+    transfer resumes inside its own completion event. *)
 
 type t
 

@@ -2,9 +2,11 @@
    updates are unboxed stores. *)
 type span = { mutable remaining : float; mutable q : float }
 
+(* Jobs are pooled: each is built once, with its slice-end closure, and
+   serves one [busy] call after another. *)
 type job = {
   span : span;
-  resume : unit -> unit;  (* continues the parked process *)
+  mutable resume : unit -> unit;  (* continues the parked process *)
   fire : unit -> unit;  (* the job's slice-end event *)
 }
 
@@ -14,24 +16,14 @@ type t = {
   created_at : float;
   mutable free : int;  (* idle cores; > 0 only while [runq] is empty *)
   runq : job Sim.Fifo.t;
+  spare : job Sim.Fifo.t;  (* jobs between [busy] calls *)
   busy_total : Sim.Engine.fcell;
   delay : Sim.Engine.fcell;  (* staging cell for [Engine.after] *)
+  demand : Sim.Engine.fcell;  (* the parking call's [seconds] *)
+  mutable parker : Sim.Engine.parker;
 }
 
 let dummy = { span = { remaining = 0.; q = 0. }; resume = ignore; fire = ignore }
-
-let create eng ~cores ?(slice = 0.25) () =
-  if cores < 1 then invalid_arg "Cpu.create: cores";
-  if slice <= 0. then invalid_arg "Cpu.create: slice";
-  {
-    eng;
-    slice;
-    created_at = Sim.Engine.now eng;
-    free = cores;
-    runq = Sim.Fifo.create ~dummy ();
-    busy_total = { fc = 0. };
-    delay = { fc = 0. };
-  }
 
 (* Run [j]'s next slice on a core it already holds. [min slice
    remaining], written as a comparison (the same value for the positive
@@ -61,8 +53,53 @@ let slice_end t j =
     end
   else begin
     release t;
+    Sim.Fifo.push t.spare j;
     j.resume ()
   end
+
+(* [busy]'s park: a spare job (or a new one) takes the staged demand
+   and a core, or queues. *)
+let enqueue t resume =
+  let j =
+    if Sim.Fifo.is_empty t.spare then begin
+      let rec j =
+        {
+          span = { remaining = 0.; q = 0. };
+          resume;
+          fire = (fun () -> slice_end t j);
+        }
+      in
+      j
+    end
+    else Sim.Fifo.pop t.spare
+  in
+  j.span.remaining <- t.demand.fc;
+  j.resume <- resume;
+  if t.free > 0 then begin
+    t.free <- t.free - 1;
+    start t j
+  end
+  else Sim.Fifo.push t.runq j
+
+let create eng ~cores ?(slice = 0.25) () =
+  if cores < 1 then invalid_arg "Cpu.create: cores";
+  if slice <= 0. then invalid_arg "Cpu.create: slice";
+  let t =
+    {
+      eng;
+      slice;
+      created_at = Sim.Engine.now eng;
+      free = cores;
+      runq = Sim.Fifo.create ~dummy ();
+      spare = Sim.Fifo.create ~dummy ();
+      busy_total = { fc = 0. };
+      delay = { fc = 0. };
+      demand = { fc = 0. };
+      parker = Sim.Engine.parker ignore;
+    }
+  in
+  t.parker <- Sim.Engine.parker (enqueue t);
+  t
 
 let busy t seconds =
   if seconds < 0. then invalid_arg "Cpu.busy: negative";
@@ -74,22 +111,12 @@ let busy t seconds =
       t.busy_total.fc <- t.busy_total.fc +. seconds;
       release t
     end
-    else
+    else begin
       (* The job stays parked across all its slices; each slice end is
          one event, and the last resumes the process inside it. *)
-      Sim.Engine.park (fun resume ->
-          let rec j =
-            {
-              span = { remaining = seconds; q = 0. };
-              resume;
-              fire = (fun () -> slice_end t j);
-            }
-          in
-          if t.free > 0 then begin
-            t.free <- t.free - 1;
-            start t j
-          end
-          else Sim.Fifo.push t.runq j)
+      t.demand.fc <- seconds;
+      Sim.Engine.park_with t.parker
+    end
 
 let busy_seconds t = t.busy_total.fc
 

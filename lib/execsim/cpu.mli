@@ -8,9 +8,11 @@
 
     A slice end hands its core straight to the head of the run queue, in
     the same engine event, and the preempted job goes to the back. A job
-    stays parked ({!Sim.Engine.park}) across all its slices and resumes
-    inside its last slice's end event, so a queued slice costs one event
-    and allocates nothing. A single slice on an idle core is a plain
+    stays parked ({!Sim.Engine.park_with}) across all its slices and
+    resumes inside its last slice's end event, so a queued slice costs
+    one event and allocates nothing. Jobs are pooled and the park is
+    prepared once, so a [busy] that parks allocates only the process's
+    continuation. A single slice on an idle core is a plain
     {!Sim.Engine.sleep}.
 
     Slice ends, grant order and the counters below are those of the

@@ -57,8 +57,9 @@ let () =
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Park : (('a -> unit) -> unit) -> 'a Effect.t
-  | Self_name : string Effect.t
+  | Park : ((unit -> unit) -> unit) -> unit Effect.t
+
+type parker = unit Effect.t
 
 (* A long experiment keeps thousands of timers in flight (one per client
    plus monitors and faults); pre-size past the doubling ramp. *)
@@ -208,19 +209,75 @@ let after t delay fn =
 let cancel hdl = hdl.hcancelled <- true
 let cancelled hdl = hdl.hcancelled
 
+(* Where a process stands between its blocks. A sleep and a park have
+   their own resume closure, and each resumes only the block of its
+   kind, so a stale park resume cannot cut a later sleep short. *)
+type blocked = Running | Sleeping | Parked
+
+(* The continuation of a blocked process. Created at the process's first
+   block and overwritten at each later one, so it holds no placeholder
+   before a continuation exists. *)
+type slot = { mutable k : (unit, unit) Effect.Deep.continuation }
+
+(* A process's blocking state, built once when it starts: [effc] stages
+   the sleep's delay and the park's callback here, so the handlers it
+   returns, and the resume closures they hand out, are allocated once
+   per process instead of once per block. *)
+type proc = {
+  delay : fcell;
+  mutable slot : slot option;
+  mutable blocked : blocked;
+  mutable on_park : (unit -> unit) -> unit;
+}
+
+let no_park (_ : unit -> unit) = ()
+
+let block p k st =
+  (match p.slot with Some s -> s.k <- k | None -> p.slot <- Some { k });
+  p.blocked <- st
+
+let resume_blocked p st =
+  match p.slot with
+  | Some s when p.blocked = st ->
+      p.blocked <- Running;
+      Effect.Deep.continue s.k ()
+  | _ -> raise Effect.Continuation_already_resumed
+
 (* Run [body] as a process: a deep effect handler interprets the blocking
    operations by scheduling continuation resumptions as engine events. *)
 let start_process t (name : string) body =
   let open Effect.Deep in
+  let p =
+    { delay = { fc = 0. }; slot = None; blocked = Running; on_park = no_park }
+  in
+  (* One closure block for the four: a [let rec] shares its header and
+     environment. *)
+  let rec end_sleep () = resume_blocked p Sleeping
+  and resume () = resume_blocked p Parked
+  and on_sleep k =
+    if p.delay.fc < 0. then
+      discontinue k (Invalid_argument "Engine.sleep: negative delay")
+    else begin
+      block p k Sleeping;
+      (* [now + delay] pushed as [schedule_anon] would: same time, same
+         seq. *)
+      schedule_event t ~hdl:anon_hdl ~time:(t.now.fc +. p.delay.fc) end_sleep
+    end
+  and on_park k =
+    block p k Parked;
+    p.on_park resume
+  in
+  let on_sleep = Some on_sleep and on_park = Some on_park in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
     | Sleep dt ->
-        Some
-          (fun k ->
-            if dt < 0. then
-              discontinue k (Invalid_argument "Engine.sleep: negative delay")
-            else
-              schedule_anon t ~delay:dt (fun () -> continue k ()))
+        p.delay.fc <- dt;
+        on_sleep
+    | Park f ->
+        (* A parker passes the same callback each time: skip the write
+           barrier then. *)
+        if p.on_park != f then p.on_park <- f;
+        on_park
     | Suspend f ->
         Some
           (fun k ->
@@ -232,8 +289,6 @@ let start_process t (name : string) body =
               end
             in
             f wake)
-    | Park f -> Some (fun k -> f (fun v -> continue k v))
-    | Self_name -> Some (fun k -> continue k name)
     | _ -> None
   in
   (* An exception escaping [body] leaves [run] through whichever event
@@ -251,10 +306,9 @@ let spawn t ?(name = "") ?(delay = 0.) body =
 
 let sleep dt = Effect.perform (Sleep dt)
 let suspend f = Effect.perform (Suspend f)
+let parker f = Park f
+let park_with p = Effect.perform p
 let park f = Effect.perform (Park f)
-
-let self_name () =
-  try Effect.perform Self_name with Effect.Unhandled _ -> ""
 
 let run t ~until =
   t.failed <- [];

@@ -76,21 +76,34 @@ val sleep : float -> unit
 val suspend : (('a -> unit) -> unit) -> 'a
 
 (** [park f] parks the calling process and calls [f resume], like
-    {!suspend}, but [resume v] continues the process at once, inside the
+    {!suspend}, but [resume ()] continues the process at once, inside the
     event that calls it, instead of scheduling a wake event at the same
     instant. The process runs until it next blocks or ends, and then
     [resume] returns. So a hand-off queue that resumes its head from its
     own completion event costs that one event. An exception escaping the
     process leaves through [resume] as {!Process_failed}, naming the
-    process at the resuming event's time. [resume] may be called only
-    once: a second call raises [Effect.Continuation_already_resumed].
-    Call it from a raw callback ({!schedule}, {!after}) or from [f]
-    itself, never from inside another process, which would report the
-    resumed process's failure as its own. *)
-val park : (('a -> unit) -> unit) -> 'a
+    process at the resuming event's time. Call [resume] from a raw
+    callback ({!schedule}, {!after}) or from [f] itself, never from
+    inside another process, which would report the resumed process's
+    failure as its own.
 
-(** [name ()] is the current process name ("" outside a named process). *)
-val self_name : unit -> string
+    A process has one [resume] for all its parks, allocated when it
+    starts, and it continues the process's latest park. So a call made
+    while the process is not parked (a second call before the process
+    parks again, or any call after it ended, or while it sleeps or is
+    suspended) raises [Effect.Continuation_already_resumed] and resumes
+    nothing. Once the process has parked again, a call resumes that
+    later park. *)
+val park : ((unit -> unit) -> unit) -> unit
+
+(** A park prepared once: [park_with (parker f)] is [park f], without
+    allocating the effect per call. A hand-off queue makes one for its
+    lifetime and stages what [f] needs in its own state. *)
+type parker
+
+val parker : ((unit -> unit) -> unit) -> parker
+
+val park_with : parker -> unit
 
 (** {1 Running} *)
 

@@ -613,10 +613,42 @@ let test_pool_read_rejects_out_of_range () =
   Alcotest.(check int) "nothing admitted" 0 (Pool.resident_pages pool);
   Alcotest.(check int) "nothing counted" 0 (Pool.hits pool + Pool.misses pool)
 
+(* Minor words [f ()] allocates, with the minor heap emptied at both
+   ends of the window, where the counter is exact. *)
 let minor_words_during f =
+  Gc.minor ();
   let w0 = Gc.minor_words () in
   f ();
+  Gc.minor ();
   Gc.minor_words () -. w0
+
+(* A queued read allocates its continuation (2 words) and the float
+   [Stats.Online.add] takes (2): the waiter is pooled, the park effect is
+   the disk's and the resume closure the process's. Two processes read
+   in turn from one disk, so every read but the first finds the array
+   busy and queues. 5 002 rounds less 2, per read: the second round
+   builds the second pooled waiter. *)
+let test_queued_read_allocation () =
+  let run n () =
+    let eng = Sim.Engine.create () in
+    let d =
+      Disk.create eng ~spindles:1 ~seek_s:0.001 ~throughput_bytes_per_s:1e6
+    in
+    for _ = 1 to 2 do
+      Sim.Engine.spawn eng (fun () ->
+          for _ = 1 to n do
+            Disk.read d ~bytes:4096
+          done)
+    done;
+    Sim.Engine.run_all eng;
+    Alcotest.(check int) "reads" (2 * n) (Disk.reads d)
+  in
+  let n = 5_000 in
+  let per_read =
+    (minor_words_during (run (n + 2)) -. minor_words_during (run 2))
+    /. float_of_int (2 * n)
+  in
+  Alcotest.(check (float 0.)) "words per queued read" 4. per_read
 
 (* The hot path is flat: 10 000 policy touches and 10 000 pool hits move
    the minor-heap counter no more than an empty window does. *)
@@ -774,6 +806,7 @@ let suite =
     ("policy mem/size", `Quick, test_policy_mem_and_size);
     ("policy insert resident rejected", `Quick, test_policy_insert_resident_rejected);
     ("touch and hit allocate nothing", `Quick, test_touch_and_hit_allocate_nothing);
+    ("queued read allocation", `Quick, test_queued_read_allocation);
     ("evict and insert allocate nothing", `Quick, test_evict_and_insert_allocate_nothing);
     ("pool hit rate fresh", `Quick, test_pool_hit_rate_fresh);
     ("pool hit/miss accounting", `Quick, test_pool_hit_miss_accounting);

@@ -80,15 +80,12 @@ let test_cpu_failure_after_busy () =
         time;
       Alcotest.(check bool) "inner" true (exn = Failure "after busy")
 
-let minor_words_during f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+let minor_words_during = Test_bufpool.minor_words_during
 
 (* A contended slice allocates nothing: four jobs round-robin on one
    core, and a hundred times as many slices move the minor-heap counter
    by exactly as much as the short run does. What the run does allocate
-   (processes, jobs, spawns) is per job. *)
+   (processes, spawns, the pooled jobs) is per process. *)
 let test_cpu_slices_allocate_nothing () =
   let run slices () =
     let eng = Sim.Engine.create () in
@@ -102,6 +99,30 @@ let test_cpu_slices_allocate_nothing () =
   let short = minor_words_during (run 10) in
   let long = minor_words_during (run 1000) in
   Alcotest.(check (float 0.)) "minor words per run" short long
+
+(* A contended [busy] of two slices allocates only its continuation (2
+   words): the job is pooled with its slice-end closure, the park effect
+   is the pool's and the resume closure the process's. Two processes
+   share one core, so every call queues or preempts; 5 001 calls each
+   less one each, per call. *)
+let test_cpu_busy_allocation () =
+  let run n () =
+    let eng = Sim.Engine.create () in
+    let cpu = Cpu.create eng ~cores:1 () in
+    for _ = 1 to 2 do
+      Sim.Engine.spawn eng (fun () ->
+          for _ = 1 to n do
+            Cpu.busy cpu 0.5
+          done)
+    done;
+    Sim.Engine.run_all eng
+  in
+  let n = 5_000 in
+  let per_busy =
+    (minor_words_during (run (n + 1)) -. minor_words_during (run 1))
+    /. float_of_int (2 * n)
+  in
+  Alcotest.(check (float 0.)) "words per contended busy" 2. per_busy
 
 (* Differential oracle: the hand-off run queue against the semaphore
    pool it replaced ([Oracle.Cpu_ref]). Processes arrive at a few shared
@@ -449,6 +470,7 @@ let suite =
     ("cpu utilization", `Quick, test_cpu_utilization);
     ("cpu failure after busy", `Quick, test_cpu_failure_after_busy);
     ("cpu slices allocate nothing", `Quick, test_cpu_slices_allocate_nothing);
+    ("cpu contended busy allocation", `Quick, test_cpu_busy_allocation);
     QCheck_alcotest.to_alcotest prop_cpu_matches_oracle;
     ("grant full when fits", `Quick, test_grant_full_when_it_fits);
     ("grant trims large", `Quick, test_grant_trims_large_requests);

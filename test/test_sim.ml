@@ -312,7 +312,16 @@ let test_engine_park_resumes_inline () =
     Engine.run_all eng;
     (!got, !at, !seen, Engine.events_executed eng)
   in
-  let got, at, seen, events = run Engine.park in
+  (* [park] resumes with [()]: the value travels through a ref. *)
+  let park f =
+    let v = ref 0 in
+    Engine.park (fun resume ->
+        f (fun x ->
+            v := x;
+            resume ()));
+    !v
+  in
+  let got, at, seen, events = run park in
   Alcotest.(check int) "park: value" 7 got;
   check_float "park: resumed at the callback's time" 2.0 at;
   Alcotest.(check int) "park: ran inside the callback" 7 seen;
@@ -322,6 +331,50 @@ let test_engine_park_resumes_inline () =
   check_float "suspend: same instant" 2.0 at;
   Alcotest.(check int) "suspend: not yet run" 0 seen;
   Alcotest.(check int) "suspend: spawn + callback + wake" 3 events
+
+(* A process has one [resume] for all its parks, and it continues only
+   a parked process. Called again once the process has gone on, it raises
+   and resumes nothing: while the process sleeps (the sleep is not cut
+   short) and after it has ended. *)
+let test_engine_park_resume_twice_raises () =
+  let eng = Engine.create () in
+  let resume = ref ignore and steps = ref 0 in
+  Engine.spawn eng (fun () ->
+      Engine.park (fun r -> resume := r);
+      incr steps;
+      Engine.sleep 1.0;
+      incr steps);
+  let raises label =
+    Alcotest.check_raises label Effect.Continuation_already_resumed !resume
+  in
+  ignore
+    (Engine.schedule eng ~delay:2.0 (fun () ->
+         !resume ();
+         Alcotest.(check int) "resumed inline" 1 !steps;
+         raises "while asleep";
+         Alcotest.(check int) "still asleep" 1 !steps));
+  Engine.run_all eng;
+  Alcotest.(check int) "woke from its own sleep" 2 !steps;
+  check_float "at the sleep's end" 3.0 (Engine.now eng);
+  raises "after the end"
+
+(* A sleep allocates only what [perform] must: the [Sleep] block (3
+   words; the constant delay is not boxed again) and the continuation (2
+   words). The handler, its delay cell and the resume closure are the
+   process's, built when it starts. 10 001 sleeps less one, per sleep. *)
+let test_engine_sleep_allocation () =
+  let run n () =
+    let eng = Engine.create () in
+    Engine.spawn eng (fun () ->
+        for _ = 1 to n do
+          Engine.sleep 1.0
+        done);
+    Engine.run_all eng
+  in
+  let n = 10_000 in
+  let words = Test_bufpool.minor_words_during in
+  let per_sleep = (words (run (n + 1)) -. words (run 1)) /. float_of_int n in
+  Alcotest.(check (float 0.)) "words per sleep" 5. per_sleep
 
 (* The ring keeps FIFO order across wrap-around and growth. *)
 let test_fifo_order () =
@@ -427,16 +480,6 @@ let test_engine_negative_sleep () =
   Alcotest.(check (float 0.)) "time" 3.0 time;
   Alcotest.(check bool) "inner" true
     (exn = Invalid_argument "Engine.sleep: negative delay")
-
-let test_engine_self_name () =
-  let eng = Engine.create () in
-  let seen = ref "" in
-  Engine.spawn eng ~name:"proc-7" (fun () ->
-      Engine.sleep 1.0;
-      seen := Engine.self_name ());
-  Engine.run_all eng;
-  Alcotest.(check string) "name survives resume" "proc-7" !seen;
-  Alcotest.(check string) "outside process" "" (Engine.self_name ())
 
 let prop_engine_event_times_nondecreasing =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
@@ -764,13 +807,14 @@ let suite =
     ("engine suspend/resume", `Quick, test_engine_suspend_resume);
     ("engine double wake ignored", `Quick, test_engine_double_wake_ignored);
     ("engine park resumes inline", `Quick, test_engine_park_resumes_inline);
+    ("park resume twice raises", `Quick, test_engine_park_resume_twice_raises);
+    ("engine sleep allocation", `Quick, test_engine_sleep_allocation);
     ("fifo order", `Quick, test_fifo_order);
     ("fifo pop retains nothing", `Quick, test_fifo_pop_retains_nothing);
     ("engine failure recorded", `Quick, test_engine_failure_recorded);
     ("engine callback raises", `Quick, test_engine_callback_raises);
     ("engine every", `Quick, test_engine_every);
     ("engine negative sleep", `Quick, test_engine_negative_sleep);
-    ("engine self name", `Quick, test_engine_self_name);
     ("sem fast path", `Quick, test_sem_fast_path);
     ("sem blocking and release", `Quick, test_sem_blocking_and_release);
     ("sem timeout", `Quick, test_sem_timeout);
