@@ -104,11 +104,11 @@ let steady_state_benches () =
           ~id:(1000 + i))
   in
   let iters = if !quick then 2 else 5 in
-  let run ?arena ?replay () =
+  let run ?arena ?replay ?(env = Optimizer.Env.null) () =
     Array.iter
       (fun q ->
         match
-          Optimizer.Cascades.optimize ?arena ?replay ~env:Optimizer.Env.null
+          Optimizer.Cascades.optimize ?arena ?replay ~env
             Optimizer.Cost.default cat q
         with
         | Ok r -> ignore r.Optimizer.Cascades.plan
@@ -125,14 +125,28 @@ let steady_state_benches () =
   (* The same stream through one replay memo, as a server compiles it.
      The warm-up pass records each join graph's search; the timed passes
      replay them, so the row prices a replayed compile: the greedy seed
-     plus the replay loop. *)
+     plus the replay loop. [Env.null] grants every allocation, so the
+     replay advances over every window after its first allocation. *)
   let replay = Optimizer.Cascades.create_replay_memo () in
   let replayed =
     time_bench ~name:"optimizer_replay_stream" ~iters (fun () ->
         run ~arena ~replay ())
   in
+  (* The replays again, through an env that grants three groups' bytes
+     at a time, as the governor caps its credit by free memory: a window
+     whose rest does not fit is replayed task by task until it does. *)
+  let capped =
+    {
+      Optimizer.Env.null with
+      Optimizer.Env.alloc = (fun _ -> 12 * Optimizer.Cascades.phys_bytes);
+    }
+  in
+  let replayed_capped =
+    time_bench ~name:"optimizer_replay_capped" ~iters (fun () ->
+        run ~arena ~replay ~env:capped ())
+  in
   (* Normalise run-of-N to per-query numbers. *)
-  List.map (per_op n_queries) [ reused; fresh; replayed ]
+  List.map (per_op n_queries) [ reused; fresh; replayed; replayed_capped ]
 
 (* The greedy seed alone, over the same SALES shapes as the stream
    above: the plan every compile builds before its search starts, and

@@ -35,6 +35,7 @@ let tight_alloc_benches =
     "optimizer_steady_state";
     "optimizer_steady_state_fresh";
     "optimizer_replay_stream";
+    "optimizer_replay_capped";
     "sim_engine_event_loop";
     "cpu_handoff";
     "block_resume";

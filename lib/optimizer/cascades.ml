@@ -247,22 +247,48 @@ let park a child l g =
    meters at most a group and then one other kind of allocation. Its
    code is [k_group] if it created a group, plus the other kind: 1 or 2
    for that many leaf alternatives, [k_lexprs] or [k_split]. A task that
-   meters nothing has code 0. Each tape byte holds a run of up to
-   [max_run] tasks of code 0 in its high nibble and then, when its low
-   nibble is not 0, one task of that code. A code holding [k_lexprs] is
-   followed by the split count as a varint, since even a count of 0 can
-   reach the env. *)
+   meters nothing has code 0.
+
+   The tape is cut into windows, one per CPU batch: window k holds tasks
+   [k * cpu_batch] to [k * cpu_batch + cpu_batch - 1] (window 0 starts
+   at task 1), so the [cpu] call in the first task's [tick] opens each
+   window after the first. A window is a header, the length of its body
+   in nibbles and, when that is not 0, the groups, lexprs and phys it
+   meters, all byte varints, then its body, padded to a whole byte. The
+   bytes it meters follow from the three counts. A replay reads the
+   header to advance over the rest of a window in one step (see
+   [jump]).
+
+   A body is a string of nibbles, each a token: a run of tasks of code
+   0 and then one task of another code. Tokens 0-3 are a split after a
+   run of that length, 4-7 a new group with its splits (the search's
+   two common codes, neither ever after a run longer than 3 in the SALES
+   searches), and 8-14 one task of another code in [rare_codes] with no
+   run before it. Token 15 is a run of any length, written as a nibble
+   varint, and the next token has no run. A code holding [k_lexprs] is
+   followed by the split count as a nibble varint, since even a count of
+   0 can reach the env. The body leaves out the run that ends the
+   window, since the window's task count implies it. *)
 
 let k_lexprs = 3
 let k_split = 4
 let k_group = 5
-let max_run = 15
+let group_lexprs = k_group + k_lexprs
+let rare_codes =
+  [| 1; 2; k_lexprs; k_group; k_group + 1; k_group + 2; k_group + k_split |]
+let run_token = 15
 
 type writer = {
-  w_buf : Buffer.t;
+  w_tape : Buffer.t;  (* the windows closed so far *)
+  w_buf : Buffer.t;  (* the open window's body, whole bytes of it *)
+  mutable w_nibbles : int;  (* its length in nibbles *)
+  mutable w_low : int;  (* its last nibble, while it has an odd length *)
   mutable w_run : int;  (* tasks of code 0 not yet written *)
   mutable w_code : int;  (* the current task's code so far *)
   mutable w_count : int;  (* its split count, when it holds [k_lexprs] *)
+  mutable w_groups : int;  (* the meter's counts when the window opened *)
+  mutable w_lexprs : int;
+  mutable w_phys : int;
 }
 
 type meter = {
@@ -359,35 +385,78 @@ let tick m =
   m.cpu_pending <- m.cpu_pending + 1;
   if m.cpu_pending >= cpu_batch then flush_cpu m
 
-let add_byte w b = Buffer.add_char w.w_buf (Char.unsafe_chr b)
+let add_byte buf b = Buffer.add_char buf (Char.unsafe_chr b)
 
-let rec add_varint w n =
-  if n < 0x80 then add_byte w n
+let rec add_varint buf n =
+  if n < 0x80 then add_byte buf n
   else begin
-    add_byte w (0x80 lor (n land 0x7f));
-    add_varint w (n lsr 7)
+    add_byte buf (0x80 lor (n land 0x7f));
+    add_varint buf (n lsr 7)
   end
 
-let end_task w =
-  if w.w_code = 0 then w.w_run <- w.w_run + 1
+(* A byte holds two nibbles, the first in its low half. *)
+let add_nibble w n =
+  if w.w_nibbles land 1 = 0 then w.w_low <- n
+  else add_byte w.w_buf (w.w_low lor (n lsl 4));
+  w.w_nibbles <- w.w_nibbles + 1
+
+(* Three bits a nibble, the top bit set on all but the last. *)
+let rec add_nibble_varint w n =
+  if n < 8 then add_nibble w n
   else begin
-    while w.w_run > max_run do
-      add_byte w (max_run lsl 4);
-      w.w_run <- w.w_run - max_run
-    done;
-    add_byte w ((w.w_run lsl 4) lor w.w_code);
-    if w.w_code mod k_group = k_lexprs then add_varint w w.w_count;
+    add_nibble w (8 lor (n land 7));
+    add_nibble_varint w (n lsr 3)
+  end
+
+let rec rare_token code k =
+  if rare_codes.(k) = code then 8 + k else rare_token code (k + 1)
+
+let end_task w =
+  let code = w.w_code and run = w.w_run in
+  if code = 0 then w.w_run <- run + 1
+  else begin
+    let run =
+      if run > 3 || (run > 0 && code <> k_split && code <> group_lexprs)
+      then begin
+        add_nibble w run_token;
+        add_nibble_varint w run;
+        0
+      end
+      else run
+    in
+    add_nibble w
+      (if code = k_split then run
+       else if code = group_lexprs then 4 + run
+       else rare_token code 0);
+    if code mod k_group = k_lexprs then add_nibble_varint w w.w_count;
     w.w_run <- 0;
     w.w_code <- 0
   end
 
-let close_tape w =
-  while w.w_run > 0 do
-    let r = min w.w_run max_run in
-    add_byte w (r lsl 4);
-    w.w_run <- w.w_run - r
-  done;
-  Buffer.contents w.w_buf
+(* Write the open window, its header then its body, and open the next.
+   The run not yet written ends the window, so it is dropped. *)
+let close_window w m =
+  w.w_run <- 0;
+  if w.w_nibbles land 1 = 1 then add_byte w.w_buf w.w_low;
+  add_varint w.w_tape w.w_nibbles;
+  if w.w_nibbles > 0 then begin
+    add_varint w.w_tape (m.groups - w.w_groups);
+    add_varint w.w_tape (m.lexprs - w.w_lexprs);
+    add_varint w.w_tape (m.phys - w.w_phys)
+  end;
+  Buffer.add_buffer w.w_tape w.w_buf;
+  Buffer.clear w.w_buf;
+  w.w_nibbles <- 0;
+  w.w_groups <- m.groups;
+  w.w_lexprs <- m.lexprs;
+  w.w_phys <- m.phys
+
+(* The task ends a window. *)
+let window_last t = t mod cpu_batch = cpu_batch - 1
+
+let close_tape w m =
+  if m.tasks > 0 && not (window_last m.tasks) then close_window w m;
+  Buffer.contents w.w_tape
 
 (* ------------------------------------------------------------------ *)
 (* The live search *)
@@ -648,10 +717,20 @@ let plan_of s ~root ~seed ~(seed_join : Plan.t) =
    is smaller. A replay that reaches the end of its tape before its
    budget extends it: it takes a longer recording another replay made
    meanwhile, or records anew to twice the length, or its budget if
-   that is smaller, and reads on from the same task. A replay drives
-   the instance's own meter from the tape, task by task: the budget
-   check, the [should_stop] poll, [tick] and the task's allocations, so
-   the env sees what it sees of the live search.
+   that is smaller, and reads on from the same task.
+
+   A replay drives the instance's own meter from the tape, so the env
+   sees what it sees of the live search, with one difference {!Env.t}
+   allows: nothing the search can see changes between two env calls
+   other than polls, so a run of polls between two such calls is polled
+   once. After each task that may have called the env, the replay makes
+   the budget check and the [should_stop] poll, then advances in one
+   step over the tasks ahead that call nothing: the rest of the window
+   when its bytes fit in the credit, else the run of tasks that meter
+   nothing. It decodes task by task, with [tick] and each allocation,
+   only where that step cannot reach: the first task of each window,
+   whose [tick] calls [cpu], a task whose allocation may pass the
+   credit, and a window in which the budget ends.
 
    A recording notes the first task after which the root had been
    offered something. An instance whose budget reaches that task
@@ -681,7 +760,7 @@ type recording = {
   r_complete : bool;  (* the search emptied its task stack at [r_tasks] *)
 }
 
-(* A memo's recordings, the arena and tape buffer the recorder reuses,
+(* A memo's recordings, the arena and tape buffers the recorder reuses,
    and the free arenas of its live searches: compiles suspend at
    governor gateways, so searches in flight need distinct arenas, and
    the pool settles at the most that ran at once. Made by the memo's
@@ -691,6 +770,7 @@ type memo_state = {
   entries : recording Keys.t;
   recorder : arena;
   tape_buf : Buffer.t;
+  window_buf : Buffer.t;
   mutable spare : arena list;
 }
 
@@ -710,6 +790,7 @@ let memo_state memo =
           entries = Keys.create 64;
           recorder = create_arena ();
           tape_buf = Buffer.create 4096;
+          window_buf = Buffer.create 256;
           spare = [];
         }
       in
@@ -738,17 +819,32 @@ let silent () = create_meter Env.null ~task_cpu:0.0
    start. *)
 let record st ~model ~card ~q ~idx_bits ~upto =
   Buffer.clear st.tape_buf;
+  Buffer.clear st.window_buf;
   let s, root =
     start_search ~arena:st.recorder ~m:(silent ()) ~model ~card ~q ~idx_bits
   in
   let a = s.arena and m = s.m in
-  let w = { w_buf = st.tape_buf; w_run = 0; w_code = 0; w_count = 0 } in
+  let w =
+    {
+      w_tape = st.tape_buf;
+      w_buf = st.window_buf;
+      w_nibbles = 0;
+      w_low = 0;
+      w_run = 0;
+      w_code = 0;
+      w_count = 0;
+      w_groups = m.groups;
+      w_lexprs = m.lexprs;
+      w_phys = m.phys;
+    }
+  in
   m.tape <- Some w;
   let offered = ref (if root_offered a root then 0 else max_int) in
   while a.top > 0 && m.tasks < upto do
     let logged = a.n_log in
     step s;
     end_task w;
+    if window_last m.tasks then close_window w m;
     if
       !offered = max_int && a.n_log > logged
       && entry_group a.log.(logged) = root
@@ -756,13 +852,13 @@ let record st ~model ~card ~q ~idx_bits ~upto =
   done;
   {
     r_tasks = m.tasks;
-    r_tape = close_tape w;
+    r_tape = close_tape w m;
     r_offered = !offered;
     r_complete = a.top = 0;
   }
 
 (* A replay: the instance's context, the recording it reads and its
-   place in the tape. *)
+   place in the tape and in the current window. *)
 type cursor = {
   st : memo_state;
   key : key;
@@ -772,9 +868,18 @@ type cursor = {
   c_bits : int;
   budget : int;
   mutable r : recording;
-  mutable pos : int;
-  mutable run : int;  (* tasks of code 0 left in the current byte *)
+  mutable pos : int;  (* in nibbles *)
+  mutable run : int;  (* tasks of code 0 left before [next] *)
   mutable next : int;  (* the code of the task after them, or 0 *)
+  mutable w_end : int;  (* the nibble where the window's body ends *)
+  mutable w_last : int;  (* the window's last task, 0 before the first *)
+  (* The meter's counts when the window opened, and when it closes. *)
+  mutable b_groups : int;
+  mutable b_lexprs : int;
+  mutable b_phys : int;
+  mutable e_groups : int;
+  mutable e_lexprs : int;
+  mutable e_phys : int;
 }
 
 (* The recording to replay for an instance, made now if the key has
@@ -807,11 +912,20 @@ let recording_for memo params ~model ~card ~q ~idx_bits ~budget =
         pos = 0;
         run = 0;
         next = 0;
+        w_end = 0;
+        w_last = 0;
+        b_groups = 0;
+        b_lexprs = 0;
+        b_phys = 0;
+        e_groups = 0;
+        e_lexprs = 0;
+        e_phys = 0;
       }
 
+(* Headers are whole bytes, at an even nibble. *)
 let read_byte c =
-  let b = Char.code c.r.r_tape.[c.pos] in
-  c.pos <- c.pos + 1;
+  let b = Char.code c.r.r_tape.[c.pos lsr 1] in
+  c.pos <- c.pos + 2;
   b
 
 let rec read_varint c shift acc =
@@ -819,29 +933,91 @@ let rec read_varint c shift acc =
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b < 0x80 then acc else read_varint c (shift + 7) acc
 
-(* Place the cursor after the first [n] tasks of its tape. *)
+let read_nibble c =
+  let b = Char.code c.r.r_tape.[c.pos lsr 1] in
+  let n = (b lsr ((c.pos land 1) * 4)) land 15 in
+  c.pos <- c.pos + 1;
+  n
+
+let rec read_nibble_varint c shift acc =
+  let n = read_nibble c in
+  let acc = acc lor ((n land 7) lsl shift) in
+  if n < 8 then acc else read_nibble_varint c (shift + 3) acc
+
+(* Read the next token into [c.run] and [c.next]. *)
+let read_token c =
+  let t = read_nibble c in
+  if t < 4 then begin
+    c.run <- t;
+    c.next <- k_split
+  end
+  else if t < 8 then begin
+    c.run <- t - 4;
+    c.next <- group_lexprs
+  end
+  else if t < run_token then begin
+    c.run <- 0;
+    c.next <- rare_codes.(t - 8)
+  end
+  else begin
+    c.run <- read_nibble_varint c 0 0;
+    c.next <- 0
+  end
+
+(* Nibble [p] rounded up to the first of a byte: where the header after
+   a body that ends at [p] starts. *)
+let byte_up p = (p + 1) land lnot 1
+
+(* Read the header of the window after [c.pos], which holds task [t] and
+   opened on the counts in [c]'s [b_] fields. *)
+let open_window c t =
+  c.pos <- byte_up c.pos;
+  let len = read_varint c 0 0 in
+  let groups = if len = 0 then 0 else read_varint c 0 0 in
+  let lexprs = if len = 0 then 0 else read_varint c 0 0 in
+  let phys = if len = 0 then 0 else read_varint c 0 0 in
+  c.w_end <- c.pos + len;
+  c.w_last <- (t / cpu_batch * cpu_batch) + cpu_batch - 1;
+  c.e_groups <- c.b_groups + groups;
+  c.e_lexprs <- c.b_lexprs + lexprs;
+  c.e_phys <- c.b_phys + phys
+
+(* Place the cursor after the first [n] tasks of its tape. The window
+   that holds task [n] is the one the cursor is in, so the counts it
+   opened on stand. *)
 let skip c n =
   c.pos <- 0;
   c.run <- 0;
   c.next <- 0;
-  let left = ref n in
-  while !left > 0 do
-    if c.run > 0 then begin
-      let k = Int.min c.run !left in
-      c.run <- c.run - k;
-      left := !left - k
-    end
-    else if c.next <> 0 then begin
-      if c.next mod k_group = k_lexprs then ignore (read_varint c 0 0);
-      c.next <- 0;
-      decr left
-    end
-    else begin
-      let b = read_byte c in
-      c.run <- b lsr 4;
-      c.next <- b land 15
-    end
-  done
+  c.w_end <- 0;
+  c.w_last <- 0;
+  if n > 0 then begin
+    for _ = 1 to n / cpu_batch do
+      c.pos <- byte_up c.pos;
+      let len = read_varint c 0 0 in
+      if len > 0 then
+        for _ = 1 to 3 do
+          ignore (read_varint c 0 0)
+        done;
+      c.pos <- c.pos + len
+    done;
+    open_window c n;
+    let left = ref (n - Int.max 1 (n / cpu_batch * cpu_batch) + 1) in
+    while !left > 0 do
+      if c.run > 0 then begin
+        let k = Int.min c.run !left in
+        c.run <- c.run - k;
+        left := !left - k
+      end
+      else if c.next <> 0 then begin
+        if c.next mod k_group = k_lexprs then ignore (read_nibble_varint c 0 0);
+        c.next <- 0;
+        decr left
+      end
+      else if c.pos < c.w_end then read_token c
+      else left := 0
+    done
+  end
 
 (* The tape ends before the budget: read on from a longer recording.
    True when that recording has the root offered within the budget. *)
@@ -863,14 +1039,23 @@ let extend c =
   skip c at;
   r.r_offered <= c.budget
 
-(* Meter one task's allocations as the recorded search did. *)
+(* Meter one task's allocations as the recorded search did. The first
+   task of a window reads its header first. A task past the window's
+   body ends it and meters nothing. *)
 let rec replay_task m c =
   if c.run > 0 then c.run <- c.run - 1
   else if c.next = 0 then begin
-    let b = read_byte c in
-    c.run <- b lsr 4;
-    c.next <- b land 15;
-    replay_task m c
+    if m.tasks > c.w_last then begin
+      c.b_groups <- m.groups;
+      c.b_lexprs <- m.lexprs;
+      c.b_phys <- m.phys;
+      open_window c m.tasks;
+      replay_task m c
+    end
+    else if c.pos < c.w_end then begin
+      read_token c;
+      replay_task m c
+    end
   end
   else begin
     let code = c.next in
@@ -883,28 +1068,81 @@ let rec replay_task m c =
       else code
     in
     if kind = k_split then meter_split m
-    else if kind = k_lexprs then meter_lexprs m (read_varint c 0 0)
+    else if kind = k_lexprs then meter_lexprs m (read_nibble_varint c 0 0)
     else if kind > 0 then meter_leaf m kind
   end
 
-(* The live loop's checks, in its order, with [replay_task] for the
-   task. At the tape's end an unfinished search extends it first, and
-   when the extension finds the root offered within the budget, [live ()]
-   continues the search live from this task's checks on, so the env sees
-   each task's poll once. *)
-let rec run_replay m c ~honor ~live =
-  if m.tasks <> c.r.r_tasks then replay_step m c ~honor ~live
+(* Advance over the run of tasks ahead that meter nothing, to [stop] at
+   most. Past the window's body, that is the rest of the window. *)
+let rec skip_zeros m c ~stop moved =
+  if m.tasks < stop && c.run = 0 && c.next = 0 then begin
+    if c.pos < c.w_end then read_token c
+    else c.run <- Int.min c.w_last c.r.r_tasks - m.tasks
+  end;
+  let k = Int.min c.run (stop - m.tasks) in
+  if k <= 0 then moved
+  else begin
+    c.run <- c.run - k;
+    m.tasks <- m.tasks + k;
+    m.cpu_pending <- m.cpu_pending + k;
+    skip_zeros m c ~stop true
+  end
+
+(* Advance over the tasks ahead that call no env, as far as the window,
+   the tape and the budget allow, and say whether the cursor moved. No
+   [tick] within a window calls [cpu], so only allocations can. When the
+   bytes left in the window are below the credit, none of them does:
+   each finds a credit above 0 that covers it, even an allocation of 0
+   bytes, which calls the env when the credit is 0. The meter then takes
+   the counts the window closes on, and owes its bytes. Otherwise only
+   the run of tasks before the next one that meters something is sure
+   to call nothing. *)
+let jump m c =
+  let stop = Int.min c.w_last c.r.r_tasks in
+  if m.tasks >= stop then false
+  else
+    let bytes =
+      (group_bytes * (c.e_groups - m.groups))
+      + (lexpr_bytes * (c.e_lexprs - m.lexprs))
+      + (phys_bytes * (c.e_phys - m.phys))
+    in
+    if bytes < m.credit && stop <= c.budget then begin
+      m.cpu_pending <- m.cpu_pending + (stop - m.tasks);
+      m.tasks <- stop;
+      m.groups <- c.e_groups;
+      m.lexprs <- c.e_lexprs;
+      m.phys <- c.e_phys;
+      m.allocated <- m.allocated + bytes;
+      m.credit <- m.credit - bytes;
+      m.owed <- m.owed + bytes;
+      c.pos <- c.w_end;
+      c.run <- 0;
+      c.next <- 0;
+      true
+    end
+    else skip_zeros m c ~stop:(Int.min stop c.budget) false
+
+(* The live loop's checks, in its order, then [jump], or [tick] and
+   [replay_task] for one task. [polled] says that no env call has
+   happened since the last poll, so the next is not needed. At the
+   tape's end an unfinished search extends it first, and when the
+   extension finds the root offered within the budget, [live ()]
+   continues the search live from this task's checks on. *)
+let rec run_replay m c ~honor ~live ~polled =
+  if m.tasks <> c.r.r_tasks then replay_step m c ~honor ~live ~polled
   else if c.r.r_complete then Complete
   else if m.tasks < c.budget && extend c then live ()
-  else replay_step m c ~honor ~live
+  else replay_step m c ~honor ~live ~polled
 
-and replay_step m c ~honor ~live =
+and replay_step m c ~honor ~live ~polled =
   if m.tasks >= c.budget then Budget_exhausted
-  else if honor && m.env.Env.should_stop () then Stopped_early
+  else if (not polled) && honor && m.env.Env.should_stop () then Stopped_early
+  else if (not polled) && jump m c then
+    run_replay m c ~honor ~live ~polled:true
   else begin
     tick m;
     if c.run > 0 then c.run <- c.run - 1 else replay_task m c;
-    run_replay m c ~honor ~live
+    run_replay m c ~honor ~live ~polled:false
   end
 
 (* Return a live search's arena to the memo it was borrowed from. A
@@ -994,7 +1232,7 @@ let optimize ?(params = default_params) ?arena ?replay ~env model cat q =
           meter_group m;
           alloc m (phys_bytes * Plan.n_operators seed_join);
           best_so_far_on_oom (fun () ->
-              run_replay m c ~honor ~live:(fun () ->
+              run_replay m c ~honor ~polled:false ~live:(fun () ->
                   run_live (start_live ~skip:m.tasks) ~budget ~honor))
       | None ->
           let s = start_live ~skip:0 in

@@ -47,8 +47,9 @@
     its plan. Given a {!replay_memo}, {!optimize} records that course
     silently, once per key and server, extending the recording only when
     an instance runs past its end, and replays it for every instance:
-    the same env calls, the same aborts, the same stats and the same
-    plan as the live search, at about a tenth of a live task's cost. *)
+    the same [alloc] and [cpu] calls, the same aborts, the same stats
+    and the same plan as the live search, with one [should_stop] poll
+    per stretch between env calls instead of one per task. *)
 
 (** Metered bytes per physical alternative costed (18 KiB). A memo group
     costs 72 KiB and a recorded logical split 18 KiB. *)
@@ -121,11 +122,19 @@ val create_arena : unit -> arena
     with no env calls (so it never suspends), to 16384 tasks or its
     budget if that is smaller, and stores its per-task allocation
     stream: the run length of each stretch of tasks that allocate
-    nothing, and the kind of each allocation. Every compile of the key
-    then replays that stream through its own env, task by task: the
-    budget check, the [should_stop] poll, the CPU batching and each
-    allocation with its credit, so a replay is observationally a live
-    search. A replay that reaches the end of the stream before its
+    nothing, and the kind of each allocation, cut into windows of one
+    CPU batch, each with a header of the groups, logical splits and
+    physical alternatives it meters. Every compile of the key then
+    replays that stream through its own env. After each task that may
+    call the env, it makes the budget check and the [should_stop] poll
+    and then advances in one step over the tasks ahead that call
+    nothing: the rest of the window when its bytes fit in the credit,
+    else the run of tasks that allocate nothing. Only the tasks that may
+    call the env are replayed one at a time, with their CPU batching and
+    each allocation with its credit. So a replay makes the live search's
+    [alloc] and [cpu] calls, and polls once per stretch between them
+    where the live search polls before every task, which {!Env.t}
+    allows. A replay that reaches the end of the stream before its
     budget extends it, recording silently to twice the length (or the
     budget), and reads on.
 

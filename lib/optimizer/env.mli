@@ -23,7 +23,14 @@
     [alloc]. It must return 0 when the next allocation must reach it:
     when it records or counts every call, when a per-call hook may fire,
     or when this call left state that the next call acts on. With a
-    credit of 0 every allocation calls [alloc]. *)
+    credit of 0 every allocation calls [alloc].
+
+    {b Polls.} The answer of [should_stop] may change only inside a [cpu]
+    or [alloc] call, never between two of them, and a poll itself changes
+    nothing. So a search may poll once per stretch between two such
+    calls: a live search polls before every task, a replay once after
+    each call, and the two see the same answers. An environment that
+    counts or logs polls sees fewer of them from a replay. *)
 
 type abort_reason = Gateway_timeout of string | Out_of_memory
 
@@ -35,7 +42,8 @@ type t = {
       (** meter [n] more bytes of compile memory; returns the credit *)
   cpu : float -> unit;  (** consume simulated CPU seconds *)
   should_stop : unit -> bool;
-      (** broker predicts memory exhaustion: wrap up with the best plan *)
+      (** broker predicts memory exhaustion: wrap up with the best plan;
+          constant between two [alloc] or [cpu] calls *)
 }
 
 (** No-op environment (pure optimization); its credit is [max_int]. *)

@@ -589,12 +589,13 @@ let test_cascades_memory_grows_with_query_size () =
 let test_cascades_stop_early () =
   let cat = star_catalog ~dims:10 ~fact_rows:1_000_000 ~dim_rows:5_000 in
   let q = star_query ~dims:10 cat in
+  (* The broker raises the signal while the compile waits for CPU. *)
   let calls = ref 0 in
   let env =
     {
       Env.alloc = (fun _ -> max_int);
-      cpu = (fun _ -> ());
-      should_stop = (fun () -> incr calls; !calls > 50);
+      cpu = (fun _ -> incr calls);
+      should_stop = (fun () -> !calls > 0);
     }
   in
   (match Cascades.optimize ~env model cat q with
@@ -929,30 +930,71 @@ let snowflake_cat_query rs ~n =
   in
   (cat, Query.make ~id:"snow" ~rels ~preds ~filters ~agg)
 
-type env_call = Alloc of int | Cpu of int64 | Poll
+type env_call = Alloc of int | Cpu of int64 | Poll of bool
 
-(* An environment that logs every call, turns [should_stop] true after
-   [stop_after] polls and raises [abort] on allocation number
-   [abort_at]. Every [alloc] grants [credit] (default 0). *)
-let logging_env ?(credit = 0) ~stop_after ~abort_at ~abort () =
-  let log = ref [] and polls = ref 0 and allocs = ref 0 in
+(* An environment that logs every call with its bytes or its answer,
+   turns [should_stop] true after [stop_after] [alloc] and [cpu] calls,
+   and raises [abort] on allocation number [abort_at]. Every [alloc]
+   grants [credit] (default 0), or with [~cap:(seed, n)] a credit of 0
+   to [n] physical alternatives' bytes drawn from [seed], as the
+   governor caps its credit by free memory. Every metered size is a
+   multiple of those bytes, so the credit often equals the bytes still
+   to come. As {!Env.t} requires, its answer changes only inside
+   [alloc] or [cpu]. *)
+let logging_env ?(credit = 0) ?cap ~stop_after ~abort_at ~abort () =
+  let log = ref [] and calls = ref 0 and allocs = ref 0 in
+  let grant =
+    match cap with
+    | None -> fun () -> credit
+    | Some (seed, n) ->
+        let rs = Random.State.make [| seed |] in
+        fun () -> Cascades.phys_bytes * Random.State.int rs (n + 1)
+  in
   let env =
     {
       Env.alloc =
         (fun n ->
           log := Alloc n :: !log;
+          incr calls;
           incr allocs;
           if !allocs = abort_at then raise (Env.Aborted abort);
-          credit);
-      cpu = (fun x -> log := Cpu (Int64.bits_of_float x) :: !log);
+          grant ());
+      cpu =
+        (fun x ->
+          log := Cpu (Int64.bits_of_float x) :: !log;
+          incr calls);
       should_stop =
         (fun () ->
-          log := Poll :: !log;
-          incr polls;
-          !polls > stop_after);
+          let stop = !calls > stop_after in
+          log := Poll stop :: !log;
+          stop);
     }
   in
   (env, log)
+
+(* The [alloc] and [cpu] calls of a log. *)
+let env_calls log =
+  List.length (List.filter (function Poll _ -> false | _ -> true) log)
+
+(* The log with each run of polls between two other calls cut to one,
+   as a replay polls: {!Env.t} lets a search poll once per run. Fails
+   the property if the polls of one run answered differently. [answer]
+   is [Some] of a poll's answer, [None] for another call. *)
+let collapse_polls answer log =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | x :: rest -> (
+        match (answer x, acc) with
+        | Some a, y :: _ when answer y <> None ->
+            if answer y <> Some a then
+              QCheck.Test.fail_report
+                "the polls of one run answered differently";
+            go acc rest
+        | _ -> go (x :: acc) rest)
+  in
+  go [] log
+
+let poll_answer = function Poll a -> Some a | _ -> None
 
 let same_result a b =
   match (a, b) with
@@ -1058,10 +1100,14 @@ let prop_cascades_matches_reference =
    times, and may raise the stop flag; a crossing allocation may also
    abort. Run once granting the room below the gate as credit and once
    granting none, a search must act the same: the same result, the same
-   [cpu] calls and [should_stop] polls in the same order, and the same
-   bytes metered between consecutive [cpu] calls. *)
+   [cpu] calls, gate crossings and [should_stop] polls in the same
+   order, and the same bytes metered between consecutive [cpu] calls. *)
 
-type gated_call = Cpu_call of int64 * int | Poll_call | End_bytes of int
+type gated_call =
+  | Cpu_call of int64 * int
+  | Crossed  (* an allocation crossed the gate *)
+  | Poll_call of bool
+  | End_bytes of int
 
 let gated_env ~seed ~grant =
   let rs = Random.State.make [| seed |] in
@@ -1080,6 +1126,7 @@ let gated_env ~seed ~grant =
           usage := !usage + n;
           since_cpu := !since_cpu + n;
           if !usage > !gate then begin
+            log := Crossed :: !log;
             move ();
             if Random.State.int rs 80 = 0 then
               raise
@@ -1095,7 +1142,7 @@ let gated_env ~seed ~grant =
           move ());
       should_stop =
         (fun () ->
-          log := Poll_call :: !log;
+          log := Poll_call !stop :: !log;
           !stop);
     }
   in
@@ -1225,8 +1272,17 @@ let prop_replay_matches_live =
         let r = Cascades.optimize ~params ?replay ~env model cat q in
         (r, log ())
       in
+      let collapse = function
+        | Logged log -> Logged (collapse_polls poll_answer log)
+        | Gated (log, calls) ->
+            Gated
+              ( collapse_polls
+                  (function Poll_call a -> Some a | _ -> None)
+                  log,
+                calls )
+      in
       let same (a, la) (b, lb) =
-        same_result a b && la = lb
+        same_result a b && collapse la = collapse lb
         &&
         match (a, b) with
         | Ok x, Ok y -> x.Cascades.stats = y.Cascades.stats
@@ -1315,6 +1371,115 @@ let test_replay_keys () =
     Alcotest.(check bool) "chain: replayed = live, env calls included" true
       (run ~replay:memo () = live)
   done
+
+(* A star whose fact table, its smallest relation, lists no neighbour of
+   its own. The greedy seed still joins every dimension to it, but no
+   left side of the root is connected, so the search meters the root's
+   splits as [alloc 0] and completes after two tasks. [Query.make]
+   accepts no such query: a connected set always has a split, so only a
+   search's first task can meter 0 bytes. *)
+let splitless_root_query rs =
+  let dims = 2 + Random.State.int rs 6 in
+  let cat =
+    star_catalog ~dims ~fact_rows:10 ~dim_rows:(50 + Random.State.int rs 5_000)
+  in
+  let q = star_query ~dims cat in
+  let adj = Array.copy q.Query.adj in
+  adj.(0) <- Relset.empty;
+  (cat, { q with Query.adj })
+
+(* A replay under the credit the governor grants on a full machine, with
+   the live search as the per-task oracle. Each [alloc] grants 0 to a
+   few physical alternatives' bytes, so the rest of a window often does
+   not fit and the replay meters task by task until it does; a cap of 0
+   leaves only runs of tasks that meter nothing to skip, and a cap of
+   1000 lets most windows fit. Budgets end mid-window. The memo is
+   pre-seeded with a shorter budget of the same key, so that the tape
+   ends mid-window and is extended, or with a longer one, so that the
+   budget ends inside a recorded window. The stop flag rises after a
+   random count of env calls, and an allocation may abort. Result,
+   stats and env calls (every [alloc] with its bytes and every [cpu], in
+   order) must be the live search's, with each run of polls cut to
+   one. *)
+let prop_replay_capped_credit =
+  QCheck.Test.make ~name:"replay under a capped credit = live search"
+    ~count:300 (QCheck.int_bound 1_000_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let cat, q =
+        if Random.State.int rs 8 = 0 then splitless_root_query rs
+        else pick_query rs
+      in
+      let params =
+        { (pick_params rs) with Cascades.honor_stop_early = Random.State.int rs 4 > 0 }
+      in
+      let cap =
+        ( Random.State.bits rs,
+          match Random.State.int rs 5 with
+          | 0 -> 0
+          | 1 -> 1 + Random.State.int rs 4
+          | 2 -> 1_000
+          | _ -> Random.State.int rs 40 )
+      in
+      let stop_after =
+        if Random.State.int rs 3 > 0 then max_int else Random.State.int rs 400
+      in
+      let abort =
+        if Random.State.int rs 4 = 0 then Env.Gateway_timeout "gate"
+        else Env.Out_of_memory
+      in
+      let run ?replay ~abort_at q =
+        let env, log = logging_env ~cap ~stop_after ~abort_at ~abort () in
+        let r = Cascades.optimize ~params ?replay ~env model cat q in
+        (r, collapse_polls poll_answer (List.rev !log))
+      in
+      let abort_at =
+        let allocs =
+          List.length
+            (List.filter (function Alloc _ -> true | _ -> false)
+               (snd (run ~abort_at:0 q)))
+        in
+        if allocs = 0 || Random.State.int rs 3 > 0 then 0
+        else 1 + Random.State.int rs allocs
+      in
+      let budget q =
+        match Cascades.optimize ~params ~env:Env.null model cat q with
+        | Ok r -> r.Cascades.stats.Cascades.budget
+        | Error _ -> 0
+      in
+      (* A shorter budget's tape ends before this one's budget; a longer
+         one's runs past it, so the budget ends inside a window. *)
+      let target = budget q in
+      let scaled = List.map (scale_joins q) [ 1e-4; 1e-2; 0.5; 2.0; 1e2 ] in
+      let memo = Cascades.create_replay_memo () in
+      (match
+         List.find_opt
+           (if Random.State.bool rs then fun v -> budget v < target
+            else fun v -> budget v > target)
+           scaled
+       with
+      | Some v when Random.State.int rs 4 > 0 ->
+          ignore
+            (Cascades.optimize ~params ~replay:memo ~env:Env.null model cat v)
+      | _ -> ());
+      let live = run ~abort_at q in
+      let same (r, log) (r', log') =
+        same_result r r' && log = log'
+        &&
+        match (r, r') with
+        | Ok x, Ok y -> x.Cascades.stats = y.Cascades.stats
+        | _ -> true
+      in
+      let first = run ~replay:memo ~abort_at q in
+      let later = run ~replay:memo ~abort_at q in
+      if same first live && same later live then true
+      else
+        QCheck.Test.fail_reportf
+          "query %s (%d rels), min %d max %d honor %b cap %d stop_after %d \
+           abort_at %d: first %b, later %b"
+          q.Query.qid (Query.n_rels q) params.Cascades.min_tasks
+          params.Cascades.max_tasks params.Cascades.honor_stop_early (snd cap)
+          stop_after abort_at (same first live) (same later live))
 
 (* ------------------------------------------------------------------ *)
 (* Pricing at plan-build time. The search logs each split whose
@@ -1433,7 +1598,7 @@ let prop_priced_matches_reference =
     (fun seed ->
       let rs = Random.State.make [| seed |] in
       let cat, q = pick rs in
-      let run ?arena ~stop_after ~abort_at () =
+      let run ?(params = params) ?arena ~stop_after ~abort_at () =
         let env, log =
           logging_env ~stop_after ~abort_at ~abort:Env.Out_of_memory ()
         in
@@ -1447,6 +1612,12 @@ let prop_priced_matches_reference =
       let allocs log =
         List.length (List.filter (function Alloc _ -> true | _ -> false) log)
       in
+      (* The search cut at [b] tasks by its budget. *)
+      let upto b =
+        run
+          ~params:{ params with Cascades.min_tasks = b; max_tasks = b }
+          ~stop_after:max_int ~abort_at:0 ()
+      in
       let complete = run ~stop_after:max_int ~abort_at:0 () in
       let total = (stats complete).Cascades.tasks in
       (* The fewest tasks after which the root has a logged split. *)
@@ -1454,16 +1625,26 @@ let prop_priced_matches_reference =
         if lo >= hi then lo
         else
           let mid = (lo + hi) / 2 in
-          if (stats (run ~stop_after:mid ~abort_at:0 ())).Cascades.costed > 0
-          then first_priced lo mid
+          if (stats (upto mid)).Cascades.costed > 0 then first_priced lo mid
           else first_priced (mid + 1) hi
       in
       let k0 = first_priced 0 total in
+      (* A stop flag raised after the calls of the first [k0] tasks (and
+         the cut search's closing [cpu] call) and before the last poll. *)
+      let c0 = env_calls (snd (upto k0)) in
+      let c1 =
+        let rec before_last_poll n seen = function
+          | [] -> seen
+          | Poll _ :: rest -> before_last_poll n n rest
+          | _ :: rest -> before_last_poll (n + 1) seen rest
+        in
+        before_last_poll 0 0 (snd complete)
+      in
       let stop_after, abort_at =
-        if Random.State.bool rs then
-          (k0 + Random.State.int rs (total - k0), 0)
+        if c1 > c0 && Random.State.bool rs then
+          (c0 + Random.State.int rs (c1 - c0), 0)
         else begin
-          let a0 = allocs (snd (run ~stop_after:k0 ~abort_at:0 ())) in
+          let a0 = allocs (snd (upto k0)) in
           let a1 = allocs (snd complete) in
           (max_int, a0 + 1 + Random.State.int rs (a1 - a0))
         end
@@ -1523,7 +1704,6 @@ let prop_replay_rebuilds_priced_memo =
       honor_stop_early = true;
     }
   in
-  let unbounded = { params with Cascades.min_tasks = 2_000_000 } in
   QCheck.Test.make ~name:"replay past the root's offer = live search"
     ~count:60 (QCheck.int_bound 1_000_000_000)
     (fun seed ->
@@ -1534,6 +1714,12 @@ let prop_replay_rebuilds_priced_memo =
         in
         let r = Cascades.optimize ~params ?replay ~env model cat q in
         (r, List.rev !log)
+      in
+      (* The search cut at [b] tasks by its budget. *)
+      let upto b cat q =
+        run
+          ~params:{ params with Cascades.min_tasks = b; max_tasks = b }
+          ~stop_after:max_int ~abort_at:0 cat q
       in
       let stats (r, _) =
         match r with
@@ -1552,10 +1738,8 @@ let prop_replay_rebuilds_priced_memo =
             (cat, chain_query ~len:n cat)
           else snowflake_cat_query rs ~n
         in
-        let probe stop_after =
-          stats (run ~params:unbounded ~stop_after ~abort_at:0 cat q)
-        in
-        let total = (probe max_int).Cascades.tasks in
+        let probe b = stats (upto b cat q) in
+        let total = (probe 2_000_000).Cascades.tasks in
         let rec first_priced lo hi =
           if lo >= hi then lo
           else
@@ -1586,13 +1770,17 @@ let prop_replay_rebuilds_priced_memo =
       let allocs log =
         List.length (List.filter (function Alloc _ -> true | _ -> false) log)
       in
+      (* A stop flag raised after the calls of the first [k0] tasks (and
+         the cut search's closing [cpu] call), or an abort at an
+         allocation after them. *)
       let stop_after, abort_at =
-        if Random.State.bool rs then (k0 + Random.State.int rs (total - k0 + 1), 0)
+        let first = snd (upto k0 cat q) and whole = snd (upto total cat q) in
+        if Random.State.bool rs then begin
+          let c0 = env_calls first and c1 = env_calls whole in
+          (c0 + Random.State.int rs (c1 - c0 + 1), 0)
+        end
         else begin
-          let probe stop_after =
-            snd (run ~params:unbounded ~stop_after ~abort_at:0 cat q)
-          in
-          let a0 = allocs (probe k0) and a1 = allocs (probe max_int) in
+          let a0 = allocs first and a1 = allocs whole in
           (max_int, a0 + 1 + Random.State.int rs (a1 - a0))
         end
       in
@@ -1602,7 +1790,8 @@ let prop_replay_rebuilds_priced_memo =
       let got = run ~replay ~stop_after ~abort_at cat q in
       let later = run ~replay ~stop_after ~abort_at cat q in
       let same (r, log) (r', log') =
-        same_result r r' && stats (r, log) = stats (r', log') && log = log'
+        same_result r r' && stats (r, log) = stats (r', log')
+        && collapse_polls poll_answer log = collapse_polls poll_answer log'
       in
       if (stats live).Cascades.costed = 0 then
         QCheck.Test.fail_reportf "%s: live search not priced" q.Query.qid
@@ -1614,7 +1803,10 @@ let prop_replay_rebuilds_priced_memo =
            %b, later equal %b"
           q.Query.qid (Query.n_rels q) k0 total stop_after abort_at
           (same_result (fst got) (fst live))
-          (stats got = stats live) (snd got = snd live) (same later live))
+          (stats got = stats live)
+          (collapse_polls poll_answer (snd got)
+          = collapse_polls poll_answer (snd live))
+          (same later live))
 
 (* Join costing allocates nothing per split: 10 000 evaluations move
    the minor-heap counter no more than an empty window does. *)
@@ -1681,6 +1873,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cascades_matches_reference;
     QCheck_alcotest.to_alcotest prop_credit_matches_per_call;
     QCheck_alcotest.to_alcotest prop_replay_matches_live;
+    QCheck_alcotest.to_alcotest prop_replay_capped_credit;
     QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
     QCheck_alcotest.to_alcotest prop_priced_matches_reference;
     QCheck_alcotest.to_alcotest prop_replay_rebuilds_priced_memo;
