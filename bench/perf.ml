@@ -282,6 +282,81 @@ let midcache_bench () =
   in
   per_op ops b
 
+(* The request stream of a midcache_rw cell, for [midcache_statement_bench]:
+   4,000 instances of the cell's traffic mix, and beside each the
+   relation a writer reloads after it, if any. Writes come at the cell's
+   rate (103 writes over 1,352 requests at seed 42), and one in twenty
+   reloads the fact table, as in [Server.Cached]. *)
+let midcache_stream () =
+  let c = Server.Cached.default_config in
+  let templates =
+    Workload.Mix.mixed_templates ~ratio:c.Server.Cached.k_ratio
+      ~variants:c.Server.Cached.k_variants ()
+  in
+  let targets =
+    Array.of_list
+      (List.filter
+         (fun d -> not (List.mem d [ "customer"; "product"; "date_dim" ]))
+         Workload.Sales.dimensions)
+  in
+  let rng = Sim.Rng.create 42 in
+  let queries =
+    Array.init 4000 (fun i ->
+        Workload.Template.instance rng (Workload.Template.pick rng templates)
+          ~id:(i + 1))
+  in
+  let writes =
+    Array.map
+      (fun _ ->
+        if Sim.Rng.float rng 1.0 >= 103. /. 1352. then None
+        else if Sim.Rng.float rng 1.0 < 0.05 then Some Workload.Sales.fact_table
+        else Some targets.(Sim.Rng.int rng (Array.length targets)))
+      queries
+  in
+  (queries, writes)
+
+(* The front end's statement path over that stream, per cache op: each
+   request is a [lookup] (the statement's int, then a get), a miss is
+   followed by a [store] (a put with the statement's relations), and a
+   write by an invalidation, on a fresh cache at the cell's budget and
+   TTL, two simulated seconds per request. Each pass clears the
+   instances' statement-hash memos first, so an instance pays for its
+   identity once per pass, as a fresh one does in the cell. *)
+let midcache_statement_bench () =
+  let iters = if !quick then 3 else 5 in
+  let c = Server.Cached.default_config in
+  let queries, writes = midcache_stream () in
+  let eng = Sim.Engine.create ~seed:1 () in
+  let ops = ref 0 in
+  let b =
+    time_bench ~name:"midcache_statement_ops" ~iters (fun () ->
+        Array.iter (fun q -> q.Optimizer.Query.stmt_hash <- -1) queries;
+        let cache =
+          Midcache.Cache.create ~budget:c.Server.Cached.k_cache_bytes
+            { Midcache.Cache.default_config with ttl = c.Server.Cached.k_ttl }
+        in
+        let fe =
+          Midcache.Frontend.create eng ~cache:(Some cache)
+            ~submit:(fun _ -> Ok ())
+            ()
+        in
+        Array.iteri
+          (fun i q ->
+            let now = 2. *. float_of_int i in
+            incr ops;
+            if Midcache.Frontend.lookup fe ~now q = None then begin
+              incr ops;
+              Midcache.Frontend.store fe ~now q
+            end;
+            match writes.(i) with
+            | Some rel ->
+                incr ops;
+                Midcache.Frontend.write fe ~rels:[ rel ]
+            | None -> ())
+          queries)
+  in
+  per_op (!ops / (iters + 1)) b
+
 (* ------------------------------------------------------------------ *)
 (* Buffer-pool access *)
 
@@ -393,18 +468,25 @@ let governed_alloc_bench () =
 (* Storm-defense hot paths *)
 
 (* Uncontended singleflight enter/exit — the bookkeeping every compile
-   now pays even when no storm is in progress (hash probe, flight
-   record, waitq allocation). Rotating keys keeps the table realistic. *)
+   now pays even when no storm is in progress (statement probe, flight
+   record, waitq allocation). The keys rotate over 128 parameterized
+   SALES statements, built before the clock starts. *)
 let singleflight_bench () =
   let ops = if !quick then 20_000 else 200_000 in
   let iters = if !quick then 3 else 5 in
   let eng = Sim.Engine.create ~seed:1 () in
   let sf = Plancache.Singleflight.create eng in
+  let rng = Sim.Rng.create 1 in
+  let stmts =
+    Array.of_list
+      (List.map
+         (fun t -> Workload.Template.instance rng t ~id:0)
+         (Workload.Sales.parameterized_templates ~variants:128 ()))
+  in
   let b =
     time_bench ~name:"singleflight_ops" ~iters (fun () ->
         for i = 0 to ops - 1 do
-          let key = Printf.sprintf "p%03d" (i land 127) in
-          match Plancache.Singleflight.enter sf ~key () with
+          match Plancache.Singleflight.enter sf stmts.(i land 127) () with
           | `Leader tok -> Plancache.Singleflight.exit sf tok
           | _ -> assert false
         done)
@@ -736,6 +818,7 @@ let () =
         cpu_handoff_bench ();
         block_resume_bench ();
         midcache_bench ();
+        midcache_statement_bench ();
         bufpool;
         governed_alloc_bench ();
         singleflight_bench ();

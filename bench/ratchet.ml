@@ -19,7 +19,8 @@ type point = { wall_ns : float; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
    cost-only Cascades memo and its replay, the pooled event loop, the CPU hand-off
-   queue, a process's block and resume, the flat buffer pool, the
+   queue, a process's block and resume, the mid-tier cache keyed by
+   statement, the flat buffer pool, the
    governor's metered allocation, a clerk's allocation round trip, the
    broker's tick and its trend) and the two whole cells that sum them
    are held to a tight 5% alloc ratchet instead of the global tolerance:
@@ -39,6 +40,7 @@ let tight_alloc_benches =
     "sim_engine_event_loop";
     "cpu_handoff";
     "block_resume";
+    "midcache_statement_ops";
     "bufpool_access";
     "governed_alloc";
     "clerk_alloc_free";

@@ -4,23 +4,24 @@ let default_config = { ttl = 300.; max_entry_bytes = 16 * 1024 * 1024 }
 
 (* Intrusive doubly-linked LRU list: [head] is most-recently-used, [tail]
    is the eviction end. O(1) touch/unlink, no stamp scans. *)
-type entry = {
-  key : string;
+type 'k entry = {
+  key : 'k;
   bytes : int;
   rels : string list;
   expires : float;
-  mutable prev : entry option;  (* toward head (MRU) *)
-  mutable next : entry option;  (* toward tail (LRU) *)
+  mutable prev : 'k entry option;  (* toward head (MRU) *)
+  mutable next : 'k entry option;  (* toward tail (LRU) *)
 }
 
-type t = {
+type 'k t = {
   cfg : config;
   charge : int -> bool;
   release : int -> unit;
-  table : (string, entry) Hashtbl.t;
-  by_rel : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  mutable on_drop : 'k -> unit;
+  table : ('k, 'k entry) Hashtbl.t;
+  by_rel : (string, ('k, unit) Hashtbl.t) Hashtbl.t;
+  mutable head : 'k entry option;
+  mutable tail : 'k entry option;
   mutable budget : int;
   mutable resident : int;
   mutable hits : int;
@@ -41,6 +42,7 @@ let create ?(charge = fun _ -> true) ?(release = fun _ -> ()) ~budget cfg =
     cfg;
     charge;
     release;
+    on_drop = ignore;
     table = Hashtbl.create 1024;
     by_rel = Hashtbl.create 64;
     head = None;
@@ -59,6 +61,8 @@ let create ?(charge = fun _ -> true) ?(release = fun _ -> ()) ~budget cfg =
     shrunk = 0;
     evicted_window = 0;
   }
+
+let set_on_drop t f = t.on_drop <- f
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
@@ -88,9 +92,14 @@ let drop t e reason =
   match reason with
   | `Space ->
       t.evictions <- t.evictions + 1;
-      t.evicted_window <- t.evicted_window + e.bytes
-  | `Expired -> t.expired <- t.expired + 1
-  | `Invalidated -> t.invalidated <- t.invalidated + 1
+      t.evicted_window <- t.evicted_window + e.bytes;
+      t.on_drop e.key
+  | `Expired ->
+      t.expired <- t.expired + 1;
+      t.on_drop e.key
+  | `Invalidated ->
+      t.invalidated <- t.invalidated + 1;
+      t.on_drop e.key
   | `Replaced -> ()
 
 let evict_lru t =
@@ -117,6 +126,7 @@ let get t ~now key =
       t.hits <- t.hits + 1;
       Some e.bytes
 
+let note_miss t = t.misses <- t.misses + 1
 let note_bypass t = t.bypasses <- t.bypasses + 1
 
 let put t ~now ~key ~bytes ~rels =
@@ -171,8 +181,9 @@ let invalidate t rel =
   match Hashtbl.find_opt t.by_rel rel with
   | None -> (0, 0)
   | Some bucket ->
-      (* Sorted for a stable drop order: hook call sequences are part of
-         the deterministic surface. *)
+      (* Sorted for a drop order that does not hang on the bucket's
+         history. No output depends on it: a drop reaches only [release]
+         (sums of bytes), the counters and [on_drop]. *)
       let keys =
         List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) bucket [])
       in

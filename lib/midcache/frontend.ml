@@ -1,9 +1,22 @@
+module Statements = Optimizer.Query.Statements
+
+(* The cache keys by int. [ids] gives the int of each statement the cache
+   holds, and [stmts] and [rels] give, by int, the statement and the
+   relations its result joins. A statement enters when its result is put
+   and leaves when the entry does (the cache's drop hook, or a refused
+   put), so [ids] never holds more than the cache's entries, and the
+   ints of statements that left are handed out again. *)
 type t = {
   eng : Sim.Engine.t;
   trace : Obs.Trace.t;
   hit_latency : float;
-  cache : Cache.t option;
+  cache : int Cache.t option;
   fallthrough : Optimizer.Query.t -> (unit, string) result;
+  ids : int Statements.t;
+  mutable stmts : Optimizer.Query.t array;
+  mutable rels : string list array;
+  mutable free : int list;  (* ints of statements that left *)
+  mutable next_id : int;  (* no int at or above it was handed out *)
   mutable requests : int;
   mutable hits : int;
   mutable misses : int;
@@ -11,33 +24,47 @@ type t = {
   mutable invalidated_entries : int;
 }
 
+(* Fills the slots of ints not in use. *)
+let vacant =
+  Optimizer.Query.make ~id:"" ~rels:[ ("", "") ] ~preds:[] ~filters:[] ~agg:None
+
+let forget t id =
+  Statements.remove t.ids t.stmts.(id);
+  t.stmts.(id) <- vacant;
+  t.rels.(id) <- [];
+  t.free <- id :: t.free
+
 let create ?(trace = Obs.Trace.null) ?(hit_latency = 0.02) eng ~cache ~submit
     () =
-  {
-    eng;
-    trace;
-    hit_latency;
-    cache;
-    fallthrough = submit;
-    requests = 0;
-    hits = 0;
-    misses = 0;
-    bypasses = 0;
-    invalidated_entries = 0;
-  }
+  let t =
+    {
+      eng;
+      trace;
+      hit_latency;
+      cache;
+      fallthrough = submit;
+      ids = Statements.create 1024;
+      stmts = [||];
+      rels = [||];
+      free = [];
+      next_id = 0;
+      requests = 0;
+      hits = 0;
+      misses = 0;
+      bypasses = 0;
+      invalidated_entries = 0;
+    }
+  in
+  Option.iter (fun c -> Cache.set_on_drop c (forget t)) cache;
+  t
 
 (* The SQL text ends with a "-- fingerprint <qid>" comment whose serial
    would make every replayed parameterized statement look distinct; the
-   cache key is the template plus the statement text proper, so identical
-   statements (same shape, same literals) alias as they should. The text
-   is written once, straight into the key's buffer. *)
+   key is the template plus the statement text proper, so identical
+   statements (same shape, same literals) alias as they should. *)
 let key_of_query q =
-  let qid = q.Optimizer.Query.qid in
   let buf = Buffer.create 512 in
-  (* The template: the qid with its "#<serial>" stripped. *)
-  (match String.index_opt qid '#' with
-  | Some i -> Buffer.add_substring buf qid 0 i
-  | None -> Buffer.add_string buf qid);
+  Buffer.add_string buf (Optimizer.Query.template q);
   Buffer.add_char buf '|';
   Optimizer.Query.add_sql_body buf q;
   Buffer.contents buf
@@ -63,47 +90,88 @@ let payload_bytes q =
       max 1 (rows * width)
 
 let rels_of_query q =
-  Array.fold_left
-    (fun acc (r : Optimizer.Query.rel) ->
-      if List.mem r.rtable acc then acc else r.rtable :: acc)
-    [] q.Optimizer.Query.rels
-  |> List.rev
+  let rels = q.Optimizer.Query.rels in
+  let table i = rels.(i).Optimizer.Query.rtable in
+  let rec seen_before i j = j < i && (String.equal (table j) (table i) || seen_before i (j + 1)) in
+  let acc = ref [] in
+  for i = Array.length rels - 1 downto 0 do
+    if not (seen_before i 0) then acc := table i :: !acc
+  done;
+  !acc
 
-let emit t qid ev =
-  if Obs.Trace.enabled t.trace then
-    Obs.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~qid ev
+(* The int of [q]'s statement, handing out one if it has none. *)
+let intern t q =
+  match Statements.find t.ids q with
+  | id -> id
+  | exception Not_found ->
+      let id =
+        match t.free with
+        | id :: rest ->
+            t.free <- rest;
+            id
+        | [] ->
+            let id = t.next_id in
+            if id = Array.length t.stmts then begin
+              let grow a fill = Array.append a (Array.make (max 64 id) fill) in
+              t.stmts <- grow t.stmts vacant;
+              t.rels <- grow t.rels []
+            end;
+            t.next_id <- id + 1;
+            id
+      in
+      Statements.add t.ids q id;
+      t.stmts.(id) <- q;
+      t.rels.(id) <- rels_of_query q;
+      id
 
-let submit t q =
+let emit t ~time qid ev =
+  if Obs.Trace.enabled t.trace then Obs.Trace.emit t.trace ~time ~qid ev
+
+let lookup t ~now q =
   t.requests <- t.requests + 1;
   match t.cache with
   | None ->
       t.bypasses <- t.bypasses + 1;
-      t.fallthrough q
+      None
   | Some c -> (
-      let key = key_of_query q in
       let qid = q.Optimizer.Query.qid in
-      match Cache.get c ~now:(Sim.Engine.now t.eng) key with
-      | Some bytes ->
+      let cached =
+        match Statements.find t.ids q with
+        | id -> Cache.get c ~now id
+        | exception Not_found ->
+            Cache.note_miss c;
+            None
+      in
+      match cached with
+      | Some bytes as hit ->
           t.hits <- t.hits + 1;
-          emit t qid (Obs.Event.Midcache_lookup { hit = true; bytes });
-          Sim.Engine.sleep t.hit_latency;
-          Ok ()
+          emit t ~time:now qid (Obs.Event.Midcache_lookup { hit = true; bytes });
+          hit
       | None ->
           t.misses <- t.misses + 1;
-          emit t qid (Obs.Event.Midcache_lookup { hit = false; bytes = 0 });
-          let r = t.fallthrough q in
-          (match r with
-          | Ok () ->
-              let bytes = payload_bytes q in
-              if
-                Cache.put c ~now:(Sim.Engine.now t.eng) ~key ~bytes
-                  ~rels:(rels_of_query q)
-              then
-                emit t qid
-                  (Obs.Event.Midcache_store
-                     { bytes; resident = Cache.resident c })
-          | Error _ -> ());
-          r)
+          emit t ~time:now qid (Obs.Event.Midcache_lookup { hit = false; bytes = 0 });
+          None)
+
+let store t ~now q =
+  match t.cache with
+  | None -> ()
+  | Some c ->
+      let bytes = payload_bytes q in
+      let key = intern t q in
+      if Cache.put c ~now ~key ~bytes ~rels:t.rels.(key) then
+        emit t ~time:now q.Optimizer.Query.qid
+          (Obs.Event.Midcache_store { bytes; resident = Cache.resident c })
+      else forget t key
+
+let submit t q =
+  match lookup t ~now:(Sim.Engine.now t.eng) q with
+  | Some _ ->
+      Sim.Engine.sleep t.hit_latency;
+      Ok ()
+  | None ->
+      let r = t.fallthrough q in
+      if Result.is_ok r then store t ~now:(Sim.Engine.now t.eng) q;
+      r
 
 let write t ~rels =
   match t.cache with
@@ -114,10 +182,11 @@ let write t ~rels =
           let entries, bytes = Cache.invalidate c rel in
           t.invalidated_entries <- t.invalidated_entries + entries;
           if entries > 0 then
-            emit t ""
+            emit t ~time:(Sim.Engine.now t.eng) ""
               (Obs.Event.Midcache_invalidate { relation = rel; entries; bytes }))
         rels
 
+let interned t = Statements.length t.ids
 let requests t = t.requests
 let hits t = t.hits
 let misses t = t.misses

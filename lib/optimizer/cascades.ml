@@ -741,14 +741,28 @@ let plan_of s ~root ~seed ~(seed_join : Plan.t) =
 
 type key = { k_adj : Relset.t array; k_bits : int; k_params : params }
 
+(* A key's hash mixes every adjacency mask, the index bits and the
+   params, one [Query.hash_mix] step each: star graphs differ in masks
+   that a multiply-add by 31 folds together. Keys are only probed and
+   replaced, never iterated, so the hash reaches no output. *)
 module Keys = Hashtbl.Make (struct
   type t = key
 
+  (* Top level, so a comparison allocates no closure. *)
+  let rec same_masks (a : Relset.t array) b i =
+    i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && same_masks a b (i - 1))
+
   let equal a b =
-    a.k_bits = b.k_bits && a.k_adj = b.k_adj && a.k_params = b.k_params
+    a.k_bits = b.k_bits
+    && Array.length a.k_adj = Array.length b.k_adj
+    && same_masks a.k_adj b.k_adj (Array.length a.k_adj - 1)
+    && (a.k_params == b.k_params || a.k_params = b.k_params)
 
   let hash k =
-    Array.fold_left (fun h x -> (h * 31) + x) k.k_bits k.k_adj land max_int
+    Array.fold_left Query.hash_mix
+      (Query.hash_mix (Hashtbl.hash k.k_params) k.k_bits)
+      k.k_adj
+    land max_int
 end)
 
 type recording = {

@@ -27,6 +27,7 @@ type t = {
   filters : filter list;
   agg : aggregate option;
   adj : Relset.t array;
+  mutable stmt_hash : int;
 }
 
 let n_rels t = Array.length t.rels
@@ -135,7 +136,7 @@ let make ~id ~rels ~preds ~filters ~agg =
       adj.(p.jleft) <- Relset.add p.jright adj.(p.jleft);
       adj.(p.jright) <- Relset.add p.jleft adj.(p.jright))
     preds;
-  let q = { qid = id; rels; preds; filters; agg; adj } in
+  let q = { qid = id; rels; preds; filters; agg; adj; stmt_hash = -1 } in
   if n > 1 && not (connected q (Relset.full n)) then
     invalid_arg "Query.make: join graph is not connected";
   q
@@ -256,3 +257,103 @@ let to_sql t =
   Buffer.add_string buf "\n-- fingerprint ";
   Buffer.add_string buf t.qid;
   Buffer.contents buf
+
+(* The template's length: the qid up to its first '#'. The loops here
+   are top level, so a call allocates no closure. *)
+let rec template_end qid n i =
+  if i = n || String.unsafe_get qid i = '#' then i else template_end qid n (i + 1)
+
+let template_len qid = template_end qid (String.length qid) 0
+
+let template t = String.sub t.qid 0 (template_len t.qid)
+
+(* The multiplier is odd, so a step is a bijection of [h lxor x]. *)
+let hash_mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let mix_string h s = hash_mix h (Hashtbl.hash s)
+let mix_col h (i, c) = mix_string (hash_mix h i) c
+
+let op_code = function Le -> 0 | Ge -> 1 | Eq -> 2
+
+(* Every field [add_sql_body] renders, and the template; list lengths
+   separate the lists. *)
+let compute_statement_hash t =
+  let tl = template_len t.qid in
+  let h = ref tl in
+  for i = 0 to tl - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get t.qid i)
+  done;
+  let h = hash_mix !h (Array.length t.rels) in
+  let h =
+    Array.fold_left (fun h r -> mix_string (mix_string h r.rtable) r.ralias) h t.rels
+  in
+  let h =
+    List.fold_left
+      (fun h p ->
+        mix_string (hash_mix (mix_string (hash_mix h p.jleft) p.jlcol) p.jright) p.jrcol)
+      (hash_mix h (List.length t.preds))
+      t.preds
+  in
+  let h =
+    List.fold_left
+      (fun h f ->
+        hash_mix (hash_mix (mix_string (hash_mix h f.frel) f.fcol) (op_code f.fop)) f.fvalue)
+      (hash_mix h (List.length t.filters))
+      t.filters
+  in
+  let h =
+    match t.agg with
+    | None -> hash_mix h (-1)
+    | Some a ->
+        let h = List.fold_left mix_col (hash_mix h (List.length a.group_by)) a.group_by in
+        List.fold_left mix_col (hash_mix h (List.length a.sum_cols)) a.sum_cols
+  in
+  h land max_int
+
+let statement_hash t =
+  if t.stmt_hash >= 0 then t.stmt_hash
+  else begin
+    let h = compute_statement_hash t in
+    t.stmt_hash <- h;
+    h
+  end
+
+let rec same_prefix a b n i =
+  i = n || (String.unsafe_get a i = String.unsafe_get b i && same_prefix a b n (i + 1))
+
+let same_template a b =
+  let n = template_len a in
+  n = template_len b && same_prefix a b n 0
+
+let same_rel r s = String.equal r.rtable s.rtable && String.equal r.ralias s.ralias
+
+let same_pred p q =
+  p.jleft = q.jleft && p.jright = q.jright && String.equal p.jlcol q.jlcol
+  && String.equal p.jrcol q.jrcol
+
+let same_filter f g =
+  f.frel = g.frel && f.fop = g.fop && f.fvalue = g.fvalue && String.equal f.fcol g.fcol
+
+let same_col (i, c) (j, d) = i = j && String.equal c d
+
+let same_agg a b =
+  List.equal same_col a.group_by b.group_by && List.equal same_col a.sum_cols b.sum_cols
+
+let same_statement a b =
+  a == b
+  || statement_hash a = statement_hash b
+     && same_template a.qid b.qid
+     && Array.length a.rels = Array.length b.rels
+     && Array.for_all2 same_rel a.rels b.rels
+     && List.equal same_pred a.preds b.preds
+     && List.equal same_filter a.filters b.filters
+     && Option.equal same_agg a.agg b.agg
+
+module Statements = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = same_statement
+  let hash = statement_hash
+end)

@@ -44,6 +44,9 @@ type t = {
       (** [adj.(i)]: the relations that share a join predicate with
           relation [i]. Built by {!make}; the graph functions below read
           only these masks. *)
+  mutable stmt_hash : int;
+      (** {!statement_hash}'s memo: [-1] until it is first asked for.
+          Read it through {!statement_hash}. *)
 }
 
 (** [make ~id ~rels ~preds ~filters ~agg] validates relation indexes, alias
@@ -91,3 +94,36 @@ val to_sql : t -> string
 (** [add_sql_body buf t] appends {!to_sql}'s text up to, not including,
     its closing ["\n-- fingerprint <qid>"] line. *)
 val add_sql_body : Buffer.t -> t -> unit
+
+(** The template [t] was drawn from: its [qid] up to, not including,
+    the first ["#"] (the whole [qid] if it has none). *)
+val template : t -> string
+
+(** {1 Statement identity}
+
+    A statement is what {!add_sql_body} renders, together with the
+    {!template}: relation tables and aliases, join columns, filter
+    columns, operators and literals, group-by and sum columns. It leaves
+    out the fingerprint's serial and the selectivities, which the SQL
+    text does not show. Two instances are the same statement exactly
+    when [template] and [add_sql_body] agree on them, so callers can key
+    by statement without rendering any SQL. *)
+
+(** [statement_hash t] is a structural hash of [t]'s statement,
+    non-negative. It is computed on first use and memoised in [t]: a
+    query that is never asked costs nothing, and one asked again costs a
+    field read. The memo is a plain int, so template instances shared
+    across domains may race to fill it; both write the same value. *)
+val statement_hash : t -> int
+
+(** [same_statement a b]: [a] and [b] are the same statement. Physically
+    equal queries answer at once, different hashes at the cost of their
+    memos. *)
+val same_statement : t -> t -> bool
+
+(** Hash tables keyed by statement. *)
+module Statements : Hashtbl.S with type key = t
+
+(** [hash_mix h x] folds [x] into the running hash [h], one
+    multiply-xorshift step: {!statement_hash} takes one per field. *)
+val hash_mix : int -> int -> int

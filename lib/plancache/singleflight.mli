@@ -1,11 +1,13 @@
 (** Compile singleflight: coalesce concurrent compilations of one
-    canonical statement.
+    statement.
 
     A cold plan cache turns every client into a simultaneous compile of
     the same handful of templates — N clients, one template, N identical
     optimizations fighting over the gateways. Singleflight keys each
-    in-flight compilation by its canonical statement key (the caller
-    supplies it; the server reuses {!Midcache.Frontend} keying): the
+    in-flight compilation by the query's statement
+    ({!Optimizer.Query.statement_hash} and
+    {!Optimizer.Query.same_statement}, so instances of one template with
+    the same literals share a flight and no SQL is rendered): the
     first arrival becomes the {e leader} and compiles, later arrivals
     {e coalesce} — they block on the leader's completion, then re-probe
     the plan cache and find the shared plan. A cold cache then costs one
@@ -31,17 +33,19 @@ type token
 val create : ?mode:mode -> Sim.Engine.t -> t
 (** Default mode is [Coalesce]. *)
 
-val set_on_coalesce : t -> (key:string -> waiters:int -> unit) -> unit
-(** Fires when an arrival coalesces, {e before} it blocks; [waiters] is
-    the flight's waiter count including it (trace hookup). *)
+val set_on_coalesce : t -> (Optimizer.Query.t -> waiters:int -> unit) -> unit
+(** Fires with the arriving query when it coalesces, {e before} it
+    blocks; [waiters] is the flight's waiter count including it (trace
+    hookup: the server names the flight by {!Optimizer.Query.template}). *)
 
 val enter :
   t ->
-  key:string ->
+  Optimizer.Query.t ->
   ?max_wait:float ->
   unit ->
   [ `Leader of token | `Duplicate | `Coalesced | `Timed_out ]
-(** [`Leader tok]: no flight was open for [key]; compile, then {!exit}.
+(** [enter t q]. [`Leader tok]: no flight was open for [q]'s statement;
+    compile, then {!exit}.
     [`Duplicate]: observe mode counted the duplicate; compile anyway.
     [`Coalesced]: blocked until the leader finished; re-probe the cache.
     [`Timed_out]: waited [max_wait] without a wake; compile solo. *)

@@ -187,12 +187,8 @@ let create ?(trace = Obs.Trace.null) eng cfg cat =
       eng
   in
   (if Obs.Trace.enabled trace then
-     Plancache.Singleflight.set_on_coalesce sflight (fun ~key ~waiters ->
-         let template =
-           match String.index_opt key '|' with
-           | Some i -> String.sub key 0 i
-           | None -> key
-         in
+     Plancache.Singleflight.set_on_coalesce sflight (fun q ~waiters ->
+         let template = Optimizer.Query.template q in
          Obs.Trace.emit trace ~time:(Sim.Engine.now eng) ~qid:template
            (Obs.Event.Singleflight_coalesce { template; waiters })));
   let storm = Health.Storm.create ~trace eng ~enabled:defended in
@@ -330,12 +326,11 @@ let compile_greedy t job =
 (* One compile, on the job's rung. Cached plans bypass everything: they
    cost no compile memory. Degraded plans are *not* cached — a repeat of
    the same query in calmer weather deserves the real optimizer. Full
-   compiles go through singleflight, keyed on the canonical statement
-   (Midcache.Frontend keying, so parameterized replays of one template
-   share a key): the first miss leads and compiles, concurrent misses of
-   the same statement coalesce onto it and re-probe the cache when it
-   lands — a cold cache costs one compile per template, not one per
-   client. [sf_depth] bounds the re-probe recursion: a follower woken by
+   compiles go through singleflight, keyed on the query's statement (so
+   parameterized replays of one template share a flight): the first miss
+   leads and compiles, concurrent misses of the same statement coalesce
+   onto it and re-probe the cache when it lands — a cold cache costs one
+   compile per template, not one per client. [sf_depth] bounds the re-probe recursion: a follower woken by
    a failed (or evicted) leader re-enters at most twice, then compiles
    solo rather than chasing races. *)
 let rec plan_for t ?(sf_depth = 0) job =
@@ -349,9 +344,7 @@ let rec plan_for t ?(sf_depth = 0) job =
       if job.degraded then compile_greedy t job
       else
         match
-          Plancache.Singleflight.enter t.sflight
-            ~key:(Midcache.Frontend.key_of_query job.query)
-            ~max_wait:sf_wait_s ()
+          Plancache.Singleflight.enter t.sflight job.query ~max_wait:sf_wait_s ()
         with
         | `Leader tok ->
             Fun.protect

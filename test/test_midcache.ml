@@ -499,6 +499,183 @@ let test_key_matches_oracle () =
         (Midcache.Frontend.key_of_query q))
     queries
 
+(* ------------------------------------------------------------------ *)
+(* Statement identity: one statement exactly when one key *)
+
+(* Every template the property draws from: the SALES ad-hoc shapes, its
+   parameterized variants, TPC-H, snowflake and the diagnostic. *)
+let identity_templates =
+  Array.of_list
+    (Workload.Sales.templates ()
+    @ Workload.Sales.parameterized_templates ~variants:12 ()
+    @ Workload.Tpch.templates ()
+    @ Workload.Snowflake.templates ()
+    @ [ Workload.Sales.diagnostic_template () ])
+
+(* An instance is a template, an rng seed and a serial. Drawing the seed
+   from four values makes distinct instances with the same literals
+   common: the same statement under different serials. *)
+let instance_gen =
+  QCheck.Gen.(
+    triple (int_bound (Array.length identity_templates - 1)) (int_bound 3)
+      (int_range 1 999))
+
+let instantiate (t, seed, id) =
+  Workload.Template.instance (Sim.Rng.create seed) identity_templates.(t) ~id
+
+let prop_statement_identity =
+  QCheck.Test.make ~name:"same statement = same key, and equal hashes"
+    ~count:200
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "; "
+           (List.map (fun (t, s, i) -> Printf.sprintf "(%d,%d,%d)" t s i) l))
+       QCheck.Gen.(list_size (int_range 2 16) instance_gen))
+    (fun descrs ->
+      (* Fresh instances, so each hash is computed here (a parameterized
+         variant hands out one shared query, memo and all). *)
+      let qs = List.map instantiate descrs in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              let same = Optimizer.Query.same_statement a b in
+              let keyed =
+                String.equal (Midcache.Frontend.key_of_query a)
+                  (Midcache.Frontend.key_of_query b)
+              in
+              if same <> keyed then
+                QCheck.Test.fail_reportf "%s vs %s: same_statement %b, keys equal %b"
+                  a.Optimizer.Query.qid b.Optimizer.Query.qid same keyed;
+              (not same)
+              || Optimizer.Query.statement_hash a = Optimizer.Query.statement_hash b)
+            qs)
+        qs)
+
+(* ------------------------------------------------------------------ *)
+(* The int-keyed front end against the string-keyed oracle *)
+
+(* Eight statements of the midcache_rw mix, two instances each under
+   different serials, so one statement can have two misses in flight. *)
+let differential_pool =
+  let templates =
+    Array.of_list (Workload.Mix.mixed_templates ~ratio:0.6 ~variants:4 ())
+  in
+  Array.init 16 (fun i ->
+      let k = i / 2 in
+      Workload.Template.instance
+        (Sim.Rng.create (k / Array.length templates))
+        templates.(k mod Array.length templates)
+        ~id:(i + 1))
+
+let differential_rels = [| "sales"; "customer"; "product"; "store"; "promotion" |]
+
+type dop =
+  | Submit of int  (* a lookup; a miss joins the in-flight list *)
+  | Complete of int  (* the n-th miss in flight stores its result *)
+  | Write of int
+  | Advance of int  (* seconds; past the ttl, entries expire *)
+  | Shrink of int  (* KiB *)
+  | Budget of int  (* KiB *)
+
+let pp_dop = function
+  | Submit q -> Printf.sprintf "Submit %d" q
+  | Complete n -> Printf.sprintf "Complete %d" n
+  | Write r -> Printf.sprintf "Write %s" differential_rels.(r)
+  | Advance s -> Printf.sprintf "Advance %ds" s
+  | Shrink k -> Printf.sprintf "Shrink %dKiB" k
+  | Budget k -> Printf.sprintf "Budget %dKiB" k
+
+let dop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun q -> Submit q) (int_bound (Array.length differential_pool - 1)));
+        (5, map (fun n -> Complete n) (int_bound 3));
+        (2, map (fun r -> Write r) (int_bound (Array.length differential_rels - 1)));
+        (2, map (fun s -> Advance s) (int_range 1 40));
+        (1, map (fun k -> Shrink k) (int_range 1 4096));
+        (1, map (fun k -> Budget k) (int_range 64 16384));
+      ])
+
+let prop_frontend_matches_oracle =
+  QCheck.Test.make ~name:"int-keyed front end = string-keyed oracle"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_dop ops))
+       QCheck.Gen.(list_size (int_range 1 120) dop_gen))
+    (fun ops ->
+      let cfg = { Midcache.Cache.ttl = 60.; max_entry_bytes = 4 * 1024 * 1024 } in
+      let budget = 8 * 1024 * 1024 in
+      let eng = Sim.Engine.create ~seed:1 () in
+      let trace = Obs.Trace.create () and ref_trace = Obs.Trace.create () in
+      let cache = Midcache.Cache.create ~budget cfg in
+      let fe =
+        Midcache.Frontend.create ~trace eng ~cache:(Some cache)
+          ~submit:(fun _ -> Ok ())
+          ()
+      in
+      let oracle = Oracle.Midcache_ref.create ~trace:ref_trace ~budget cfg in
+      let in_flight = ref [] in
+      let agree op =
+        let check what a b =
+          if a <> b then
+            QCheck.Test.fail_reportf "after %s: %s %d, oracle %d" (pp_dop op) what a b
+        in
+        let module C = Midcache.Cache in
+        let module R = Oracle.Midcache_ref in
+        check "hits" (C.hits cache) (R.hits oracle);
+        check "misses" (C.misses cache) (R.misses oracle);
+        check "stores" (C.stores cache) (R.stores oracle);
+        check "refused" (C.refused cache) (R.refused oracle);
+        check "evictions" (C.evictions cache) (R.evictions oracle);
+        check "expired" (C.expired cache) (R.expired oracle);
+        check "invalidated" (C.invalidated cache) (R.invalidated oracle);
+        check "resident" (C.resident cache) (R.resident oracle);
+        check "entries" (C.entries cache) (R.entries oracle);
+        check "interned" (Midcache.Frontend.interned fe) (C.entries cache);
+        check "invalidated entries"
+          (Midcache.Frontend.invalidated_entries fe)
+          (R.invalidated_entries oracle);
+        if Obs.Trace.records trace <> Obs.Trace.records ref_trace then
+          QCheck.Test.fail_reportf "after %s: the traces differ" (pp_dop op)
+      in
+      let run op =
+        let now = Sim.Engine.now eng in
+        (match op with
+        | Submit i ->
+            let q = differential_pool.(i) in
+            let hit = Midcache.Frontend.lookup fe ~now q in
+            if hit <> Oracle.Midcache_ref.lookup oracle ~now q then
+              QCheck.Test.fail_reportf "after %s: the lookups differ" (pp_dop op);
+            if hit = None then in_flight := !in_flight @ [ q ]
+        | Complete n -> (
+            match List.nth_opt !in_flight n with
+            | None -> ()
+            | Some q ->
+                in_flight := List.filteri (fun j _ -> j <> n) !in_flight;
+                Midcache.Frontend.store fe ~now q;
+                Oracle.Midcache_ref.store oracle ~now q)
+        | Write r ->
+            let rels = [ differential_rels.(r) ] in
+            Midcache.Frontend.write fe ~rels;
+            Oracle.Midcache_ref.write oracle ~now ~rels
+        | Advance s -> Sim.Engine.sleep (float_of_int s)
+        | Shrink k ->
+            let freed = Midcache.Cache.shrink cache (1024 * k) in
+            if freed <> Oracle.Midcache_ref.shrink oracle (1024 * k) then
+              QCheck.Test.fail_reportf "after %s: shrinks freed differently" (pp_dop op)
+        | Budget k ->
+            Midcache.Cache.set_budget cache (1024 * k);
+            Oracle.Midcache_ref.set_budget oracle (1024 * k));
+        agree op
+      in
+      (* Inside a process, so [Advance] moves the clock the front end's
+         writes read. *)
+      Sim.Engine.spawn eng ~name:"ops" (fun () -> List.iter run ops);
+      Sim.Engine.run_all eng;
+      true)
+
 let suite =
   [
     ("ttl boundary is a miss", `Quick, test_ttl_boundary);
@@ -511,6 +688,8 @@ let suite =
     ("charge-hook veto refuses cleanly", `Quick, test_charge_hook_refusal);
     ("demand hint windows evictions", `Quick, test_demand_hint_window);
     ("key = rendered-and-cut oracle", `Quick, test_key_matches_oracle);
+    QCheck_alcotest.to_alcotest prop_statement_identity;
+    QCheck_alcotest.to_alcotest prop_frontend_matches_oracle;
     QCheck_alcotest.to_alcotest prop_fuzzed_interleavings;
     ("mixed templates at ratio bounds", `Quick, test_mixed_templates_ratio_bounds);
     ("diurnal think curve", `Quick, test_diurnal_curve);

@@ -111,11 +111,31 @@ let test_budget_validation () =
 (* ------------------------------------------------------------------ *)
 (* Singleflight *)
 
+(* Instance [i] of statement [k]: one template and the literal [k] under
+   a serial of its own, so distinct instances of one statement share a
+   flight. *)
+let stmt ?(i = 0) k =
+  Optimizer.Query.make
+    ~id:(Printf.sprintf "t#%d" i)
+    ~rels:[ ("sales", "f") ]
+    ~preds:[]
+    ~filters:
+      [
+        {
+          Optimizer.Query.frel = 0;
+          fcol = "sales_key";
+          fop = Optimizer.Query.Eq;
+          fvalue = k;
+          fsel = 0.5;
+        };
+      ]
+    ~agg:None
+
 (* Fuzzed arrival schedules: fibers arrive at arbitrary times, enter the
-   flight for an arbitrary key and "compile" for an arbitrary duration.
-   At no instant may two compiles of the same key overlap, and the
-   ledger must balance: duplicates = coalesced + timeouts, no timeouts
-   with an unbounded wait. *)
+   flight for an arbitrary statement (each arrival its own instance) and
+   "compile" for an arbitrary duration. At no instant may two compiles of
+   the same key overlap, and the ledger must balance: duplicates =
+   coalesced + timeouts, no timeouts with an unbounded wait. *)
 let prop_singleflight_no_overlapping_compiles =
   QCheck.Test.make ~name:"singleflight: one compile per key at a time"
     ~count:100
@@ -135,9 +155,8 @@ let prop_singleflight_no_overlapping_compiles =
             ~name:(Printf.sprintf "c%d" i)
             (fun () ->
               Sim.Engine.sleep at;
-              let key = Printf.sprintf "k%d" k in
               match
-                Plancache.Singleflight.enter sf ~key ~max_wait:1e9 ()
+                Plancache.Singleflight.enter sf (stmt ~i k) ~max_wait:1e9 ()
               with
               | `Leader tok ->
                   if compiling.(k) then overlap := true;
@@ -168,7 +187,7 @@ let test_singleflight_observe_counts_without_blocking () =
     Sim.Engine.spawn eng
       ~name:(Printf.sprintf "c%d" i)
       (fun () ->
-        match Plancache.Singleflight.enter sf ~key:"stmt" () with
+        match Plancache.Singleflight.enter sf (stmt 0) () with
         | `Leader tok ->
             incr compiled;
             Sim.Engine.sleep 10.;
@@ -192,7 +211,7 @@ let test_singleflight_timeout_compiles_solo () =
   let sf = Plancache.Singleflight.create eng in
   let events = ref [] in
   Sim.Engine.spawn eng ~name:"leader" (fun () ->
-      match Plancache.Singleflight.enter sf ~key:"stmt" () with
+      match Plancache.Singleflight.enter sf (stmt 0) () with
       | `Leader tok ->
           Sim.Engine.sleep 100.;
           Plancache.Singleflight.exit sf tok;
@@ -200,7 +219,7 @@ let test_singleflight_timeout_compiles_solo () =
       | _ -> Alcotest.fail "first arrival must lead");
   Sim.Engine.spawn eng ~name:"follower" (fun () ->
       Sim.Engine.sleep 1.;
-      match Plancache.Singleflight.enter sf ~key:"stmt" ~max_wait:10. () with
+      match Plancache.Singleflight.enter sf (stmt 0) ~max_wait:10. () with
       | `Timed_out -> events := `Timed_out :: !events
       | _ -> Alcotest.fail "short-wait follower must time out");
   Sim.Engine.run eng ~until:200.;
