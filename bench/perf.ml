@@ -653,7 +653,7 @@ type grid_outcome = {
 let grid_bench () =
   (* The paper's grid shape in miniature: throttling on/off at three
      client counts, one seed — six independent cells. *)
-  let mk config clients () =
+  let run (config, clients) =
     Server.Experiment.run ~config ~clients ~warmup:30.
       ~measure:(cell_measure ()) ~slice:60. ()
   in
@@ -661,8 +661,8 @@ let grid_bench () =
     List.concat_map
       (fun clients ->
         [
-          mk { (Server.Config.default ()) with Server.Config.seed = 42 } clients;
-          mk { (Server.Config.unthrottled ()) with Server.Config.seed = 42 } clients;
+          ({ (Server.Config.default ()) with Server.Config.seed = 42 }, clients);
+          ({ (Server.Config.unthrottled ()) with Server.Config.seed = 42 }, clients);
         ])
       [ 10; 12; 14 ]
   in
@@ -675,7 +675,7 @@ let grid_bench () =
      that can only add overhead. *)
   let expected_speedup = float_of_int (min n_cells (min !jobs cores)) in
   let seq_results, seq_s =
-    wall (fun () -> Server.Experiment.run_grid ~jobs:1 cells)
+    wall (fun () -> Parallel.Pool.run ~jobs:1 run cells)
   in
   if !jobs = 1 then
     (* jobs=1 runs inline on the calling domain: a second grid run would
@@ -696,7 +696,7 @@ let grid_bench () =
     }
   else begin
     let par_results, par_s =
-      wall (fun () -> Server.Experiment.run_grid ~jobs:!jobs cells)
+      wall (fun () -> Parallel.Pool.run ~jobs:!jobs run cells)
     in
     let fingerprint results =
       (* Full structural equality: every series sample, stat and counter. *)
@@ -724,19 +724,6 @@ let grid_bench () =
 (* ------------------------------------------------------------------ *)
 (* JSON output (hand-rolled: no JSON dependency in the image) *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~benches ~grid path =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
@@ -750,7 +737,7 @@ let write_json ~benches ~grid path =
       p
         "    {\"name\": \"%s\", \"iters\": %d, \"wall_s\": %.6f, \
          \"per_op_ns\": %.1f, \"alloc_bytes_per_op\": %.1f}%s\n"
-        (json_escape b.name) b.iters b.wall_s b.per_op_ns b.alloc_bytes_per_op
+        (Obs.Export.json_escape b.name) b.iters b.wall_s b.per_op_ns b.alloc_bytes_per_op
         (if i = List.length benches - 1 then "" else ","))
     benches;
   p "  ],\n";

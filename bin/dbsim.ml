@@ -5,72 +5,28 @@
 open Cmdliner
 
 let clients_arg =
-  Arg.(value & opt Fanout.pos_int 30 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+  Fanout.clients_arg ~default:30 ~doc:"Number of concurrent clients."
 
 let throttle_arg =
   Arg.(value & opt bool true & info [ "throttle" ] ~doc:"Enable compilation throttling.")
 
 let warmup_arg = Fanout.warmup_arg ~default:600.
+let measure_arg = Fanout.measure_arg ~default:1800.
+let slice_arg = Fanout.slice_arg ~default:60.
 
-let measure_arg =
-  Arg.(value & opt Fanout.pos_float 1800. & info [ "measure" ] ~doc:"Measured window, seconds.")
-
-let slice_arg =
-  Arg.(value & opt Fanout.pos_float 60. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
-
-let seed_arg = Fanout.seed_arg
-let jobs_arg = Fanout.jobs_arg
-
-let csv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv" ] ~docv:"PREFIX"
-        ~doc:"Also write results as CSV files named PREFIX-*.csv.")
-
-let write_csv path header rows =
-  let oc = open_out path in
-  output_string oc (String.concat "," header);
-  output_char oc '\n';
-  List.iter
-    (fun row ->
-      output_string oc (String.concat "," row);
-      output_char oc '\n')
-    rows;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let csv_of_slices path slices =
-  write_csv path [ "slice_start_s"; "completions" ]
-    (Array.to_list
-       (Array.map
-          (fun (t, v) -> [ Printf.sprintf "%.0f" t; Printf.sprintf "%.0f" v ])
-          slices))
-
-let csv_of_memory path series =
-  (* One row per sample time, one column per clerk. *)
-  match series with
-  | [] -> ()
-  | (_, first) :: _ ->
-      let names = List.map fst series in
-      let n = Sim.Series.length first in
-      let rows =
-        List.init n (fun k ->
-            let t, _ = Sim.Series.nth first k in
-            Printf.sprintf "%.0f" t
-            :: List.map
-                 (fun (_, s) ->
-                   if Sim.Series.length s > k then
-                     Printf.sprintf "%.0f" (snd (Sim.Series.nth s k))
-                   else "")
-                 series)
-      in
-      write_csv path ("time_s" :: List.map (fun n -> n ^ "_bytes") names) rows
-
-let run_one ~clients ~throttle ~warmup ~measure ~slice ~seed =
-  Server.Experiment.run
-    ~config:(Paper.config ~throttle ~seed)
-    ~clients ~warmup ~measure ~slice ()
+(* The workload a command serves: its catalog and its templates. *)
+let workload_arg =
+  let load = function
+    | `Sales -> (Workload.Sales.catalog (), Workload.Sales.templates ())
+    | `Snowflake -> (Workload.Snowflake.catalog (), Workload.Snowflake.templates ())
+    | `Tpch -> (Workload.Tpch.catalog (), Workload.Tpch.templates ())
+  in
+  Term.(
+    const load
+    $ Arg.(
+        value
+        & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
+        & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch."))
 
 (* Detailed single run that keeps the server around for resource stats. *)
 let run_verbose ~clients ~throttle ~warmup ~measure ~seed =
@@ -118,55 +74,87 @@ let verbose_cmd =
     run_verbose ~clients ~throttle ~warmup ~measure ~seed
   in
   Cmd.v (Cmd.info "verbose" ~doc:"Single run with resource diagnostics.")
-    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ seed_arg)
+    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ Fanout.seed_arg)
+
+(* [run], [compare] and [sweep]: SALES cells over the flags' windows, a
+   client count and a server config each. *)
+let experiment ?report ~warmup ~measure ~slice cells section =
+  {
+    Fanout.cells;
+    run =
+      (fun ?trace (clients, config) ->
+        Paper.run_cell ?trace ~warmup ~measure ~slice ~clients config);
+    section = (fun _ results -> section results);
+    report;
+  }
+
+(* Each arm's slice and memory rows (one column per clerk), as CSV
+   blocks. *)
+let series_report oc _ results =
+  List.iter
+    (fun (r : Server.Experiment.result) ->
+      let arm = if r.throttled then "throttled" else "unthrottled" in
+      Printf.fprintf oc "[slices %s]\n" arm;
+      Fanout.(csv oc [ float 0 "slice_start_s" fst; float 0 "completions" snd ])
+        (Array.to_list r.slices);
+      match r.memory_series with
+      | [] -> ()
+      | (_, first) :: _ as series ->
+          let clerk (name, s) =
+            Fanout.str (name ^ "_bytes") (fun k ->
+                if Sim.Series.length s > k then
+                  Printf.sprintf "%.0f" (snd (Sim.Series.nth s k))
+                else "")
+          in
+          Printf.fprintf oc "[memory %s]\n" arm;
+          Fanout.csv oc
+            (Fanout.float 0 "time_s" (fun k -> fst (Sim.Series.nth first k))
+            :: List.map clerk series)
+            (List.init (Sim.Series.length first) Fun.id))
+    results
+
+let series_doc = "slice and memory series"
 
 let run_cmd =
-  let action clients throttle warmup measure slice seed csv =
-    let r = run_one ~clients ~throttle ~warmup ~measure ~slice ~seed in
-    Format.printf "%a@." Server.Experiment.pp_summary r;
-    List.iter
-      (fun (k, n) -> if n > 0 then Printf.printf "  error %s: %d\n" k n)
-      r.Server.Experiment.errors;
-    Printf.printf "  client: submitted %d attempts %d succeeded %d abandoned %d\n"
-      r.Server.Experiment.client_stats.Workload.Client.submitted
-      r.Server.Experiment.client_stats.Workload.Client.attempts
-      r.Server.Experiment.client_stats.Workload.Client.succeeded
-      r.Server.Experiment.client_stats.Workload.Client.abandoned;
-    Server.Report.table ~header:[ "slice start (s)"; "completions" ]
-      (Array.to_list
-         (Array.map
-            (fun (t, v) -> [ Printf.sprintf "%.0f" t; Printf.sprintf "%.0f" v ])
-            r.Server.Experiment.slices));
-    print_endline ("  " ^ Server.Report.sparkline (Array.map snd r.Server.Experiment.slices));
-    match csv with
-    | None -> ()
-    | Some prefix ->
-        csv_of_slices (prefix ^ "-slices.csv") r.Server.Experiment.slices;
-        csv_of_memory (prefix ^ "-memory.csv") r.Server.Experiment.memory_series
+  let section =
+    List.iter (fun (r : Server.Experiment.result) ->
+        Format.printf "%a@." Server.Experiment.pp_summary r;
+        List.iter
+          (fun (k, n) -> if n > 0 then Printf.printf "  error %s: %d\n" k n)
+          r.errors;
+        Printf.printf "  client: submitted %d attempts %d succeeded %d abandoned %d\n"
+          r.client_stats.submitted r.client_stats.attempts
+          r.client_stats.succeeded r.client_stats.abandoned;
+        Server.Report.table ~header:[ "slice start (s)"; "completions" ]
+          (Array.to_list
+             (Array.map
+                (fun (t, v) -> [ Printf.sprintf "%.0f" t; Printf.sprintf "%.0f" v ])
+                r.slices));
+        print_endline ("  " ^ Server.Report.sparkline (Array.map snd r.slices)))
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run the SALES benchmark once.")
-    Term.(const action $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ slice_arg $ seed_arg $ csv_arg)
+  let spec clients throttle warmup measure slice =
+    experiment ~report:series_report ~warmup ~measure ~slice
+      (fun seed -> [ (clients, Paper.config ~throttle ~seed) ])
+      section
+  in
+  Fanout.cmd (Cmd.info "run" ~doc:"Run the SALES benchmark once.")
+    ~report:series_doc ~seed_titles:true
+    Term.(const spec $ clients_arg $ throttle_arg $ warmup_arg $ measure_arg $ slice_arg)
 
 let compare_cmd =
-  let action clients warmup measure slice seed csv jobs =
-    let on, off =
-      Paper.throughput_pair ~jobs
-        ~title:(Printf.sprintf "Throughput, %d clients (completions per %.0fs slice)" clients slice)
-        ~clients ~warmup ~measure ~slice ~seed
-    in
-    match csv with
-    | None -> ()
-    | Some prefix ->
-        csv_of_slices (prefix ^ "-throttled.csv") on.Server.Experiment.slices;
-        csv_of_slices (prefix ^ "-unthrottled.csv") off.Server.Experiment.slices;
-        csv_of_memory (prefix ^ "-memory-throttled.csv") on.Server.Experiment.memory_series;
-        csv_of_memory (prefix ^ "-memory-unthrottled.csv") off.Server.Experiment.memory_series
+  let spec clients warmup measure slice =
+    experiment ~report:series_report ~warmup ~measure ~slice
+      (fun seed ->
+        Paper.sweep_cells ~throttles:[ true; false ] ~counts:[ clients ] ~seed)
+      (Paper.print_pair
+         ~title:
+           (Printf.sprintf "Throughput, %d clients (completions per %.0fs slice)"
+              clients slice))
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "compare" ~doc:"Throttled vs unthrottled at one client count (Figures 3-5).")
-    Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
-      $ seed_arg $ csv_arg $ jobs_arg)
+    ~report:series_doc ~seed_titles:true
+    Term.(const spec $ clients_arg $ warmup_arg $ measure_arg $ slice_arg)
 
 let sweep_cmd =
   let list_arg =
@@ -175,14 +163,16 @@ let sweep_cmd =
       & opt (list Fanout.pos_int) [ 10; 20; 30; 35; 40 ]
       & info [ "list" ] ~doc:"Client counts to sweep.")
   in
-  let action counts throttle warmup measure slice seed jobs =
-    Paper.sweep ~jobs ~throttles:[ throttle ] ~counts ~warmup ~measure ~slice
-      ~seed
+  let spec counts throttle warmup measure slice =
+    experiment ~warmup ~measure ~slice
+      (fun seed -> Paper.sweep_cells ~throttles:[ throttle ] ~counts ~seed)
+      Paper.print_sweep
   in
-  Cmd.v (Cmd.info "sweep" ~doc:"Sweep client counts (peak-throughput claim).")
+  Fanout.cmd (Cmd.info "sweep" ~doc:"Sweep client counts (peak-throughput claim).")
+    ~seed_titles:true
     Term.(
-      const action $ list_arg $ throttle_arg $ warmup_arg $ measure_arg
-      $ slice_arg $ seed_arg $ jobs_arg)
+      const spec $ list_arg $ throttle_arg $ warmup_arg $ measure_arg
+      $ slice_arg)
 
 let paper_cmd =
   let experiments_arg =
@@ -202,7 +192,7 @@ let paper_cmd =
        ~doc:
          "Reproduce the paper's figures, tables and ablations (pinned by \
           test/paper.golden).")
-    Term.(const (fun names jobs -> Paper.run ~jobs names) $ experiments_arg $ jobs_arg)
+    Term.(const (fun names jobs -> Paper.run ~jobs names) $ experiments_arg $ Fanout.jobs_arg)
 
 let sql_cmd =
   let count_arg =
@@ -210,19 +200,7 @@ let sql_cmd =
       value & opt Fanout.pos_int 2
       & info [ "count"; "n" ] ~doc:"Number of instances to print.")
   in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
-      & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch.")
-  in
-  let action count workload seed =
-    let templates =
-      match workload with
-      | `Sales -> Workload.Sales.templates ()
-      | `Snowflake -> Workload.Snowflake.templates ()
-      | `Tpch -> Workload.Tpch.templates ()
-    in
+  let action count (_, templates) seed =
     let rng = Sim.Rng.create seed in
     for i = 1 to count do
       let t = Workload.Template.pick rng templates in
@@ -232,16 +210,14 @@ let sql_cmd =
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Print uniquified query instances as SQL text.")
-    Term.(const action $ count_arg $ workload_arg $ seed_arg)
+    Term.(const action $ count_arg $ workload_arg $ Fanout.seed_arg)
 
 let chaos_cmd =
   let clients_arg =
-    Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Fanout.clients_arg ~default:35 ~doc:"Number of concurrent clients."
   in
   let warmup_arg = Fanout.warmup_arg ~default:60. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
+  let measure_arg = Fanout.measure_arg ~default:1000. in
   let ballast_gib =
     Arg.(
       value
@@ -279,87 +255,59 @@ let chaos_cmd =
   let think_arg =
     Fanout.think_arg ~default:100. ~doc:"Client mean think time, seconds."
   in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (enum [ ("sales", `Sales); ("snowflake", `Snowflake); ("tpch", `Tpch) ]) `Sales
-      & info [ "workload" ] ~doc:"Workload: sales, snowflake or tpch.")
-  in
-  let action clients warmup measure slice seed ballast_gib ballast_at
-      ballast_hold ballast_steps ballast_step_s storm burst glitch think
-      workload jobs =
-    let catalog, templates =
-      match workload with
-      | `Sales -> (Workload.Sales.catalog (), Workload.Sales.templates ())
-      | `Snowflake -> (Workload.Snowflake.catalog (), Workload.Snowflake.templates ())
-      | `Tpch -> (Workload.Tpch.catalog (), Workload.Tpch.templates ())
-    in
-    let at = ballast_at and hold = ballast_hold in
-    let ramp = float_of_int ballast_steps *. ballast_step_s in
-    let window = ramp +. hold in
+  let spec clients warmup measure slice ballast_gib at hold ramp_steps step_s
+      disk_storm burst glitch think (catalog, templates) =
     let faults =
-      (if ballast_gib > 0. then
-         Faultsim.Fault.pressure_spike ~ramp_steps:ballast_steps
-           ~step_s:ballast_step_s ~at
-           ~bytes:(Dbmem.Units.of_gib ballast_gib)
-           ~hold ()
-       else [])
-      @ (if storm then
-           [ Faultsim.Fault.Disk_storm
-               { at; duration = window; throughput_factor = 0.5; extra_seek_s = 0.004 } ]
-         else [])
-      @ (if burst > 0 then
-           [ Faultsim.Fault.Client_burst
-               { at; duration = window; clients = burst; think_mean = 10. } ]
-         else [])
-      @
-      if glitch > 0. then
-        [ Faultsim.Fault.Alloc_glitch
-            { at; duration = window; fail_prob = glitch; clerks = [ "compile" ] } ]
-      else []
+      Server.Scenario.chaos_faults ~ballast_gib ~at ~ramp_steps ~step_s ~hold
+        ~disk_storm ~burst ~glitch ()
     in
-    let cell resilient () =
-      let base =
-        if resilient then Server.Config.resilient () else Server.Config.default ()
-      in
-      let cfg = { base with Server.Config.seed; faults } in
-      (* The shared catalog/templates are read-only during runs, so the
-         two cells may execute on different domains. *)
-      Server.Experiment.run ~config:cfg ~catalog ~templates
-        ~client_config:
-          { Workload.Client.default_config with Workload.Client.think_mean = think }
-        ~clients ~warmup ~measure ~slice ()
+    let client_config =
+      { Workload.Client.default_config with Workload.Client.think_mean = think }
     in
-    let on, off =
-      match Server.Experiment.run_grid ~jobs [ cell true; cell false ] with
-      | [ on; off ] -> (on, off)
+    let section seed = function
+      | [ on; off ] ->
+          Printf.printf "Chaos schedule (%d clients, seed %d):\n" clients seed;
+          List.iter (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f)) faults;
+          print_newline ();
+          Format.printf "%a@.@." Server.Experiment.pp_summary on;
+          Format.printf "%a@.@." Server.Experiment.pp_summary off;
+          Server.Report.table ~header:Server.Report.result_header
+            [ Server.Report.result_row on; Server.Report.result_row off ];
+          Server.Report.resilience_section [ on; off ];
+          print_newline ();
+          Printf.printf "  resilient   %s\n" (Server.Report.sparkline (Array.map snd on.Server.Experiment.slices));
+          Printf.printf "  unprotected %s\n" (Server.Report.sparkline (Array.map snd off.Server.Experiment.slices));
+          let up = 100. *. Server.Experiment.uplift on off in
+          Printf.printf
+            "\n  completions uplift with resilience: %+.0f%% (%d vs %d); hard errors %d vs %d\n"
+            up on.Server.Experiment.total_completed off.Server.Experiment.total_completed
+            on.Server.Experiment.total_errors off.Server.Experiment.total_errors
       | _ -> assert false
     in
-    Printf.printf "Chaos schedule (%d clients, seed %d):\n" clients seed;
-    List.iter (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f)) faults;
-    print_newline ();
-    Format.printf "%a@.@." Server.Experiment.pp_summary on;
-    Format.printf "%a@.@." Server.Experiment.pp_summary off;
-    Server.Report.table ~header:Server.Report.result_header
-      [ Server.Report.result_row on; Server.Report.result_row off ];
-    Server.Report.resilience_section [ on; off ];
-    print_newline ();
-    Printf.printf "  resilient   %s\n" (Server.Report.sparkline (Array.map snd on.Server.Experiment.slices));
-    Printf.printf "  unprotected %s\n" (Server.Report.sparkline (Array.map snd off.Server.Experiment.slices));
-    let up = 100. *. Server.Experiment.uplift on off in
-    Printf.printf
-      "\n  completions uplift with resilience: %+.0f%% (%d vs %d); hard errors %d vs %d\n"
-      up on.Server.Experiment.total_completed off.Server.Experiment.total_completed
-      on.Server.Experiment.total_errors off.Server.Experiment.total_errors
+    {
+      Fanout.cells =
+        (fun seed ->
+          List.map
+            (fun base -> { base with Server.Config.seed; faults })
+            [ Server.Config.resilient (); Server.Config.default () ]);
+      (* The shared catalog/templates are read-only during runs, so the
+         cells may execute on different domains. *)
+      run =
+        (fun ?trace config ->
+          Server.Experiment.run ~config ~catalog ~templates ~client_config
+            ?trace ~clients ~warmup ~measure ~slice ());
+      section;
+      report = None;
+    }
   in
-  Cmd.v
+  Fanout.cmd
     (Cmd.info "chaos"
        ~doc:"Run a fault schedule with resilience on vs off (graceful-degradation demo).")
     Term.(
-      const action $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
-      $ seed_arg $ ballast_gib $ ballast_at $ ballast_hold $ ballast_steps
+      const spec $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
+      $ ballast_gib $ ballast_at $ ballast_hold $ ballast_steps
       $ ballast_step_s $ storm_arg $ burst_arg $ glitch_arg $ think_arg
-      $ workload_arg $ jobs_arg)
+      $ workload_arg)
 
 let trace_cmd =
   let scenario_arg =
@@ -380,10 +328,7 @@ let trace_cmd =
           ~doc:"Write PREFIX.json (Chrome trace-event) and PREFIX.jsonl.")
   in
   let trace_clients_arg =
-    Arg.(
-      value & opt Fanout.pos_int 12
-      & info [ "clients"; "c" ]
-          ~doc:"Concurrent clients (server scenario only).")
+    Fanout.clients_arg ~default:12 ~doc:"Concurrent clients (server scenario only)."
   in
   let trace_measure_arg =
     Arg.(
@@ -471,12 +416,10 @@ let trace_cmd =
 
 let health_cmd =
   let clients_arg =
-    Arg.(value & opt Fanout.pos_int 35 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Fanout.clients_arg ~default:35 ~doc:"Number of concurrent clients."
   in
   let warmup_arg = Fanout.warmup_arg ~default:60. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 1000. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
+  let measure_arg = Fanout.measure_arg ~default:1000. in
   let drain_arg =
     Arg.(
       value & opt Fanout.nonneg_float 900.
@@ -529,7 +472,7 @@ let health_cmd =
           Server.Scenario.run_chaos ~config ~faults ~seed ~clients ~warmup
             ~measure ~drain ?trace ());
       section;
-      report;
+      report = Some report;
     }
   in
   Fanout.cmd
@@ -545,9 +488,7 @@ let health_cmd =
 
 let tenants_cmd =
   let warmup_arg = Fanout.warmup_arg ~default:400. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
+  let measure_arg = Fanout.measure_arg ~default:1200. in
   let total_gib_arg =
     Arg.(
       value & opt (Fanout.gib ~zero:false) 4.
@@ -625,7 +566,7 @@ let tenants_cmd =
         (fun seed -> List.map (fun k -> (seed, k)) [ `Solo; `Isolated; `Free ]);
       run;
       section;
-      report;
+      report = Some report;
     }
   in
   Fanout.cmd
@@ -636,31 +577,42 @@ let tenants_cmd =
     ~report:"tenant report"
     Term.(const spec $ warmup_arg $ measure_arg $ slice_arg $ total_gib_arg)
 
+(* Flags that [shards], [storm] and [cache] share; each command defaults
+   them from its scenario's [default_config]. *)
+let shards_arg ~default =
+  Arg.(value & opt int default & info [ "shards" ] ~doc:"Number of shards (failure domains).")
+
+let router_clients_arg ~default =
+  Fanout.clients_arg ~default ~doc:"Concurrent clients across the router."
+
+let variants_arg ~default =
+  Arg.(
+    value & opt Fanout.pos_int default
+    & info [ "variants" ]
+        ~doc:"Parameterized (cacheable) query templates in the workload.")
+
+let mean_think_arg ~default =
+  Fanout.think_arg ~default ~doc:"Client think time, seconds (mean)."
+
+let gib_of_bytes b = Dbmem.Units.to_mib b /. 1024.
+
+let total_gib_arg ~bytes =
+  Arg.(
+    value
+    & opt (Fanout.gib ~zero:false) (gib_of_bytes bytes)
+    & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
+
 let shards_cmd =
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
-  in
-  let clients_arg =
-    Arg.(value & opt Fanout.pos_int 32 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt Fanout.pos_int 40
-      & info [ "variants" ]
-          ~doc:"Parameterized (cacheable) query templates in the workload.")
-  in
-  let think_arg =
-    Fanout.think_arg ~default:20. ~doc:"Client think time, seconds (mean)."
-  in
-  let warmup_arg = Fanout.warmup_arg ~default:400. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 1200. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let total_gib_arg =
-    Arg.(
-      value & opt (Fanout.gib ~zero:false) 8.
-      & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
-  in
+  let open Server.Shards in
+  let d = default_config in
+  let shards_arg = shards_arg ~default:d.c_shards in
+  let clients_arg = router_clients_arg ~default:d.c_clients in
+  let variants_arg = variants_arg ~default:d.c_variants in
+  let think_arg = mean_think_arg ~default:d.c_think in
+  let warmup_arg = Fanout.warmup_arg ~default:d.c_warmup in
+  let measure_arg = Fanout.measure_arg ~default:d.c_measure in
+  let slice_arg = Fanout.slice_arg ~default:d.c_slice in
+  let total_gib_arg = total_gib_arg ~bytes:d.c_total in
   let hedge_arg =
     Arg.(
       value & flag
@@ -675,7 +627,6 @@ let shards_cmd =
   in
   let spec shards clients variants think warmup measure slice total_gib hedge
       rolling =
-    let open Server.Shards in
     let total_bytes = Dbmem.Units.of_gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
     (* Per seed: the healthy baseline, then crash-failover with gateways
@@ -686,8 +637,9 @@ let shards_cmd =
       @ (if rolling then [ (Rolling_restart, true) ] else [])
       @ if hedge then [ (Brownout, true) ] else []
     in
-    let cell seed (schedule, gateways) =
+    let base =
       {
+        default_config with
         c_shards = shards;
         c_clients = clients;
         c_variants = variants;
@@ -696,11 +648,11 @@ let shards_cmd =
         c_measure = measure;
         c_slice = slice;
         c_total = total_bytes;
-        c_gateways = gateways;
         c_hedge = hedge;
-        c_seed = seed;
-        c_schedule = schedule;
       }
+    in
+    let cell c_seed (c_schedule, c_gateways) =
+      { base with c_seed; c_schedule; c_gateways }
     in
     let columns =
       Fanout.
@@ -775,7 +727,7 @@ let shards_cmd =
           cfgs);
       run = Server.Shards.run;
       section;
-      report;
+      report = Some report;
     }
   in
   Fanout.cmd
@@ -797,37 +749,22 @@ let shards_cmd =
       $ rolling_arg)
 
 let storm_cmd =
-  let shards_arg =
-    Arg.(value & opt int 3 & info [ "shards" ] ~doc:"Number of shards (failure domains).")
-  in
-  let clients_arg =
-    Arg.(value & opt Fanout.pos_int 160 & info [ "clients"; "c" ] ~doc:"Concurrent clients across the router.")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt Fanout.pos_int 96
-      & info [ "variants" ]
-          ~doc:"Parameterized (cacheable) query templates in the workload.")
-  in
-  let think_arg =
-    Fanout.think_arg ~default:10. ~doc:"Client think time, seconds (mean)."
-  in
-  let warmup_arg = Fanout.warmup_arg ~default:600. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 900. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
-  let slice_arg =
-    Arg.(value & opt Fanout.pos_float 30. & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
-  in
-  let total_gib_arg =
-    Arg.(
-      value & opt (Fanout.gib ~zero:false) 24.
-      & info [ "total-gib" ] ~doc:"Machine memory split across the shards, GiB.")
-  in
+  let open Server.Storms in
+  let d = default_config in
+  let shards_arg = shards_arg ~default:d.s_shards in
+  let clients_arg = router_clients_arg ~default:d.s_clients in
+  let variants_arg = variants_arg ~default:d.s_variants in
+  let think_arg = mean_think_arg ~default:d.s_think in
+  let warmup_arg = Fanout.warmup_arg ~default:d.s_warmup in
+  let measure_arg = Fanout.measure_arg ~default:d.s_measure in
+  let slice_arg = Fanout.slice_arg ~default:d.s_slice in
+  let total_gib_arg = total_gib_arg ~bytes:d.s_total in
   let defenses_arg =
     Arg.(
       value
-      & opt (enum [ ("on", `On); ("off", `Off); ("both", `Both) ]) `Both
+      & opt
+          (enum [ ("on", [ true ]); ("off", [ false ]); ("both", [ true; false ]) ])
+          [ true; false ]
       & info [ "defenses" ]
           ~doc:
             "Defense stack: $(b,on), $(b,off), or $(b,both) (the A/B \
@@ -838,30 +775,25 @@ let storm_cmd =
       value
       & opt
           (enum
-             [ ("crash", `Crash); ("invalidation", `Invalidation); ("both", `Both) ])
-          `Invalidation
+             [
+               ("crash", [ Cold_crash ]);
+               ("invalidation", [ Mass_invalidation ]);
+               ("both", [ Cold_crash; Mass_invalidation ]);
+             ])
+          [ d.s_schedule ]
       & info [ "schedule" ]
           ~doc:
             "Storm trigger: $(b,crash) (shard 1 rejoins cold), \
              $(b,invalidation) (every plan cache flushed in place), or \
              $(b,both).")
   in
-  let spec shards clients variants think warmup measure slice total_gib
-      defenses schedule =
-    let open Server.Storms in
+  let spec shards clients variants think warmup measure slice total_gib arms
+      schedules =
     let total_bytes = Dbmem.Units.of_gib total_gib in
     let machine = Dbmem.Units.bytes_to_string total_bytes in
-    let schedules =
-      match schedule with
-      | `Crash -> [ Cold_crash ]
-      | `Invalidation -> [ Mass_invalidation ]
-      | `Both -> [ Cold_crash; Mass_invalidation ]
-    in
-    let arms =
-      match defenses with `On -> [ true ] | `Off -> [ false ] | `Both -> [ true; false ]
-    in
-    let cell seed schedule defenses =
+    let base =
       {
+        default_config with
         s_shards = shards;
         s_clients = clients;
         s_variants = variants;
@@ -870,15 +802,15 @@ let storm_cmd =
         s_measure = measure;
         s_slice = slice;
         s_total = total_bytes;
-        s_defenses = defenses;
-        s_seed = seed;
-        s_schedule = schedule;
       }
     in
-    let cells seed =
+    let cells s_seed =
       let cfgs =
         List.concat_map
-          (fun sch -> List.map (cell seed sch) arms)
+          (fun s_schedule ->
+            List.map
+              (fun s_defenses -> { base with s_seed; s_schedule; s_defenses })
+              arms)
           schedules
       in
       List.iter validate cfgs;
@@ -946,7 +878,7 @@ let storm_cmd =
             (faster_recovery ~defended ~undefended))
         (pairs outcomes)
     in
-    { Fanout.cells; run = Server.Storms.run; section; report }
+    { Fanout.cells; run = Server.Storms.run; section; report = Some report }
   in
   Fanout.cmd
     (Cmd.info "storm"
@@ -967,24 +899,33 @@ let storm_cmd =
       $ schedule_arg)
 
 let cache_cmd =
+  let open Server.Cached in
+  let d = default_config in
   let mode_arg =
+    let all = [ Cache_off; Cache_fixed; Cache_brokered ] in
     Arg.(
       value
-      & opt (enum [ ("all", `All); ("off", `Off); ("fixed", `Fixed); ("brokered", `Brokered) ]) `All
+      & opt
+          (enum
+             [
+               ("all", all);
+               ("off", [ Cache_off ]);
+               ("fixed", [ Cache_fixed ]);
+               ("brokered", [ Cache_brokered ]);
+             ])
+          all
       & info [ "mode" ]
           ~doc:
             "Cache mode to run: $(b,off), $(b,fixed), $(b,brokered), or \
              $(b,all) (the three-way comparison).")
   in
   let clients_arg =
-    Arg.(value & opt Fanout.pos_int 16 & info [ "clients"; "c" ] ~doc:"Number of concurrent clients.")
+    Fanout.clients_arg ~default:d.k_clients ~doc:"Number of concurrent clients."
   in
-  let think_arg =
-    Fanout.think_arg ~default:30. ~doc:"Client think time, seconds (mean)."
-  in
+  let think_arg = mean_think_arg ~default:d.k_think in
   let ratio_arg =
     Arg.(
-      value & opt Fanout.probability 0.6
+      value & opt Fanout.probability d.k_ratio
       & info [ "param-ratio" ]
           ~doc:
             "Fraction of traffic replaying parameterized (cacheable) \
@@ -992,21 +933,23 @@ let cache_cmd =
   in
   let variants_arg =
     Arg.(
-      value & opt Fanout.pos_int 32
+      value & opt Fanout.pos_int d.k_variants
       & info [ "variants" ] ~doc:"Distinct parameterized statements.")
   in
   let writers_arg =
     Arg.(
-      value & opt int 2
+      value & opt int d.k_writers
       & info [ "writers" ]
           ~doc:"Writer sessions invalidating cached results by relation.")
   in
-  let warmup_arg = Fanout.warmup_arg ~default:200. in
-  let measure_arg =
-    Arg.(value & opt Fanout.pos_float 800. & info [ "measure" ] ~doc:"Measured window, seconds.")
-  in
+  let warmup_arg = Fanout.warmup_arg ~default:d.k_warmup in
+  let measure_arg = Fanout.measure_arg ~default:d.k_measure in
+  let slice_arg = Fanout.slice_arg ~default:d.k_slice in
   let memory_gib_arg =
-    Arg.(value & opt (Fanout.gib ~zero:false) 4. & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
+    Arg.(
+      value
+      & opt (Fanout.gib ~zero:false) (gib_of_bytes d.k_memory)
+      & info [ "memory-gib" ] ~doc:"Machine memory, GiB.")
   in
   let cache_mib_arg =
     Arg.(
@@ -1014,17 +957,19 @@ let cache_cmd =
       & opt (some int) None
       & info [ "cache-mib" ]
           ~doc:
-            "Cache byte budget, MiB (fixed mode) / broker cap (brokered \
-             mode). Default 256. Conflicts with $(b,--mode off).")
+            (Printf.sprintf
+               "Cache byte budget, MiB (fixed mode) / broker cap (brokered \
+                mode). Default %.0f. Conflicts with $(b,--mode off)."
+               (Dbmem.Units.to_mib d.k_cache_bytes)))
   in
   let ttl_arg =
     Arg.(
-      value & opt Fanout.nonneg_float 600.
+      value & opt Fanout.nonneg_float d.k_ttl
       & info [ "ttl" ] ~doc:"Cached-entry lifetime, seconds (0 = no expiry).")
   in
   let ballast_gib_arg =
     Arg.(
-      value & opt (Fanout.gib ~zero:true) 0.
+      value & opt (Fanout.gib ~zero:true) d.k_ballast_gib
       & info [ "ballast-gib" ]
           ~doc:
             "Inject a memory ballast mid-window (GiB): the pressure under \
@@ -1047,27 +992,18 @@ let cache_cmd =
             "Diurnal curve: load swings sinusoidally up to this multiple \
              of the baseline over one measure-length cycle (1 = flat).")
   in
-  let spec mode clients think ratio variants writers warmup measure slice
+  let spec modes clients think ratio variants writers warmup measure slice
       memory_gib cache_mib ttl ballast_gib flash peak_load =
-    let open Server.Cached in
     (* Structured conflicts, caught before any simulation runs. *)
-    (match (mode, cache_mib) with
-    | `Off, Some _ ->
+    (match (modes, cache_mib) with
+    | [ Cache_off ], Some _ ->
         Fanout.fail
           "--cache-mib conflicts with --mode off (cache-off runs no cache)"
     | _ -> ());
     if flash < 0 then Fanout.fail "--flash below 0";
-    let modes =
-      match mode with
-      | `All -> [ Cache_off; Cache_fixed; Cache_brokered ]
-      | `Off -> [ Cache_off ]
-      | `Fixed -> [ Cache_fixed ]
-      | `Brokered -> [ Cache_brokered ]
-    in
-    let cell seed mode =
+    let base =
       {
         default_config with
-        k_mode = mode;
         k_clients = clients;
         k_think = think;
         k_ratio = ratio;
@@ -1077,7 +1013,8 @@ let cache_cmd =
         k_measure = measure;
         k_slice = slice;
         k_memory = Dbmem.Units.of_gib memory_gib;
-        k_cache_bytes = Dbmem.Units.mib (Option.value cache_mib ~default:256);
+        k_cache_bytes =
+          Option.fold cache_mib ~none:d.k_cache_bytes ~some:Dbmem.Units.mib;
         k_ttl = ttl;
         k_ballast_gib = ballast_gib;
         k_diurnal =
@@ -1095,11 +1032,10 @@ let cache_cmd =
                };
              ]
            else []);
-        k_seed = seed;
       }
     in
-    let cells seed =
-      let cfgs = List.map (cell seed) modes in
+    let cells k_seed =
+      let cfgs = List.map (fun k_mode -> { base with k_mode; k_seed }) modes in
       List.iter validate cfgs;
       cfgs
     in
@@ -1162,7 +1098,7 @@ let cache_cmd =
             (off.gw_acquires - brokered.gw_acquires)
       | _ -> ()
     in
-    { Fanout.cells; run = Server.Cached.run; section; report }
+    { Fanout.cells; run = Server.Cached.run; section; report = Some report }
   in
   Fanout.cmd
     (Cmd.info "cache"

@@ -1,13 +1,14 @@
-(* Seed fan-out for dbsim's per-seed scenario subcommands (health,
-   tenants, shards, storm, cache). A scenario declares its own flags,
-   its cells for one seed in print order (validated as they are built:
-   an [Invalid_argument] there is a usage error), how to run a cell, and
-   how to print a seed's outcomes to stdout and to a report file. This module
-   owns the rest, once: the --seed/--seeds/--jobs/--out/--trace flags,
-   one Parallel.Pool fan-out over every (seed, cell), the per-seed report
-   files, and the Chrome traces. A traced cell records its trace in the
-   same run that produces its reported outcome; tracing never perturbs a
-   run, so the outcome is the one an untraced run would give. *)
+(* Seed fan-out for dbsim's nine per-seed scenario subcommands (run,
+   compare, sweep, chaos, health, tenants, shards, storm, cache). A
+   scenario declares its own flags, its cells for one seed in print order
+   (validated as they are built: an [Invalid_argument] there is a usage
+   error), how to run a cell, how to print a seed's outcomes to stdout
+   and, optionally, to a report file. This module owns the rest, once:
+   the --seed/--seeds/--jobs/--out/--trace flags, one Parallel.Pool
+   fan-out over every (seed, cell), the per-seed report files, and the
+   Chrome traces. A traced cell records its trace in the same run that
+   produces its reported outcome; tracing never perturbs a run, so the
+   outcome is the one an untraced run would give. *)
 
 open Cmdliner
 
@@ -15,7 +16,8 @@ type ('cfg, 'o) t = {
   cells : int -> 'cfg list;  (** One seed's cells, in print order. *)
   run : ?trace:Obs.Trace.t -> 'cfg -> 'o;
   section : int -> 'o list -> unit;  (** A seed's stdout section. *)
-  report : out_channel -> int -> 'o list -> unit;  (** A seed's --out body. *)
+  report : (out_channel -> int -> 'o list -> unit) option;
+      (** A seed's --out body; the command has --out only when it has one. *)
 }
 
 (* The structured one-line error, exit 124, for bad flag combinations
@@ -70,6 +72,21 @@ let warmup_arg ~default =
     value
     & opt nonneg_float default
     & info [ "warmup" ] ~doc:"Warm-up seconds (excluded from results).")
+
+let measure_arg ~default =
+  Arg.(
+    value
+    & opt pos_float default
+    & info [ "measure" ] ~doc:"Measured window, seconds.")
+
+let slice_arg ~default =
+  Arg.(
+    value
+    & opt pos_float default
+    & info [ "slice" ] ~doc:"Time-slice width for throughput, seconds.")
+
+let clients_arg ~default ~doc =
+  Arg.(value & opt pos_int default & info [ "clients"; "c" ] ~doc)
 
 let jobs_arg =
   Arg.(
@@ -133,7 +150,7 @@ let traced_index traced cfgs =
   in
   go 0 cfgs
 
-let drive ?traced ?stuck spec seed seeds jobs out trace_prefix =
+let drive ?traced ?stuck ~seed_titles spec seed seeds jobs out trace_prefix =
   let seeds = match seeds with [] -> [ seed ] | l -> l in
   let multi = List.length seeds > 1 in
   let grid =
@@ -164,15 +181,16 @@ let drive ?traced ?stuck spec seed seeds jobs out trace_prefix =
     (fun seed ->
       let mine = List.filter (fun ((s, _, _), _) -> s = seed) cells in
       let outcomes = List.map (fun (_, (o, _)) -> o) mine in
+      if seed_titles && multi then Printf.printf "== seed %d ==\n" seed;
       spec.section seed outcomes;
-      Option.iter
-        (fun path ->
+      (match (out, spec.report) with
+      | Some path, Some report ->
           let path = seed_out_path ~multi path seed in
           let oc = open_out path in
-          spec.report oc seed outcomes;
+          report oc seed outcomes;
           close_out oc;
-          Printf.printf "wrote %s\n" path)
-        out;
+          Printf.printf "wrote %s\n" path
+      | _ -> ());
       match (trace_prefix, List.find_map (fun (_, (_, t)) -> t) mine) with
       | Some prefix, Some trace ->
           write_trace (Printf.sprintf "%s-seed%d.json" prefix seed) trace
@@ -189,22 +207,28 @@ let drive ?traced ?stuck spec seed seeds jobs out trace_prefix =
       if total > 0 then exit 3)
     stuck
 
-(* [cmd info ~report spec] — the subcommand running [spec]'s cells at
-   every seed. [report] names what --out writes. [trace] gives --trace's
-   doc and picks the cell to trace; without it there is no --trace.
-   With [stuck], the command exits 3 when any outcome has stuck queries. *)
-let cmd info ~report ?trace ?stuck spec =
+(* [cmd info spec] — the subcommand running [spec]'s cells at every
+   seed. [report] names what --out writes, for a spec with a report;
+   without it there is no --out. [trace] gives --trace's doc and picks
+   the cell to trace; without it there is no --trace. With [stuck], the
+   command exits 3 when any outcome has stuck queries. [seed_titles]
+   heads each seed's section with its seed when several seeds run, for
+   sections that do not name their seed. *)
+let cmd info ?report ?trace ?stuck ?(seed_titles = false) spec =
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            (Printf.sprintf
-               "Also write the per-seed %s to FILE (CI artifact). With \
-                several $(b,--seeds), -seedN is inserted before the \
-                extension."
-               report))
+    match report with
+    | None -> Term.const None
+    | Some report ->
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "out"; "o" ] ~docv:"FILE"
+              ~doc:
+                (Printf.sprintf
+                   "Also write the per-seed %s to FILE (CI artifact). With \
+                    several $(b,--seeds), -seedN is inserted before the \
+                    extension."
+                   report))
   in
   let trace_arg =
     match trace with
@@ -218,7 +242,8 @@ let cmd info ~report ?trace ?stuck spec =
   Cmd.v info
     Term.(
       const (fun seeds seed jobs out trace_prefix spec ->
-          drive ?traced ?stuck spec seed seeds jobs out trace_prefix)
+          drive ?traced ?stuck ~seed_titles spec seed seeds jobs out
+            trace_prefix)
       $ seeds $ seed_arg $ jobs_arg $ out_arg $ trace_arg $ spec)
 
 (* Report CSVs declare each column once, as a header and a printer, so a

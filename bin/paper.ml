@@ -24,43 +24,39 @@ let config ~throttle ~seed =
   in
   { base with Server.Config.seed }
 
+(* Every cell is independent, with its own engine and RNG, so a list of
+   cells fans out through Parallel.Pool.run, which returns the results in
+   submission order. *)
 let run_cell ?catalog ?templates ?(warmup = warmup) ?(measure = quick_measure)
-    ?(slice = fig_slice) ~clients config () =
-  Server.Experiment.run ~config ?catalog ?templates ~clients ~warmup ~measure
-    ~slice ()
+    ?(slice = fig_slice) ?trace ~clients config =
+  Server.Experiment.run ~config ?catalog ?templates ?trace ~clients ~warmup
+    ~measure ~slice ()
 
-(* One cell per client count and throttle setting, in that order. Every
-   cell is independent, with its own engine and RNG, and run_grid
-   returns results in submission order. *)
-let sweep_results ~jobs ~throttles ~counts ~warmup ~measure ~slice ~seed =
-  Server.Experiment.run_grid ~jobs
-    (List.concat_map
-       (fun clients ->
-         List.map
-           (fun throttle ->
-             run_cell ~warmup ~measure ~slice ~clients (config ~throttle ~seed))
-           throttles)
-       counts)
+(* A sweep's cells, a client count and a server config each: one per
+   client count and throttle setting, in that order. *)
+let sweep_cells ~throttles ~counts ~seed =
+  List.concat_map
+    (fun clients ->
+      List.map (fun throttle -> (clients, config ~throttle ~seed)) throttles)
+    counts
+
+let run_sweep ~jobs ~warmup ~measure ~slice cells =
+  Parallel.Pool.run ~jobs
+    (fun (clients, config) -> run_cell ~warmup ~measure ~slice ~clients config)
+    cells
 
 (* The standard result table over a sweep: T2 and [dbsim sweep]. *)
-let sweep ~jobs ~throttles ~counts ~warmup ~measure ~slice ~seed =
+let print_sweep results =
   Server.Report.table ~header:Server.Report.result_header
-    (List.map Server.Report.result_row
-       (sweep_results ~jobs ~throttles ~counts ~warmup ~measure ~slice ~seed))
+    (List.map Server.Report.result_row results)
 
 (* Throttled vs unthrottled at one client count: Figures 3-5 and
    [dbsim compare]. Prints the per-slice series and the result table. *)
-let throughput_pair ~jobs ~title ~clients ~warmup ~measure ~slice ~seed =
-  match
-    sweep_results ~jobs ~throttles:[ true; false ] ~counts:[ clients ] ~warmup
-      ~measure ~slice ~seed
-  with
+let print_pair ~title = function
   | [ on; off ] ->
       Server.Report.figure_series ~title ~throttled:on.Server.Experiment.slices
         ~unthrottled:off.Server.Experiment.slices;
-      Server.Report.table ~header:Server.Report.result_header
-        [ Server.Report.result_row on; Server.Report.result_row off ];
-      (on, off)
+      print_sweep [ on; off ]
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -125,10 +121,10 @@ let throughput_figure ~figure ~clients ~jobs =
   section
     (Printf.sprintf "Figure %d - throughput, %d clients (completions per %.0fs slice)"
        figure clients fig_slice);
-  ignore
-    (throughput_pair ~jobs
-       ~title:(Printf.sprintf "%d clients, warm-up %.0fs excluded" clients warmup)
-       ~clients ~warmup ~measure:fig_measure ~slice:fig_slice ~seed:42)
+  print_pair
+    ~title:(Printf.sprintf "%d clients, warm-up %.0fs excluded" clients warmup)
+    (run_sweep ~jobs ~warmup ~measure:fig_measure ~slice:fig_slice
+       (sweep_cells ~throttles:[ true; false ] ~counts:[ clients ] ~seed:42))
 
 (* ------------------------------------------------------------------ *)
 (* T1: compile memory, SALES vs TPC-H *)
@@ -180,8 +176,10 @@ let compile_memory ~jobs:_ =
 
 let client_sweep ~jobs =
   section "T2 - client sweep (paper: max throughput at 30 clients)";
-  sweep ~jobs ~throttles:[ true; false ] ~counts:[ 10; 20; 25; 30; 35; 40; 45 ]
-    ~warmup ~measure:quick_measure ~slice:fig_slice ~seed:42
+  print_sweep
+    (run_sweep ~jobs ~warmup ~measure:quick_measure ~slice:fig_slice
+       (sweep_cells ~throttles:[ true; false ]
+          ~counts:[ 10; 20; 25; 30; 35; 40; 45 ] ~seed:42))
 
 (* ------------------------------------------------------------------ *)
 (* T3: reliability *)
@@ -209,8 +207,8 @@ let reliability ~jobs =
     ]
   in
   let results =
-    sweep_results ~jobs ~throttles:[ true; false ] ~counts:[ 30; 35; 40 ]
-      ~warmup ~measure:quick_measure ~slice:fig_slice ~seed:42
+    run_sweep ~jobs ~warmup ~measure:quick_measure ~slice:fig_slice
+      (sweep_cells ~throttles:[ true; false ] ~counts:[ 30; 35; 40 ] ~seed:42)
   in
   Server.Report.table
     ~header:[ "clients"; "throttle"; "errors"; "by kind"; "attempt success"; "abandoned" ]
@@ -224,8 +222,7 @@ let reliability ~jobs =
 let ablation ~jobs ~title ~column ~clients variants =
   section title;
   let results =
-    Server.Experiment.run_grid ~jobs
-      (List.map (fun (_, config) -> run_cell ~clients config) variants)
+    Parallel.Pool.run ~jobs (fun (_, config) -> run_cell ~clients config) variants
   in
   Server.Report.table
     ~header:(column :: Server.Report.result_header)
@@ -297,8 +294,7 @@ let memory_sweep ~jobs =
       (fun gib ->
         List.map
           (fun base ->
-            run_cell ~clients:30
-              { base with Server.Config.memory_bytes = Dbmem.Units.gib gib })
+            { base with Server.Config.memory_bytes = Dbmem.Units.gib gib })
           [ throttled; unthrottled ])
       sizes
   in
@@ -315,7 +311,8 @@ let memory_sweep ~jobs =
           @ [ Printf.sprintf "%+.0f%%" uplift ];
           (Printf.sprintf "%d GiB" gib :: Server.Report.result_row off) @ [ "" ];
         ])
-      (List.combine sizes (pairs (Server.Experiment.run_grid ~jobs cells)))
+      (List.combine sizes
+         (pairs (Parallel.Pool.run ~jobs (run_cell ~clients:30) cells)))
   in
   Server.Report.table
     ~header:(("memory" :: Server.Report.result_header) @ [ "uplift" ])
@@ -331,10 +328,9 @@ let snowflake ~jobs =
   let templates = Workload.Snowflake.templates () in
   let on, off =
     match
-      Server.Experiment.run_grid ~jobs
-        (List.map
-           (run_cell ~catalog ~templates ~clients:30)
-           [ throttled; unthrottled ])
+      Parallel.Pool.run ~jobs
+        (run_cell ~catalog ~templates ~clients:30)
+        [ throttled; unthrottled ]
     with
     | [ a; b ] -> (a, b)
     | _ -> assert false
@@ -354,10 +350,8 @@ let snowflake ~jobs =
 let memory_trace ~jobs =
   section "Memory timelines - per-component usage, 30 clients";
   let results =
-    Server.Experiment.run_grid ~jobs
-      (List.map
-         (run_cell ~warmup:0. ~clients:30)
-         [ throttled; unthrottled ])
+    Parallel.Pool.run ~jobs (run_cell ~warmup:0. ~clients:30)
+      [ throttled; unthrottled ]
   in
   let show label (r : Server.Experiment.result) =
     Printf.printf "\n%s:\n" label;

@@ -110,15 +110,6 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     memory_series = Metrics.memory_series metrics;
   }
 
-(* Grids: independent cells fanned over domains. Each cell is a thunk
-   that builds a fresh engine (own RNG), server, metrics, client stats
-   and trace sink when it runs, and nothing in the library holds
-   top-level mutable state, so cells can execute on any domain in any
-   order. Results come back in submission order, which keeps grid output
-   byte-identical to a sequential run. *)
-let run_grid ?(jobs = 1) cells =
-  Parallel.Pool.run ~jobs (fun cell -> cell ()) cells
-
 let uplift a b =
   (* 0., not nan, against a zero baseline — callers print this straight
      into reports and "nan%" there reads as a bug. *)

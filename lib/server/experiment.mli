@@ -69,18 +69,6 @@ val load :
   stop:float ->
   Dbms.t * Workload.Client.stats * Faultsim.Injector.t option
 
-(** [run_grid ?jobs cells] runs every cell — typically
-    [fun () -> run ...] — and returns the results in submission order.
-    With [~jobs:1] (the default) cells run sequentially on the calling
-    domain; with [~jobs:n] they fan out over n domains, the calling one
-    included ({!Parallel.Pool.run}; [Invalid_argument] on [jobs < 1]). A
-    cell must build all its live state when it runs: a catalog or
-    template list it closes over may be shared between cells but must be
-    treated as read-only. Because each cell is deterministic given its
-    own seed, the results — and hence any output rendered from them — are
-    identical whichever way the grid is executed. *)
-val run_grid : ?jobs:int -> (unit -> result) list -> result list
-
 (** Relative throughput uplift of [a] over [b] (e.g. throttled over
     unthrottled), from mean completions per slice. [0.] when the
     baseline completed nothing. *)

@@ -1,16 +1,29 @@
 let chaos_faults ?(ballast_gib = 12.) ?(at = 100.) ?(ramp_steps = 240)
-    ?(step_s = 2.5) ?(glitch = 0.15) () =
-  let window = float_of_int ramp_steps *. step_s in
+    ?(step_s = 2.5) ?(hold = 0.) ?(disk_storm = false) ?(burst = 0)
+    ?(glitch = 0.15) () =
+  let duration = (float_of_int ramp_steps *. step_s) +. hold in
   (if ballast_gib > 0. then
      Faultsim.Fault.pressure_spike ~ramp_steps ~step_s ~at
        ~bytes:(Dbmem.Units.of_gib ballast_gib)
-       ~hold:0. ()
+       ~hold ()
    else [])
+  @ (if disk_storm then
+       [
+         Faultsim.Fault.Disk_storm
+           { at; duration; throughput_factor = 0.5; extra_seek_s = 0.004 };
+       ]
+     else [])
+  @ (if burst > 0 then
+       [
+         Faultsim.Fault.Client_burst
+           { at; duration; clients = burst; think_mean = 10. };
+       ]
+     else [])
   @
   if glitch > 0. then
     [
       Faultsim.Fault.Alloc_glitch
-        { at; duration = window; fail_prob = glitch; clerks = [ "compile" ] };
+        { at; duration; fail_prob = glitch; clerks = [ "compile" ] };
     ]
   else []
 

@@ -5,16 +5,23 @@
     Everything is deterministic in the seed: the same parameters and seed
     replay the same run, byte for byte. *)
 
-(** The default schedule: a 12 GiB external ballast ramping over 600 s
-    starting at [at] (the paper's §3 external-pressure transient), plus a
-    transient allocation-failure window on the compile clerk for the same
-    600 s so the retry ladder and the error taxonomy see real 701s.
-    [ballast_gib = 0.] / [glitch = 0.] drop the respective fault. *)
+(** The chaos schedule, in this order: an external ballast of
+    [ballast_gib] (12 GiB) ramping in [ramp_steps] (240) steps of
+    [step_s] (2.5 s) from [at] (100 s) and holding [hold] (0 s) — the
+    paper's §3 external-pressure transient — then, over the same window
+    of ramp plus hold, a disk storm when [disk_storm], [burst] extra
+    clients when positive, and a transient allocation-failure window on
+    the compile clerk with probability [glitch] (0.15) so the retry
+    ladder and the error taxonomy see real 701s. [ballast_gib = 0.] /
+    [glitch = 0.] drop the respective fault. *)
 val chaos_faults :
   ?ballast_gib:float ->
   ?at:float ->
   ?ramp_steps:int ->
   ?step_s:float ->
+  ?hold:float ->
+  ?disk_storm:bool ->
+  ?burst:int ->
   ?glitch:float ->
   unit ->
   Faultsim.Fault.spec list

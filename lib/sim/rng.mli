@@ -17,9 +17,6 @@ val split : t -> t
 (** [copy t] duplicates the exact current state (same future stream). *)
 val copy : t -> t
 
-(** [bits64 t] is the next raw 64-bit output. *)
-val bits64 : t -> int64
-
 (** [int t n] is uniform on [\[0, n)]. Requires [n > 0]. *)
 val int : t -> int -> int
 

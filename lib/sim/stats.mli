@@ -12,7 +12,6 @@ module Online : sig
   (** Sample variance (n-1 denominator); [0.] with fewer than two samples. *)
   val variance : t -> float
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val total : t -> float

@@ -101,30 +101,30 @@ let test_exception_propagation () =
 (* ------------------------------------------------------------------ *)
 (* Grid determinism: the point of the whole construction. *)
 
-let grid_cells ~seeds ~clients =
+let grid_cells ~seeds =
   List.concat_map
     (fun seed ->
       List.map
-        (fun base () ->
-          Server.Experiment.run
-            ~config:{ base with Server.Config.seed }
-            ~clients ~warmup:5. ~measure:30. ~slice:10. ())
+        (fun base -> { base with Server.Config.seed })
         [ Server.Config.default (); Server.Config.unthrottled () ])
     seeds
 
+let run_cell ~clients config =
+  Server.Experiment.run ~config ~clients ~warmup:5. ~measure:30. ~slice:10. ()
+
 let fingerprint results = Marshal.to_string results [ Marshal.No_sharing ]
 
-let test_run_grid_parallel_equals_sequential () =
-  let cells = grid_cells ~seeds:[ 42; 7 ] ~clients:3 in
-  let seq = Server.Experiment.run_grid ~jobs:1 cells in
-  let par = Server.Experiment.run_grid ~jobs:4 cells in
+let test_grid_parallel_equals_sequential () =
+  let cells = grid_cells ~seeds:[ 42; 7 ] in
+  let seq = Parallel.Pool.run ~jobs:1 (run_cell ~clients:3) cells in
+  let par = Parallel.Pool.run ~jobs:4 (run_cell ~clients:3) cells in
   Alcotest.(check bool) "parallel grid = sequential grid" true
     (String.equal (fingerprint seq) (fingerprint par))
 
 (* A process that fails inside one cell fails the whole grid, from
    whichever domain ran that cell: the grid re-raises the engine's
    [Process_failed], so no cell's numbers come from a broken run. *)
-let test_run_grid_process_failure () =
+let test_grid_process_failure () =
   let healthy () =
     Server.Experiment.run ~clients:2 ~warmup:5. ~measure:30. ~slice:10. ()
   in
@@ -140,7 +140,7 @@ let test_run_grid_process_failure () =
     Sim.Engine.run eng ~until:35.;
     Alcotest.fail "the cell's run did not raise"
   in
-  match Server.Experiment.run_grid ~jobs:2 [ healthy; failing ] with
+  match Parallel.Pool.run ~jobs:2 (fun cell -> cell ()) [ healthy; failing ] with
   | _ -> Alcotest.fail "expected Process_failed from the grid"
   | exception Sim.Engine.Process_failed { name; time; exn } ->
       Alcotest.(check string) "process" "bad-probe" name;
@@ -151,15 +151,15 @@ let test_run_grid_process_failure () =
    results at jobs=1 and jobs=4. Every result field — series samples,
    online stats, error counters — participates via Marshal. *)
 let prop_grid_deterministic_under_parallelism =
-  QCheck.Test.make ~name:"run_grid jobs:1 = jobs:4 on fuzzed grids" ~count:5
+  QCheck.Test.make ~name:"experiment grid jobs:1 = jobs:4 on fuzzed grids" ~count:5
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 2) (int_range 0 10_000))
         (int_range 1 4))
     (fun (seeds, clients) ->
-      let cells = grid_cells ~seeds ~clients in
-      let seq = Server.Experiment.run_grid ~jobs:1 cells in
-      let par = Server.Experiment.run_grid ~jobs:4 cells in
+      let cells = grid_cells ~seeds in
+      let seq = Parallel.Pool.run ~jobs:1 (run_cell ~clients) cells in
+      let par = Parallel.Pool.run ~jobs:4 (run_cell ~clients) cells in
       String.equal (fingerprint seq) (fingerprint par))
 
 let suite =
@@ -170,7 +170,7 @@ let suite =
     ("invalid jobs rejected", `Quick, test_invalid_jobs);
     ("the calling domain runs items", `Quick, test_caller_runs_items);
     ("earliest exception propagates", `Quick, test_exception_propagation);
-    ("parallel grid = sequential grid", `Slow, test_run_grid_parallel_equals_sequential);
-    ("grid re-raises a process failure", `Quick, test_run_grid_process_failure);
+    ("parallel grid = sequential grid", `Slow, test_grid_parallel_equals_sequential);
+    ("grid re-raises a process failure", `Quick, test_grid_process_failure);
     QCheck_alcotest.to_alcotest prop_grid_deterministic_under_parallelism;
   ]
