@@ -151,7 +151,7 @@ let test_grid_process_failure () =
    results at jobs=1 and jobs=4. Every result field — series samples,
    online stats, error counters — participates via Marshal. *)
 let prop_grid_deterministic_under_parallelism =
-  QCheck.Test.make ~name:"experiment grid jobs:1 = jobs:4 on fuzzed grids" ~count:5
+  QCheck.Test.make ~name:"grid jobs:1 = jobs:4 on fuzzed grids" ~count:5
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 2) (int_range 0 10_000))
