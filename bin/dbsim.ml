@@ -212,63 +212,79 @@ let sql_cmd =
     (Cmd.info "sql" ~doc:"Print uniquified query instances as SQL text.")
     Term.(const action $ count_arg $ workload_arg $ Fanout.seed_arg)
 
+(* [chaos] and [health] run the canonical chaos run, [Server.Scenario.t]:
+   each flag defaults from the record its command starts from, and each
+   cell is [Experiment.run] on the record. *)
+module Scenario = Server.Scenario
+
+let scenario_clients_arg (d : Scenario.t) =
+  Fanout.clients_arg ~default:d.clients ~doc:"Number of concurrent clients."
+
+let scenario_run ?catalog ?templates (s : Scenario.t) ?trace config =
+  Server.Experiment.run ~config ?catalog ?templates ~drain:s.drain
+    ~client_config:
+      { Workload.Client.default_config with Workload.Client.think_mean = s.think }
+    ?trace ~clients:s.clients ~warmup:s.warmup ~measure:s.measure
+    ~slice:s.slice ()
+
+let print_schedule faults =
+  List.iter (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f)) faults;
+  print_newline ()
+
 let chaos_cmd =
-  let clients_arg =
-    Fanout.clients_arg ~default:35 ~doc:"Number of concurrent clients."
-  in
-  let warmup_arg = Fanout.warmup_arg ~default:60. in
-  let measure_arg = Fanout.measure_arg ~default:1000. in
+  (* The A/B compares the arms' measured windows, so it drains nothing;
+     and its faults are the ballast alone unless --glitch asks for more,
+     so what the resilient arm saves is what the external pressure
+     alone costs the unprotected server. *)
+  let d = { Scenario.default with glitch = 0.; drain = 0. } in
   let ballast_gib =
     Arg.(
       value
-      & opt (Fanout.gib ~zero:true) 12.
+      & opt (Fanout.gib ~zero:true) d.ballast_gib
       & info [ "ballast-gib" ]
           ~doc:"Ballast appetite, GiB (0 disables). May exceed physical \
                 memory: the ramp then absorbs whatever other components \
                 release, like a runaway external process.")
   in
   let ballast_at =
-    Arg.(value & opt Fanout.nonneg_float 100. & info [ "ballast-at" ] ~doc:"Ballast spike start, seconds of sim time.")
+    Arg.(value & opt Fanout.nonneg_float d.at & info [ "ballast-at" ] ~doc:"Ballast spike start, seconds of sim time.")
   in
   let ballast_hold =
-    Arg.(value & opt Fanout.nonneg_float 0. & info [ "ballast-hold" ] ~doc:"Seconds the ballast holds after its ramp.")
+    Arg.(value & opt Fanout.nonneg_float d.hold & info [ "ballast-hold" ] ~doc:"Seconds the ballast holds after its ramp.")
   in
   let ballast_steps =
-    Arg.(value & opt Fanout.pos_int 240 & info [ "ballast-steps" ] ~doc:"Ballast ramp increments.")
+    Arg.(value & opt Fanout.pos_int d.ramp_steps & info [ "ballast-steps" ] ~doc:"Ballast ramp increments.")
   in
   let ballast_step_s =
-    Arg.(value & opt Fanout.nonneg_float 2.5 & info [ "ballast-step-s" ] ~doc:"Seconds between ballast increments.")
+    Arg.(value & opt Fanout.nonneg_float d.step_s & info [ "ballast-step-s" ] ~doc:"Seconds between ballast increments.")
   in
   let storm_arg =
     Arg.(value & flag & info [ "disk-storm" ] ~doc:"Also degrade the disk during the spike window.")
   in
   let burst_arg =
-    Arg.(value & opt Fanout.nonneg_int 0 & info [ "burst" ] ~doc:"Extra burst clients during the spike window (0 = none).")
+    Arg.(value & opt Fanout.nonneg_int d.burst & info [ "burst" ] ~doc:"Extra burst clients during the spike window (0 = none).")
   in
   let glitch_arg =
     Arg.(
       value
-      & opt Fanout.probability 0.
+      & opt Fanout.probability d.glitch
       & info [ "glitch" ]
           ~doc:"Transient allocation-failure probability during the spike window (0 = none).")
   in
   let think_arg =
-    Fanout.think_arg ~default:100. ~doc:"Client mean think time, seconds."
+    Fanout.think_arg ~default:d.think ~doc:"Client mean think time, seconds."
   in
   let spec clients warmup measure slice ballast_gib at hold ramp_steps step_s
       disk_storm burst glitch think (catalog, templates) =
-    let faults =
-      Server.Scenario.chaos_faults ~ballast_gib ~at ~ramp_steps ~step_s ~hold
-        ~disk_storm ~burst ~glitch ()
+    let s =
+      { d with clients; warmup; measure; slice; ballast_gib; at; hold;
+               ramp_steps; step_s; disk_storm; burst; glitch; think }
     in
-    let client_config =
-      { Workload.Client.default_config with Workload.Client.think_mean = think }
-    in
+    let faults = Scenario.faults s in
     let section seed = function
       | [ on; off ] ->
           Printf.printf "Chaos schedule (%d clients, seed %d):\n" clients seed;
-          List.iter (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f)) faults;
-          print_newline ();
+          print_schedule faults;
           Format.printf "%a@.@." Server.Experiment.pp_summary on;
           Format.printf "%a@.@." Server.Experiment.pp_summary off;
           Server.Report.table ~header:Server.Report.result_header
@@ -292,10 +308,7 @@ let chaos_cmd =
             [ Server.Config.resilient (); Server.Config.default () ]);
       (* The shared catalog/templates are read-only during runs, so the
          cells may execute on different domains. *)
-      run =
-        (fun ?trace config ->
-          Server.Experiment.run ~config ~catalog ~templates ~client_config
-            ?trace ~clients ~warmup ~measure ~slice ());
+      run = scenario_run ~catalog ~templates s;
       section;
       report = None;
     }
@@ -304,7 +317,8 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Run a fault schedule with resilience on vs off (graceful-degradation demo).")
     Term.(
-      const spec $ clients_arg $ warmup_arg $ measure_arg $ slice_arg
+      const spec $ scenario_clients_arg d $ Fanout.warmup_arg ~default:d.warmup
+      $ Fanout.measure_arg ~default:d.measure $ Fanout.slice_arg ~default:d.slice
       $ ballast_gib $ ballast_at $ ballast_hold $ ballast_steps
       $ ballast_step_s $ storm_arg $ burst_arg $ glitch_arg $ think_arg
       $ workload_arg)
@@ -415,14 +429,10 @@ let trace_cmd =
 
 
 let health_cmd =
-  let clients_arg =
-    Fanout.clients_arg ~default:35 ~doc:"Number of concurrent clients."
-  in
-  let warmup_arg = Fanout.warmup_arg ~default:60. in
-  let measure_arg = Fanout.measure_arg ~default:1000. in
+  let d = Scenario.default in
   let drain_arg =
     Arg.(
-      value & opt Fanout.nonneg_float 900.
+      value & opt Fanout.nonneg_float d.drain
       & info [ "drain" ]
           ~doc:"Extra seconds after clients stop, so in-flight queries can \
                 finish; anything still in flight after the drain is stuck.")
@@ -436,41 +446,36 @@ let health_cmd =
   in
   let glitch_arg =
     Arg.(
-      value & opt Fanout.probability 0.15
+      value & opt Fanout.probability d.glitch
       & info [ "glitch" ]
           ~doc:"Allocation-failure probability on the compile clerk during \
                 the spike window (0 = ballast only).")
   in
   let spec clients warmup measure drain resilience glitch =
+    let s = { d with clients; warmup; measure; drain; glitch } in
+    let faults = Scenario.faults s in
     let config =
       if resilience then Server.Config.resilient ()
       else Server.Config.default ()
     in
-    let faults = Server.Scenario.chaos_faults ~glitch () in
     let section seed =
-      List.iter (fun (o : Server.Scenario.outcome) ->
+      List.iter (fun (r : Server.Experiment.result) ->
           Printf.printf "Chaos schedule (%d clients, seed %d, %s):\n" clients seed
             (if resilience then "resilience on" else "resilience off");
-          List.iter
-            (fun f -> Printf.printf "  %s\n" (Faultsim.Fault.label f))
-            o.faults;
-          print_newline ();
-          Format.printf "%a@." Health.Report.pp o.report;
-          let stuck = Health.Report.stuck o.report in
+          print_schedule faults;
+          Format.printf "%a@." Health.Report.pp r.health;
+          let stuck = Health.Report.stuck r.health in
           Printf.printf "\n  stuck queries: %d%s\n" stuck
             (if stuck = 0 then "" else "  <-- QUERIES STUCK"))
     in
     let report oc _ =
-      List.iter (fun (o : Server.Scenario.outcome) ->
+      List.iter (fun (r : Server.Experiment.result) ->
           Format.fprintf (Format.formatter_of_out_channel oc) "%a@."
-            Health.Report.pp o.report)
+            Health.Report.pp r.health)
     in
     {
-      Fanout.cells = (fun seed -> [ seed ]);
-      run =
-        (fun ?trace seed ->
-          Server.Scenario.run_chaos ~config ~faults ~seed ~clients ~warmup
-            ~measure ~drain ?trace ());
+      Fanout.cells = (fun seed -> [ { config with Server.Config.seed; faults } ]);
+      run = scenario_run s;
       section;
       report = Some report;
     }
@@ -481,10 +486,11 @@ let health_cmd =
          "Run the canonical chaos schedule and print the health report \
           with the error-budget table.")
     ~report:"health report"
-    ~stuck:(fun (o : Server.Scenario.outcome) -> Health.Report.stuck o.report)
+    ~stuck:(fun (r : Server.Experiment.result) -> Health.Report.stuck r.health)
     Term.(
-      const spec $ clients_arg $ warmup_arg $ measure_arg $ drain_arg
-      $ resilience_arg $ glitch_arg)
+      const spec $ scenario_clients_arg d $ Fanout.warmup_arg ~default:d.warmup
+      $ Fanout.measure_arg ~default:d.measure $ drain_arg $ resilience_arg
+      $ glitch_arg)
 
 let tenants_cmd =
   let warmup_arg = Fanout.warmup_arg ~default:400. in

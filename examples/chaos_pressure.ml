@@ -1,9 +1,9 @@
 (* The graceful-degradation ladder under an external memory attack.
 
-   A phantom process starts grabbing committed memory at t=100s and keeps
-   absorbing whatever the server's own components release — execution
-   grants, compile sessions — until essentially nothing is left, then
-   lets go. 35 clients run the SALES workload through the whole episode.
+   A phantom process starts grabbing committed memory early in the run and
+   keeps absorbing whatever the server's own components release —
+   execution grants, compile sessions — until essentially nothing is
+   left, then lets go. SALES clients run through the whole episode.
 
    The same storm is replayed twice from the same seed: once on the plain
    throttled server, once with the resilience layer (greedy-plan compile
@@ -13,30 +13,26 @@
 
      dune exec examples/chaos_pressure.exe *)
 
-let gib = Dbmem.Units.gib
-
-(* The canonical chaos scenario of test/test_chaos.ml: ballast spike at
-   t=100s, 35 clients. The ballast's appetite (12 GiB) exceeds physical
-   memory (4 GiB) on purpose — the slow 600s ramp keeps eating freed
-   grants, ratcheting the server down to scraps. *)
-let clients = 35
+(* The canonical chaos run of Server.Scenario without its allocation
+   glitch: the ballast alone over the measured window with no drain, as
+   [dbsim chaos] and test/test_chaos.ml run it. The ballast's appetite
+   exceeds physical memory (4 GiB) on purpose —
+   the slow ramp keeps eating freed grants, ratcheting the server down
+   to scraps. *)
+let scenario = { Server.Scenario.default with glitch = 0. }
+let faults = Server.Scenario.faults scenario
 let seed = 42
-let warmup = 60.
-let measure = 1000.
-let slice = 60.
-
-let faults =
-  [
-    Faultsim.Fault.Memory_ballast
-      { at = 100.; bytes = gib 12; hold = 0.; ramp_steps = 240; step_s = 2.5 };
-  ]
 
 let run ~resilient =
   let base =
     if resilient then Server.Config.resilient () else Server.Config.default ()
   in
   let config = { base with Server.Config.seed; faults } in
-  Server.Experiment.run ~config ~clients ~warmup ~measure ~slice ()
+  let { Server.Scenario.clients; warmup; measure; slice; think; _ } = scenario in
+  Server.Experiment.run ~config
+    ~client_config:
+      { Workload.Client.default_config with Workload.Client.think_mean = think }
+    ~clients ~warmup ~measure ~slice ()
 
 let () =
   print_endline "Fault schedule:";

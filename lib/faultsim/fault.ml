@@ -90,13 +90,6 @@ let window = function
       (at, at +. duration)
   | Shard_crash { at; restart_delay; _ } -> (at, at +. restart_delay)
 
-(* The slow default ramp matters: a spike that grabs everything at once
-   only gets what is instantaneously free, while a ramp keeps absorbing
-   memory as in-flight consumers (execution grants, compile sessions)
-   release theirs — the ratchet a real runaway external process shows. *)
-let pressure_spike ?(ramp_steps = 30) ?(step_s = 10.) ~at ~bytes ~hold () =
-  [ Memory_ballast { at; bytes; hold; ramp_steps; step_s } ]
-
 let pp ppf s =
   let start, stop = window s in
   match s with

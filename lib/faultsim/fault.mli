@@ -76,18 +76,4 @@ val label : spec -> string
     ends when the memory is released. *)
 val window : spec -> float * float
 
-(** [pressure_spike ~at ~bytes ~hold ()] is the canonical single-fault
-    chaos schedule: an external consumer ramps to [bytes] starting at
-    [at] (default: 30 steps, 10 s apart — slow enough to ratchet up
-    memory as in-flight grants release), holds the full load for [hold]
-    seconds past the ramp, then releases. *)
-val pressure_spike :
-  ?ramp_steps:int ->
-  ?step_s:float ->
-  at:float ->
-  bytes:int ->
-  hold:float ->
-  unit ->
-  spec list
-
 val pp : Format.formatter -> spec -> unit

@@ -124,11 +124,16 @@ let faults_of cfg =
   if cfg.k_ballast_gib <= 0. then []
   else
     let ramp_steps = 60 in
-    Faultsim.Fault.pressure_spike ~ramp_steps
-      ~step_s:(0.2 *. cfg.k_measure /. float_of_int ramp_steps)
-      ~at:(cfg.k_warmup +. (0.3 *. cfg.k_measure))
-      ~bytes:(Dbmem.Units.of_gib cfg.k_ballast_gib)
-      ~hold:(0.25 *. cfg.k_measure) ()
+    [
+      Faultsim.Fault.Memory_ballast
+        {
+          at = cfg.k_warmup +. (0.3 *. cfg.k_measure);
+          bytes = Dbmem.Units.of_gib cfg.k_ballast_gib;
+          hold = 0.25 *. cfg.k_measure;
+          ramp_steps;
+          step_s = 0.2 *. cfg.k_measure /. float_of_int ramp_steps;
+        };
+    ]
 
 (* Writers update dimension tables. Most writes touch one of the optional
    dimensions — invalidating the subset of cached results that join it —

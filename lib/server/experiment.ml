@@ -27,6 +27,7 @@ type result = {
   cache_hit_rate : float;
   cpu_utilization : float;
   memory_series : (string * Sim.Series.t) list;
+  health : Health.Report.t;
 }
 
 (* Burst clients share the workload's stats and ids so conservation
@@ -54,8 +55,8 @@ let load ?trace cfg cat ~templates ~client_config ~clients ~stop =
   fleet ~label:"client" ~clients ~config:client_config ~until:stop;
   (dbms, stats, injector)
 
-let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
-    ~warmup ~measure ~slice () =
+let run ?config ?client_config ?catalog ?templates ?seed ?trace ?(drain = 0.)
+    ~clients ~warmup ~measure ~slice () =
   let cfg = match config with Some c -> c | None -> Config.default () in
   let cfg = match seed with Some s -> { cfg with Config.seed = s } | None -> cfg in
   let client_config =
@@ -71,7 +72,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
   let dbms, stats, injector =
     load ?trace cfg cat ~templates ~client_config ~clients ~stop
   in
-  Sim.Engine.run (Dbms.engine dbms) ~until:stop;
+  Sim.Engine.run (Dbms.engine dbms) ~until:(stop +. drain);
   let metrics = Dbms.metrics dbms in
   let slices = Metrics.throughput metrics ~start:warmup ~stop ~width:slice in
   let ct = Metrics.compile_time metrics and et = Metrics.exec_time metrics in
@@ -108,6 +109,7 @@ let run ?config ?client_config ?catalog ?templates ?seed ?trace ~clients
     cache_hit_rate = Plancache.Cache.hit_rate (Dbms.plan_cache dbms);
     cpu_utilization = Execsim.Cpu.utilization (Dbms.cpu dbms);
     memory_series = Metrics.memory_series metrics;
+    health = Dbms.health_report dbms ~since:warmup ();
   }
 
 let uplift a b =

@@ -32,13 +32,19 @@ type result = {
   cache_hit_rate : float;
   cpu_utilization : float;
   memory_series : (string * Sim.Series.t) list;
+  health : Health.Report.t;  (** read after the drain, since the end of warm-up *)
 }
 
-(** [run ?config ?client_config ?catalog ?templates ?seed ~clients ~warmup
-    ~measure ~slice ()] — defaults: the SALES benchmark on the paper's
-    server. Any fault schedule in [config.faults] is installed before the
-    clients start (burst clients share the workload templates and stats).
-    Raises [Failure] if any simulation process died (model bug). *)
+(** [run ?config ?client_config ?catalog ?templates ?seed ?drain ~clients
+    ~warmup ~measure ~slice ()] — defaults: the SALES benchmark on the
+    paper's server. Any fault schedule in [config.faults] is installed
+    before the clients start (burst clients share the workload templates
+    and stats). Clients stop submitting at [warmup + measure]; the engine
+    then runs [drain] (default [0.]) further seconds so in-flight queries
+    can finish, and every figure but [slices] is read after the drain: a
+    query [health] still counts in flight then is stuck, not merely
+    truncated by the clock. Raises [Failure] if any simulation process
+    died (model bug). *)
 val run :
   ?config:Config.t ->
   ?client_config:Workload.Client.config ->
@@ -46,6 +52,7 @@ val run :
   ?templates:Workload.Template.t list ->
   ?seed:int ->
   ?trace:Obs.Trace.t ->
+  ?drain:float ->
   clients:int ->
   warmup:float ->
   measure:float ->

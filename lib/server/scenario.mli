@@ -1,55 +1,43 @@
-(** The canonical chaos scenario, shared by [dbsim health], the golden
-    health-report test and the chaos property tests, so the CLI and
-    the test suite always exercise the same schedule.
+(** The canonical chaos run, shared by [dbsim chaos], [dbsim health],
+    examples/chaos_pressure.ml and the chaos and health tests, so the
+    CLI, the example and the test suite exercise the same run. It is a
+    value, not a runner: {!Experiment.run} runs it, with the schedule
+    {!faults} installed in its config.
 
     Everything is deterministic in the seed: the same parameters and seed
     replay the same run, byte for byte. *)
 
-(** The chaos schedule, in this order: an external ballast of
-    [ballast_gib] (12 GiB) ramping in [ramp_steps] (240) steps of
-    [step_s] (2.5 s) from [at] (100 s) and holding [hold] (0 s) — the
-    paper's §3 external-pressure transient — then, over the same window
-    of ramp plus hold, a disk storm when [disk_storm], [burst] extra
-    clients when positive, and a transient allocation-failure window on
-    the compile clerk with probability [glitch] (0.15) so the retry
-    ladder and the error taxonomy see real 701s. [ballast_gib = 0.] /
-    [glitch = 0.] drop the respective fault. *)
-val chaos_faults :
-  ?ballast_gib:float ->
-  ?at:float ->
-  ?ramp_steps:int ->
-  ?step_s:float ->
-  ?hold:float ->
-  ?disk_storm:bool ->
-  ?burst:int ->
-  ?glitch:float ->
-  unit ->
-  Faultsim.Fault.spec list
-
-type outcome = {
-  dbms : Dbms.t;  (** the server, kept alive for component inspection *)
-  report : Health.Report.t;  (** snapshot since the end of warm-up *)
-  completed : int;  (** completions since the end of warm-up *)
-  faults : Faultsim.Fault.spec list;  (** the schedule that ran *)
-  client_stats : Workload.Client.stats;
+type t = {
+  clients : int;  (** SALES clients *)
+  warmup : float;  (** seconds excluded from the results *)
+  measure : float;  (** measured window, seconds; clients stop at its end *)
+  drain : float;
+      (** seconds the engine runs on after the window with no new
+          submissions, so a query still in flight after it is stuck *)
+  think : float;  (** client mean think time, seconds *)
+  slice : float;  (** throughput slice width, seconds *)
+  ballast_gib : float;  (** external ballast appetite, GiB; [0.] drops it *)
+  at : float;  (** start of every fault's window, seconds *)
+  ramp_steps : int;  (** ballast ramp increments *)
+  step_s : float;  (** seconds between ballast increments *)
+  hold : float;  (** seconds the ballast holds after its ramp *)
+  disk_storm : bool;  (** degrade the disk over the window *)
+  burst : int;  (** extra clients over the window; [0] for none *)
+  glitch : float;
+      (** compile-clerk allocation-failure probability over the window;
+          [0.] drops it *)
 }
 
-(** [run_chaos ()] builds a server from [config]
-    ({!Config.resilient} by default), installs [faults]
-    ({!chaos_faults} by default), loads it with [clients] SALES clients
-    until [warmup + measure], then keeps the engine running for [drain]
-    further seconds with no new submissions so in-flight queries can
-    finish — a session still watched after the drain is genuinely stuck.
-    Raises [Failure] if any simulation process died. *)
-val run_chaos :
-  ?config:Config.t ->
-  ?faults:Faultsim.Fault.spec list ->
-  ?seed:int ->
-  ?clients:int ->
-  ?warmup:float ->
-  ?measure:float ->
-  ?drain:float ->
-  ?think_mean:float ->
-  ?trace:Obs.Trace.t ->
-  unit ->
-  outcome
+(** The paper's §3 external-pressure transient: a 12 GiB ballast ramping
+    in 240 steps of 2.5 s from t = 100 s with no hold, against 35 clients
+    (100 s think) over a 60 s warm-up, a 1000 s window (60 s slices) and
+    a 900 s drain, with a 0.15 allocation glitch so the retry ladder and
+    the error taxonomy see real 701s. No disk storm and no burst. The
+    ballast's appetite exceeds physical memory on purpose: the slow ramp
+    keeps absorbing what the server's components release. *)
+val default : t
+
+(** The schedule of [t], in this order: the ballast, then, over its
+    window of ramp plus hold, a disk storm when [disk_storm], [burst]
+    clients when positive, and the allocation glitch. *)
+val faults : t -> Faultsim.Fault.spec list

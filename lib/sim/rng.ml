@@ -36,9 +36,6 @@ let float t x =
   assert (x > 0.);
   unit_float t *. x
 
-
-let uniform t ~lo ~hi = lo +. (unit_float t *. (hi -. lo))
-
 let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u

@@ -23,9 +23,6 @@ val int : t -> int -> int
 (** [float t x] is uniform on [\[0, x)]. Requires [x > 0.]. *)
 val float : t -> float -> float
 
-(** [uniform t ~lo ~hi] is uniform on [\[lo, hi)]. *)
-val uniform : t -> lo:float -> hi:float -> float
-
 (** [exponential t ~mean] is an exponential variate with the given mean. *)
 val exponential : t -> mean:float -> float
 

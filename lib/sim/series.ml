@@ -46,35 +46,19 @@ let last t = if t.size = 0 then None else Some (nth t (t.size - 1))
 
 let to_arrays t = (Array.sub t.times 0 t.size, Array.sub t.values 0 t.size)
 
-let nslices ~start ~stop ~width =
+let bucket_sum t ~start ~stop ~width =
   assert (width > 0. && stop >= start);
-  int_of_float (ceil ((stop -. start) /. width))
-
-let bucket_fold t ~start ~stop ~width ~init ~f =
-  let n = nslices ~start ~stop ~width in
-  let acc = Array.make n init in
+  let n = int_of_float (ceil ((stop -. start) /. width)) in
+  let acc = Array.make n 0. in
   for i = 0 to t.size - 1 do
     let time = t.times.(i) in
     if time >= start && time < stop then begin
       let slice = int_of_float ((time -. start) /. width) in
       let slice = min slice (n - 1) in
-      acc.(slice) <- f acc.(slice) t.values.(i)
+      acc.(slice) <- acc.(slice) +. t.values.(i)
     end
   done;
   Array.mapi (fun i a -> (start +. (float_of_int i *. width), a)) acc
-
-let bucket_sum t ~start ~stop ~width =
-  bucket_fold t ~start ~stop ~width ~init:0. ~f:( +. )
-
-let bucket_mean t ~start ~stop ~width =
-  let sums =
-    bucket_fold t ~start ~stop ~width ~init:(0., 0) ~f:(fun (s, n) v ->
-        (s +. v, n + 1))
-  in
-  Array.map
-    (fun (slice_start, (s, n)) ->
-      (slice_start, if n = 0 then nan else s /. float_of_int n))
-    sums
 
 let values_between t ~start ~stop =
   (* Count-then-fill: two passes over unboxed float arrays cost less

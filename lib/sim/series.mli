@@ -37,10 +37,5 @@ val to_arrays : t -> float array * float array
 val bucket_sum :
   t -> start:float -> stop:float -> width:float -> (float * float) array
 
-(** [bucket_mean] is like {!bucket_sum} but averages; empty slices are
-    [nan]. *)
-val bucket_mean :
-  t -> start:float -> stop:float -> width:float -> (float * float) array
-
 (** [values_between t ~start ~stop] is values with [start <= time < stop]. *)
 val values_between : t -> start:float -> stop:float -> float array

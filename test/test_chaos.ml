@@ -1,26 +1,31 @@
 (* The fault-injection harness and the graceful-degradation ladder.
 
-   The acceptance scenario is the one examples/chaos_pressure.ml ships: a
-   memory-ballast spike starting at t=100s against 35 clients, replayed
-   from a fixed seed with resilience on and off. The resilient server must
+   The acceptance scenario is the one examples/chaos_pressure.ml ships:
+   the canonical chaos run's memory-ballast spike, replayed from a fixed
+   seed with resilience on and off. The resilient server must
    complete at least 20% more queries and report strictly fewer hard
    errors. *)
 
 let gib = Dbmem.Units.gib
 
-let spike_faults =
-  [
-    Faultsim.Fault.Memory_ballast
-      { at = 100.; bytes = gib 12; hold = 0.; ramp_steps = 240; step_s = 2.5 };
-  ]
+(* The canonical chaos run without its allocation glitch, as [dbsim
+   chaos] runs it: the ballast alone, over the measured window with no
+   drain. *)
+let spike = { Server.Scenario.default with glitch = 0. }
 
 let run_spike ~resilient =
   let base =
     if resilient then Server.Config.resilient () else Server.Config.default ()
   in
-  let config = { base with Server.Config.seed = 42; faults = spike_faults } in
-  Server.Experiment.run ~config ~clients:35 ~warmup:60. ~measure:1000.
-    ~slice:60. ()
+  let config =
+    { base with Server.Config.seed = 42; faults = Server.Scenario.faults spike }
+  in
+  Server.Experiment.run ~config
+    ~client_config:
+      { Workload.Client.default_config with
+        Workload.Client.think_mean = spike.think }
+    ~clients:spike.clients ~warmup:spike.warmup ~measure:spike.measure
+    ~slice:spike.slice ()
 
 (* Both arms of the spike, run once and shared by the tests that read
    them. *)

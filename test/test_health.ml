@@ -254,14 +254,29 @@ let test_backoff_edges () =
    drains clean — nothing is stuck — and the taxonomy accounts for every
    client-visible failure. *)
 
+(* The canonical chaos run with resilience on at seed 42, shared by the
+   accounting test and the golden report. *)
+let canonical =
+  lazy
+    (let s = Server.Scenario.default in
+     Server.Experiment.run
+       ~config:
+         { (Server.Config.resilient ()) with
+           Server.Config.faults = Server.Scenario.faults s }
+       ~client_config:
+         { Workload.Client.default_config with
+           Workload.Client.think_mean = s.think }
+       ~seed:42 ~clients:s.clients ~warmup:s.warmup ~measure:s.measure
+       ~drain:s.drain ~slice:s.slice ())
+
 let test_supervised_throughput () =
-  let o = Server.Scenario.run_chaos ~seed:42 () in
-  let r = o.Server.Scenario.report in
-  Alcotest.(check bool) "queries completed" true (o.Server.Scenario.completed > 0);
+  let o = Lazy.force canonical in
+  let r = o.Server.Experiment.health in
+  Alcotest.(check bool) "queries completed" true (o.Server.Experiment.total_completed > 0);
   Alcotest.(check int) "no query permanently stuck" 0 (Health.Report.stuck r);
   (* Every failed client attempt returned a coded error: the client books
      and the error budget must agree exactly. *)
-  let st = o.Server.Scenario.client_stats in
+  let st = o.Server.Experiment.client_stats in
   Alcotest.(check int) "every failure carries a taxonomy code"
     (st.Workload.Client.attempts - st.Workload.Client.succeeded)
     (Health.Report.total_errors r)
@@ -271,22 +286,26 @@ let test_supervised_throughput () =
    the faults clear and the load drains, nothing may be stuck or leaked,
    and every failed attempt must carry a taxonomy code. *)
 
-let run_chaos_schedule config seed =
+let check_drains_clean config seed =
   let faults = Test_fuzz.schedule_of_seed seed in
   List.iter Faultsim.Fault.validate faults;
   (* schedule_of_seed windows all end by ~350 s; clients stop at 400 and
      the drain runs to 1200, far past any retry/backoff tail. *)
-  let o =
-    Server.Scenario.run_chaos ~config ~faults ~seed ~clients:8 ~warmup:0.
-      ~measure:400. ~drain:800. ~think_mean:50. ()
+  let measure = 400. and drain = 800. in
+  let dbms, st, _ =
+    Server.Experiment.load { config with Server.Config.faults; seed }
+      (Workload.Sales.catalog ())
+      ~templates:(Workload.Sales.templates ())
+      ~client_config:
+        { Workload.Client.default_config with Workload.Client.think_mean = 50. }
+      ~clients:8 ~stop:measure
   in
-  let dbms = o.Server.Scenario.dbms in
-  let r = o.Server.Scenario.report in
+  Sim.Engine.run (Server.Dbms.engine dbms) ~until:(measure +. drain);
+  let r = Server.Dbms.health_report dbms () in
   if Health.Report.stuck r <> 0 then
     Alcotest.failf "seed %d: %d queries permanently stuck" seed
       (Health.Report.stuck r);
   (* Taxonomy completeness: client books = error budget. *)
-  let st = o.Server.Scenario.client_stats in
   if st.Workload.Client.attempts - st.Workload.Client.succeeded
      <> Health.Report.total_errors r
   then
@@ -320,8 +339,8 @@ let prop_chaos_drains_clean =
   QCheck.Test.make ~name:"chaos runs drain clean" ~count:20
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      run_chaos_schedule (Server.Config.resilient ()) seed;
-      run_chaos_schedule (Server.Config.default ()) seed;
+      check_drains_clean (Server.Config.resilient ()) seed;
+      check_drains_clean (Server.Config.default ()) seed;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -331,8 +350,7 @@ let prop_chaos_drains_clean =
 let report_string r = Format.asprintf "%a@." Health.Report.pp r
 
 let test_health_report_golden () =
-  let o = Server.Scenario.run_chaos ~seed:42 () in
-  let got = report_string o.Server.Scenario.report in
+  let got = report_string (Lazy.force canonical).Server.Experiment.health in
   let expected = Test_trace.read_file (Test_trace.golden_path "health_report.golden") in
   if got <> expected then (
     let oc = open_out "health_report.actual" in

@@ -201,15 +201,6 @@ let test_series_values_between () =
   let vs = Series.values_between s ~start:3. ~stop:6. in
   Alcotest.(check (array (float 1e-9))) "window" [| 3.; 4.; 5. |] vs
 
-let test_series_bucket_mean () =
-  let s = Series.create () in
-  Series.add s ~time:0.1 10.;
-  Series.add s ~time:0.2 20.;
-  Series.add s ~time:1.5 5.;
-  let buckets = Series.bucket_mean s ~start:0. ~stop:2. ~width:1. in
-  check_float "mean slice0" 15. (snd buckets.(0));
-  check_float "mean slice1" 5. (snd buckets.(1))
-
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -798,7 +789,6 @@ let suite =
     ("series bucket sum", `Quick, test_series_bucket_sum);
     ("series monotonic times", `Quick, test_series_monotonic_times);
     ("series values between", `Quick, test_series_values_between);
-    ("series bucket mean", `Quick, test_series_bucket_mean);
     ("engine sleep ordering", `Quick, test_engine_sleep_ordering);
     ("engine same-time fifo", `Quick, test_engine_same_time_fifo);
     ("engine cancel", `Quick, test_engine_cancel);
