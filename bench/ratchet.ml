@@ -5,17 +5,23 @@
      dune exec bench/ratchet.exe -- --tolerance 0.20 base.json fresh.json
 
    Allocation per op is compared unconditionally — it is a property of
-   the code, not the machine. Wall time per op is only compared when the
-   two files were produced on machines with the same core count: CI
-   runners are heterogeneous, and a wall "regression" measured on a
-   slower box is noise, not a ratchet violation. Stdlib only: the JSON
-   is parsed by [Json], a small recursive-descent reader. *)
+   the code, not the machine. Time per op is compared in units of
+   the calibration kernel that bench/perf.ml times in the same process
+   ([calib_ns]), so a run on a machine that runs slower than the
+   baseline's slows the rows and their unit alike. It is only compared
+   when the two files were produced on machines with the same core count
+   and both record the kernel: CI runners are heterogeneous, and one
+   kernel cannot stand for another machine's mix of speeds.
+   Stdlib only: the JSON is parsed by [Json], a small recursive-descent
+   reader. *)
 
 open Json
 
 (* --- Comparison --------------------------------------------------- *)
 
-type point = { wall_ns : float; alloc : float }
+(* [time] is time per op in units of the kernel, when the file records
+   one. *)
+type point = { time : float option; alloc : float }
 
 (* Benchmarks whose per-op allocation was deliberately driven down (the
    cost-only Cascades memo and its replay, the pooled event loop, the CPU hand-off
@@ -59,8 +65,9 @@ let benchmarks_of j =
           match (str_field b "name", num_field b "per_op_ns",
                  num_field b "alloc_bytes_per_op")
           with
-          | Some name, Some wall_ns, Some alloc ->
-              Some (name, { wall_ns; alloc })
+          | Some name, Some ns, Some alloc ->
+              let time = Option.map (fun c -> ns /. c) (num_field j "calib_ns") in
+              Some (name, { time; alloc })
           | _ -> None)
         bs
   | _ -> []
@@ -136,7 +143,7 @@ let () =
     in
     let bad = ratio > 1. +. tol in
     if bad then incr failures;
-    Printf.printf "  %-28s %-8s %12.1f -> %12.1f  %+6.1f%%%s\n" name kind base
+    Printf.printf "  %-28s %-8s %12.6g -> %12.6g  %+6.1f%%%s\n" name kind base
       cur
       (100. *. (ratio -. 1.))
       (if bad then Printf.sprintf "  REGRESSION (>%.0f%%)" (100. *. tol)
@@ -153,9 +160,10 @@ let () =
       match List.assoc_opt name base_benches with
       | None -> Printf.printf "  %-28s new benchmark, no baseline\n" name
       | Some base_pt ->
-          if compare_wall then
-            check name "wall/op" ~tol:!tolerance base_pt.wall_ns
-              fresh_pt.wall_ns;
+          (match (base_pt.time, fresh_pt.time) with
+          | Some base, Some cur when compare_wall ->
+              check name "time/cal" ~tol:!tolerance base cur
+          | _ -> ());
           let alloc_tol =
             if List.mem name tight_alloc_benches then
               Stdlib.min !tolerance tight_alloc_tolerance
